@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import CostFunction
 from .errors import LagoError
-from .model import FittedModel
+from .model import FittedModel, expit
 from .optimizer import GoalSpec, _threshold_core, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, norm_quantile
 from .sim import StagePlan
@@ -88,20 +88,16 @@ def dominance_design(n_per_center: int = 40) -> DominanceDesign:
     )
 
 
-def _expit(v):
-    return 1.0 / (1.0 + np.exp(-v))
-
-
 def _expectation_summary(design: DominanceDesign, beta) -> ArmSummary:
     """Stage-1 sums replaced by their means; later stages planned as future."""
     beta = np.asarray(beta, dtype=float)
     first = design.stages[0]
     n = first.n_per_center
-    p0 = float(_expit(beta[0]))
+    p0 = expit(beta[0])
     s1 = 0.0
     for pkg in first.probe_packages:
         eta = beta[0] + float(np.dot(beta[1:], np.asarray(pkg, dtype=float)))
-        s1 += n * float(_expit(eta))
+        s1 += n * expit(eta)
     n1_obs = first.n_intervention_centers * n
     n0_obs = first.n_control_centers * n
     n1_fut = sum(sp.n_intervention_centers * sp.n_per_center for sp in design.stages[1:])
@@ -127,7 +123,7 @@ def _expectation_model(design: DominanceDesign, beta) -> FittedModel:
     info = np.zeros((beta.size, beta.size))
     for pkg in packages:
         row = np.concatenate(([1.0], pkg))
-        p = float(_expit(float(np.dot(beta, row))))
+        p = expit(np.dot(beta, row))
         info += n * p * (1.0 - p) * np.outer(row, row)
     return FittedModel(
         beta=beta,

@@ -40,7 +40,18 @@ MAX_ITER = 100
 # ---------------------------------------------------------------------------
 
 def expit(eta):
-    """Numerically stable inverse logit, scalar or array."""
+    """Numerically stable inverse logit, scalar or array.
+
+    Python and numpy scalars take a ``math.exp`` path that returns a float;
+    the power-threshold bisection calls this on scalars many times per
+    decision, where a numpy round trip costs more than the arithmetic.
+    """
+    if isinstance(eta, (float, int, np.floating, np.integer)):
+        eta = float(eta)
+        if eta >= 0.0:
+            return 1.0 / (1.0 + math.exp(-eta))
+        ex = math.exp(eta)
+        return ex / (1.0 + ex)
     eta = np.asarray(eta, dtype=float)
     out = np.empty_like(eta)
     pos = eta >= 0

@@ -12,6 +12,12 @@ Everything here is pure arithmetic on realized or projected arm summaries:
   inequality on observed data plus future-stage randomness only; satisfied
   when the returned slack is <= 0).
 
+1-df unconditional power uses the exact normal form
+Phi(r - c) + Phi(-r - c), r = sqrt(lam), c = z_{alpha/2} (scaled by the
+root of the pooled/unpooled variance ratio for pooled tests).  The noncentral
+chi-square Poisson mixture serves the package-df Wald power (df > 1) and is
+the test oracle for that closed form.
+
 Conventions: the unconditional constraint uses the two-sided chi-square
 rejection event; the conditional constraint uses the one-sided event (the
 wrong-sign rejection probability is negligible at any useful power level).
@@ -19,6 +25,7 @@ wrong-sign rejection probability is negligible at any useful power level).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -301,8 +308,12 @@ def chisq_sf(x: float, df: float) -> float:
     return _gamma_q_contfrac(0.5 * df, 0.5 * x)
 
 
+@functools.lru_cache(maxsize=64)
 def chisq_quantile(p: float, df: float) -> float:
-    """Central chi-square quantile by bisection (robust, ~1e-12)."""
+    """Central chi-square quantile by bisection (robust, ~1e-12).
+
+    Memoized: callers ask for the same few (1 - alpha, df) critical values on
+    every power evaluation."""
     if not 0.0 < p < 1.0:
         raise ValueError("chisq_quantile needs p strictly inside (0, 1)")
     lo, hi = 0.0, float(df) + 10.0
@@ -789,11 +800,21 @@ def unconditional_power_at_level(
     alpha: float = 0.05,
 ) -> float:
     """Projected power of the two-sided test when the future intervention
-    rate/mean is ``level`` (1-df kinds only)."""
+    rate/mean is ``level`` (1-df kinds only).
+
+    The squared statistic is noncentral chi-square with 1 df, i.e.
+    (Z + r)^2 with r = sqrt(lam), rejected above c^2 where
+    c = z_{alpha/2} * sqrt(rescale) (rescale = 1 unless pooled).  So the power
+    is P(Z > c - r) + P(Z < -c - r), summed from upper tails so it stays
+    accurate at both ends; it equals
+    1 - noncentral_chisq_cdf(chisq_quantile(1 - alpha, 1) * rescale, 1, lam).
+    """
     lam = lambda_at_level(level, model, summary, test)
-    crit = chisq_quantile(1.0 - alpha, 1)
-    crit *= _critical_rescale(level, model, summary, test)
-    return 1.0 - noncentral_chisq_cdf(crit, 1, lam)
+    c = norm_quantile(1.0 - 0.5 * alpha) * math.sqrt(
+        _critical_rescale(level, model, summary, test)
+    )
+    r = math.sqrt(lam)
+    return norm_sf(c - r) + norm_sf(c + r)
 
 
 def unconditional_power(

@@ -434,15 +434,46 @@ def to_document(state: TrialState) -> dict:
 
 
 def from_document(doc: dict) -> TrialState:
+    """Trial state from a ``to_document`` snapshot.
+
+    Rejects a document whose status, stage indices or recommendation count
+    disagree with its completed stages, so a hand-edited status cannot
+    unlock ``final_test`` on part of the trial.
+    """
     if doc.get("format") != DOCUMENT_FORMAT:
         raise ValueError(f"not a {DOCUMENT_FORMAT} document")
     if doc.get("version") != DOCUMENT_VERSION:
         raise ValueError(f"unsupported document version {doc.get('version')!r}")
+    config = TrialConfig.from_config(doc["config"])
+    completed = tuple(_record_from_dict(r) for r in doc["completed"])
+    recommendations = [_rec_from_dict(r) for r in doc["recommendations"]]
+    status = doc["status"]
+    indices = [rec.stage_index for rec in completed]
+    if indices != list(range(1, len(completed) + 1)):
+        raise ValueError(f"completed stage indices {indices} are not 1, 2, ...")
+    if len(completed) > config.n_stages:
+        raise ValueError(
+            f"{len(completed)} completed stages, the plan has {config.n_stages}"
+        )
+    if len(recommendations) > len(completed):
+        raise ValueError(
+            f"{len(recommendations)} recommendations for "
+            f"{len(completed)} completed stages"
+        )
+    if len(completed) == config.n_stages:
+        allowed = ("complete",)
+    else:
+        allowed = (f"awaiting-stage-{len(completed) + 1}", "stopped-futility")
+    if status not in allowed:
+        raise ValueError(
+            f"status {status!r} does not match {len(completed)} of "
+            f"{config.n_stages} completed stages"
+        )
     return TrialState(
-        config=TrialConfig.from_config(doc["config"]),
-        completed=tuple(_record_from_dict(r) for r in doc["completed"]),
-        recommendations=[_rec_from_dict(r) for r in doc["recommendations"]],
-        status=doc["status"],
+        config=config,
+        completed=completed,
+        recommendations=recommendations,
+        status=status,
     )
 
 

@@ -6,6 +6,7 @@ least-squares path and the sandwich covariance.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ def test_expit_is_stable_and_correct():
     assert expit(-800.0) == 0.0
     xs = np.linspace(-30, 30, 101)
     assert np.allclose(expit(xs), 1.0 / (1.0 + np.exp(-xs)))
+
+
+def test_scalar_expit_matches_array_path():
+    etas = np.concatenate([np.linspace(-800.0, 800.0, 4001), [-np.inf, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        array = expit(etas)
+        for eta, ref in zip(etas, array):
+            for scalar in (float(eta), np.float64(eta)):
+                got = expit(scalar)
+                assert type(got) is float
+                assert abs(got - ref) <= math.ulp(ref)
+    assert expit(3) == expit(3.0)
+    assert isinstance(expit(np.array(0.5)), float)
 
 
 def test_link_round_trips():

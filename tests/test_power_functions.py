@@ -20,6 +20,7 @@ from lago.model import FittedModel, expit
 from lago.power import (
     ArmSummary,
     TestSelector as Selector,
+    _critical_rescale,
     chisq_cdf,
     chisq_quantile,
     chisq_sf,
@@ -443,6 +444,67 @@ def test_pooled_rescale_shifts_power_in_right_direction():
     pooled_var = pool * (1 - pool) * (1 / 240 + 1 / 80)
     assert pp != pytest.approx(up, abs=1e-4)
     assert (pp > up) == (pooled_var < unpooled_var)
+
+
+def _mixture_power(level, model, summary, test, alpha):
+    """The Poisson-mixture form the 1-df closed form replaced, kept as oracle."""
+    lam = lambda_at_level(level, model, summary, test)
+    crit = chisq_quantile(1.0 - alpha, 1) * _critical_rescale(level, model, summary, test)
+    return 1.0 - noncentral_chisq_cdf(crit, 1, lam)
+
+
+_BINARY_WIDE = ArmSummary(
+    n1_obs=120, n0_obs=40, s1_obs=74.0, s0_obs=21.0,
+    n1_future=1200, n0_future=400,
+)
+_CONTINUOUS_MODEL = make_model([0.2, 0.5], link="identity", kind="continuous", sigma2=1.0)
+
+
+def _continuous_summary(var1, var0):
+    return ArmSummary(
+        n1_obs=90, n0_obs=30, s1_obs=90 * 0.55, s0_obs=30 * 0.18,
+        n1_future=270, n0_future=90, var1_obs=var1, var0_obs=var0,
+    )
+
+
+# (kind, model, summary, levels); the pooled cases move the critical-value
+# rescale off 1: about 0.9 (binary) and 0.4 and 2.5 (continuous)
+_CLOSED_FORM_CASES = [
+    ("z_unpooled", make_model([0.1, 0.3, 0.15]), _BINARY_WIDE, np.linspace(0.02, 0.98, 97)),
+    ("z_pooled", make_model([0.1, 0.3, 0.15]), _BINARY_WIDE, np.linspace(0.02, 0.98, 97)),
+    ("t_unpooled", _CONTINUOUS_MODEL, _continuous_summary(0.3, 3.0), np.linspace(-3.0, 3.5, 131)),
+    ("t_pooled", _CONTINUOUS_MODEL, _continuous_summary(0.3, 3.0), np.linspace(-3.0, 3.5, 131)),
+    ("t_pooled", _CONTINUOUS_MODEL, _continuous_summary(3.0, 0.3), np.linspace(-3.0, 3.5, 131)),
+]
+
+
+@pytest.mark.parametrize("kind, model, s, levels", _CLOSED_FORM_CASES)
+def test_unconditional_power_closed_form_matches_mixture_oracle(kind, model, s, levels):
+    test = Selector(kind)
+    lams, rescales = [], []
+    for level in levels:
+        lam = lambda_at_level(level, model, s, test)
+        if lam > 80.0:
+            continue
+        lams.append(lam)
+        rescales.append(_critical_rescale(level, model, s, test))
+        for alpha in (0.01, 0.05, 0.1, 0.2):
+            got = unconditional_power_at_level(level, model, s, test, alpha)
+            assert abs(got - _mixture_power(level, model, s, test, alpha)) <= 1e-12
+    assert min(lams) < 0.1 and max(lams) > 50.0
+    if test.pooled:
+        assert max(abs(r - 1.0) for r in rescales) > 0.05
+
+
+def test_unconditional_power_closed_form_scipy_pin():
+    _, model, s, _ = _CLOSED_FORM_CASES[1]
+    test = Selector("z_pooled")
+    level = 0.6
+    lam = lambda_at_level(level, model, s, test)
+    crit = scipy.stats.chi2.ppf(0.95, 1) * _critical_rescale(level, model, s, test)
+    assert unconditional_power_at_level(level, model, s, test, 0.05) == pytest.approx(
+        scipy.stats.ncx2.sf(crit, 1, lam), abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

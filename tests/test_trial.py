@@ -2,19 +2,29 @@
 recommendation solver, final analysis, futility reporting, and resume."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lago.cost import CostFunction
 from lago.errors import OutOfOrderStageError
 from lago.model import CenterData, StageRecord, fit_binary
-from lago.optimizer import GoalSpec, min_cost_subject_to_threshold, recommend_stage_k
+from lago.optimizer import (
+    GoalSpec,
+    Recommendation,
+    min_cost_subject_to_threshold,
+    recommend_stage_k,
+)
 from lago.power import ArmSummary, TestSelector as Selector
 from lago.power import final_test as summary_final_test
 from lago.trial import (
     PlannedStage,
     TrialConfig,
+    TrialState,
     check_futility,
     final_optimal,
     final_test,
@@ -360,6 +370,107 @@ def test_document_version_checked():
     doc["format"] = "something-else"
     with pytest.raises(ValueError, match="document"):
         from_document(doc)
+
+
+def _after_stage1_doc():
+    state = ingest_stage(new_trial(make_config(POWER_GOALS)), stage1())
+    next_recommendation(state)
+    return to_document(state)
+
+
+def _mark_complete(doc):
+    doc["status"] = "complete"
+
+
+def _skip_stage_index(doc):
+    doc["completed"][0]["stage_index"] = 2
+    doc["status"] = "awaiting-stage-2"
+
+
+def _extra_recommendation(doc):
+    doc["recommendations"].append(dict(doc["recommendations"][0]))
+
+
+def _stage_beyond_plan(doc):
+    extra = [dict(doc["completed"][0], stage_index=k) for k in (2, 3)]
+    doc["completed"].extend(extra)
+    doc["status"] = "complete"
+
+
+@pytest.mark.parametrize("edit", [
+    _mark_complete, _skip_stage_index, _extra_recommendation, _stage_beyond_plan,
+])
+def test_document_with_inconsistent_state_is_rejected(edit):
+    doc = _after_stage1_doc()
+    from_document(doc)
+    edit(doc)
+    with pytest.raises(ValueError):
+        from_document(doc)
+
+
+_outcomes = st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=6)
+_packages = st.tuples(
+    st.floats(0.0, 2.0, allow_nan=False), st.floats(0.0, 8.0, allow_nan=False)
+)
+
+
+@st.composite
+def trial_states(draw):
+    config = make_config(POWER_GOALS)
+    n_done = draw(st.integers(0, config.n_stages))
+    completed = tuple(
+        StageRecord(stage_index=k, centers=[
+            CenterData(arm=0, package=np.zeros(2), outcomes=draw(_outcomes)),
+            CenterData(arm=1, package=np.array(draw(_packages)),
+                       outcomes=draw(_outcomes)),
+        ])
+        for k in range(1, n_done + 1)
+    )
+    recommendations = [
+        Recommendation(
+            x_hat=np.array(draw(_packages)),
+            regime=draw(st.sampled_from(
+                ["goal-feasible", "pmax-fallback", "shrinking-fallback"]
+            )),
+            achieved_outcome=draw(st.floats(0.0, 1.0)),
+            required_threshold=draw(st.floats(0.0, 1.0)),
+            projected_power=draw(st.none() | st.floats(0.0, 1.0)),
+            cost=draw(st.floats(0.0, 1e4)),
+        )
+        for _ in range(draw(st.integers(0, n_done)))
+    ]
+    if n_done == config.n_stages:
+        status = "complete"
+    else:
+        status = draw(st.sampled_from(
+            [f"awaiting-stage-{n_done + 1}", "stopped-futility"]
+        ))
+    return TrialState(config, completed, recommendations, status)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trial_states())
+def test_save_load_round_trip(state):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trial.json"
+        save_state(state, path)
+        loaded = load_state(path)
+    assert loaded.config == state.config
+    assert loaded.status == state.status
+    assert len(loaded.completed) == len(state.completed)
+    for back, orig in zip(loaded.completed, state.completed):
+        assert back.stage_index == orig.stage_index
+        assert len(back.centers) == len(orig.centers)
+        for cb, co in zip(back.centers, orig.centers):
+            assert cb.arm == co.arm
+            assert np.array_equal(cb.package, co.package)
+            assert np.array_equal(cb.outcomes, co.outcomes)
+    assert len(loaded.recommendations) == len(state.recommendations)
+    for back, orig in zip(loaded.recommendations, state.recommendations):
+        assert np.array_equal(back.x_hat, orig.x_hat)
+        for name in ("regime", "achieved_outcome", "required_threshold",
+                     "projected_power", "cost"):
+            assert getattr(back, name) == getattr(orig, name)
 
 
 def test_document_is_json_clean():
