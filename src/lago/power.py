@@ -25,7 +25,6 @@ wrong-sign rejection probability is negligible at any useful power level).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -308,12 +307,8 @@ def chisq_sf(x: float, df: float) -> float:
     return _gamma_q_contfrac(0.5 * df, 0.5 * x)
 
 
-@functools.lru_cache(maxsize=64)
 def chisq_quantile(p: float, df: float) -> float:
-    """Central chi-square quantile by bisection (robust, ~1e-12).
-
-    Memoized: callers ask for the same few (1 - alpha, df) critical values on
-    every power evaluation."""
+    """Central chi-square quantile by bisection (robust, ~1e-12)."""
     if not 0.0 < p < 1.0:
         raise ValueError("chisq_quantile needs p strictly inside (0, 1)")
     lo, hi = 0.0, float(df) + 10.0

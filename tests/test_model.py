@@ -72,7 +72,8 @@ def test_scalar_expit_matches_array_path():
             for scalar in (float(eta), np.float64(eta)):
                 got = expit(scalar)
                 assert type(got) is float
-                assert abs(got - ref) <= math.ulp(ref)
+                # libm and numpy's SIMD exp may each round differently
+                assert abs(got - ref) <= 4 * math.ulp(ref)
     assert expit(3) == expit(3.0)
     assert isinstance(expit(np.array(0.5)), float)
 

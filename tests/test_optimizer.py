@@ -34,13 +34,7 @@ from lago.optimizer import (
     shrinking_method,
 )
 from lago.power import ArmSummary, TestSelector as Selector
-from lago.power import (
-    chisq_quantile,
-    lambda_at_level,
-    lambda_min,
-    unconditional_lambda,
-    unconditional_power,
-)
+from lago.power import lambda_at_level, lambda_min, unconditional_lambda, unconditional_power
 
 
 def make_model(beta, link="logit"):
@@ -378,17 +372,6 @@ def test_power_threshold_wald_certifies_at_its_own_package():
     summary = ArmSummary.from_records(state.completed, future=(120.0, 40.0))
     pw = unconditional_power(x, MODEL_1A, summary, Selector("wald_pdf_binary"))
     assert pw >= 0.8 - 1e-9
-
-
-def test_power_threshold_wald_same_with_cold_critical_value_cache():
-    state = scenario_state()
-    goals = GoalSpec(
-        outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary")
-    )
-    warm = power_threshold(MODEL_1A, state, goals)
-    assert chisq_quantile.cache_info().hits > 0
-    chisq_quantile.cache_clear()
-    assert power_threshold(MODEL_1A, state, goals) == warm
 
 
 # ---------------------------------------------------------------------------
