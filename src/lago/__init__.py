@@ -48,7 +48,6 @@ from .optimizer import (
     p_max,
     plan_stage1,
     power_threshold,
-    recommend,
     recommend_from_summary,
     recommend_stage_k,
     shrinking_method,
@@ -132,7 +131,6 @@ __all__ = [
     "min_cost_subject_to_threshold",
     "power_threshold",
     "shrinking_method",
-    "recommend",
     "recommend_stage_k",
     "recommend_from_summary",
     "plan_stage1",

@@ -75,16 +75,6 @@ def _read_json(source: str) -> dict:
         raise ValueError(f"{source}: not valid JSON ({exc})") from None
 
 
-def _build(factory, payload, what: str):
-    """from_config with config-shaped errors instead of raw Key/TypeErrors."""
-    try:
-        return factory(payload)
-    except KeyError as exc:
-        raise ValueError(f"{what} is missing required field {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ValueError(f"{what} is malformed: {exc}") from None
-
-
 def _floats(text: str, what: str) -> list:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -204,7 +194,7 @@ def _load_trial_state(args):
     if getattr(args, "trial", None):
         return load_state(args.trial)
     if getattr(args, "config", None) and getattr(args, "data", None):
-        config = _build(TrialConfig.from_config, _read_json(args.config), "trial config")
+        config = TrialConfig.from_config(_read_json(args.config))
         state = new_trial(config)
         for record in load_stage_csv(args.data):
             state = ingest_stage(state, record)
@@ -249,8 +239,7 @@ def _model_fixture(source: str, which: str = "beta"):
 def _fixture_cost_bounds(args, doc: dict):
     """Cost and bounds from --config when given, else the coefficient fixture."""
     cfg = _read_json(args.config) if getattr(args, "config", None) else doc
-    cost = _build(CostFunction.from_config, cfg["cost"], "cost") \
-        if "cost" in cfg else None
+    cost = CostFunction.from_config(cfg["cost"]) if "cost" in cfg else None
     bounds = cfg.get("bounds")
     if cost is None or bounds is None:
         raise ValueError("no cost/bounds available; pass --config or use a "
@@ -290,9 +279,8 @@ def _cmd_recommend(args) -> int:
             model = refit(state)
             goals = _goals_from_flags(args, state.config.goals,
                                       state.config.outcome_kind)
-            k = args.stage if args.stage is not None else len(state.completed) + 1
             rec = recommend_stage_k(
-                model, state, goals, k=k,
+                model, state, goals, k=args.stage,
                 stage1_fallback_x=state.config.stage1_package,
             )
     extra = {}
@@ -310,8 +298,7 @@ def _cmd_simulate(args) -> int:
         reps = args.reps if args.reps is not None else 2000
         spec = builder(n_per_center=args.n, replicates=reps)
     else:
-        spec = _build(ScenarioSpec.from_config, _read_json(args.config),
-                      "scenario config")
+        spec = ScenarioSpec.from_config(_read_json(args.config))
         if args.reps is not None and args.reps != spec.replicates:
             spec = dataclasses.replace(spec, replicates=args.reps)
     if _any_goal_flag(args):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import config_errors
+
 
 @dataclass(frozen=True)
 class CostFunction:
@@ -109,17 +111,18 @@ class CostFunction:
     @classmethod
     def from_config(cls, entries) -> "CostFunction":
         """Build from the JSON form: [[component (1-based) | null, degree, coeff], ...]."""
-        terms = []
-        for entry in entries:
-            if len(entry) != 3:
-                raise ValueError(f"cost entry must have three fields: {entry!r}")
-            comp, degree, coeff = entry
-            if comp is not None:
-                comp = int(comp) - 1
-                if comp < 0:
-                    raise ValueError("config components are 1-based")
-            terms.append((comp, degree, coeff))
-        return cls(tuple(terms))
+        with config_errors("cost"):
+            terms = []
+            for entry in entries:
+                if len(entry) != 3:
+                    raise ValueError(f"cost entry must have three fields: {entry!r}")
+                comp, degree, coeff = entry
+                if comp is not None:
+                    comp = int(comp) - 1
+                    if comp < 0:
+                        raise ValueError("config components are 1-based")
+                terms.append((comp, degree, coeff))
+            return cls(tuple(terms))
 
     def to_config(self) -> list:
         return [

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import CostFunction
 from .errors import LagoError
-from .model import FittedModel, expit
+from .model import FittedModel, expit, logistic_information
 from .optimizer import GoalSpec, _threshold_core, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, norm_quantile
 from .sim import StagePlan
@@ -120,11 +120,8 @@ def _expectation_model(design: DominanceDesign, beta) -> FittedModel:
     n = first.n_per_center
     packages = [np.zeros(beta.size - 1)] * first.n_control_centers
     packages += [np.asarray(p, dtype=float) for p in first.probe_packages]
-    info = np.zeros((beta.size, beta.size))
-    for pkg in packages:
-        row = np.concatenate(([1.0], pkg))
-        p = expit(np.dot(beta, row))
-        info += n * p * (1.0 - p) * np.outer(row, row)
+    X = np.array([np.concatenate(([1.0], pkg)) for pkg in packages])
+    info = logistic_information(X, np.full(len(packages), float(n)), expit(X @ beta))
     return FittedModel(
         beta=beta,
         link="logit",

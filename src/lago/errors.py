@@ -6,6 +6,22 @@ handle (fall through to another algorithm branch, count a failed replicate,
 map to a CLI exit code).
 """
 
+import contextlib
+
+
+@contextlib.contextmanager
+def config_errors(what: str):
+    """Re-raise the KeyError/TypeError/AttributeError of a malformed config
+    document (a missing field, an unknown one, a list or null where an
+    object belongs) as ValueError naming the document, so bad input at every
+    config boundary fails the same way."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} is missing required field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{what} is malformed: {exc}") from None
+
 
 class LagoError(Exception):
     """Base class for all numerical/stateful failures raised by this package."""

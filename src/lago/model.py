@@ -239,6 +239,16 @@ def _center_rows(records):
     return X, np.asarray(sizes), np.asarray(sums)
 
 
+def logistic_information(X, n, p):
+    """Fisher information of grouped logistic rows: sum_i n_i p_i (1 - p_i) x_i x_i'.
+
+    ``X`` holds one design row per group (intercept first), ``n`` the group
+    sizes and ``p`` the success probabilities at those rows.
+    """
+    w = n * p * (1.0 - p)
+    return X.T @ (X * w[:, None])
+
+
 def _obs_rows(records):
     """Per-observation design (X with intercept, y), for continuous fits."""
     xs, ys = [], []
@@ -301,8 +311,7 @@ def fit_binary(records) -> FittedModel:
         if np.linalg.norm(grad) <= GRAD_TOL:
             n_iter -= 1
             break
-        w = m * p * (1.0 - p)
-        H = X.T @ (X * w[:, None])
+        H = logistic_information(X, m, p)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
@@ -325,9 +334,7 @@ def fit_binary(records) -> FittedModel:
                 f"coefficient magnitude exceeded {COEF_CAP}; data likely separated"
             )
 
-    p = expit(X @ beta)
-    w = m * p * (1.0 - p)
-    H = X.T @ (X * w[:, None])
+    H = logistic_information(X, m, expit(X @ beta))
     try:
         cov = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:

@@ -31,6 +31,7 @@ from .model import FittedModel, link_forward, link_inverse, mirrored, predict
 from .power import (
     ArmSummary,
     TestSelector,
+    _wald_lambda_binary,
     conditional_power,
     conditional_slack_at_level,
     lambda_min,
@@ -45,7 +46,6 @@ __all__ = [
     "p_max",
     "min_cost_subject_to_threshold",
     "power_threshold",
-    "recommend",
     "recommend_stage_k",
     "plan_stage1",
     "shrinking_method",
@@ -96,6 +96,10 @@ class GoalSpec:
             raise ValueError("approach must be 'unconditional' or 'conditional'")
         if self.conditional_scale not in ("sd", "variance"):
             raise ValueError("conditional_scale must be 'sd' or 'variance'")
+        if self.test is not None and not isinstance(self.test, TestSelector):
+            raise ValueError(
+                f"test must be a TestSelector or None, got {self.test!r}"
+            )
         if self.power_goal is not None:
             if not 0.0 < self.power_goal < 1.0:
                 raise ValueError("power_goal must be in (0, 1)")
@@ -150,15 +154,15 @@ def _check_direction(direction: str) -> None:
 
 
 def _bounds_arrays(bounds, n_components: int):
-    arr = np.asarray(bounds, dtype=float)
-    if arr.ndim != 2 or arr.shape != (n_components, 2):
+    arr = np.array(bounds, dtype=float)
+    if arr.shape != (n_components, 2):
         raise ValueError(
             f"bounds must be {n_components} (lower, upper) pairs, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("bounds must be finite")
-    lo, hi = arr[:, 0].copy(), arr[:, 1].copy()
-    if np.any(lo > hi):
+    lo, hi = arr.T
+    if (lo > hi).any():
         raise ValueError("each lower bound must not exceed its upper bound")
     return lo, hi
 
@@ -208,25 +212,6 @@ def p_max(model: FittedModel, bounds, direction: str = "increase") -> float:
 # separable polynomial minimization over a box cut by a half-space
 # ---------------------------------------------------------------------------
 
-def _poly_min(coeffs, a: float, b: float):
-    """Exact minimum of a polynomial (ascending coeffs) on [a, b]."""
-    if b < a:
-        return None
-    cands = [a, b]
-    dc = np.trim_zeros(npoly.polyder(coeffs), "b")
-    if dc.size >= 2:
-        for root in npoly.polyroots(dc):
-            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)):
-                t = float(root.real)
-                if a < t < b:
-                    cands.append(t)
-    vals = npoly.polyval(np.asarray(cands), coeffs)
-    vmin = float(vals.min())
-    tol = 1e-12 * (1.0 + abs(vmin))
-    x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
-    return x, float(npoly.polyval(x, coeffs))
-
-
 class _ComponentPoly:
     """One component's cost polynomial with precomputed stationary points."""
 
@@ -246,6 +231,10 @@ class _ComponentPoly:
         return float(npoly.polyval(x, self.coeffs))
 
     def min_on(self, a: float, b: float):
+        """Exact minimum on [a, b] as (x, cost); None for an empty interval.
+
+        Ties within 1e-12 relative go to the smallest x.
+        """
         if b < a:
             return None
         cands = [a, b] + [t for t in self.stationary if a < t < b]
@@ -303,7 +292,7 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
             np.polynomial.Polynomial([A, B])
         )
         h = np.polynomial.Polynomial(info_f.coeffs) + comp
-        xf = _poly_min(h.coef, seg[0], seg[1])[0]
+        xf = _ComponentPoly(h.coef).min_on(seg[0], seg[1])[0]
         consider(xf, A + B * xf)
     if not cands:
         return None
@@ -440,7 +429,7 @@ def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
         for p in eff:
             adj = infos[p].coeffs.copy()
             adj[1] -= mu * beta1[p]
-            out[p] = _poly_min(adj, lo[p], hi[p])[0]
+            out[p] = _ComponentPoly(adj).min_on(lo[p], hi[p])[0]
         return out
 
     def supplied(values):
@@ -755,11 +744,12 @@ def recommend_stage_k(
     """Recommendation for stage ``k``: stages below k are observed data,
     stages k..K are the future sample the power projections commit.
 
-    ``model`` should be fitted on the observed stages; refitting is the
-    caller's job.  Cost and bounds default to the trial configuration.
+    ``k`` defaults to the next stage (completed stages + 1).  ``model``
+    should be fitted on the observed stages; refitting is the caller's job.
+    Cost and bounds default to the trial configuration.
     """
     if k is None:
-        raise ValueError("k (the stage being planned) is required")
+        k = len(trial_state.completed) + 1
     if k < 2:
         raise ValueError("stage-k recommendations start at k=2; use plan_stage1")
     have = {rec.stage_index for rec in trial_state.completed}
@@ -776,27 +766,6 @@ def recommend_stage_k(
     if anchor is None:
         anchor = _stage1_anchor(trial_state)
     return _recommend_core(model, summary, goals, cost, bounds, anchor)
-
-
-def recommend(
-    model: FittedModel,
-    trial_state,
-    goals: GoalSpec,
-    cost: CostFunction | None = None,
-    bounds=None,
-    stage1_fallback_x=None,
-) -> Recommendation:
-    """Recommendation for the next stage of the trial.
-
-    Equivalent to ``recommend_stage_k`` with k = (completed stages) + 1: all
-    completed stages count as observed, all remaining planned stages as the
-    future sample.
-    """
-    k = len(trial_state.completed) + 1
-    return recommend_stage_k(
-        model, trial_state, goals, cost=cost, bounds=bounds, k=k,
-        stage1_fallback_x=stage1_fallback_x,
-    )
 
 
 def recommend_from_summary(
@@ -927,24 +896,6 @@ def integerize(
 # per-center packages (package-df Wald path)
 # ---------------------------------------------------------------------------
 
-def _joint_wald_lambda(model, summary, packages, n1_each):
-    P = model.n_components
-    info = np.zeros((P + 1, P + 1))
-    rows = [
-        (np.asarray(pkg, dtype=float), n) for pkg, n in (summary.design_obs or ())
-    ]
-    rows += [(np.asarray(pkg, dtype=float), n1_each) for pkg in packages]
-    rows.append((np.zeros(P), summary.n0_future))
-    for pkg, n in rows:
-        if n <= 0:
-            continue
-        z = np.concatenate(([1.0], pkg))
-        p = float(link_inverse("logit", model.linear_predictor(pkg)))
-        info += n * p * (1.0 - p) * np.outer(z, z)
-    schur = info[1:, 1:] - np.outer(info[1:, 0], info[0, 1:]) / info[0, 0]
-    return float(model.effects @ schur @ model.effects)
-
-
 def min_cost_per_center(
     model: FittedModel,
     trial_state,
@@ -970,12 +921,10 @@ def min_cost_per_center(
         raise ValueError("per-center packages support the binary Wald path only")
     cost = cost if cost is not None else trial_state.config.cost
     bounds = bounds if bounds is not None else trial_state.config.bounds
-    k_next = len(trial_state.completed) + 1
-    summary = _state_summary(trial_state, goals.test, k_next)
-    anchor = _stage1_anchor(trial_state)
-    common = _recommend_core(model, summary, goals, cost, bounds, anchor)
+    common = recommend_stage_k(model, trial_state, goals, cost=cost, bounds=bounds)
     if goals.power_goal is None or common.regime != REGIME_GOAL:
         return [common.x_hat.copy() for _ in range(n_centers)]
+    summary = _state_summary(trial_state, goals.test, len(trial_state.completed) + 1)
 
     lo, hi = _bounds_arrays(bounds, model.n_components)
     direction = goals.direction
@@ -1003,7 +952,7 @@ def min_cost_per_center(
 
             def feasible(eta_w):
                 cand = package_at(eta_w)
-                lam = _joint_wald_lambda(model, summary, others + [cand], n1_each)
+                lam = _wald_lambda_binary(model, summary, others + [cand], n1_each)
                 return lam >= lam_req - 1e-9, cand
 
             ok_hi, cand_hi = feasible(eta_max_w)

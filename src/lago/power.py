@@ -31,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, SingularCovarianceError
-from .model import FittedModel, link_inverse, link_inverse_deriv, predict
+from .model import (
+    FittedModel,
+    expit,
+    link_inverse,
+    link_inverse_deriv,
+    logistic_information,
+    predict,
+)
 
 # ---------------------------------------------------------------------------
 # normal distribution
@@ -667,6 +674,42 @@ def projected_rates(level: float, model: FittedModel, summary: ArmSummary):
     return pbar1, pbar0
 
 
+def _arm_moments(
+    level: float, model: FittedModel, summary: ArmSummary, test: TestSelector
+):
+    """Projected all-stage arm moments of a 1-df test at future ``level``.
+
+    Returns (pbar1, pbar0, p0, unpooled_var, test_var): the
+    ``projected_rates``, the model control level, the unpooled projected
+    variance of the arm contrast, and the variance the test statistic
+    divides by (the pooled one for pooled tests, else ``unpooled_var``).
+    The noncentrality, the pooled critical rescale and the conditional
+    certificate all read these, so the control level is computed once per
+    level.
+    """
+    N1, N0 = summary.N1, summary.N0
+    p0 = _control_level(model)
+    pbar1 = (summary.s1_obs + summary.n1_future * level) / N1
+    pbar0 = (summary.s0_obs + summary.n0_future * p0) / N0
+    if test.continuous_outcome:
+        if summary.var0_obs is None:
+            raise ValueError("continuous projections need var0_obs")
+        st = _sigma1_tilde(level, summary)
+        unpooled_var = st / N1 + summary.var0_obs / N0
+        test_var = unpooled_var
+        if test.pooled:
+            s2 = ((N1 - 1.0) * st + (N0 - 1.0) * summary.var0_obs) / (N1 + N0 - 2.0)
+            test_var = s2 * (1.0 / N1 + 1.0 / N0)
+    else:
+        unpooled_var = pbar1 * (1.0 - pbar1) / N1 + pbar0 * (1.0 - pbar0) / N0
+        test_var = unpooled_var
+        if test.pooled:
+            pp = (summary.s1_obs + summary.n1_future * level
+                  + summary.s0_obs + summary.n0_future * p0) / (N1 + N0)
+            test_var = pp * (1.0 - pp) * (1.0 / N1 + 1.0 / N0)
+    return pbar1, pbar0, p0, unpooled_var, test_var
+
+
 def lambda_at_level(
     level: float, model: FittedModel, summary: ArmSummary, test: TestSelector
 ) -> float:
@@ -674,16 +717,7 @@ def lambda_at_level(
     intervention success probability / mean ``level`` alone."""
     if test.wald:
         raise ValueError("Wald noncentrality depends on the package, not just its level")
-    pbar1, pbar0 = projected_rates(level, model, summary)
-    if test.continuous_outcome:
-        if summary.var0_obs is None:
-            raise ValueError("continuous projections need var0_obs")
-        den = _sigma1_tilde(level, summary) / summary.N1 + summary.var0_obs / summary.N0
-    else:
-        den = (
-            pbar1 * (1.0 - pbar1) / summary.N1
-            + pbar0 * (1.0 - pbar0) / summary.N0
-        )
+    pbar1, pbar0, _, den, _ = _arm_moments(level, model, summary, test)
     if den <= 0.0:
         raise DegenerateVarianceError("zero projected variance")
     diff = pbar1 - pbar0
@@ -699,61 +733,50 @@ def _critical_rescale(
     ratio."""
     if not test.pooled:
         return 1.0
-    N1, N0 = summary.N1, summary.N0
-    if test.continuous_outcome:
-        st = _sigma1_tilde(level, summary)
-        s2 = ((N1 - 1.0) * st + (N0 - 1.0) * summary.var0_obs) / (N1 + N0 - 2.0)
-        pooled_var = s2 * (1.0 / N1 + 1.0 / N0)
-        unpooled_var = st / N1 + summary.var0_obs / N0
-    else:
-        pbar1, pbar0 = projected_rates(level, model, summary)
-        pp = (summary.s1_obs + summary.n1_future * level
-              + summary.s0_obs + summary.n0_future * _control_level(model)) / (N1 + N0)
-        pooled_var = pp * (1.0 - pp) * (1.0 / N1 + 1.0 / N0)
-        unpooled_var = pbar1 * (1.0 - pbar1) / N1 + pbar0 * (1.0 - pbar0) / N0
+    _, _, _, unpooled_var, pooled_var = _arm_moments(level, model, summary, test)
     if unpooled_var <= 0.0:
         raise DegenerateVarianceError("zero projected variance")
     return pooled_var / unpooled_var
 
 
-def _wald_info_binary(x, model: FittedModel, summary: ArmSummary) -> np.ndarray:
+def _projected_design(model: FittedModel, summary: ArmSummary, packages, n_each):
+    """All-stage design of a Wald projection as (X, n): the observed centers,
+    each future intervention package in ``packages`` at ``n_each``
+    observations, and the future control arm.  Rows with no observations are
+    dropped; X carries the intercept column."""
     if summary.design_obs is None:
         raise ValueError("Wald projections need design_obs on the summary")
-    P = model.n_components
-    info = np.zeros((P + 1, P + 1))
-    rows = [(np.asarray(pkg, dtype=float), n) for pkg, n in summary.design_obs]
-    rows.append((np.asarray(x, dtype=float), summary.n1_future))
-    rows.append((np.zeros(P), summary.n0_future))
-    for pkg, n in rows:
-        if n <= 0:
-            continue
-        z = np.concatenate(([1.0], pkg))
-        p = float(link_inverse("logit", model.linear_predictor(pkg)))
-        info += n * p * (1.0 - p) * np.outer(z, z)
-    return info
+    rows = list(summary.design_obs) + [(pkg, n_each) for pkg in packages]
+    rows.append((np.zeros(model.n_components), summary.n0_future))
+    rows = [(pkg, n) for pkg, n in rows if n > 0]
+    X = np.array([np.concatenate(([1.0], pkg)) for pkg, _ in rows], dtype=float)
+    n = np.array([size for _, size in rows], dtype=float)
+    return X.reshape(len(rows), model.beta.size), n
+
+
+def _wald_lambda_binary(
+    model: FittedModel, summary: ArmSummary, packages, n_each: float
+) -> float:
+    """Projected logistic Wald noncentrality beta1' (I11 - I10 I00^-1 I01) beta1,
+    I the Fisher information of the ``_projected_design``; the Schur complement
+    is the inverse of the effect block of I^-1."""
+    X, n = _projected_design(model, summary, packages, n_each)
+    info = logistic_information(X, n, expit(X @ model.beta))
+    if info[0, 0] <= 0.0:
+        raise DegenerateVarianceError("empty projected design")
+    schur = info[1:, 1:] - np.outer(info[1:, 0], info[0, 1:]) / info[0, 0]
+    return float(model.effects @ schur @ model.effects)
 
 
 def _wald_sandwich_continuous(x, model: FittedModel, summary: ArmSummary):
-    if summary.design_obs is None:
-        raise ValueError("Wald projections need design_obs on the summary")
     if summary.var1_obs is None or summary.var0_obs is None:
         raise ValueError("continuous Wald projections need arm variances")
-    P = model.n_components
-    bread = np.zeros((P + 1, P + 1))
-    meat = np.zeros((P + 1, P + 1))
-    rows = [(np.asarray(pkg, dtype=float), n) for pkg, n in summary.design_obs]
-    rows.append((np.asarray(x, dtype=float), summary.n1_future))
-    rows.append((np.zeros(P), summary.n0_future))
-    for pkg, n in rows:
-        if n <= 0:
-            continue
-        z = np.concatenate(([1.0], pkg))
-        d = float(link_inverse_deriv(model.link, model.linear_predictor(pkg)))
-        var = summary.var0_obs if not np.any(pkg) else summary.var1_obs
-        zz = np.outer(z, z)
-        bread += n * d * d * zz
-        meat += n * var * d * d * zz
-    return bread, meat
+    X, n = _projected_design(model, summary, [x], summary.n1_future)
+    d = link_inverse_deriv(model.link, X @ model.beta)
+    w = n * d * d
+    treated = np.any(X[:, 1:] != 0.0, axis=1)
+    var = np.where(treated, summary.var1_obs, summary.var0_obs)
+    return X.T @ (X * w[:, None]), X.T @ (X * (var * w)[:, None])
 
 
 def unconditional_lambda(
@@ -766,11 +789,7 @@ def unconditional_lambda(
     observed.
     """
     if test.kind == "wald_pdf_binary":
-        info = _wald_info_binary(x, model, summary)
-        if info[0, 0] <= 0.0:
-            raise DegenerateVarianceError("empty projected design")
-        schur = info[1:, 1:] - np.outer(info[1:, 0], info[0, 1:]) / info[0, 0]
-        return float(model.effects @ schur @ model.effects)
+        return _wald_lambda_binary(model, summary, [x], summary.n1_future)
     if test.kind == "wald_pdf_continuous":
         bread, meat = _wald_sandwich_continuous(x, model, summary)
         try:
@@ -853,28 +872,14 @@ def _conditional_parts(
     if test.wald:
         raise ValueError("the conditional approach is defined for 1-df tests only")
     N1, N0 = summary.N1, summary.N0
-    p0 = _control_level(model)
+    _, _, p0, _, test_var = _arm_moments(level, model, summary, test)
+    g1 = math.sqrt(max(test_var, 0.0))
     if test.continuous_outcome:
-        st = _sigma1_tilde(level, summary)
-        if test.pooled:
-            s2 = ((N1 - 1.0) * st + (N0 - 1.0) * summary.var0_obs) / (N1 + N0 - 2.0)
-            g1 = math.sqrt(s2 * (1.0 / N1 + 1.0 / N0))
-        else:
-            g1 = math.sqrt(st / N1 + summary.var0_obs / N0)
         fut_var = (
             summary.n1_future * summary.var1_obs / (N1 * N1)
             + summary.n0_future * summary.var0_obs / (N0 * N0)
         )
     else:
-        pbar1, pbar0 = projected_rates(level, model, summary)
-        if test.pooled:
-            pp = (summary.s1_obs + summary.n1_future * level
-                  + summary.s0_obs + summary.n0_future * p0) / (N1 + N0)
-            g1 = math.sqrt(max(pp * (1.0 - pp) * (1.0 / N1 + 1.0 / N0), 0.0))
-        else:
-            g1 = math.sqrt(
-                max(pbar1 * (1.0 - pbar1) / N1 + pbar0 * (1.0 - pbar0) / N0, 0.0)
-            )
         fut_var = (
             summary.n1_future * level * (1.0 - level) / (N1 * N1)
             + summary.n0_future * p0 * (1.0 - p0) / (N0 * N0)

@@ -23,8 +23,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cost import CostFunction
-from .errors import InfeasibleError, LagoError
-from .model import CenterData, FittedModel, StageRecord, link_inverse, predict
+from .errors import InfeasibleError, LagoError, config_errors
+from .model import (
+    CenterData,
+    FittedModel,
+    StageRecord,
+    _center_rows,
+    expit,
+    link_inverse,
+    predict,
+)
 from .optimizer import GoalSpec, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, norm_quantile
 from .trial import (
@@ -226,28 +234,29 @@ class ScenarioSpec:
 
     @classmethod
     def from_config(cls, doc: dict) -> "ScenarioSpec":
-        seed = doc.get("rng_seed")
-        fallback = doc.get("stage1_fallback_x")
-        return cls(
-            name=str(doc["name"]),
-            true_beta=tuple(doc["true_beta"]),
-            stages=tuple(StagePlan.from_config(e) for e in doc["stages"]),
-            cost=CostFunction.from_config(doc["cost"]),
-            bounds=tuple(tuple(b) for b in doc["bounds"]),
-            goals=GoalSpec.from_config(doc["goals"]),
-            replicates=int(doc["replicates"]),
-            rng_seed=None if seed is None else int(seed),
-            outcome_kind=doc.get("outcome_kind", "binary"),
-            outcome_sigma=float(doc.get("outcome_sigma", 1.0)),
-            outcome_link=doc.get("outcome_link", "identity"),
-            design_mode=doc.get("design_mode", "lago"),
-            se_source=doc.get("se_source", "model"),
-            stage1_fallback_x=None if fallback is None else tuple(fallback),
-            deploy_step=(
-                None if doc.get("deploy_step") is None
-                else tuple(doc["deploy_step"])
-            ),
-        )
+        with config_errors("scenario config"):
+            seed = doc.get("rng_seed")
+            fallback = doc.get("stage1_fallback_x")
+            return cls(
+                name=str(doc["name"]),
+                true_beta=tuple(doc["true_beta"]),
+                stages=tuple(StagePlan.from_config(e) for e in doc["stages"]),
+                cost=CostFunction.from_config(doc["cost"]),
+                bounds=tuple(tuple(b) for b in doc["bounds"]),
+                goals=GoalSpec.from_config(doc["goals"]),
+                replicates=int(doc["replicates"]),
+                rng_seed=None if seed is None else int(seed),
+                outcome_kind=doc.get("outcome_kind", "binary"),
+                outcome_sigma=float(doc.get("outcome_sigma", 1.0)),
+                outcome_link=doc.get("outcome_link", "identity"),
+                design_mode=doc.get("design_mode", "lago"),
+                se_source=doc.get("se_source", "model"),
+                stage1_fallback_x=None if fallback is None else tuple(fallback),
+                deploy_step=(
+                    None if doc.get("deploy_step") is None
+                    else tuple(doc["deploy_step"])
+                ),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +441,13 @@ def _sandwich_cov(state, model):
     """Heteroscedasticity-robust covariance for the binary fit.
 
     Grouped-binomial score per center is (s - n p) x, so the meat is the
-    sum of (s - n p)^2 x x' and the bread is the usual Fisher information.
+    sum of (s - n p)^2 x x'; the bread is the Fisher information, whose
+    inverse the binary fit already carries as its covariance.
     """
-    meat, bread = 0.0, 0.0
-    for rec in state.completed:
-        for c in rec.centers:
-            x = np.concatenate(([1.0], c.package))
-            n = c.size
-            p = predict(model, c.package)
-            s = float(np.sum(c.outcomes))
-            outer = np.outer(x, x)
-            bread = bread + n * p * (1.0 - p) * outer
-            meat = meat + (s - n * p) ** 2 * outer
-    bread_inv = np.linalg.inv(bread)
-    return bread_inv @ meat @ bread_inv
+    X, n, s = _center_rows(state.completed)
+    resid = s - n * expit(X @ model.beta)
+    meat = X.T @ (X * (resid * resid)[:, None])
+    return model.covariance @ meat @ model.covariance
 
 
 def _simulate_replicate(spec: ScenarioSpec, child_seed) -> tuple:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import CostFunction
-from .errors import OutOfOrderStageError
+from .errors import OutOfOrderStageError, config_errors
 from .model import (
     CenterData,
     FittedModel,
@@ -30,7 +30,15 @@ from .model import (
     fit_binary,
     fit_continuous,
 )
-from .optimizer import GoalSpec, Recommendation, recommend_stage_k, _recommend_core
+from .optimizer import (
+    GoalSpec,
+    Recommendation,
+    _bounds_arrays,
+    _recommend_core,
+    _stage1_anchor,
+    _state_summary,
+    recommend_stage_k,
+)
 from .power import ArmSummary, TestResult, TestSelector
 from .power import final_test as _summary_final_test
 from .power import conditional_power, unconditional_power
@@ -119,8 +127,7 @@ class TrialConfig:
             raise ValueError("outcome_kind must be 'binary' or 'continuous'")
         if not self.bounds:
             raise ValueError("bounds must list at least one component")
-        if any(a > b for a, b in self.bounds):
-            raise ValueError("each lower bound must not exceed its upper bound")
+        _bounds_arrays(self.bounds, len(self.bounds))
         if self.cost.max_component >= len(self.bounds):
             raise ValueError(
                 "cost references a component beyond the configured bounds"
@@ -149,16 +156,17 @@ class TrialConfig:
 
     @classmethod
     def from_config(cls, entry: dict) -> "TrialConfig":
-        stage1 = entry.get("stage1_package")
-        return cls(
-            stages=tuple(PlannedStage(**s) for s in entry["stages"]),
-            bounds=tuple(tuple(b) for b in entry["bounds"]),
-            cost=CostFunction.from_config(entry["cost"]),
-            goals=GoalSpec.from_config(entry["goals"]),
-            outcome_kind=entry.get("outcome_kind", "binary"),
-            outcome_link=entry.get("outcome_link", "identity"),
-            stage1_package=tuple(stage1) if stage1 is not None else None,
-        )
+        with config_errors("trial config"):
+            stage1 = entry.get("stage1_package")
+            return cls(
+                stages=tuple(PlannedStage(**s) for s in entry["stages"]),
+                bounds=tuple(tuple(b) for b in entry["bounds"]),
+                cost=CostFunction.from_config(entry["cost"]),
+                goals=GoalSpec.from_config(entry["goals"]),
+                outcome_kind=entry.get("outcome_kind", "binary"),
+                outcome_link=entry.get("outcome_link", "identity"),
+                stage1_package=tuple(stage1) if stage1 is not None else None,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +220,7 @@ def ingest_stage(state: TrialState, record: StageRecord) -> TrialState:
             f"stage packages have {record.n_components} components, "
             f"the trial is configured for {state.config.n_components}"
         )
-    lo = np.array([b[0] for b in state.config.bounds])
-    hi = np.array([b[1] for b in state.config.bounds])
+    lo, hi = _bounds_arrays(state.config.bounds, state.config.n_components)
     for c in record.centers:
         if c.arm == 1 and (np.any(c.package < lo) or np.any(c.package > hi)):
             warnings.warn(
@@ -281,8 +288,6 @@ def final_optimal(state: TrialState) -> Recommendation:
         raise ValueError("final_optimal needs an outcome goal")
     stripped = dataclasses.replace(goals, power_goal=None)
     model = refit(state)
-    from .optimizer import _stage1_anchor
-
     anchor = state.config.stage1_package
     if anchor is None:
         anchor = _stage1_anchor(state)
@@ -305,17 +310,10 @@ def check_futility(state: TrialState):
     if not state.completed:
         raise ValueError("futility is assessed on at least one completed stage")
     model = refit(state)
-    lo = np.array([b[0] for b in state.config.bounds])
-    hi = np.array([b[1] for b in state.config.bounds])
+    lo, hi = _bounds_arrays(state.config.bounds, state.config.n_components)
     effects = model.effects if goals.direction == "increase" else -model.effects
     x_ext = np.where(effects > 0, hi, lo)
-    k = state.next_stage
-    records = [rec for rec in state.completed if rec.stage_index < k]
-    summary = ArmSummary.from_records(
-        records,
-        future=state.future_arm_sizes(k),
-        continuous=goals.test.continuous_outcome,
-    )
+    summary = _state_summary(state, goals.test, state.next_stage)
     if goals.approach == "conditional":
         power = conditional_power(
             x_ext, model, summary, goals.test, goals.alpha,
@@ -440,14 +438,15 @@ def from_document(doc: dict) -> TrialState:
     disagree with its completed stages, so a hand-edited status cannot
     unlock ``final_test`` on part of the trial.
     """
-    if doc.get("format") != DOCUMENT_FORMAT:
-        raise ValueError(f"not a {DOCUMENT_FORMAT} document")
-    if doc.get("version") != DOCUMENT_VERSION:
-        raise ValueError(f"unsupported document version {doc.get('version')!r}")
-    config = TrialConfig.from_config(doc["config"])
-    completed = tuple(_record_from_dict(r) for r in doc["completed"])
-    recommendations = [_rec_from_dict(r) for r in doc["recommendations"]]
-    status = doc["status"]
+    with config_errors("trial state document"):
+        if doc.get("format") != DOCUMENT_FORMAT:
+            raise ValueError(f"not a {DOCUMENT_FORMAT} document")
+        if doc.get("version") != DOCUMENT_VERSION:
+            raise ValueError(f"unsupported document version {doc.get('version')!r}")
+        config = TrialConfig.from_config(doc["config"])
+        completed = tuple(_record_from_dict(r) for r in doc["completed"])
+        recommendations = [_rec_from_dict(r) for r in doc["recommendations"]]
+        status = doc["status"]
     indices = [rec.stage_index for rec in completed]
     if indices != list(range(1, len(completed) + 1)):
         raise ValueError(f"completed stage indices {indices} are not 1, 2, ...")

@@ -26,6 +26,7 @@ from lago.model import (
     link_inverse,
     link_inverse_deriv,
     load_stage_csv,
+    logistic_information,
     mirrored,
     predict,
 )
@@ -144,6 +145,29 @@ def test_fit_binary_matches_scipy_mle():
     assert np.allclose(fit.covariance, np.linalg.inv(H), rtol=1e-8)
     assert fit.kind == "binary" and fit.link == "logit"
     assert fit.n_used == 240
+
+
+def test_logistic_information_matches_outer_product_sum():
+    rng = np.random.default_rng(11)
+    X = np.column_stack([np.ones(7), rng.uniform(0.0, 4.0, (7, 3))])
+    n = rng.integers(1, 80, 7).astype(float)
+    p = rng.uniform(0.02, 0.98, 7)
+    oracle = np.zeros((4, 4))
+    for row, size, prob in zip(X, n, p):
+        oracle += size * prob * (1.0 - prob) * np.outer(row, row)
+    got = logistic_information(X, n, p)
+    assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def test_logistic_information_is_the_binary_fit_precision():
+    rng = np.random.default_rng(12)
+    packages = [(0, 0), (1, 0), (0, 4), (1, 4)]
+    rec = binary_stage(rng, np.array([0.1, 0.3, 0.15]), packages, 60)
+    fit = fit_binary([rec])
+    X = np.array([np.concatenate(([1.0], c.package)) for c in rec.centers])
+    n = np.array([float(c.size) for c in rec.centers])
+    info = logistic_information(X, n, expit(X @ fit.beta))
+    assert np.array_equal(np.linalg.inv(info), fit.covariance)
 
 
 def test_fit_binary_score_equations_hold():

@@ -29,11 +29,10 @@ from lago.optimizer import (
     p_max,
     plan_stage1,
     power_threshold,
-    recommend,
     recommend_stage_k,
     shrinking_method,
 )
-from lago.power import ArmSummary, TestSelector as Selector
+from lago.power import ArmSummary, TestSelector as Selector, _wald_lambda_binary
 from lago.power import lambda_at_level, lambda_min, unconditional_lambda, unconditional_power
 
 
@@ -381,21 +380,21 @@ def test_power_threshold_wald_certifies_at_its_own_package():
 def test_recommend_binding_power_threshold():
     state = scenario_state()
     goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled"))
-    rec = recommend(MODEL_1A, state, goals)
+    rec = recommend_stage_k(MODEL_1A, state, goals)
     t_pow = power_threshold(MODEL_1A, state, goals)
     assert rec.regime == "goal-feasible"
     assert rec.required_threshold == pytest.approx(max(0.7, t_pow), abs=1e-12)
     assert rec.achieved_outcome >= rec.required_threshold - 1e-9
     assert rec.projected_power is not None and rec.projected_power >= 0.8 - 1e-6
     # adding the power goal can only push the enforced threshold up
-    rec_plain = recommend(MODEL_1A, state, GoalSpec(outcome_goal=0.7))
+    rec_plain = recommend_stage_k(MODEL_1A, state, GoalSpec(outcome_goal=0.7))
     assert rec.required_threshold >= rec_plain.required_threshold - 1e-12
     assert rec_plain.projected_power is None
 
 
 def test_recommend_outcome_goal_only_matches_direct_solver():
     state = scenario_state()
-    rec = recommend(MODEL_1A, state, GoalSpec(outcome_goal=0.7))
+    rec = recommend_stage_k(MODEL_1A, state, GoalSpec(outcome_goal=0.7))
     x = min_cost_subject_to_threshold(MODEL_1A, CUBIC, BOUNDS_1A, 0.7)
     assert (rec.x_hat == x).all()
     assert rec.cost == pytest.approx(CUBIC(x), abs=0.0)
@@ -407,7 +406,7 @@ def test_recommend_falls_back_to_pmax_when_no_threshold_exists():
         center(1, [1.0, 4.0], 4, 3),
     ])], (4.0, 2.0))
     goals = GoalSpec(outcome_goal=0.7, power_goal=0.9, test=Selector("z_unpooled"))
-    rec = recommend(MODEL_1A, state, goals)
+    rec = recommend_stage_k(MODEL_1A, state, goals)
     assert rec.regime == "pmax-fallback"
     assert rec.required_threshold == pytest.approx(sp_expit(1.9), abs=1e-9)
     assert rec.x_hat == pytest.approx([2.0, 8.0], abs=1e-9)
@@ -416,7 +415,7 @@ def test_recommend_falls_back_to_pmax_when_no_threshold_exists():
 def test_recommend_shrinking_when_goal_unreachable():
     weak = make_model([0.0, 0.05, 0.01])
     state = scenario_state()
-    rec = recommend(weak, state, GoalSpec(outcome_goal=0.9))
+    rec = recommend_stage_k(weak, state, GoalSpec(outcome_goal=0.9))
     assert rec.regime == "shrinking-fallback"
     assert rec.required_threshold == pytest.approx(0.9)
     # anchor defaults to the stage-1 intervention mean, here (2/3, 8/3)
@@ -431,13 +430,13 @@ def test_recommend_shrinking_needs_anchor():
         center(0, [0.0, 0.0], 40, 21),
     ])], (40.0, 40.0))
     with pytest.raises(ValueError, match="anchor"):
-        recommend(weak, state, GoalSpec(outcome_goal=0.9))
+        recommend_stage_k(weak, state, GoalSpec(outcome_goal=0.9))
 
 
 def test_recommend_power_goal_only_uses_threshold():
     state = scenario_state()
     goals = GoalSpec(power_goal=0.8, test=Selector("z_unpooled"))
-    rec = recommend(MODEL_1A, state, goals)
+    rec = recommend_stage_k(MODEL_1A, state, goals)
     t_pow = power_threshold(
         MODEL_1A, state,
         GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled")),
@@ -452,16 +451,16 @@ def test_recommend_power_goal_only_never_shrinks():
         center(1, [1.0, 4.0], 4, 3),
     ])], (4.0, 2.0))
     goals = GoalSpec(power_goal=0.9, test=Selector("z_unpooled"))
-    rec = recommend(MODEL_1A, state, goals)  # no anchor available or needed
+    rec = recommend_stage_k(MODEL_1A, state, goals)  # no anchor available or needed
     assert rec.regime == "pmax-fallback"
     assert rec.x_hat == pytest.approx([2.0, 8.0], abs=1e-9)
 
 
-def test_recommend_equals_stage_k_form():
+def test_recommend_stage_k_defaults_to_next_stage():
     state = scenario_state()
     goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled"))
-    a = recommend(MODEL_1A, state, goals)
-    b = recommend_stage_k(MODEL_1A, state, goals, k=2)
+    a = recommend_stage_k(MODEL_1A, state, goals)
+    b = recommend_stage_k(MODEL_1A, state, goals, k=len(state.completed) + 1)
     assert (a.x_hat == b.x_hat).all()
     assert a.required_threshold == b.required_threshold
     assert a.projected_power == b.projected_power
@@ -482,8 +481,8 @@ def test_dispatch_continuous_at_pmax_boundary():
     # goal-feasible solution and the pmax fallback meet at the same corner
     pm = sp_expit(1.9)
     state = scenario_state()
-    just_below = recommend(MODEL_1A, state, GoalSpec(outcome_goal=pm - 1e-10))
-    just_above = recommend(
+    just_below = recommend_stage_k(MODEL_1A, state, GoalSpec(outcome_goal=pm - 1e-10))
+    just_above = recommend_stage_k(
         MODEL_1A, state,
         GoalSpec(outcome_goal=min(pm + 1e-10, 1.0 - 1e-12)),
     )
@@ -592,6 +591,14 @@ def test_goalspec_conditional_wald_rejected():
         )
 
 
+def test_goalspec_test_must_be_a_selector():
+    with pytest.raises(ValueError, match="TestSelector"):
+        GoalSpec.from_config({"outcome_goal": 0.7, "test": 5})
+    # from_config turns a kind string into a selector; the constructor does not
+    with pytest.raises(ValueError, match="TestSelector"):
+        GoalSpec(outcome_goal=0.7, test="z_unpooled")
+
+
 def test_goalspec_config_round_trip():
     g = GoalSpec(
         outcome_goal=0.1, direction="decrease", power_goal=0.8,
@@ -632,16 +639,17 @@ def test_per_center_requires_wald():
 
 
 def test_joint_wald_lambda_matches_common_package():
-    from lago.optimizer import _joint_wald_lambda
-
+    # three centers at n/3 each carry the same information as one at n
     state = scenario_state()
     summary = ArmSummary.from_records(state.completed, future=(120.0, 40.0))
     x = np.array([1.2, 5.0])
-    lam_joint = _joint_wald_lambda(MODEL_1A, summary, [x, x, x], 40.0)
+    lam_split = _wald_lambda_binary(MODEL_1A, summary, [x, x, x], 40.0)
+    lam_one = _wald_lambda_binary(MODEL_1A, summary, [x], 120.0)
     lam_common = unconditional_lambda(
         x, MODEL_1A, summary, Selector("wald_pdf_binary")
     )
-    assert lam_joint == pytest.approx(lam_common, rel=1e-12)
+    assert lam_split == pytest.approx(lam_one, rel=1e-12, abs=0.0)
+    assert lam_one == lam_common
 
 
 def test_per_center_contract():
@@ -651,15 +659,13 @@ def test_per_center_contract():
     )
     packages = min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
     assert len(packages) == 3
-    common = recommend(MODEL_1A, state, goals)
+    common = recommend_stage_k(MODEL_1A, state, goals)
     total = sum(CUBIC(p) for p in packages)
     assert total <= 3.0 * common.cost + 1e-9
     for pkg in packages:
         assert np.all(pkg >= np.array([0.0, 0.0]) - 1e-9)
         assert np.all(pkg <= np.array([2.0, 8.0]) + 1e-9)
         assert predict(MODEL_1A, pkg) >= 0.7 - 1e-9
-    from lago.optimizer import _joint_wald_lambda
-
     summary = ArmSummary.from_records(state.completed, future=(120.0, 40.0))
-    lam = _joint_wald_lambda(MODEL_1A, summary, packages, 40.0)
+    lam = _wald_lambda_binary(MODEL_1A, summary, packages, 40.0)
     assert lam >= lambda_min(0.05, 0.8, df=2) - 1e-6

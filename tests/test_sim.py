@@ -106,6 +106,14 @@ def test_deploy_step_validation():
         ScenarioSpec.from_config({**spec.to_config(), "deploy_step": [0.0, 1.0]})
 
 
+@pytest.mark.parametrize("field", ["name", "goals", "stages"])
+def test_scenario_config_missing_field_is_value_error(field):
+    doc = scenario_1a(replicates=2).to_config()
+    del doc[field]
+    with pytest.raises(ValueError, match=f"missing required field '{field}'"):
+        ScenarioSpec.from_config(doc)
+
+
 def test_stage1_anchor_reaches_trial_config():
     spec = scenario_1a(replicates=2)
     assert _trial_config(spec).stage1_package == (1.0, 4.0)

@@ -2,6 +2,7 @@
 recommendation solver, final analysis, futility reporting, and resume."""
 
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -172,6 +173,19 @@ def test_config_cost_component_checked():
         TrialConfig(
             stages=(PlannedStage(120.0, 40.0), PlannedStage(120.0, 40.0)),
             bounds=BOUNDS, cost=bad, goals=GoalSpec(outcome_goal=0.7),
+        )
+
+
+@pytest.mark.parametrize("bounds", [
+    ((0.0, 2.0), (0.0, float("inf"))),
+    ((float("-inf"), 2.0), (0.0, 8.0)),
+    ((0.0, float("nan")), (0.0, 8.0)),
+])
+def test_config_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        TrialConfig(
+            stages=(PlannedStage(120.0, 40.0), PlannedStage(120.0, 40.0)),
+            bounds=bounds, cost=CUBIC, goals=POWER_GOALS,
         )
 
 
@@ -408,6 +422,50 @@ def test_document_with_inconsistent_state_is_rejected(edit):
         from_document(doc)
 
 
+def _drop_status(doc):
+    del doc["status"]
+
+
+def _drop_planned_stages(doc):
+    del doc["config"]["stages"]
+
+
+def _unknown_stage_key(doc):
+    doc["config"]["stages"][0]["n_treated"] = 5
+
+
+def _unknown_goal_key(doc):
+    doc["config"]["goals"]["target"] = 0.7
+
+
+def _null_completed(doc):
+    doc["completed"] = None
+
+
+def _config_not_object(doc):
+    doc["config"] = [doc["config"]]
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_status, _drop_planned_stages, _unknown_stage_key, _unknown_goal_key,
+    _null_completed, _config_not_object,
+])
+def test_malformed_document_is_value_error(edit, tmp_path):
+    doc = _after_stage1_doc()
+    edit(doc)
+    with pytest.raises(ValueError):
+        from_document(doc)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_state(path)
+
+
+def test_non_object_document_is_value_error():
+    with pytest.raises(ValueError, match="malformed"):
+        from_document([_after_stage1_doc()])
+
+
 _outcomes = st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=6)
 _packages = st.tuples(
     st.floats(0.0, 2.0, allow_nan=False), st.floats(0.0, 8.0, allow_nan=False)
@@ -474,8 +532,6 @@ def test_save_load_round_trip(state):
 
 
 def test_document_is_json_clean():
-    import json
-
     state = ingest_stage(new_trial(make_config(POWER_GOALS)), stage1())
     next_recommendation(state)
     text = json.dumps(to_document(state))
