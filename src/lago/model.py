@@ -266,8 +266,15 @@ def _check_finite(*arrays):
             raise NonFiniteError("non-finite value in model input")
 
 
-def _check_rank(X):
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+def _check_rank(X, rank=None):
+    """Raise RankDeficientError unless X has full column rank.
+
+    ``rank`` is a rank already computed with ``matrix_rank``'s cutoff (the one
+    ``lstsq(..., rcond=None)`` returns); without it the rank is computed here.
+    """
+    if rank is None:
+        rank = np.linalg.matrix_rank(X)
+    if rank < X.shape[1]:
         raise RankDeficientError(
             "design matrix is rank deficient; coefficients are not identifiable"
         )
@@ -352,7 +359,7 @@ def fit_binary(records) -> FittedModel:
 def fit_continuous(records, link: str = "identity") -> FittedModel:
     """GLM fit for continuous outcomes with identity or log link.
 
-    Identity reduces to least squares (solved by QR, not normal equations);
+    Identity reduces to least squares (solved by SVD, not normal equations);
     log uses Gauss-Newton with step-halving. Covariance is the sandwich
     A^{-1} B A^{-1} with bread A = sum (dg^{-1})^2 x x' and meat B using
     squared residuals.
@@ -362,14 +369,17 @@ def fit_continuous(records, link: str = "identity") -> FittedModel:
     records = list(records)
     X, y = _obs_rows(records)
     _check_finite(X, y)
-    _check_rank(X)
     n, k = X.shape
+    rank = None
+    if link == "identity":
+        # lstsq ranks X with matrix_rank's cutoff, so its one SVD serves both.
+        beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    _check_rank(X, rank)
     if n <= k:
         raise RankDeficientError("need more observations than coefficients")
 
     n_iter = 0
     if link == "identity":
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         eta = X @ beta
     else:
         mean_y = float(np.mean(y))

@@ -212,23 +212,59 @@ def p_max(model: FittedModel, bounds, direction: str = "increase") -> float:
 # separable polynomial minimization over a box cut by a half-space
 # ---------------------------------------------------------------------------
 
+def _stationary_points(c) -> tuple:
+    """Sorted distinct real stationary points of sum(c[k] * x**k).
+
+    Derivatives of degree 1 and 2 are solved in closed form (the quadratic
+    without cancellation); a complex pair counts as one real point at its
+    real part when its imaginary part is within 1e-9 * (1 + |re|), the
+    tolerance applied to the ``polyroots`` eigenvalues of higher degrees.
+    """
+    d = [k * c[k] for k in range(1, len(c))]
+    while d and d[-1] == 0.0:
+        d.pop()
+    if len(d) == 2:
+        return (-d[0] / d[1],)
+    if len(d) == 3:
+        c0, b, a = d
+        disc = b * b - 4.0 * a * c0
+        if disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            pts = (q / a, c0 / q) if q != 0.0 else (0.0,)
+        else:
+            re = -b / (2.0 * a)
+            near_real = math.sqrt(-disc) / (2.0 * abs(a)) <= 1e-9 * (1.0 + abs(re))
+            pts = (re,) if near_real else ()
+    elif len(d) > 3:
+        pts = [
+            float(root.real)
+            for root in npoly.polyroots(d)
+            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real))
+        ]
+    else:
+        return ()
+    return tuple(sorted(set(pts)))
+
+
 class _ComponentPoly:
-    """One component's cost polynomial with precomputed stationary points."""
+    """One component's cost polynomial with precomputed stationary points.
+
+    ``coeffs`` is a list of Python floats in increasing degree; evaluation is
+    the Horner recurrence of ``numpy.polynomial.polynomial.polyval`` in the
+    same order, so values agree with it bitwise.
+    """
 
     __slots__ = ("coeffs", "stationary")
 
     def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        pts = []
-        dc = np.trim_zeros(npoly.polyder(self.coeffs), "b")
-        if dc.size >= 2:
-            for root in npoly.polyroots(dc):
-                if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)):
-                    pts.append(float(root.real))
-        self.stationary = tuple(sorted(set(pts)))
+        self.coeffs = [float(v) for v in coeffs]
+        self.stationary = _stationary_points(self.coeffs)
 
     def __call__(self, x: float) -> float:
-        return float(npoly.polyval(x, self.coeffs))
+        v = 0.0
+        for ck in reversed(self.coeffs):
+            v = ck + v * x
+        return v
 
     def min_on(self, a: float, b: float):
         """Exact minimum on [a, b] as (x, cost); None for an empty interval.
@@ -247,6 +283,21 @@ class _ComponentPoly:
     def options_on(self, a: float, b: float):
         """Bound and interior stationary values — the candidate fixings."""
         return sorted({a, b, *(t for t in self.stationary if a < t < b)})
+
+
+def _segment_coeffs(f, g, A: float, B: float) -> list:
+    """Coefficients of f(x) + g(A + B*x), composing g by Horner's rule."""
+    h = [g[-1]]
+    for gk in reversed(g[:-1]):
+        nxt = [hk * A for hk in h] + [0.0]
+        for k, hk in enumerate(h):
+            nxt[k + 1] += hk * B
+        nxt[0] += gk
+        h = nxt
+    h += [0.0] * (len(f) - len(h))
+    for k, fk in enumerate(f):
+        h[k] += fk
+    return h
 
 
 def _feasible_slice(beta: float, lo: float, hi: float, residual: float):
@@ -288,11 +339,8 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
     else:  # bf == 0 never reaches here (effective components only)
         seg = (box_f[0] + 1.0, box_f[0])
     if seg[0] <= seg[1]:
-        comp = np.polynomial.Polynomial(info_g.coeffs)(
-            np.polynomial.Polynomial([A, B])
-        )
-        h = np.polynomial.Polynomial(info_f.coeffs) + comp
-        xf = _ComponentPoly(h.coef).min_on(seg[0], seg[1])[0]
+        h = _segment_coeffs(info_f.coeffs, info_g.coeffs, A, B)
+        xf = _ComponentPoly(h).min_on(seg[0], seg[1])[0]
         consider(xf, A + B * xf)
     if not cands:
         return None
@@ -361,6 +409,8 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
         _greedy_linear(x, lin, beta1, eff, lo, hi, eta_t - (beta0 + float(beta1 @ x)), ftol)
         return x
 
+    # The search below is scalar arithmetic: run it on Python floats.
+    beta1, lo, hi, need = beta1.tolist(), lo.tolist(), hi.tolist(), float(need)
     cands = []
 
     def consider(values: dict) -> None:

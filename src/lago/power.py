@@ -710,18 +710,29 @@ def _arm_moments(
     return pbar1, pbar0, p0, unpooled_var, test_var
 
 
+def _lambda_and_rescale(
+    level: float, model: FittedModel, summary: ArmSummary, test: TestSelector
+):
+    """(noncentrality, critical rescale) of a 1-df test at future ``level``.
+
+    Both read one ``_arm_moments``; the rescale is the pooled/unpooled
+    projected-variance ratio, exactly 1.0 for unpooled tests.
+    """
+    if test.wald:
+        raise ValueError("Wald noncentrality depends on the package, not just its level")
+    pbar1, pbar0, _, unpooled_var, test_var = _arm_moments(level, model, summary, test)
+    if unpooled_var <= 0.0:
+        raise DegenerateVarianceError("zero projected variance")
+    diff = pbar1 - pbar0
+    return diff * diff / unpooled_var, test_var / unpooled_var
+
+
 def lambda_at_level(
     level: float, model: FittedModel, summary: ArmSummary, test: TestSelector
 ) -> float:
     """Projected noncentrality for 1-df tests as a function of the future
     intervention success probability / mean ``level`` alone."""
-    if test.wald:
-        raise ValueError("Wald noncentrality depends on the package, not just its level")
-    pbar1, pbar0, _, den, _ = _arm_moments(level, model, summary, test)
-    if den <= 0.0:
-        raise DegenerateVarianceError("zero projected variance")
-    diff = pbar1 - pbar0
-    return diff * diff / den
+    return _lambda_and_rescale(level, model, summary, test)[0]
 
 
 def _critical_rescale(
@@ -733,10 +744,7 @@ def _critical_rescale(
     ratio."""
     if not test.pooled:
         return 1.0
-    _, _, _, unpooled_var, pooled_var = _arm_moments(level, model, summary, test)
-    if unpooled_var <= 0.0:
-        raise DegenerateVarianceError("zero projected variance")
-    return pooled_var / unpooled_var
+    return _lambda_and_rescale(level, model, summary, test)[1]
 
 
 def _projected_design(model: FittedModel, summary: ArmSummary, packages, n_each):
@@ -774,6 +782,10 @@ def _wald_sandwich_continuous(x, model: FittedModel, summary: ArmSummary):
     X, n = _projected_design(model, summary, [x], summary.n1_future)
     d = link_inverse_deriv(model.link, X @ model.beta)
     w = n * d * d
+    # A rank-deficient design makes the bread singular; inverting it anyway
+    # gives an error or an arbitrary lambda depending on rounding.
+    if np.linalg.matrix_rank(X[w > 0.0]) < X.shape[1]:
+        raise SingularCovarianceError("rank-deficient projected design")
     treated = np.any(X[:, 1:] != 0.0, axis=1)
     var = np.where(treated, summary.var1_obs, summary.var0_obs)
     return X.T @ (X * w[:, None]), X.T @ (X * (var * w)[:, None])
@@ -823,10 +835,8 @@ def unconditional_power_at_level(
     accurate at both ends; it equals
     1 - noncentral_chisq_cdf(chisq_quantile(1 - alpha, 1) * rescale, 1, lam).
     """
-    lam = lambda_at_level(level, model, summary, test)
-    c = norm_quantile(1.0 - 0.5 * alpha) * math.sqrt(
-        _critical_rescale(level, model, summary, test)
-    )
+    lam, rescale = _lambda_and_rescale(level, model, summary, test)
+    c = norm_quantile(1.0 - 0.5 * alpha) * math.sqrt(rescale)
     r = math.sqrt(lam)
     return norm_sf(c - r) + norm_sf(c + r)
 

@@ -450,11 +450,13 @@ def _sandwich_cov(state, model):
     return model.covariance @ meat @ model.covariance
 
 
-def _simulate_replicate(spec: ScenarioSpec, child_seed) -> tuple:
-    """Run one trial end to end.  Returns ("ok", payload) or ("fail", kind)."""
+def _simulate_replicate(spec: ScenarioSpec, config: TrialConfig, child_seed) -> tuple:
+    """Run one trial end to end under ``config`` (the run's ``_trial_config``).
+
+    Returns ("ok", payload) or ("fail", kind).
+    """
     rng = np.random.default_rng(child_seed)
     truth = _true_model(spec)
-    config = _trial_config(spec)
     try:
         state = new_trial(config)
         for stage_index, splan in enumerate(spec.stages, start=1):
@@ -507,8 +509,8 @@ def _simulate_replicate(spec: ScenarioSpec, child_seed) -> tuple:
 
 
 def _replicate_worker(args):
-    spec, child_seed = args
-    return _simulate_replicate(spec, child_seed)
+    spec, config, child_seed = args
+    return _simulate_replicate(spec, config, child_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +568,12 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
     seed = int(seed)
     threads = _resolve_threads(threads)
 
+    config = _trial_config(spec)
     child_seeds = np.random.SeedSequence(seed).spawn(spec.replicates)
     if threads == 1:
-        outcomes = [_simulate_replicate(spec, cs) for cs in child_seeds]
+        outcomes = [_simulate_replicate(spec, config, cs) for cs in child_seeds]
     else:
-        jobs = [(spec, cs) for cs in child_seeds]
+        jobs = [(spec, config, cs) for cs in child_seeds]
         chunk = max(1, spec.replicates // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_replicate_worker, jobs, chunksize=chunk))

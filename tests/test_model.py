@@ -315,6 +315,16 @@ def test_fit_continuous_log_link_matches_scipy_least_squares():
     assert fit.beta == pytest.approx(res.x, abs=1e-7)
 
 
+@pytest.mark.parametrize("link", ["identity", "log"])
+def test_fit_continuous_rank_deficiency(link):
+    rng = np.random.default_rng(4)
+    # second component always exactly twice the first -> collinear
+    rec = continuous_stage(rng, np.array([0.5, 0.2, 0.1]), [(0, 0), (1, 2), (2, 4)], 40,
+                           link=link, sd=0.3)
+    with pytest.raises(RankDeficientError):
+        fit_continuous([rec], link=link)
+
+
 def test_fit_continuous_rejects_unknown_link():
     rng = np.random.default_rng(1)
     rec = continuous_stage(rng, np.array([0.5, 0.8]), [(0,), (1,)], 10)

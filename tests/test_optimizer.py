@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linprog, minimize_scalar
 from scipy.special import expit as sp_expit, logit as sp_logit
 
@@ -22,6 +24,8 @@ from lago.errors import InfeasibleError, NoThresholdError
 from lago.model import CenterData, FittedModel, StageRecord, mirrored, predict
 from lago.optimizer import (
     GoalSpec,
+    _ComponentPoly,
+    _segment_coeffs,
     Recommendation,
     integerize,
     min_cost_per_center,
@@ -291,6 +295,80 @@ def test_decrease_equals_mirrored_increase():
     # the two mirrored thresholds differ by one ulp on the linear-predictor
     # scale, so equality holds to rounding rather than bitwise
     assert x_dec == pytest.approx(x_inc, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scalar polynomial kernel against numpy.polynomial as the oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_stationary(coeffs):
+    """The polyder / polyroots / near-real filter rule the closed forms replace."""
+    dc = np.trim_zeros(npoly.polyder(np.asarray(coeffs, dtype=float)), "b")
+    pts = []
+    if dc.size >= 2:
+        for root in npoly.polyroots(dc):
+            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)):
+                pts.append(float(root.real))
+    return sorted(set(pts))
+
+
+def _random_polys(rng, n):
+    """Degree 0-4 coefficients over four decades, some with trailing zeros."""
+    for _ in range(n):
+        deg = int(rng.integers(0, 5))
+        c = rng.normal(size=deg + 1) * 10.0 ** rng.uniform(-2.0, 2.0, deg + 1)
+        if rng.random() < 0.2:
+            c = np.concatenate((c, np.zeros(int(rng.integers(1, 3)))))
+        yield c
+
+
+def test_component_poly_value_is_bitwise_polyval():
+    rng = np.random.default_rng(2024)
+    for c in _random_polys(rng, 10_000):
+        poly = _ComponentPoly(c)
+        for x in rng.uniform(-20.0, 20.0, 3).tolist() + [0.0, -0.0]:
+            assert poly(x).hex() == float(npoly.polyval(x, c)).hex()
+
+
+def test_stationary_points_match_polyroots_oracle():
+    rng = np.random.default_rng(2025)
+    cases = list(_random_polys(rng, 10_000))
+    third = 1.0 / 3.0  # 3 * third == 1.0, so the derivative below is exact
+    cases += [
+        [0.0, 1.0, -1.0, third],            # derivative (x - 1)^2: double root
+        [7.0, 0.25, -0.5, third],           # (x - 0.5)^2
+        [0.0, 2.25, 1.5, third],            # (x + 1.5)^2
+        [0.0, 4.0, -4.0, 4.0 / 3.0],        # 4 (x - 0.5)^2, leading coefficient not 1
+        [0.0, 1e-20, 0.0, third],           # x^2 + 1e-20: roots +-1e-10 i, kept at 0
+        [0.0, 2e-20, 1e-10, third],         # disc = -4e-20: kept at -1e-10
+        [0.0, 1.0 + 2.0**-40, -1.0, third], # disc slightly negative, imag ~ 1e-6: dropped
+        [0.0, 1.0, 0.0, third],             # x^2 + 1: no real stationary point
+        [1.0, 2.0, 0.0, 0.0],               # trailing zeros: linear
+        [1.0, -2.0, 1.0, 0.0, 0.0],         # trailing zeros: quadratic
+        [1.0, 0.0, 0.0, 0.0, 2.0, 0.0],     # trailing zero on a quartic
+        [3.0], [0.0, 0.0], [0.0],           # constants
+    ]
+    for c in cases:
+        got = _ComponentPoly(c).stationary
+        want = _oracle_stationary(c)
+        assert len(got) == len(want), c
+        # Companion-matrix eigenvalues carry an absolute error of order eps
+        # times the largest root, so the tolerance is taken on that scale.
+        scale = 1.0 + max((abs(w) for w in want), default=0.0)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * scale, c
+
+
+def test_segment_coefficients_match_polynomial_composition():
+    rng = np.random.default_rng(2026)
+    for _ in range(5_000):
+        f = rng.normal(size=int(rng.integers(1, 6)))
+        g = rng.normal(size=int(rng.integers(1, 6)))
+        A, B = (rng.normal(size=2) * 3.0).tolist()
+        want = (Polynomial(f) + Polynomial(g)(Polynomial([A, B]))).coef
+        got = np.array(_segment_coeffs(f.tolist(), g.tolist(), A, B))
+        want = np.concatenate((want, np.zeros(got.size - want.size)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lago.errors import DegenerateVarianceError
+from lago.errors import DegenerateVarianceError, SingularCovarianceError
 from lago.model import FittedModel, expit
 from lago.power import (
     ArmSummary,
@@ -395,6 +395,29 @@ def test_unconditional_lambda_wald_binary_matches_direct_inversion():
     assert got == pytest.approx(expected, rel=1e-10)
 
 
+def _wald_continuous_summary(*packages):
+    design = (((0.0, 0.0, 0.0), 40.0),) + tuple((pkg, 40.0) for pkg in packages)
+    return ArmSummary(
+        n1_obs=40.0 * len(packages), n0_obs=40, s1_obs=30.0, s0_obs=10.0,
+        n1_future=80, n0_future=40, var1_obs=1.5, var0_obs=1.0, design_obs=design,
+    )
+
+
+def test_unconditional_lambda_wald_continuous_rank_deficient_design():
+    """Control, one observed and one future package: 3 distinct rows for 4
+    coefficients.  Inverting that bread without a rank check gave an
+    arbitrary lambda (-24.4) on this design."""
+    model = make_model([0.2, 0.5, -0.3, 0.4], link="identity", kind="continuous", sigma2=1.0)
+    test = Selector("wald_pdf_continuous")
+    x = np.array([2.805, 2.448, 0.008])
+    with pytest.raises(SingularCovarianceError):
+        unconditional_lambda(x, model, _wald_continuous_summary((1.82, 2.188, 1.631)), test)
+    # one more distinct observed package makes the design full rank
+    full = _wald_continuous_summary((1.82, 2.188, 1.631), (0.5, 1.0, 2.5))
+    lam = unconditional_lambda(x, model, full, test)
+    assert math.isfinite(lam) and lam > 0.0
+
+
 def test_unconditional_power_wald_against_simulation():
     """End-to-end: simulate trials at the model rates, Wald-test each, compare rates."""
     from lago.model import CenterData, StageRecord, fit_binary
@@ -494,6 +517,23 @@ def test_unconditional_power_closed_form_matches_mixture_oracle(kind, model, s, 
     assert min(lams) < 0.1 and max(lams) > 50.0
     if test.pooled:
         assert max(abs(r - 1.0) for r in rescales) > 0.05
+
+
+def test_unconditional_power_reads_lambda_and_rescale_of_the_level():
+    """The power step reads the noncentrality and the pooled rescale from one
+    set of projected moments; seeded levels give exactly the value composed
+    from ``lambda_at_level`` and ``_critical_rescale``."""
+    rng = np.random.default_rng(17)
+    for kind, model, s, levels in _CLOSED_FORM_CASES:
+        test = Selector(kind)
+        for level in rng.uniform(levels[0], levels[-1], 200):
+            for alpha in (0.01, 0.05, 0.2):
+                c = norm_quantile(1.0 - 0.5 * alpha) * math.sqrt(
+                    _critical_rescale(level, model, s, test)
+                )
+                r = math.sqrt(lambda_at_level(level, model, s, test))
+                expected = norm_sf(c - r) + norm_sf(c + r)
+                assert unconditional_power_at_level(level, model, s, test, alpha) == expected
 
 
 def test_unconditional_power_closed_form_scipy_pin():
