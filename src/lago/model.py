@@ -99,31 +99,53 @@ def link_inverse_deriv(link: str, eta):
 # staged data containers
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(init=False)
 class CenterData:
-    """One center's contribution to a stage: arm, delivered package, outcomes."""
+    """One center's contribution to a stage: arm, delivered package and the
+    sufficient statistics of its outcomes.
+
+    ``CenterData(arm, package, outcomes)`` reduces an outcome vector to its
+    ``size``, ``outcome_sum`` and ``m2 = sum (y - ybar)^2`` (two passes,
+    centered) and does not keep the vector; ``from_stats`` builds a center
+    from the statistics themselves.
+    """
 
     arm: int
     package: np.ndarray
-    outcomes: np.ndarray
+    size: int
+    outcome_sum: float
+    m2: float
 
-    def __post_init__(self):
-        self.package = np.asarray(self.package, dtype=float)
-        self.outcomes = np.asarray(self.outcomes, dtype=float)
-        if self.arm not in (0, 1):
-            raise ValueError("arm must be 0 (control) or 1 (intervention)")
-        if self.arm == 0 and np.any(self.package != 0.0):
-            raise ValueError("control-arm centers must have the zero package")
-        if self.outcomes.ndim != 1 or self.outcomes.size == 0:
+    def __init__(self, arm: int, package, outcomes):
+        y = np.asarray(outcomes, dtype=float)
+        if y.ndim != 1 or y.size == 0:
             raise ValueError("outcomes must be a nonempty vector")
+        total = float(y.sum())
+        dev = y - total / y.size
+        self._assign(arm, package, y.size, total, float(dev @ dev))
 
-    @property
-    def size(self) -> int:
-        return int(self.outcomes.size)
+    @classmethod
+    def from_stats(cls, arm: int, package, size, outcome_sum, m2) -> "CenterData":
+        """Center from its statistics: an integer ``size`` >= 1, a finite
+        ``outcome_sum`` and a finite ``m2`` >= 0."""
+        valid = (math.isfinite(size) and size == int(size) >= 1
+                 and math.isfinite(outcome_sum) and math.isfinite(m2) and m2 >= 0.0)
+        if not valid:
+            raise ValueError(
+                f"invalid center statistics: size {size!r}, "
+                f"outcome_sum {outcome_sum!r}, m2 {m2!r}"
+            )
+        center = cls.__new__(cls)
+        center._assign(arm, package, int(size), float(outcome_sum), float(m2))
+        return center
 
-    @property
-    def outcome_sum(self) -> float:
-        return float(self.outcomes.sum())
+    def _assign(self, arm, package, size, outcome_sum, m2):
+        self.arm, self.size, self.outcome_sum, self.m2 = arm, size, outcome_sum, m2
+        self.package = np.asarray(package, dtype=float)
+        if arm not in (0, 1):
+            raise ValueError("arm must be 0 (control) or 1 (intervention)")
+        if arm == 0 and np.any(self.package != 0.0):
+            raise ValueError("control-arm centers must have the zero package")
 
 
 @dataclass
@@ -145,18 +167,6 @@ class StageRecord:
     @property
     def n_components(self) -> int:
         return self.centers[0].package.size
-
-    def arm_counts(self) -> tuple[float, float]:
-        """(n1, n0): observation counts in the intervention and control arms."""
-        n1 = sum(c.size for c in self.centers if c.arm == 1)
-        n0 = sum(c.size for c in self.centers if c.arm == 0)
-        return float(n1), float(n0)
-
-    def arm_sums(self) -> tuple[float, float]:
-        """(S1, S0): outcome sums in the intervention and control arms."""
-        s1 = sum(c.outcome_sum for c in self.centers if c.arm == 1)
-        s0 = sum(c.outcome_sum for c in self.centers if c.arm == 0)
-        return float(s1), float(s0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +238,13 @@ def mirrored(model: FittedModel) -> FittedModel:
 # ---------------------------------------------------------------------------
 
 def _center_rows(records):
-    """Per-center grouped design: (X rows with intercept, sizes, outcome sums)."""
-    rows, sizes, sums = [], [], []
-    for rec in records:
-        for c in rec.centers:
-            rows.append(np.concatenate(([1.0], c.package)))
-            sizes.append(float(c.size))
-            sums.append(c.outcome_sum)
-    X = np.vstack(rows)
-    return X, np.asarray(sizes), np.asarray(sums)
+    """Per-center grouped design: (X rows with intercept, sizes, outcome sums, m2)."""
+    centers = [c for rec in records for c in rec.centers]
+    X = np.vstack([np.concatenate(([1.0], c.package)) for c in centers])
+    n = np.array([float(c.size) for c in centers])
+    s = np.array([c.outcome_sum for c in centers])
+    m2 = np.array([c.m2 for c in centers])
+    return X, n, s, m2
 
 
 def logistic_information(X, n, p):
@@ -247,17 +255,6 @@ def logistic_information(X, n, p):
     """
     w = n * p * (1.0 - p)
     return X.T @ (X * w[:, None])
-
-
-def _obs_rows(records):
-    """Per-observation design (X with intercept, y), for continuous fits."""
-    xs, ys = [], []
-    for rec in records:
-        for c in rec.centers:
-            row = np.concatenate(([1.0], c.package))
-            xs.append(np.tile(row, (c.size, 1)))
-            ys.append(c.outcomes)
-    return np.vstack(xs), np.concatenate(ys)
 
 
 def _check_finite(*arrays):
@@ -284,20 +281,27 @@ def _check_rank(X, rank=None):
 # fitting
 # ---------------------------------------------------------------------------
 
+def _check_binary(n, s, m2):
+    """ValueError unless each center's (n, s, m2) is that of a 0/1 vector:
+    an integer s in [0, n] and m2 = s (n - s) / n, to rounding."""
+    if np.any((s != np.round(s)) | (s < 0.0) | (s > n)
+              | (np.abs(m2 - s * (n - s) / n) > 1e-9 * n)):
+        raise ValueError("center statistics are not those of 0/1 outcomes")
+
+
 def fit_binary(records) -> FittedModel:
     """Maximum-likelihood logistic fit on one or more stage records.
 
     Works on per-center success counts (all observations in a center share a
     package, so the grouped likelihood is exact). IRLS with step-halving,
-    gradient-norm tolerance 1e-8, at most 100 iterations.
+    gradient-norm tolerance 1e-8, at most 100 iterations.  Centers whose
+    statistics are not those of 0/1 outcomes raise ValueError; the one case
+    the statistics cannot see is a vector that is not 0/1 but has the size,
+    sum and m2 of one.
     """
-    records = list(records)
-    X, m, s = _center_rows(records)
-    _check_finite(X, m, s)
-    for rec in records:
-        for c in rec.centers:
-            if np.any((c.outcomes != 0.0) & (c.outcomes != 1.0)):
-                raise ValueError("binary fit requires 0/1 outcomes")
+    X, m, s, m2 = _center_rows(records)
+    _check_finite(X, m, s, m2)
+    _check_binary(m, s, m2)
     total_s = s.sum()
     if total_s <= 0 or total_s >= m.sum():
         raise SeparationError("all outcomes identical; logistic MLE does not exist")
@@ -359,85 +363,86 @@ def fit_binary(records) -> FittedModel:
 def fit_continuous(records, link: str = "identity") -> FittedModel:
     """GLM fit for continuous outcomes with identity or log link.
 
-    Identity reduces to least squares (solved by SVD, not normal equations);
-    log uses Gauss-Newton with step-halving. Covariance is the sandwich
-    A^{-1} B A^{-1} with bread A = sum (dg^{-1})^2 x x' and meat B using
-    squared residuals.
+    Works on per-center statistics: with center means ybar, sizes n and
+    within-center sums of squares m2, the residual sum of squares is
+    sum m2 + sum n (ybar - mu)^2.  Identity reduces to least squares on the
+    center means weighted by n (solved by SVD, not normal equations); log
+    uses Gauss-Newton on the same rows with step-halving.  Covariance is the
+    sandwich A^{-1} B A^{-1} with bread A = sum n d^2 x x' and meat
+    B = sum d^2 (m2 + n (ybar - mu)^2) x x', d = dg^{-1}/deta.
     """
     if link not in ("identity", "log"):
         raise ValueError(f"unsupported continuous link {link!r}")
-    records = list(records)
-    X, y = _obs_rows(records)
-    _check_finite(X, y)
-    n, k = X.shape
+    X, n, s, m2 = _center_rows(records)
+    _check_finite(X, s, m2)
+    ybar = s / n
+    w = np.sqrt(n)
+    n_obs, k = int(n.sum()), X.shape[1]
     rank = None
     if link == "identity":
-        # lstsq ranks X with matrix_rank's cutoff, so its one SVD serves both.
-        beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        # lstsq ranks the weighted rows with matrix_rank's cutoff: one SVD serves both.
+        beta, _, rank, _ = np.linalg.lstsq(X * w[:, None], ybar * w, rcond=None)
     _check_rank(X, rank)
-    if n <= k:
+    if n_obs <= k:
         raise RankDeficientError("need more observations than coefficients")
 
+    def linear(b):
+        eta = X @ b
+        return eta if link == "identity" else np.clip(eta, -700, 700)
+
+    within = float(m2.sum())
+
+    def rss(b):
+        r = ybar - link_inverse(link, linear(b))
+        return within + float(n @ (r * r))
+
     n_iter = 0
-    if link == "identity":
-        eta = X @ beta
-    else:
-        mean_y = float(np.mean(y))
+    if link == "log":
+        mean_y = float(s.sum() / n.sum())
         beta = np.zeros(k)
         beta[0] = math.log(mean_y) if mean_y > 0 else 0.0
-        rss = float(np.sum((y - np.exp(np.clip(X @ beta, -700, 700))) ** 2))
+        loss = rss(beta)
         for n_iter in range(1, MAX_ITER + 1):
-            eta = np.clip(X @ beta, -700, 700)
-            mu = np.exp(eta)
-            resid = y - mu
-            grad = (X * mu[:, None]).T @ resid
+            mu = np.exp(linear(beta))
+            J = X * (w * mu)[:, None]
+            wresid = w * (ybar - mu)
+            grad = J.T @ wresid
             if np.linalg.norm(grad) <= GRAD_TOL:
                 n_iter -= 1
                 break
-            J = X * mu[:, None]
-            step, *_ = np.linalg.lstsq(J, resid, rcond=None)
+            step, *_ = np.linalg.lstsq(J, wresid, rcond=None)
             new_beta = beta + step
-            new_rss = float(
-                np.sum((y - np.exp(np.clip(X @ new_beta, -700, 700))) ** 2)
-            )
+            new_loss = rss(new_beta)
             halvings = 0
-            while (not np.isfinite(new_rss) or new_rss > rss + 1e-12) and halvings < 30:
+            while (not np.isfinite(new_loss) or new_loss > loss + 1e-12) and halvings < 30:
                 step *= 0.5
                 new_beta = beta + step
-                new_rss = float(
-                    np.sum((y - np.exp(np.clip(X @ new_beta, -700, 700))) ** 2)
-                )
+                new_loss = rss(new_beta)
                 halvings += 1
-            beta, rss = new_beta, new_rss
+            beta, loss = new_beta, new_loss
             if not np.all(np.isfinite(beta)):
                 raise NonFiniteError("non-finite coefficients during GLM fit")
-        eta = np.clip(X @ beta, -700, 700)
 
-    mu = link_inverse(link, eta)
-    resid = y - mu
-    rss = float(resid @ resid)
-    if rss <= 0.0:
+    loss = rss(beta)
+    if loss <= 0.0:
         raise DegenerateVarianceError("zero residual variance in continuous fit")
-    sigma2 = rss / (n - k)
-
-    d = link_inverse_deriv(link, eta)
-    Xd = X * np.asarray(d)[:, None]
-    A = Xd.T @ Xd
-    Xdr = X * (np.asarray(d) * resid)[:, None]
-    B = Xdr.T @ Xdr
+    eta = linear(beta)
+    resid = ybar - link_inverse(link, eta)
+    d2 = np.asarray(link_inverse_deriv(link, eta)) ** 2
+    A = X.T @ (X * (n * d2)[:, None])
+    B = X.T @ (X * (d2 * (m2 + n * resid * resid))[:, None])
     try:
         A_inv = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError("singular bread matrix in sandwich covariance") from exc
-    cov = A_inv @ B @ A_inv
 
     return FittedModel(
         beta=np.asarray(beta, dtype=float),
         link=link,
-        covariance=cov,
-        n_used=n,
+        covariance=A_inv @ B @ A_inv,
+        n_used=n_obs,
         kind="continuous",
-        sigma2=sigma2,
+        sigma2=loss / (n_obs - k),
         n_iter=n_iter,
     )
 
@@ -457,17 +462,15 @@ def load_stage_csv(path) -> list[StageRecord]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty CSV")
-        cols = [c.strip() for c in reader.fieldnames]
+        reader.fieldnames = cols = [c.strip() for c in reader.fieldnames]
         required = {"stage", "center", "arm", "y"}
         missing = required - set(cols)
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        xcols = sorted(
-            (c for c in cols if c.startswith("x_")),
-            key=lambda c: int(c.split("_", 1)[1]),
-        )
-        if not xcols:
-            raise ValueError(f"{path}: no package columns (x_1..x_P)")
+        given = [c for c in cols if c.startswith("x_")]
+        xcols = [f"x_{j}" for j in range(1, len(given) + 1)]
+        if not given or sorted(given) != sorted(xcols):
+            raise ValueError(f"{path}: package columns {given} are not x_1..x_P")
 
         groups: dict[tuple[int, str], dict] = {}
         for i, row in enumerate(reader, start=2):
@@ -478,6 +481,8 @@ def load_stage_csv(path) -> list[StageRecord]:
                 y = float(row["y"])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad value on line {i}: {exc}") from None
+            if not (math.isfinite(y) and np.all(np.isfinite(x))):
+                raise ValueError(f"{path}: non-finite value on line {i}")
             key = (stage, str(row["center"]))
             g = groups.setdefault(key, {"arm": arm, "x": x, "ys": []})
             if g["arm"] != arm or not np.array_equal(g["x"], x):

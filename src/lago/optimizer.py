@@ -771,14 +771,10 @@ def _recommend_core(
 def _stage1_anchor(trial_state):
     """Size-weighted mean intervention package of the earliest stage."""
     for rec in sorted(trial_state.completed, key=lambda r: r.stage_index):
-        pkgs, sizes = [], []
-        for c in rec.centers:
-            if c.arm == 1:
-                pkgs.append(np.asarray(c.package, dtype=float))
-                sizes.append(float(c.size))
-        if pkgs:
-            w = np.asarray(sizes)
-            return np.average(np.vstack(pkgs), axis=0, weights=w)
+        treated = [c for c in rec.centers if c.arm == 1]
+        if treated:
+            sizes = [float(c.size) for c in treated]
+            return np.average([c.package for c in treated], axis=0, weights=sizes)
     return None
 
 

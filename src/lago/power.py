@@ -515,39 +515,41 @@ class ArmSummary:
     @classmethod
     def from_records(cls, records, future=(0.0, 0.0), continuous: bool = False):
         """Aggregate stage records; ``future`` is the planned (n1, n0) remainder."""
-        n1 = n0 = s1 = s0 = 0.0
-        design = []
-        y1, y0 = [], []
+        n, s = [0.0, 0.0], [0.0, 0.0]
+        by_arm, design = ([], []), []
         for rec in records:
             for c in rec.centers:
                 design.append((tuple(float(v) for v in c.package), float(c.size)))
-                if c.arm == 1:
-                    n1 += c.size
-                    s1 += c.outcome_sum
-                    y1.append(c.outcomes)
-                else:
-                    n0 += c.size
-                    s0 += c.outcome_sum
-                    y0.append(c.outcomes)
-        var1 = var0 = None
-        if continuous:
-            if y1:
-                all1 = np.concatenate(y1)
-                var1 = float(np.var(all1, ddof=1)) if all1.size > 1 else 0.0
-            if y0:
-                all0 = np.concatenate(y0)
-                var0 = float(np.var(all0, ddof=1)) if all0.size > 1 else 0.0
+                n[c.arm] += c.size
+                s[c.arm] += c.outcome_sum
+                by_arm[c.arm].append(c)
+        var = [
+            _pooled_variance(by_arm[arm], n[arm], s[arm])
+            if continuous and by_arm[arm] else None
+            for arm in (0, 1)
+        ]
         return cls(
-            n1_obs=n1,
-            n0_obs=n0,
-            s1_obs=s1,
-            s0_obs=s0,
+            n1_obs=n[1],
+            n0_obs=n[0],
+            s1_obs=s[1],
+            s0_obs=s[0],
             n1_future=float(future[0]),
             n0_future=float(future[1]),
-            var1_obs=var1,
-            var0_obs=var0,
+            var1_obs=var[1],
+            var0_obs=var[0],
             design_obs=tuple(design),
         )
+
+
+def _pooled_variance(centers, n: float, total: float) -> float:
+    """Sample variance (ddof 1) of the ``n`` outcomes of ``centers``, which sum
+    to ``total``: m2 pools as sum m2_c + n_c (ybar_c - ybar)^2 (Chan, Golub &
+    LeVeque 1983), free of the cancellation of a raw sum of squares."""
+    if n <= 1:
+        return 0.0
+    mean = total / n
+    m2 = sum(c.m2 + c.size * (c.outcome_sum / c.size - mean) ** 2 for c in centers)
+    return m2 / (n - 1.0)
 
 
 # ---------------------------------------------------------------------------

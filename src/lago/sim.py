@@ -393,16 +393,12 @@ def _trial_config(spec: ScenarioSpec) -> TrialConfig:
     )
 
 
-def _draw_center(rng, spec, truth, arm, package, n):
-    x = np.asarray(package, dtype=float)
+def _draw_center(rng, spec, truth, arm, x, n):
     mean = predict(truth, x)
     if spec.outcome_kind == "binary":
         successes = int(rng.binomial(n, mean))
-        outcomes = np.zeros(n)
-        outcomes[:successes] = 1.0
-    else:
-        outcomes = rng.normal(mean, spec.outcome_sigma, size=n)
-    return CenterData(arm=arm, package=x, outcomes=outcomes)
+        return CenterData.from_stats(arm, x, n, successes, successes * (n - successes) / n)
+    return CenterData(arm=arm, package=x, outcomes=rng.normal(mean, spec.outcome_sigma, size=n))
 
 
 def _deployed_package(spec: ScenarioSpec, x) -> np.ndarray:
@@ -444,7 +440,7 @@ def _sandwich_cov(state, model):
     sum of (s - n p)^2 x x'; the bread is the Fisher information, whose
     inverse the binary fit already carries as its covariance.
     """
-    X, n, s = _center_rows(state.completed)
+    X, n, s, _ = _center_rows(state.completed)
     resid = s - n * expit(X @ model.beta)
     meat = X.T @ (X * (resid * resid)[:, None])
     return model.covariance @ meat @ model.covariance
@@ -466,12 +462,10 @@ def _simulate_replicate(spec: ScenarioSpec, config: TrialConfig, child_seed) -> 
                     np.asarray(spec.distortion(stage_index, j, x), dtype=float)
                     for j, x in enumerate(packages)
                 ]
+            arms = [(0, np.zeros(spec.n_components))] * splan.n_control_centers
             centers = [
-                _draw_center(rng, spec, truth, 0, np.zeros(spec.n_components), splan.n_per_center)
-                for _ in range(splan.n_control_centers)
-            ]
-            centers += [
-                _draw_center(rng, spec, truth, 1, x, splan.n_per_center) for x in packages
+                _draw_center(rng, spec, truth, arm, x, splan.n_per_center)
+                for arm, x in arms + [(1, x) for x in packages]
             ]
             with warnings.catch_warnings():
                 # A distortion hook may push packages outside the nominal

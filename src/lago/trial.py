@@ -27,6 +27,8 @@ from .model import (
     CenterData,
     FittedModel,
     StageRecord,
+    _center_rows,
+    _check_binary,
     fit_binary,
     fit_continuous,
 )
@@ -62,7 +64,7 @@ __all__ = [
 ]
 
 DOCUMENT_FORMAT = "lago-trial-state"
-DOCUMENT_VERSION = 1
+DOCUMENT_VERSION = 2  # per-center size/outcome_sum/m2; version 1 (outcome lists) is read
 
 
 # ---------------------------------------------------------------------------
@@ -362,33 +364,29 @@ def final_test(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _center_to_dict(c: CenterData) -> dict:
-    return {
-        "arm": int(c.arm),
-        "package": np.asarray(c.package, dtype=float).tolist(),
-        "outcomes": np.asarray(c.outcomes, dtype=float).tolist(),
-    }
-
-
-def _center_from_dict(entry: dict) -> CenterData:
-    return CenterData(
-        arm=int(entry["arm"]),
-        package=np.asarray(entry["package"], dtype=float),
-        outcomes=np.asarray(entry["outcomes"], dtype=float),
-    )
+def _center_from_dict(entry: dict, version: int) -> CenterData:
+    arm, package = int(entry["arm"]), np.asarray(entry["package"], dtype=float)
+    if version == 1:
+        return CenterData(arm=arm, package=package, outcomes=entry["outcomes"])
+    stats = (entry["size"], entry["outcome_sum"], entry["m2"])
+    return CenterData.from_stats(arm, package, *stats)
 
 
 def _record_to_dict(rec: StageRecord) -> dict:
     return {
         "stage_index": int(rec.stage_index),
-        "centers": [_center_to_dict(c) for c in rec.centers],
+        "centers": [
+            {"arm": int(c.arm), "package": c.package.tolist(), "size": int(c.size),
+             "outcome_sum": float(c.outcome_sum), "m2": float(c.m2)}
+            for c in rec.centers
+        ],
     }
 
 
-def _record_from_dict(entry: dict) -> StageRecord:
+def _record_from_dict(entry: dict, version: int) -> StageRecord:
     return StageRecord(
         stage_index=int(entry["stage_index"]),
-        centers=[_center_from_dict(c) for c in entry["centers"]],
+        centers=[_center_from_dict(c, version) for c in entry["centers"]],
     )
 
 
@@ -432,21 +430,24 @@ def to_document(state: TrialState) -> dict:
 
 
 def from_document(doc: dict) -> TrialState:
-    """Trial state from a ``to_document`` snapshot.
+    """Trial state from a ``to_document`` snapshot (version 2, or version 1).
 
-    Rejects a document whose status, stage indices or recommendation count
-    disagree with its completed stages, so a hand-edited status cannot
-    unlock ``final_test`` on part of the trial.
+    Rejects invalid center statistics, and a document whose status, stage
+    indices or recommendation count disagree with its completed stages, so
+    a hand-edited status cannot unlock ``final_test`` on part of the trial.
     """
     with config_errors("trial state document"):
         if doc.get("format") != DOCUMENT_FORMAT:
             raise ValueError(f"not a {DOCUMENT_FORMAT} document")
-        if doc.get("version") != DOCUMENT_VERSION:
-            raise ValueError(f"unsupported document version {doc.get('version')!r}")
+        version = doc.get("version")
+        if version not in (1, DOCUMENT_VERSION):
+            raise ValueError(f"unsupported document version {version!r}")
         config = TrialConfig.from_config(doc["config"])
-        completed = tuple(_record_from_dict(r) for r in doc["completed"])
+        completed = tuple(_record_from_dict(r, version) for r in doc["completed"])
         recommendations = [_rec_from_dict(r) for r in doc["recommendations"]]
         status = doc["status"]
+    if completed and config.outcome_kind == "binary":
+        _check_binary(*_center_rows(completed)[1:])
     indices = [rec.stage_index for rec in completed]
     if indices != list(range(1, len(completed) + 1)):
         raise ValueError(f"completed stage indices {indices} are not 1, 2, ...")

@@ -33,22 +33,26 @@ from lago.model import (
 
 
 def binary_stage(rng, beta, packages, n_per_center, stage_index=1):
-    centers = []
+    centers, draws = [], []
     for pkg in packages:
         pkg = np.asarray(pkg, dtype=float)
         arm = 1 if pkg.any() else 0
         p = expit(beta[0] + beta[1:] @ pkg)
         y = rng.binomial(1, p, n_per_center).astype(float)
         centers.append(CenterData(arm=arm, package=pkg, outcomes=y))
-    return StageRecord(stage_index=stage_index, centers=centers)
+        draws.append(y)
+    rec = StageRecord(stage_index=stage_index, centers=centers)
+    rec.draws = draws  # the vectors the centers were reduced from
+    return rec
 
 
 def obs_design(records):
+    """Per-observation design (X with intercept, y) from the drawn vectors."""
     rows, ys = [], []
     for rec in records:
-        for c in rec.centers:
-            rows.append(np.tile(np.concatenate(([1.0], c.package)), (c.size, 1)))
-            ys.append(c.outcomes)
+        for c, y in zip(rec.centers, rec.draws):
+            rows.append(np.tile(np.concatenate(([1.0], c.package)), (y.size, 1)))
+            ys.append(y)
     return np.vstack(rows), np.concatenate(ys)
 
 
@@ -105,13 +109,27 @@ def test_center_data_validation():
         CenterData(arm=1, package=np.array([1.0]), outcomes=np.array([]))
 
 
+def test_center_data_keeps_only_statistics():
+    y = np.array([2.0, 3.5, -1.0, 4.25, 0.5])
+    c = CenterData(arm=1, package=np.array([1.0]), outcomes=y)
+    assert c.size == 5 and c.outcome_sum == float(y.sum())
+    assert c.m2 == pytest.approx(y.size * np.var(y), rel=1e-12)
+    assert not hasattr(c, "outcomes")
+    same = CenterData.from_stats(1, [1.0], 5, c.outcome_sum, c.m2)
+    assert (same.size, same.outcome_sum, same.m2) == (c.size, c.outcome_sum, c.m2)
+    for size, total, m2 in ((0, 0.0, 0.0), (2.5, 1.0, 0.5), (3, math.nan, 0.5),
+                            (3, 1.0, -0.5), (3, 1.0, math.inf)):
+        with pytest.raises(ValueError):
+            CenterData.from_stats(1, [1.0], size, total, m2)
+    with pytest.raises(ValueError):
+        CenterData.from_stats(0, [1.0], 3, 1.0, 0.5)
+
+
 def test_stage_record_counts_and_sums():
     rec = StageRecord(stage_index=1, centers=[
         CenterData(arm=0, package=np.zeros(2), outcomes=np.array([0.0, 1.0, 0.0])),
         CenterData(arm=1, package=np.array([1.0, 4.0]), outcomes=np.array([1.0, 1.0])),
     ])
-    assert rec.arm_counts() == (2.0, 3.0)
-    assert rec.arm_sums() == (2.0, 1.0)
     assert rec.n_components == 2
     with pytest.raises(ValueError):
         StageRecord(stage_index=0, centers=rec.centers)
@@ -198,12 +216,12 @@ def test_fit_binary_invariant_to_center_regrouping():
     whole = fit_binary([rec])
 
     split_centers = []
-    for c in rec.centers:
-        half = c.size // 2
+    for c, y in zip(rec.centers, rec.draws):
+        half = y.size // 2
         split_centers.append(CenterData(arm=c.arm, package=c.package,
-                                        outcomes=c.outcomes[:half]))
+                                        outcomes=y[:half]))
         split_centers.append(CenterData(arm=c.arm, package=c.package,
-                                        outcomes=c.outcomes[half:]))
+                                        outcomes=y[half:]))
     split = fit_binary([StageRecord(stage_index=1, centers=split_centers)])
     assert whole.beta == pytest.approx(split.beta, abs=1e-9)
 
@@ -251,6 +269,21 @@ def test_fit_binary_rejects_non_binary_outcomes():
         fit_binary([rec])
 
 
+def test_fit_binary_rejects_statistics_of_non_binary_outcomes():
+    control = CenterData(arm=0, package=np.zeros(1), outcomes=np.array([0.0, 1.0, 1.0, 0.0]))
+    for size, total, m2 in ((4, 1.5, 0.75), (4, 5.0, 0.0), (4, -1.0, 0.0),
+                            (4, 2.0, 0.0), (4, 2.0, 2.0)):
+        treated = CenterData.from_stats(1, [1.0], size, total, m2)
+        with pytest.raises(ValueError, match="0/1"):
+            fit_binary([StageRecord(stage_index=1, centers=[control, treated])])
+    # the statistics of a 0/1 vector pass, whichever way they were built
+    treated = CenterData.from_stats(1, [1.0], 4, 3.0, 3.0 * (4 - 3) / 4)
+    fit = fit_binary([StageRecord(stage_index=1, centers=[control, treated])])
+    again = fit_binary([StageRecord(stage_index=1, centers=[
+        control, CenterData(arm=1, package=[1.0], outcomes=[1.0, 0.0, 1.0, 1.0])])])
+    assert np.array_equal(fit.beta, again.beta)
+
+
 def test_fit_binary_is_deterministic():
     rng = np.random.default_rng(8)
     rec = binary_stage(rng, np.array([0.1, 0.3, 0.15]), [(0, 0), (1, 0), (0, 4), (1, 4)], 40)
@@ -265,54 +298,78 @@ def test_fit_binary_is_deterministic():
 # ---------------------------------------------------------------------------
 
 def continuous_stage(rng, beta, packages, n_per_center, link="identity", sd=0.5):
-    centers = []
-    for pkg in packages:
+    centers, draws = [], []
+    for pkg, n in zip(packages, np.broadcast_to(n_per_center, len(packages))):
         pkg = np.asarray(pkg, dtype=float)
         arm = 1 if pkg.any() else 0
         eta = beta[0] + beta[1:] @ pkg
         mu = eta if link == "identity" else math.exp(eta)
-        y = rng.normal(mu, sd, n_per_center)
+        y = rng.normal(mu, sd, n)
         centers.append(CenterData(arm=arm, package=pkg, outcomes=y))
-    return StageRecord(stage_index=1, centers=centers)
+        draws.append(y)
+    rec = StageRecord(stage_index=1, centers=centers)
+    rec.draws = draws
+    return rec
+
+
+def random_continuous_stages(n_components, link="identity", seeds=(301, 302, 303, 304)):
+    """Seeded random designs: one control and 3-7 intervention centers of
+    2-200 observations each, random packages, coefficients and spread."""
+    stages = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        n_centers = int(rng.integers(4, 9))
+        packages = [np.zeros(n_components)] + [
+            rng.uniform(0.2, 3.0, n_components) for _ in range(n_centers - 1)
+        ]
+        beta = rng.uniform(-0.5, 0.5, n_components + 1)
+        sd = rng.uniform(0.1, 0.5) if link == "log" else rng.uniform(0.1, 3.0)
+        sizes = rng.integers(2, 201, n_centers)
+        stages.append(continuous_stage(rng, beta, packages, sizes, link=link, sd=sd))
+    return stages
 
 
 def test_fit_continuous_identity_matches_normal_equations():
     rng = np.random.default_rng(21)
-    rec = continuous_stage(rng, np.array([0.5, 0.8, -0.3]), [(0, 0), (1, 0), (0, 2), (1, 2)], 50)
-    fit = fit_continuous([rec])
-    X, y = obs_design([rec])
-    beta_ref = np.linalg.solve(X.T @ X, X.T @ y)
-    assert fit.beta == pytest.approx(beta_ref, abs=1e-10)
-    resid = y - X @ fit.beta
-    assert fit.sigma2 == pytest.approx(resid @ resid / (len(y) - 3), rel=1e-12)
+    fixed = continuous_stage(rng, np.array([0.5, 0.8, -0.3]),
+                             [(0, 0), (1, 0), (0, 2), (1, 2)], 50)
+    for rec in [fixed, *random_continuous_stages(2)]:
+        fit = fit_continuous([rec])
+        X, y = obs_design([rec])
+        beta_ref = np.linalg.solve(X.T @ X, X.T @ y)
+        assert fit.beta == pytest.approx(beta_ref, abs=1e-10)
+        resid = y - X @ fit.beta
+        assert fit.sigma2 == pytest.approx(resid @ resid / (len(y) - 3), rel=1e-12)
 
 
 def test_fit_continuous_sandwich_covariance_brute_force():
     rng = np.random.default_rng(22)
-    rec = continuous_stage(rng, np.array([0.5, 0.8]), [(0,), (1,), (2,)], 40)
-    fit = fit_continuous([rec])
-    X, y = obs_design([rec])
-    resid = y - X @ fit.beta
-    A = np.zeros((2, 2))
-    B = np.zeros((2, 2))
-    for i in range(len(y)):
-        xi = X[i]
-        A += np.outer(xi, xi)          # identity link: unit mean-derivative
-        B += resid[i] ** 2 * np.outer(xi, xi)
-    expected = np.linalg.inv(A) @ B @ np.linalg.inv(A)
-    assert np.allclose(fit.covariance, expected, rtol=1e-10)
+    fixed = continuous_stage(rng, np.array([0.5, 0.8]), [(0,), (1,), (2,)], 40)
+    for rec in [fixed, *random_continuous_stages(1)]:
+        fit = fit_continuous([rec])
+        X, y = obs_design([rec])
+        resid = y - X @ fit.beta
+        A = np.zeros((2, 2))
+        B = np.zeros((2, 2))
+        for i in range(len(y)):
+            xi = X[i]
+            A += np.outer(xi, xi)          # identity link: unit mean-derivative
+            B += resid[i] ** 2 * np.outer(xi, xi)
+        expected = np.linalg.inv(A) @ B @ np.linalg.inv(A)
+        assert np.allclose(fit.covariance, expected, rtol=1e-10)
 
 
 def test_fit_continuous_log_link_matches_scipy_least_squares():
     rng = np.random.default_rng(23)
-    rec = continuous_stage(rng, np.array([0.4, 0.2]), [(0,), (1,), (3,)], 60,
-                           link="log", sd=0.3)
-    fit = fit_continuous([rec], link="log")
-    X, y = obs_design([rec])
-    res = scipy.optimize.least_squares(
-        lambda b: y - np.exp(X @ b), x0=np.zeros(2), xtol=1e-14, ftol=1e-14
-    )
-    assert fit.beta == pytest.approx(res.x, abs=1e-7)
+    fixed = continuous_stage(rng, np.array([0.4, 0.2]), [(0,), (1,), (3,)], 60,
+                             link="log", sd=0.3)
+    for rec in [fixed, *random_continuous_stages(1, link="log")]:
+        fit = fit_continuous([rec], link="log")
+        X, y = obs_design([rec])
+        res = scipy.optimize.least_squares(
+            lambda b: y - np.exp(X @ b), x0=np.zeros(2), xtol=1e-14, ftol=1e-14
+        )
+        assert fit.beta == pytest.approx(res.x, abs=1e-7)
 
 
 @pytest.mark.parametrize("link", ["identity", "log"])
@@ -386,6 +443,32 @@ def test_load_stage_csv_round_trip(tmp_path):
     assert records[1].centers[0].package.tolist() == [0.5, 3.0]
 
 
+def test_load_stage_csv_padded_header(tmp_path):
+    path = tmp_path / "padded.csv"
+    path.write_text("stage, center, arm, x_1, y\n1,c1,0,0,0\n1,c1,0,0,1\n1,c2,1,2,1\n")
+    records = load_stage_csv(path)
+    assert [(c.arm, c.size, c.outcome_sum) for c in records[0].centers] == [
+        (0, 2, 1.0), (1, 1, 1.0)
+    ]
+    assert records[0].centers[1].package.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("header", ["x_1,x_3", "x_1,x_01", "x_2"])
+def test_load_stage_csv_package_columns_are_x_1_to_x_P(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"stage,center,arm,{header},y\n1,c1,1,1,2,0\n")
+    with pytest.raises(ValueError, match="package columns"):
+        load_stage_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_stage_csv_non_finite_value_reports_line(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"stage,center,arm,x_1,y\n1,c1,1,1,0\n1,c1,1,1,{value}\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_stage_csv(path)
+
+
 def test_load_stage_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("stage,center,x_1,y\n1,c1,0,0\n")
@@ -412,8 +495,8 @@ def test_load_stage_csv_fit_integration(tmp_path):
     rng = np.random.default_rng(31)
     rec = binary_stage(rng, np.array([0.1, 0.3, 0.15]), [(0, 0), (1, 0), (0, 4), (1, 4)], 30)
     lines = ["stage,center,arm,x_1,x_2,y"]
-    for ci, c in enumerate(rec.centers):
-        for y in c.outcomes:
+    for ci, (c, ys) in enumerate(zip(rec.centers, rec.draws)):
+        for y in ys:
             lines.append(f"1,center{ci},{c.arm},{c.package[0]},{c.package[1]},{int(y)}")
     path = tmp_path / "gen.csv"
     path.write_text("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lago.errors import DegenerateVarianceError, SingularCovarianceError
-from lago.model import FittedModel, expit
+from lago.model import CenterData, FittedModel, StageRecord, expit
 from lago.power import (
     ArmSummary,
     TestSelector as Selector,
@@ -216,6 +216,48 @@ def test_two_sample_t_fixture():
     assert t_statistic(s) == pytest.approx(math.sqrt(50.0), abs=1e-12)
     assert t_statistic(s, pooled=True) == pytest.approx(math.sqrt(50.0), abs=1e-12)
     assert t_statistic(s) == pytest.approx(7.071, abs=5e-4)
+
+
+def _arm_records(draws):
+    """One stage from per-arm lists of outcome vectors (control package 0)."""
+    centers = [
+        CenterData(arm=arm, package=[float(arm)], outcomes=y)
+        for arm, ys in draws.items() for y in ys
+    ]
+    return [StageRecord(stage_index=1, centers=centers)]
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e3])
+def test_arm_variance_pools_center_statistics(mean):
+    """Chan-pooled arm variances from per-center (n, sum, m2) equal the
+    sample variance of the concatenated outcomes."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        draws = {
+            arm: [
+                rng.normal(mean + rng.normal(0.0, 2.0), rng.uniform(0.5, 3.0),
+                           int(rng.integers(1, 300)))
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            for arm in (0, 1)
+        }
+        s = ArmSummary.from_records(_arm_records(draws), continuous=True)
+        for got, ys in ((s.var1_obs, draws[1]), (s.var0_obs, draws[0])):
+            ref = np.var(np.concatenate(ys), ddof=1) if sum(map(len, ys)) > 1 else 0.0
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_arm_variance_at_a_large_mean():
+    """Mean 1e8, sigma 1: the raw sum of squares (~5e18, ulp 512) would keep
+    no digit of the ~450 centered sum.  The pooled one is limited only by
+    the stored center means, each resolved to ulp(1e8) ~ 1.5e-8 against
+    center-mean spreads ~0.1, so ~1e-7 relative in the between-center
+    term, a small share of the total."""
+    rng = np.random.default_rng(7)
+    ys = [rng.normal(1e8, 1.0, n) for n in (50, 120, 80, 200)]
+    s = ArmSummary.from_records(_arm_records({0: ys[:1], 1: ys}), continuous=True)
+    assert s.var1_obs == pytest.approx(np.var(np.concatenate(ys), ddof=1), rel=1e-7)
+    assert s.var0_obs == pytest.approx(np.var(ys[0], ddof=1), rel=1e-12)
 
 
 def test_t_statistic_requires_variances():
@@ -420,7 +462,7 @@ def test_unconditional_lambda_wald_continuous_rank_deficient_design():
 
 def test_unconditional_power_wald_against_simulation():
     """End-to-end: simulate trials at the model rates, Wald-test each, compare rates."""
-    from lago.model import CenterData, StageRecord, fit_binary
+    from lago.model import fit_binary
     from lago.power import chisq_quantile as cq
 
     beta = np.array([0.1, 0.3, 0.15])

@@ -357,7 +357,7 @@ def test_document_round_trip(tmp_path):
     assert len(loaded.completed) == 1
     orig = state.completed[0].centers[0]
     back = loaded.completed[0].centers[0]
-    assert np.array_equal(orig.outcomes, back.outcomes)
+    assert (orig.size, orig.outcome_sum, orig.m2) == (back.size, back.outcome_sum, back.m2)
     assert np.array_equal(orig.package, back.package)
     assert (loaded.recommendations[0].x_hat == rec.x_hat).all()
     # the memo survives the round trip: no recompute, same answer
@@ -446,9 +446,39 @@ def _config_not_object(doc):
     doc["config"] = [doc["config"]]
 
 
+def _first_center(doc):
+    return doc["completed"][0]["centers"][0]
+
+
+def _center_m2_missing(doc):
+    del _first_center(doc)["m2"]
+
+
+def _center_size_zero(doc):
+    _first_center(doc)["size"] = 0
+
+
+def _center_size_fractional(doc):
+    _first_center(doc)["size"] = 2.5
+
+
+def _center_m2_negative(doc):
+    _first_center(doc)["m2"] = -1.0
+
+
+def _center_sum_nan(doc):
+    _first_center(doc)["outcome_sum"] = float("nan")
+
+
+def _binary_sum_above_size(doc):
+    _first_center(doc)["outcome_sum"] = _first_center(doc)["size"] + 1.0
+
+
 @pytest.mark.parametrize("edit", [
     _drop_status, _drop_planned_stages, _unknown_stage_key, _unknown_goal_key,
-    _null_completed, _config_not_object,
+    _null_completed, _config_not_object, _center_m2_missing, _center_size_zero,
+    _center_size_fractional, _center_m2_negative, _center_sum_nan,
+    _binary_sum_above_size,
 ])
 def test_malformed_document_is_value_error(edit, tmp_path):
     doc = _after_stage1_doc()
@@ -459,6 +489,42 @@ def test_malformed_document_is_value_error(edit, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_state(path)
+
+
+# What to_document wrote before version 2: one outcome list per center.
+STATE_V1 = """{"format": "lago-trial-state", "version": 1, "config": {"stages": [
+{"n_intervention": 120.0, "n_control": 40.0, "centers_intervention": 3, "centers_control": 1},
+{"n_intervention": 120.0, "n_control": 40.0, "centers_intervention": 3, "centers_control": 1}],
+"bounds": [[0.0, 2.0], [0.0, 8.0]], "cost": [[1, 3, 2.0], [1, 2, -1.19], [1, 1, 10.0],
+[null, 0, 10.0], [2, 3, 0.1], [2, 2, -0.2], [2, 1, 2.0]], "goals": {"outcome_goal": 0.7,
+"direction": "increase", "power_goal": 0.8, "alpha": 0.05, "approach": "unconditional",
+"test": "z_unpooled", "conditional_scale": "sd"}, "outcome_kind": "binary",
+"outcome_link": "identity"}, "completed": [{"stage_index": 1, "centers": [
+{"arm": 0, "package": [0.0, 0.0], "outcomes":
+[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+{"arm": 1, "package": [1.0, 0.0], "outcomes":
+[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+{"arm": 1, "package": [0.0, 4.0], "outcomes":
+[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]},
+{"arm": 1, "package": [1.0, 4.0], "outcomes":
+[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]}]}],
+"recommendations": [], "status": "awaiting-stage-2"}"""
+
+
+def test_version_1_document_loads_as_its_version_2_resave():
+    v1 = from_document(json.loads(STATE_V1))
+    resaved = json.loads(json.dumps(to_document(v1)))
+    assert resaved["version"] == 2
+    assert "outcomes" not in resaved["completed"][0]["centers"][0]
+    v2 = from_document(resaved)
+    stats = [(c.size, c.outcome_sum, c.m2) for c in v1.completed[0].centers]
+    assert stats == [(c.size, c.outcome_sum, c.m2) for c in v2.completed[0].centers]
+    assert [(n, s) for n, s, _ in stats] == [(12, 6.0), (12, 7.0), (12, 8.0), (12, 9.0)]
+    rec1, rec2 = next_recommendation(v1), next_recommendation(v2)
+    assert np.array_equal(rec1.x_hat, rec2.x_hat)
+    assert (rec1.regime, rec1.cost) == (rec2.regime, rec2.cost)
+    # what the last version-1 code recommended from this document
+    assert rec1.x_hat == pytest.approx([0.6982724, 4.17489094], rel=1e-6)
 
 
 def test_non_object_document_is_value_error():
@@ -522,7 +588,7 @@ def test_save_load_round_trip(state):
         for cb, co in zip(back.centers, orig.centers):
             assert cb.arm == co.arm
             assert np.array_equal(cb.package, co.package)
-            assert np.array_equal(cb.outcomes, co.outcomes)
+            assert (cb.size, cb.outcome_sum, cb.m2) == (co.size, co.outcome_sum, co.m2)
     assert len(loaded.recommendations) == len(state.recommendations)
     for back, orig in zip(loaded.recommendations, state.recommendations):
         assert np.array_equal(back.x_hat, orig.x_hat)
