@@ -10,7 +10,8 @@ Stage data CSVs carry one observation per row with columns ``stage``,
 ``center``, ``arm``, ``x_1`` .. ``x_P``, ``y``.  Trial configs, scenario
 configs, and coefficient fixtures are JSON; the bundled fixtures
 (``scenario_1a`` .. ``scenario_2b``, ``betterbirth``) can be named wherever
-a config or coefficient file is expected.
+a config or coefficient file is expected, and are built from their
+definitions in ``lago.sim``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import csv
 import dataclasses
 import json
 import sys
-from importlib import resources
 
 import numpy as np
 
 from .cost import CostFunction
 from .diagnostics import dominance_design, dominance_threshold, verify_assumption7
 from .errors import LagoError
-from .model import FittedModel, load_stage_csv, predict
+from .model import FittedModel, _assumed, load_stage_csv, predict
 from .optimizer import (
     GoalSpec,
     integerize,
@@ -39,11 +39,21 @@ from .power import (
     ArmSummary,
     TEST_KINDS,
     TestSelector,
+    _default_test,
     conditional_constraint_slack,
     unconditional_lambda,
     unconditional_power,
 )
-from .sim import SHIPPED_SCENARIOS, ScenarioSpec, null_variant, run_scenario
+from .sim import (
+    BETTERBIRTH_BOUNDS,
+    BETTERBIRTH_COST,
+    SHIPPED_SCENARIOS,
+    ScenarioSpec,
+    betterbirth_model,
+    betterbirth_summary,
+    null_variant,
+    run_scenario,
+)
 from .trial import (
     TrialConfig,
     final_optimal,
@@ -54,7 +64,7 @@ from .trial import (
     refit,
 )
 
-FIXTURES = ("scenario_1a", "scenario_1b", "scenario_2a", "scenario_2b", "betterbirth")
+FIXTURES = tuple(f"scenario_{k}" for k in SHIPPED_SCENARIOS) + ("betterbirth",)
 GOAL_FLAGS = ("goal", "direction", "power_goal", "alpha", "approach", "test")
 
 
@@ -62,13 +72,26 @@ GOAL_FLAGS = ("goal", "direction", "power_goal", "alpha", "approach", "test")
 # small plumbing
 # ---------------------------------------------------------------------------
 
+def _bundled(name: str) -> dict:
+    """The document a bundled fixture name stands for, built from the library."""
+    if name == "betterbirth":
+        return {
+            "name": "betterbirth",
+            "beta": betterbirth_model("stages12").beta,
+            "direction": "decrease",
+            "cost": BETTERBIRTH_COST.to_config(),
+            "bounds": BETTERBIRTH_BOUNDS,
+            "arm_summary": dataclasses.asdict(betterbirth_summary()),
+        }
+    return SHIPPED_SCENARIOS[name.removeprefix("scenario_")]().to_config()
+
+
 def _read_json(source: str) -> dict:
-    """Load a JSON file; bare bundled-fixture names resolve to package data."""
+    """Load a JSON file; bare bundled-fixture names resolve to the library."""
     if source in FIXTURES:
-        text = resources.files("lago.data").joinpath(f"{source}.json").read_text()
-    else:
-        with open(source) as fh:
-            text = fh.read()
+        return _bundled(source)
+    with open(source) as fh:
+        text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,15 +142,11 @@ def _rec_payload(rec, extra=None) -> dict:
     return payload
 
 
-def _default_test_kind(outcome_kind: str) -> str:
-    return "t_unpooled" if outcome_kind == "continuous" else "z_unpooled"
-
-
 def _any_goal_flag(args) -> bool:
     return any(getattr(args, f, None) is not None for f in GOAL_FLAGS)
 
 
-def _goals_from_flags(args, base: GoalSpec, outcome_kind: str = "binary") -> GoalSpec:
+def _goals_from_flags(args, base: GoalSpec, outcome_kind: str) -> GoalSpec:
     """Goal spec from CLI flags, keeping ``base`` where a flag is absent."""
     fields = dict(
         outcome_goal=base.outcome_goal,
@@ -151,18 +170,18 @@ def _goals_from_flags(args, base: GoalSpec, outcome_kind: str = "binary") -> Goa
     if args.test is not None:
         fields["test"] = TestSelector(args.test)
     if fields["power_goal"] is not None and fields["test"] is None:
-        fields["test"] = TestSelector(_default_test_kind(outcome_kind))
+        fields["test"] = _default_test(outcome_kind)
     return GoalSpec(**fields)
 
 
-def _goals_direct(args, default_direction: str | None,
-                  outcome_kind: str = "binary") -> GoalSpec:
-    """Goal spec purely from flags (coefficient-fixture modes have no config)."""
+def _goals_direct(args, default_direction: str | None) -> GoalSpec:
+    """Goal spec purely from flags (coefficient-fixture modes have no config
+    and plan logistic models)."""
     if args.goal is None and args.power_goal is None:
         raise ValueError("an outcome or power goal is required (--goal/--power-goal)")
     test = TestSelector(args.test) if args.test is not None else None
     if args.power_goal is not None and test is None:
-        test = TestSelector(_default_test_kind(outcome_kind))
+        test = _default_test("binary")
     return GoalSpec(
         outcome_goal=args.goal,
         direction=args.direction or default_direction or "increase",
@@ -213,7 +232,7 @@ def _truncate_state(state, k: int):
     return out
 
 
-def _model_fixture(source: str, which: str = "beta"):
+def _model_fixture(source: str):
     """Coefficient fixture -> (model, fixture dict).
 
     The fixture carries ``beta`` and ``link``; ``covariance`` is optional
@@ -221,9 +240,9 @@ def _model_fixture(source: str, which: str = "beta"):
     serve as defaults for the calling subcommand.
     """
     doc = _read_json(source)
-    if which not in doc:
-        raise ValueError(f"{source}: no {which!r} coefficient vector")
-    beta = np.asarray(doc[which], dtype=float)
+    if "beta" not in doc:
+        raise ValueError(f"{source}: no 'beta' coefficient vector")
+    beta = np.asarray(doc["beta"], dtype=float)
     if beta.ndim != 1 or beta.size < 2:
         raise ValueError(f"{source}: coefficient vector needs intercept plus effects")
     cov = np.asarray(doc.get("covariance", np.zeros((beta.size, beta.size))), dtype=float)
@@ -335,9 +354,8 @@ def _cmd_power(args) -> int:
     state = _load_trial_state(args)
     model = refit(state)
     goals = state.config.goals
-    kind = args.test or (goals.test.kind if goals.test else None) \
-        or _default_test_kind(state.config.outcome_kind)
-    test = TestSelector(kind)
+    test = TestSelector(args.test) if args.test else (
+        goals.test or _default_test(state.config.outcome_kind))
     alpha = args.alpha if args.alpha is not None else goals.alpha
     x = np.asarray(_floats(args.x, "--x"), dtype=float)
     if x.size != state.config.n_components:
@@ -398,12 +416,8 @@ def _cmd_plan_stage1(args) -> int:
     rec = plan_stage1(beta, goals, cost, bounds, pairs)
     extra = {}
     if args.integerize:
-        model = FittedModel(
-            beta=np.asarray(beta, dtype=float), link="logit",
-            covariance=np.zeros((len(beta), len(beta))), n_used=0, kind="assumed",
-        )
         extra["x_integer"] = integerize(
-            rec.x_hat, model, cost, bounds, rec.required_threshold, goals.direction
+            rec.x_hat, _assumed(beta), cost, bounds, rec.required_threshold, goals.direction
         )
     _emit(_rec_payload(rec, extra), args.out)
     return 0

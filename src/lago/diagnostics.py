@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import CostFunction
 from .errors import LagoError
-from .model import FittedModel, expit, logistic_information
+from .model import FittedModel, _assumed, expit, logistic_information
 from .optimizer import GoalSpec, _threshold_core, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, norm_quantile
 from .sim import StagePlan
@@ -285,7 +285,8 @@ def verify_assumption7(
     delta_max = 0.0
     for ci, center in enumerate(centers):
         try:
-            x_center = solve(center)
+            # Center 0 is the estimate itself, already solved as x_hat.
+            x_center = x_hat if ci == 0 else solve(center)
         except LagoError as exc:
             failure_rows.append(
                 {"center": ci, "sample": None, "error": type(exc).__name__}
@@ -332,15 +333,4 @@ def verify_assumption7(
         failures=tuple(failure_rows),
         samples_per_center=L,
         seed=None if seed is None else int(seed),
-    )
-
-
-def _assumed(beta, link) -> FittedModel:
-    beta = np.asarray(beta, dtype=float)
-    return FittedModel(
-        beta=beta,
-        link=link,
-        covariance=np.zeros((beta.size, beta.size)),
-        n_used=0,
-        kind="assumed",
     )

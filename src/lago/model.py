@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,6 +99,18 @@ def link_inverse_deriv(link: str, eta):
 # staged data containers
 # ---------------------------------------------------------------------------
 
+def _value_eq(self, other):
+    """Field-wise equality that compares ndarray fields with ``np.array_equal``
+    (the generated ``__eq__`` cannot compare arrays of two or more entries)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
+
+
 @dataclass(init=False)
 class CenterData:
     """One center's contribution to a stage: arm, delivered package and the
@@ -115,6 +127,8 @@ class CenterData:
     size: int
     outcome_sum: float
     m2: float
+
+    __eq__ = _value_eq
 
     def __init__(self, arm: int, package, outcomes):
         y = np.asarray(outcomes, dtype=float)
@@ -155,6 +169,8 @@ class StageRecord:
     stage_index: int
     centers: list[CenterData] = field(default_factory=list)
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         if self.stage_index < 1:
             raise ValueError("stage_index starts at 1")
@@ -190,6 +206,8 @@ class FittedModel:
     sigma2: float | None = None
     n_iter: int = 0
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
@@ -220,6 +238,19 @@ def predict(model: FittedModel, x) -> float:
     return float(link_inverse(model.link, model.linear_predictor(x)))
 
 
+def _assumed(beta, link: str = "logit") -> FittedModel:
+    """Model at given coefficients with zero covariance: a simulation truth,
+    published or planning coefficients, or a perturbed probe point."""
+    beta = np.asarray(beta, dtype=float)
+    return FittedModel(
+        beta=beta,
+        link=link,
+        covariance=np.zeros((beta.size, beta.size)),
+        n_used=0,
+        kind="assumed",
+    )
+
+
 def mirrored(model: FittedModel) -> FittedModel:
     """Sign-flipped copy used to turn decrease-goals into increase problems."""
     return FittedModel(
@@ -240,6 +271,8 @@ def mirrored(model: FittedModel) -> FittedModel:
 def _center_rows(records):
     """Per-center grouped design: (X rows with intercept, sizes, outcome sums, m2)."""
     centers = [c for rec in records for c in rec.centers]
+    if not centers:
+        raise ValueError("no stage records to fit: the input is empty")
     X = np.vstack([np.concatenate(([1.0], c.package)) for c in centers])
     n = np.array([float(c.size) for c in centers])
     s = np.array([c.outcome_sum for c in centers])

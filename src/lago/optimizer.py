@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .cost import CostFunction
 from .errors import InfeasibleError, NoThresholdError
-from .model import FittedModel, link_forward, link_inverse, mirrored, predict
+from .model import FittedModel, _assumed, link_forward, link_inverse, mirrored, predict
 from .power import (
     ArmSummary,
     TestSelector,
@@ -373,9 +373,15 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     """Minimize the separable cost over the box subject to
     beta0 + beta1 @ x >= eta_target.
 
-    Exact for up to two components that actually enter the constraint; with
-    more, an exhaustive fixing search, a Lagrangian bisection, and exact
-    pairwise descent are combined (deterministic, near-exact).
+    Exact for up to two components that actually enter the constraint.  Up
+    to six, the candidates are every combination of bounds and interior
+    stationary points (accepted within the solver's tolerance, so they keep
+    a corner that the slices below can miss by rounding), the minimum over
+    the feasible slice for a single component, and ``_min_pair`` on every
+    pair with the other components at those fixings, which covers fixing all
+    components but one.  From three on, a Lagrangian bisection adds a
+    candidate and exact pairwise descent refines the best; the
+    eta-maximizing corner is the fallback (deterministic, near-exact).
     """
     beta1 = np.asarray(beta1, dtype=float)
     P = beta1.size
@@ -428,16 +434,11 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
         opts = {p: infos[p].options_on(lo[p], hi[p]) for p in eff}
         for assign in itertools.product(*(opts[p] for p in eff)):
             consider(dict(zip(eff, assign)))
-        for f in eff:
-            others = [p for p in eff if p != f]
-            for assign in itertools.product(*(opts[p] for p in others)):
-                rem = need - sum(beta1[p] * v for p, v in zip(others, assign))
-                sl = _feasible_slice(beta1[f], lo[f], hi[f], rem)
-                if sl is None:
-                    continue
-                values = dict(zip(others, assign))
-                values[f] = infos[f].min_on(*sl)[0]
-                consider(values)
+        if len(eff) == 1:
+            (f,) = eff
+            sl = _feasible_slice(beta1[f], lo[f], hi[f], need)
+            if sl is not None:
+                consider({f: infos[f].min_on(*sl)[0]})
         for f, g in itertools.combinations(eff, 2):
             others = [p for p in eff if p not in (f, g)]
             for assign in itertools.product(*(opts[p] for p in others)):
@@ -856,13 +857,7 @@ def plan_stage1(
     beta = np.asarray(beta0, dtype=float).ravel()
     if beta.size < 2:
         raise ValueError("beta0 must hold an intercept and at least one effect")
-    model = FittedModel(
-        beta=beta,
-        link="logit",
-        covariance=np.zeros((beta.size, beta.size)),
-        n_used=0,
-        kind="assumed",
-    )
+    model = _assumed(beta)
     sizes = np.atleast_2d(np.asarray(planned_sizes, dtype=float))
     if sizes.shape[1] != 2:
         raise ValueError("planned_sizes must be (intervention, control) pairs")

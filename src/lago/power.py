@@ -475,6 +475,11 @@ class TestSelector:
         return int(n_components) if self.wald else 1
 
 
+def _default_test(outcome_kind: str) -> TestSelector:
+    """The plain unpooled test for an outcome kind, used where no test was named."""
+    return TestSelector("t_unpooled" if outcome_kind == "continuous" else "z_unpooled")
+
+
 @dataclass(frozen=True)
 class ArmSummary:
     """Per-arm bookkeeping the power formulas need.

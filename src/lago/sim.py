@@ -28,6 +28,7 @@ from .model import (
     CenterData,
     FittedModel,
     StageRecord,
+    _assumed,
     _center_rows,
     expit,
     link_inverse,
@@ -361,14 +362,7 @@ class MetricsReport:
 
 def _true_model(spec: ScenarioSpec) -> FittedModel:
     link = "logit" if spec.outcome_kind == "binary" else spec.outcome_link
-    p = len(spec.true_beta)
-    return FittedModel(
-        beta=np.asarray(spec.true_beta, dtype=float),
-        link=link,
-        covariance=np.zeros((p, p)),
-        n_used=0,
-        kind="assumed",
-    )
+    return _assumed(spec.true_beta, link)
 
 
 def _trial_config(spec: ScenarioSpec) -> TrialConfig:
@@ -652,12 +646,6 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
 # shipped scenario builders
 
 
-def _stage_1a(n_per_center: int, probes) -> tuple:
-    first = StagePlan(1, 3, n_per_center, probes)
-    second = StagePlan(1, 3, n_per_center, None)
-    return (first, second)
-
-
 _PROBES_1A = ((1.0, 0.0), (0.0, 4.0), (1.0, 4.0))
 
 COST_1A = CostFunction(
@@ -677,77 +665,52 @@ COST_1B = CostFunction(((0, 1, 1.0), (1, 1, 4.0)))
 TRUE_BETA_12 = (0.1, 0.3, 0.15)
 
 
-def scenario_1a(n_per_center=40, replicates=2000, goals=None, seed=None) -> ScenarioSpec:
-    """Two-component cubic-cost scenario with a success-probability goal of 0.7."""
-    if goals is None:
-        goals = GoalSpec(outcome_goal=0.7)
+def _shipped(name, default_goals, n_per_center, replicates, goals, seed,
+             cost=COST_1A, bounds=((0.0, 2.0), (0.0, 8.0)),
+             design_mode="lago") -> ScenarioSpec:
+    """The design every shipped scenario shares: the true coefficients, two
+    stages of one control and three intervention centers (stage 1 runs the
+    1a probes), the (1, 4) stage-1 anchor and whole-unit deployment of the
+    second component."""
     return ScenarioSpec(
-        name="scenario_1a",
+        name=name,
         true_beta=TRUE_BETA_12,
-        stages=_stage_1a(n_per_center, _PROBES_1A),
-        cost=COST_1A,
-        bounds=((0.0, 2.0), (0.0, 8.0)),
-        goals=goals,
+        stages=(StagePlan(1, 3, n_per_center, _PROBES_1A),
+                StagePlan(1, 3, n_per_center, None)),
+        cost=cost,
+        bounds=bounds,
+        goals=default_goals if goals is None else goals,
         replicates=replicates,
         rng_seed=seed,
+        design_mode=design_mode,
         stage1_fallback_x=(1.0, 4.0),
         deploy_step=(None, 1.0),
     )
+
+
+def scenario_1a(n_per_center=40, replicates=2000, goals=None, seed=None) -> ScenarioSpec:
+    """Two-component cubic-cost scenario with a success-probability goal of 0.7."""
+    return _shipped("scenario_1a", GoalSpec(outcome_goal=0.7),
+                    n_per_center, replicates, goals, seed)
 
 
 def scenario_1b(n_per_center=40, replicates=2000, goals=None, seed=None) -> ScenarioSpec:
     """Linear-cost variant; the optimum sits on the first component alone."""
-    if goals is None:
-        goals = GoalSpec(outcome_goal=0.7455)
-    return ScenarioSpec(
-        name="scenario_1b",
-        true_beta=TRUE_BETA_12,
-        stages=_stage_1a(n_per_center, _PROBES_1A),
-        cost=COST_1B,
-        bounds=((0.0, 4.0), (0.0, 8.0)),
-        goals=goals,
-        replicates=replicates,
-        rng_seed=seed,
-        stage1_fallback_x=(1.0, 4.0),
-        deploy_step=(None, 1.0),
-    )
+    return _shipped("scenario_1b", GoalSpec(outcome_goal=0.7455),
+                    n_per_center, replicates, goals, seed,
+                    cost=COST_1B, bounds=((0.0, 4.0), (0.0, 8.0)))
 
 
 def scenario_2a(n_per_center=40, replicates=2000, goals=None, seed=None) -> ScenarioSpec:
     """Power-goal-only adaptation: pick the cheapest package that powers the test."""
-    if goals is None:
-        goals = GoalSpec(power_goal=0.8, test=TestSelector("z_unpooled"))
-    return ScenarioSpec(
-        name="scenario_2a",
-        true_beta=TRUE_BETA_12,
-        stages=_stage_1a(n_per_center, _PROBES_1A),
-        cost=COST_1A,
-        bounds=((0.0, 2.0), (0.0, 8.0)),
-        goals=goals,
-        replicates=replicates,
-        rng_seed=seed,
-        stage1_fallback_x=(1.0, 4.0),
-        deploy_step=(None, 1.0),
-    )
+    return _shipped("scenario_2a", GoalSpec(power_goal=0.8, test=TestSelector("z_unpooled")),
+                    n_per_center, replicates, goals, seed)
 
 
 def scenario_2b(n_per_center=40, replicates=2000, goals=None, seed=None) -> ScenarioSpec:
     """Non-adaptive comparator for 2a: every stage repeats the stage-1 probes."""
-    if goals is None:
-        goals = GoalSpec(power_goal=0.8, test=TestSelector("z_unpooled"))
-    return ScenarioSpec(
-        name="scenario_2b",
-        true_beta=TRUE_BETA_12,
-        stages=_stage_1a(n_per_center, _PROBES_1A),
-        cost=COST_1A,
-        bounds=((0.0, 2.0), (0.0, 8.0)),
-        goals=goals,
-        replicates=replicates,
-        rng_seed=seed,
-        design_mode="factorial-repeat",
-        stage1_fallback_x=(1.0, 4.0),
-        deploy_step=(None, 1.0),
-    )
+    return _shipped("scenario_2b", GoalSpec(power_goal=0.8, test=TestSelector("z_unpooled")),
+                    n_per_center, replicates, goals, seed, design_mode="factorial-repeat")
 
 
 SHIPPED_SCENARIOS = {
@@ -808,18 +771,10 @@ def betterbirth_model(which: str = "stages12") -> FittedModel:
     published per-5-visit odds ratios rescaled to a single visit.
     """
     if which == "stages12":
-        beta = BETTERBIRTH_STAGE12_BETA
-    elif which == "all":
-        beta = BETTERBIRTH_ALL_DATA_BETA
-    else:
-        raise ValueError("which must be 'stages12' or 'all'")
-    return FittedModel(
-        beta=np.asarray(beta, dtype=float),
-        link="logit",
-        covariance=np.zeros((3, 3)),
-        n_used=0,
-        kind="assumed",
-    )
+        return _assumed(BETTERBIRTH_STAGE12_BETA)
+    if which == "all":
+        return _assumed(BETTERBIRTH_ALL_DATA_BETA)
+    raise ValueError("which must be 'stages12' or 'all'")
 
 
 def _bb_stage_rates(intervention_fraction: float):

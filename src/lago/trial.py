@@ -41,7 +41,7 @@ from .optimizer import (
     _state_summary,
     recommend_stage_k,
 )
-from .power import ArmSummary, TestResult, TestSelector
+from .power import ArmSummary, TestResult, TestSelector, _default_test
 from .power import final_test as _summary_final_test
 from .power import conditional_power, unconditional_power
 
@@ -351,8 +351,7 @@ def final_test(
     if test is None:
         test = state.config.goals.test
     if test is None:
-        kind = "t_unpooled" if state.config.outcome_kind == "continuous" else "z_unpooled"
-        test = TestSelector(kind)
+        test = _default_test(state.config.outcome_kind)
     summary = ArmSummary.from_records(
         state.completed, future=(0.0, 0.0), continuous=test.continuous_outcome
     )

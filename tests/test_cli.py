@@ -5,6 +5,7 @@ see the same return codes the shell would.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -13,8 +14,17 @@ import pytest
 
 from lago.cli import main
 from lago.cost import CostFunction
+from lago.diagnostics import verify_assumption7
 from lago.model import expit
-from lago.optimizer import GoalSpec
+from lago.optimizer import GoalSpec, plan_stage1, recommend_from_summary
+from lago.power import TestSelector as Selector
+from lago.sim import (
+    BETTERBIRTH_BOUNDS,
+    BETTERBIRTH_COST,
+    SHIPPED_SCENARIOS,
+    betterbirth_model,
+    betterbirth_summary,
+)
 from lago.trial import PlannedStage, TrialConfig, ingest_stage, new_trial, save_state
 from lago.model import load_stage_csv
 
@@ -167,6 +177,47 @@ def test_recommend_without_inputs_is_validation_error(capsys):
     code, captured = run(capsys, "recommend", "--goal", "0.7")
     assert code == 2
     assert "--trial" in captured.err or "--config" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# bundled fixture names
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", sorted(SHIPPED_SCENARIOS))
+def test_bundled_scenario_name_loads_through_simulate(capsys, key):
+    emitted = run_json(capsys, "simulate", "--config", f"scenario_{key}",
+                       "--seed", "5", "--emit-config", "-")
+    spec = dataclasses.replace(SHIPPED_SCENARIOS[key](), rng_seed=5)
+    assert emitted == json.loads(json.dumps(spec.to_config()))
+
+
+def test_bundled_betterbirth_loads_through_each_consumer(capsys):
+    model = betterbirth_model("stages12")
+    goals = GoalSpec(outcome_goal=0.1, direction="decrease", power_goal=0.8,
+                     test=Selector("z_unpooled"))
+    # recommend: coefficients, direction, cost, bounds and arm history
+    rec = recommend_from_summary(model, betterbirth_summary(), goals,
+                                 BETTERBIRTH_COST, BETTERBIRTH_BOUNDS)
+    payload = run_json(capsys, "recommend", "--coefficients", "betterbirth",
+                       "--goal", "0.1", "--power-goal", "0.8")
+    assert payload["x_hat"] == list(rec.x_hat)
+    # plan-stage1: coefficients, direction, cost and bounds
+    planned = plan_stage1(model.beta, goals, BETTERBIRTH_COST, BETTERBIRTH_BOUNDS,
+                          [(425, 424)])
+    payload = run_json(capsys, "plan-stage1", "--coefficients", "betterbirth",
+                       "--goal", "0.1", "--power-goal", "0.8", "--sizes", "425,424")
+    assert payload["x_hat"] == list(planned.x_hat)
+    # verify-assumption7: as coefficients, and as the --config for cost/bounds
+    report = verify_assumption7(model, BETTERBIRTH_COST, BETTERBIRTH_BOUNDS, goal=0.1,
+                                epsilon=0.05, L=10, seed=7, direction="decrease")
+    probe = ("verify-assumption7", "--goal", "0.1", "--epsilon", "0.05",
+             "--samples", "10", "--seed", "7")
+    by_name = run_json(capsys, *probe, "--coefficients", "betterbirth")
+    assert by_name == json.loads(json.dumps(report.to_dict()))
+    beta = ",".join(repr(b) for b in model.beta.tolist())
+    by_config = run_json(capsys, *probe, f"--beta={beta}", "--config", "betterbirth",
+                         "--direction", "decrease")
+    assert by_config == by_name
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,29 @@ def test_extended_mode_sweeps_confidence_band():
     assert centers[1][1] < centers[2][1] < centers[3][1]
 
 
+@pytest.mark.parametrize("extended", [False, True])
+def test_probe_solves_the_estimate_once(monkeypatch, extended):
+    import lago.diagnostics as diagnostics
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].beta)
+        return min_cost_subject_to_threshold(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "min_cost_subject_to_threshold", counting)
+    model = FittedModel(np.array(BETA), "logit", np.diag([0.04, 0.01, 0.0025]), 160, "binary")
+    L, M = 7, 3
+    report = verify_assumption7(
+        model, LIN_COST, BOUNDS, goal=0.7455, epsilon=0.02, L=L,
+        extended=extended, M=M, seed=5,
+    )
+    n_centers = 1 + M if extended else 1
+    # the estimate, every other ball center, then L draws around each center
+    assert len(calls) == 1 + (n_centers - 1) + n_centers * L
+    assert report.centers[0]["x"] == list(report.x_hat)
+
+
 def test_extended_mode_needs_a_covariance():
     with pytest.raises(ValueError, match="covariance"):
         verify_assumption7(

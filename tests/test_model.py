@@ -137,6 +137,24 @@ def test_stage_record_counts_and_sums():
         StageRecord(stage_index=1, centers=[])
 
 
+def test_containers_compare_by_value_with_multi_component_packages():
+    def center(package, outcomes=(1.0, 0.0, 1.0)):
+        return CenterData(arm=1, package=np.array(package), outcomes=np.array(outcomes))
+
+    assert center([1.0, 4.0]) == center([1.0, 4.0])
+    assert center([1.0, 4.0]) != center([1.0, 3.0])
+    assert center([1.0, 4.0]) != center([1.0, 4.0], outcomes=(1.0, 1.0, 1.0))
+    assert center([1.0, 4.0]) != center([1.0, 4.0, 0.0])
+    control = CenterData(arm=0, package=np.zeros(2), outcomes=np.array([0.0, 1.0]))
+    a = StageRecord(stage_index=2, centers=[control, center([1.0, 4.0])])
+    b = StageRecord(stage_index=2, centers=[control, center([1.0, 4.0])])
+    assert a == b
+    assert a != StageRecord(stage_index=2, centers=[control, center([0.0, 4.0])])
+    m = FittedModel(np.array([0.1, 0.3, 0.15]), "logit", np.eye(3), 10, "binary")
+    assert m == FittedModel(np.array([0.1, 0.3, 0.15]), "logit", np.eye(3), 10, "binary")
+    assert m != FittedModel(np.array([0.1, 0.3, 0.15]), "logit", 2 * np.eye(3), 10, "binary")
+
+
 # ---------------------------------------------------------------------------
 # logistic fit
 # ---------------------------------------------------------------------------
@@ -247,6 +265,12 @@ def test_fit_binary_separation_errors():
     # perfectly separated by the package value
     with pytest.raises(SeparationError):
         fit_binary([StageRecord(stage_index=1, centers=[ones, zeros])])
+
+
+@pytest.mark.parametrize("fit", [fit_binary, fit_continuous])
+def test_fits_reject_empty_input(fit):
+    with pytest.raises(ValueError, match="empty"):
+        fit([])
 
 
 def test_fit_binary_rank_deficiency():

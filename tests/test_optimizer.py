@@ -25,6 +25,7 @@ from lago.model import CenterData, FittedModel, StageRecord, mirrored, predict
 from lago.optimizer import (
     GoalSpec,
     _ComponentPoly,
+    _min_cost_eta,
     _segment_coeffs,
     Recommendation,
     integerize,
@@ -185,6 +186,18 @@ def test_slack_threshold_returns_free_minimum():
     # below the control level everything is feasible; cheapest point wins
     x = min_cost_subject_to_threshold(MODEL_1A, CUBIC, BOUNDS_1A, 0.05)
     assert x == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+def test_goal_at_eta_max_with_a_negligible_effect_keeps_the_cheap_corner():
+    # From a scenario-2a replicate: the goal sits at the attainable maximum
+    # and the first effect is ~1e-17, so a slice with no slack finds (0, 8)
+    # infeasible by rounding; only the fixed-corner candidate, checked with
+    # the solver's tolerance, finds it (cost 64.4 against 95.64 at (2, 8)).
+    x = _min_cost_eta(
+        0.20067069546215136, np.array([1.7525259186384262e-17, 0.10459212823601798]),
+        CUBIC, np.array([0.0, 0.0]), np.array([2.0, 8.0]), 1.0374077213502952,
+    )
+    assert x.tolist() == [0.0, 8.0]
 
 
 # ---------------------------------------------------------------------------
