@@ -27,7 +27,7 @@ import numpy as np
 from .cost import CostFunction
 from .diagnostics import dominance_design, dominance_threshold, verify_assumption7
 from .errors import LagoError
-from .model import FittedModel, _assumed, load_stage_csv, predict
+from .model import FittedModel, _assumed, expit, load_stage_csv, predict
 from .optimizer import (
     GoalSpec,
     integerize,
@@ -103,6 +103,14 @@ def _floats(text: str, what: str) -> list:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type for a level or probability strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be strictly inside (0, 1), got {text}")
+    return value
 
 
 def _jsonable(value):
@@ -198,8 +206,8 @@ def _add_goal_flags(p: argparse.ArgumentParser) -> None:
         "--direction", choices=("increase", "decrease"),
         help="whether higher or lower outcome levels are better",
     )
-    p.add_argument("--power-goal", type=float, help="required final-test power")
-    p.add_argument("--alpha", type=float, help="test level (default 0.05)")
+    p.add_argument("--power-goal", type=_unit_interval, help="required final-test power")
+    p.add_argument("--alpha", type=_unit_interval, help="test level (default 0.05)")
     p.add_argument(
         "--approach", choices=("unconditional", "conditional"),
         help="power certificate (default unconditional)",
@@ -434,7 +442,7 @@ def _cmd_dominance(args) -> int:
         approach=args.approach or "unconditional",
         test=TestSelector(args.test or "z_unpooled"),
     )
-    control = 1.0 / (1.0 + np.exp(-beta[0]))
+    control = expit(beta[0])
     _emit(
         {
             "threshold_level": level,
@@ -568,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="stage data CSV")
     p.add_argument("--x", required=True, help="candidate package, e.g. '21.2,1'")
     p.add_argument("--test", choices=list(TEST_KINDS))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--pi", type=float, help="power goal for the conditional slack")
+    p.add_argument("--alpha", type=_unit_interval)
+    p.add_argument("--pi", type=_unit_interval, help="power goal for the conditional slack")
     add_out(p)
     p.set_defaults(func=_cmd_power)
 
@@ -598,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--beta", required=True, help="assumed coefficients")
     p.add_argument("--n-per-center", type=int, default=40)
-    p.add_argument("--pi", type=float, default=0.8)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--pi", type=_unit_interval, default=0.8)
+    p.add_argument("--alpha", type=_unit_interval)
     p.add_argument("--approach", choices=("unconditional", "conditional"))
     p.add_argument("--test", choices=("z_unpooled", "z_pooled"))
     add_out(p)
@@ -639,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="trial config JSON")
     p.add_argument("--data", help="stage data CSV")
     p.add_argument("--test", choices=list(TEST_KINDS))
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_unit_interval)
     add_out(p)
     p.set_defaults(func=_cmd_final_test)
 

@@ -2,8 +2,10 @@
 
 Everything here is pure arithmetic on realized or projected arm summaries:
 
-* distribution functions (normal, central and noncentral chi-square) built
-  from documented rational approximations — no external math library;
+* distribution functions: the normal CDF, tail and quantile from the
+  standard library (``math.erfc``, ``statistics.NormalDist``); the
+  incomplete gamma, central and noncentral chi-square written here from
+  documented series and continued fractions, which no stdlib function covers;
 * the final-analysis statistics (two-proportion z, two-sample t, P-df Wald),
   each in pooled and unpooled variants;
 * projected power for a candidate package x under the *unconditional*
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -43,198 +46,27 @@ from .model import (
 # ---------------------------------------------------------------------------
 # normal distribution
 # ---------------------------------------------------------------------------
-# erfc via W. J. Cody's rational Chebyshev approximations (Math. Comp. 23,
-# 1969), the same three-region scheme used by the classic CALERF routine.
-# Relative error below 1e-15 in double precision.
-
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-)
-_ERF_A5 = 1.85777706184603153e-1
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERFC_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-)
-_ERFC_C9 = 2.15311535474403846e-8
-_ERFC_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
-_ERFC_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-)
-_ERFC_P6 = 1.63153871373020978e-2
-_ERFC_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-_ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
-
-
-def _erfc_positive(y: float) -> float:
-    """erfc(y) for y >= 0."""
-    if y <= 0.46875:
-        z = y * y
-        num = _ERF_A5 * z
-        den = z
-        for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        return 1.0 - y * (num + _ERF_A[3]) / (den + _ERF_B[3])
-    if y <= 4.0:
-        num = _ERFC_C9 * y
-        den = y
-        for i in range(7):
-            num = (num + _ERFC_C[i]) * y
-            den = (den + _ERFC_D[i]) * y
-        return math.exp(-y * y) * (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    if y >= 26.6:
-        return 0.0
-    z = 1.0 / (y * y)
-    num = _ERFC_P6 * z
-    den = z
-    for i in range(4):
-        num = (num + _ERFC_P[i]) * z
-        den = (den + _ERFC_Q[i]) * z
-    r = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-    return math.exp(-y * y) * (_ONE_OVER_SQRT_PI - r) / y
-
-
-def erfc(x: float) -> float:
-    x = float(x)
-    if x < 0.0:
-        return 2.0 - _erfc_positive(-x)
-    return _erfc_positive(x)
-
 
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF."""
-    return 0.5 * erfc(-float(x) / _SQRT2)
+    return 0.5 * math.erfc(-float(x) / _SQRT2)
 
 
 def norm_sf(x: float) -> float:
     """Standard normal upper tail, accurate far in the tail."""
-    return 0.5 * erfc(float(x) / _SQRT2)
-
-
-# Wichura's AS 241 (PPND16): inverse normal CDF to ~1e-16.
-_PPND_A = (
-    3.3871328727963666080e0,
-    1.3314166789178437745e2,
-    1.9715909503065514427e3,
-    1.3731693765509461125e4,
-    4.5921953931549871457e4,
-    6.7265770927008700853e4,
-    3.3430575583588128105e4,
-    2.5090809287301226727e3,
-)
-_PPND_B = (
-    4.2313330701600911252e1,
-    6.8718700749205790830e2,
-    5.3941960214247511077e3,
-    2.1213794301586595867e4,
-    3.9307895800092710610e4,
-    2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734e0,
-    4.63033784615654529590e0,
-    5.76949722146069140550e0,
-    3.64784832476320460504e0,
-    1.27045825245236838258e0,
-    2.41780725177450611770e-1,
-    2.27238449892691845833e-2,
-    7.74545014278341407640e-4,
-)
-_PPND_D = (
-    2.05319162663775882187e0,
-    1.67638483018380384940e0,
-    6.89767334985100004550e-1,
-    1.48103976427480074590e-1,
-    1.51986665636164571966e-2,
-    5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720e0,
-    5.46378491116411436990e0,
-    1.78482653991729133580e0,
-    2.96560571828504891230e-1,
-    2.65321895265761230930e-2,
-    1.24266094738807843860e-3,
-    2.71155556874348757815e-5,
-    2.01033439929228813265e-7,
-)
-_PPND_F = (
-    5.99832206555887937690e-1,
-    1.36929880922735805310e-1,
-    1.48753612908506148525e-2,
-    7.86869131145613259100e-4,
-    1.84631831751005468180e-5,
-    1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _ratpoly(num_coeffs, den_coeffs, r: float) -> float:
-    num = num_coeffs[7]
-    for c in reversed(num_coeffs[:7]):
-        num = num * r + c
-    den = den_coeffs[6]
-    for c in reversed(den_coeffs[:6]):
-        den = den * r + c
-    den = den * r + 1.0
-    return num / den
+    return 0.5 * math.erfc(float(x) / _SQRT2)
 
 
 def norm_quantile(p: float) -> float:
-    """Inverse standard normal CDF (AS 241)."""
+    """Inverse standard normal CDF (AS 241, via ``statistics.NormalDist``)."""
     p = float(p)
-    if not 0.0 < p < 1.0:
+    if not 0.0 < p < 1.0:  # also rejects nan, which inv_cdf would pass through
         raise ValueError("norm_quantile needs p strictly inside (0, 1)")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _ratpoly(_PPND_A, _PPND_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        val = _ratpoly(_PPND_C, _PPND_D, r - 1.6)
-    else:
-        val = _ratpoly(_PPND_E, _PPND_F, r - 5.0)
-    return -val if q < 0.0 else val
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +464,8 @@ def final_test(
     (|stat| > z_{alpha/2}); Wald kinds use the upper tail of chi-square with
     df = number of package components and need the fitted ``model``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     if test.wald:
         if model is None:
             raise ValueError("Wald tests need the fitted model")

@@ -906,7 +906,6 @@ def betterbirth_power(
     if test.kind == "z_pooled":
         pbar = (s1 + s0) / (N1 + N0)
         var = pbar * (1.0 - pbar) * (1.0 / N1 + 1.0 / N0)
-        var = np.broadcast_to(var, r1.shape).copy() if np.isscalar(var) else var
     else:
         var = r1 * (1.0 - r1) / N1 + r0 * (1.0 - r0) / N0
     crit = norm_quantile(1.0 - alpha / 2.0)

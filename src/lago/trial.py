@@ -75,10 +75,11 @@ DOCUMENT_VERSION = 2  # per-center size/outcome_sum/m2; version 1 (outcome lists
 class PlannedStage:
     """Planned per-arm sample for one stage.
 
-    ``n_intervention`` / ``n_control`` are total observations;
-    ``centers_intervention`` / ``centers_control`` how many centers they are
-    split across (equal splits — unequal realized centers are fine at
-    ingestion, the plan only drives projections and per-center modes).
+    ``n_intervention`` / ``n_control`` are total observations; they are what
+    the projections read. ``centers_intervention`` / ``centers_control``
+    record how many centers the plan splits them across; they are validated
+    and kept with the config, but no computation reads them (realized
+    centers come from the ingested stage data).
     """
 
     n_intervention: float

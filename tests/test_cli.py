@@ -337,6 +337,45 @@ def test_final_test_rejects_incomplete_trial(tmp_path, capsys):
     assert "complete" in captured.err
 
 
+def test_final_test_rejects_alpha_outside_unit_interval(tmp_path, capsys):
+    cfg, data = write_trial_files(tmp_path)
+    code, captured = run(capsys, "final-test", "--config", cfg, "--data", data,
+                         "--alpha", "1.5")
+    assert code == 2
+    assert "(0, 1)" in captured.err
+
+
+def test_power_rejects_alpha_outside_unit_interval(tmp_path, capsys):
+    cfg, data = write_trial_files(tmp_path, stages=(1,))
+    code, captured = run(capsys, "power", "--config", cfg, "--data", data,
+                         "--x", "1.0,4.0", "--alpha", "1.5")
+    assert code == 2
+    assert "(0, 1)" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("power", "--x", "1.0,4.0", "--pi", "1.0"),
+    ("power", "--x", "1.0,4.0", "--alpha", "nan"),
+    ("plan-stage1", "--beta", "0.1,0.3", "--alpha", "-0.05"),
+    ("dominance-threshold", "--beta", "0.1,0.3", "--pi", "inf"),
+    ("dominance-threshold", "--beta", "0.1,0.3", "--alpha", "1.0"),
+])
+def test_probability_flags_reject_values_outside_unit_interval(capsys, argv):
+    code, captured = run(capsys, *argv)
+    assert code == 2
+    assert "(0, 1)" in captured.err
+
+
+def test_dominance_control_level_is_model_expit(capsys):
+    payload = run_json(capsys, "dominance-threshold", "--beta", "0.1,0.3,0.15",
+                       "--pi", "0.9")
+    control = expit(0.1)
+    assert payload["control_level"] == control
+    assert payload["pct_above_control"] == (
+        100.0 * (payload["threshold_level"] - control) / control
+    )
+
+
 # ---------------------------------------------------------------------------
 # plan-stage1 / dominance-threshold / verify-assumption7
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Distribution functions, test statistics, and power projections.
 
-scipy is used throughout as the reference implementation for the hand-rolled
-distribution functions, and Monte Carlo simulation as an independent oracle
+scipy is used throughout as the reference implementation for the distribution
+functions (the standard-library normal and the in-house gamma family), and Monte Carlo simulation as an independent oracle
 for the projected-power formulas (a projection is a claim about a rejection
 rate — so we draw the future data and count rejections).
 """
@@ -26,7 +26,6 @@ from lago.power import (
     chisq_sf,
     conditional_constraint_slack,
     conditional_slack_at_level,
-    erfc,
     final_test,
     gamma_p,
     lambda_at_level,
@@ -59,21 +58,29 @@ def make_model(beta, link="logit", kind="binary", cov=None, sigma2=None):
 # special functions vs scipy
 # ---------------------------------------------------------------------------
 
-def test_erfc_matches_scipy_over_wide_grid():
+def test_normal_tails_match_scipy_erfc_over_wide_grid():
+    # the former erfc grid (region edges of Cody's scheme, out to its
+    # underflow), mapped through z = x * sqrt(2): sf(z) = cdf(-z) = erfc(x) / 2
     xs = np.concatenate([
         np.linspace(-8, 8, 401),
         [-0.46875, 0.46875, -4.0, 4.0, 10.0, 26.5, -26.5, 0.0],
     ])
-    for x in xs:
-        assert erfc(x) == pytest.approx(scipy.special.erfc(x), rel=5e-14, abs=1e-300)
+    for z in xs * math.sqrt(2.0):
+        ref = 0.5 * scipy.special.erfc(z / math.sqrt(2.0))
+        assert norm_sf(z) == pytest.approx(ref, rel=5e-14, abs=1e-300)
+        assert norm_cdf(-z) == pytest.approx(ref, rel=5e-14, abs=1e-300)
 
 
 def test_norm_cdf_and_sf_match_scipy():
     for x in np.linspace(-10, 10, 201):
         assert norm_cdf(x) == pytest.approx(scipy.stats.norm.cdf(x), rel=1e-12, abs=1e-300)
         assert norm_sf(x) == pytest.approx(scipy.stats.norm.sf(x), rel=1e-12, abs=1e-300)
-    # far tail keeps relative accuracy (naive 1 - cdf would be 0 here)
+    # far tail keeps relative accuracy (naive 1 - cdf would be 0 here),
+    # out to where erfc nears underflow and is least accurate
     assert norm_sf(30.0) == pytest.approx(scipy.stats.norm.sf(30.0), rel=1e-12)
+    for z in np.linspace(10, 37, 271):
+        assert norm_sf(z) == pytest.approx(scipy.stats.norm.sf(z), rel=1e-12)
+        assert norm_cdf(-z) == pytest.approx(scipy.stats.norm.cdf(-z), rel=1e-12)
 
 
 def test_norm_quantile_matches_scipy():
@@ -92,7 +99,7 @@ def test_norm_quantile_frozen_values():
 
 
 def test_norm_quantile_rejects_boundaries():
-    for p in (0.0, 1.0, -0.1, 1.1):
+    for p in (0.0, 1.0, -0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             norm_quantile(p)
 
@@ -298,6 +305,16 @@ def test_final_test_no_rejection_at_boundary():
     s = ArmSummary(n1_obs=100, n0_obs=100, s1_obs=70, s0_obs=50)
     res = final_test(s, Selector("z_unpooled"), alpha=2 * norm_sf(z_statistic(s)))
     assert not res.reject
+
+
+def test_final_test_rejects_alpha_outside_unit_interval():
+    # alpha >= 1 used to give reject=True with a zero critical value
+    s = ArmSummary(n1_obs=100, n0_obs=100, s1_obs=70, s0_obs=50)
+    model = make_model([0.0, 0.3], cov=np.array([[0.02, 0.0], [0.0, 0.01]]))
+    for alpha in (1.5, 1.0, 0.0, -0.1, float("nan")):
+        for kind in ("z_unpooled", "z_pooled", "wald_pdf_binary"):
+            with pytest.raises(ValueError, match="alpha"):
+                final_test(s, Selector(kind), alpha=alpha, model=model)
 
 
 def test_test_selector_validation_and_flags():
