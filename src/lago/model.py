@@ -43,7 +43,7 @@ def expit(eta):
     """Numerically stable inverse logit, scalar or array.
 
     Python and numpy scalars take a ``math.exp`` path that returns a float;
-    the power-threshold bisection calls this on scalars many times per
+    the power-threshold root search calls this on scalars several times per
     decision, where a numpy round trip costs more than the arithmetic.
     """
     if isinstance(eta, (float, int, np.floating, np.integer)):

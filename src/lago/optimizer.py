@@ -567,13 +567,74 @@ def _state_summary(trial_state, test: TestSelector | None, k: int) -> ArmSummary
     return ArmSummary.from_records(records, future=future, continuous=continuous)
 
 
+# Width below which the threshold bracket is accepted, relative to max(1, |eta|).
+_THRESHOLD_RTOL = 1e-12
+
+
+def _passing_root(residual, a: float, b: float, fa: float, fb: float):
+    """Brent's zeroin (1973) on a pass/fail bracket of ``residual``.
+
+    ``a`` fails and ``b`` passes, where a point passes when its residual is
+    ``>= 0`` (so nan fails).  Returns the passing end ``(x, f(x))`` of a
+    bracket narrower than ``_THRESHOLD_RTOL * max(1, |x|)``.  Inverse
+    quadratic or secant steps are taken only on finite residuals and only
+    while they shrink the bracket as fast as Brent's safeguard demands;
+    otherwise the step is a bisection, so a step-shaped residual costs about
+    what plain bisection would.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb >= 0.0) == (fc >= 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 0.5 * _THRESHOLD_RTOL * max(1.0, abs(b))
+        xm = 0.5 * (c - b)
+        if abs(xm) < tol1:
+            break
+        if (
+            abs(e) >= tol1 and abs(fa) > abs(fb)
+            and math.isfinite(fa) and math.isfinite(fc)
+        ):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = residual(b)
+    return (b, fb) if fb >= 0.0 else (c, fc)
+
+
 def _threshold_core(model, summary, goals: GoalSpec, cost, bounds):
     """Smallest future outcome level that certifies the power goal.
 
-    Returns (raw_level, eta_work).  Bisects the working linear predictor
-    between the control level and the best level attainable in the bounds;
-    the passing endpoint is returned, so the certificate always holds at the
-    reported level.
+    Returns (raw_level, eta_work).  The bracket runs on the working linear
+    predictor from the control level to the best level attainable in the
+    bounds.  Inside it the threshold is the root of a signed residual that
+    is >= 0 exactly where the goal is certified (so nan fails): power - pi
+    (-inf while the projected drift points the wrong way) for the
+    unconditional approach, -slack for the conditional one, and the power of
+    the cost-minimal package minus pi for the Wald test.
+    ``_passing_root`` narrows the bracket below ``_THRESHOLD_RTOL`` relative
+    width and the passing end is returned, so the certificate always holds
+    at the reported level.
     """
     test, alpha, pi = goals.test, goals.alpha, goals.power_goal
     direction = goals.direction
@@ -583,37 +644,31 @@ def _threshold_core(model, summary, goals: GoalSpec, cost, bounds):
     eta_lo = wm.intercept
     _, eta_hi = _eta_extremes(wm, lo, hi)
 
-    def ok(eta_w: float) -> bool:
+    def residual(eta_w: float) -> float:
         raw = _raw_level(model.link, eta_w, direction)
         if test.wald:
             x = min_cost_subject_to_threshold(model, cost, bounds, raw, direction)
-            return unconditional_power(x, model, summary, test, alpha) >= pi
+            return unconditional_power(x, model, summary, test, alpha) - pi
         if goals.approach == "unconditional":
             drift = projected_drift_at_level(raw, model, summary)
             if sign * drift <= 0.0:
-                return False
-            return (
-                unconditional_power_at_level(raw, model, summary, test, alpha) >= pi
-            )
-        slack = conditional_slack_at_level(
+                return -math.inf
+            return unconditional_power_at_level(raw, model, summary, test, alpha) - pi
+        return -conditional_slack_at_level(
             raw, model, summary, test, alpha, pi,
             direction=direction, scale=goals.conditional_scale,
         )
-        return slack <= 0.0
 
-    if ok(eta_lo):
+    f_lo = residual(eta_lo)
+    if f_lo >= 0.0:
         return _raw_level(model.link, eta_lo, direction), eta_lo
-    if not ok(eta_hi):
+    f_hi = residual(eta_hi)
+    if not f_hi >= 0.0:
         raise NoThresholdError(
             "the power goal is not certified anywhere inside the bounds"
         )
-    for _ in range(60):
-        mid = 0.5 * (eta_lo + eta_hi)
-        if ok(mid):
-            eta_hi = mid
-        else:
-            eta_lo = mid
-    return _raw_level(model.link, eta_hi, direction), eta_hi
+    eta, _ = _passing_root(residual, eta_lo, eta_hi, f_lo, f_hi)
+    return _raw_level(model.link, eta, direction), eta
 
 
 def power_threshold(

@@ -69,6 +69,11 @@ def norm_quantile(p: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
+def _check_probability(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:  # also rejects nan
+        raise ValueError(f"{name} must be strictly inside (0, 1), got {value}")
+
+
 # ---------------------------------------------------------------------------
 # central chi-square via the regularized lower incomplete gamma
 # ---------------------------------------------------------------------------
@@ -464,8 +469,7 @@ def final_test(
     (|stat| > z_{alpha/2}); Wald kinds use the upper tail of chi-square with
     df = number of package components and need the fitted ``model``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    _check_probability("alpha", alpha)
     if test.wald:
         if model is None:
             raise ValueError("Wald tests need the fitted model")
@@ -676,6 +680,7 @@ def unconditional_power_at_level(
     accurate at both ends; it equals
     1 - noncentral_chisq_cdf(chisq_quantile(1 - alpha, 1) * rescale, 1, lam).
     """
+    _check_probability("alpha", alpha)
     lam, rescale = _lambda_and_rescale(level, model, summary, test)
     c = norm_quantile(1.0 - 0.5 * alpha) * math.sqrt(rescale)
     r = math.sqrt(lam)
@@ -690,6 +695,7 @@ def unconditional_power(
     alpha: float = 0.05,
 ) -> float:
     """Projected power of the selected test at package x."""
+    _check_probability("alpha", alpha)
     if test.wald:
         lam = unconditional_lambda(x, model, summary, test)
         df = model.n_components
@@ -765,6 +771,8 @@ def conditional_slack_at_level(
     uses) or ``"variance"`` (the printed form of the plain-z inequality,
     kept for comparability).
     """
+    _check_probability("alpha", alpha)
+    _check_probability("pi", pi)
     sign = _direction_sign(direction)
     z_half_alpha = norm_quantile(1.0 - alpha / 2.0)
     z_pi = norm_quantile(1.0 - pi)  # upper-pi critical value, negative for pi > 1/2
@@ -808,6 +816,7 @@ def conditional_power_at_level(
     This is the quantity the slack form bounds: it is >= pi exactly when
     ``conditional_slack_at_level(...) <= 0`` (with the default sd scale).
     """
+    _check_probability("alpha", alpha)
     sign = _direction_sign(direction)
     z_half_alpha = norm_quantile(1.0 - alpha / 2.0)
     g1, drift, fut_sd, _ = _conditional_parts(level, model, summary, test)

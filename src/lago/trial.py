@@ -185,6 +185,8 @@ class TrialState:
     completed: tuple = ()
     recommendations: list = field(default_factory=list)
     status: str = "awaiting-stage-1"
+    # (completed, model) of the last ``refit``; see there.
+    _fit: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def next_stage(self) -> int:
@@ -243,12 +245,23 @@ def ingest_stage(state: TrialState, record: StageRecord) -> TrialState:
 
 
 def refit(state: TrialState) -> FittedModel:
-    """Outcome model fitted on all completed stages pooled."""
+    """Outcome model fitted on all completed stages pooled.
+
+    The model is stored on ``state`` and returned again while
+    ``state.completed`` is the same tuple, so every caller on one state
+    (recommendation, futility check, final test, final package) shares one
+    fit.  Treat it as read-only.
+    """
     if not state.completed:
         raise ValueError("no completed stages to fit")
+    if state._fit is not None and state._fit[0] is state.completed:
+        return state._fit[1]
     if state.config.outcome_kind == "binary":
-        return fit_binary(state.completed)
-    return fit_continuous(state.completed, link=state.config.outcome_link)
+        model = fit_binary(state.completed)
+    else:
+        model = fit_continuous(state.completed, link=state.config.outcome_link)
+    state._fit = (state.completed, model)
+    return model
 
 
 def next_recommendation(state: TrialState) -> Recommendation:

@@ -32,3 +32,30 @@ def _hooks():
 @pytest.mark.parametrize("module, attr", _hooks())
 def test_bench_hook_target_exists(module, attr):
     assert callable(getattr(getattr(lago, module), attr, None))
+
+
+# The power layer is timed through the names the threshold search calls; a
+# refactor that stopped calling them would drop every power evaluation out of
+# the benchmark's trace without failing anything above.
+THRESHOLD_POWER_CALLS = (
+    "projected_drift_at_level",
+    "unconditional_power_at_level",
+    "conditional_slack_at_level",
+    "unconditional_power",
+)
+
+
+def test_threshold_core_calls_the_hooked_power_names():
+    hooked = {attr for module, attr in _hooks() if module == "optimizer"}
+    tree = ast.parse(Path(lago.optimizer.__file__).read_text())
+    core = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_threshold_core"
+    )
+    called = {
+        node.func.id for node in ast.walk(core)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    for name in THRESHOLD_POWER_CALLS:
+        assert name in hooked, f"{name} is not in the HOOKS table"
+        assert name in called, f"_threshold_core no longer calls {name}"

@@ -317,6 +317,57 @@ def test_final_test_rejects_alpha_outside_unit_interval():
                 final_test(s, Selector(kind), alpha=alpha, model=model)
 
 
+# Each projected-power entry point used to accept alpha = 1.5 and return a
+# power above 1 (1.06 at x = (1, 4) with the 1a coefficients) or a negative
+# slack; the final test already refused it.
+BAD_PROBABILITIES = (1.5, 1.0, 0.0, -0.1, float("nan"))
+
+
+def _alpha_problem():
+    design = (((1.0, 0.0), 40.0), ((0.0, 4.0), 40.0), ((1.0, 4.0), 40.0), ((0.0, 0.0), 40.0))
+    summary = ArmSummary(
+        n1_obs=120, n0_obs=40, s1_obs=74.0, s0_obs=21.0,
+        n1_future=120, n0_future=40, design_obs=design,
+    )
+    return make_model([0.1, 0.3, 0.15]), summary, np.array([1.0, 4.0])
+
+
+@pytest.mark.parametrize("alpha", BAD_PROBABILITIES)
+def test_unconditional_power_at_level_rejects_alpha_outside_unit_interval(alpha):
+    model, s, x = _alpha_problem()
+    for kind in ("z_unpooled", "z_pooled"):
+        with pytest.raises(ValueError, match="alpha must"):
+            unconditional_power_at_level(0.7, model, s, Selector(kind), alpha)
+
+
+@pytest.mark.parametrize("alpha", BAD_PROBABILITIES)
+def test_unconditional_power_rejects_alpha_outside_unit_interval(alpha):
+    model, s, x = _alpha_problem()
+    for kind in ("z_unpooled", "wald_pdf_binary"):
+        with pytest.raises(ValueError, match="alpha must"):
+            unconditional_power(x, model, s, Selector(kind), alpha)
+
+
+@pytest.mark.parametrize("alpha, pi", [(a, 0.8) for a in BAD_PROBABILITIES]
+                         + [(0.05, p) for p in BAD_PROBABILITIES])
+def test_conditional_slack_rejects_alpha_or_pi_outside_unit_interval(alpha, pi):
+    model, s, x = _alpha_problem()
+    name = "alpha" if alpha != 0.05 else "pi"
+    with pytest.raises(ValueError, match=f"{name} must"):
+        conditional_slack_at_level(0.7, model, s, Selector("z_unpooled"), alpha, pi)
+    with pytest.raises(ValueError, match=f"{name} must"):
+        conditional_constraint_slack(x, model, s, Selector("z_unpooled"), alpha, pi)
+
+
+@pytest.mark.parametrize("alpha", BAD_PROBABILITIES)
+def test_conditional_power_at_level_rejects_alpha_outside_unit_interval(alpha):
+    from lago.power import conditional_power_at_level
+
+    model, s, x = _alpha_problem()
+    with pytest.raises(ValueError, match="alpha must"):
+        conditional_power_at_level(0.7, model, s, Selector("z_unpooled"), alpha)
+
+
 def test_test_selector_validation_and_flags():
     with pytest.raises(ValueError):
         Selector("z_bogus")

@@ -5,6 +5,7 @@ power helper."""
 import numpy as np
 import pytest
 
+import lago.trial as trial_module
 from lago.optimizer import GoalSpec, min_cost_subject_to_threshold
 from lago.power import TestSelector as Selector
 from lago.sim import (
@@ -14,6 +15,7 @@ from lago.sim import (
     ScenarioSpec,
     StagePlan,
     _deployed_package,
+    _simulate_replicate,
     _trial_config,
     betterbirth_model,
     betterbirth_power,
@@ -57,6 +59,30 @@ def test_parallel_matches_serial_bitwise():
     serial = run_scenario(spec, seed=SEED, threads=1)
     parallel = run_scenario(spec, seed=SEED, threads=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+def test_parallel_matches_serial_bitwise_with_a_power_goal():
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_pooled"))
+    spec = small(scenario_1a, reps=30, goals=goals)
+    serial = run_scenario(spec, seed=7, threads=1)
+    parallel = run_scenario(spec, seed=7, threads=2)
+    assert serial.to_dict() == parallel.to_dict()
+
+
+def test_two_stage_replicate_fits_twice(monkeypatch):
+    # one fit on stage 1 for the recommendation, one on both stages shared by
+    # the estimates, the Wald final test and the final package
+    calls = []
+    real = trial_module.fit_binary
+    monkeypatch.setattr(
+        trial_module, "fit_binary", lambda records: calls.append(1) or real(records)
+    )
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary"))
+    spec = small(scenario_1a, reps=1, goals=goals)
+    status, payload = _simulate_replicate(spec, _trial_config(spec), np.random.SeedSequence(7))
+    assert status == "ok", payload
+    assert payload["x_rec"] is not None and payload["x_opt"] is not None
+    assert len(calls) == 2
 
 
 def test_seed_argument_overrides_spec_seed():

@@ -22,6 +22,7 @@ from lago.optimizer import (
 )
 from lago.power import ArmSummary, TestSelector as Selector
 from lago.power import final_test as summary_final_test
+import lago.trial as trial_module
 from lago.trial import (
     PlannedStage,
     TrialConfig,
@@ -340,6 +341,58 @@ def test_final_test_requires_completion():
     state = ingest_stage(new_trial(make_config()), stage1())
     with pytest.raises(ValueError, match="complete"):
         final_test(state, Selector("z_unpooled"))
+
+
+# ---------------------------------------------------------------------------
+# the refit stored on a state
+# ---------------------------------------------------------------------------
+
+def counting_fits(monkeypatch):
+    calls = []
+
+    def counted(records):
+        calls.append(records)
+        return fit_binary(records)
+
+    monkeypatch.setattr(trial_module, "fit_binary", counted)
+    return calls
+
+
+def test_refit_returns_the_stored_model(monkeypatch):
+    calls = counting_fits(monkeypatch)
+    state = complete_state()
+    assert refit(state) is refit(state)
+    final_optimal(state)
+    final_test(state, Selector("wald_pdf_binary"))
+    check_futility(state)
+    assert len(calls) == 1
+
+
+def test_refit_fits_each_new_state_afresh(monkeypatch):
+    calls = counting_fits(monkeypatch)
+    first = ingest_stage(new_trial(make_config()), stage1())
+    model1 = refit(first)
+    second = ingest_stage(first, stage2([1.0, 4.0]))
+    model2 = refit(second)
+    assert len(calls) == 2 and model2 is not model1
+    assert refit(first) is model1
+    loaded = from_document(to_document(second))
+    reloaded = refit(loaded)
+    assert len(calls) == 3 and reloaded is not model2
+    assert np.array_equal(reloaded.beta, model2.beta)
+    second.completed = tuple(list(second.completed))  # an equal, new tuple
+    assert refit(second) is not model2 and len(calls) == 4
+
+
+def test_refit_memo_leaves_documents_and_equality_alone():
+    state, twin = complete_state(), complete_state()
+    document = to_document(state)
+    refit(state)
+    assert to_document(state) == document
+    assert state == twin and twin == state
+    assert repr(state) == repr(twin)
+    with pytest.raises(TypeError):
+        TrialState(config=state.config, _fit=None)
 
 
 # ---------------------------------------------------------------------------
