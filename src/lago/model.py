@@ -27,6 +27,7 @@ from .errors import (
 )
 
 LINKS = ("logit", "identity", "log")
+CONTINUOUS_LINKS = ("identity", "log")
 
 # Coefficients larger than this are treated as evidence of separation /
 # divergence (the parameter space is assumed compact).
@@ -404,7 +405,7 @@ def fit_continuous(records, link: str = "identity") -> FittedModel:
     sandwich A^{-1} B A^{-1} with bread A = sum n d^2 x x' and meat
     B = sum d^2 (m2 + n (ybar - mu)^2) x x', d = dg^{-1}/deta.
     """
-    if link not in ("identity", "log"):
+    if link not in CONTINUOUS_LINKS:
         raise ValueError(f"unsupported continuous link {link!r}")
     X, n, s, m2 = _center_rows(records)
     _check_finite(X, s, m2)

@@ -31,6 +31,7 @@ from .model import FittedModel, _assumed, link_forward, link_inverse, mirrored, 
 from .power import (
     ArmSummary,
     TestSelector,
+    _passing_root,
     _wald_lambda_binary,
     conditional_power,
     conditional_slack_at_level,
@@ -379,9 +380,10 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     a corner that the slices below can miss by rounding), the minimum over
     the feasible slice for a single component, and ``_min_pair`` on every
     pair with the other components at those fixings, which covers fixing all
-    components but one.  From three on, a Lagrangian bisection adds a
-    candidate and exact pairwise descent refines the best; the
-    eta-maximizing corner is the fallback (deterministic, near-exact).
+    components but one.  From three on, the Lagrangian point at the root of
+    the eta multiplier (``_dual_candidate``) adds a candidate and exact
+    pairwise descent refines the best; the eta-maximizing corner is the
+    fallback (deterministic, near-exact).
     """
     beta1 = np.asarray(beta1, dtype=float)
     P = beta1.size
@@ -473,7 +475,8 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
 
 
 def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
-    """Feasible point from bisecting the multiplier of the eta constraint."""
+    """Lagrangian minimizer at the root of supplied(solve(mu)) - (need - ftol)
+    in the eta multiplier mu, bracket doubled from 1; None past mu = 2^59."""
 
     def solve(mu):
         out = {}
@@ -483,27 +486,16 @@ def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
             out[p] = _ComponentPoly(adj).min_on(lo[p], hi[p])[0]
         return out
 
-    def supplied(values):
-        return sum(beta1[p] * values[p] for p in eff)
+    def residual(mu):
+        values = solve(mu)
+        return sum(beta1[p] * values[p] for p in eff) - (need - ftol)
 
-    mu_hi, vals = 1.0, None
+    mu_lo, f_lo, mu_hi = 0.0, residual(0.0), 1.0
     for _ in range(60):
-        cand = solve(mu_hi)
-        if supplied(cand) >= need - ftol:
-            vals = cand
-            break
-        mu_hi *= 2.0
-    if vals is None:
-        return None
-    mu_lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (mu_lo + mu_hi)
-        cand = solve(mid)
-        if supplied(cand) >= need - ftol:
-            mu_hi, vals = mid, cand
-        else:
-            mu_lo = mid
-    return vals
+        if (f_hi := residual(mu_hi)) >= 0.0:
+            return solve(_passing_root(residual, mu_lo, mu_hi, f_lo, f_hi)[0])
+        mu_lo, f_lo, mu_hi = mu_hi, f_hi, 2.0 * mu_hi
+    return None
 
 
 def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
@@ -565,61 +557,6 @@ def _state_summary(trial_state, test: TestSelector | None, k: int) -> ArmSummary
     future = trial_state.future_arm_sizes(k)
     continuous = bool(test is not None and test.continuous_outcome)
     return ArmSummary.from_records(records, future=future, continuous=continuous)
-
-
-# Width below which the threshold bracket is accepted, relative to max(1, |eta|).
-_THRESHOLD_RTOL = 1e-12
-
-
-def _passing_root(residual, a: float, b: float, fa: float, fb: float):
-    """Brent's zeroin (1973) on a pass/fail bracket of ``residual``.
-
-    ``a`` fails and ``b`` passes, where a point passes when its residual is
-    ``>= 0`` (so nan fails).  Returns the passing end ``(x, f(x))`` of a
-    bracket narrower than ``_THRESHOLD_RTOL * max(1, |x|)``.  Inverse
-    quadratic or secant steps are taken only on finite residuals and only
-    while they shrink the bracket as fast as Brent's safeguard demands;
-    otherwise the step is a bisection, so a step-shaped residual costs about
-    what plain bisection would.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb >= 0.0) == (fc >= 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 0.5 * _THRESHOLD_RTOL * max(1.0, abs(b))
-        xm = 0.5 * (c - b)
-        if abs(xm) < tol1:
-            break
-        if (
-            abs(e) >= tol1 and abs(fa) > abs(fb)
-            and math.isfinite(fa) and math.isfinite(fc)
-        ):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = residual(b)
-    return (b, fb) if fb >= 0.0 else (c, fc)
 
 
 def _threshold_core(model, summary, goals: GoalSpec, cost, bounds):
@@ -1007,7 +944,9 @@ def min_cost_per_center(
     meeting the outcome goal) can certify the power goal more cheaply than
     one shared package.  Block-coordinate descent over centers: each center
     in turn takes the cheapest level whose package keeps the joint
-    noncentrality above the power requirement.  Binary outcomes only.
+    noncentrality above the power requirement (the passing root of the
+    noncentrality margin between the outcome-goal level and the best one).
+    Binary outcomes only.
     """
     if n_centers < 1:
         raise ValueError("n_centers must be at least 1")
@@ -1046,26 +985,17 @@ def min_cost_per_center(
         for j in range(n_centers):
             others = packages[:j] + packages[j + 1:]
 
-            def feasible(eta_w):
-                cand = package_at(eta_w)
-                lam = _wald_lambda_binary(model, summary, others + [cand], n1_each)
-                return lam >= lam_req - 1e-9, cand
+            def margin(eta_w):
+                lam = _wald_lambda_binary(model, summary, others + [package_at(eta_w)], n1_each)
+                return lam - (lam_req - 1e-9)
 
-            ok_hi, cand_hi = feasible(eta_max_w)
-            if not ok_hi:
+            f_hi = margin(eta_max_w)
+            if not f_hi >= 0.0:
                 continue
-            eta_lo_j, eta_hi_j, best = eta_floor, eta_max_w, cand_hi
-            ok_lo, cand_lo = feasible(eta_lo_j)
-            if ok_lo:
-                best = cand_lo
-            else:
-                for _ in range(40):
-                    mid = 0.5 * (eta_lo_j + eta_hi_j)
-                    ok_mid, cand_mid = feasible(mid)
-                    if ok_mid:
-                        eta_hi_j, best = mid, cand_mid
-                    else:
-                        eta_lo_j = mid
+            eta, f_lo = eta_floor, margin(eta_floor)
+            if not f_lo >= 0.0:
+                eta, _ = _passing_root(margin, eta_floor, eta_max_w, f_lo, f_hi)
+            best = package_at(eta)
             if float(cost(best)) < float(cost(packages[j])) - 1e-9:
                 packages[j] = best
                 improved = True

@@ -6,6 +6,8 @@ Everything here is pure arithmetic on realized or projected arm summaries:
   standard library (``math.erfc``, ``statistics.NormalDist``); the
   incomplete gamma, central and noncentral chi-square written here from
   documented series and continued fractions, which no stdlib function covers;
+* ``_passing_root`` (Brent's zeroin), the package's one solver for scalar
+  equations, here and in ``optimizer`` and ``sim``;
 * the final-analysis statistics (two-proportion z, two-sample t, P-df Wald),
   each in pooled and unpooled variants;
 * projected power for a candidate package x under the *unconditional*
@@ -75,6 +77,67 @@ def _check_probability(name: str, value: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# monotone scalar equations
+# ---------------------------------------------------------------------------
+
+# Width below which a bracket is accepted, relative to max(1, |x|).
+_THRESHOLD_RTOL = 1e-12
+
+
+def _passing_root(residual, a: float, b: float, fa: float, fb: float):
+    """Brent's zeroin (1973) on a pass/fail bracket of ``residual``.
+
+    Every scalar equation of the package is a residual solved here; the
+    caller finds the bracket.  ``a`` fails and ``b`` passes, where a point
+    passes when its residual is ``>= 0`` (so nan fails).  Returns the
+    passing end ``(x, f(x))`` of a bracket narrower than
+    ``_THRESHOLD_RTOL * max(1, |x|)``.  Inverse quadratic or secant steps
+    are taken only on finite residuals and only while they shrink the
+    bracket as fast as Brent's safeguard demands; otherwise the step is a
+    bisection, so a step-shaped residual costs about what plain bisection
+    would.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb >= 0.0) == (fc >= 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 0.5 * _THRESHOLD_RTOL * max(1.0, abs(b))
+        xm = 0.5 * (c - b)
+        if abs(xm) < tol1:
+            break
+        if (
+            abs(e) >= tol1 and abs(fa) > abs(fb)
+            and math.isfinite(fa) and math.isfinite(fc)
+        ):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = residual(b)
+    return (b, fb) if fb >= 0.0 else (c, fc)
+
+
+# ---------------------------------------------------------------------------
 # central chi-square via the regularized lower incomplete gamma
 # ---------------------------------------------------------------------------
 
@@ -121,7 +184,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
 
 def gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
+    if not a > 0.0:  # also rejects nan
         raise ValueError("gamma_p needs a > 0")
     if x < 0.0:
         raise ValueError("gamma_p needs x >= 0")
@@ -134,7 +197,7 @@ def gamma_p(a: float, x: float) -> float:
 
 def chisq_cdf(x: float, df: float) -> float:
     """Central chi-square CDF."""
-    if df <= 0:
+    if not df > 0:  # also rejects nan
         raise ValueError("df must be positive")
     if x <= 0.0:
         return 0.0
@@ -142,7 +205,7 @@ def chisq_cdf(x: float, df: float) -> float:
 
 
 def chisq_sf(x: float, df: float) -> float:
-    if df <= 0:
+    if not df > 0:  # also rejects nan
         raise ValueError("df must be positive")
     if x <= 0.0:
         return 1.0
@@ -152,23 +215,21 @@ def chisq_sf(x: float, df: float) -> float:
 
 
 def chisq_quantile(p: float, df: float) -> float:
-    """Central chi-square quantile by bisection (robust, ~1e-12)."""
+    """Central chi-square quantile: solves chisq_cdf(x, df) = p with
+    ``_passing_root`` on [0, hi], hi doubled from df + 10; the passing end
+    is returned, so chisq_cdf(q, df) >= p."""
     if not 0.0 < p < 1.0:
         raise ValueError("chisq_quantile needs p strictly inside (0, 1)")
-    lo, hi = 0.0, float(df) + 10.0
-    while chisq_cdf(hi, df) < p:
+
+    def residual(x: float) -> float:
+        return chisq_cdf(x, df) - p
+
+    hi = float(df) + 10.0
+    while (f_hi := residual(hi)) < 0.0:
         hi *= 2.0
         if hi > 1e9:
             raise ValueError("chi-square quantile bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chisq_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _passing_root(residual, 0.0, hi, -p, f_hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +244,9 @@ def noncentral_chisq_cdf(x: float, df: float, lam: float) -> float:
     truncated once remaining terms are below 1e-16. Absolute error well
     under 1e-10.
     """
-    if df <= 0:
+    if not df > 0:  # also rejects nan
         raise ValueError("df must be positive")
-    if lam < 0:
+    if not lam >= 0:  # also rejects nan
         raise ValueError("lam must be nonnegative")
     x = float(x)
     if x <= 0.0:
@@ -246,30 +307,25 @@ def noncentral_chisq_cdf(x: float, df: float, lam: float) -> float:
 def lambda_min(alpha: float, pi: float, df: int = 1) -> float:
     """Smallest noncentrality giving the level-``alpha`` chi-square test power ``pi``.
 
-    Solves 1 - F(chi2_{alpha,df}; df, lam) = pi by bisection on
-    lam in [0, 200] (bracket doubled if ever insufficient), tolerance 1e-8.
+    Solves 1 - F(chi2_{alpha,df}; df, lam) = pi with ``_passing_root`` on
+    lam in [0, 200] (bracket doubled if ever insufficient); the passing end
+    is returned, so the power at the result is at least ``pi``.
     """
     if not 0.0 < alpha < 1.0 or not 0.0 < pi < 1.0:
         raise ValueError("alpha and pi must lie in (0, 1)")
     crit = chisq_quantile(1.0 - alpha, df)
 
-    def attained(lam: float) -> float:
-        return 1.0 - noncentral_chisq_cdf(crit, df, lam)
+    def residual(lam: float) -> float:
+        return 1.0 - noncentral_chisq_cdf(crit, df, lam) - pi
 
-    if attained(0.0) >= pi:
+    if (f_lo := residual(0.0)) >= 0.0:
         return 0.0
-    lo, hi = 0.0, 200.0
-    while attained(hi) < pi:
+    hi = 200.0
+    while (f_hi := residual(hi)) < 0.0:
         hi *= 2.0
         if hi > 1e7:
             raise ValueError("power goal unattainable at any noncentrality")
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if attained(mid) < pi:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _passing_root(residual, 0.0, hi, f_lo, f_hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +567,17 @@ def _control_level(model: FittedModel) -> float:
     return float(link_inverse(model.link, model.intercept))
 
 
-def projected_rates(level: float, model: FittedModel, summary: ArmSummary):
-    """(pbar1, pbar0): all-stage arm rates/means with the future at ``level``."""
+def _projected_arms(level: float, model: FittedModel, summary: ArmSummary):
+    """``projected_rates`` and the model control level p0, as (pbar1, pbar0, p0)."""
     p0 = _control_level(model)
     pbar1 = (summary.s1_obs + summary.n1_future * level) / summary.N1
     pbar0 = (summary.s0_obs + summary.n0_future * p0) / summary.N0
-    return pbar1, pbar0
+    return pbar1, pbar0, p0
+
+
+def projected_rates(level: float, model: FittedModel, summary: ArmSummary):
+    """(pbar1, pbar0): all-stage arm rates/means with the future at ``level``."""
+    return _projected_arms(level, model, summary)[:2]
 
 
 def _arm_moments(
@@ -533,9 +594,7 @@ def _arm_moments(
     level.
     """
     N1, N0 = summary.N1, summary.N0
-    p0 = _control_level(model)
-    pbar1 = (summary.s1_obs + summary.n1_future * level) / N1
-    pbar0 = (summary.s0_obs + summary.n0_future * p0) / N0
+    pbar1, pbar0, p0 = _projected_arms(level, model, summary)
     if test.continuous_outcome:
         if summary.var0_obs is None:
             raise ValueError("continuous projections need var0_obs")
@@ -578,18 +637,6 @@ def lambda_at_level(
     """Projected noncentrality for 1-df tests as a function of the future
     intervention success probability / mean ``level`` alone."""
     return _lambda_and_rescale(level, model, summary, test)[0]
-
-
-def _critical_rescale(
-    level: float, model: FittedModel, summary: ArmSummary, test: TestSelector
-) -> float:
-    """Pooled statistics reject against a pooled variance; under the
-    alternative the squared statistic is a *scaled* noncentral chi-square, so
-    the critical value is rescaled by the pooled/unpooled projected-variance
-    ratio."""
-    if not test.pooled:
-        return 1.0
-    return _lambda_and_rescale(level, model, summary, test)[1]
 
 
 def _projected_design(model: FittedModel, summary: ArmSummary, packages, n_each):
@@ -729,7 +776,7 @@ def _conditional_parts(
     if test.wald:
         raise ValueError("the conditional approach is defined for 1-df tests only")
     N1, N0 = summary.N1, summary.N0
-    _, _, p0, _, test_var = _arm_moments(level, model, summary, test)
+    pbar1, pbar0, p0, _, test_var = _arm_moments(level, model, summary, test)
     g1 = math.sqrt(max(test_var, 0.0))
     if test.continuous_outcome:
         fut_var = (
@@ -741,10 +788,7 @@ def _conditional_parts(
             summary.n1_future * level * (1.0 - level) / (N1 * N1)
             + summary.n0_future * p0 * (1.0 - p0) / (N0 * N0)
         )
-
-    delta_future = summary.n1_future * level / N1 - summary.n0_future * p0 / N0
-    drift = summary.s1_obs / N1 - summary.s0_obs / N0 + delta_future
-    return g1, drift, math.sqrt(max(fut_var, 0.0)), fut_var
+    return g1, pbar1 - pbar0, math.sqrt(max(fut_var, 0.0)), fut_var
 
 
 def _direction_sign(direction: str) -> float:

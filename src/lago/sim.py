@@ -25,6 +25,7 @@ import numpy as np
 from .cost import CostFunction
 from .errors import InfeasibleError, LagoError, config_errors
 from .model import (
+    CONTINUOUS_LINKS,
     CenterData,
     FittedModel,
     StageRecord,
@@ -35,7 +36,7 @@ from .model import (
     predict,
 )
 from .optimizer import GoalSpec, min_cost_subject_to_threshold
-from .power import ArmSummary, TestSelector, norm_quantile
+from .power import ArmSummary, TestSelector, _passing_root, norm_quantile
 from .trial import (
     PlannedStage,
     TrialConfig,
@@ -56,6 +57,11 @@ _SE_SOURCES = ("model", "sandwich")
 # scenario description
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StagePlan:
     """Center layout for one stage of a simulated trial.
@@ -72,12 +78,11 @@ class StagePlan:
     probe_packages: tuple | None = None
 
     def __post_init__(self):
-        if self.n_control_centers < 0 or self.n_intervention_centers < 0:
-            raise ValueError("center counts must be nonnegative")
+        _check_count("n_control_centers", self.n_control_centers, 0)
+        _check_count("n_intervention_centers", self.n_intervention_centers, 0)
+        _check_count("n_per_center", self.n_per_center, 1)
         if self.n_control_centers + self.n_intervention_centers == 0:
             raise ValueError("a stage needs at least one center")
-        if self.n_per_center <= 0:
-            raise ValueError("n_per_center must be positive")
         if self.probe_packages is not None:
             probes = tuple(tuple(float(v) for v in p) for p in self.probe_packages)
             if len(probes) != self.n_intervention_centers:
@@ -101,9 +106,9 @@ class StagePlan:
     def from_config(cls, entry: dict) -> "StagePlan":
         probes = entry.get("probe_packages")
         return cls(
-            n_control_centers=int(entry["n_control_centers"]),
-            n_intervention_centers=int(entry["n_intervention_centers"]),
-            n_per_center=int(entry["n_per_center"]),
+            n_control_centers=entry["n_control_centers"],
+            n_intervention_centers=entry["n_intervention_centers"],
+            n_per_center=entry["n_per_center"],
             probe_packages=None if probes is None else tuple(tuple(p) for p in probes),
         )
 
@@ -140,6 +145,8 @@ class ScenarioSpec:
         beta = tuple(float(b) for b in self.true_beta)
         if len(beta) < 2:
             raise ValueError("true_beta needs an intercept and at least one effect")
+        if not all(math.isfinite(b) for b in beta):
+            raise ValueError(f"true_beta must be finite, got {beta}")
         object.__setattr__(self, "true_beta", beta)
         n_comp = len(beta) - 1
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
@@ -167,6 +174,8 @@ class ScenarioSpec:
             raise ValueError(f"outcome_kind must be one of {_OUTCOME_KINDS}")
         if self.outcome_kind == "continuous" and not self.outcome_sigma > 0:
             raise ValueError("outcome_sigma must be positive")
+        if self.outcome_link not in CONTINUOUS_LINKS:
+            raise ValueError(f"outcome_link must be one of {CONTINUOUS_LINKS}")
         if self.design_mode not in _DESIGN_MODES:
             raise ValueError(f"design_mode must be one of {_DESIGN_MODES}")
         if self.design_mode == "factorial-repeat":
@@ -185,8 +194,7 @@ class ScenarioSpec:
             raise ValueError("cost must be a CostFunction")
         if self.cost.max_component >= n_comp:
             raise ValueError("cost references a component outside the bounds")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        _check_count("replicates", self.replicates, 1)
         if self.stage1_fallback_x is not None:
             fx = tuple(float(v) for v in self.stage1_fallback_x)
             if len(fx) != n_comp:
@@ -245,7 +253,7 @@ class ScenarioSpec:
                 cost=CostFunction.from_config(doc["cost"]),
                 bounds=tuple(tuple(b) for b in doc["bounds"]),
                 goals=GoalSpec.from_config(doc["goals"]),
-                replicates=int(doc["replicates"]),
+                replicates=doc["replicates"],
                 rng_seed=None if seed is None else int(seed),
                 outcome_kind=doc.get("outcome_kind", "binary"),
                 outcome_sigma=float(doc.get("outcome_sigma", 1.0)),
@@ -784,8 +792,11 @@ def _bb_stage_rates(intervention_fraction: float):
     all-stage arm rates, and the stage-3-only z-test p-value.  Given the
     split of the 1779 stages-1-2 births into post-launch (intervention) and
     pre-launch (control) observations, those four numbers pin down the four
-    arm rates (stages 1-2 and stage 3, each arm); the nonlinear piece is
-    solved by bisection on the stages-1-2 intervention rate.  Returns
+    arm rates (stages 1-2 and stage 3, each arm).  The nonlinear piece is
+    the stage-3 z gap as a function of the stages-1-2 intervention rate: a
+    grid scan brackets a sign change where the gap is defined, and
+    ``_passing_root`` solves it, returning the bracket end where the gap,
+    oriented to rise across the bracket, is >= 0.  Returns
     ``(r1_stages12, r0_stages12, r1_stage3, r0_stage3)``.
     """
     n1 = intervention_fraction * _BB_N_STAGES12
@@ -803,38 +814,41 @@ def _bb_stage_rates(intervention_fraction: float):
     def gap(r1):
         r0, r13, r03 = rates(r1)
         if not (0.0 < r0 < 1.0 and 0.0 < r13 < 1.0 and 0.0 < r03 < 1.0):
-            return None
+            return math.nan
         var3 = (
             r13 * (1.0 - r13) / _BB_N3_INTERVENTION
             + r03 * (1.0 - r03) / _BB_N3_CONTROL
         )
         return (r13 - r03) / math.sqrt(var3) - z_target
 
-    lo = hi = None
-    prev = None
+    bracket = prev = None
     for r1 in np.linspace(0.002, 0.998, 600):
         g = gap(float(r1))
-        if g is None:
+        if math.isnan(g):
             prev = None
             continue
         if prev is not None and prev[1] * g <= 0.0:
-            lo, hi = prev[0], float(r1)
+            bracket = prev, (float(r1), g)
             break
         prev = (float(r1), g)
-    if lo is None:
+    if bracket is None:
         raise ValueError(
             "no stages-1-2 arm rates reconcile the published aggregates "
             "at this split"
         )
-    g_lo = gap(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_lo * g_mid <= 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    r1 = 0.5 * (lo + hi)
+    (lo, g_lo), (hi, g_hi) = bracket
+    sign = 1.0 if g_hi >= g_lo else -1.0  # orient the gap to pass at hi
+
+    # Solved for the event count n1 * r1, not the rate: the count is well
+    # above 1, so the root finder's tolerance is relative, not absolute.
+    def residual(events):
+        return sign * gap(events / n1)
+
+    if sign * g_lo >= 0.0:
+        r1 = lo
+    else:
+        events, _ = _passing_root(residual, lo * n1, hi * n1, sign * g_lo, sign * g_hi)
+        r1 = events / n1
     return (r1,) + rates(r1)
 
 

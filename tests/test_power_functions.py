@@ -20,7 +20,7 @@ from lago.model import CenterData, FittedModel, StageRecord, expit
 from lago.power import (
     ArmSummary,
     TestSelector as Selector,
-    _critical_rescale,
+    _lambda_and_rescale,
     chisq_cdf,
     chisq_quantile,
     chisq_sf,
@@ -126,6 +126,20 @@ def test_chisq_cdf_sf_quantile_match_scipy():
             assert chisq_quantile(p, df) == pytest.approx(
                 scipy.stats.chi2.ppf(p, df), rel=1e-10
             )
+
+
+@pytest.mark.parametrize("func, args", [
+    (gamma_p, (math.nan, 1.0)),
+    (chisq_cdf, (1.0, math.nan)),
+    (chisq_sf, (1.0, math.nan)),
+    (chisq_quantile, (0.95, math.nan)),
+    (noncentral_chisq_cdf, (1.0, math.nan, 1.0)),
+    (noncentral_chisq_cdf, (1.0, 1, math.nan)),
+    (lambda_min, (0.05, 0.8, math.nan)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_chisq_family_rejects_nan_parameters(func, args):
+    with pytest.raises(ValueError):
+        func(*args)
 
 
 def test_chisq_critical_values_frozen():
@@ -582,7 +596,7 @@ def test_pooled_rescale_shifts_power_in_right_direction():
 def _mixture_power(level, model, summary, test, alpha):
     """The Poisson-mixture form the 1-df closed form replaced, kept as oracle."""
     lam = lambda_at_level(level, model, summary, test)
-    crit = chisq_quantile(1.0 - alpha, 1) * _critical_rescale(level, model, summary, test)
+    crit = chisq_quantile(1.0 - alpha, 1) * _lambda_and_rescale(level, model, summary, test)[1]
     return 1.0 - noncentral_chisq_cdf(crit, 1, lam)
 
 
@@ -620,7 +634,7 @@ def test_unconditional_power_closed_form_matches_mixture_oracle(kind, model, s, 
         if lam > 80.0:
             continue
         lams.append(lam)
-        rescales.append(_critical_rescale(level, model, s, test))
+        rescales.append(_lambda_and_rescale(level, model, s, test)[1])
         for alpha in (0.01, 0.05, 0.1, 0.2):
             got = unconditional_power_at_level(level, model, s, test, alpha)
             assert abs(got - _mixture_power(level, model, s, test, alpha)) <= 1e-12
@@ -632,14 +646,14 @@ def test_unconditional_power_closed_form_matches_mixture_oracle(kind, model, s, 
 def test_unconditional_power_reads_lambda_and_rescale_of_the_level():
     """The power step reads the noncentrality and the pooled rescale from one
     set of projected moments; seeded levels give exactly the value composed
-    from ``lambda_at_level`` and ``_critical_rescale``."""
+    from ``lambda_at_level`` and the rescale of ``_lambda_and_rescale``."""
     rng = np.random.default_rng(17)
     for kind, model, s, levels in _CLOSED_FORM_CASES:
         test = Selector(kind)
         for level in rng.uniform(levels[0], levels[-1], 200):
             for alpha in (0.01, 0.05, 0.2):
                 c = norm_quantile(1.0 - 0.5 * alpha) * math.sqrt(
-                    _critical_rescale(level, model, s, test)
+                    _lambda_and_rescale(level, model, s, test)[1]
                 )
                 r = math.sqrt(lambda_at_level(level, model, s, test))
                 expected = norm_sf(c - r) + norm_sf(c + r)
@@ -651,7 +665,7 @@ def test_unconditional_power_closed_form_scipy_pin():
     test = Selector("z_pooled")
     level = 0.6
     lam = lambda_at_level(level, model, s, test)
-    crit = scipy.stats.chi2.ppf(0.95, 1) * _critical_rescale(level, model, s, test)
+    crit = scipy.stats.chi2.ppf(0.95, 1) * _lambda_and_rescale(level, model, s, test)[1]
     assert unconditional_power_at_level(level, model, s, test, 0.05) == pytest.approx(
         scipy.stats.ncx2.sf(crit, 1, lam), abs=1e-12
     )

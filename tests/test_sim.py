@@ -2,6 +2,8 @@
 failure accounting, the deployment convention, and the retrospective
 power helper."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,27 @@ def test_scenario_config_missing_field_is_value_error(field):
     doc = scenario_1a(replicates=2).to_config()
     del doc[field]
     with pytest.raises(ValueError, match=f"missing required field '{field}'"):
+        ScenarioSpec.from_config(doc)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("true_beta", (0.1, float("nan"), 0.15), "true_beta must be finite"),
+    ("true_beta", (0.1, 0.3, float("inf")), "true_beta must be finite"),
+    ("outcome_link", "logit", "outcome_link must be one of"),
+    ("replicates", 2.5, "replicates must be an integer"),
+])
+def test_scenario_rejects_bad_input_when_built(field, value, message):
+    spec = scenario_1a(replicates=2)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spec, **{field: value})
+
+
+def test_stage_plan_rejects_fractional_center_size():
+    with pytest.raises(ValueError, match="n_per_center must be an integer"):
+        StagePlan(n_control_centers=1, n_intervention_centers=1, n_per_center=40.5)
+    doc = scenario_1a(replicates=2).to_config()
+    doc["stages"][0]["n_per_center"] = 40.5
+    with pytest.raises(ValueError, match="n_per_center"):
         ScenarioSpec.from_config(doc)
 
 

@@ -19,19 +19,19 @@ from lago.cost import CostFunction
 from lago.errors import NoThresholdError
 from lago.model import CenterData, FittedModel, StageRecord, fit_binary
 from lago.optimizer import (
-    _THRESHOLD_RTOL,
     GoalSpec,
     _bounds_arrays,
     _eta_extremes,
-    _passing_root,
     _raw_level,
     _threshold_core,
     _work_model,
     min_cost_subject_to_threshold,
 )
 from lago.power import (
+    _THRESHOLD_RTOL,
     ArmSummary,
     TestSelector as Selector,
+    _passing_root,
     conditional_slack_at_level,
     projected_drift_at_level,
     unconditional_power,
