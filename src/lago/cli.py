@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import LagoError
 from .model import FittedModel, _assumed, expit, load_stage_csv, predict
 from .optimizer import (
     GoalSpec,
+    _state_summary,
     integerize,
     plan_stage1,
     recommend_from_summary,
@@ -56,6 +58,7 @@ from .sim import (
 )
 from .trial import (
     TrialConfig,
+    _rec_to_dict,
     final_optimal,
     final_test,
     ingest_stage,
@@ -136,68 +139,31 @@ def _emit(payload, out: str | None) -> None:
             fh.write(text)
 
 
-def _rec_payload(rec, extra=None) -> dict:
-    payload = {
-        "x_hat": rec.x_hat,
-        "regime": rec.regime,
-        "achieved_outcome": rec.achieved_outcome,
-        "required_threshold": rec.required_threshold,
-        "projected_power": rec.projected_power,
-        "cost": rec.cost,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def _any_goal_flag(args) -> bool:
     return any(getattr(args, f, None) is not None for f in GOAL_FLAGS)
 
 
-def _goals_from_flags(args, base: GoalSpec, outcome_kind: str) -> GoalSpec:
-    """Goal spec from CLI flags, keeping ``base`` where a flag is absent."""
-    fields = dict(
-        outcome_goal=base.outcome_goal,
-        direction=base.direction,
-        power_goal=base.power_goal,
-        alpha=base.alpha,
-        approach=base.approach,
-        test=base.test,
-        conditional_scale=base.conditional_scale,
-    )
-    if args.goal is not None:
-        fields["outcome_goal"] = args.goal
-    if args.direction is not None:
-        fields["direction"] = args.direction
-    if args.power_goal is not None:
-        fields["power_goal"] = args.power_goal
-    if args.alpha is not None:
-        fields["alpha"] = args.alpha
-    if args.approach is not None:
-        fields["approach"] = args.approach
-    if args.test is not None:
-        fields["test"] = TestSelector(args.test)
-    if fields["power_goal"] is not None and fields["test"] is None:
+def _goals_from_flags(args, base_fields: dict, outcome_kind: str) -> GoalSpec:
+    """Goal spec from CLI flags over ``base_fields`` (GoalSpec keywords).
+
+    A flag that is absent keeps the base value; GoalSpec defaults fill the
+    rest.  A power goal without a test gets the outcome kind's default test.
+    """
+    fields = dict(base_fields)
+    flags = {
+        "outcome_goal": args.goal,
+        "direction": args.direction,
+        "power_goal": args.power_goal,
+        "alpha": args.alpha,
+        "approach": args.approach,
+        "test": TestSelector(args.test) if args.test is not None else None,
+    }
+    fields.update((name, value) for name, value in flags.items() if value is not None)
+    if fields.get("outcome_goal") is None and fields.get("power_goal") is None:
+        raise ValueError("an outcome or power goal is required (--goal/--power-goal)")
+    if fields.get("power_goal") is not None and fields.get("test") is None:
         fields["test"] = _default_test(outcome_kind)
     return GoalSpec(**fields)
-
-
-def _goals_direct(args, default_direction: str | None) -> GoalSpec:
-    """Goal spec purely from flags (coefficient-fixture modes have no config
-    and plan logistic models)."""
-    if args.goal is None and args.power_goal is None:
-        raise ValueError("an outcome or power goal is required (--goal/--power-goal)")
-    test = TestSelector(args.test) if args.test is not None else None
-    if args.power_goal is not None and test is None:
-        test = _default_test("binary")
-    return GoalSpec(
-        outcome_goal=args.goal,
-        direction=args.direction or default_direction or "increase",
-        power_goal=args.power_goal,
-        alpha=args.alpha if args.alpha is not None else 0.05,
-        approach=args.approach or "unconditional",
-        test=test,
-    )
 
 
 def _add_goal_flags(p: argparse.ArgumentParser) -> None:
@@ -275,8 +241,18 @@ def _fixture_cost_bounds(args, doc: dict):
 
 
 def _fixture_summary(doc: dict) -> ArmSummary | None:
+    """The fixture's arm totals; counts finite and nonnegative, sums finite."""
     entry = doc.get("arm_summary")
-    return ArmSummary(**entry) if entry else None
+    if not entry:
+        return None
+    summary = ArmSummary(**entry)
+    for name in ("n1_obs", "n0_obs", "n1_future", "n0_future"):
+        if not 0.0 <= float(getattr(summary, name)) < math.inf:
+            raise ValueError(f"arm_summary {name} must be finite and nonnegative")
+    for name in ("s1_obs", "s0_obs"):
+        if not math.isfinite(float(getattr(summary, name))):
+            raise ValueError(f"arm_summary {name} must be finite")
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +263,8 @@ def _cmd_recommend(args) -> int:
     if args.coefficients:
         model, doc = _model_fixture(args.coefficients)
         cost, bounds = _fixture_cost_bounds(args, doc)
-        goals = _goals_direct(args, doc.get("direction"))
+        goals = _goals_from_flags(
+            args, {"direction": doc.get("direction") or "increase"}, "binary")
         summary = _fixture_summary(doc) if goals.power_goal is not None else None
         if goals.power_goal is not None and summary is None:
             raise ValueError("a power goal needs arm totals; the coefficient "
@@ -298,24 +275,20 @@ def _cmd_recommend(args) -> int:
         if args.stage is not None:
             state = _truncate_state(state, args.stage)
         cost, bounds = state.config.cost, state.config.bounds
+        model = refit(state)
         if state.status == "complete" and not _any_goal_flag(args):
             rec = final_optimal(state)
-            model = refit(state)
             goals = state.config.goals
         else:
-            model = refit(state)
-            goals = _goals_from_flags(args, state.config.goals,
+            goals = _goals_from_flags(args, vars(state.config.goals),
                                       state.config.outcome_kind)
-            rec = recommend_stage_k(
-                model, state, goals, k=args.stage,
-                stage1_fallback_x=state.config.stage1_package,
-            )
+            rec = recommend_stage_k(model, state, goals, k=args.stage)
     extra = {}
     if args.integerize:
         extra["x_integer"] = integerize(
             rec.x_hat, model, cost, bounds, rec.required_threshold, goals.direction
         )
-    _emit(_rec_payload(rec, extra), args.out)
+    _emit({**_rec_to_dict(rec), **extra}, args.out)
     return 0
 
 
@@ -330,7 +303,7 @@ def _cmd_simulate(args) -> int:
             spec = dataclasses.replace(spec, replicates=args.reps)
     if _any_goal_flag(args):
         spec = dataclasses.replace(
-            spec, goals=_goals_from_flags(args, spec.goals, spec.outcome_kind)
+            spec, goals=_goals_from_flags(args, vars(spec.goals), spec.outcome_kind)
         )
     if args.null:
         spec = null_variant(spec)
@@ -371,10 +344,7 @@ def _cmd_power(args) -> int:
             f"--x has {x.size} components, the trial is configured "
             f"for {state.config.n_components}"
         )
-    k = len(state.completed) + 1
-    from .optimizer import _state_summary  # the summary the recommender sees
-
-    summary = _state_summary(state, test, k)
+    summary = _state_summary(state, test, len(state.completed) + 1)
     payload = {
         "x": x,
         "test": test.kind,
@@ -404,7 +374,8 @@ def _cmd_plan_stage1(args) -> int:
     else:
         raise ValueError("need --beta or --coefficients")
     cost, bounds = _fixture_cost_bounds(args, doc)
-    goals = _goals_direct(args, doc.get("direction"))
+    goals = _goals_from_flags(
+        args, {"direction": doc.get("direction") or "increase"}, "binary")
 
     if args.sizes:
         pairs = []
@@ -427,7 +398,7 @@ def _cmd_plan_stage1(args) -> int:
         extra["x_integer"] = integerize(
             rec.x_hat, _assumed(beta), cost, bounds, rec.required_threshold, goals.direction
         )
-    _emit(_rec_payload(rec, extra), args.out)
+    _emit({**_rec_to_dict(rec), **extra}, args.out)
     return 0
 
 

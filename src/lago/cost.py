@@ -9,6 +9,7 @@ triples with 0-based components internally; the JSON config form uses
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,11 @@ class CostFunction:
                 raise ValueError("degrees must be nonnegative")
             if comp is None and degree != 0:
                 raise ValueError("constant terms must have degree 0")
-            cleaned.append((comp, degree, float(coeff)))
+            coeff = float(coeff)
+            if not math.isfinite(coeff):
+                name = "constant" if comp is None else f"x_{comp + 1}^{degree}"
+                raise ValueError(f"cost coefficient of the {name} term must be finite")
+            cleaned.append((comp, degree, coeff))
         object.__setattr__(self, "terms", tuple(cleaned))
 
     # -- structure ---------------------------------------------------------

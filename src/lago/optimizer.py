@@ -47,6 +47,7 @@ __all__ = [
     "p_max",
     "min_cost_subject_to_threshold",
     "power_threshold",
+    "recommend_from_summary",
     "recommend_stage_k",
     "plan_stage1",
     "shrinking_method",
@@ -670,15 +671,42 @@ def shrinking_method(model: FittedModel, bounds, stage1_x, outcome_goal: float):
     return np.clip(x, lo, hi)
 
 
-def _recommend_core(
+def _stage1_anchor(trial_state):
+    """Stage-1 package that anchors the shrinking fallback, or None.
+
+    The configured ``stage1_package`` when the trial sets one, otherwise the
+    size-weighted mean intervention package of the earliest completed stage
+    that has intervention centers.
+    """
+    if trial_state.config.stage1_package is not None:
+        return trial_state.config.stage1_package
+    for rec in sorted(trial_state.completed, key=lambda r: r.stage_index):
+        treated = [c for c in rec.centers if c.arm == 1]
+        if treated:
+            sizes = [float(c.size) for c in treated]
+            return np.average([c.package for c in treated], axis=0, weights=sizes)
+    return None
+
+
+def recommend_from_summary(
     model: FittedModel,
     summary: ArmSummary | None,
     goals: GoalSpec,
     cost: CostFunction,
     bounds,
-    stage1_x,
-    allow_shrinking: bool = True,
+    stage1_x=None,
 ) -> Recommendation:
+    """Recommendation from a fitted model and arm totals: the one solver.
+
+    Every other recommend entry point resolves its inputs and calls this.
+    The package is the cheapest one reaching the outcome goal and, with a
+    power goal, the power threshold (regime goal-feasible).  When only the
+    power threshold is out of reach it is the best-level package (pmax
+    fallback).  When the outcome goal itself is out of reach, the shrinking
+    fallback moves from ``stage1_x`` toward the bounds; without a
+    ``stage1_x`` that case raises InfeasibleError.  ``summary`` (observed
+    and planned arm sizes) may be None when the goals carry no power goal.
+    """
     lo, hi = _bounds_arrays(bounds, model.n_components)
     direction = goals.direction
     link = model.link
@@ -724,14 +752,10 @@ def _recommend_core(
             eta_eff, regime = None, REGIME_SHRINK
 
     if regime == REGIME_SHRINK:
-        if not allow_shrinking:
-            raise InfeasibleError(
-                "no package inside the bounds reaches the outcome goal"
-            )
         if stage1_x is None:
-            raise ValueError(
-                "the shrinking fallback needs a stage-1 anchor package "
-                "(pass stage1_fallback_x)"
+            raise InfeasibleError(
+                "no package inside the bounds reaches the outcome goal, and the "
+                "shrinking fallback has no stage-1 anchor package"
             )
         goal_w = float(link_inverse(link, eta_goal_w))
         x = shrinking_method(wm, bounds, stage1_x, goal_w)
@@ -761,16 +785,6 @@ def _recommend_core(
     )
 
 
-def _stage1_anchor(trial_state):
-    """Size-weighted mean intervention package of the earliest stage."""
-    for rec in sorted(trial_state.completed, key=lambda r: r.stage_index):
-        treated = [c for c in rec.centers if c.arm == 1]
-        if treated:
-            sizes = [float(c.size) for c in treated]
-            return np.average([c.package for c in treated], axis=0, weights=sizes)
-    return None
-
-
 def recommend_stage_k(
     model: FittedModel,
     trial_state,
@@ -778,54 +792,27 @@ def recommend_stage_k(
     cost: CostFunction | None = None,
     bounds=None,
     k: int | None = None,
-    stage1_fallback_x=None,
 ) -> Recommendation:
     """Recommendation for stage ``k``: stages below k are observed data,
     stages k..K are the future sample the power projections commit.
 
     ``k`` defaults to the next stage (completed stages + 1).  ``model``
     should be fitted on the observed stages; refitting is the caller's job.
-    Cost and bounds default to the trial configuration.
+    Cost and bounds default to the trial configuration, and the shrinking
+    fallback is anchored at ``_stage1_anchor(trial_state)``.
     """
     if k is None:
         k = len(trial_state.completed) + 1
     if k < 2:
         raise ValueError("stage-k recommendations start at k=2; use plan_stage1")
-    have = {rec.stage_index for rec in trial_state.completed}
-    needed = set(range(1, k))
-    if not needed <= have:
-        missing = sorted(needed - have)
+    missing = sorted(set(range(1, k)) - {rec.stage_index for rec in trial_state.completed})
+    if missing:
         raise ValueError(f"stage-{k} recommendation needs completed stages {missing}")
     cost = cost if cost is not None else trial_state.config.cost
     bounds = bounds if bounds is not None else trial_state.config.bounds
-    summary = None
-    if goals.power_goal is not None:
-        summary = _state_summary(trial_state, goals.test, k)
-    anchor = stage1_fallback_x
-    if anchor is None:
-        anchor = _stage1_anchor(trial_state)
-    return _recommend_core(model, summary, goals, cost, bounds, anchor)
-
-
-def recommend_from_summary(
-    model: FittedModel,
-    summary: ArmSummary | None,
-    goals: GoalSpec,
-    cost: CostFunction,
-    bounds,
-    stage1_x=None,
-) -> Recommendation:
-    """Recommendation straight from a fitted model and arm totals.
-
-    For callers who have coefficient estimates and per-arm counts but no
-    stage-by-stage trial record — reconstructing a published analysis, for
-    instance.  ``summary`` may be None when the goals carry no power goal;
-    ``stage1_x`` anchors the shrinking fallback, and without one an
-    unreachable outcome goal is simply infeasible.
-    """
-    return _recommend_core(
-        model, summary, goals, cost, bounds, stage1_x,
-        allow_shrinking=stage1_x is not None,
+    summary = None if goals.power_goal is None else _state_summary(trial_state, goals.test, k)
+    return recommend_from_summary(
+        model, summary, goals, cost, bounds, _stage1_anchor(trial_state)
     )
 
 
@@ -854,19 +841,11 @@ def plan_stage1(
     if sizes.shape[1] != 2:
         raise ValueError("planned_sizes must be (intervention, control) pairs")
     summary = ArmSummary(
-        n1_obs=0.0,
-        n0_obs=0.0,
-        s1_obs=0.0,
-        s0_obs=0.0,
-        n1_future=float(sizes[:, 0].sum()),
-        n0_future=float(sizes[:, 1].sum()),
-        design_obs=(),
+        n1_obs=0.0, n0_obs=0.0, s1_obs=0.0, s0_obs=0.0, design_obs=(),
+        n1_future=float(sizes[:, 0].sum()), n0_future=float(sizes[:, 1].sum()),
     )
-    if goals.approach != "unconditional":
-        goals = dataclasses.replace(goals, approach="unconditional")
-    return _recommend_core(
-        model, summary, goals, cost, bounds, stage1_x=None, allow_shrinking=False
-    )
+    goals = dataclasses.replace(goals, approach="unconditional")
+    return recommend_from_summary(model, summary, goals, cost, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,10 @@ def chisq_sf(x: float, df: float) -> float:
 def chisq_quantile(p: float, df: float) -> float:
     """Central chi-square quantile: solves chisq_cdf(x, df) = p with
     ``_passing_root`` on [0, hi], hi doubled from df + 10; the passing end
-    is returned, so chisq_cdf(q, df) >= p."""
+    is returned, so chisq_cdf(q, df) >= p.  The bracket closes at width
+    ``_THRESHOLD_RTOL * max(1, q)``: the error bound is 1e-12 absolute
+    below q = 1 and 1e-12 relative above it, so a quantile near 0 (q =
+    1.6e-4 at p = 0.01, df = 1) is looser in relative terms."""
     if not 0.0 < p < 1.0:
         raise ValueError("chisq_quantile needs p strictly inside (0, 1)")
 

@@ -36,9 +36,9 @@ from .optimizer import (
     GoalSpec,
     Recommendation,
     _bounds_arrays,
-    _recommend_core,
     _stage1_anchor,
     _state_summary,
+    recommend_from_summary,
     recommend_stage_k,
 )
 from .power import ArmSummary, TestResult, TestSelector, _default_test
@@ -88,6 +88,8 @@ class PlannedStage:
     centers_control: int = 1
 
     def __post_init__(self):
+        if not np.isfinite([self.n_intervention, self.n_control]).all():
+            raise ValueError("planned sizes must be finite")
         if self.n_intervention < 0 or self.n_control < 0:
             raise ValueError("planned sizes must be nonnegative")
         if self.n_intervention + self.n_control <= 0:
@@ -283,7 +285,6 @@ def next_recommendation(state: TrialState) -> Recommendation:
     rec = recommend_stage_k(
         model, state, state.config.goals,
         cost=state.config.cost, bounds=state.config.bounds, k=k,
-        stage1_fallback_x=state.config.stage1_package,
     )
     state.recommendations.append(rec)
     return rec
@@ -293,22 +294,19 @@ def final_optimal(state: TrialState) -> Recommendation:
     """Cost-optimal package from the completed trial, outcome goal only.
 
     Any configured power goal is deliberately ignored: the trial's final
-    product is the cheapest package meeting the outcome goal under the
-    all-data fit (with the same best-achievable/shrinking fallbacks as the
-    staged recommendations).
+    product is ``recommend_from_summary`` on the all-data fit with the
+    power goal stripped, so an unreachable outcome goal takes the same
+    shrinking fallback as the staged recommendations, anchored at
+    ``_stage1_anchor``.
     """
     if state.status != "complete":
         raise ValueError("final_optimal needs a complete trial")
     goals = state.config.goals
     if goals.outcome_goal is None:
         raise ValueError("final_optimal needs an outcome goal")
-    stripped = dataclasses.replace(goals, power_goal=None)
-    model = refit(state)
-    anchor = state.config.stage1_package
-    if anchor is None:
-        anchor = _stage1_anchor(state)
-    return _recommend_core(
-        model, None, stripped, state.config.cost, state.config.bounds, anchor,
+    return recommend_from_summary(
+        refit(state), None, dataclasses.replace(goals, power_goal=None),
+        state.config.cost, state.config.bounds, _stage1_anchor(state),
     )
 
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from lago.cli import main
+from lago.cli import _bundled, _jsonable, main
 from lago.cost import CostFunction
 from lago.diagnostics import verify_assumption7
 from lago.model import expit
@@ -36,8 +36,10 @@ from lago.model import load_stage_csv
 BETA = np.array([0.1, 0.3, 0.15])
 
 
-def write_trial_files(tmp_path, stages=(1, 2), seed=5):
-    """Trial config JSON + stage-data CSV under tmp_path; returns the paths."""
+def write_trial_files(tmp_path, stages=(1, 2), seed=5, sizes=(40, 40, 40)):
+    """Trial config JSON + stage-data CSV under tmp_path; returns the paths.
+
+    Stage k runs ``sizes[k - 1]`` observations per center."""
     config = TrialConfig(
         stages=(PlannedStage(120, 40, 3, 1), PlannedStage(120, 40, 3, 1)),
         bounds=((0.0, 2.0), (0.0, 8.0)),
@@ -57,9 +59,9 @@ def write_trial_files(tmp_path, stages=(1, 2), seed=5):
             rows.append(f"{stage},{center},{arm},{x[0]},{x[1]},{y}")
 
     for stage in stages:
-        emit(stage, "c0", 0, (0.0, 0.0), 40)
+        emit(stage, "c0", 0, (0.0, 0.0), sizes[stage - 1])
         for i, x in enumerate(((1.0, 0.0), (0.0, 4.0), (1.0, 4.0))):
-            emit(stage, f"i{i}", 1, x, 40)
+            emit(stage, f"i{i}", 1, x, sizes[stage - 1])
     data_path = tmp_path / "stages.csv"
     data_path.write_text("\n".join(rows) + "\n")
     return cfg_path, data_path
@@ -144,11 +146,33 @@ def test_recommend_from_trial_files_stage2(tmp_path, capsys):
 
     state = new_trial(TrialConfig.from_config(json.loads(cfg.read_text())))
     state = ingest_stage(state, load_stage_csv(data)[0])
-    rec = recommend_stage_k(
-        refit(state), state, state.config.goals, k=2,
-        stage1_fallback_x=state.config.stage1_package,
-    )
+    rec = recommend_stage_k(refit(state), state, state.config.goals, k=2)
     assert payload["x_hat"] == pytest.approx(list(rec.x_hat))
+
+
+def test_recommend_stage3_from_a_three_stage_csv(tmp_path, capsys):
+    # 1a's 40 per center split 27/27/26, with a power goal on the projection
+    cfg, data = write_trial_files(tmp_path, stages=(1, 2, 3), sizes=(27, 27, 26))
+    config = TrialConfig(
+        stages=(PlannedStage(81, 27, 3, 1), PlannedStage(81, 27, 3, 1),
+                PlannedStage(78, 26, 3, 1)),
+        bounds=((0.0, 2.0), (0.0, 8.0)),
+        cost=CostFunction(((0, 1, 1.0), (1, 1, 4.0))),
+        goals=GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled")),
+        stage1_package=(1.0, 4.0),
+    )
+    cfg.write_text(json.dumps(config.to_config()))
+    payload = run_json(capsys, "recommend", "--config", cfg, "--data", data,
+                       "--stage", "3")
+    from lago.optimizer import recommend_stage_k
+    from lago.trial import _rec_to_dict, refit
+
+    state = new_trial(config)
+    for record in load_stage_csv(data)[:2]:
+        state = ingest_stage(state, record)
+    rec = recommend_stage_k(refit(state), state, config.goals, k=3)
+    assert payload == json.loads(json.dumps(_rec_to_dict(rec)))
+    assert payload["projected_power"] is not None
 
 
 def test_recommend_complete_trial_is_final_optimal(tmp_path, capsys):
@@ -171,6 +195,23 @@ def test_recommend_from_saved_state(tmp_path, capsys):
     save_state(state, state_path)
     payload = run_json(capsys, "recommend", "--trial", state_path)
     assert payload["achieved_outcome"] == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n1_future", float("nan")),
+    ("n0_obs", float("inf")),
+    ("n1_obs", -1.0),
+    ("s0_obs", float("nan")),
+])
+def test_recommend_rejects_non_finite_fixture_arm_summary(tmp_path, capsys, field, value):
+    doc = _jsonable(_bundled("betterbirth"))
+    doc["arm_summary"][field] = value
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "recommend", "--coefficients", path,
+                         "--goal", "0.1", "--power-goal", "0.8")
+    assert code == 2
+    assert field in captured.err
 
 
 def test_recommend_without_inputs_is_validation_error(capsys):

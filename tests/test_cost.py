@@ -1,5 +1,7 @@
 """Separable polynomial cost functions."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -94,6 +96,16 @@ def test_validation_errors():
         CostFunction.from_config([[0, 1, 1.0]])  # config components are 1-based
     with pytest.raises(ValueError):
         CUBIC_TWO_COMPONENT.evaluate([1.0])  # package too short
+
+
+@pytest.mark.parametrize("entry, name", [
+    ([1, 1, float("nan")], "x_1^1"),
+    ([2, 3, float("inf")], "x_2^3"),
+    ([None, 0, float("-inf")], "constant"),
+])
+def test_non_finite_coefficient_rejected(entry, name):
+    with pytest.raises(ValueError, match=re.escape(f"the {name} term must be finite")):
+        CostFunction.from_config([[1, 1, 10.0], entry])
 
 
 def test_separability():

@@ -75,7 +75,7 @@ def make_state(records, future, cost=CUBIC, bounds=None):
     bounds = bounds if bounds is not None else BOUNDS_1A
     return SimpleNamespace(
         completed=list(records),
-        config=SimpleNamespace(cost=cost, bounds=bounds),
+        config=SimpleNamespace(cost=cost, bounds=bounds, stage1_package=None),
         future_arm_sizes=lambda k: future,
     )
 
@@ -520,7 +520,7 @@ def test_recommend_shrinking_needs_anchor():
     state = make_state([StageRecord(stage_index=1, centers=[
         center(0, [0.0, 0.0], 40, 21),
     ])], (40.0, 40.0))
-    with pytest.raises(ValueError, match="anchor"):
+    with pytest.raises(InfeasibleError, match="anchor"):
         recommend_stage_k(weak, state, GoalSpec(outcome_goal=0.9))
 
 

@@ -302,7 +302,7 @@ def _per_center_case(rng):
     future = (float(rng.choice([90.0, 120.0, 240.0])), 40.0)
     state = SimpleNamespace(
         completed=[StageRecord(stage_index=1, centers=centers)],
-        config=SimpleNamespace(cost=CUBIC, bounds=BOUNDS),
+        config=SimpleNamespace(cost=CUBIC, bounds=BOUNDS, stage1_package=None),
         future_arm_sizes=lambda k: future,
     )
     goals = GoalSpec(

@@ -56,11 +56,20 @@ def test_different_seed_different_results():
     assert a.power_pct != b.power_pct or a.rel_bias_pct != b.rel_bias_pct
 
 
+def three_stage(spec):
+    """The same design with its 40 per center split 27/27/26 over three stages."""
+    first = dataclasses.replace(spec.stages[0], n_per_center=27)
+    return dataclasses.replace(
+        spec, stages=(first, StagePlan(1, 3, 27), StagePlan(1, 3, 26))
+    )
+
+
 def test_parallel_matches_serial_bitwise():
-    spec = small(scenario_1a, reps=10)
-    serial = run_scenario(spec, seed=SEED, threads=1)
-    parallel = run_scenario(spec, seed=SEED, threads=2)
-    assert serial.to_dict() == parallel.to_dict()
+    two_stage = small(scenario_1a, reps=10)
+    for spec in (two_stage, three_stage(two_stage)):
+        serial = run_scenario(spec, seed=SEED, threads=1)
+        parallel = run_scenario(spec, seed=SEED, threads=2)
+        assert serial.to_dict() == parallel.to_dict()
 
 
 def test_parallel_matches_serial_bitwise_with_a_power_goal():

@@ -17,7 +17,9 @@ from lago.model import CenterData, StageRecord, fit_binary
 from lago.optimizer import (
     GoalSpec,
     Recommendation,
+    _state_summary,
     min_cost_subject_to_threshold,
+    recommend_from_summary,
     recommend_stage_k,
 )
 from lago.power import ArmSummary, TestSelector as Selector
@@ -27,6 +29,7 @@ from lago.trial import (
     PlannedStage,
     TrialConfig,
     TrialState,
+    _rec_to_dict,
     check_futility,
     final_optimal,
     final_test,
@@ -190,6 +193,18 @@ def test_config_rejects_non_finite_bounds(bounds):
         )
 
 
+@pytest.mark.parametrize("sizes", [
+    (float("nan"), 40.0), (float("inf"), 40.0), (120.0, float("nan")), (120.0, float("inf")),
+])
+def test_planned_stage_rejects_non_finite_sizes(sizes):
+    with pytest.raises(ValueError, match="finite"):
+        PlannedStage(*sizes)
+    entry = make_config(POWER_GOALS).to_config()
+    entry["stages"][1].update(n_intervention=sizes[0], n_control=sizes[1])
+    with pytest.raises(ValueError, match="finite"):
+        TrialConfig.from_config(entry)
+
+
 def test_config_round_trip():
     cfg = make_config(POWER_GOALS)
     again = TrialConfig.from_config(cfg.to_config())
@@ -249,6 +264,100 @@ def test_futile_trial_still_gets_a_recommendation():
     assert best_power == pytest.approx(0.05, abs=0.02)
     rec = next_recommendation(state)  # still returned, regime reports the fallback
     assert rec.regime in ("pmax-fallback", "goal-feasible", "shrinking-fallback")
+
+
+# ---------------------------------------------------------------------------
+# three-stage trials: 1a's 40 per center split 27/27/26
+# ---------------------------------------------------------------------------
+
+THREE_STAGE_CONFIG = TrialConfig(
+    stages=(
+        PlannedStage(81.0, 27.0, 3, 1),
+        PlannedStage(81.0, 27.0, 3, 1),
+        PlannedStage(78.0, 26.0, 3, 1),
+    ),
+    bounds=BOUNDS,
+    cost=CUBIC,
+    goals=POWER_GOALS,
+    stage1_package=(1.0, 4.0),
+)
+# per stage: control successes, then one count per intervention center
+THREE_STAGE_SUCCESSES = ((14, 15, 18, 20), (13, 19, 20, 21))
+
+
+def three_stage_record(k, packages):
+    s0, *s1 = THREE_STAGE_SUCCESSES[k - 1]
+    return StageRecord(stage_index=k, centers=[center(0, [0.0, 0.0], 27, s0)] + [
+        center(1, x, 27, s) for x, s in zip(packages, s1)
+    ])
+
+
+def three_stage_states():
+    """States after stage 1 and after stage 2, stage 2 run at the recommendation."""
+    probes = ([1.0, 0.0], [0.0, 4.0], [1.0, 4.0])
+    after1 = ingest_stage(new_trial(THREE_STAGE_CONFIG), three_stage_record(1, probes))
+    x2 = next_recommendation(after1).x_hat
+    after2 = ingest_stage(after1, three_stage_record(2, [x2] * 3))
+    return after1, after2
+
+
+def test_three_stage_summary_is_the_hand_sums():
+    _, state = three_stage_states()
+    x2 = tuple(float(v) for v in state.recommendations[0].x_hat)
+    probes = ((1.0, 0.0), (0.0, 4.0), (1.0, 4.0))
+    summary = _state_summary(state, POWER_GOALS.test, 3)
+    assert summary == ArmSummary(
+        n1_obs=6 * 27.0,
+        n0_obs=2 * 27.0,
+        s1_obs=15.0 + 18 + 20 + 19 + 20 + 21,
+        s0_obs=14.0 + 13,
+        n1_future=78.0,
+        n0_future=26.0,
+        design_obs=(((0.0, 0.0), 27.0),) + tuple((x, 27.0) for x in probes)
+        + (((0.0, 0.0), 27.0),) + ((x2, 27.0),) * 3,
+    )
+
+
+def test_three_stage_recommendation_is_the_solver_on_the_sums():
+    _, state = three_stage_states()
+    summary = ArmSummary(
+        n1_obs=162.0, n0_obs=54.0, s1_obs=113.0, s0_obs=27.0,
+        n1_future=78.0, n0_future=26.0,
+        design_obs=_state_summary(state, POWER_GOALS.test, 3).design_obs,
+    )
+    direct = recommend_from_summary(
+        refit(state), summary, POWER_GOALS, CUBIC, BOUNDS,
+        THREE_STAGE_CONFIG.stage1_package,
+    )
+    assert _rec_to_dict(next_recommendation(state)) == _rec_to_dict(direct)
+
+
+def test_three_stage_save_load_replays_identical_recommendations(tmp_path):
+    for state in three_stage_states():
+        next_recommendation(state)  # memoizes the next stage's package
+        expected = [_rec_to_dict(r) for r in state.recommendations]
+        path = tmp_path / f"after{len(state.completed)}.json"
+        save_state(state, path)
+        loaded = load_state(path)
+        assert [_rec_to_dict(r) for r in loaded.recommendations] == expected
+        replay = new_trial(loaded.config)
+        replayed = []
+        for record in loaded.completed:
+            replay = ingest_stage(replay, record)
+            replayed.append(_rec_to_dict(next_recommendation(replay)))
+        assert replayed == expected
+
+
+def test_three_stage_futility_between_stages_2_and_3():
+    _, state = three_stage_states()
+    futile, best_power = check_futility(state)
+    assert not futile and 0.8 <= best_power < 1.0
+    stopped = stop_for_futility(state)
+    assert stopped.status == "stopped-futility"
+    with pytest.raises(OutOfOrderStageError):
+        ingest_stage(stopped, StageRecord(stage_index=3, centers=[
+            center(0, [0.0, 0.0], 26, 13),
+        ]))
 
 
 # ---------------------------------------------------------------------------
