@@ -14,6 +14,7 @@ step-halving); refitting the same data gives bitwise-identical coefficients.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -35,6 +36,9 @@ COEF_CAP = 30.0
 GRAD_TOL = 1e-8
 MAX_ITER = 100
 
+# Entries kept by the process-local memo of design ranks.
+RANK_MEMO_SIZE = 128
+
 
 # ---------------------------------------------------------------------------
 # link functions
@@ -54,11 +58,12 @@ def expit(eta):
         ex = math.exp(eta)
         return ex / (1.0 + ex)
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # min(eta, -eta) is -eta where eta >= 0 and eta elsewhere (a NaN keeps its
+    # sign), so each branch below is bitwise the one a masked two-branch form
+    # computes.
+    ex = np.exp(np.minimum(eta, -eta))
+    den = 1.0 + ex
+    out = np.where(eta >= 0, 1.0 / den, ex / den)
     return out if out.ndim else float(out)
 
 
@@ -274,7 +279,10 @@ def _center_rows(records):
     centers = [c for rec in records for c in rec.centers]
     if not centers:
         raise ValueError("no stage records to fit: the input is empty")
-    X = np.vstack([np.concatenate(([1.0], c.package)) for c in centers])
+    try:
+        X = np.array([[1.0, *c.package.tolist()] for c in centers])
+    except TypeError:  # a 0-d package unpacks as a float
+        raise ValueError("every package must be a vector") from None
     n = np.array([float(c.size) for c in centers])
     s = np.array([c.outcome_sum for c in centers])
     m2 = np.array([c.m2 for c in centers])
@@ -297,6 +305,17 @@ def _check_finite(*arrays):
             raise NonFiniteError("non-finite value in model input")
 
 
+@functools.lru_cache(maxsize=RANK_MEMO_SIZE)
+def _design_rank(shape, dtype, data) -> int:
+    """``matrix_rank`` of the design whose shape, dtype and bytes are given.
+
+    Memoized: every replicate of a simulated trial fits a stage-1 design with
+    the same layout.  ``matrix_rank`` copies its input into a work buffer
+    first, so the rank of the rebuilt array is the rank of the original.
+    """
+    return int(np.linalg.matrix_rank(np.frombuffer(data, dtype=dtype).reshape(shape)))
+
+
 def _check_rank(X, rank=None):
     """Raise RankDeficientError unless X has full column rank.
 
@@ -304,7 +323,7 @@ def _check_rank(X, rank=None):
     ``lstsq(..., rcond=None)`` returns); without it the rank is computed here.
     """
     if rank is None:
-        rank = np.linalg.matrix_rank(X)
+        rank = _design_rank(X.shape, X.dtype.str, X.tobytes())
     if rank < X.shape[1]:
         raise RankDeficientError(
             "design matrix is rank deficient; coefficients are not identifiable"
@@ -347,13 +366,15 @@ def fit_binary(records) -> FittedModel:
         eta = X @ b
         return float(s @ eta - m @ np.logaddexp(0.0, eta))
 
+    # The iteration's scalar tests run on Python floats; numpy's vector norm
+    # is sqrt(g.dot(g)) too, so every decision matches the array form.
     ll = loglik(beta)
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
         eta = X @ beta
         p = expit(eta)
         grad = X.T @ (s - m * p)
-        if np.linalg.norm(grad) <= GRAD_TOL:
+        if math.sqrt(grad.dot(grad)) <= GRAD_TOL:
             n_iter -= 1
             break
         H = logistic_information(X, m, p)
@@ -366,15 +387,16 @@ def fit_binary(records) -> FittedModel:
         new_beta = beta + step
         new_ll = loglik(new_beta)
         halvings = 0
-        while (not np.isfinite(new_ll) or new_ll < ll - 1e-12) and halvings < 30:
+        while (not math.isfinite(new_ll) or new_ll < ll - 1e-12) and halvings < 30:
             step *= 0.5
             new_beta = beta + step
             new_ll = loglik(new_beta)
             halvings += 1
         beta, ll = new_beta, new_ll
-        if not np.all(np.isfinite(beta)):
+        coefs = beta.tolist()
+        if not all(map(math.isfinite, coefs)):
             raise NonFiniteError("non-finite coefficients during logistic fit")
-        if np.max(np.abs(beta)) > COEF_CAP:
+        if max(map(abs, coefs)) > COEF_CAP:
             raise SeparationError(
                 f"coefficient magnitude exceeded {COEF_CAP}; data likely separated"
             )

@@ -18,6 +18,7 @@ higher working levels.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,6 +62,11 @@ _DIRECTIONS = ("increase", "decrease")
 REGIME_GOAL = "goal-feasible"
 REGIME_PMAX = "pmax-fallback"
 REGIME_SHRINK = "shrinking-fallback"
+
+# Entries kept by the process-local memos of validated bounds and of
+# per-component cost polynomials.
+BOUNDS_MEMO_SIZE = 64
+POLY_MEMO_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +162,25 @@ def _check_direction(direction: str) -> None:
 
 
 def _bounds_arrays(bounds, n_components: int):
+    """Validated (lo, hi) arrays of ``bounds``, one (lower, upper) pair per
+    component.  Hashable bounds are memoized and give read-only arrays."""
+    try:
+        # Signs tell -0.0 from 0.0, the equal keys np.array keeps apart.
+        key = (bounds, tuple(math.copysign(1.0, v) for pair in bounds for v in pair))
+        hash(key)
+    except (TypeError, ValueError, OverflowError):
+        return _validated_bounds(bounds, n_components)
+    return _memo_bounds(key, n_components)
+
+
+@functools.lru_cache(maxsize=BOUNDS_MEMO_SIZE)
+def _memo_bounds(key, n_components: int):
+    lo, hi = _validated_bounds(key[0], n_components)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+def _validated_bounds(bounds, n_components: int):
     arr = np.array(bounds, dtype=float)
     if arr.shape != (n_components, 2):
         raise ValueError(
@@ -253,7 +278,8 @@ class _ComponentPoly:
 
     ``coeffs`` is a list of Python floats in increasing degree; evaluation is
     the Horner recurrence of ``numpy.polynomial.polynomial.polyval`` in the
-    same order, so values agree with it bitwise.
+    same order, so values agree with it bitwise.  ``_component_polys`` shares
+    instances between calls, so treat them as read-only.
     """
 
     __slots__ = ("coeffs", "stationary")
@@ -399,7 +425,7 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
         )
     eta_t = min(eta_target, eta_max)
 
-    infos = {p: _ComponentPoly(cost.component_coefficients(p)) for p in range(P)}
+    infos = _component_polys(cost, P)
     x = np.empty(P)
     for p in range(P):
         x[p] = infos[p].min_on(lo[p], hi[p])[0]
@@ -473,6 +499,13 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     for p in eff:
         x[p] = chosen[p]
     return x
+
+
+@functools.lru_cache(maxsize=POLY_MEMO_SIZE)
+def _component_polys(cost: CostFunction, P: int) -> tuple:
+    """The cost's ``_ComponentPoly`` of each of P components, memoized: equal
+    costs have equal terms, hence bitwise-equal coefficients."""
+    return tuple(_ComponentPoly(cost.component_coefficients(p)) for p in range(P))
 
 
 def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,6 +96,14 @@ class PlannedStage:
             raise ValueError("planned sizes must be nonnegative")
         if self.n_intervention + self.n_control <= 0:
             raise ValueError("a planned stage needs a positive sample")
+        for name in ("centers_intervention", "centers_control"):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Real) and math.isfinite(count)
+                    and count == int(count)):
+                raise ValueError(
+                    f"planned center counts must be integers, got {name}={count!r}"
+                )
+            object.__setattr__(self, name, int(count))
         if self.centers_intervention < 0 or self.centers_control < 0:
             raise ValueError("planned center counts must be nonnegative")
 
@@ -228,8 +238,12 @@ def ingest_stage(state: TrialState, record: StageRecord) -> TrialState:
             f"the trial is configured for {state.config.n_components}"
         )
     lo, hi = _bounds_arrays(state.config.bounds, state.config.n_components)
+    box = list(zip(lo.tolist(), hi.tolist()))
     for c in record.centers:
-        if c.arm == 1 and (np.any(c.package < lo) or np.any(c.package > hi)):
+        # A NaN entry compares False both ways, so it never warns.
+        if c.arm == 1 and any(
+            v < a or v > b for v, (a, b) in zip(c.package.ravel().tolist(), box)
+        ):
             warnings.warn(
                 f"stage {record.stage_index}: a center ran package "
                 f"{np.asarray(c.package).tolist()} outside the configured bounds",

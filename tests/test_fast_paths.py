@@ -1,0 +1,419 @@
+"""Differential and cache tests for the binary replicate's fast paths.
+
+The array ``expit``, the IRLS loop of ``fit_binary`` and its design-matrix
+build make fewer numpy calls than their first forms, and the rank of a
+design, validated bounds and per-component cost polynomials are memoized
+per process.  The first forms are kept here as oracles: each fast path must
+agree with its oracle bitwise, and every memo must be value-neutral and
+stay within its size bound.
+"""
+
+import dataclasses
+import math
+import warnings
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import lago
+from lago import model as model_module
+from lago import optimizer as optimizer_module
+from lago import sim
+from lago.cost import CostFunction
+from lago.errors import LagoError, NonFiniteError, RankDeficientError, SeparationError
+from lago.model import (
+    COEF_CAP,
+    GRAD_TOL,
+    MAX_ITER,
+    CenterData,
+    FittedModel,
+    StageRecord,
+    _center_rows,
+    _check_binary,
+    _check_finite,
+    _check_rank,
+    _design_rank,
+    expit,
+    fit_binary,
+    logistic_information,
+)
+from lago.optimizer import _bounds_arrays, _component_polys, _memo_bounds
+
+MEMOS = (_design_rank, _memo_bounds, _component_polys)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the first forms, as oracles
+
+
+def _expit_two_branch(eta):
+    """Array ``expit`` as two masked branches."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+def _stacked_rows(records):
+    """Design matrix stacked from one concatenated row per center."""
+    centers = [c for rec in records for c in rec.centers]
+    return np.vstack([np.concatenate(([1.0], c.package)) for c in centers])
+
+
+def _fit_binary_oracle(records):
+    """``fit_binary`` with its scalar tests on numpy values and an uncached
+    rank; returns (model, number of step-halvings)."""
+    _, m, s, m2 = _center_rows(records)
+    X = _stacked_rows(records)
+    _check_finite(X, m, s, m2)
+    _check_binary(m, s, m2)
+    total_s = s.sum()
+    if total_s <= 0 or total_s >= m.sum():
+        raise SeparationError("all outcomes identical; logistic MLE does not exist")
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise RankDeficientError("design matrix is rank deficient")
+
+    beta = np.zeros(X.shape[1])
+
+    def loglik(b):
+        eta = X @ b
+        return float(s @ eta - m @ np.logaddexp(0.0, eta))
+
+    ll = loglik(beta)
+    n_iter = total_halvings = 0
+    for n_iter in range(1, MAX_ITER + 1):
+        eta = X @ beta
+        p = _expit_two_branch(eta)
+        grad = X.T @ (s - m * p)
+        if np.linalg.norm(grad) <= GRAD_TOL:
+            n_iter -= 1
+            break
+        H = logistic_information(X, m, p)
+        try:
+            step = np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError as exc:
+            raise SeparationError("information matrix singular") from exc
+        new_beta = beta + step
+        new_ll = loglik(new_beta)
+        halvings = 0
+        while (not np.isfinite(new_ll) or new_ll < ll - 1e-12) and halvings < 30:
+            step *= 0.5
+            new_beta = beta + step
+            new_ll = loglik(new_beta)
+            halvings += 1
+        total_halvings += halvings
+        beta, ll = new_beta, new_ll
+        if not np.all(np.isfinite(beta)):
+            raise NonFiniteError("non-finite coefficients during logistic fit")
+        if np.max(np.abs(beta)) > COEF_CAP:
+            raise SeparationError(f"coefficient magnitude exceeded {COEF_CAP}")
+
+    H = logistic_information(X, m, _expit_two_branch(X @ beta))
+    try:
+        cov = np.linalg.inv(H)
+    except np.linalg.LinAlgError as exc:
+        raise SeparationError("observed information singular at the optimum") from exc
+    fitted = FittedModel(
+        beta=beta, link="logit", covariance=cov, n_used=int(m.sum()),
+        kind="binary", n_iter=n_iter,
+    )
+    return fitted, total_halvings
+
+
+# ---------------------------------------------------------------------------
+# expit
+
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 800.0, -800.0, 36.0,
+            -745.5]
+
+
+def test_array_expit_matches_two_branch_oracle_bitwise():
+    rng = np.random.default_rng(20261018)
+    arrays = [np.array(SPECIALS), np.array(SPECIALS).reshape(2, 5)]
+    for scale in (1e-8, 1.0, 5.0, 40.0, 710.0, 1e6):
+        arrays.append(rng.normal(0.0, scale, 257))
+        arrays.append(rng.normal(0.0, scale, (4, 3)))
+    arrays.append(np.concatenate([rng.normal(0.0, 3.0, 50), SPECIALS]))
+    for eta in arrays:
+        got, want = expit(eta), _expit_two_branch(eta)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", SPECIALS)
+def test_zero_dim_expit_matches_oracle_bitwise(value):
+    got, want = expit(np.array(value)), _expit_two_branch(np.array(value))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fit_binary
+
+
+def _records(rng, P, n_centers, scale, beta, sizes, decimals):
+    centers = []
+    for j in range(n_centers):
+        arm = 0 if j == 0 else 1
+        x = np.zeros(P) if arm == 0 else np.round(rng.uniform(0.0, scale, P), decimals)
+        n = int(rng.integers(*sizes))
+        p = 1.0 / (1.0 + math.exp(-min(max(beta[0] + beta[1:] @ x, -700.0), 700.0)))
+        s = int(rng.binomial(n, p))
+        centers.append(CenterData.from_stats(arm, x, n, float(s), s * (n - s) / n))
+    return [StageRecord(1, centers)]
+
+
+def _grouped_design(index):
+    """Seeded grouped binary design number ``index``; four families."""
+    rng = np.random.default_rng([20261018, index])
+    P = int(rng.integers(1, 4))
+    family = index % 4
+    if family == 0:  # moderate rates and packages, many small centers
+        beta = rng.normal(0.0, 1.5, P + 1)
+        return _records(rng, P, int(rng.integers(P + 1, 9)), 4.0, beta, (3, 40), 1)
+    if family == 1:  # rates near 0 or 1 on large packages: Newton overshoots
+        scale = 10.0 ** rng.uniform(2.0, 3.0)
+        beta = rng.normal(0.0, 1.0, P + 1) / scale
+        beta[0] = rng.choice([-1.0, 1.0]) * rng.uniform(4.0, 6.0)
+        return _records(rng, P, int(rng.integers(P + 2, 9)), scale, beta, (100, 1000), 2)
+    if family == 2:  # steep effects: separation and the coefficient cap
+        beta = rng.normal(0.0, 4.5, P + 1)
+        return _records(rng, P, int(rng.integers(P + 1, 6)), 4.0, beta, (2, 12), 0)
+    # degenerate inputs: a repeated package column, a non-finite package,
+    # identical outcomes, or an ordinary design
+    recs = _records(rng, P, int(rng.integers(P + 2, 8)), 4.0, rng.normal(0.0, 1.0, P + 1),
+                    (5, 40), 1)
+    centers = recs[0].centers
+    which = (index // 4) % 4
+    if which == 0 and P >= 2:
+        for c in centers:
+            c.package[1] = c.package[0]
+    elif which == 1:
+        centers[-1].package[0] = math.inf if (index // 16) % 2 else math.nan
+    elif which == 2:
+        recs = [StageRecord(1, [
+            CenterData.from_stats(c.arm, c.package, c.size, 0.0, 0.0) for c in centers
+        ])]
+    return recs
+
+
+def _outcome(fit, records):
+    try:
+        result = fit(records)
+    except LagoError as exc:
+        return type(exc), None
+    return None, result
+
+
+def test_fit_binary_matches_irls_oracle_bitwise():
+    seen = Counter()
+    for index in range(200):
+        records = _grouped_design(index)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want_err, want = _outcome(_fit_binary_oracle, records)
+            got_err, got = _outcome(fit_binary, records)
+        assert got_err is want_err, index
+        if want_err is not None:
+            seen[want_err.__name__] += 1
+            continue
+        want, halvings = want
+        seen["fitted"] += 1
+        seen["halved"] += halvings > 0
+        assert got.beta.tobytes() == want.beta.tobytes(), index
+        assert got.covariance.tobytes() == want.covariance.tobytes(), index
+        assert got.n_iter == want.n_iter, index
+    # every branch of the loop and its input checks was exercised
+    assert seen["fitted"] >= 100 and seen["halved"] >= 3, seen
+    for kind in ("SeparationError", "NonFiniteError", "RankDeficientError"):
+        assert seen[kind] >= 1, seen
+
+
+def test_design_matrix_matches_stacked_rows():
+    for index in range(0, 200, 7):
+        records = _grouped_design(index)
+        X, want = _center_rows(records)[0], _stacked_rows(records)
+        assert X.dtype == want.dtype and X.shape == want.shape
+        assert X.flags.c_contiguous and X.tobytes() == want.tobytes()
+
+
+def test_zero_dim_package_is_a_value_error():
+    centers = [CenterData(0, np.array(0.0), [1.0, 0.0]), CenterData(1, np.array(1.0), [1.0, 1.0])]
+    with pytest.raises(ValueError, match="vector"):
+        fit_binary([StageRecord(1, centers)])
+
+
+# ---------------------------------------------------------------------------
+# the rank memo
+
+
+def _rank_deficient_records():
+    centers = [
+        CenterData.from_stats(0, [0.0, 0.0], 20, 8.0, 8.0 * 12.0 / 20.0),
+        CenterData.from_stats(1, [1.0, 2.0], 20, 11.0, 11.0 * 9.0 / 20.0),
+        CenterData.from_stats(1, [2.0, 4.0], 20, 14.0, 14.0 * 6.0 / 20.0),
+    ]
+    return [StageRecord(1, centers)]
+
+
+def test_rank_deficient_design_raises_on_first_and_repeated_calls():
+    _clear_memos()
+    for _ in range(3):
+        with pytest.raises(RankDeficientError):
+            fit_binary(_rank_deficient_records())
+    assert _design_rank.cache_info().hits >= 2
+
+
+def test_designs_with_equal_bytes_and_different_shapes_do_not_collide():
+    # Rows r1, r2 and r1 + r2 give a 3x4 of rank 2; the same twelve numbers
+    # read as a 4x3 have rank 3.
+    rng = np.random.default_rng(5)
+    r1, r2 = rng.normal(size=4), rng.normal(size=4)
+    wide = np.vstack([r1, r2, r1 + r2])
+    tall = wide.reshape(4, 3)
+    assert np.linalg.matrix_rank(wide) == 2 and np.linalg.matrix_rank(tall) == 3
+    assert wide.tobytes() == tall.tobytes()
+    for order in ((tall, wide), (wide, tall)):
+        _clear_memos()
+        for X in order:
+            assert _design_rank(X.shape, X.dtype.str, X.tobytes()) == np.linalg.matrix_rank(X)
+    _check_rank(tall)
+    with pytest.raises(RankDeficientError):
+        _check_rank(wide)
+
+
+# ---------------------------------------------------------------------------
+# the bounds memo
+
+
+@pytest.mark.parametrize("bounds, match", [
+    (((0.0, math.nan), (0.0, 8.0)), "finite"),
+    (((0.0, 2.0), (-math.inf, 8.0)), "finite"),
+    (((2.0, 0.0), (0.0, 8.0)), "exceed"),
+    (((0.0, 2.0),), "pairs"),
+    (((0.0, 2.0, 3.0), (0.0, 8.0, 9.0)), "pairs"),
+    ((0.0, 2.0), "pairs"),
+])
+def test_invalid_bounds_raise_on_every_call(bounds, match):
+    _clear_memos()
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            _bounds_arrays(bounds, 2)
+    assert _memo_bounds.cache_info().currsize == 0
+
+
+def test_list_and_array_bounds_take_the_uncached_path():
+    _clear_memos()
+    want = _bounds_arrays(((0.0, 2.0), (0.0, 8.0)), 2)
+    for bounds in ([[0.0, 2.0], [0.0, 8.0]], [(0, 2), (0, 8)], np.array([[0.0, 2.0], [0.0, 8.0]])):
+        lo, hi = _bounds_arrays(bounds, 2)
+        assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
+    assert _memo_bounds.cache_info().currsize == 1
+
+
+def test_cached_bounds_are_read_only():
+    _clear_memos()
+    bounds = ((0.0, 2.0), (0.0, 8.0))
+    lo, hi = _bounds_arrays(bounds, 2)
+    with pytest.raises(ValueError):
+        lo[0] = 5.0
+    with pytest.raises(ValueError):
+        hi += 1.0
+    lo2, hi2 = _bounds_arrays(bounds, 2)
+    assert lo2.tolist() == [0.0, 0.0] and hi2.tolist() == [2.0, 8.0]
+
+
+def test_signed_zero_bounds_are_distinct_keys():
+    _clear_memos()
+    assert not np.signbit(_bounds_arrays(((0.0, 2.0),), 1)[0][0])
+    assert np.signbit(_bounds_arrays(((-0.0, 2.0),), 1)[0][0])
+    assert not np.signbit(_bounds_arrays(((0, 2.0),), 1)[0][0])
+
+
+# ---------------------------------------------------------------------------
+# the cost-polynomial memo
+
+
+def test_equal_costs_share_polynomials_and_unequal_ones_do_not():
+    _clear_memos()
+    terms = ((0, 3, 2.0), (0, 1, 10.0), (None, 0, 10.0), (1, 3, 0.1), (1, 1, 2.0))
+    a, b = CostFunction(terms), CostFunction(tuple(terms))
+    assert a == b and a is not b
+    assert _component_polys(a, 2) is _component_polys(b, 2)
+    other = CostFunction(terms[:-1] + ((1, 1, 2.5),))
+    polys, others = _component_polys(a, 2), _component_polys(other, 2)
+    assert polys is not others
+    assert polys[0].coeffs == others[0].coeffs and polys[1].coeffs != others[1].coeffs
+    assert len(_component_polys(a, 3)) == 3
+    for p, poly in enumerate(polys):
+        assert poly.coeffs == a.component_coefficients(p).tolist()
+
+
+# ---------------------------------------------------------------------------
+# size bounds
+
+
+def test_every_memo_stays_within_its_bound():
+    _clear_memos()
+    rng = np.random.default_rng(9)
+    for i in range(1000):
+        X = np.column_stack([np.ones(3), rng.normal(size=3)])
+        _check_rank(X)
+        _bounds_arrays(((0.0, 1.0 + i),), 1)
+        _component_polys(CostFunction(((0, 2, 1.0 + i),)), 1)
+    assert _design_rank.cache_info().maxsize == model_module.RANK_MEMO_SIZE
+    assert _memo_bounds.cache_info().maxsize == optimizer_module.BOUNDS_MEMO_SIZE
+    assert _component_polys.cache_info().maxsize == optimizer_module.POLY_MEMO_SIZE
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+
+
+# ---------------------------------------------------------------------------
+# cold versus warm memos
+
+
+def _goals(**kw):
+    return lago.GoalSpec(outcome_goal=0.7, **kw)
+
+
+def _specs():
+    z, wald = lago.TestSelector("z_unpooled"), lago.TestSelector("wald_pdf_binary")
+    cont = sim.scenario_1a(
+        n_per_center=200, replicates=8,
+        goals=_goals(power_goal=0.8, approach="conditional", test=lago.TestSelector("t_unpooled")),
+    )
+    return {
+        "1a-outcome": sim.scenario_1a(replicates=8, goals=_goals()),
+        "1a-conditional": sim.scenario_1a(
+            replicates=8, goals=_goals(power_goal=0.8, approach="conditional", test=z)),
+        "1a-unconditional-z": sim.scenario_1a(
+            replicates=8, goals=_goals(power_goal=0.8, approach="unconditional", test=z)),
+        "1a-unconditional-wald": sim.scenario_1a(
+            replicates=4, goals=_goals(power_goal=0.8, approach="unconditional", test=wald)),
+        "2a": sim.scenario_2a(replicates=8),
+        "2b": sim.scenario_2b(replicates=8),
+        "continuous-1a": dataclasses.replace(
+            cont, outcome_kind="continuous", outcome_link="identity", outcome_sigma=8.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_specs()))
+def test_reports_are_identical_with_cold_and_warm_memos(name):
+    spec = _specs()[name]
+    _clear_memos()
+    cold = repr(sim.run_scenario(spec, seed=17, threads=1).to_dict())
+    sim.run_scenario(spec, seed=18, threads=1)
+    assert any(memo.cache_info().currsize for memo in MEMOS)
+    warm = repr(sim.run_scenario(spec, seed=17, threads=1).to_dict())
+    assert cold == warm

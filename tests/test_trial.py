@@ -4,6 +4,7 @@ recommendation solver, final analysis, futility reporting, and resume."""
 import dataclasses
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -764,3 +765,66 @@ def test_document_is_json_clean():
     next_recommendation(state)
     text = json.dumps(to_document(state))
     assert "lago-trial-state" in text
+
+
+# ---------------------------------------------------------------------------
+# planned center counts and the out-of-bounds warning
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, -0.5, "3", None])
+def test_planned_stage_rejects_non_integer_center_counts(count):
+    with pytest.raises(ValueError, match="center counts"):
+        PlannedStage(120.0, 40.0, count, 1)
+    with pytest.raises(ValueError, match="center counts"):
+        PlannedStage(120.0, 40.0, 3, count)
+    entry = make_config(POWER_GOALS).to_config()
+    entry["stages"][1]["centers_control"] = count
+    with pytest.raises(ValueError, match="center counts"):
+        TrialConfig.from_config(entry)
+
+
+@pytest.mark.parametrize("count", [float("nan"), 2.5, "3"])
+def test_state_document_rejects_non_integer_center_counts(count, tmp_path):
+    doc = _after_stage1_doc()
+    doc["config"]["stages"][0]["centers_intervention"] = count
+    with pytest.raises(ValueError, match="center counts"):
+        from_document(doc)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="center counts"):
+        load_state(path)
+
+
+def test_planned_stage_keeps_integral_center_counts_as_int():
+    stage = PlannedStage(120.0, 40.0, 3.0, np.int64(1))
+    assert (stage.centers_intervention, stage.centers_control) == (3, 1)
+    assert type(stage.centers_intervention) is int and type(stage.centers_control) is int
+    with pytest.raises(ValueError, match="nonnegative"):
+        PlannedStage(120.0, 40.0, -1, 1)
+
+
+def _stage1_with(package):
+    return StageRecord(stage_index=1, centers=[
+        center(0, [0.0, 0.0], 40, 21),
+        center(1, package, 40, 30),
+        center(1, [1.0, 0.0], 40, 23),
+    ])
+
+
+@pytest.mark.parametrize("package, warns", [
+    ([2.0, 8.0], False),
+    ([0.0, 0.0], False),
+    ([2.0 + 1e-12, 4.0], True),
+    ([1.0, -1e-300], True),
+    ([float("nan"), 4.0], False),
+    ([float("nan"), 9.0], True),
+    ([float("nan"), float("nan")], False),
+    ([float("inf"), 4.0], True),
+])
+def test_out_of_bounds_warning_and_nan_packages(package, warns):
+    state = new_trial(make_config())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ingest_stage(state, _stage1_with(package))
+    hits = [w for w in caught if "outside the configured bounds" in str(w.message)]
+    assert len(hits) == int(warns)
