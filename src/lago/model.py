@@ -274,29 +274,41 @@ def mirrored(model: FittedModel) -> FittedModel:
 # design assembly
 # ---------------------------------------------------------------------------
 
-def _center_rows(records):
-    """Per-center grouped design: (X rows with intercept, sizes, outcome sums, m2)."""
-    centers = [c for rec in records for c in rec.centers]
-    if not centers:
+def _stack_rows(lanes):
+    """Per-center grouped designs of several fits, stacked lane first.
+
+    ``lanes`` holds one sequence of stage records per fit; every lane must
+    have the same number of centers and components.  Returns X (L, C, P+1)
+    with the intercept column first, and the sizes, outcome sums and m2,
+    each (L, C).
+    """
+    lanes = [[c for rec in records for c in rec.centers] for records in lanes]
+    if not all(lanes):
         raise ValueError("no stage records to fit: the input is empty")
     try:
-        X = np.array([[1.0, *c.package.tolist()] for c in centers])
+        X = np.array([[[1.0, *c.package.tolist()] for c in centers] for centers in lanes])
     except TypeError:  # a 0-d package unpacks as a float
         raise ValueError("every package must be a vector") from None
-    n = np.array([float(c.size) for c in centers])
-    s = np.array([c.outcome_sum for c in centers])
-    m2 = np.array([c.m2 for c in centers])
+    n = np.array([[float(c.size) for c in centers] for centers in lanes])
+    s = np.array([[c.outcome_sum for c in centers] for centers in lanes])
+    m2 = np.array([[c.m2 for c in centers] for centers in lanes])
     return X, n, s, m2
+
+
+def _center_rows(records):
+    """Per-center grouped design: (X rows with intercept, sizes, outcome sums, m2)."""
+    return tuple(a[0] for a in _stack_rows([records]))
 
 
 def logistic_information(X, n, p):
     """Fisher information of grouped logistic rows: sum_i n_i p_i (1 - p_i) x_i x_i'.
 
     ``X`` holds one design row per group (intercept first), ``n`` the group
-    sizes and ``p`` the success probabilities at those rows.
+    sizes and ``p`` the success probabilities at those rows.  Leading axes
+    of all three are a stack of independent designs.
     """
     w = n * p * (1.0 - p)
-    return X.T @ (X * w[:, None])
+    return np.swapaxes(X, -1, -2) @ (X * w[..., None])
 
 
 def _check_finite(*arrays):
@@ -310,10 +322,28 @@ def _design_rank(shape, dtype, data) -> int:
     """``matrix_rank`` of the design whose shape, dtype and bytes are given.
 
     Memoized: every replicate of a simulated trial fits a stage-1 design with
-    the same layout.  ``matrix_rank`` copies its input into a work buffer
-    first, so the rank of the rebuilt array is the rank of the original.
+    the same layout, and a single fit reuses the rank of an earlier one.
+    ``matrix_rank`` copies its input into a work buffer first, so the rank of
+    the rebuilt array is the rank of the original.
     """
     return int(np.linalg.matrix_rank(np.frombuffer(data, dtype=dtype).reshape(shape)))
+
+
+def _stack_ranks(X) -> np.ndarray:
+    """``matrix_rank`` of every lane of a design stack X (L, C, P+1).
+
+    Each distinct design is ranked once.  A stack of one distinct design
+    goes through the ``_design_rank`` memo; several are ranked in one
+    stacked ``matrix_rank``, which ranks each matrix as a lone call does.
+    """
+    keys = [x.tobytes() for x in X]
+    first: dict = {}
+    for lane, key in enumerate(keys):
+        first.setdefault(key, lane)
+    if len(first) == 1:
+        return np.full(len(keys), _design_rank(X.shape[1:], X.dtype.str, keys[0]))
+    rank = dict(zip(first, np.linalg.matrix_rank(X[list(first.values())]).tolist()))
+    return np.array([rank[key] for key in keys])
 
 
 def _check_rank(X, rank=None):
@@ -334,12 +364,144 @@ def _check_rank(X, rank=None):
 # fitting
 # ---------------------------------------------------------------------------
 
-def _check_binary(n, s, m2):
-    """ValueError unless each center's (n, s, m2) is that of a 0/1 vector:
+def _not_binary(n, s, m2):
+    """Mask of the centers whose (n, s, m2) are not those of a 0/1 vector:
     an integer s in [0, n] and m2 = s (n - s) / n, to rounding."""
-    if np.any((s != np.round(s)) | (s < 0.0) | (s > n)
-              | (np.abs(m2 - s * (n - s) / n) > 1e-9 * n)):
+    return ((s != np.round(s)) | (s < 0.0) | (s > n)
+            | (np.abs(m2 - s * (n - s) / n) > 1e-9 * n))
+
+
+def _check_binary(n, s, m2):
+    """ValueError unless every center's statistics are those of 0/1 outcomes."""
+    if np.any(_not_binary(n, s, m2)):
         raise ValueError("center statistics are not those of 0/1 outcomes")
+
+
+def _lanewise(op, *stacks):
+    """``op`` (``np.linalg.solve`` or ``inv``) over stacked matrices, and the
+    mask of lanes whose matrix is singular.
+
+    A singular matrix makes the stacked call raise for the whole stack; then
+    ``op`` runs lane by lane and a singular lane's result is left zero.
+    """
+    singular = np.zeros(len(stacks[0]), dtype=bool)
+    try:
+        return op(*stacks), singular
+    except np.linalg.LinAlgError:
+        out = np.zeros(stacks[-1].shape)
+        for j in range(len(out)):
+            try:
+                out[j] = op(*(a[j] for a in stacks))
+            except np.linalg.LinAlgError:
+                singular[j] = True
+        return out, singular
+
+
+def _fit_binary_stack(X, m, s, m2) -> list:
+    """Logistic fits of L independent grouped designs at once.
+
+    ``X`` (L, C, P+1), ``m``, ``s`` and ``m2`` (L, C) are what
+    ``_stack_rows`` returns.  Each lane is fitted as ``fit_binary`` fits
+    one: the same input checks, IRLS with step-halving, gradient-norm
+    tolerance ``GRAD_TOL``, at most ``MAX_ITER`` iterations and the
+    ``COEF_CAP`` divergence test.  Only the lanes still iterating are
+    computed on, and every stacked product, solve and dot works on each
+    lane as the lone call would, so a lane's numbers do not depend on the
+    other lanes.
+
+    Returns one entry per lane: its ``FittedModel``, or the exception the
+    fit of that lane alone raises (returned, not raised).
+    """
+    L, _, k = X.shape
+    out: list = [None] * L
+
+    def fail(lanes, cls, message):
+        for lane in lanes:
+            if out[lane] is None:
+                out[lane] = cls(message)
+
+    def pending():
+        return np.array([lane for lane in range(L) if out[lane] is None], dtype=np.intp)
+
+    with np.errstate(all="ignore"):  # lanes that fail one check meet the next ones
+        finite = (np.isfinite(X).all(axis=(1, 2)) & np.isfinite(m).all(axis=1)
+                  & np.isfinite(s).all(axis=1) & np.isfinite(m2).all(axis=1))
+        fail(np.flatnonzero(~finite), NonFiniteError, "non-finite value in model input")
+        fail(np.flatnonzero(_not_binary(m, s, m2).any(axis=1)), ValueError,
+             "center statistics are not those of 0/1 outcomes")
+        total_s = s.sum(axis=1)
+        fail(np.flatnonzero((total_s <= 0) | (total_s >= m.sum(axis=1))), SeparationError,
+             "all outcomes identical; logistic MLE does not exist")
+    act = pending()
+    if act.size:
+        fail(act[_stack_ranks(X[act]) < k], RankDeficientError,
+             "design matrix is rank deficient; coefficients are not identifiable")
+        act = pending()
+
+    def loglik(Xa, ma, sa, b):
+        eta = (Xa @ b[:, :, None])[:, :, 0]
+        return np.vecdot(sa, eta) - np.vecdot(ma, np.logaddexp(0.0, eta))
+
+    beta_out = np.zeros((L, k))
+    n_iter = np.full(L, MAX_ITER)
+    Xa, ma, sa = X[act], m[act], s[act]
+    beta = np.zeros((act.size, k))
+    ll = loglik(Xa, ma, sa, beta)
+    for it in range(1, MAX_ITER + 1):
+        if not act.size:
+            break
+        p = expit((Xa @ beta[:, :, None])[:, :, 0])
+        grad = (np.swapaxes(Xa, 1, 2) @ (sa - ma * p)[:, :, None])[:, :, 0]
+        keep = np.sqrt(np.vecdot(grad, grad)) > GRAD_TOL
+        if not keep.all():
+            beta_out[act[~keep]] = beta[~keep]
+            n_iter[act[~keep]] = it - 1
+            act, Xa, ma, sa, beta, ll, p, grad = (
+                a[keep] for a in (act, Xa, ma, sa, beta, ll, p, grad))
+            if not act.size:
+                break
+        step, singular = _lanewise(np.linalg.solve, logistic_information(Xa, ma, p),
+                                   grad[:, :, None])
+        step = step[:, :, 0]
+        new_beta = beta + step
+        new_ll = loglik(Xa, ma, sa, new_beta)
+        halve = ~singular & (~np.isfinite(new_ll) | (new_ll < ll - 1e-12))
+        halvings = 0
+        while halvings < 30 and halve.any():
+            j = np.flatnonzero(halve)
+            step[j] *= 0.5
+            new_beta[j] = beta[j] + step[j]
+            new_ll[j] = loglik(Xa[j], ma[j], sa[j], new_beta[j])
+            halve[j] = ~np.isfinite(new_ll[j]) | (new_ll[j] < ll[j] - 1e-12)
+            halvings += 1
+        beta, ll = new_beta, new_ll
+        nonfinite = ~np.isfinite(beta).all(axis=1)
+        with np.errstate(invalid="ignore"):
+            capped = ~nonfinite & (np.abs(beta).max(axis=1) > COEF_CAP)
+        fail(act[singular], SeparationError,
+             "information matrix singular during iteration (separated data?)")
+        fail(act[nonfinite], NonFiniteError, "non-finite coefficients during logistic fit")
+        fail(act[capped], SeparationError,
+             f"coefficient magnitude exceeded {COEF_CAP}; data likely separated")
+        keep = ~(singular | nonfinite | capped)
+        if not keep.all():
+            act, Xa, ma, sa, beta, ll = (a[keep] for a in (act, Xa, ma, sa, beta, ll))
+    beta_out[act] = beta
+
+    ok = pending()
+    if not ok.size:
+        return out
+    Xo, mo, bo = X[ok], m[ok], beta_out[ok]
+    H = logistic_information(Xo, mo, expit((Xo @ bo[:, :, None])[:, :, 0]))
+    cov, singular = _lanewise(np.linalg.inv, H)
+    fail(ok[singular], SeparationError, "observed information singular at the optimum")
+    sizes = mo.sum(axis=1)
+    for j, lane in enumerate(ok.tolist()):
+        if out[lane] is None:
+            out[lane] = FittedModel(beta=bo[j], link="logit", covariance=cov[j],
+                                    n_used=int(sizes[j]), kind="binary",
+                                    n_iter=int(n_iter[lane]))
+    return out
 
 
 def fit_binary(records) -> FittedModel:
@@ -347,73 +509,15 @@ def fit_binary(records) -> FittedModel:
 
     Works on per-center success counts (all observations in a center share a
     package, so the grouped likelihood is exact). IRLS with step-halving,
-    gradient-norm tolerance 1e-8, at most 100 iterations.  Centers whose
-    statistics are not those of 0/1 outcomes raise ValueError; the one case
-    the statistics cannot see is a vector that is not 0/1 but has the size,
-    sum and m2 of one.
+    gradient-norm tolerance 1e-8, at most 100 iterations: the one-lane call
+    of ``_fit_binary_stack``.  Centers whose statistics are not those of 0/1
+    outcomes raise ValueError; the one case the statistics cannot see is a
+    vector that is not 0/1 but has the size, sum and m2 of one.
     """
-    X, m, s, m2 = _center_rows(records)
-    _check_finite(X, m, s, m2)
-    _check_binary(m, s, m2)
-    total_s = s.sum()
-    if total_s <= 0 or total_s >= m.sum():
-        raise SeparationError("all outcomes identical; logistic MLE does not exist")
-    _check_rank(X)
-
-    beta = np.zeros(X.shape[1])
-
-    def loglik(b):
-        eta = X @ b
-        return float(s @ eta - m @ np.logaddexp(0.0, eta))
-
-    # The iteration's scalar tests run on Python floats; numpy's vector norm
-    # is sqrt(g.dot(g)) too, so every decision matches the array form.
-    ll = loglik(beta)
-    n_iter = 0
-    for n_iter in range(1, MAX_ITER + 1):
-        eta = X @ beta
-        p = expit(eta)
-        grad = X.T @ (s - m * p)
-        if math.sqrt(grad.dot(grad)) <= GRAD_TOL:
-            n_iter -= 1
-            break
-        H = logistic_information(X, m, p)
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SeparationError(
-                "information matrix singular during iteration (separated data?)"
-            ) from exc
-        new_beta = beta + step
-        new_ll = loglik(new_beta)
-        halvings = 0
-        while (not math.isfinite(new_ll) or new_ll < ll - 1e-12) and halvings < 30:
-            step *= 0.5
-            new_beta = beta + step
-            new_ll = loglik(new_beta)
-            halvings += 1
-        beta, ll = new_beta, new_ll
-        coefs = beta.tolist()
-        if not all(map(math.isfinite, coefs)):
-            raise NonFiniteError("non-finite coefficients during logistic fit")
-        if max(map(abs, coefs)) > COEF_CAP:
-            raise SeparationError(
-                f"coefficient magnitude exceeded {COEF_CAP}; data likely separated"
-            )
-
-    H = logistic_information(X, m, expit(X @ beta))
-    try:
-        cov = np.linalg.inv(H)
-    except np.linalg.LinAlgError as exc:
-        raise SeparationError("observed information singular at the optimum") from exc
-    return FittedModel(
-        beta=beta,
-        link="logit",
-        covariance=cov,
-        n_used=int(m.sum()),
-        kind="binary",
-        n_iter=n_iter,
-    )
+    (result,) = _fit_binary_stack(*_stack_rows([records]))
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def fit_continuous(records, link: str = "identity") -> FittedModel:

@@ -1,15 +1,18 @@
 """Monte Carlo evaluation of staged adaptive designs.
 
-``run_scenario`` replays a whole trial per replicate -- draw stage-1
-outcomes under the true coefficients, fit, recommend, deploy the
-recommendation in the next stage, and finish with the final test and the
-final cost-minimal package -- then aggregates the estimator and decision
-metrics across replicates.
+``run_scenario`` runs its replicates in lockstep, one stage at a time:
+every replicate draws its stage outcomes under the true coefficients
+(deploying its own recommendation after stage 1), then the pooled binary
+fits of all replicates run as one stacked IRLS.  After the last stage
+each replicate finishes on its own with the final test and the final
+cost-minimal package, and the estimator and decision metrics are
+aggregated across replicates.
 
 Reproducibility contract: every replicate gets its own substream spawned
-from a single ``SeedSequence``, so results do not depend on how the work
-is split across processes.  ``run_scenario(spec, threads=4)`` and the
-serial run agree bitwise.
+from a single ``SeedSequence``, and a replicate's numbers do not depend on
+which other replicates share its stack, so results do not depend on how
+the work is split across processes.  ``run_scenario(spec, threads=4)`` and
+the serial run agree bitwise.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .model import (
     StageRecord,
     _assumed,
     _center_rows,
+    _fit_binary_stack,
+    _stack_rows,
     expit,
     link_inverse,
     predict,
@@ -40,6 +45,7 @@ from .power import ArmSummary, TestSelector, _passing_root, norm_quantile
 from .trial import (
     PlannedStage,
     TrialConfig,
+    _store_fit,
     final_optimal,
     final_test,
     ingest_stage,
@@ -395,12 +401,31 @@ def _trial_config(spec: ScenarioSpec) -> TrialConfig:
     )
 
 
-def _draw_center(rng, spec, truth, arm, x, n):
-    mean = predict(truth, x)
+def _draw_stage(rng, spec, truth, stage_index, splan, packages) -> StageRecord:
+    """One replicate's stage: its control centers, then one intervention
+    center per package, each drawn around ``predict``'s mean.
+
+    Continuous outcomes are one block of standard normals, scaled and
+    shifted per center: ``loc + scale * z`` is how ``rng.normal`` makes each
+    draw, so the outcomes and the stream position after them equal one
+    ``rng.normal`` call per center, and one block costs less than a call
+    per center.  Binary centers keep one scalar ``rng.binomial`` call each,
+    which costs less than one call over an array of probabilities.
+    """
+    n = splan.n_per_center
+    xs = [np.zeros(spec.n_components)] * splan.n_control_centers + list(packages)
+    arms = [0] * splan.n_control_centers + [1] * len(packages)
+    means = [predict(truth, x) for x in xs]
     if spec.outcome_kind == "binary":
-        successes = int(rng.binomial(n, mean))
-        return CenterData.from_stats(arm, x, n, successes, successes * (n - successes) / n)
-    return CenterData(arm=arm, package=x, outcomes=rng.normal(mean, spec.outcome_sigma, size=n))
+        successes = [int(rng.binomial(n, p)) for p in means]
+        centers = [
+            CenterData.from_stats(arm, x, n, k, k * (n - k) / n)
+            for arm, x, k in zip(arms, xs, successes)
+        ]
+    else:
+        ys = np.array(means)[:, None] + spec.outcome_sigma * rng.standard_normal((len(xs), n))
+        centers = [CenterData(arm, x, y) for arm, x, y in zip(arms, xs, ys)]
+    return StageRecord(stage_index, centers)
 
 
 def _deployed_package(spec: ScenarioSpec, x) -> np.ndarray:
@@ -448,65 +473,108 @@ def _sandwich_cov(state, model):
     return model.covariance @ meat @ model.covariance
 
 
-def _simulate_replicate(spec: ScenarioSpec, config: TrialConfig, child_seed) -> tuple:
-    """Run one trial end to end under ``config`` (the run's ``_trial_config``).
+# What a failed replicate raised; any other exception ends the run.
+_REPLICATE_ERRORS = (LagoError, np.linalg.LinAlgError)
 
-    Returns ("ok", payload) or ("fail", kind).
+
+def _fit_used(spec: ScenarioSpec, stage_index: int) -> bool:
+    """Whether the pooled fit after ``stage_index`` is used: after the last
+    stage always, before a stage only when it deploys a recommendation."""
+    if stage_index == len(spec.stages):
+        return True
+    return spec.design_mode == "lago" and spec.stages[stage_index].probe_packages is None
+
+
+def _finish_replicate(spec: ScenarioSpec, state, truth) -> tuple:
+    """Final estimates, test and packages of one completed trial."""
+    model = refit(state)
+    if spec.se_source == "sandwich" and spec.outcome_kind == "binary":
+        covariance = _sandwich_cov(state, model)
+    else:
+        covariance = model.covariance
+    result = final_test(state, alpha=spec.goals.alpha)
+
+    x_rec = None
+    if state.recommendations:
+        x_rec = np.asarray(state.recommendations[-1].x_hat, dtype=float)
+    x_opt = None
+    if spec.goals.outcome_goal is not None:
+        x_opt = np.asarray(final_optimal(state).x_hat, dtype=float)
+
+    x_for_propt = x_rec if x_rec is not None else x_opt
+    propt = None if x_for_propt is None else predict(truth, x_for_propt)
+    payload = {
+        "beta": np.asarray(model.beta, dtype=float),
+        "se": np.sqrt(np.diag(covariance)),
+        "reject": bool(result.reject),
+        "x_rec": x_rec,
+        "x_opt": x_opt,
+        "propt": propt,
+    }
+    return ("ok", payload)
+
+
+def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> list:
+    """Run one trial per seed under ``config`` (the run's ``_trial_config``),
+    all trials ("lanes") advancing one stage at a time.
+
+    Per stage, each live lane picks its packages, draws from its own stream
+    and ingests the stage; then, for a binary outcome, the pooled fits of
+    all live lanes run as one ``_fit_binary_stack`` call and each lands in
+    its state's ``refit`` memo.  Continuous lanes fit on their own when
+    first refitted.  Returns one ("ok", payload) or ("fail", kind) per
+    seed, in seed order.
     """
-    rng = np.random.default_rng(child_seed)
     truth = _true_model(spec)
-    try:
-        state = new_trial(config)
-        for stage_index, splan in enumerate(spec.stages, start=1):
-            packages = _stage_packages(spec, splan, stage_index, state)
-            if spec.distortion is not None:
-                packages = [
-                    np.asarray(spec.distortion(stage_index, j, x), dtype=float)
-                    for j, x in enumerate(packages)
-                ]
-            arms = [(0, np.zeros(spec.n_components))] * splan.n_control_centers
-            centers = [
-                _draw_center(rng, spec, truth, arm, x, splan.n_per_center)
-                for arm, x in arms + [(1, x) for x in packages]
-            ]
-            with warnings.catch_warnings():
-                # A distortion hook may push packages outside the nominal
-                # bounds on purpose; the per-ingest warning is noise here.
-                warnings.simplefilter("ignore")
-                state = ingest_stage(state, StageRecord(stage_index, centers))
+    rngs = [np.random.default_rng(cs) for cs in child_seeds]
+    states = [new_trial(config) for _ in rngs]
+    outcomes: list = [None] * len(states)
+    live = list(range(len(states)))
+    for stage_index, splan in enumerate(spec.stages, start=1):
+        records = {}
+        for i in live:
+            try:
+                packages = _stage_packages(spec, splan, stage_index, states[i])
+                if spec.distortion is not None:
+                    packages = [
+                        np.asarray(spec.distortion(stage_index, j, x), dtype=float)
+                        for j, x in enumerate(packages)
+                    ]
+                records[i] = _draw_stage(rngs[i], spec, truth, stage_index, splan, packages)
+            except _REPLICATE_ERRORS as exc:
+                outcomes[i] = ("fail", type(exc).__name__)
+        with warnings.catch_warnings():
+            # A distortion hook may push packages outside the nominal
+            # bounds on purpose; the per-ingest warning is noise here.
+            warnings.simplefilter("ignore")
+            for i, record in records.items():
+                try:
+                    states[i] = ingest_stage(states[i], record)
+                except _REPLICATE_ERRORS as exc:
+                    outcomes[i] = ("fail", type(exc).__name__)
+        live = [i for i in live if outcomes[i] is None]
+        if live and spec.outcome_kind == "binary" and _fit_used(spec, stage_index):
+            pooled = _stack_rows([states[i].completed for i in live])
+            for i, fit in zip(live, _fit_binary_stack(*pooled)):
+                if isinstance(fit, FittedModel):
+                    _store_fit(states[i], fit)
+                elif isinstance(fit, _REPLICATE_ERRORS):
+                    outcomes[i] = ("fail", type(fit).__name__)
+                else:
+                    raise fit
+            live = [i for i in live if outcomes[i] is None]
 
-        model = refit(state)
-        if spec.se_source == "sandwich" and spec.outcome_kind == "binary":
-            covariance = _sandwich_cov(state, model)
-        else:
-            covariance = model.covariance
-        result = final_test(state, alpha=spec.goals.alpha)
-
-        x_rec = None
-        if state.recommendations:
-            x_rec = np.asarray(state.recommendations[-1].x_hat, dtype=float)
-        x_opt = None
-        if spec.goals.outcome_goal is not None:
-            x_opt = np.asarray(final_optimal(state).x_hat, dtype=float)
-
-        x_for_propt = x_rec if x_rec is not None else x_opt
-        propt = None if x_for_propt is None else predict(truth, x_for_propt)
-        payload = {
-            "beta": np.asarray(model.beta, dtype=float),
-            "se": np.sqrt(np.diag(covariance)),
-            "reject": bool(result.reject),
-            "x_rec": x_rec,
-            "x_opt": x_opt,
-            "propt": propt,
-        }
-        return ("ok", payload)
-    except (LagoError, np.linalg.LinAlgError) as exc:
-        return ("fail", type(exc).__name__)
+    for i in live:
+        try:
+            outcomes[i] = _finish_replicate(spec, states[i], truth)
+        except _REPLICATE_ERRORS as exc:
+            outcomes[i] = ("fail", type(exc).__name__)
+    return outcomes
 
 
-def _replicate_worker(args):
-    spec, config, child_seed = args
-    return _simulate_replicate(spec, config, child_seed)
+def _block_worker(args):
+    spec, config, child_seeds = args
+    return _simulate_block(spec, config, child_seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +582,17 @@ def _replicate_worker(args):
 
 
 def _resolve_threads(threads) -> int:
+    """Worker process count: ``threads``, else LAGO_THREADS, else 1.
+
+    ``threads`` must be an integer >= 1; a bool or a float raises rather
+    than being truncated.  LAGO_THREADS is parsed with ``int``.
+    """
     if threads is None:
-        threads = os.environ.get("LAGO_THREADS", "1")
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    return threads
+        threads = int(os.environ.get("LAGO_THREADS", "1"))
+    if isinstance(threads, bool):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_count("threads", threads, 1)
+    return int(threads)
 
 
 def _rel_bias_pct(estimate, reference):
@@ -554,8 +627,9 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
     """Estimate a scenario's operating characteristics by simulation.
 
     ``seed`` overrides ``spec.rng_seed``; one of the two must be set.  With
-    ``threads > 1`` (or LAGO_THREADS in the environment) replicates run in
-    a process pool, with results identical to the serial run.
+    ``threads > 1`` (or LAGO_THREADS in the environment) the replicates are
+    split into one contiguous block of seeds per worker process, each run by
+    the same lockstep engine, with results identical to the serial run.
     """
     if seed is None:
         seed = spec.rng_seed
@@ -567,12 +641,12 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
     config = _trial_config(spec)
     child_seeds = np.random.SeedSequence(seed).spawn(spec.replicates)
     if threads == 1:
-        outcomes = [_simulate_replicate(spec, config, cs) for cs in child_seeds]
+        outcomes = _simulate_block(spec, config, child_seeds)
     else:
-        jobs = [(spec, config, cs) for cs in child_seeds]
-        chunk = max(1, spec.replicates // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_replicate_worker, jobs, chunksize=chunk))
+        cuts = [spec.replicates * w // threads for w in range(threads + 1)]
+        jobs = [(spec, config, child_seeds[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            outcomes = [o for block in pool.map(_block_worker, jobs) for o in block]
 
     payloads = [p for status, p in outcomes if status == "ok"]
     failure_kinds: dict = {}

@@ -276,8 +276,15 @@ def refit(state: TrialState) -> FittedModel:
         model = fit_binary(state.completed)
     else:
         model = fit_continuous(state.completed, link=state.config.outcome_link)
-    state._fit = (state.completed, model)
+    _store_fit(state, model)
     return model
+
+
+def _store_fit(state: TrialState, model: FittedModel) -> None:
+    """Make ``model`` what ``refit(state)`` returns for the stages completed
+    now: a fit of exactly those stages made elsewhere, such as one lane of
+    a stacked fit."""
+    state._fit = (state.completed, model)
 
 
 def next_recommendation(state: TrialState) -> Recommendation:

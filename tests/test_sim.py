@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lago.sim as sim_module
 import lago.trial as trial_module
 from lago.optimizer import GoalSpec, min_cost_subject_to_threshold
 from lago.power import TestSelector as Selector
@@ -17,7 +18,7 @@ from lago.sim import (
     ScenarioSpec,
     StagePlan,
     _deployed_package,
-    _simulate_replicate,
+    _resolve_threads,
     _trial_config,
     betterbirth_model,
     betterbirth_power,
@@ -80,20 +81,51 @@ def test_parallel_matches_serial_bitwise_with_a_power_goal():
     assert serial.to_dict() == parallel.to_dict()
 
 
+def counting_fits(monkeypatch):
+    """Lanes per stacked-kernel call made by the engine, and single-lane
+    ``fit_binary`` calls made through ``refit``."""
+    stacked, single = [], []
+    real_stack, real_single = sim_module._fit_binary_stack, trial_module.fit_binary
+    monkeypatch.setattr(
+        sim_module, "_fit_binary_stack", lambda X, *rest: stacked.append(len(X)) or real_stack(X, *rest)
+    )
+    monkeypatch.setattr(
+        trial_module, "fit_binary", lambda records: single.append(1) or real_single(records)
+    )
+    return stacked, single
+
+
 def test_two_stage_replicate_fits_twice(monkeypatch):
     # one fit on stage 1 for the recommendation, one on both stages shared by
     # the estimates, the Wald final test and the final package
-    calls = []
-    real = trial_module.fit_binary
-    monkeypatch.setattr(
-        trial_module, "fit_binary", lambda records: calls.append(1) or real(records)
-    )
+    stacked, single = counting_fits(monkeypatch)
     goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary"))
-    spec = small(scenario_1a, reps=1, goals=goals)
-    status, payload = _simulate_replicate(spec, _trial_config(spec), np.random.SeedSequence(7))
-    assert status == "ok", payload
-    assert payload["x_rec"] is not None and payload["x_opt"] is not None
-    assert len(calls) == 2
+    report = run_scenario(small(scenario_1a, reps=1, goals=goals), seed=7, threads=1)
+    assert report.n_used == 1, report.failure_kinds
+    assert report.mean_recommendation is not None and report.opt_rel_bias_pct is not None
+    assert stacked == [1, 1] and single == []
+
+
+def test_replicate_block_fits_each_stage_in_one_kernel_call(monkeypatch):
+    stacked, single = counting_fits(monkeypatch)
+    report = run_scenario(small(scenario_1a, reps=50), seed=SEED, threads=1)
+    assert report.failures == 0, report.failure_kinds
+    assert stacked == [50, 50] and single == []
+
+
+@pytest.mark.parametrize("threads", [2.5, True, 0, -1])
+def test_thread_count_must_be_a_positive_integer(threads):
+    with pytest.raises(ValueError, match="threads"):
+        run_scenario(small(scenario_1a, reps=2), seed=SEED, threads=threads)
+
+
+def test_thread_count_from_the_environment(monkeypatch):
+    monkeypatch.setenv("LAGO_THREADS", "3")
+    assert _resolve_threads(None) == 3
+    assert _resolve_threads(np.int64(2)) == 2
+    monkeypatch.setenv("LAGO_THREADS", "0")
+    with pytest.raises(ValueError):
+        _resolve_threads(None)
 
 
 def test_seed_argument_overrides_spec_seed():
