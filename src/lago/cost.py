@@ -13,12 +13,90 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import config_errors
 
 
+def _stationary_points(c) -> tuple:
+    """Sorted distinct real stationary points of sum(c[k] * x**k).
+
+    Derivatives of degree 1 and 2 are solved in closed form (the quadratic
+    without cancellation); a complex pair counts as one real point at its
+    real part when its imaginary part is within 1e-9 * (1 + |re|), the
+    tolerance applied to the ``polyroots`` eigenvalues of higher degrees.
+    """
+    d = [k * c[k] for k in range(1, len(c))]
+    while d and d[-1] == 0.0:
+        d.pop()
+    if len(d) == 2:
+        return (-d[0] / d[1],)
+    if len(d) == 3:
+        c0, b, a = d
+        disc = b * b - 4.0 * a * c0
+        if disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            pts = (q / a, c0 / q) if q != 0.0 else (0.0,)
+        else:
+            re = -b / (2.0 * a)
+            near_real = math.sqrt(-disc) / (2.0 * abs(a)) <= 1e-9 * (1.0 + abs(re))
+            pts = (re,) if near_real else ()
+    elif len(d) > 3:
+        pts = [
+            float(root.real)
+            for root in npoly.polyroots(d)
+            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real))
+        ]
+    else:
+        return ()
+    return tuple(sorted(set(pts)))
+
+
+class _ComponentPoly:
+    """One component's cost polynomial with precomputed stationary points.
+
+    ``coeffs`` is a list of Python floats in increasing degree; evaluation is
+    the Horner recurrence of ``numpy.polynomial.polynomial.polyval`` in the
+    same order, so values agree with it bitwise.  A ``CostFunction`` shares
+    its instances with every solve, so treat them as read-only.
+    """
+
+    __slots__ = ("coeffs", "stationary")
+
+    def __init__(self, coeffs):
+        self.coeffs = [float(v) for v in coeffs]
+        self.stationary = _stationary_points(self.coeffs)
+
+    def __call__(self, x: float) -> float:
+        v = 0.0
+        for ck in reversed(self.coeffs):
+            v = ck + v * x
+        return v
+
+    def min_on(self, a: float, b: float):
+        """Exact minimum on [a, b] as (x, cost); None for an empty interval.
+
+        Ties within 1e-12 relative go to the smallest x.
+        """
+        if b < a:
+            return None
+        cands = [a, b] + [t for t in self.stationary if a < t < b]
+        vals = [self(t) for t in cands]
+        vmin = min(vals)
+        tol = 1e-12 * (1.0 + abs(vmin))
+        x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
+        return x, self(x)
+
+    def options_on(self, a: float, b: float):
+        """Bound and interior stationary values — the candidate fixings."""
+        return sorted({a, b, *(t for t in self.stationary if a < t < b)})
+
+
 @dataclass(frozen=True)
 class CostFunction:
+    """A separable polynomial cost; ``polys`` holds the ``_ComponentPoly`` of
+    each component up to the largest one referenced, built once."""
+
     terms: tuple[tuple[int | None, int, float], ...]
 
     def __post_init__(self):
@@ -42,6 +120,10 @@ class CostFunction:
                 raise ValueError(f"cost coefficient of the {name} term must be finite")
             cleaned.append((comp, degree, coeff))
         object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "polys", tuple(
+            _ComponentPoly(self.component_coefficients(p))
+            for p in range(self.max_component + 1)
+        ))
 
     # -- structure ---------------------------------------------------------
 

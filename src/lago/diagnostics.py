@@ -21,7 +21,7 @@ import numpy as np
 from .cost import CostFunction
 from .errors import LagoError
 from .model import FittedModel, _assumed, expit, logistic_information
-from .optimizer import GoalSpec, _threshold_core, min_cost_subject_to_threshold
+from .optimizer import GoalSpec, _bounds_arrays, _threshold_core, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, norm_quantile
 from .sim import StagePlan
 
@@ -63,6 +63,7 @@ class DominanceDesign:
                 raise ValueError("stages must be StagePlan values")
         if self.stages[0].probe_packages is None:
             raise ValueError("stage 1 needs explicit probe packages")
+        _bounds_arrays(self.bounds, len(self.bounds))
 
 
 def dominance_design(n_per_center: int = 40) -> DominanceDesign:
@@ -162,7 +163,8 @@ def dominance_threshold(
         # the z kinds never price packages; a flat stand-in keeps the
         # threshold machinery uniform
         cost = CostFunction(((None, 0, 0.0),))
-    level, _ = _threshold_core(model, summary, goals, cost, design.bounds)
+    lo, hi = _bounds_arrays(design.bounds, model.n_components)
+    level, _ = _threshold_core(model, summary, goals, cost, lo, hi)
     return float(level)
 
 

@@ -14,7 +14,6 @@ step-halving); refitting the same data gives bitwise-identical coefficients.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -35,9 +34,6 @@ CONTINUOUS_LINKS = ("identity", "log")
 COEF_CAP = 30.0
 GRAD_TOL = 1e-8
 MAX_ITER = 100
-
-# Entries kept by the process-local memo of design ranks.
-RANK_MEMO_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -317,35 +313,6 @@ def _check_finite(*arrays):
             raise NonFiniteError("non-finite value in model input")
 
 
-@functools.lru_cache(maxsize=RANK_MEMO_SIZE)
-def _design_rank(shape, dtype, data) -> int:
-    """``matrix_rank`` of the design whose shape, dtype and bytes are given.
-
-    Memoized: every replicate of a simulated trial fits a stage-1 design with
-    the same layout, and a single fit reuses the rank of an earlier one.
-    ``matrix_rank`` copies its input into a work buffer first, so the rank of
-    the rebuilt array is the rank of the original.
-    """
-    return int(np.linalg.matrix_rank(np.frombuffer(data, dtype=dtype).reshape(shape)))
-
-
-def _stack_ranks(X) -> np.ndarray:
-    """``matrix_rank`` of every lane of a design stack X (L, C, P+1).
-
-    Each distinct design is ranked once.  A stack of one distinct design
-    goes through the ``_design_rank`` memo; several are ranked in one
-    stacked ``matrix_rank``, which ranks each matrix as a lone call does.
-    """
-    keys = [x.tobytes() for x in X]
-    first: dict = {}
-    for lane, key in enumerate(keys):
-        first.setdefault(key, lane)
-    if len(first) == 1:
-        return np.full(len(keys), _design_rank(X.shape[1:], X.dtype.str, keys[0]))
-    rank = dict(zip(first, np.linalg.matrix_rank(X[list(first.values())]).tolist()))
-    return np.array([rank[key] for key in keys])
-
-
 def _check_rank(X, rank=None):
     """Raise RankDeficientError unless X has full column rank.
 
@@ -353,7 +320,7 @@ def _check_rank(X, rank=None):
     ``lstsq(..., rcond=None)`` returns); without it the rank is computed here.
     """
     if rank is None:
-        rank = _design_rank(X.shape, X.dtype.str, X.tobytes())
+        rank = np.linalg.matrix_rank(X)
     if rank < X.shape[1]:
         raise RankDeficientError(
             "design matrix is rank deficient; coefficients are not identifiable"
@@ -434,7 +401,7 @@ def _fit_binary_stack(X, m, s, m2) -> list:
              "all outcomes identical; logistic MLE does not exist")
     act = pending()
     if act.size:
-        fail(act[_stack_ranks(X[act]) < k], RankDeficientError,
+        fail(act[np.linalg.matrix_rank(X[act]) < k], RankDeficientError,
              "design matrix is rank deficient; coefficients are not identifiable")
         act = pending()
 

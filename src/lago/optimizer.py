@@ -18,15 +18,13 @@ higher working levels.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .cost import CostFunction
+from .cost import CostFunction, _ComponentPoly
 from .errors import InfeasibleError, NoThresholdError
 from .model import FittedModel, _assumed, link_forward, link_inverse, mirrored, predict
 from .power import (
@@ -62,11 +60,6 @@ _DIRECTIONS = ("increase", "decrease")
 REGIME_GOAL = "goal-feasible"
 REGIME_PMAX = "pmax-fallback"
 REGIME_SHRINK = "shrinking-fallback"
-
-# Entries kept by the process-local memos of validated bounds and of
-# per-component cost polynomials.
-BOUNDS_MEMO_SIZE = 64
-POLY_MEMO_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +156,7 @@ def _check_direction(direction: str) -> None:
 
 def _bounds_arrays(bounds, n_components: int):
     """Validated (lo, hi) arrays of ``bounds``, one (lower, upper) pair per
-    component.  Hashable bounds are memoized and give read-only arrays."""
-    try:
-        # Signs tell -0.0 from 0.0, the equal keys np.array keeps apart.
-        key = (bounds, tuple(math.copysign(1.0, v) for pair in bounds for v in pair))
-        hash(key)
-    except (TypeError, ValueError, OverflowError):
-        return _validated_bounds(bounds, n_components)
-    return _memo_bounds(key, n_components)
-
-
-@functools.lru_cache(maxsize=BOUNDS_MEMO_SIZE)
-def _memo_bounds(key, n_components: int):
-    lo, hi = _validated_bounds(key[0], n_components)
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
-
-
-def _validated_bounds(bounds, n_components: int):
+    component.  Public entry points call this once and hand the arrays on."""
     arr = np.array(bounds, dtype=float)
     if arr.shape != (n_components, 2):
         raise ValueError(
@@ -238,80 +214,6 @@ def p_max(model: FittedModel, bounds, direction: str = "increase") -> float:
 # ---------------------------------------------------------------------------
 # separable polynomial minimization over a box cut by a half-space
 # ---------------------------------------------------------------------------
-
-def _stationary_points(c) -> tuple:
-    """Sorted distinct real stationary points of sum(c[k] * x**k).
-
-    Derivatives of degree 1 and 2 are solved in closed form (the quadratic
-    without cancellation); a complex pair counts as one real point at its
-    real part when its imaginary part is within 1e-9 * (1 + |re|), the
-    tolerance applied to the ``polyroots`` eigenvalues of higher degrees.
-    """
-    d = [k * c[k] for k in range(1, len(c))]
-    while d and d[-1] == 0.0:
-        d.pop()
-    if len(d) == 2:
-        return (-d[0] / d[1],)
-    if len(d) == 3:
-        c0, b, a = d
-        disc = b * b - 4.0 * a * c0
-        if disc >= 0.0:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            pts = (q / a, c0 / q) if q != 0.0 else (0.0,)
-        else:
-            re = -b / (2.0 * a)
-            near_real = math.sqrt(-disc) / (2.0 * abs(a)) <= 1e-9 * (1.0 + abs(re))
-            pts = (re,) if near_real else ()
-    elif len(d) > 3:
-        pts = [
-            float(root.real)
-            for root in npoly.polyroots(d)
-            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real))
-        ]
-    else:
-        return ()
-    return tuple(sorted(set(pts)))
-
-
-class _ComponentPoly:
-    """One component's cost polynomial with precomputed stationary points.
-
-    ``coeffs`` is a list of Python floats in increasing degree; evaluation is
-    the Horner recurrence of ``numpy.polynomial.polynomial.polyval`` in the
-    same order, so values agree with it bitwise.  ``_component_polys`` shares
-    instances between calls, so treat them as read-only.
-    """
-
-    __slots__ = ("coeffs", "stationary")
-
-    def __init__(self, coeffs):
-        self.coeffs = [float(v) for v in coeffs]
-        self.stationary = _stationary_points(self.coeffs)
-
-    def __call__(self, x: float) -> float:
-        v = 0.0
-        for ck in reversed(self.coeffs):
-            v = ck + v * x
-        return v
-
-    def min_on(self, a: float, b: float):
-        """Exact minimum on [a, b] as (x, cost); None for an empty interval.
-
-        Ties within 1e-12 relative go to the smallest x.
-        """
-        if b < a:
-            return None
-        cands = [a, b] + [t for t in self.stationary if a < t < b]
-        vals = [self(t) for t in cands]
-        vmin = min(vals)
-        tol = 1e-12 * (1.0 + abs(vmin))
-        x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
-        return x, self(x)
-
-    def options_on(self, a: float, b: float):
-        """Bound and interior stationary values — the candidate fixings."""
-        return sorted({a, b, *(t for t in self.stationary if a < t < b)})
-
 
 def _segment_coeffs(f, g, A: float, B: float) -> list:
     """Coefficients of f(x) + g(A + B*x), composing g by Horner's rule."""
@@ -425,7 +327,9 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
         )
     eta_t = min(eta_target, eta_max)
 
-    infos = _component_polys(cost, P)
+    infos = cost.polys[:P]
+    if len(infos) < P:  # components the cost does not mention cost nothing
+        infos += (_ComponentPoly((0.0, 0.0)),) * (P - len(infos))
     x = np.empty(P)
     for p in range(P):
         x[p] = infos[p].min_on(lo[p], hi[p])[0]
@@ -437,10 +341,7 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     need = eta_t - base  # residual the effective components must supply
 
     if cost.is_linear:
-        lin = np.zeros(P)
-        for comp, deg, coef in cost.terms:
-            if comp is not None and deg == 1:
-                lin[comp] += coef
+        lin = [poly.coeffs[1] for poly in infos]
         _greedy_linear(x, lin, beta1, eff, lo, hi, eta_t - (beta0 + float(beta1 @ x)), ftol)
         return x
 
@@ -499,13 +400,6 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     for p in eff:
         x[p] = chosen[p]
     return x
-
-
-@functools.lru_cache(maxsize=POLY_MEMO_SIZE)
-def _component_polys(cost: CostFunction, P: int) -> tuple:
-    """The cost's ``_ComponentPoly`` of each of P components, memoized: equal
-    costs have equal terms, hence bitwise-equal coefficients."""
-    return tuple(_ComponentPoly(cost.component_coefficients(p)) for p in range(P))
 
 
 def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
@@ -570,6 +464,11 @@ def min_cost_subject_to_threshold(
     """
     _check_direction(direction)
     lo, hi = _bounds_arrays(bounds, model.n_components)
+    return _min_cost_at_level(model, cost, lo, hi, threshold, direction)
+
+
+def _min_cost_at_level(model, cost, lo, hi, threshold: float, direction: str):
+    """``min_cost_subject_to_threshold`` inside validated bounds (lo, hi)."""
     if cost.max_component >= model.n_components:
         raise ValueError(
             f"cost references component {cost.max_component + 1} but the model "
@@ -593,13 +492,14 @@ def _state_summary(trial_state, test: TestSelector | None, k: int) -> ArmSummary
     return ArmSummary.from_records(records, future=future, continuous=continuous)
 
 
-def _threshold_core(model, summary, goals: GoalSpec, cost, bounds):
+def _threshold_core(model, summary, goals: GoalSpec, cost, lo, hi):
     """Smallest future outcome level that certifies the power goal.
 
     Returns (raw_level, eta_work).  The bracket runs on the working linear
     predictor from the control level to the best level attainable in the
-    bounds.  Inside it the threshold is the root of a signed residual that
-    is >= 0 exactly where the goal is certified (so nan fails): power - pi
+    validated bounds (lo, hi).  Inside it the threshold is the root of a
+    signed residual that is >= 0 exactly where the goal is certified (so
+    nan fails): power - pi
     (-inf while the projected drift points the wrong way) for the
     unconditional approach, -slack for the conditional one, and the power of
     the cost-minimal package minus pi for the Wald test.
@@ -610,7 +510,6 @@ def _threshold_core(model, summary, goals: GoalSpec, cost, bounds):
     test, alpha, pi = goals.test, goals.alpha, goals.power_goal
     direction = goals.direction
     sign = 1.0 if direction == "increase" else -1.0
-    lo, hi = _bounds_arrays(bounds, model.n_components)
     wm = _work_model(model, direction)
     eta_lo = wm.intercept
     _, eta_hi = _eta_extremes(wm, lo, hi)
@@ -618,7 +517,7 @@ def _threshold_core(model, summary, goals: GoalSpec, cost, bounds):
     def residual(eta_w: float) -> float:
         raw = _raw_level(model.link, eta_w, direction)
         if test.wald:
-            x = min_cost_subject_to_threshold(model, cost, bounds, raw, direction)
+            x = _min_cost_at_level(model, cost, lo, hi, raw, direction)
             return unconditional_power(x, model, summary, test, alpha) - pi
         if goals.approach == "unconditional":
             drift = projected_drift_at_level(raw, model, summary)
@@ -662,7 +561,8 @@ def power_threshold(
     bounds = bounds if bounds is not None else trial_state.config.bounds
     k_next = len(trial_state.completed) + 1
     summary = _state_summary(trial_state, goals.test, k_next)
-    return _threshold_core(model, summary, goals, cost, bounds)[0]
+    lo, hi = _bounds_arrays(bounds, model.n_components)
+    return _threshold_core(model, summary, goals, cost, lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +659,7 @@ def recommend_from_summary(
         if summary is None:
             raise ValueError("a power goal needs observed/planned arm sizes")
         try:
-            _, eta_pow_w = _threshold_core(model, summary, goals, cost, bounds)
+            _, eta_pow_w = _threshold_core(model, summary, goals, cost, lo, hi)
             pow_attainable = True
         except NoThresholdError:
             pow_attainable = False

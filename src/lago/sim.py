@@ -1,22 +1,24 @@
 """Monte Carlo evaluation of staged adaptive designs.
 
-``run_scenario`` runs its replicates in lockstep, one stage at a time:
-every replicate draws its stage outcomes under the true coefficients
-(deploying its own recommendation after stage 1), then the pooled binary
-fits of all replicates run as one stacked IRLS.  After the last stage
-each replicate finishes on its own with the final test and the final
-cost-minimal package, and the estimator and decision metrics are
-aggregated across replicates.
+``run_scenario`` cuts its replicates into blocks of at most ``BLOCK_LANES``
+and runs each block in lockstep, one stage at a time: every replicate
+draws its stage outcomes under the true coefficients (deploying its own
+recommendation after stage 1), then the pooled binary fits of the block's
+replicates run as one stacked IRLS.  After the last stage each replicate
+finishes on its own with the final test and the final cost-minimal
+package, and the estimator and decision metrics are aggregated across
+replicates.
 
 Reproducibility contract: every replicate gets its own substream spawned
 from a single ``SeedSequence``, and a replicate's numbers do not depend on
-which other replicates share its stack, so results do not depend on how
-the work is split across processes.  ``run_scenario(spec, threads=4)`` and
-the serial run agree bitwise.
+which other replicates share its stack, so results do not depend on the
+block size or on how the blocks are shared among processes.
+``run_scenario(spec, threads=4)`` and the serial run agree bitwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -40,7 +42,7 @@ from .model import (
     link_inverse,
     predict,
 )
-from .optimizer import GoalSpec, min_cost_subject_to_threshold
+from .optimizer import GoalSpec, _bounds_arrays, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, _passing_root, norm_quantile
 from .trial import (
     PlannedStage,
@@ -57,6 +59,10 @@ from .trial import (
 _OUTCOME_KINDS = ("binary", "continuous")
 _DESIGN_MODES = ("lago", "factorial-repeat")
 _SE_SOURCES = ("model", "sandwich")
+
+# Most replicates ("lanes") one lockstep block runs at once; a block's trial
+# states live until its last stage, so this caps a run's memory.
+BLOCK_LANES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +162,7 @@ class ScenarioSpec:
         object.__setattr__(self, "true_beta", beta)
         n_comp = len(beta) - 1
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        if len(bounds) != n_comp:
-            raise ValueError(
-                f"bounds cover {len(bounds)} components but true_beta implies {n_comp}"
-            )
+        _bounds_arrays(bounds, n_comp)
         object.__setattr__(self, "bounds", bounds)
         stages = tuple(self.stages)
         if len(stages) < 2:
@@ -401,9 +404,11 @@ def _trial_config(spec: ScenarioSpec) -> TrialConfig:
     )
 
 
-def _draw_stage(rng, spec, truth, stage_index, splan, packages) -> StageRecord:
-    """One replicate's stage: its control centers, then one intervention
-    center per package, each drawn around ``predict``'s mean.
+def _draw_stage(rng, spec, truth, control_mean, stage_index, splan, packages) -> StageRecord:
+    """One replicate's stage: its control centers, drawn around
+    ``control_mean`` (the caller's ``predict`` of the zero package), then one
+    intervention center per package, drawn around its ``predict`` mean,
+    computed once per distinct package.
 
     Continuous outcomes are one block of standard normals, scaled and
     shifted per center: ``loc + scale * z`` is how ``rng.normal`` makes each
@@ -415,7 +420,8 @@ def _draw_stage(rng, spec, truth, stage_index, splan, packages) -> StageRecord:
     n = splan.n_per_center
     xs = [np.zeros(spec.n_components)] * splan.n_control_centers + list(packages)
     arms = [0] * splan.n_control_centers + [1] * len(packages)
-    means = [predict(truth, x) for x in xs]
+    mean_of = {key: predict(truth, x) for key, x in {x.tobytes(): x for x in packages}.items()}
+    means = [control_mean] * splan.n_control_centers + [mean_of[x.tobytes()] for x in packages]
     if spec.outcome_kind == "binary":
         successes = [int(rng.binomial(n, p)) for p in means]
         centers = [
@@ -526,6 +532,7 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
     seed, in seed order.
     """
     truth = _true_model(spec)
+    control_mean = predict(truth, np.zeros(spec.n_components))
     rngs = [np.random.default_rng(cs) for cs in child_seeds]
     states = [new_trial(config) for _ in rngs]
     outcomes: list = [None] * len(states)
@@ -540,7 +547,8 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
                         np.asarray(spec.distortion(stage_index, j, x), dtype=float)
                         for j, x in enumerate(packages)
                     ]
-                records[i] = _draw_stage(rngs[i], spec, truth, stage_index, splan, packages)
+                records[i] = _draw_stage(rngs[i], spec, truth, control_mean, stage_index,
+                                         splan, packages)
             except _REPLICATE_ERRORS as exc:
                 outcomes[i] = ("fail", type(exc).__name__)
         with warnings.catch_warnings():
@@ -570,11 +578,6 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
         except _REPLICATE_ERRORS as exc:
             outcomes[i] = ("fail", type(exc).__name__)
     return outcomes
-
-
-def _block_worker(args):
-    spec, config, child_seeds = args
-    return _simulate_block(spec, config, child_seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +629,11 @@ def true_optimum(spec: ScenarioSpec):
 def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
     """Estimate a scenario's operating characteristics by simulation.
 
-    ``seed`` overrides ``spec.rng_seed``; one of the two must be set.  With
-    ``threads > 1`` (or LAGO_THREADS in the environment) the replicates are
-    split into one contiguous block of seeds per worker process, each run by
-    the same lockstep engine, with results identical to the serial run.
+    ``seed`` overrides ``spec.rng_seed``; one of the two must be set.  The
+    replicates run in contiguous blocks of at most ``BLOCK_LANES`` seeds, so
+    memory does not grow with R.  With ``threads > 1`` (or LAGO_THREADS set)
+    the blocks, of at most ceil(R / threads) seeds, are shared among that
+    many worker processes, with results identical to the serial run.
     """
     if seed is None:
         seed = spec.rng_seed
@@ -640,13 +644,15 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
 
     config = _trial_config(spec)
     child_seeds = np.random.SeedSequence(seed).spawn(spec.replicates)
+    size = min(BLOCK_LANES, -(-spec.replicates // threads))
+    blocks = [child_seeds[a:a + size] for a in range(0, spec.replicates, size)]
+    run_block = functools.partial(_simulate_block, spec, config)
     if threads == 1:
-        outcomes = _simulate_block(spec, config, child_seeds)
+        results = list(map(run_block, blocks))
     else:
-        cuts = [spec.replicates * w // threads for w in range(threads + 1)]
-        jobs = [(spec, config, child_seeds[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            outcomes = [o for block in pool.map(_block_worker, jobs) for o in block]
+        with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+            results = list(pool.map(run_block, blocks))
+    outcomes = [o for block in results for o in block]
 
     payloads = [p for status, p in outcomes if status == "ok"]
     failure_kinds: dict = {}

@@ -237,12 +237,11 @@ def ingest_stage(state: TrialState, record: StageRecord) -> TrialState:
             f"stage packages have {record.n_components} components, "
             f"the trial is configured for {state.config.n_components}"
         )
-    lo, hi = _bounds_arrays(state.config.bounds, state.config.n_components)
-    box = list(zip(lo.tolist(), hi.tolist()))
     for c in record.centers:
         # A NaN entry compares False both ways, so it never warns.
         if c.arm == 1 and any(
-            v < a or v > b for v, (a, b) in zip(c.package.ravel().tolist(), box)
+            v < a or v > b
+            for v, (a, b) in zip(c.package.ravel().tolist(), state.config.bounds)
         ):
             warnings.warn(
                 f"stage {record.stage_index}: a center ran package "

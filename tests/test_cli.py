@@ -306,6 +306,22 @@ def test_simulate_emitted_config_reruns_identically(tmp_path, capsys):
     assert rerun == direct
 
 
+@pytest.mark.parametrize("bounds", [
+    [[2.0, 0.0], [0.0, 8.0]],
+    [[0.0, 2.0], [0.0, float("inf")]],
+    [[0.0, float("nan")], [0.0, 8.0]],
+])
+def test_simulate_rejects_invalid_bounds_before_emitting(tmp_path, capsys, bounds):
+    cfg_path, out = tmp_path / "spec.json", tmp_path / "emitted.json"
+    spec = SHIPPED_SCENARIOS["1a"](replicates=5)
+    cfg_path.write_text(json.dumps({**spec.to_config(), "bounds": bounds}))
+    code, captured = run(capsys, "simulate", "--config", cfg_path, "--seed", "3",
+                         "--emit-config", out)
+    assert code == 2
+    assert "bound" in captured.err
+    assert not out.exists()
+
+
 def test_simulate_null_variant_and_goal_overrides(capsys):
     payload = run_json(
         capsys, "simulate", "--scenario", "1a", "--reps", "40", "--seed", "5",

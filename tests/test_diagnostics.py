@@ -7,6 +7,7 @@ certifies at the returned level and fails just below it — which is
 independent of the bisection that produced the number.
 """
 
+import dataclasses
 import json
 import math
 
@@ -100,6 +101,13 @@ def test_dominance_design_validation():
     bare = StagePlan(2, 2, 40)
     with pytest.raises(ValueError, match="probe"):
         DominanceDesign(stages=(bare, bare), bounds=((0, 2), (0, 8)))
+    for bounds, message in [
+        (((2.0, 0.0), (0.0, 8.0)), "must not exceed its upper bound"),
+        (((0.0, 2.0), (0.0, math.inf)), "bounds must be finite"),
+        (((0.0, math.nan), (0.0, 8.0)), "bounds must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(dominance_design(40), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

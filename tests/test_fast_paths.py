@@ -1,24 +1,25 @@
-"""Differential and cache tests for the binary replicate's fast paths.
+"""Differential tests for the binary replicate's fast paths.
 
 The array ``expit``, the IRLS loop of ``fit_binary`` and its design-matrix
-build make fewer numpy calls than their first forms, and the rank of a
-design, validated bounds and per-component cost polynomials are memoized
-per process.  The first forms are kept here as oracles: each fast path must
-agree with its oracle bitwise, and every memo must be value-neutral and
-stay within its size bound.
+build make fewer numpy calls than their first forms.  The first forms are
+kept here as oracles: each fast path must agree with its oracle bitwise.
+Bounds are validated on every call, each ``CostFunction`` builds its
+component polynomials once, and no result depends on what ran before in the
+process.
 """
 
+import ast
 import dataclasses
 import math
+import pickle
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lago
-from lago import model as model_module
-from lago import optimizer as optimizer_module
 from lago import sim
 from lago.cost import CostFunction
 from lago.errors import LagoError, NonFiniteError, RankDeficientError, SeparationError
@@ -32,20 +33,11 @@ from lago.model import (
     _center_rows,
     _check_binary,
     _check_finite,
-    _check_rank,
-    _design_rank,
     expit,
     fit_binary,
     logistic_information,
 )
-from lago.optimizer import _bounds_arrays, _component_polys, _memo_bounds
-
-MEMOS = (_design_rank, _memo_bounds, _component_polys)
-
-
-def _clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
+from lago.optimizer import _bounds_arrays, _ComponentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +246,7 @@ def test_zero_dim_package_is_a_value_error():
 
 
 # ---------------------------------------------------------------------------
-# the rank memo
+# rank
 
 
 def _rank_deficient_records():
@@ -267,33 +259,13 @@ def _rank_deficient_records():
 
 
 def test_rank_deficient_design_raises_on_first_and_repeated_calls():
-    _clear_memos()
     for _ in range(3):
         with pytest.raises(RankDeficientError):
             fit_binary(_rank_deficient_records())
-    assert _design_rank.cache_info().hits >= 2
-
-
-def test_designs_with_equal_bytes_and_different_shapes_do_not_collide():
-    # Rows r1, r2 and r1 + r2 give a 3x4 of rank 2; the same twelve numbers
-    # read as a 4x3 have rank 3.
-    rng = np.random.default_rng(5)
-    r1, r2 = rng.normal(size=4), rng.normal(size=4)
-    wide = np.vstack([r1, r2, r1 + r2])
-    tall = wide.reshape(4, 3)
-    assert np.linalg.matrix_rank(wide) == 2 and np.linalg.matrix_rank(tall) == 3
-    assert wide.tobytes() == tall.tobytes()
-    for order in ((tall, wide), (wide, tall)):
-        _clear_memos()
-        for X in order:
-            assert _design_rank(X.shape, X.dtype.str, X.tobytes()) == np.linalg.matrix_rank(X)
-    _check_rank(tall)
-    with pytest.raises(RankDeficientError):
-        _check_rank(wide)
 
 
 # ---------------------------------------------------------------------------
-# the bounds memo
+# bounds
 
 
 @pytest.mark.parametrize("bounds, match", [
@@ -305,82 +277,53 @@ def test_designs_with_equal_bytes_and_different_shapes_do_not_collide():
     ((0.0, 2.0), "pairs"),
 ])
 def test_invalid_bounds_raise_on_every_call(bounds, match):
-    _clear_memos()
     for _ in range(3):
         with pytest.raises(ValueError, match=match):
             _bounds_arrays(bounds, 2)
-    assert _memo_bounds.cache_info().currsize == 0
 
 
-def test_list_and_array_bounds_take_the_uncached_path():
-    _clear_memos()
+def test_list_and_array_bounds_give_the_tuple_arrays():
     want = _bounds_arrays(((0.0, 2.0), (0.0, 8.0)), 2)
     for bounds in ([[0.0, 2.0], [0.0, 8.0]], [(0, 2), (0, 8)], np.array([[0.0, 2.0], [0.0, 8.0]])):
         lo, hi = _bounds_arrays(bounds, 2)
         assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
-    assert _memo_bounds.cache_info().currsize == 1
 
 
-def test_cached_bounds_are_read_only():
-    _clear_memos()
-    bounds = ((0.0, 2.0), (0.0, 8.0))
-    lo, hi = _bounds_arrays(bounds, 2)
-    with pytest.raises(ValueError):
-        lo[0] = 5.0
-    with pytest.raises(ValueError):
-        hi += 1.0
-    lo2, hi2 = _bounds_arrays(bounds, 2)
-    assert lo2.tolist() == [0.0, 0.0] and hi2.tolist() == [2.0, 8.0]
-
-
-def test_signed_zero_bounds_are_distinct_keys():
-    _clear_memos()
+def test_signed_zero_bounds_keep_their_sign():
     assert not np.signbit(_bounds_arrays(((0.0, 2.0),), 1)[0][0])
     assert np.signbit(_bounds_arrays(((-0.0, 2.0),), 1)[0][0])
     assert not np.signbit(_bounds_arrays(((0, 2.0),), 1)[0][0])
 
 
 # ---------------------------------------------------------------------------
-# the cost-polynomial memo
+# cost polynomials
 
 
-def test_equal_costs_share_polynomials_and_unequal_ones_do_not():
-    _clear_memos()
-    terms = ((0, 3, 2.0), (0, 1, 10.0), (None, 0, 10.0), (1, 3, 0.1), (1, 1, 2.0))
-    a, b = CostFunction(terms), CostFunction(tuple(terms))
-    assert a == b and a is not b
-    assert _component_polys(a, 2) is _component_polys(b, 2)
-    other = CostFunction(terms[:-1] + ((1, 1, 2.5),))
-    polys, others = _component_polys(a, 2), _component_polys(other, 2)
-    assert polys is not others
-    assert polys[0].coeffs == others[0].coeffs and polys[1].coeffs != others[1].coeffs
-    assert len(_component_polys(a, 3)) == 3
-    for p, poly in enumerate(polys):
-        assert poly.coeffs == a.component_coefficients(p).tolist()
+def _bits(polys):
+    return [(np.array(poly.coeffs).tobytes(), np.array(poly.stationary).tobytes())
+            for poly in polys]
 
 
-# ---------------------------------------------------------------------------
-# size bounds
-
-
-def test_every_memo_stays_within_its_bound():
-    _clear_memos()
-    rng = np.random.default_rng(9)
-    for i in range(1000):
-        X = np.column_stack([np.ones(3), rng.normal(size=3)])
-        _check_rank(X)
-        _bounds_arrays(((0.0, 1.0 + i),), 1)
-        _component_polys(CostFunction(((0, 2, 1.0 + i),)), 1)
-    assert _design_rank.cache_info().maxsize == model_module.RANK_MEMO_SIZE
-    assert _memo_bounds.cache_info().maxsize == optimizer_module.BOUNDS_MEMO_SIZE
-    assert _component_polys.cache_info().maxsize == optimizer_module.POLY_MEMO_SIZE
-    for memo in MEMOS:
-        info = memo.cache_info()
-        assert 0 < info.currsize <= info.maxsize
+def test_cost_polynomials_are_built_once_from_the_component_coefficients():
+    terms = ((0, 3, 2.0), (0, 2, -1.19), (0, 1, 10.0), (None, 0, 10.0), (2, 3, 0.1),
+             (2, 2, -0.2), (2, 1, 2.0))
+    cost = CostFunction(terms)
+    want = [_ComponentPoly(cost.component_coefficients(p)) for p in range(3)]
+    assert len(cost.polys) == 3  # component 1 is not mentioned: a zero polynomial
+    assert _bits(cost.polys) == _bits(want)
+    for copy in (pickle.loads(pickle.dumps(cost)), dataclasses.replace(cost)):
+        assert copy == cost and _bits(copy.polys) == _bits(want)
+    changed = dataclasses.replace(cost, terms=terms[:-1] + ((2, 1, 2.5),))
+    assert _bits(changed.polys)[:2] == _bits(want)[:2]
+    assert changed.polys[2].coeffs != want[2].coeffs
+    equal = CostFunction(tuple(terms))
+    assert equal == cost and equal is not cost
+    assert [poly.coeffs for poly in equal.polys] == [poly.coeffs for poly in cost.polys]
+    assert CostFunction(((None, 0, 3.0),)).polys == ()
 
 
 # ---------------------------------------------------------------------------
-# cold versus warm memos
+# no state carried between runs
 
 
 def _goals(**kw):
@@ -409,11 +352,29 @@ def _specs():
 
 
 @pytest.mark.parametrize("name", list(_specs()))
-def test_reports_are_identical_with_cold_and_warm_memos(name):
+def test_reports_do_not_depend_on_what_ran_before(name):
     spec = _specs()[name]
-    _clear_memos()
-    cold = repr(sim.run_scenario(spec, seed=17, threads=1).to_dict())
+    first = repr(sim.run_scenario(spec, seed=17, threads=1).to_dict())
     sim.run_scenario(spec, seed=18, threads=1)
-    assert any(memo.cache_info().currsize for memo in MEMOS)
-    warm = repr(sim.run_scenario(spec, seed=17, threads=1).to_dict())
-    assert cold == warm
+    again = repr(sim.run_scenario(spec, seed=17, threads=1).to_dict())
+    assert first == again
+
+
+def _cache_decorators(tree):
+    """``functools.cache`` / ``lru_cache`` uses in a module, by any spelling."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (a.name for a in node.names if a.name in ("cache", "lru_cache"))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            yield node.attr
+
+
+def test_the_package_keeps_no_process_wide_memo():
+    package = Path(lago.__file__).parent
+    found = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := sorted(_cache_decorators(ast.parse(path.read_text()))))
+    }
+    assert found == {}

@@ -258,20 +258,50 @@ def test_a_fit_input_error_ends_the_run(monkeypatch):
 
 
 def test_stage_draws_match_per_center_draws_and_stream_position():
+    deployed = np.array([0.75, 3.0])
     for outcome_kind in ("binary", "continuous"):
         spec = dataclasses.replace(sim.scenario_1a(n_per_center=25, replicates=1),
                                    outcome_kind=outcome_kind, outcome_sigma=8.0)
         truth = sim._true_model(spec)
         splan = spec.stages[0]
-        packages = [np.asarray(p, dtype=float) for p in splan.probe_packages]
+        control_mean = predict(truth, np.zeros(2))
+        layouts = (
+            [np.asarray(p, dtype=float) for p in splan.probe_packages],
+            [deployed] * 3,  # one recommendation at every center
+            [deployed.copy(), np.array([1.0, 4.0]), deployed.copy()],
+        )
         for seed in range(200):
+            packages = layouts[seed % 3]
             a = np.random.default_rng([seed, 3])
             b = np.random.default_rng([seed, 3])
-            got = sim._draw_stage(a, spec, truth, 1, splan, packages)
+            got = sim._draw_stage(a, spec, truth, control_mean, 1, splan, packages)
             arms = [(0, np.zeros(2))] * splan.n_control_centers + [(1, x) for x in packages]
             want = StageRecord(1, [_draw_center(b, spec, truth, arm, x, 25) for arm, x in arms])
             assert got == want
             assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_a_replicate_predicts_each_distinct_mean_once(monkeypatch):
+    # Stage 1 runs three distinct probes, stage 2 one recommendation at all
+    # three intervention centers; the control mean is computed once per block.
+    calls = Counter()
+    real_predict, real_draw = sim.predict, sim._draw_stage
+
+    def counted_predict(model, x):
+        calls["predict"] += 1
+        return real_predict(model, x)
+
+    def counted_draw(*args):
+        before = calls["predict"]
+        record = real_draw(*args)
+        calls["draw"] += calls["predict"] - before
+        return record
+
+    monkeypatch.setattr(sim, "predict", counted_predict)
+    monkeypatch.setattr(sim, "_draw_stage", counted_draw)
+    report = sim.run_scenario(sim.scenario_1a(replicates=1), seed=29, threads=1)
+    assert report.n_used == 1
+    assert calls["draw"] <= 4, calls
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +409,8 @@ def _sim_designs(count):
         records = []
         for stage_index, splan in enumerate(spec.stages, start=1):
             packages = [np.round(rng.uniform(0.0, (2.0, 8.0)), 2) for _ in range(3)]
-            records.append(sim._draw_stage(rng, spec, truth, stage_index, splan, packages))
+            records.append(sim._draw_stage(rng, spec, truth, predict(truth, np.zeros(2)),
+                                           stage_index, splan, packages))
         designs.append(records)
     return designs
 

@@ -81,6 +81,22 @@ def test_parallel_matches_serial_bitwise_with_a_power_goal():
     assert serial.to_dict() == parallel.to_dict()
 
 
+def test_block_size_does_not_change_the_report(monkeypatch):
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, approach="conditional",
+                     test=Selector("z_pooled"))
+    two_stage = small(scenario_1a, reps=30, goals=goals)
+    for spec in (two_stage, three_stage(two_stage)):
+        default = run_scenario(spec, seed=SEED, threads=1).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_module, "BLOCK_LANES", 7)
+            blocks = []
+            real = sim_module._simulate_block
+            patch.setattr(sim_module, "_simulate_block",
+                          lambda *args: blocks.append(len(args[2])) or real(*args))
+            assert run_scenario(spec, seed=SEED, threads=1).to_dict() == default
+        assert blocks == [7, 7, 7, 7, 2]
+
+
 def counting_fits(monkeypatch):
     """Lanes per stacked-kernel call made by the engine, and single-lane
     ``fit_binary`` calls made through ``refit``."""
@@ -188,6 +204,9 @@ def test_scenario_config_missing_field_is_value_error(field):
     ("true_beta", (0.1, 0.3, float("inf")), "true_beta must be finite"),
     ("outcome_link", "logit", "outcome_link must be one of"),
     ("replicates", 2.5, "replicates must be an integer"),
+    ("bounds", ((2.0, 0.0), (0.0, 8.0)), "must not exceed its upper bound"),
+    ("bounds", ((0.0, 2.0), (0.0, float("inf"))), "bounds must be finite"),
+    ("bounds", ((0.0, float("nan")), (0.0, 8.0)), "bounds must be finite"),
 ])
 def test_scenario_rejects_bad_input_when_built(field, value, message):
     spec = scenario_1a(replicates=2)

@@ -92,13 +92,14 @@ def bisect_threshold(model, summary, goals, cost, bounds):
 
 def compare(model, summary, goals, cost=CUBIC, bounds=BOUNDS) -> str:
     """Assert root == bisection on one problem; returns which path it took."""
+    lo, hi = _bounds_arrays(bounds, model.n_components)
     try:
         expected = bisect_threshold(model, summary, goals, cost, bounds)
     except NoThresholdError:
         with pytest.raises(NoThresholdError):
-            _threshold_core(model, summary, goals, cost, bounds)
+            _threshold_core(model, summary, goals, cost, lo, hi)
         return "none"
-    raw, eta = _threshold_core(model, summary, goals, cost, bounds)
+    raw, eta = _threshold_core(model, summary, goals, cost, lo, hi)
     control = _work_model(model, goals.direction).intercept
     if expected[1] == control:
         assert (raw, eta) == expected
