@@ -23,7 +23,7 @@ from .errors import LagoError
 from .model import FittedModel, _assumed, expit, logistic_information
 from .optimizer import GoalSpec, _bounds_arrays, _threshold_core, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, norm_quantile
-from .sim import StagePlan
+from .sim import StagePlan, _check_stage_plans
 
 __all__ = [
     "DominanceDesign",
@@ -56,13 +56,7 @@ class DominanceDesign:
         object.__setattr__(
             self, "bounds", tuple((float(a), float(b)) for a, b in self.bounds)
         )
-        if len(self.stages) < 2:
-            raise ValueError("a staged design needs at least two stages")
-        for sp in self.stages:
-            if not isinstance(sp, StagePlan):
-                raise ValueError("stages must be StagePlan values")
-        if self.stages[0].probe_packages is None:
-            raise ValueError("stage 1 needs explicit probe packages")
+        _check_stage_plans(self.stages, len(self.bounds))
         _bounds_arrays(self.bounds, len(self.bounds))
 
 

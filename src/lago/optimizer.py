@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, _ComponentPoly
-from .errors import InfeasibleError, NoThresholdError
+from .errors import InfeasibleError, LagoError, NoThresholdError
 from .model import FittedModel, _assumed, link_forward, link_inverse, mirrored, predict
 from .power import (
     ArmSummary,
@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 _DIRECTIONS = ("increase", "decrease")
+
+# What fails one lane of a batched call (one replicate of a simulation) and
+# not the others: numerical failures.  Any other exception propagates.
+_LANE_ERRORS = (LagoError, np.linalg.LinAlgError)
 
 # Regime labels attached to every recommendation.
 REGIME_GOAL = "goal-feasible"
@@ -279,6 +283,16 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
     return min(((xf, xg) for v, xf, xg in cands if v <= best + tol))
 
 
+_UNREACHABLE = "constraint unreachable inside the bounds"
+
+
+def _beyond_eta_max(eta_target, eta_max) -> InfeasibleError:
+    return InfeasibleError(
+        f"required linear predictor {eta_target:.6g} exceeds the maximum "
+        f"{eta_max:.6g} attainable inside the bounds"
+    )
+
+
 def _greedy_linear(x, lin, beta1, eff, lo, hi, need, ftol):
     """Exact fill for linear costs: cheapest cost-per-eta first."""
     moves = []
@@ -296,7 +310,14 @@ def _greedy_linear(x, lin, beta1, eff, lo, hi, need, ftol):
         x[p] += take / beta1[p]
         need -= take
     if need > ftol:
-        raise InfeasibleError("constraint unreachable inside the bounds")
+        raise InfeasibleError(_UNREACHABLE)
+
+
+def _padded_polys(cost: CostFunction, P: int) -> tuple:
+    """The cost polynomials of the first P components; components the cost
+    does not mention cost nothing."""
+    infos = cost.polys[:P]
+    return infos + (_ComponentPoly((0.0, 0.0)),) * (P - len(infos))
 
 
 def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
@@ -321,15 +342,10 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     scale = max(1.0, abs(eta_max), abs(eta_target))
     ftol = 1e-9 * scale
     if eta_target > eta_max + ftol:
-        raise InfeasibleError(
-            f"required linear predictor {eta_target:.6g} exceeds the maximum "
-            f"{eta_max:.6g} attainable inside the bounds"
-        )
+        raise _beyond_eta_max(eta_target, eta_max)
     eta_t = min(eta_target, eta_max)
 
-    infos = cost.polys[:P]
-    if len(infos) < P:  # components the cost does not mention cost nothing
-        infos += (_ComponentPoly((0.0, 0.0)),) * (P - len(infos))
+    infos = _padded_polys(cost, P)
     x = np.empty(P)
     for p in range(P):
         x[p] = infos[p].min_on(lo[p], hi[p])[0]
@@ -389,7 +405,7 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
             consider(dual)
 
     if not cands:
-        raise InfeasibleError("constraint unreachable inside the bounds")
+        raise InfeasibleError(_UNREACHABLE)
     best = min(v for v, _ in cands)
     tol = max(1e-9, 1e-9 * abs(best))
     chosen = dict(zip(eff, min(vals for v, vals in cands if v <= best + tol)))
@@ -447,6 +463,234 @@ def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
         if not improved:
             break
     return values
+
+
+# ---------------------------------------------------------------------------
+# the same solve for many lanes at once (two components)
+#
+# ``_min_cost_lanes`` runs ``_min_cost_eta``'s two-component search with one
+# numpy operation per scalar operation, over every lane of a call.  Python's
+# max(a, b) and min(a, b) keep the first argument on ties, Python's min over
+# candidates keeps the first of equal ones, and sums start from 0, so the
+# helpers below spell those rules out and the packages come out bitwise
+# equal to the scalar solver's.
+# ---------------------------------------------------------------------------
+
+def _py_max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _horner(coeffs, x):
+    """``_ComponentPoly.__call__`` elementwise; coefficients may be lane arrays."""
+    v = 0.0
+    for ck in reversed(coeffs):
+        v = ck + v * x
+    return v
+
+
+def _first_min(keep, *keys):
+    """Per column of the (candidates, lanes) arrays ``keys``: the index of the
+    lexicographically smallest kept candidate, the first of equal ones."""
+    for key in keys:
+        smallest = np.where(keep, key, np.inf).min(axis=0)
+        keep = keep & (key == smallest)
+    return keep.argmax(axis=0)
+
+
+def _pick(values, index):
+    """values[index[j], j] for every column j of the candidate rows."""
+    flat = values.reshape(len(values), -1)
+    return flat[index.ravel(), np.arange(flat.shape[1])].reshape(index.shape)
+
+
+def _min_on_lanes(coeffs, stationary, a, b):
+    """``_ComponentPoly(coeffs).min_on(a, b)[0]`` elementwise for a <= b.
+
+    ``a`` and ``b`` have one shape; ``stationary`` lists the polynomial's
+    stationary points in ascending order as (point, present) pairs, floats
+    or arrays that broadcast to it.
+    """
+    cands = np.empty((2 + len(stationary),) + a.shape)
+    keep = np.empty(cands.shape, bool)
+    cands[0], cands[1] = a, b
+    keep[:2] = True
+    for j, (t, present) in enumerate(stationary, start=2):
+        cands[j] = t
+        keep[j] = present & (a < t) & (t < b)
+    vals = _horner(coeffs, cands)
+    vmin = np.where(keep, vals, np.inf).min(axis=0)
+    near = keep & (vals <= vmin + 1e-12 * (1.0 + np.abs(vmin)))
+    return _pick(cands, _first_min(near, cands))
+
+
+def _cubic_stationary(h):
+    """``_stationary_points`` of the lane cubics with coefficients ``h``, as
+    two ascending (point, present) slots, and the mask of the lanes they
+    describe: finite coefficients and a nonzero leading one."""
+    c0, b, a = h[1], 2 * h[2], 3 * h[3]  # 1 * h[1] is h[1]
+    disc = b * b - 4.0 * a * c0
+    real = disc >= 0.0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
+    t1, t2 = q / a, c0 / q
+    two = real & (q != 0.0) & (t1 != t2)
+    re = -b / (2.0 * a)
+    imag = np.sqrt(np.where(real, 0.0, -disc)) / (2.0 * np.abs(a))
+    near_real = imag <= 1e-9 * (1.0 + np.abs(re))
+    first = np.where(real, np.where(q != 0.0, np.where(two, np.minimum(t1, t2), t1), 0.0), re)
+    usable = (a != 0.0) & np.isfinite(h[0] + h[1] + h[2] + h[3])
+    return ((first, real | near_real), (np.maximum(t1, t2), two)), usable
+
+
+def _slice_lanes(beta, lo: float, hi: float, residual):
+    """``_feasible_slice`` elementwise: (start, end, nonempty) for beta != 0."""
+    q = residual / beta
+    up = beta > 0.0
+    start, end = _py_max(lo, q), _py_min(hi, q)
+    return np.where(up, start, lo), np.where(up, hi, end), np.where(up, start <= hi, end >= lo)
+
+
+def _min_pair_lanes(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
+    """``_min_pair`` elementwise over lane arrays bf, bg, residual and ftol.
+
+    Returns (xf, xg, found, exact): the pair on lanes where ``found``, and
+    ``exact`` False on lanes this cannot match: a constraint-active segment
+    whose polynomial is not a cubic, or a non-finite candidate.
+    """
+    (lo_f, hi_f), (lo_g, hi_g) = box_f, box_g
+    fix_f = np.array(info_f.options_on(lo_f, hi_f))[:, None]
+    fix_g = np.array(info_g.options_on(lo_g, hi_g))[:, None]
+    # Candidate rows: both free minima, each fixing of f with the best g
+    # on its feasible slice, each fixing of g likewise, the segment.
+    rows_f, rows_g = slice(1, 1 + len(fix_f)), slice(1 + len(fix_f), -1)
+    xf = np.empty((2 + len(fix_f) + len(fix_g), residual.size))
+    xg = np.empty(xf.shape)
+    ok = np.empty(xf.shape, bool)
+    xf[0], xg[0], ok[0] = info_f.min_on(lo_f, hi_f)[0], info_g.min_on(lo_g, hi_g)[0], True
+    start, end, ok[rows_f] = _slice_lanes(bg, lo_g, hi_g, residual - bf * fix_f)
+    xf[rows_f] = fix_f
+    xg[rows_f] = _min_on_lanes(info_g.coeffs, [(t, True) for t in info_g.stationary], start, end)
+    start, end, ok[rows_g] = _slice_lanes(bf, lo_f, hi_f, residual - bg * fix_g)
+    xf[rows_g] = _min_on_lanes(info_f.coeffs, [(t, True) for t in info_f.stationary], start, end)
+    xg[rows_g] = fix_g
+    # Constraint-active segment: xg = A + B*xf restricted to both boxes.
+    A, B = residual / bg, -bf / bg
+    up = B > 0.0
+    start = _py_max(lo_f, (np.where(up, lo_g, hi_g) - A) / B)
+    end = _py_min(hi_f, (np.where(up, hi_g, lo_g) - A) / B)
+    on_seg = ok[-1] = (B != 0.0) & (start <= end)
+    h = [np.asarray(c) for c in _segment_coeffs(info_f.coeffs, info_g.coeffs, A, B)]
+    stationary, cubic = _cubic_stationary(h)
+    xf[-1] = _min_on_lanes(h, stationary, start, end)
+    xg[-1] = A + B * xf[-1]
+
+    xf = _py_min(_py_max(xf, lo_f), hi_f)
+    xg = _py_min(_py_max(xg, lo_g), hi_g)
+    value = _horner(info_f.coeffs, xf) + _horner(info_g.coeffs, xg)
+    ok = ok & (bf * xf + bg * xg >= residual - ftol)
+    best = np.where(ok, value, np.inf).min(axis=0)
+    near = ok & (value <= best + _py_max(1e-9, 1e-9 * np.abs(best)))
+    index = _first_min(near, xf, xg)
+    finite = np.isfinite(xf) & np.isfinite(xg) & np.isfinite(value)
+    exact = (cubic | ~on_seg) & (finite | ~ok).all(axis=0)
+    return _pick(xf, index), _pick(xg, index), ok.any(axis=0), exact
+
+
+def _min_cost_lanes(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> list:
+    """``_min_cost_eta`` for each lane: beta0[L], beta1[L, P], eta_target[L]
+    and one cost and box (lo, hi) for all lanes.  Returns one package or one
+    LagoError per lane, bitwise equal to the scalar solver's.
+
+    The common case is solved for all its lanes together: P = 2, more than
+    one lane, a nonlinear cost of at most cubic components and hi > lo; on
+    each lane finite values, two nonzero effects and a cubic
+    constraint-active segment.  Every other lane goes through
+    ``_min_cost_eta``.
+    """
+    beta0 = np.asarray(beta0, dtype=float)
+    beta1 = np.asarray(beta1, dtype=float)
+    eta_target = np.asarray(eta_target, dtype=float)
+    L, P = beta1.shape
+    out = [None] * L
+    infos = _padded_polys(cost, P)
+    if (L > 1 and P == 2 and not cost.is_linear and bool((hi > lo).all())
+            and max(len(info.coeffs) for info in infos) == 4):
+        with np.errstate(all="ignore"):
+            _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target)
+    for i, x in enumerate(out):
+        if x is None:
+            try:
+                out[i] = _min_cost_eta(beta0[i], beta1[i], cost, lo, hi, eta_target[i])
+            except LagoError as exc:
+                out[i] = exc
+    return out
+
+
+def _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target) -> None:
+    """The common case of ``_min_cost_lanes``: fill ``out`` on the lanes it
+    solves, in ``_min_cost_eta``'s order of checks and candidates."""
+    eta_max = beta0 + np.maximum(beta1 * lo, beta1 * hi).sum(axis=1)
+    # A non-finite beta0 or effect makes eta_max non-finite.
+    common = np.isfinite(eta_max + eta_target) & (beta1[:, 0] != 0.0) & (beta1[:, 1] != 0.0)
+    # Non-negative operands: np.maximum keeps Python's max bitwise here.
+    ftol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(eta_max)), np.abs(eta_target))
+    over = common & (eta_target > eta_max + ftol)
+    for i in np.flatnonzero(over):
+        out[i] = _beyond_eta_max(eta_target[i], eta_max[i])
+    eta_t = _py_min(eta_target, eta_max)
+
+    x_free = np.empty(2)
+    for p in range(2):
+        x_free[p] = infos[p].min_on(lo[p], hi[p])[0]
+    reach, floor = beta0 + beta1 @ x_free, eta_t - ftol
+    # The scalar solver's dot product may round differently; near the
+    # boundary take its own expression.
+    margin = 1e-12 * (1.0 + np.abs(beta0) + np.abs(beta1) @ np.abs(x_free) + np.abs(floor))
+    for i in np.flatnonzero(common & (np.abs(reach - floor) <= margin)):
+        reach[i] = beta0[i] + float(beta1[i] @ x_free)
+    free = common & ~over & (reach >= floor)
+    for i in np.flatnonzero(free):
+        out[i] = x_free.copy()
+    work = np.flatnonzero(common & ~over & ~free)
+    if not work.size:
+        return
+
+    beta0, ftol = beta0[work], ftol[work]
+    bf, bg = beta1[work, 0], beta1[work, 1]
+    need = eta_t[work] - (beta0 + 0.0)
+    (lo_f, lo_g), (hi_f, hi_g) = lo.tolist(), hi.tolist()
+    info_f, info_g = infos
+    pair_f, pair_g, found, exact = _min_pair_lanes(
+        info_f, info_g, bf, bg, (lo_f, hi_f), (lo_g, hi_g), need, ftol,
+    )
+    # Candidate rows: the eta-maximizing corner, every fixing of both
+    # components, the pair.
+    fixings = np.array(list(itertools.product(
+        info_f.options_on(lo_f, hi_f), info_g.options_on(lo_g, hi_g),
+    )))
+    xf = np.empty((len(fixings) + 2, work.size))
+    xg = np.empty(xf.shape)
+    ok = np.empty(xf.shape, bool)
+    xf[0], xg[0] = np.where(bf > 0.0, hi_f, lo_f), np.where(bg > 0.0, hi_g, lo_g)
+    xf[1:-1], xg[1:-1] = fixings[:, :1], fixings[:, 1:]
+    xf[-1], xg[-1] = pair_f, pair_g
+    ok[:-1], ok[-1] = True, found
+    ok &= ((0.0 + bf * xf) + bg * xg >= need - ftol)
+    ok &= (lo_f - 1e-12 <= xf) & (xf <= hi_f + 1e-12) & (lo_g - 1e-12 <= xg) & (xg <= hi_g + 1e-12)
+    total = (0.0 + _horner(info_f.coeffs, xf)) + _horner(info_g.coeffs, xg)
+    xf = _py_min(_py_max(xf, lo_f), hi_f)
+    xg = _py_min(_py_max(xg, lo_g), hi_g)
+    best = np.where(ok, total, np.inf).min(axis=0)
+    near = ok & (total <= best + _py_max(1e-9, 1e-9 * np.abs(best)))
+    index = _first_min(near, xf, xg)
+    x = np.stack([_pick(xf, index), _pick(xg, index)], axis=1)
+    solved = ok.any(axis=0)
+    for k, i in enumerate(work):
+        if exact[k]:
+            out[i] = x[k].copy() if solved[k] else InfeasibleError(_UNREACHABLE)
 
 
 def min_cost_subject_to_threshold(
@@ -631,16 +875,29 @@ def recommend_from_summary(
 ) -> Recommendation:
     """Recommendation from a fitted model and arm totals: the one solver.
 
-    Every other recommend entry point resolves its inputs and calls this.
-    The package is the cheapest one reaching the outcome goal and, with a
-    power goal, the power threshold (regime goal-feasible).  When only the
-    power threshold is out of reach it is the best-level package (pmax
-    fallback).  When the outcome goal itself is out of reach, the shrinking
-    fallback moves from ``stage1_x`` toward the bounds; without a
-    ``stage1_x`` that case raises InfeasibleError.  ``summary`` (observed
-    and planned arm sizes) may be None when the goals carry no power goal.
+    Every other recommend entry point resolves its inputs and calls this,
+    and this is ``_recommend_lanes`` on one lane.  The package is the
+    cheapest one reaching the outcome goal and, with a power goal, the
+    power threshold (regime goal-feasible).  When only the power threshold
+    is out of reach it is the best-level package (pmax fallback).  When the
+    outcome goal itself is out of reach, the shrinking fallback moves from
+    ``stage1_x`` toward the bounds; without a ``stage1_x`` that case raises
+    InfeasibleError.  ``summary`` (observed and planned arm sizes) may be
+    None when the goals carry no power goal.
     """
     lo, hi = _bounds_arrays(bounds, model.n_components)
+    (rec,) = _recommend_lanes([model], [summary], goals, cost, lo, hi, [stage1_x])
+    if isinstance(rec, Exception):
+        raise rec
+    return rec
+
+
+def _decide(model: FittedModel, summary, goals: GoalSpec, cost, lo, hi):
+    """One lane's regime and working level inside validated bounds (lo, hi).
+
+    Returns (work model, regime, eta_eff, eta_max_w, eta_goal_w); eta_eff
+    is None in the shrinking-fallback regime.
+    """
     direction = goals.direction
     link = model.link
     wm = _work_model(model, direction)
@@ -683,31 +940,70 @@ def recommend_from_summary(
             eta_eff, regime = eta_max_w, REGIME_PMAX
         else:
             eta_eff, regime = None, REGIME_SHRINK
+    return wm, regime, eta_eff, eta_max_w, eta_goal_w
 
-    if regime == REGIME_SHRINK:
-        if stage1_x is None:
-            raise InfeasibleError(
-                "no package inside the bounds reaches the outcome goal, and the "
-                "shrinking fallback has no stage-1 anchor package"
+
+def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) -> list:
+    """One recommendation per lane, each lane a fitted model with its arm
+    totals and shrinking anchor, all under one set of goals, cost and
+    validated bounds (lo, hi).
+
+    Each lane is decided on its own (``_decide``); the goal-feasible and
+    pmax lanes then get their packages from one ``_min_cost_lanes`` call,
+    and the shrinking lanes from the shrinking fallback.  Returns, per lane,
+    its Recommendation or the ``_LANE_ERRORS`` exception its decision
+    raised; any other exception propagates.
+    """
+    out = [None] * len(models)
+    plans = {}  # lane -> [regime, required level, package]
+    solve = []  # (lane, work model, working level) awaiting a min-cost package
+    for i, (model, summary, anchor) in enumerate(zip(models, summaries, anchors)):
+        try:
+            wm, regime, eta_eff, eta_max_w, eta_goal_w = _decide(
+                model, summary, goals, cost, lo, hi
             )
-        goal_w = float(link_inverse(link, eta_goal_w))
-        x = shrinking_method(wm, bounds, stage1_x, goal_w)
-        required = float(goals.outcome_goal)
-    else:
-        x = _min_cost_eta(
-            wm.intercept, wm.effects, cost, lo, hi, min(eta_eff, eta_max_w)
+            if regime != REGIME_SHRINK:
+                plans[i] = [regime, _raw_level(model.link, eta_eff, goals.direction), None]
+                solve.append((i, wm, min(eta_eff, eta_max_w)))
+                continue
+            if anchor is None:
+                raise InfeasibleError(
+                    "no package inside the bounds reaches the outcome goal, and "
+                    "the shrinking fallback has no stage-1 anchor package"
+                )
+            goal_w = float(link_inverse(model.link, eta_goal_w))
+            x = shrinking_method(wm, np.column_stack((lo, hi)), anchor, goal_w)
+            plans[i] = [regime, float(goals.outcome_goal), x]
+        except _LANE_ERRORS as exc:
+            out[i] = exc
+    if solve:
+        packages = _min_cost_lanes(
+            [wm.intercept for _, wm, _ in solve], [wm.effects for _, wm, _ in solve],
+            cost, lo, hi, [eta for _, _, eta in solve],
         )
-        required = _raw_level(link, eta_eff, direction)
+        for (i, _, _), x in zip(solve, packages):
+            plans[i][2] = x
+    for i, (regime, required, x) in plans.items():
+        if isinstance(x, Exception):
+            out[i] = x
+            continue
+        try:
+            out[i] = _assemble(models[i], summaries[i], goals, cost, x, regime, required)
+        except _LANE_ERRORS as exc:
+            out[i] = exc
+    return out
 
+
+def _assemble(model, summary, goals: GoalSpec, cost, x, regime, required) -> Recommendation:
+    """A lane's Recommendation for its package ``x``."""
     power_val = None
     if goals.power_goal is not None:
         if goals.approach == "conditional":
             power_val = conditional_power(
-                x, model, summary, goals.test, goals.alpha, direction=direction
+                x, model, summary, goals.test, goals.alpha, direction=goals.direction
             )
         else:
             power_val = unconditional_power(x, model, summary, goals.test, goals.alpha)
-
     return Recommendation(
         x_hat=x,
         regime=regime,
@@ -716,6 +1012,19 @@ def recommend_from_summary(
         projected_power=power_val,
         cost=float(cost(x)),
     )
+
+
+def _stage_inputs(trial_state, goals: GoalSpec, k: int):
+    """The arm totals (None without a power goal) and the shrinking anchor
+    of a stage-``k`` decision on ``trial_state``, whose stages below k must
+    be complete."""
+    if k < 2:
+        raise ValueError("stage-k recommendations start at k=2; use plan_stage1")
+    missing = sorted(set(range(1, k)) - {rec.stage_index for rec in trial_state.completed})
+    if missing:
+        raise ValueError(f"stage-{k} recommendation needs completed stages {missing}")
+    summary = None if goals.power_goal is None else _state_summary(trial_state, goals.test, k)
+    return summary, _stage1_anchor(trial_state)
 
 
 def recommend_stage_k(
@@ -736,17 +1045,10 @@ def recommend_stage_k(
     """
     if k is None:
         k = len(trial_state.completed) + 1
-    if k < 2:
-        raise ValueError("stage-k recommendations start at k=2; use plan_stage1")
-    missing = sorted(set(range(1, k)) - {rec.stage_index for rec in trial_state.completed})
-    if missing:
-        raise ValueError(f"stage-{k} recommendation needs completed stages {missing}")
+    summary, anchor = _stage_inputs(trial_state, goals, k)
     cost = cost if cost is not None else trial_state.config.cost
     bounds = bounds if bounds is not None else trial_state.config.bounds
-    summary = None if goals.power_goal is None else _state_summary(trial_state, goals.test, k)
-    return recommend_from_summary(
-        model, summary, goals, cost, bounds, _stage1_anchor(trial_state)
-    )
+    return recommend_from_summary(model, summary, goals, cost, bounds, anchor)
 
 
 def plan_stage1(
@@ -868,12 +1170,14 @@ def min_cost_per_center(
         raise ValueError("per-center packages support the binary Wald path only")
     cost = cost if cost is not None else trial_state.config.cost
     bounds = bounds if bounds is not None else trial_state.config.bounds
-    common = recommend_stage_k(model, trial_state, goals, cost=cost, bounds=bounds)
+    summary, anchor = _stage_inputs(trial_state, goals, len(trial_state.completed) + 1)
+    lo, hi = _bounds_arrays(bounds, model.n_components)
+    (common,) = _recommend_lanes([model], [summary], goals, cost, lo, hi, [anchor])
+    if isinstance(common, Exception):
+        raise common
     if goals.power_goal is None or common.regime != REGIME_GOAL:
         return [common.x_hat.copy() for _ in range(n_centers)]
-    summary = _state_summary(trial_state, goals.test, len(trial_state.completed) + 1)
 
-    lo, hi = _bounds_arrays(bounds, model.n_components)
     direction = goals.direction
     wm = _work_model(model, direction)
     _, eta_max_w = _eta_extremes(wm, lo, hi)

@@ -1,13 +1,14 @@
 """Monte Carlo evaluation of staged adaptive designs.
 
 ``run_scenario`` cuts its replicates into blocks of at most ``BLOCK_LANES``
-and runs each block in lockstep, one stage at a time: every replicate
-draws its stage outcomes under the true coefficients (deploying its own
-recommendation after stage 1), then the pooled binary fits of the block's
-replicates run as one stacked IRLS.  After the last stage each replicate
-finishes on its own with the final test and the final cost-minimal
-package, and the estimator and decision metrics are aggregated across
-replicates.
+and runs each block in lockstep, one stage at a time: the recommendations
+of a stage that deploys one are decided for all the block's replicates in
+one batched call, every replicate draws its stage outcomes under the true
+coefficients, then the pooled binary fits of the block's replicates run as
+one stacked IRLS.  After the last stage the final cost-minimal packages
+are decided in one more batched call, each replicate finishes on its own
+with the final test, and the estimator and decision metrics are
+aggregated across replicates.
 
 Reproducibility contract: every replicate gets its own substream spawned
 from a single ``SeedSequence``, and a replicate's numbers do not depend on
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cost import CostFunction
-from .errors import InfeasibleError, LagoError, config_errors
+from .errors import InfeasibleError, config_errors
 from .model import (
     CONTINUOUS_LINKS,
     CenterData,
@@ -42,12 +43,21 @@ from .model import (
     link_inverse,
     predict,
 )
-from .optimizer import GoalSpec, _bounds_arrays, min_cost_subject_to_threshold
+from .optimizer import (
+    _LANE_ERRORS,
+    GoalSpec,
+    Recommendation,
+    _bounds_arrays,
+    _recommend_lanes,
+    _stage_inputs,
+    min_cost_subject_to_threshold,
+)
 from .power import ArmSummary, TestSelector, _passing_root, norm_quantile
 from .trial import (
     PlannedStage,
     TrialConfig,
     _store_fit,
+    _store_recommendation,
     final_optimal,
     final_test,
     ingest_stage,
@@ -125,6 +135,24 @@ class StagePlan:
         )
 
 
+def _check_stage_plans(stages: tuple, n_components: int) -> None:
+    """At least two StagePlan values, stage 1 with probe packages, and every
+    probe package with ``n_components`` components."""
+    if len(stages) < 2:
+        raise ValueError("a staged design needs at least two stages")
+    for sp in stages:
+        if not isinstance(sp, StagePlan):
+            raise ValueError("stages must be StagePlan values")
+    if stages[0].probe_packages is None:
+        raise ValueError("stage 1 needs explicit probe packages")
+    for sp in stages:
+        for p in sp.probe_packages or ():
+            if len(p) != n_components:
+                raise ValueError(
+                    f"probe package {p} has {len(p)} components, expected {n_components}"
+                )
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything a simulation run needs, in one picklable value.
@@ -165,19 +193,7 @@ class ScenarioSpec:
         _bounds_arrays(bounds, n_comp)
         object.__setattr__(self, "bounds", bounds)
         stages = tuple(self.stages)
-        if len(stages) < 2:
-            raise ValueError("a staged design needs at least two stages")
-        for sp in stages:
-            if not isinstance(sp, StagePlan):
-                raise ValueError("stages must be StagePlan values")
-        if stages[0].probe_packages is None:
-            raise ValueError("stage 1 needs explicit probe packages")
-        for sp in stages:
-            for p in sp.probe_packages or ():
-                if len(p) != n_comp:
-                    raise ValueError(
-                        f"probe package {p} has {len(p)} components, expected {n_comp}"
-                    )
+        _check_stage_plans(stages, n_comp)
         object.__setattr__(self, "stages", stages)
         if self.outcome_kind not in _OUTCOME_KINDS:
             raise ValueError(f"outcome_kind must be one of {_OUTCOME_KINDS}")
@@ -479,8 +495,9 @@ def _sandwich_cov(state, model):
     return model.covariance @ meat @ model.covariance
 
 
-# What a failed replicate raised; any other exception ends the run.
-_REPLICATE_ERRORS = (LagoError, np.linalg.LinAlgError)
+def _recommends(spec: ScenarioSpec, splan: StagePlan) -> bool:
+    """Whether a stage deploys the engine's recommendation (not fixed probes)."""
+    return spec.design_mode == "lago" and splan.probe_packages is None
 
 
 def _fit_used(spec: ScenarioSpec, stage_index: int) -> bool:
@@ -488,7 +505,26 @@ def _fit_used(spec: ScenarioSpec, stage_index: int) -> bool:
     stage always, before a stage only when it deploys a recommendation."""
     if stage_index == len(spec.stages):
         return True
-    return spec.design_mode == "lago" and spec.stages[stage_index].probe_packages is None
+    return _recommends(spec, spec.stages[stage_index])
+
+
+def _decide_lanes(config: TrialConfig, goals: GoalSpec, states, lanes, lo, hi) -> dict:
+    """The pending decision of each state in ``lanes`` under ``goals``, as one
+    ``_recommend_lanes`` call over their refitted models.  Returns lane ->
+    Recommendation, or the ``_LANE_ERRORS`` exception its refit or decision
+    raised, in lane order."""
+    found, models = {}, {}
+    for i in lanes:
+        try:
+            models[i] = refit(states[i])
+        except _LANE_ERRORS as exc:
+            found[i] = exc
+    inputs = [_stage_inputs(states[i], goals, states[i].next_stage) for i in models]
+    found.update(zip(models, _recommend_lanes(
+        list(models.values()), [summary for summary, _ in inputs], goals,
+        config.cost, lo, hi, [anchor for _, anchor in inputs],
+    )))
+    return {i: found[i] for i in lanes}
 
 
 def _finish_replicate(spec: ScenarioSpec, state, truth) -> tuple:
@@ -524,20 +560,34 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
     """Run one trial per seed under ``config`` (the run's ``_trial_config``),
     all trials ("lanes") advancing one stage at a time.
 
-    Per stage, each live lane picks its packages, draws from its own stream
-    and ingests the stage; then, for a binary outcome, the pooled fits of
-    all live lanes run as one ``_fit_binary_stack`` call and each lands in
-    its state's ``refit`` memo.  Continuous lanes fit on their own when
-    first refitted.  Returns one ("ok", payload) or ("fail", kind) per
-    seed, in seed order.
+    Per stage, a stage that deploys a recommendation first decides it for
+    all live lanes in one ``_decide_lanes`` call and stores each lane's in
+    its state (a lane whose decision raises fails with that kind); then
+    each live lane picks its packages, draws from its own stream and
+    ingests the stage; then, for a binary outcome, the pooled fits of all
+    live lanes run as one ``_fit_binary_stack`` call and each lands in its
+    state's ``refit`` memo.  Continuous lanes fit on their own when first
+    refitted.  After the last stage one more ``_decide_lanes`` call, with
+    the power goal stripped, stores each lane's ``final_optimal`` package;
+    a lane whose final package fails is left to ``_finish_replicate``,
+    which reports a failing final test first.  Returns one ("ok", payload)
+    or ("fail", kind) per seed, in seed order.
     """
     truth = _true_model(spec)
     control_mean = predict(truth, np.zeros(spec.n_components))
+    lo, hi = _bounds_arrays(config.bounds, config.n_components)
     rngs = [np.random.default_rng(cs) for cs in child_seeds]
     states = [new_trial(config) for _ in rngs]
     outcomes: list = [None] * len(states)
     live = list(range(len(states)))
     for stage_index, splan in enumerate(spec.stages, start=1):
+        if _recommends(spec, splan):
+            for i, rec in _decide_lanes(config, config.goals, states, live, lo, hi).items():
+                if isinstance(rec, Recommendation):
+                    _store_recommendation(states[i], rec)
+                else:
+                    outcomes[i] = ("fail", type(rec).__name__)
+            live = [i for i in live if outcomes[i] is None]
         records = {}
         for i in live:
             try:
@@ -549,7 +599,7 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
                     ]
                 records[i] = _draw_stage(rngs[i], spec, truth, control_mean, stage_index,
                                          splan, packages)
-            except _REPLICATE_ERRORS as exc:
+            except _LANE_ERRORS as exc:
                 outcomes[i] = ("fail", type(exc).__name__)
         with warnings.catch_warnings():
             # A distortion hook may push packages outside the nominal
@@ -558,7 +608,7 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
             for i, record in records.items():
                 try:
                     states[i] = ingest_stage(states[i], record)
-                except _REPLICATE_ERRORS as exc:
+                except _LANE_ERRORS as exc:
                     outcomes[i] = ("fail", type(exc).__name__)
         live = [i for i in live if outcomes[i] is None]
         if live and spec.outcome_kind == "binary" and _fit_used(spec, stage_index):
@@ -566,16 +616,21 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
             for i, fit in zip(live, _fit_binary_stack(*pooled)):
                 if isinstance(fit, FittedModel):
                     _store_fit(states[i], fit)
-                elif isinstance(fit, _REPLICATE_ERRORS):
+                elif isinstance(fit, _LANE_ERRORS):
                     outcomes[i] = ("fail", type(fit).__name__)
                 else:
                     raise fit
             live = [i for i in live if outcomes[i] is None]
 
+    if spec.goals.outcome_goal is not None:
+        final_goals = replace(config.goals, power_goal=None)
+        for i, rec in _decide_lanes(config, final_goals, states, live, lo, hi).items():
+            if isinstance(rec, Recommendation):
+                _store_recommendation(states[i], rec)
     for i in live:
         try:
             outcomes[i] = _finish_replicate(spec, states[i], truth)
-        except _REPLICATE_ERRORS as exc:
+        except _LANE_ERRORS as exc:
             outcomes[i] = ("fail", type(exc).__name__)
     return outcomes
 

@@ -199,6 +199,8 @@ class TrialState:
     status: str = "awaiting-stage-1"
     # (completed, model) of the last ``refit``; see there.
     _fit: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # (completed, recommendation) stored for ``final_optimal``; see there.
+    _final: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def next_stage(self) -> int:
@@ -286,6 +288,18 @@ def _store_fit(state: TrialState, model: FittedModel) -> None:
     state._fit = (state.completed, model)
 
 
+def _store_recommendation(state: TrialState, rec: Recommendation) -> None:
+    """Make ``rec`` the state's pending decision, made elsewhere (one lane of
+    a batched decision; the counterpart of ``_store_fit``): what
+    ``next_recommendation`` returns while stages remain, or what
+    ``final_optimal`` returns for the stages completed now once the trial
+    is complete."""
+    if state.status == "complete":
+        state._final = (state.completed, rec)
+    else:
+        state.recommendations.append(rec)
+
+
 def next_recommendation(state: TrialState) -> Recommendation:
     """Recommended package for the next stage, refitting on everything seen.
 
@@ -317,13 +331,16 @@ def final_optimal(state: TrialState) -> Recommendation:
     product is ``recommend_from_summary`` on the all-data fit with the
     power goal stripped, so an unreachable outcome goal takes the same
     shrinking fallback as the staged recommendations, anchored at
-    ``_stage1_anchor``.
+    ``_stage1_anchor``.  A package stored with ``_store_recommendation`` for
+    the stages completed now is returned as it is.
     """
     if state.status != "complete":
         raise ValueError("final_optimal needs a complete trial")
     goals = state.config.goals
     if goals.outcome_goal is None:
         raise ValueError("final_optimal needs an outcome goal")
+    if state._final is not None and state._final[0] is state.completed:
+        return state._final[1]
     return recommend_from_summary(
         refit(state), None, dataclasses.replace(goals, power_goal=None),
         state.config.cost, state.config.bounds, _stage1_anchor(state),

@@ -101,6 +101,9 @@ def test_dominance_design_validation():
     bare = StagePlan(2, 2, 40)
     with pytest.raises(ValueError, match="probe"):
         DominanceDesign(stages=(bare, bare), bounds=((0, 2), (0, 8)))
+    short = StagePlan(1, 2, 40, ((1.0,), (0.0,)))
+    with pytest.raises(ValueError, match=r"probe package \(1\.0,\) has 1 components, expected 2"):
+        DominanceDesign(stages=(short, StagePlan(1, 2, 40)), bounds=((0, 2), (0, 8)))
     for bounds, message in [
         (((2.0, 0.0), (0.0, 8.0)), "must not exceed its upper bound"),
         (((0.0, 2.0), (0.0, math.inf)), "bounds must be finite"),

@@ -228,6 +228,15 @@ SPECS = {
     # stage 1 alone is separated in some replicates, but a repeat design
     # never fits it
     "2b-n3": lambda: sim.scenario_2b(n_per_center=3, replicates=120),
+    # an outcome goal past every package: lanes take the shrinking fallback
+    "1a-unreachable-goal": lambda: sim.scenario_1a(replicates=20, goals=lago.GoalSpec(
+        outcome_goal=0.85, power_goal=0.8, approach="conditional",
+        test=lago.TestSelector("z_pooled"))),
+    # a decrease goal with negative effects: mirrored effects reach the
+    # batched min-cost solve
+    "1a-decrease": lambda: dataclasses.replace(sim.scenario_1a(replicates=20, goals=lago.GoalSpec(
+        outcome_goal=0.35, direction="decrease", power_goal=0.8, approach="conditional",
+        test=lago.TestSelector("z_unpooled"))), true_beta=(0.1, -0.3, -0.15)),
 }
 
 
@@ -241,6 +250,42 @@ def test_run_scenario_matches_per_replicate_oracle_bitwise(monkeypatch, name):
         assert got["failure_kinds"].get("SeparationError", 0) > 0, got["failure_kinds"]
     else:
         assert got["n_used"] > 0
+
+
+def _without_anchor(monkeypatch):
+    """Shrinking fallbacks without a configured stage-1 package raise
+    InfeasibleError: the anchor is never the observed stage-1 mean."""
+    for module in (lago.optimizer, trial_module):
+        monkeypatch.setattr(module, "_stage1_anchor", lambda state: state.config.stage1_package)
+
+
+def _unanchored(design_mode="lago"):
+    spec = sim.scenario_1a(replicates=40, goals=lago.GoalSpec(outcome_goal=0.8))
+    return dataclasses.replace(spec, stage1_fallback_x=None, design_mode=design_mode)
+
+
+def test_final_package_failures_match_the_oracle(monkeypatch):
+    _without_anchor(monkeypatch)
+    spec = _unanchored()
+    got = sim.run_scenario(spec, seed=29, threads=1).to_dict()
+    assert repr(got) == repr(_oracle_report(monkeypatch, spec, 29))
+    assert got["failure_kinds"].get("InfeasibleError", 0) > 0 and got["n_used"] > 0
+
+
+def test_a_failing_final_test_is_reported_before_the_final_package(monkeypatch):
+    # A repeat design makes no staged decision, so every InfeasibleError is
+    # a final package; with a final test that always fails, those lanes
+    # report the final test's kind, as the per-replicate order has it.
+    _without_anchor(monkeypatch)
+    spec = _unanchored("factorial-repeat")
+    kinds = sim.run_scenario(spec, seed=29, threads=1).failure_kinds
+    assert kinds.get("InfeasibleError", 0) > 0
+
+    def failing_test(state, alpha=0.05):
+        raise NonFiniteError("final test failed")
+
+    monkeypatch.setattr(sim, "final_test", failing_test)
+    assert sim.run_scenario(spec, seed=29, threads=1).failure_kinds == {"NonFiniteError": 40}
 
 
 def test_a_fit_input_error_ends_the_run(monkeypatch):

@@ -760,3 +760,25 @@ def test_per_center_contract():
     summary = ArmSummary.from_records(state.completed, future=(120.0, 40.0))
     lam = _wald_lambda_binary(MODEL_1A, summary, packages, 40.0)
     assert lam >= lambda_min(0.05, 0.8, df=2) - 1e-6
+
+
+def test_per_center_packages_validate_and_summarize_once(monkeypatch):
+    import lago.optimizer as optimizer
+
+    state = scenario_state()
+    goals = GoalSpec(
+        outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary")
+    )
+    want = min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
+    calls = {"_bounds_arrays": 0, "_state_summary": 0}
+    for name in calls:
+        real = getattr(optimizer, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    got = min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
+    assert calls == {"_bounds_arrays": 1, "_state_summary": 1}
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]

@@ -1,10 +1,12 @@
-"""Every recommendation goes through ``optimizer.recommend_from_summary``.
+"""Every recommendation goes through ``optimizer._recommend_lanes``.
 
 ``recommend_stage_k``, ``plan_stage1`` and ``trial.final_optimal`` only
 resolve their inputs (arm totals, the stage-1 anchor, the stripped power
-goal) and call it, and it alone runs the shrinking fallback.  An ``ast``
-guard keeps it that way; a differential test pins ``final_optimal`` to the
-solver called directly.
+goal) and call ``recommend_from_summary``, which is the lanes core on one
+lane; the Monte Carlo engine calls the lanes core once per deciding stage.
+The lanes core alone runs the shrinking fallback and the batched min-cost
+solve.  ``ast`` guards keep it that way; a differential test pins
+``final_optimal`` to the solver called directly.
 """
 
 import ast
@@ -59,15 +61,41 @@ def test_entry_point_calls_recommend_from_summary(module, name):
     )
 
 
-def test_only_recommend_from_summary_runs_the_shrinking_fallback():
+def _callers(name: str) -> set:
     package = Path(lago.__file__).parent
-    callers = {
+    return {
         (path.stem, func.name)
         for path in sorted(package.glob("*.py"))
         for func in _functions(path)
-        if "shrinking_method" in _called_names(func)
+        if name in _called_names(func)
     }
-    assert callers == {("optimizer", "recommend_from_summary")}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    path = Path(getattr(lago, module).__file__)
+    return next(f for f in _functions(path) if f.name == name)
+
+
+def test_only_the_lanes_core_runs_the_shrinking_fallback_and_the_batched_solve():
+    assert _callers("shrinking_method") == {("optimizer", "_recommend_lanes")}
+    assert _callers("_min_cost_lanes") == {("optimizer", "_recommend_lanes")}
+
+
+def test_recommend_from_summary_and_the_engine_reach_a_package_only_through_the_lanes_core():
+    solvers = {"_min_cost_eta", "_min_cost_lanes", "_min_cost_at_level",
+               "min_cost_subject_to_threshold", "shrinking_method"}
+    called = _called_names(_function("optimizer", "recommend_from_summary"))
+    assert "_recommend_lanes" in called and not called & solvers
+    # The engine decides through one helper, which calls the lanes core.
+    assert {f for m, f in _callers("_recommend_lanes") if m == "sim"} == {"_decide_lanes"}
+    called = _called_names(_function("sim", "_simulate_block"))
+    assert "_decide_lanes" in called and not called & (solvers | {
+        "_recommend_lanes", "recommend_from_summary", "recommend_stage_k"})
+
+
+def test_the_engine_never_calls_the_scalar_solver_directly():
+    for name in ("_min_cost_eta", "_min_cost_at_level"):
+        assert not {f for m, f in _callers(name) if m == "sim"}, name
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,19 @@ def test_parallel_matches_serial_bitwise_with_a_power_goal():
     assert serial.to_dict() == parallel.to_dict()
 
 
+def test_parallel_matches_serial_bitwise_across_blocks(monkeypatch):
+    # Blocks of 7 lanes shared by two processes: each stage's batched
+    # decisions are split across blocks and processes.
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, approach="conditional",
+                     test=Selector("z_unpooled"))
+    two_stage = small(scenario_1a, reps=30, goals=goals)
+    monkeypatch.setattr(sim_module, "BLOCK_LANES", 7)
+    for spec in (two_stage, three_stage(two_stage)):
+        serial = run_scenario(spec, seed=SEED, threads=1)
+        parallel = run_scenario(spec, seed=SEED, threads=2)
+        assert serial.to_dict() == parallel.to_dict()
+
+
 def test_block_size_does_not_change_the_report(monkeypatch):
     goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, approach="conditional",
                      test=Selector("z_pooled"))
