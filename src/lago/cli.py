@@ -28,7 +28,7 @@ import numpy as np
 from .cost import CostFunction
 from .diagnostics import dominance_design, dominance_threshold, verify_assumption7
 from .errors import LagoError
-from .model import FittedModel, _assumed, expit, load_stage_csv, predict
+from .model import FittedModel, _assumed, _json_value, expit, load_stage_csv, predict
 from .optimizer import (
     GoalSpec,
     _state_summary,
@@ -58,7 +58,6 @@ from .sim import (
 )
 from .trial import (
     TrialConfig,
-    _rec_to_dict,
     final_optimal,
     final_test,
     ingest_stage,
@@ -78,14 +77,14 @@ GOAL_FLAGS = ("goal", "direction", "power_goal", "alpha", "approach", "test")
 def _bundled(name: str) -> dict:
     """The document a bundled fixture name stands for, built from the library."""
     if name == "betterbirth":
-        return {
+        return _json_value({
             "name": "betterbirth",
             "beta": betterbirth_model("stages12").beta,
             "direction": "decrease",
-            "cost": BETTERBIRTH_COST.to_config(),
+            "cost": BETTERBIRTH_COST,
             "bounds": BETTERBIRTH_BOUNDS,
-            "arm_summary": dataclasses.asdict(betterbirth_summary()),
-        }
+            "arm_summary": betterbirth_summary(),
+        })
     return SHIPPED_SCENARIOS[name.removeprefix("scenario_")]().to_config()
 
 
@@ -116,22 +115,8 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
-
-
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    text = json.dumps(_json_value(payload), indent=2, allow_nan=False) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -288,7 +273,7 @@ def _cmd_recommend(args) -> int:
         extra["x_integer"] = integerize(
             rec.x_hat, model, cost, bounds, rec.required_threshold, goals.direction
         )
-    _emit({**_rec_to_dict(rec), **extra}, args.out)
+    _emit({**_json_value(rec), **extra}, args.out)
     return 0
 
 
@@ -398,7 +383,7 @@ def _cmd_plan_stage1(args) -> int:
         extra["x_integer"] = integerize(
             rec.x_hat, _assumed(beta), cost, bounds, rec.required_threshold, goals.direction
         )
-    _emit({**_rec_to_dict(rec), **extra}, args.out)
+    _emit({**_json_value(rec), **extra}, args.out)
     return 0
 
 
@@ -459,16 +444,7 @@ def _cmd_final_test(args) -> int:
     result = final_test(
         state, test=test, alpha=args.alpha if args.alpha is not None else 0.05
     )
-    _emit(
-        {
-            "statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
-            "reject": result.reject,
-            "kind": result.kind,
-        },
-        args.out,
-    )
+    _emit(result, args.out)
     return 0
 
 

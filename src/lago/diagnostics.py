@@ -14,13 +14,13 @@ the solution against a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import CostFunction
 from .errors import LagoError
-from .model import FittedModel, _assumed, expit, logistic_information
+from .model import FittedModel, _assumed, _json_fields, expit, logistic_information
 from .optimizer import GoalSpec, _bounds_arrays, _threshold_core, min_cost_subject_to_threshold
 from .power import ArmSummary, TestSelector, norm_quantile
 from .sim import StagePlan, _check_stage_plans
@@ -174,7 +174,8 @@ class Assumption7Report:
     vector, its own solution, the max displacement of the perturbed
     solutions from that solution, and how many draws failed to solve.
     ``delta_max`` is the maximum over centers; the probe passes when it
-    stays at or below ``eta``.
+    stays at or below ``eta``.  A center that cannot be solved has no ``x``
+    and a NaN ``delta_max``, which ``to_dict`` writes as None.
     """
 
     delta_max: float
@@ -188,17 +189,7 @@ class Assumption7Report:
     seed: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "delta_max": self.delta_max,
-            "eta": self.eta,
-            "epsilon": self.epsilon,
-            "passed": self.passed,
-            "x_hat": list(self.x_hat),
-            "centers": [dict(c) for c in self.centers],
-            "failures": [dict(f) for f in self.failures],
-            "samples_per_center": self.samples_per_center,
-            "seed": self.seed,
-        }
+        return _json_fields(self)
 
 
 def _ball_point(rng, center, epsilon):

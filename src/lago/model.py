@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -113,6 +113,35 @@ def _value_eq(self, other):
     return True
 
 
+def _json_value(value):
+    """JSON-ready copy of ``value``, the one rule every report, config and
+    state document follows.  An object with a ``to_config`` gives that
+    (``CostFunction``'s 1-based terms, ``GoalSpec``'s test kind); any other
+    dataclass gives ``_json_fields``; dicts are copied; tuples, lists and
+    arrays become lists; numpy scalars become Python values; non-finite
+    floats become None, so ``json.dumps(..., allow_nan=False)`` accepts the
+    result."""
+    if hasattr(value, "to_config"):
+        return value.to_config()
+    if is_dataclass(value):
+        return _json_fields(value)
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _json_fields(obj) -> dict:
+    """``obj``'s dataclass fields in field order, each through ``_json_value``:
+    the body of every ``to_config`` and ``to_dict``."""
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
 @dataclass(init=False)
 class CenterData:
     """One center's contribution to a stage: arm, delivered package and the
@@ -156,10 +185,10 @@ class CenterData:
         return center
 
     def _assign(self, arm, package, size, outcome_sum, m2):
-        self.arm, self.size, self.outcome_sum, self.m2 = arm, size, outcome_sum, m2
-        self.package = np.asarray(package, dtype=float)
         if arm not in (0, 1):
             raise ValueError("arm must be 0 (control) or 1 (intervention)")
+        self.arm, self.size, self.outcome_sum, self.m2 = int(arm), size, outcome_sum, m2
+        self.package = np.asarray(package, dtype=float)
         if arm == 0 and np.any(self.package != 0.0):
             raise ValueError("control-arm centers must have the zero package")
 

@@ -26,7 +26,15 @@ import numpy as np
 
 from .cost import CostFunction, _ComponentPoly
 from .errors import InfeasibleError, LagoError, NoThresholdError
-from .model import FittedModel, _assumed, link_forward, link_inverse, mirrored, predict
+from .model import (
+    FittedModel,
+    _assumed,
+    _json_fields,
+    link_forward,
+    link_inverse,
+    mirrored,
+    predict,
+)
 from .power import (
     ArmSummary,
     TestSelector,
@@ -117,9 +125,7 @@ class GoalSpec:
 
     def to_config(self) -> dict:
         """JSON-ready dict; the test selector collapses to its kind string."""
-        out = dataclasses.asdict(self)
-        out["test"] = self.test.kind if self.test is not None else None
-        return out
+        return {**_json_fields(self), "test": None if self.test is None else self.test.kind}
 
     @classmethod
     def from_config(cls, entry: dict) -> "GoalSpec":
@@ -994,22 +1000,25 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
     return out
 
 
+def _projected_power(x, model, summary, goals: GoalSpec) -> float:
+    """The final-test power at package ``x`` that ``goals``' certificate
+    (conditional or unconditional) projects."""
+    if goals.approach == "conditional":
+        return conditional_power(
+            x, model, summary, goals.test, goals.alpha, direction=goals.direction
+        )
+    return unconditional_power(x, model, summary, goals.test, goals.alpha)
+
+
 def _assemble(model, summary, goals: GoalSpec, cost, x, regime, required) -> Recommendation:
     """A lane's Recommendation for its package ``x``."""
-    power_val = None
-    if goals.power_goal is not None:
-        if goals.approach == "conditional":
-            power_val = conditional_power(
-                x, model, summary, goals.test, goals.alpha, direction=goals.direction
-            )
-        else:
-            power_val = unconditional_power(x, model, summary, goals.test, goals.alpha)
+    power = None if goals.power_goal is None else _projected_power(x, model, summary, goals)
     return Recommendation(
         x_hat=x,
         regime=regime,
         achieved_outcome=predict(model, x),
         required_threshold=required,
-        projected_power=power_val,
+        projected_power=power,
         cost=float(cost(x)),
     )
 

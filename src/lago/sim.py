@@ -24,7 +24,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .model import (
     _assumed,
     _center_rows,
     _fit_binary_stack,
+    _json_fields,
     _stack_rows,
     expit,
     link_inverse,
@@ -107,6 +108,8 @@ class StagePlan:
             raise ValueError("a stage needs at least one center")
         if self.probe_packages is not None:
             probes = tuple(tuple(float(v) for v in p) for p in self.probe_packages)
+            if not all(math.isfinite(v) for p in probes for v in p):
+                raise ValueError(f"probe packages must be finite, got {probes}")
             if len(probes) != self.n_intervention_centers:
                 raise ValueError(
                     "need one probe package per intervention center "
@@ -115,14 +118,7 @@ class StagePlan:
             object.__setattr__(self, "probe_packages", probes)
 
     def to_config(self) -> dict:
-        return {
-            "n_control_centers": self.n_control_centers,
-            "n_intervention_centers": self.n_intervention_centers,
-            "n_per_center": self.n_per_center,
-            "probe_packages": None
-            if self.probe_packages is None
-            else [list(p) for p in self.probe_packages],
-        }
+        return _json_fields(self)
 
     @classmethod
     def from_config(cls, entry: dict) -> "StagePlan":
@@ -197,8 +193,8 @@ class ScenarioSpec:
         object.__setattr__(self, "stages", stages)
         if self.outcome_kind not in _OUTCOME_KINDS:
             raise ValueError(f"outcome_kind must be one of {_OUTCOME_KINDS}")
-        if self.outcome_kind == "continuous" and not self.outcome_sigma > 0:
-            raise ValueError("outcome_sigma must be positive")
+        if not 0.0 < self.outcome_sigma < math.inf:
+            raise ValueError("outcome_sigma must be positive and finite")
         if self.outcome_link not in CONTINUOUS_LINKS:
             raise ValueError(f"outcome_link must be one of {CONTINUOUS_LINKS}")
         if self.design_mode not in _DESIGN_MODES:
@@ -224,6 +220,8 @@ class ScenarioSpec:
             fx = tuple(float(v) for v in self.stage1_fallback_x)
             if len(fx) != n_comp:
                 raise ValueError("stage1_fallback_x has the wrong length")
+            if not all(math.isfinite(v) for v in fx):
+                raise ValueError(f"stage1_fallback_x must be finite, got {fx}")
             object.__setattr__(self, "stage1_fallback_x", fx)
         if self.deploy_step is not None:
             steps = tuple(
@@ -231,8 +229,8 @@ class ScenarioSpec:
             )
             if len(steps) != n_comp:
                 raise ValueError("deploy_step needs one entry per component")
-            if any(s is not None and not s > 0 for s in steps):
-                raise ValueError("deploy_step entries must be positive or None")
+            if any(s is not None and not 0.0 < s < math.inf for s in steps):
+                raise ValueError("deploy_step entries must be positive and finite, or None")
             object.__setattr__(self, "deploy_step", steps)
         if self.distortion is not None and not callable(self.distortion):
             raise ValueError("distortion must be callable or None")
@@ -244,27 +242,9 @@ class ScenarioSpec:
     def to_config(self) -> dict:
         if self.distortion is not None:
             raise ValueError("a spec with a distortion hook cannot be serialized")
-        return {
-            "name": self.name,
-            "true_beta": list(self.true_beta),
-            "stages": [sp.to_config() for sp in self.stages],
-            "cost": self.cost.to_config(),
-            "bounds": [list(b) for b in self.bounds],
-            "goals": self.goals.to_config(),
-            "replicates": self.replicates,
-            "rng_seed": self.rng_seed,
-            "outcome_kind": self.outcome_kind,
-            "outcome_sigma": self.outcome_sigma,
-            "outcome_link": self.outcome_link,
-            "design_mode": self.design_mode,
-            "se_source": self.se_source,
-            "stage1_fallback_x": None
-            if self.stage1_fallback_x is None
-            else list(self.stage1_fallback_x),
-            "deploy_step": None
-            if self.deploy_step is None
-            else list(self.deploy_step),
-        }
+        out = _json_fields(self)
+        del out["distortion"]
+        return out
 
     @classmethod
     def from_config(cls, doc: dict) -> "ScenarioSpec":
@@ -305,7 +285,8 @@ class MetricsReport:
     (intercept first).  Relative biases are reported as NaN when the
     reference value is zero.  Metrics are computed over the replicates
     that completed; ``failures`` counts the ones that did not (fit or
-    recommendation raised), broken down in ``failure_kinds``.
+    recommendation raised), broken down in ``failure_kinds``.  ``to_dict``
+    writes every NaN or infinite entry as None.
     """
 
     scenario: str
@@ -325,46 +306,22 @@ class MetricsReport:
     seed: int
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if v is None:
-                return None
-            if isinstance(v, (tuple, list)):
-                return [clean(u) for u in v]
-            if isinstance(v, float) and math.isnan(v):
-                return None
-            return v
+        return _json_fields(self)
 
-        return {
-            "scenario": self.scenario,
-            "replicates": self.replicates,
-            "n_used": self.n_used,
-            "failures": self.failures,
-            "failure_kinds": dict(self.failure_kinds),
-            "power_pct": clean(self.power_pct),
-            "rel_bias_pct": clean(self.rel_bias_pct),
-            "se_over_emp_sd_pct": clean(self.se_over_emp_sd_pct),
-            "cp95_pct": clean(self.cp95_pct),
-            "opt_rel_bias_pct": clean(self.opt_rel_bias_pct),
-            "propt_q2p5": clean(self.propt_q2p5),
-            "propt_q97p5": clean(self.propt_q97p5),
-            "mean_recommendation": clean(self.mean_recommendation),
-            "true_optimum": clean(self.true_optimum),
-            "seed": self.seed,
-        }
+    def _csv_cells(self) -> list:
+        """(column, value) pairs of the CSV row, in column order."""
+        n_comp = len(self.mean_recommendation or self.opt_rel_bias_pct or ())
+        opt = self.opt_rel_bias_pct or (float("nan"),) * n_comp
+        cells = [(name, getattr(self, name))
+                 for name in ("scenario", "replicates", "n_used", "failures", "power_pct")]
+        for name in ("rel_bias_pct", "se_over_emp_sd_pct", "cp95_pct"):
+            cells += [(f"{name}_b{i}", v) for i, v in enumerate(getattr(self, name))]
+        cells += [(f"opt_rel_bias_pct_x{i + 1}", v) for i, v in enumerate(opt)]
+        cells += [(name, getattr(self, name)) for name in ("propt_q2p5", "propt_q97p5", "seed")]
+        return cells
 
     def csv_header(self) -> list:
-        cols = ["scenario", "replicates", "n_used", "failures", "power_pct"]
-        for i in range(len(self.rel_bias_pct)):
-            cols.append(f"rel_bias_pct_b{i}")
-        for i in range(len(self.se_over_emp_sd_pct)):
-            cols.append(f"se_over_emp_sd_pct_b{i}")
-        for i in range(len(self.cp95_pct)):
-            cols.append(f"cp95_pct_b{i}")
-        n_comp = len(self.mean_recommendation or self.opt_rel_bias_pct or ())
-        for i in range(n_comp):
-            cols.append(f"opt_rel_bias_pct_x{i + 1}")
-        cols += ["propt_q2p5", "propt_q97p5", "seed"]
-        return cols
+        return [name for name, _ in self._csv_cells()]
 
     def csv_row(self) -> list:
         def cell(v):
@@ -372,21 +329,7 @@ class MetricsReport:
                 return ""
             return f"{v:.6g}" if isinstance(v, float) else str(v)
 
-        row = [
-            self.scenario,
-            str(self.replicates),
-            str(self.n_used),
-            str(self.failures),
-            cell(self.power_pct),
-        ]
-        row += [cell(v) for v in self.rel_bias_pct]
-        row += [cell(v) for v in self.se_over_emp_sd_pct]
-        row += [cell(v) for v in self.cp95_pct]
-        n_comp = len(self.mean_recommendation or self.opt_rel_bias_pct or ())
-        opt = self.opt_rel_bias_pct or (float("nan"),) * n_comp
-        row += [cell(v) for v in opt]
-        row += [cell(self.propt_q2p5), cell(self.propt_q97p5), str(self.seed)]
-        return row
+        return [cell(v) for _, v in self._csv_cells()]
 
 
 # ---------------------------------------------------------------------------
@@ -717,45 +660,27 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
     failures = spec.replicates - len(payloads)
 
     n_beta = len(spec.true_beta)
-    if not payloads:
-        nan_row = (float("nan"),) * n_beta
-        return MetricsReport(
-            scenario=spec.name,
-            replicates=spec.replicates,
-            n_used=0,
-            failures=failures,
-            failure_kinds=failure_kinds,
-            power_pct=float("nan"),
-            rel_bias_pct=nan_row,
-            se_over_emp_sd_pct=nan_row,
-            cp95_pct=nan_row,
-            opt_rel_bias_pct=None,
-            propt_q2p5=None,
-            propt_q97p5=None,
-            mean_recommendation=None,
-            true_optimum=None,
-            seed=seed,
-        )
-
-    betas = np.vstack([p["beta"] for p in payloads])
-    ses = np.vstack([p["se"] for p in payloads])
+    betas = np.array([p["beta"] for p in payloads]).reshape(-1, n_beta)
+    ses = np.array([p["se"] for p in payloads]).reshape(-1, n_beta)
     rejects = np.array([p["reject"] for p in payloads], dtype=float)
     beta_star = np.asarray(spec.true_beta)
 
-    mean_beta = betas.mean(axis=0)
-    emp_sd = betas.std(axis=0, ddof=1) if len(payloads) > 1 else np.full(n_beta, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
+        # With every replicate failed each mean is of an empty slice: NaN.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean_beta = betas.mean(axis=0)
+        emp_sd = betas.std(axis=0, ddof=1) if len(payloads) > 1 else np.full(n_beta, np.nan)
         se_ratio = tuple(100.0 * ses.mean(axis=0) / emp_sd)
-    z = norm_quantile(0.975)
-    covered = np.abs(betas - beta_star) <= z * ses
-    cp95 = tuple(100.0 * covered.mean(axis=0))
+        z = norm_quantile(0.975)
+        covered = np.abs(betas - beta_star) <= z * ses
+        cp95 = tuple(100.0 * covered.mean(axis=0))
+        power_pct = 100.0 * rejects.mean()
 
     x_star = true_optimum(spec)
     opt_rel_bias = None
-    if x_star is not None:
-        opts = np.vstack([p["x_opt"] for p in payloads if p["x_opt"] is not None])
-        if len(opts):
-            opt_rel_bias = _rel_bias_pct(opts.mean(axis=0), x_star)
+    opts = [p["x_opt"] for p in payloads if p["x_opt"] is not None]
+    if x_star is not None and opts:
+        opt_rel_bias = _rel_bias_pct(np.vstack(opts).mean(axis=0), x_star)
 
     recs = [p["x_rec"] for p in payloads if p["x_rec"] is not None]
     mean_rec = tuple(np.vstack(recs).mean(axis=0)) if recs else None
@@ -772,7 +697,7 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
         n_used=len(payloads),
         failures=failures,
         failure_kinds=failure_kinds,
-        power_pct=100.0 * rejects.mean(),
+        power_pct=power_pct,
         rel_bias_pct=_rel_bias_pct(mean_beta, beta_star),
         se_over_emp_sd_pct=se_ratio,
         cp95_pct=cp95,

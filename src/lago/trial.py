@@ -26,11 +26,14 @@ import numpy as np
 from .cost import CostFunction
 from .errors import OutOfOrderStageError, config_errors
 from .model import (
+    CONTINUOUS_LINKS,
     CenterData,
     FittedModel,
     StageRecord,
     _center_rows,
     _check_binary,
+    _json_fields,
+    _json_value,
     fit_binary,
     fit_continuous,
 )
@@ -38,6 +41,7 @@ from .optimizer import (
     GoalSpec,
     Recommendation,
     _bounds_arrays,
+    _projected_power,
     _stage1_anchor,
     _state_summary,
     recommend_from_summary,
@@ -45,7 +49,6 @@ from .optimizer import (
 )
 from .power import ArmSummary, TestResult, TestSelector, _default_test
 from .power import final_test as _summary_final_test
-from .power import conditional_power, unconditional_power
 
 __all__ = [
     "PlannedStage",
@@ -140,6 +143,8 @@ class TrialConfig:
             raise ValueError("stages must be PlannedStage instances")
         if self.outcome_kind not in ("binary", "continuous"):
             raise ValueError("outcome_kind must be 'binary' or 'continuous'")
+        if self.outcome_kind == "continuous" and self.outcome_link not in CONTINUOUS_LINKS:
+            raise ValueError(f"a continuous outcome_link must be one of {CONTINUOUS_LINKS}")
         if not self.bounds:
             raise ValueError("bounds must list at least one component")
         _bounds_arrays(self.bounds, len(self.bounds))
@@ -157,16 +162,9 @@ class TrialConfig:
         return len(self.bounds)
 
     def to_config(self) -> dict:
-        out = {
-            "stages": [dataclasses.asdict(s) for s in self.stages],
-            "bounds": [list(b) for b in self.bounds],
-            "cost": self.cost.to_config(),
-            "goals": self.goals.to_config(),
-            "outcome_kind": self.outcome_kind,
-            "outcome_link": self.outcome_link,
-        }
-        if self.stage1_package is not None:
-            out["stage1_package"] = list(self.stage1_package)
+        out = _json_fields(self)
+        if self.stage1_package is None:
+            del out["stage1_package"]
         return out
 
     @classmethod
@@ -365,13 +363,7 @@ def check_futility(state: TrialState):
     effects = model.effects if goals.direction == "increase" else -model.effects
     x_ext = np.where(effects > 0, hi, lo)
     summary = _state_summary(state, goals.test, state.next_stage)
-    if goals.approach == "conditional":
-        power = conditional_power(
-            x_ext, model, summary, goals.test, goals.alpha,
-            direction=goals.direction,
-        )
-    else:
-        power = unconditional_power(x_ext, model, summary, goals.test, goals.alpha)
+    power = _projected_power(x_ext, model, summary, goals)
     return power < goals.power_goal, power
 
 
@@ -420,35 +412,11 @@ def _center_from_dict(entry: dict, version: int) -> CenterData:
     return CenterData.from_stats(arm, package, *stats)
 
 
-def _record_to_dict(rec: StageRecord) -> dict:
-    return {
-        "stage_index": int(rec.stage_index),
-        "centers": [
-            {"arm": int(c.arm), "package": c.package.tolist(), "size": int(c.size),
-             "outcome_sum": float(c.outcome_sum), "m2": float(c.m2)}
-            for c in rec.centers
-        ],
-    }
-
-
 def _record_from_dict(entry: dict, version: int) -> StageRecord:
     return StageRecord(
         stage_index=int(entry["stage_index"]),
         centers=[_center_from_dict(c, version) for c in entry["centers"]],
     )
-
-
-def _rec_to_dict(rec: Recommendation) -> dict:
-    return {
-        "x_hat": np.asarray(rec.x_hat, dtype=float).tolist(),
-        "regime": rec.regime,
-        "achieved_outcome": float(rec.achieved_outcome),
-        "required_threshold": float(rec.required_threshold),
-        "projected_power": (
-            None if rec.projected_power is None else float(rec.projected_power)
-        ),
-        "cost": float(rec.cost),
-    }
 
 
 def _rec_from_dict(entry: dict) -> Recommendation:
@@ -471,8 +439,8 @@ def to_document(state: TrialState) -> dict:
         "format": DOCUMENT_FORMAT,
         "version": DOCUMENT_VERSION,
         "config": state.config.to_config(),
-        "completed": [_record_to_dict(r) for r in state.completed],
-        "recommendations": [_rec_to_dict(r) for r in state.recommendations],
+        "completed": _json_value(state.completed),
+        "recommendations": _json_value(state.recommendations),
         "status": state.status,
     }
 
@@ -527,7 +495,7 @@ def from_document(doc: dict) -> TrialState:
 
 def save_state(state: TrialState, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_document(state), fh, indent=2)
+        json.dump(to_document(state), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

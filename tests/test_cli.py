@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from lago.cli import _bundled, _jsonable, main
+from lago.cli import _bundled, main
 from lago.cost import CostFunction
 from lago.diagnostics import verify_assumption7
 from lago.model import expit
@@ -165,13 +165,14 @@ def test_recommend_stage3_from_a_three_stage_csv(tmp_path, capsys):
     payload = run_json(capsys, "recommend", "--config", cfg, "--data", data,
                        "--stage", "3")
     from lago.optimizer import recommend_stage_k
-    from lago.trial import _rec_to_dict, refit
+    from lago.model import _json_fields
+    from lago.trial import refit
 
     state = new_trial(config)
     for record in load_stage_csv(data)[:2]:
         state = ingest_stage(state, record)
     rec = recommend_stage_k(refit(state), state, config.goals, k=3)
-    assert payload == json.loads(json.dumps(_rec_to_dict(rec)))
+    assert payload == json.loads(json.dumps(_json_fields(rec)))
     assert payload["projected_power"] is not None
 
 
@@ -204,7 +205,7 @@ def test_recommend_from_saved_state(tmp_path, capsys):
     ("s0_obs", float("nan")),
 ])
 def test_recommend_rejects_non_finite_fixture_arm_summary(tmp_path, capsys, field, value):
-    doc = _jsonable(_bundled("betterbirth"))
+    doc = _bundled("betterbirth")
     doc["arm_summary"][field] = value
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(doc))

@@ -1,0 +1,122 @@
+"""The one JSON rule: every report, config and state document is built from
+its fields by ``model._json_value``, and each one is strict JSON
+(``allow_nan=False``) even where a value is NaN or infinite."""
+
+import dataclasses
+import json
+
+import numpy as np
+
+from lago import sim
+from lago.diagnostics import verify_assumption7
+from lago.model import FittedModel, _json_value, predict
+from lago.optimizer import GoalSpec, Recommendation, recommend_from_summary
+from lago.power import TestResult as Result
+from lago.power import TestSelector as Selector
+from lago.trial import from_document, ingest_stage, new_trial, to_document
+
+
+def strict(doc) -> str:
+    return json.dumps(doc, allow_nan=False)
+
+
+def test_converter_rule():
+    value = {
+        "floats": (1.5, float("nan"), float("inf"), -float("inf")),
+        "numpy": np.array([[np.float64(2.0), 3.0]]),
+        "scalars": [np.int64(4), np.bool_(True), np.float64("nan")],
+        "cost": sim.COST_1B,
+        "goals": GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_pooled")),
+        "plan": sim.StagePlan(1, 2, 10, ((1.0, 0.0), (0.0, 4.0))),
+    }
+    got = _json_value(value)
+    assert got == {
+        "floats": [1.5, None, None, None],
+        "numpy": [[2.0, 3.0]],
+        "scalars": [4, True, None],
+        "cost": [[1, 1, 1.0], [2, 1, 4.0]],
+        "goals": {"outcome_goal": 0.7, "direction": "increase", "power_goal": 0.8,
+                  "alpha": 0.05, "approach": "unconditional", "test": "z_pooled",
+                  "conditional_scale": "sd"},
+        "plan": {"n_control_centers": 1, "n_intervention_centers": 2, "n_per_center": 10,
+                 "probe_packages": [[1.0, 0.0], [0.0, 4.0]]},
+    }
+    assert type(got["scalars"][0]) is int and type(got["scalars"][1]) is bool
+    strict(got)
+
+
+def test_all_failed_metrics_report_is_strict_json():
+    spec = dataclasses.replace(sim.scenario_1a(replicates=4), true_beta=(30.0, 0.3, 0.15))
+    report = sim.run_scenario(spec, seed=3, threads=1)
+    assert report.n_used == 0 and report.failure_kinds == {"SeparationError": 4}
+    doc = json.loads(strict(report.to_dict()))
+    assert doc["power_pct"] is None and doc["rel_bias_pct"] == [None] * 3
+    assert doc["true_optimum"] == sim.true_optimum(spec).tolist()
+    assert doc["opt_rel_bias_pct"] is None and doc["mean_recommendation"] is None
+
+
+def test_inf_metric_is_null():
+    report = sim.MetricsReport(
+        scenario="s", replicates=2, n_used=2, failures=0, failure_kinds={},
+        power_pct=50.0, rel_bias_pct=(1.0, float("inf")), se_over_emp_sd_pct=(float("inf"), 2.0),
+        cp95_pct=(95.0, 90.0), opt_rel_bias_pct=None, propt_q2p5=None, propt_q97p5=None,
+        mean_recommendation=None, true_optimum=None, seed=1,
+    )
+    doc = report.to_dict()
+    assert doc["rel_bias_pct"] == [1.0, None] and doc["se_over_emp_sd_pct"] == [None, 2.0]
+    strict(doc)
+    assert report.csv_row()[5:7] == ["1", "inf"]
+
+
+def test_extended_probe_with_a_failing_center_is_strict_json():
+    model = FittedModel(beta=np.array([0.1, 0.3, 0.15]), link="logit",
+                        covariance=np.diag([0.04, 0.09, 0.04]), n_used=100, kind="binary")
+    report = verify_assumption7(model, sim.COST_1A, ((0.0, 2.0), (0.0, 8.0)), 0.7, 0.05,
+                                L=4, extended=True, M=3, seed=1)
+    assert any(c["x"] is None for c in report.centers)
+    doc = json.loads(strict(report.to_dict()))
+    failed = [c for c in doc["centers"] if c["x"] is None]
+    assert failed and all(c["delta_max"] is None for c in failed)
+    assert list(doc) == ["delta_max", "eta", "epsilon", "passed", "x_hat", "centers",
+                         "failures", "samples_per_center", "seed"]
+
+
+def test_recommendation_is_strict_json():
+    rec = recommend_from_summary(
+        sim.betterbirth_model(), sim.betterbirth_summary(),
+        GoalSpec(outcome_goal=0.1, direction="decrease", power_goal=0.8,
+                 test=Selector("z_unpooled")),
+        sim.BETTERBIRTH_COST, sim.BETTERBIRTH_BOUNDS,
+    )
+    assert isinstance(rec, Recommendation)
+    doc = json.loads(strict(_json_value(rec)))
+    assert list(doc) == ["x_hat", "regime", "achieved_outcome", "required_threshold",
+                         "projected_power", "cost"]
+    assert doc["x_hat"] == rec.x_hat.tolist() and doc["projected_power"] == rec.projected_power
+
+
+def test_trial_document_and_scenario_config_are_strict_json():
+    spec = sim.scenario_1a(n_per_center=40, replicates=1)
+    config = sim._trial_config(spec)
+    state = new_trial(config)
+    rng = np.random.default_rng(2)
+    truth = sim._true_model(spec)
+    control = predict(truth, np.zeros(2))
+    for k, plan in enumerate(spec.stages, start=1):
+        packages = sim._stage_packages(spec, plan, k, state)
+        record = sim._draw_stage(rng, spec, truth, control, k, plan, packages)
+        state = ingest_stage(state, record)
+    doc = json.loads(strict(to_document(state)))
+    assert to_document(from_document(doc)) == doc
+    assert doc["recommendations"] and doc["config"]["stage1_package"] == [1.0, 4.0]
+    assert "stage1_package" not in dataclasses.replace(config, stage1_package=None).to_config()
+
+    cfg = json.loads(strict(spec.to_config()))
+    assert "distortion" not in cfg
+    assert sim.ScenarioSpec.from_config(cfg) == spec
+
+
+def test_final_test_payload_is_its_fields():
+    result = Result(statistic=float("nan"), df=1, p_value=1.0, reject=False, kind="z_pooled")
+    assert _json_value(result) == {"statistic": None, "df": 1, "p_value": 1.0,
+                                   "reject": False, "kind": "z_pooled"}

@@ -220,11 +220,21 @@ def test_scenario_config_missing_field_is_value_error(field):
     ("bounds", ((2.0, 0.0), (0.0, 8.0)), "must not exceed its upper bound"),
     ("bounds", ((0.0, 2.0), (0.0, float("inf"))), "bounds must be finite"),
     ("bounds", ((0.0, float("nan")), (0.0, 8.0)), "bounds must be finite"),
+    ("outcome_sigma", float("inf"), "outcome_sigma must be positive and finite"),
+    ("outcome_sigma", float("nan"), "outcome_sigma must be positive and finite"),
+    ("deploy_step", (None, float("inf")), "deploy_step entries must be positive and finite"),
+    ("stage1_fallback_x", (1.0, float("nan")), "stage1_fallback_x must be finite"),
+    ("stage1_fallback_x", (float("inf"), 4.0), "stage1_fallback_x must be finite"),
 ])
 def test_scenario_rejects_bad_input_when_built(field, value, message):
     spec = scenario_1a(replicates=2)
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(spec, **{field: value})
+
+
+def test_stage_plan_rejects_non_finite_probe_packages():
+    with pytest.raises(ValueError, match="probe packages must be finite"):
+        StagePlan(1, 2, 40, ((1.0, 0.0), (0.0, float("inf"))))
 
 
 def test_stage_plan_rejects_fractional_center_size():

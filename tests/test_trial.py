@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lago.cost import CostFunction
 from lago.errors import OutOfOrderStageError
-from lago.model import CenterData, StageRecord, fit_binary
+from lago.model import CenterData, StageRecord, _json_fields, fit_binary
 from lago.optimizer import (
     GoalSpec,
     Recommendation,
@@ -30,7 +30,6 @@ from lago.trial import (
     PlannedStage,
     TrialConfig,
     TrialState,
-    _rec_to_dict,
     check_futility,
     final_optimal,
     final_test,
@@ -206,6 +205,16 @@ def test_planned_stage_rejects_non_finite_sizes(sizes):
         TrialConfig.from_config(entry)
 
 
+@pytest.mark.parametrize("link", ["cubic", "logit"])
+def test_config_rejects_a_continuous_outcome_link_it_cannot_fit(link):
+    with pytest.raises(ValueError, match="continuous outcome_link"):
+        TrialConfig(
+            stages=(PlannedStage(120.0, 40.0), PlannedStage(120.0, 40.0)),
+            bounds=BOUNDS, cost=CUBIC, goals=GoalSpec(outcome_goal=0.7),
+            outcome_kind="continuous", outcome_link=link,
+        )
+
+
 def test_config_round_trip():
     cfg = make_config(POWER_GOALS)
     again = TrialConfig.from_config(cfg.to_config())
@@ -330,22 +339,22 @@ def test_three_stage_recommendation_is_the_solver_on_the_sums():
         refit(state), summary, POWER_GOALS, CUBIC, BOUNDS,
         THREE_STAGE_CONFIG.stage1_package,
     )
-    assert _rec_to_dict(next_recommendation(state)) == _rec_to_dict(direct)
+    assert _json_fields(next_recommendation(state)) == _json_fields(direct)
 
 
 def test_three_stage_save_load_replays_identical_recommendations(tmp_path):
     for state in three_stage_states():
         next_recommendation(state)  # memoizes the next stage's package
-        expected = [_rec_to_dict(r) for r in state.recommendations]
+        expected = [_json_fields(r) for r in state.recommendations]
         path = tmp_path / f"after{len(state.completed)}.json"
         save_state(state, path)
         loaded = load_state(path)
-        assert [_rec_to_dict(r) for r in loaded.recommendations] == expected
+        assert [_json_fields(r) for r in loaded.recommendations] == expected
         replay = new_trial(loaded.config)
         replayed = []
         for record in loaded.completed:
             replay = ingest_stage(replay, record)
-            replayed.append(_rec_to_dict(next_recommendation(replay)))
+            replayed.append(_json_fields(next_recommendation(replay)))
         assert replayed == expected
 
 
