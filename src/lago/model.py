@@ -14,10 +14,12 @@ step-halving); refitting the same data gives bitwise-identical coefficients.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DegenerateVarianceError,
@@ -75,9 +77,12 @@ def link_forward(link: str, mu):
 
 
 def link_inverse(link: str, eta):
-    """g^{-1}(eta)."""
+    """g^{-1}(eta).  Python and numpy scalars take a float path first, as in
+    ``expit``."""
     if link == "logit":
         return expit(eta)
+    if link in CONTINUOUS_LINKS and isinstance(eta, (float, int, np.floating, np.integer)):
+        return float(eta) if link == "identity" else math.exp(eta)
     if link == "identity":
         return np.asarray(eta, dtype=float) if np.ndim(eta) else float(eta)
     if link == "log":
@@ -336,26 +341,6 @@ def logistic_information(X, n, p):
     return np.swapaxes(X, -1, -2) @ (X * w[..., None])
 
 
-def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("non-finite value in model input")
-
-
-def _check_rank(X, rank=None):
-    """Raise RankDeficientError unless X has full column rank.
-
-    ``rank`` is a rank already computed with ``matrix_rank``'s cutoff (the one
-    ``lstsq(..., rcond=None)`` returns); without it the rank is computed here.
-    """
-    if rank is None:
-        rank = np.linalg.matrix_rank(X)
-    if rank < X.shape[1]:
-        raise RankDeficientError(
-            "design matrix is rank deficient; coefficients are not identifiable"
-        )
-
-
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -393,6 +378,18 @@ def _lanewise(op, *stacks):
         return out, singular
 
 
+def _fail(out, lanes, cls, message):
+    """Give each lane in ``lanes`` that has no result yet ``cls(message)``."""
+    for lane in lanes:
+        if out[lane] is None:
+            out[lane] = cls(message)
+
+
+def _pending(out):
+    """The lanes with no result yet, in order."""
+    return np.array([lane for lane, result in enumerate(out) if result is None], dtype=np.intp)
+
+
 def _fit_binary_stack(X, m, s, m2) -> list:
     """Logistic fits of L independent grouped designs at once.
 
@@ -410,14 +407,7 @@ def _fit_binary_stack(X, m, s, m2) -> list:
     """
     L, _, k = X.shape
     out: list = [None] * L
-
-    def fail(lanes, cls, message):
-        for lane in lanes:
-            if out[lane] is None:
-                out[lane] = cls(message)
-
-    def pending():
-        return np.array([lane for lane in range(L) if out[lane] is None], dtype=np.intp)
+    fail, pending = functools.partial(_fail, out), functools.partial(_pending, out)
 
     with np.errstate(all="ignore"):  # lanes that fail one check meet the next ones
         finite = (np.isfinite(X).all(axis=(1, 2)) & np.isfinite(m).all(axis=1)
@@ -516,6 +506,154 @@ def fit_binary(records) -> FittedModel:
     return result
 
 
+def _lstsq_stack(A, b):
+    """``np.linalg.lstsq(A[j], b[j], rcond=None)`` for every lane j of A
+    (L, C, k) and b (L, C) in one call of the gufunc it wraps, at its
+    cutoff eps * max(C, k).  Returns the solutions (L, k), the ranks (L,)
+    and, per lane, None or the LinAlgError its lone call raises.
+
+    A failed SVD is flagged once for the whole stack; then each lane is
+    solved on its own.
+    """
+    rcond = np.finfo(float).eps * max(A.shape[1:])
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            x, _, rank, _ = _umath_linalg.lstsq(A, b[:, :, None], rcond,
+                                                signature="ddd->ddid")
+        return x[:, :, 0], rank, [None] * len(A)
+    except FloatingPointError:
+        x, rank, errors = np.zeros((len(A), A.shape[2])), np.zeros(len(A), dtype=int), []
+        for j in range(len(A)):
+            try:
+                x[j], _, rank[j], _ = np.linalg.lstsq(A[j], b[j], rcond=None)
+                errors.append(None)
+            except np.linalg.LinAlgError as exc:
+                errors.append(exc)
+        return x, rank, errors
+
+
+def _fit_continuous_stack(X, n, s, m2, link: str) -> list:
+    """Continuous-outcome fits of L independent grouped designs at once.
+
+    ``X`` (L, C, P+1), ``n``, ``s`` and ``m2`` (L, C) are what
+    ``_stack_rows`` returns.  Each lane is fitted as ``fit_continuous``
+    fits one, with the same checks in the same order: the identity link by
+    one stacked least-squares solve, the log link by Gauss-Newton with
+    step-halving on the lanes still iterating.  Every stacked product,
+    solve and dot works on each lane as the lone call would, so a lane's
+    numbers do not depend on the other lanes.
+
+    Returns one entry per lane: its ``FittedModel``, or the exception the
+    fit of that lane alone raises (returned, not raised).
+    """
+    if link not in CONTINUOUS_LINKS:
+        raise ValueError(f"unsupported continuous link {link!r}")
+    L, _, k = X.shape
+    out: list = [None] * L
+    fail, pending = functools.partial(_fail, out), functools.partial(_pending, out)
+
+    def failed(lanes, errors):
+        for lane, exc in zip(lanes.tolist(), errors):
+            if exc is not None:
+                out[lane] = exc
+        return np.array([exc is not None for exc in errors], dtype=bool)
+
+    finite = (np.isfinite(X).all(axis=(1, 2)) & np.isfinite(s).all(axis=1)
+              & np.isfinite(m2).all(axis=1))
+    fail(np.flatnonzero(~finite), NonFiniteError, "non-finite value in model input")
+    ybar, w = s / n, np.sqrt(n)
+    beta_out = np.zeros((L, k))
+    act = pending()
+    if act.size:
+        if link == "identity":
+            beta_out[act], rank, errors = _lstsq_stack(X[act] * w[act, :, None],
+                                                       ybar[act] * w[act])
+            failed(act, errors)
+        else:
+            rank = np.linalg.matrix_rank(X[act])
+        fail(act[rank < k], RankDeficientError,
+             "design matrix is rank deficient; coefficients are not identifiable")
+    n_obs = n.sum(axis=1)
+    fail(np.flatnonzero(n_obs <= k), RankDeficientError,
+         "need more observations than coefficients")
+
+    def linear(lanes, b):
+        eta = (X[lanes] @ b[:, :, None])[:, :, 0]
+        return eta if link == "identity" else np.clip(eta, -700, 700)
+
+    def rss(lanes, b):
+        eta = linear(lanes, b)
+        r = ybar[lanes] - (eta if link == "identity" else np.exp(eta))
+        return m2[lanes].sum(axis=1) + np.vecdot(n[lanes], r * r)
+
+    n_iter = np.zeros(L, dtype=int)
+    act = pending()
+    if link == "log":
+        n_iter[act] = MAX_ITER
+        mean_y = (s[act].sum(axis=1) / n_obs[act]).tolist()
+        beta = np.zeros((act.size, k))
+        beta[:, 0] = [math.log(v) if v > 0 else 0.0 for v in mean_y]
+        loss = rss(act, beta)
+        for it in range(1, MAX_ITER + 1):
+            if not act.size:
+                break
+            mu = np.exp(linear(act, beta))
+            J = X[act] * (w[act] * mu)[:, :, None]
+            wresid = w[act] * (ybar[act] - mu)
+            grad = (np.swapaxes(J, 1, 2) @ wresid[:, :, None])[:, :, 0]
+            done = np.sqrt(np.vecdot(grad, grad)) <= GRAD_TOL
+            if done.any():
+                beta_out[act[done]] = beta[done]
+                n_iter[act[done]] = it - 1
+                act, beta, loss, J, wresid = (
+                    a[~done] for a in (act, beta, loss, J, wresid))
+                if not act.size:
+                    break
+            step, _, errors = _lstsq_stack(J, wresid)
+            new_beta = beta + step
+            new_loss = rss(act, new_beta)
+            halve = ~failed(act, errors) & (~np.isfinite(new_loss) | (new_loss > loss + 1e-12))
+            halvings = 0
+            while halvings < 30 and halve.any():
+                j = np.flatnonzero(halve)
+                step[j] *= 0.5
+                new_beta[j] = beta[j] + step[j]
+                new_loss[j] = rss(act[j], new_beta[j])
+                halve[j] = ~np.isfinite(new_loss[j]) | (new_loss[j] > loss[j] + 1e-12)
+                halvings += 1
+            beta, loss = new_beta, new_loss
+            fail(act[~np.isfinite(beta).all(axis=1)], NonFiniteError,
+                 "non-finite coefficients during GLM fit")
+            keep = np.array([out[lane] is None for lane in act.tolist()], dtype=bool)
+            act, beta, loss = (a[keep] for a in (act, beta, loss))
+        beta_out[act] = beta
+
+    ok = pending()
+    if not ok.size:
+        return out
+    loss = rss(ok, beta_out[ok])
+    fail(ok[loss <= 0.0], DegenerateVarianceError, "zero residual variance in continuous fit")
+    Xo, no, bo = X[ok], n[ok], beta_out[ok]
+    eta = linear(ok, bo)
+    mu = eta if link == "identity" else np.exp(eta)
+    resid = ybar[ok] - mu
+    bread_w, meat_w = no, m2[ok] + no * resid * resid
+    if link == "log":  # d = dg^{-1}/deta = mu; the identity link has d = 1
+        bread_w, meat_w = no * (mu * mu), (mu * mu) * meat_w
+    A = np.swapaxes(Xo, 1, 2) @ (Xo * bread_w[:, :, None])
+    B = np.swapaxes(Xo, 1, 2) @ (Xo * meat_w[:, :, None])
+    A_inv, singular = _lanewise(np.linalg.inv, A)
+    fail(ok[singular], RankDeficientError, "singular bread matrix in sandwich covariance")
+    cov = A_inv @ B @ A_inv
+    for j, lane in enumerate(ok.tolist()):
+        if out[lane] is None:
+            out[lane] = FittedModel(beta=bo[j], link=link, covariance=cov[j],
+                                    n_used=int(n_obs[lane]), kind="continuous",
+                                    sigma2=float(loss[j] / (n_obs[lane] - k)),
+                                    n_iter=int(n_iter[lane]))
+    return out
+
+
 def fit_continuous(records, link: str = "identity") -> FittedModel:
     """GLM fit for continuous outcomes with identity or log link.
 
@@ -525,82 +663,13 @@ def fit_continuous(records, link: str = "identity") -> FittedModel:
     center means weighted by n (solved by SVD, not normal equations); log
     uses Gauss-Newton on the same rows with step-halving.  Covariance is the
     sandwich A^{-1} B A^{-1} with bread A = sum n d^2 x x' and meat
-    B = sum d^2 (m2 + n (ybar - mu)^2) x x', d = dg^{-1}/deta.
+    B = sum d^2 (m2 + n (ybar - mu)^2) x x', d = dg^{-1}/deta.  The one-lane
+    call of ``_fit_continuous_stack``.
     """
-    if link not in CONTINUOUS_LINKS:
-        raise ValueError(f"unsupported continuous link {link!r}")
-    X, n, s, m2 = _center_rows(records)
-    _check_finite(X, s, m2)
-    ybar = s / n
-    w = np.sqrt(n)
-    n_obs, k = int(n.sum()), X.shape[1]
-    rank = None
-    if link == "identity":
-        # lstsq ranks the weighted rows with matrix_rank's cutoff: one SVD serves both.
-        beta, _, rank, _ = np.linalg.lstsq(X * w[:, None], ybar * w, rcond=None)
-    _check_rank(X, rank)
-    if n_obs <= k:
-        raise RankDeficientError("need more observations than coefficients")
-
-    def linear(b):
-        eta = X @ b
-        return eta if link == "identity" else np.clip(eta, -700, 700)
-
-    within = float(m2.sum())
-
-    def rss(b):
-        r = ybar - link_inverse(link, linear(b))
-        return within + float(n @ (r * r))
-
-    n_iter = 0
-    if link == "log":
-        mean_y = float(s.sum() / n.sum())
-        beta = np.zeros(k)
-        beta[0] = math.log(mean_y) if mean_y > 0 else 0.0
-        loss = rss(beta)
-        for n_iter in range(1, MAX_ITER + 1):
-            mu = np.exp(linear(beta))
-            J = X * (w * mu)[:, None]
-            wresid = w * (ybar - mu)
-            grad = J.T @ wresid
-            if np.linalg.norm(grad) <= GRAD_TOL:
-                n_iter -= 1
-                break
-            step, *_ = np.linalg.lstsq(J, wresid, rcond=None)
-            new_beta = beta + step
-            new_loss = rss(new_beta)
-            halvings = 0
-            while (not np.isfinite(new_loss) or new_loss > loss + 1e-12) and halvings < 30:
-                step *= 0.5
-                new_beta = beta + step
-                new_loss = rss(new_beta)
-                halvings += 1
-            beta, loss = new_beta, new_loss
-            if not np.all(np.isfinite(beta)):
-                raise NonFiniteError("non-finite coefficients during GLM fit")
-
-    loss = rss(beta)
-    if loss <= 0.0:
-        raise DegenerateVarianceError("zero residual variance in continuous fit")
-    eta = linear(beta)
-    resid = ybar - link_inverse(link, eta)
-    d2 = np.asarray(link_inverse_deriv(link, eta)) ** 2
-    A = X.T @ (X * (n * d2)[:, None])
-    B = X.T @ (X * (d2 * (m2 + n * resid * resid))[:, None])
-    try:
-        A_inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientError("singular bread matrix in sandwich covariance") from exc
-
-    return FittedModel(
-        beta=np.asarray(beta, dtype=float),
-        link=link,
-        covariance=A_inv @ B @ A_inv,
-        n_used=n_obs,
-        kind="continuous",
-        sigma2=loss / (n_obs - k),
-        n_iter=n_iter,
-    )
+    (result,) = _fit_continuous_stack(*_stack_rows([records]), link)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

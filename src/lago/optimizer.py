@@ -39,6 +39,7 @@ from .power import (
     ArmSummary,
     TestSelector,
     _passing_root,
+    _Projection,
     _wald_lambda_binary,
     conditional_power,
     conditional_slack_at_level,
@@ -742,27 +743,31 @@ def _state_summary(trial_state, test: TestSelector | None, k: int) -> ArmSummary
     return ArmSummary.from_records(records, future=future, continuous=continuous)
 
 
-def _threshold_core(model, summary, goals: GoalSpec, cost, lo, hi):
+def _threshold_core(model, summary, goals: GoalSpec, cost, lo, hi, eta_hi=None):
     """Smallest future outcome level that certifies the power goal.
 
     Returns (raw_level, eta_work).  The bracket runs on the working linear
     predictor from the control level to the best level attainable in the
-    validated bounds (lo, hi).  Inside it the threshold is the root of a
-    signed residual that is >= 0 exactly where the goal is certified (so
-    nan fails): power - pi
+    validated bounds (lo, hi), ``eta_hi`` when the caller has it.  Inside
+    it the threshold is the root of a signed residual that is >= 0 exactly
+    where the goal is certified (so nan fails): power - pi
     (-inf while the projected drift points the wrong way) for the
     unconditional approach, -slack for the conditional one, and the power of
     the cost-minimal package minus pi for the Wald test.
     ``_passing_root`` narrows the bracket below ``_THRESHOLD_RTOL`` relative
     width and the passing end is returned, so the certificate always holds
-    at the reported level.
+    at the reported level.  The 1-df residuals share one ``_Projection``, so
+    the level-free parts of the power are computed once per search.
     """
     test, alpha, pi = goals.test, goals.alpha, goals.power_goal
     direction = goals.direction
     sign = 1.0 if direction == "increase" else -1.0
     wm = _work_model(model, direction)
     eta_lo = wm.intercept
-    _, eta_hi = _eta_extremes(wm, lo, hi)
+    if eta_hi is None:
+        _, eta_hi = _eta_extremes(wm, lo, hi)
+    if not test.wald:
+        summary = _Projection(model, summary, test, alpha, pi)
 
     def residual(eta_w: float) -> float:
         raw = _raw_level(model.link, eta_w, direction)
@@ -922,7 +927,7 @@ def _decide(model: FittedModel, summary, goals: GoalSpec, cost, lo, hi):
         if summary is None:
             raise ValueError("a power goal needs observed/planned arm sizes")
         try:
-            _, eta_pow_w = _threshold_core(model, summary, goals, cost, lo, hi)
+            _, eta_pow_w = _threshold_core(model, summary, goals, cost, lo, hi, eta_max_w)
             pow_attainable = True
         except NoThresholdError:
             pow_attainable = False

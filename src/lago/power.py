@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -566,38 +567,68 @@ def _sigma1_tilde(level: float, summary: ArmSummary) -> float:
     ) / (N1 - 1.0)
 
 
-def _control_level(model: FittedModel) -> float:
-    return float(link_inverse(model.link, model.intercept))
+class _Projection:
+    """The level-free parts of the 1-df projections of one fitted model and
+    arm summary, each computed on first use: the all-stage arm sizes N1 and
+    N0, the model control level p0 and projected control rate pbar0, the
+    level-free future variance, and z_{alpha/2} and z_pi.
+
+    Every ``*_at_level`` function builds one from its arguments, or takes
+    one in place of its summary: the threshold search evaluates one
+    decision's projection at dozens of levels.
+    """
+
+    def __init__(self, model: FittedModel, summary: ArmSummary, test=None, alpha=None, pi=None):
+        self.model, self.summary, self.test, self.alpha, self.pi = model, summary, test, alpha, pi
+
+    N1 = cached_property(lambda self: self.summary.N1)
+    N0 = cached_property(lambda self: self.summary.N0)
+    p0 = cached_property(lambda self: float(link_inverse(self.model.link, self.model.intercept)))
+    z_half_alpha = cached_property(lambda self: norm_quantile(1.0 - self.alpha / 2.0))
+    z_pi = cached_property(lambda self: norm_quantile(1.0 - self.pi))  # negative for pi > 1/2
+
+    @cached_property
+    def pbar0(self) -> float:
+        return (self.summary.s0_obs + self.summary.n0_future * self.p0) / self.N0
+
+    @cached_property
+    def future_var(self) -> float:
+        """Variance from future randomness that does not depend on the level:
+        both arms' for a continuous outcome, the control arm's for a binary one."""
+        s, N1, N0 = self.summary, self.N1, self.N0
+        if self.test.continuous_outcome:
+            return s.n1_future * s.var1_obs / (N1 * N1) + s.n0_future * s.var0_obs / (N0 * N0)
+        return s.n0_future * self.p0 * (1.0 - self.p0) / (N0 * N0)
+
+    def pbar1(self, level: float) -> float:
+        return (self.summary.s1_obs + self.summary.n1_future * level) / self.N1
 
 
-def _projected_arms(level: float, model: FittedModel, summary: ArmSummary):
-    """``projected_rates`` and the model control level p0, as (pbar1, pbar0, p0)."""
-    p0 = _control_level(model)
-    pbar1 = (summary.s1_obs + summary.n1_future * level) / summary.N1
-    pbar0 = (summary.s0_obs + summary.n0_future * p0) / summary.N0
-    return pbar1, pbar0, p0
+def _projection(model, summary, test=None, alpha=None, pi=None) -> _Projection:
+    """``summary`` itself when it is a ``_Projection``, else one built from the arguments."""
+    if isinstance(summary, _Projection):
+        return summary
+    return _Projection(model, summary, test, alpha, pi)
 
 
 def projected_rates(level: float, model: FittedModel, summary: ArmSummary):
     """(pbar1, pbar0): all-stage arm rates/means with the future at ``level``."""
-    return _projected_arms(level, model, summary)[:2]
+    proj = _projection(model, summary)
+    return proj.pbar1(level), proj.pbar0
 
 
-def _arm_moments(
-    level: float, model: FittedModel, summary: ArmSummary, test: TestSelector
-):
+def _arm_moments(level: float, proj: _Projection, test: TestSelector):
     """Projected all-stage arm moments of a 1-df test at future ``level``.
 
-    Returns (pbar1, pbar0, p0, unpooled_var, test_var): the
-    ``projected_rates``, the model control level, the unpooled projected
-    variance of the arm contrast, and the variance the test statistic
-    divides by (the pooled one for pooled tests, else ``unpooled_var``).
+    Returns (pbar1, pbar0, unpooled_var, test_var): the
+    ``projected_rates``, the unpooled projected variance of the arm
+    contrast, and the variance the test statistic divides by (the pooled
+    one for pooled tests, else ``unpooled_var``).
     The noncentrality, the pooled critical rescale and the conditional
-    certificate all read these, so the control level is computed once per
-    level.
+    certificate all read these.
     """
-    N1, N0 = summary.N1, summary.N0
-    pbar1, pbar0, p0 = _projected_arms(level, model, summary)
+    summary, N1, N0 = proj.summary, proj.N1, proj.N0
+    pbar1, pbar0, p0 = proj.pbar1(level), proj.pbar0, proj.p0
     if test.continuous_outcome:
         if summary.var0_obs is None:
             raise ValueError("continuous projections need var0_obs")
@@ -614,7 +645,7 @@ def _arm_moments(
             pp = (summary.s1_obs + summary.n1_future * level
                   + summary.s0_obs + summary.n0_future * p0) / (N1 + N0)
             test_var = pp * (1.0 - pp) * (1.0 / N1 + 1.0 / N0)
-    return pbar1, pbar0, p0, unpooled_var, test_var
+    return pbar1, pbar0, unpooled_var, test_var
 
 
 def _lambda_and_rescale(
@@ -627,7 +658,8 @@ def _lambda_and_rescale(
     """
     if test.wald:
         raise ValueError("Wald noncentrality depends on the package, not just its level")
-    pbar1, pbar0, _, unpooled_var, test_var = _arm_moments(level, model, summary, test)
+    pbar1, pbar0, unpooled_var, test_var = _arm_moments(
+        level, _projection(model, summary), test)
     if unpooled_var <= 0.0:
         raise DegenerateVarianceError("zero projected variance")
     diff = pbar1 - pbar0
@@ -731,8 +763,9 @@ def unconditional_power_at_level(
     1 - noncentral_chisq_cdf(chisq_quantile(1 - alpha, 1) * rescale, 1, lam).
     """
     _check_probability("alpha", alpha)
-    lam, rescale = _lambda_and_rescale(level, model, summary, test)
-    c = norm_quantile(1.0 - 0.5 * alpha) * math.sqrt(rescale)
+    proj = _projection(model, summary, alpha=alpha)
+    lam, rescale = _lambda_and_rescale(level, model, proj, test)
+    c = proj.z_half_alpha * math.sqrt(rescale)
     r = math.sqrt(lam)
     return norm_sf(c - r) + norm_sf(c + r)
 
@@ -778,19 +811,13 @@ def _conditional_parts(
     """
     if test.wald:
         raise ValueError("the conditional approach is defined for 1-df tests only")
-    N1, N0 = summary.N1, summary.N0
-    pbar1, pbar0, p0, _, test_var = _arm_moments(level, model, summary, test)
+    proj = _projection(model, summary, test)
+    pbar1, pbar0, _, test_var = _arm_moments(level, proj, test)
     g1 = math.sqrt(max(test_var, 0.0))
-    if test.continuous_outcome:
-        fut_var = (
-            summary.n1_future * summary.var1_obs / (N1 * N1)
-            + summary.n0_future * summary.var0_obs / (N0 * N0)
-        )
-    else:
-        fut_var = (
-            summary.n1_future * level * (1.0 - level) / (N1 * N1)
-            + summary.n0_future * p0 * (1.0 - p0) / (N0 * N0)
-        )
+    fut_var = proj.future_var
+    if not test.continuous_outcome:
+        N1 = proj.N1
+        fut_var = proj.summary.n1_future * level * (1.0 - level) / (N1 * N1) + fut_var
     return g1, pbar1 - pbar0, math.sqrt(max(fut_var, 0.0)), fut_var
 
 
@@ -821,9 +848,9 @@ def conditional_slack_at_level(
     _check_probability("alpha", alpha)
     _check_probability("pi", pi)
     sign = _direction_sign(direction)
-    z_half_alpha = norm_quantile(1.0 - alpha / 2.0)
-    z_pi = norm_quantile(1.0 - pi)  # upper-pi critical value, negative for pi > 1/2
-    g1, drift, fut_sd, fut_var = _conditional_parts(level, model, summary, test)
+    proj = _projection(model, summary, test, alpha, pi)
+    z_half_alpha, z_pi = proj.z_half_alpha, proj.z_pi
+    g1, drift, fut_sd, fut_var = _conditional_parts(level, model, proj, test)
     if scale == "variance" and test.kind == "z_unpooled":
         fut_term = fut_var
     elif scale in ("sd", "variance"):
@@ -865,8 +892,9 @@ def conditional_power_at_level(
     """
     _check_probability("alpha", alpha)
     sign = _direction_sign(direction)
-    z_half_alpha = norm_quantile(1.0 - alpha / 2.0)
-    g1, drift, fut_sd, _ = _conditional_parts(level, model, summary, test)
+    proj = _projection(model, summary, test, alpha)
+    z_half_alpha = proj.z_half_alpha
+    g1, drift, fut_sd, _ = _conditional_parts(level, model, proj, test)
     margin = sign * drift - z_half_alpha * g1
     if fut_sd == 0.0:
         return 1.0 if margin >= 0.0 else 0.0

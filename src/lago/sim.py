@@ -38,6 +38,7 @@ from .model import (
     _assumed,
     _center_rows,
     _fit_binary_stack,
+    _fit_continuous_stack,
     _json_fields,
     _stack_rows,
     expit,
@@ -373,8 +374,11 @@ def _draw_stage(rng, spec, truth, control_mean, stage_index, splan, packages) ->
     shifted per center: ``loc + scale * z`` is how ``rng.normal`` makes each
     draw, so the outcomes and the stream position after them equal one
     ``rng.normal`` call per center, and one block costs less than a call
-    per center.  Binary centers keep one scalar ``rng.binomial`` call each,
-    which costs less than one call over an array of probabilities.
+    per center.  The centers' statistics come from one pass over the block
+    (row sums, then the row dots of the deviations), each row as
+    ``CenterData(arm, x, y)`` reduces it.  Binary centers keep one scalar
+    ``rng.binomial`` call each, which costs less than one call over an
+    array of probabilities.
     """
     n = splan.n_per_center
     xs = [np.zeros(spec.n_components)] * splan.n_control_centers + list(packages)
@@ -389,7 +393,14 @@ def _draw_stage(rng, spec, truth, control_mean, stage_index, splan, packages) ->
         ]
     else:
         ys = np.array(means)[:, None] + spec.outcome_sigma * rng.standard_normal((len(xs), n))
-        centers = [CenterData(arm, x, y) for arm, x, y in zip(arms, xs, ys)]
+        totals = ys.sum(axis=1)
+        dev = ys - (totals / n)[:, None]
+        m2 = np.vecdot(dev, dev)
+        if np.isfinite(m2).all():
+            centers = [CenterData.from_stats(arm, x, n, total, v) for arm, x, total, v
+                       in zip(arms, xs, totals.tolist(), m2.tolist())]
+        else:  # non-finite draws are kept, for the fit to reject per lane
+            centers = [CenterData(arm, x, y) for arm, x, y in zip(arms, xs, ys)]
     return StageRecord(stage_index, centers)
 
 
@@ -451,23 +462,17 @@ def _fit_used(spec: ScenarioSpec, stage_index: int) -> bool:
     return _recommends(spec, spec.stages[stage_index])
 
 
-def _decide_lanes(config: TrialConfig, goals: GoalSpec, states, lanes, lo, hi) -> dict:
-    """The pending decision of each state in ``lanes`` under ``goals``, as one
-    ``_recommend_lanes`` call over their refitted models.  Returns lane ->
-    Recommendation, or the ``_LANE_ERRORS`` exception its refit or decision
-    raised, in lane order."""
-    found, models = {}, {}
-    for i in lanes:
-        try:
-            models[i] = refit(states[i])
-        except _LANE_ERRORS as exc:
-            found[i] = exc
-    inputs = [_stage_inputs(states[i], goals, states[i].next_stage) for i in models]
-    found.update(zip(models, _recommend_lanes(
-        list(models.values()), [summary for summary, _ in inputs], goals,
+def _decide_lanes(config: TrialConfig, goals: GoalSpec, states, models, lanes, lo, hi) -> dict:
+    """The pending decision of each state in ``lanes`` under ``goals``, as
+    one ``_recommend_lanes`` call over their fits (``models``: lane -> the
+    stacked fit of its stages completed now).  Returns lane ->
+    Recommendation, or the ``_LANE_ERRORS`` exception its decision raised,
+    in lane order."""
+    inputs = [_stage_inputs(states[i], goals, states[i].next_stage) for i in lanes]
+    return dict(zip(lanes, _recommend_lanes(
+        [models[i] for i in lanes], [summary for summary, _ in inputs], goals,
         config.cost, lo, hi, [anchor for _, anchor in inputs],
     )))
-    return {i: found[i] for i in lanes}
 
 
 def _finish_replicate(spec: ScenarioSpec, state, truth) -> tuple:
@@ -507,10 +512,10 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
     all live lanes in one ``_decide_lanes`` call and stores each lane's in
     its state (a lane whose decision raises fails with that kind); then
     each live lane picks its packages, draws from its own stream and
-    ingests the stage; then, for a binary outcome, the pooled fits of all
-    live lanes run as one ``_fit_binary_stack`` call and each lands in its
-    state's ``refit`` memo.  Continuous lanes fit on their own when first
-    refitted.  After the last stage one more ``_decide_lanes`` call, with
+    ingests the stage; then, when the pooled fit is used, the fits of all
+    live lanes run as one stacked call (``_fit_binary_stack`` or
+    ``_fit_continuous_stack``) and each lands in its state's ``refit``
+    memo.  After the last stage one more ``_decide_lanes`` call, with
     the power goal stripped, stores each lane's ``final_optimal`` package;
     a lane whose final package fails is left to ``_finish_replicate``,
     which reports a failing final test first.  Returns one ("ok", payload)
@@ -522,10 +527,12 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
     rngs = [np.random.default_rng(cs) for cs in child_seeds]
     states = [new_trial(config) for _ in rngs]
     outcomes: list = [None] * len(states)
+    models: dict = {}
     live = list(range(len(states)))
     for stage_index, splan in enumerate(spec.stages, start=1):
         if _recommends(spec, splan):
-            for i, rec in _decide_lanes(config, config.goals, states, live, lo, hi).items():
+            decisions = _decide_lanes(config, config.goals, states, models, live, lo, hi)
+            for i, rec in decisions.items():
                 if isinstance(rec, Recommendation):
                     _store_recommendation(states[i], rec)
                 else:
@@ -554,10 +561,15 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
                 except _LANE_ERRORS as exc:
                     outcomes[i] = ("fail", type(exc).__name__)
         live = [i for i in live if outcomes[i] is None]
-        if live and spec.outcome_kind == "binary" and _fit_used(spec, stage_index):
+        if live and _fit_used(spec, stage_index):
             pooled = _stack_rows([states[i].completed for i in live])
-            for i, fit in zip(live, _fit_binary_stack(*pooled)):
+            if spec.outcome_kind == "binary":
+                fits = _fit_binary_stack(*pooled)
+            else:
+                fits = _fit_continuous_stack(*pooled, config.outcome_link)
+            for i, fit in zip(live, fits):
                 if isinstance(fit, FittedModel):
+                    models[i] = fit
                     _store_fit(states[i], fit)
                 elif isinstance(fit, _LANE_ERRORS):
                     outcomes[i] = ("fail", type(fit).__name__)
@@ -567,7 +579,7 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
 
     if spec.goals.outcome_goal is not None:
         final_goals = replace(config.goals, power_goal=None)
-        for i, rec in _decide_lanes(config, final_goals, states, live, lo, hi).items():
+        for i, rec in _decide_lanes(config, final_goals, states, models, live, lo, hi).items():
             if isinstance(rec, Recommendation):
                 _store_recommendation(states[i], rec)
     for i in live:

@@ -32,7 +32,6 @@ from lago.model import (
     StageRecord,
     _center_rows,
     _check_binary,
-    _check_finite,
     expit,
     fit_binary,
     logistic_information,
@@ -53,6 +52,12 @@ def _expit_two_branch(eta):
     ex = np.exp(eta[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out if out.ndim else float(out)
+
+
+def _check_finite(*arrays):
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError("non-finite value in model input")
 
 
 def _stacked_rows(records):

@@ -1,19 +1,23 @@
-"""Differential tests for the lockstep replicate engine and the stacked IRLS.
+"""Differential tests for the lockstep replicate engine and the stacked fits.
 
 ``run_scenario`` advances all replicates of a block one stage at a time and
-fits every binary replicate's pooled data in one ``_fit_binary_stack`` call.
-The per-replicate path it replaced, with its per-center draws, and the
-scalar IRLS loop ``fit_binary`` ran before it became the one-lane call of
-the kernel, are kept here as oracles: the engine's reports and the kernel's
-fits must agree with them bitwise, and a lane's result must not depend on
+fits every replicate's pooled data in one ``_fit_binary_stack`` or
+``_fit_continuous_stack`` call per stage.  The per-replicate path it
+replaced, with its per-center draws and outcome vectors, and the
+single-design fits ``fit_binary`` and ``fit_continuous`` ran before each
+became the one-lane call of its kernel, are kept here as oracles: the
+engine's reports and the kernels' fits must agree with them bitwise, with
+the same error type and message, and a lane's result must not depend on
 the other lanes of its stack.
 """
 
+import ast
 import dataclasses
 import math
 import re
 import warnings
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +25,16 @@ import pytest
 import lago
 import lago.trial as trial_module
 from lago import sim
-from lago.errors import LagoError, NonFiniteError, SeparationError
+from lago.errors import (
+    DegenerateVarianceError,
+    LagoError,
+    NonFiniteError,
+    RankDeficientError,
+    SeparationError,
+)
 from lago.model import (
     COEF_CAP,
+    CONTINUOUS_LINKS,
     GRAD_TOL,
     MAX_ITER,
     CenterData,
@@ -31,19 +42,35 @@ from lago.model import (
     StageRecord,
     _center_rows,
     _check_binary,
-    _check_finite,
-    _check_rank,
     _fit_binary_stack,
+    _fit_continuous_stack,
+    _lstsq_stack,
     _stack_rows,
     expit,
+    link_inverse,
+    link_inverse_deriv,
     logistic_information,
     predict,
 )
 from lago.trial import final_optimal, final_test, ingest_stage, new_trial, refit
-from test_fast_paths import _fit_binary_oracle, _grouped_design, _outcome
+from test_fast_paths import _check_finite, _fit_binary_oracle, _grouped_design, _outcome
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def _check_rank(X, rank=None):
+    """Raise RankDeficientError unless X has full column rank.
+
+    ``rank`` is a rank already computed with ``matrix_rank``'s cutoff (the one
+    ``lstsq(..., rcond=None)`` returns); without it the rank is computed here.
+    """
+    if rank is None:
+        rank = np.linalg.matrix_rank(X)
+    if rank < X.shape[1]:
+        raise RankDeficientError(
+            "design matrix is rank deficient; coefficients are not identifiable"
+        )
 
 
 def _fit_binary_scalar(records):
@@ -102,6 +129,84 @@ def _fit_binary_scalar(records):
         raise SeparationError("observed information singular at the optimum") from exc
     return FittedModel(
         beta=beta, link="logit", covariance=cov, n_used=int(m.sum()), kind="binary",
+        n_iter=n_iter,
+    )
+
+
+def _fit_continuous_scalar(records, link="identity"):
+    """The single-design continuous fit: one ``lstsq`` (identity) or one
+    Gauss-Newton loop (log) on Python-level scalar tests."""
+    if link not in CONTINUOUS_LINKS:
+        raise ValueError(f"unsupported continuous link {link!r}")
+    X, n, s, m2 = _center_rows(records)
+    _check_finite(X, s, m2)
+    ybar = s / n
+    w = np.sqrt(n)
+    n_obs, k = int(n.sum()), X.shape[1]
+    rank = None
+    if link == "identity":
+        # lstsq ranks the weighted rows with matrix_rank's cutoff: one SVD serves both.
+        beta, _, rank, _ = np.linalg.lstsq(X * w[:, None], ybar * w, rcond=None)
+    _check_rank(X, rank)
+    if n_obs <= k:
+        raise RankDeficientError("need more observations than coefficients")
+
+    def linear(b):
+        eta = X @ b
+        return eta if link == "identity" else np.clip(eta, -700, 700)
+
+    within = float(m2.sum())
+
+    def rss(b):
+        r = ybar - link_inverse(link, linear(b))
+        return within + float(n @ (r * r))
+
+    n_iter = 0
+    if link == "log":
+        mean_y = float(s.sum() / n.sum())
+        beta = np.zeros(k)
+        beta[0] = math.log(mean_y) if mean_y > 0 else 0.0
+        loss = rss(beta)
+        for n_iter in range(1, MAX_ITER + 1):
+            mu = np.exp(linear(beta))
+            J = X * (w * mu)[:, None]
+            wresid = w * (ybar - mu)
+            grad = J.T @ wresid
+            if np.linalg.norm(grad) <= GRAD_TOL:
+                n_iter -= 1
+                break
+            step, *_ = np.linalg.lstsq(J, wresid, rcond=None)
+            new_beta = beta + step
+            new_loss = rss(new_beta)
+            halvings = 0
+            while (not np.isfinite(new_loss) or new_loss > loss + 1e-12) and halvings < 30:
+                step *= 0.5
+                new_beta = beta + step
+                new_loss = rss(new_beta)
+                halvings += 1
+            beta, loss = new_beta, new_loss
+            if not np.all(np.isfinite(beta)):
+                raise NonFiniteError("non-finite coefficients during GLM fit")
+
+    loss = rss(beta)
+    if loss <= 0.0:
+        raise DegenerateVarianceError("zero residual variance in continuous fit")
+    eta = linear(beta)
+    resid = ybar - link_inverse(link, eta)
+    d2 = np.asarray(link_inverse_deriv(link, eta)) ** 2
+    A = X.T @ (X * (n * d2)[:, None])
+    B = X.T @ (X * (d2 * (m2 + n * resid * resid))[:, None])
+    try:
+        A_inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError("singular bread matrix in sandwich covariance") from exc
+    return FittedModel(
+        beta=np.asarray(beta, dtype=float),
+        link=link,
+        covariance=A_inv @ B @ A_inv,
+        n_used=n_obs,
+        kind="continuous",
+        sigma2=loss / (n_obs - k),
         n_iter=n_iter,
     )
 
@@ -166,6 +271,7 @@ def _oracle_report(monkeypatch, spec, seed):
     """``run_scenario``'s report with every replicate run by the oracles."""
     with monkeypatch.context() as patch:
         patch.setattr(trial_module, "fit_binary", _fit_binary_scalar)
+        patch.setattr(trial_module, "fit_continuous", _fit_continuous_scalar)
         patch.setattr(sim, "_simulate_block", lambda spec, config, seeds: [
             _simulate_replicate(spec, config, cs) for cs in seeds
         ])
@@ -224,6 +330,12 @@ SPECS = {
         sim.scenario_1a(n_per_center=200, replicates=12,
                         goals=_power("conditional", "t_unpooled")),
         outcome_kind="continuous", outcome_link="identity", outcome_sigma=8.0),
+    "continuous-log": lambda: dataclasses.replace(
+        sim.scenario_1a(n_per_center=200, replicates=12, goals=lago.GoalSpec(
+            outcome_goal=1.8, power_goal=0.8, approach="conditional",
+            test=lago.TestSelector("t_unpooled"))),
+        outcome_kind="continuous", outcome_link="log", outcome_sigma=2.0,
+        true_beta=(0.5, 0.1, 0.04)),
     "1a-n3-separation": lambda: sim.scenario_1a(n_per_center=3, replicates=120),
     # stage 1 alone is separated in some replicates, but a repeat design
     # never fits it
@@ -288,6 +400,21 @@ def test_a_failing_final_test_is_reported_before_the_final_package(monkeypatch):
     assert sim.run_scenario(spec, seed=29, threads=1).failure_kinds == {"NonFiniteError": 40}
 
 
+def test_non_finite_continuous_draws_fail_their_lanes_as_the_oracle_does(monkeypatch):
+    # A NaN package gives NaN outcomes; the center keeps them and the fit
+    # fails that lane, as a center built from the outcome vector does.
+    def nan_second_component(stage, center, x):
+        out = np.asarray(x, dtype=float).copy()
+        if stage == 2:
+            out[1] = math.nan
+        return out
+
+    spec = dataclasses.replace(SPECS["continuous-1a-t"](), distortion=nan_second_component)
+    got = sim.run_scenario(spec, seed=29, threads=1).to_dict()
+    assert repr(got) == repr(_oracle_report(monkeypatch, spec, 29))
+    assert got["failure_kinds"] == {"NonFiniteError": spec.replicates}
+
+
 def test_a_fit_input_error_ends_the_run(monkeypatch):
     # Only numerical failures (LagoError, LinAlgError) fail a replicate.
     real = sim._fit_binary_stack
@@ -324,6 +451,23 @@ def test_stage_draws_match_per_center_draws_and_stream_position():
             want = StageRecord(1, [_draw_center(b, spec, truth, arm, x, 25) for arm, x in arms])
             assert got == want
             assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 2000, 2001])
+def test_block_statistics_match_centers_built_from_their_outcomes(n):
+    spec = dataclasses.replace(sim.scenario_1a(n_per_center=n, replicates=1),
+                               outcome_kind="continuous", outcome_sigma=8.0)
+    truth = sim._true_model(spec)
+    splan = spec.stages[0]
+    packages = [np.asarray(p, dtype=float) for p in splan.probe_packages]
+    arms = [(0, np.zeros(2))] * splan.n_control_centers + [(1, x) for x in packages]
+    means = np.array([predict(truth, x) for _, x in arms])
+    for seed in range(40):
+        got = sim._draw_stage(np.random.default_rng([seed, n]), spec, truth, means[0], 1,
+                              splan, packages)
+        z = np.random.default_rng([seed, n]).standard_normal((len(arms), n))
+        ys = means[:, None] + spec.outcome_sigma * z
+        assert got == StageRecord(1, [CenterData(arm, x, y) for (arm, x), y in zip(arms, ys)])
 
 
 def test_a_replicate_predicts_each_distinct_mean_once(monkeypatch):
@@ -481,3 +625,181 @@ def test_lanes_are_independent_of_their_stack():
                 assert type(other) is type(fit) and str(other) == str(fit)
             else:
                 assert _same_fit(other, fit)
+
+
+def test_the_engine_fits_only_through_the_stacked_kernels():
+    # Every simulated fit is a lane of a stacked call: the block runs the
+    # kernels and the decisions read the fits it stored.
+    tree = ast.parse(Path(sim.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_simulate_block", "_decide_lanes"):
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert not called & {"fit_continuous", "fit_binary", "refit"}, (name, called)
+        if name == "_simulate_block":
+            assert {"_fit_binary_stack", "_fit_continuous_stack"} <= called
+
+
+# ---------------------------------------------------------------------------
+# the continuous kernel against the single-design oracle
+
+
+def _same_continuous_fit(got, want):
+    return (_same_fit(got, want) and type(got.sigma2) is float
+            and np.float64(got.sigma2).tobytes() == np.float64(want.sigma2).tobytes())
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return _same_continuous_fit(got, want)
+
+
+def _continuous_oracle(records, link):
+    try:
+        return _fit_continuous_scalar(records, link)
+    except (LagoError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _continuous_design(rng, C, P, link):
+    """One stage of C centers (two controls) with P components; about one
+    design in twenty has identical outcomes."""
+    centers = []
+    for c in range(C):
+        x = np.zeros(P) if c < 2 else np.round(rng.uniform(0.0, 4.0, P), 1)
+        n = int(rng.integers(1, 60))
+        mean = 1.0 + 0.3 * x.sum()
+        y = (rng.normal(mean, 2.0, n) if link == "identity"
+             else rng.gamma(2.0, mean / 2.0, n))
+        if rng.random() < 0.05:
+            y = np.full(n, 3.0)
+        centers.append(CenterData(int(c >= 2), x, y))
+    return [StageRecord(1, centers)]
+
+
+@pytest.mark.parametrize("link", CONTINUOUS_LINKS)
+def test_continuous_kernel_matches_the_oracle_on_seeded_designs(link):
+    rng = np.random.default_rng([17, len(link)])
+    seen = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for C, P in ((3, 1), (5, 2), (8, 2), (4, 3)):
+            designs = [_continuous_design(rng, C, P, link) for _ in range(40)]
+            for records, got in zip(designs, _fit_continuous_stack(*_stack(designs), link)):
+                want = _continuous_oracle(records, link)
+                assert _same_outcome(got, want), (C, P, got, want)
+                seen[type(want).__name__] += 1
+                seen["iterated"] += getattr(want, "n_iter", 0) > 1
+    assert seen["FittedModel"] >= 80 and seen["RankDeficientError"] >= 1, seen
+    if link == "log":
+        assert seen["iterated"] >= 80, seen
+
+
+def _one_component_continuous(sizes, packages, sums, m2s):
+    return [StageRecord(1, [
+        CenterData.from_stats(int(x != 0.0), [x], n, s, v)
+        for n, x, s, v in zip(sizes, packages, sums, m2s)
+    ])]
+
+
+# Same-shape designs (two centers, one component) that leave the common
+# path; the last two were found by a seeded search over extreme values.
+CONTINUOUS_EDGES = {
+    "ordinary": ((10, 10), (0.0, 2.0), (20.0, 35.0), (8.0, 9.0)),
+    "non-finite": ((10, 10), (0.0, math.nan), (20.0, 35.0), (8.0, 9.0)),
+    "rank": ((10, 10), (2.0, 2.0), (20.0, 35.0), (8.0, 9.0)),
+    "too-few": ((1, 1), (0.0, 2.0), (2.0, 3.5), (0.0, 0.0)),
+    "zero-at-zero": ((10, 10), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0)),
+    "zero-constant": ((10, 10), (0.0, 1.0), (20.0, 20.0), (0.0, 0.0)),
+    "underflow": ((10, 10), (0.0, 1.0), (1e-170, 1e-170), (1e-300, 1e-300)),
+    "diverging": ((10, 10), (0.0, -8.630068011442265e-14),
+                  (-5.243946515485304e+299, 6.389296193700582e-27),
+                  (3.919405553480045e-93, 9.684749807676357e-176)),
+    "svd": ((10, 10), (0.0, -42168548137073.414),
+            (-2.3702280074620965e+208, -4.961177154320593e-56),
+            (4.7815263136396664e+48, 2.4795325372332134e-37)),
+}
+
+
+def test_every_way_out_of_the_continuous_fit_matches_per_lane():
+    messages = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for link in CONTINUOUS_LINKS:
+            designs = {name: _one_component_continuous(*a) for name, a in CONTINUOUS_EDGES.items()}
+            got = dict(zip(designs, _fit_continuous_stack(*_stack(designs.values()), link)))
+            for name, records in designs.items():
+                want = _continuous_oracle(records, link)
+                assert _same_outcome(got[name], want), (link, name, got[name], want)
+                if isinstance(want, Exception):
+                    messages.add(f"{type(want).__name__}: {want}")
+                    with pytest.raises(type(want), match=re.escape(str(want))):
+                        lago.fit_continuous(records, link=link)
+                else:
+                    assert _same_continuous_fit(lago.fit_continuous(records, link=link), want)
+    assert messages == {
+        "NonFiniteError: non-finite value in model input",
+        "RankDeficientError: design matrix is rank deficient; coefficients are not identifiable",
+        "RankDeficientError: need more observations than coefficients",
+        "DegenerateVarianceError: zero residual variance in continuous fit",
+        "RankDeficientError: singular bread matrix in sandwich covariance",
+        "NonFiniteError: non-finite coefficients during GLM fit",
+        "LinAlgError: SVD did not converge in Linear Least Squares",
+    }
+
+
+def _continuous_sim_designs(count, link):
+    """Pooled two-stage designs of continuous scenario 1a."""
+    spec = dataclasses.replace(sim.scenario_1a(n_per_center=3, replicates=1),
+                               outcome_kind="continuous", outcome_link=link,
+                               outcome_sigma=2.0, true_beta=(0.5, 0.1, 0.04))
+    truth = sim._true_model(spec)
+    designs = []
+    for index in range(count):
+        rng = np.random.default_rng([37, index])
+        records = []
+        for stage_index, splan in enumerate(spec.stages, start=1):
+            packages = [np.round(rng.uniform(0.0, (2.0, 8.0)), 2) for _ in range(3)]
+            records.append(sim._draw_stage(rng, spec, truth, predict(truth, np.zeros(2)),
+                                           stage_index, splan, packages))
+        designs.append(records)
+    return designs
+
+
+@pytest.mark.parametrize("link", CONTINUOUS_LINKS)
+def test_continuous_lanes_are_independent_of_their_stack(link):
+    designs = _continuous_sim_designs(40, link)
+    X, n, s, m2 = _stack(designs)
+    whole = _fit_continuous_stack(X, n, s, m2, link)
+    reverse = _fit_continuous_stack(X[::-1], n[::-1], s[::-1], m2[::-1], link)[::-1]
+    chunked = {
+        size: [fit for a in range(0, len(designs), size)
+               for fit in _fit_continuous_stack(X[a:a + size], n[a:a + size],
+                                                s[a:a + size], m2[a:a + size], link)]
+        for size in (1, 7)
+    }
+    assert all(type(fit) is FittedModel for fit in whole)
+    for lane, fit in enumerate(whole):
+        assert _same_continuous_fit(fit, _fit_continuous_scalar(designs[lane], link))
+        for other in (reverse[lane], chunked[1][lane], chunked[7][lane]):
+            assert _same_continuous_fit(other, fit)
+
+
+def test_the_stacked_least_squares_gufunc_matches_lstsq_per_lane():
+    # The identity fit calls the gufunc that np.linalg.lstsq wraps; a numpy
+    # release that changed the wrapper's cutoff or its output would show here.
+    rng = np.random.default_rng(41)
+    for C, k in ((2, 2), (5, 3), (8, 3), (3, 4)):
+        A = rng.normal(size=(25, C, k)) * rng.uniform(0.1, 10.0, size=(25, 1, 1))
+        A[3, :, -1] = A[3, :, 0]  # one rank-deficient lane
+        b = rng.normal(size=(25, C))
+        x, rank, errors = _lstsq_stack(A, b)
+        assert errors == [None] * 25
+        for j in range(25):
+            want_x, _, want_rank, _ = np.linalg.lstsq(A[j], b[j], rcond=None)
+            assert x[j].tobytes() == want_x.tobytes() and rank[j] == want_rank
+        assert rank[3] < k

@@ -88,6 +88,22 @@ def test_link_round_trips():
         assert link_inverse(link, link_forward(link, mu)) == pytest.approx(mu, rel=1e-12)
 
 
+def test_continuous_link_inverse_takes_every_scalar_to_a_float():
+    # Scalars of every kind give the float that float() / math.exp give,
+    # arrays stay arrays.
+    etas = np.linspace(-700.0, 700.0, 2001)
+    for link, ref in (("identity", float), ("log", math.exp)):
+        for eta in etas:
+            for scalar in (float(eta), np.float64(eta), np.array(eta)):
+                got = link_inverse(link, scalar)
+                assert type(got) is float and got == ref(float(eta))
+        assert link_inverse(link, 3) == ref(3.0)
+        assert type(link_inverse(link, np.float32(0.5))) is float
+        assert isinstance(link_inverse(link, etas), np.ndarray)
+    with pytest.raises(ValueError, match="unknown link"):
+        link_inverse("probit", 0.5)
+
+
 def test_link_inverse_deriv_matches_numeric():
     h = 1e-6
     for link in ("logit", "identity", "log"):

@@ -11,10 +11,12 @@ goal certified at the returned level.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from lago import optimizer, power
 from lago.cost import CostFunction
 from lago.errors import NoThresholdError
 from lago.model import CenterData, FittedModel, StageRecord, fit_binary
@@ -26,6 +28,7 @@ from lago.optimizer import (
     _threshold_core,
     _work_model,
     min_cost_subject_to_threshold,
+    recommend_from_summary,
 )
 from lago.power import (
     _THRESHOLD_RTOL,
@@ -205,6 +208,43 @@ def test_continuous_threshold_matches_bisection(kind, approach, scale, direction
 def _center(arm, package, n, successes):
     y = np.concatenate([np.ones(successes), np.zeros(n - successes)])
     return CenterData(arm=arm, package=np.asarray(package, dtype=float), outcomes=y)
+
+
+def _counting(monkeypatch, calls, module, name):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("approach", ["unconditional", "conditional"])
+def test_a_decision_computes_its_level_free_parts_once(monkeypatch, approach):
+    # However many levels the threshold search evaluates, the control level
+    # (one link_inverse), z_{alpha/2} and z_pi are computed once, and the
+    # bracket's best level once per decision.
+    calls = Counter()
+    _counting(monkeypatch, calls, power, "link_inverse")
+    _counting(monkeypatch, calls, power, "norm_quantile")
+    _counting(monkeypatch, calls, power, "_arm_moments")
+    _counting(monkeypatch, calls, optimizer, "_eta_extremes")
+    rng = np.random.default_rng(13)
+    searched = 0
+    for _ in range(20):
+        model = _binary_model(rng, "logit", 1.0)
+        summary = _binary_summary(rng, model, 1.0)
+        goals = GoalSpec(outcome_goal=0.3, power_goal=rng.uniform(0.5, 0.9),
+                         test=Selector("z_pooled"), approach=approach)
+        calls.clear()
+        recommend_from_summary(model, summary, goals, CUBIC, BOUNDS)
+        evaluations = calls["_arm_moments"]
+        assert calls["_eta_extremes"] == 1, calls
+        # the recommendation's projected power builds one more projection
+        assert calls["link_inverse"] <= 2 and calls["norm_quantile"] <= 4, calls
+        searched += evaluations > 5
+    assert searched >= 5
 
 
 @pytest.mark.parametrize("direction", ["increase", "decrease"])
