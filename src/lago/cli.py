@@ -295,7 +295,7 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else spec.rng_seed
     if seed is None:
         raise ValueError("simulate needs --seed (wall-clock seeding is not allowed)")
-    spec = dataclasses.replace(spec, rng_seed=int(seed))
+    spec = dataclasses.replace(spec, rng_seed=seed)
 
     if args.emit_config is not None:
         _emit(spec.to_config(), args.emit_config)

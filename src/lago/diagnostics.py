@@ -3,8 +3,9 @@
 ``dominance_threshold`` answers a planning question: above which outcome
 level does the outcome goal alone already certify the power goal at the
 planned design, so that adding the power goal changes nothing?  It is the
-power-certifying level computed from expectation-level stage-1 data (every
-center's outcome sum replaced by its mean under the assumed coefficients).
+planned trial's ``power_threshold`` once stage 1 is observed at its
+expected values (every center's outcome sum replaced by its mean under the
+assumed coefficients).
 
 ``verify_assumption7`` probes the uniqueness/continuity premise behind the
 recommendation: perturb the coefficient vector inside an l2 ball, re-solve
@@ -20,10 +21,11 @@ import numpy as np
 
 from .cost import CostFunction
 from .errors import LagoError
-from .model import FittedModel, _assumed, _json_fields, expit, logistic_information
-from .optimizer import GoalSpec, _bounds_arrays, _threshold_core, min_cost_subject_to_threshold
-from .power import ArmSummary, TestSelector, norm_quantile
-from .sim import StagePlan, _check_stage_plans
+from .model import CenterData, FittedModel, StageRecord, _assumed, _json_fields, predict
+from .optimizer import GoalSpec, _bounds_arrays, min_cost_subject_to_threshold, power_threshold
+from .power import TestSelector, norm_quantile
+from .sim import StagePlan, _check_stage_plans, _planned_stages
+from .trial import TrialConfig, ingest_stage, new_trial
 
 __all__ = [
     "DominanceDesign",
@@ -83,52 +85,6 @@ def dominance_design(n_per_center: int = 40) -> DominanceDesign:
     )
 
 
-def _expectation_summary(design: DominanceDesign, beta) -> ArmSummary:
-    """Stage-1 sums replaced by their means; later stages planned as future."""
-    beta = np.asarray(beta, dtype=float)
-    first = design.stages[0]
-    n = first.n_per_center
-    p0 = expit(beta[0])
-    s1 = 0.0
-    for pkg in first.probe_packages:
-        eta = beta[0] + float(np.dot(beta[1:], np.asarray(pkg, dtype=float)))
-        s1 += n * expit(eta)
-    n1_obs = first.n_intervention_centers * n
-    n0_obs = first.n_control_centers * n
-    n1_fut = sum(sp.n_intervention_centers * sp.n_per_center for sp in design.stages[1:])
-    n0_fut = sum(sp.n_control_centers * sp.n_per_center for sp in design.stages[1:])
-    return ArmSummary(
-        n1_obs=float(n1_obs),
-        n0_obs=float(n0_obs),
-        s1_obs=s1,
-        s0_obs=n0_obs * p0,
-        n1_future=float(n1_fut),
-        n0_future=float(n0_fut),
-    )
-
-
-def _expectation_model(design: DominanceDesign, beta) -> FittedModel:
-    """Assumed-coefficient model with the stage-1 Fisher information as its
-    covariance (the conditional certificate needs one)."""
-    beta = np.asarray(beta, dtype=float)
-    first = design.stages[0]
-    n = first.n_per_center
-    packages = [np.zeros(beta.size - 1)] * first.n_control_centers
-    packages += [np.asarray(p, dtype=float) for p in first.probe_packages]
-    X = np.array([np.concatenate(([1.0], pkg)) for pkg in packages])
-    info = logistic_information(X, np.full(len(packages), float(n)), expit(X @ beta))
-    return FittedModel(
-        beta=beta,
-        link="logit",
-        covariance=np.linalg.inv(info),
-        n_used=int(
-            first.n_per_center
-            * (first.n_control_centers + first.n_intervention_centers)
-        ),
-        kind="assumed",
-    )
-
-
 def dominance_threshold(
     design: DominanceDesign,
     beta_star,
@@ -140,16 +96,14 @@ def dominance_threshold(
     """Smallest outcome level at which the outcome goal alone certifies the
     power goal, at the expectation-level design.
 
-    Outcome goals above the returned level make the power goal redundant
-    (non-binding); below it, adding the power goal changes the
-    recommendation.  Expressed on the outcome scale; relative to the
-    control level expit(beta0) when a percentage is wanted.
+    This is ``power_threshold`` of the planned trial once stage 1 is
+    observed at its expected values: every center's outcome sum is its size
+    times the assumed success probability at its package.  Outcome goals
+    above the returned level make the power goal redundant (non-binding);
+    below it, adding the power goal changes the recommendation.  Expressed
+    on the outcome scale; relative to the control level expit(beta0) when
+    a percentage is wanted.
     """
-    model = _expectation_model(design, beta_star)
-    summary = _expectation_summary(design, beta_star)
-    goals = GoalSpec(
-        power_goal=pi, alpha=alpha, approach=approach, test=test
-    )
     cost = design.cost
     if cost is None:
         if test.wald:
@@ -157,9 +111,21 @@ def dominance_threshold(
         # the z kinds never price packages; a flat stand-in keeps the
         # threshold machinery uniform
         cost = CostFunction(((None, 0, 0.0),))
-    lo, hi = _bounds_arrays(design.bounds, model.n_components)
-    level, _ = _threshold_core(model, summary, goals, cost, lo, hi)
-    return float(level)
+    model = _assumed(beta_star)
+    first = design.stages[0]
+    n = first.n_per_center
+    packages = [(0, np.zeros(len(design.bounds)))] * first.n_control_centers
+    packages += [(1, np.asarray(x, dtype=float)) for x in first.probe_packages]
+    centers = []
+    for arm, x in packages:
+        p = predict(model, x)
+        centers.append(CenterData.from_stats(arm, x, n, n * p, n * p * (1.0 - p)))
+    goals = GoalSpec(power_goal=pi, alpha=alpha, approach=approach, test=test)
+    config = TrialConfig(
+        stages=_planned_stages(design.stages), bounds=design.bounds, cost=cost, goals=goals
+    )
+    state = ingest_stage(new_trial(config), StageRecord(1, centers))
+    return float(power_threshold(model, state, goals))
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,9 @@ def _fit_continuous_stack(X, n, s, m2, link: str) -> list:
     n_obs = n.sum(axis=1)
     fail(np.flatnonzero(n_obs <= k), RankDeficientError,
          "need more observations than coefficients")
+    if link == "identity":
+        fail(np.flatnonzero(~np.isfinite(beta_out).all(axis=1)), NonFiniteError,
+             "non-finite coefficients during GLM fit")
 
     def linear(lanes, b):
         eta = (X[lanes] @ b[:, :, None])[:, :, 0]

@@ -82,7 +82,8 @@ BLOCK_LANES = 512
 
 
 def _check_count(name: str, value, minimum: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """``value`` is an integer (not a bool, never truncated) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -217,6 +218,8 @@ class ScenarioSpec:
         if self.cost.max_component >= n_comp:
             raise ValueError("cost references a component outside the bounds")
         _check_count("replicates", self.replicates, 1)
+        if self.rng_seed is not None:
+            _check_count("rng_seed", self.rng_seed, 0)
         if self.stage1_fallback_x is not None:
             fx = tuple(float(v) for v in self.stage1_fallback_x)
             if len(fx) != n_comp:
@@ -250,7 +253,6 @@ class ScenarioSpec:
     @classmethod
     def from_config(cls, doc: dict) -> "ScenarioSpec":
         with config_errors("scenario config"):
-            seed = doc.get("rng_seed")
             fallback = doc.get("stage1_fallback_x")
             return cls(
                 name=str(doc["name"]),
@@ -260,7 +262,7 @@ class ScenarioSpec:
                 bounds=tuple(tuple(b) for b in doc["bounds"]),
                 goals=GoalSpec.from_config(doc["goals"]),
                 replicates=doc["replicates"],
-                rng_seed=None if seed is None else int(seed),
+                rng_seed=doc.get("rng_seed"),
                 outcome_kind=doc.get("outcome_kind", "binary"),
                 outcome_sigma=float(doc.get("outcome_sigma", 1.0)),
                 outcome_link=doc.get("outcome_link", "identity"),
@@ -342,19 +344,23 @@ def _true_model(spec: ScenarioSpec) -> FittedModel:
     return _assumed(spec.true_beta, link)
 
 
-def _trial_config(spec: ScenarioSpec) -> TrialConfig:
-    stages = tuple(
+def _planned_stages(stages) -> tuple:
+    """The PlannedStage sizes of a StagePlan layout."""
+    return tuple(
         PlannedStage(
             n_intervention=sp.n_intervention_centers * sp.n_per_center,
             n_control=sp.n_control_centers * sp.n_per_center,
             centers_intervention=max(sp.n_intervention_centers, 1),
             centers_control=max(sp.n_control_centers, 1),
         )
-        for sp in spec.stages
+        for sp in stages
     )
+
+
+def _trial_config(spec: ScenarioSpec) -> TrialConfig:
     link = "logit" if spec.outcome_kind == "binary" else spec.outcome_link
     return TrialConfig(
-        stages=stages,
+        stages=_planned_stages(spec.stages),
         bounds=spec.bounds,
         cost=spec.cost,
         goals=spec.goals,
@@ -602,8 +608,6 @@ def _resolve_threads(threads) -> int:
     """
     if threads is None:
         threads = int(os.environ.get("LAGO_THREADS", "1"))
-    if isinstance(threads, bool):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     _check_count("threads", threads, 1)
     return int(threads)
 
@@ -649,6 +653,7 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
         seed = spec.rng_seed
     if seed is None:
         raise ValueError("a simulation needs a seed (spec.rng_seed or the seed argument)")
+    _check_count("seed", seed, 0)
     seed = int(seed)
     threads = _resolve_threads(threads)
 

@@ -145,6 +145,11 @@ class TrialConfig:
             raise ValueError("outcome_kind must be 'binary' or 'continuous'")
         if self.outcome_kind == "continuous" and self.outcome_link not in CONTINUOUS_LINKS:
             raise ValueError(f"a continuous outcome_link must be one of {CONTINUOUS_LINKS}")
+        test = self.goals.test
+        if test is not None and test.continuous_outcome != (self.outcome_kind == "continuous"):
+            raise ValueError(
+                f"test {test.kind!r} does not analyze a {self.outcome_kind} outcome"
+            )
         if not self.bounds:
             raise ValueError("bounds must list at least one component")
         _bounds_arrays(self.bounds, len(self.bounds))

@@ -4,7 +4,9 @@ The dominance values are checked two ways: against the published planning
 table for the two-component logistic setting (percent above control, ±3
 percentage points), and against the defining property itself — power
 certifies at the returned level and fails just below it — which is
-independent of the bisection that produced the number.
+independent of the bisection that produced the number.  The hand-built
+expectation summary and model that ``dominance_threshold`` once
+thresholded are kept here as an oracle of the 1-df levels.
 """
 
 import dataclasses
@@ -23,10 +25,31 @@ from lago.diagnostics import (
     verify_assumption7,
 )
 from lago.errors import InfeasibleError
-from lago.model import FittedModel, expit
-from lago.optimizer import min_cost_subject_to_threshold
-from lago.power import ArmSummary, TestSelector as Selector, unconditional_power_at_level
-from lago.sim import StagePlan
+from lago.errors import NoThresholdError
+from lago.model import (
+    CenterData,
+    FittedModel,
+    StageRecord,
+    _assumed,
+    expit,
+    logistic_information,
+    predict,
+)
+from lago.optimizer import (
+    GoalSpec,
+    _bounds_arrays,
+    _state_summary,
+    _threshold_core,
+    min_cost_subject_to_threshold,
+)
+from lago.power import (
+    ArmSummary,
+    TestSelector as Selector,
+    unconditional_power,
+    unconditional_power_at_level,
+)
+from lago.sim import COST_1A, StagePlan, _planned_stages
+from lago.trial import TrialConfig, ingest_stage, new_trial
 
 BETA = (0.1, 0.3, 0.15)
 CONTROL = expit(0.1)
@@ -49,15 +72,30 @@ def test_dominance_matches_published_planning_values(pi, published_pct):
     assert pct_above_control(level) == pytest.approx(published_pct, abs=3.0)
 
 
+def _expected_trial(design, beta, goals):
+    """The planned trial with stage 1 observed at its expected values."""
+    model = _assumed(beta)
+    first = design.stages[0]
+    n = first.n_per_center
+    xs = [np.zeros(len(design.bounds))] * first.n_control_centers
+    xs += [np.asarray(x, dtype=float) for x in first.probe_packages]
+    centers = []
+    for i, x in enumerate(xs):
+        p = predict(model, x)
+        arm = int(i >= first.n_control_centers)
+        centers.append(CenterData.from_stats(arm, x, n, n * p, n * p * (1.0 - p)))
+    config = TrialConfig(_planned_stages(design.stages), design.bounds,
+                         design.cost or CostFunction(((None, 0, 0.0),)), goals)
+    return model, ingest_stage(new_trial(config), StageRecord(1, centers))
+
+
 def test_dominance_level_is_the_smallest_certifying_level():
     # defining property, independent of how the bisection found the number
     design = dominance_design(40)
     level = dominance_threshold(design, BETA, pi=0.8)
-    from lago.diagnostics import _expectation_model, _expectation_summary
-
-    model = _expectation_model(design, BETA)
-    summary = _expectation_summary(design, BETA)
     sel = Selector("z_unpooled")
+    model, state = _expected_trial(design, BETA, GoalSpec(power_goal=0.8, test=sel))
+    summary = _state_summary(state, sel, 2)
     assert unconditional_power_at_level(level, model, summary, sel, 0.05) >= 0.8
     assert unconditional_power_at_level(level - 1e-3, model, summary, sel, 0.05) < 0.8
 
@@ -92,6 +130,121 @@ def test_dominance_wald_test_requires_a_cost():
         dominance_threshold(
             dominance_design(40), BETA, pi=0.8, test=Selector("wald_pdf_binary")
         )
+
+
+# The arm summary and model ``dominance_threshold`` built by hand before it
+# thresholded the planned trial, kept verbatim as an oracle.
+def _expectation_summary(design: DominanceDesign, beta) -> ArmSummary:
+    """Stage-1 sums replaced by their means; later stages planned as future."""
+    beta = np.asarray(beta, dtype=float)
+    first = design.stages[0]
+    n = first.n_per_center
+    p0 = expit(beta[0])
+    s1 = 0.0
+    for pkg in first.probe_packages:
+        eta = beta[0] + float(np.dot(beta[1:], np.asarray(pkg, dtype=float)))
+        s1 += n * expit(eta)
+    n1_obs = first.n_intervention_centers * n
+    n0_obs = first.n_control_centers * n
+    n1_fut = sum(sp.n_intervention_centers * sp.n_per_center for sp in design.stages[1:])
+    n0_fut = sum(sp.n_control_centers * sp.n_per_center for sp in design.stages[1:])
+    return ArmSummary(
+        n1_obs=float(n1_obs),
+        n0_obs=float(n0_obs),
+        s1_obs=s1,
+        s0_obs=n0_obs * p0,
+        n1_future=float(n1_fut),
+        n0_future=float(n0_fut),
+    )
+
+
+def _expectation_model(design: DominanceDesign, beta) -> FittedModel:
+    """Assumed-coefficient model with the stage-1 Fisher information as its
+    covariance (the conditional certificate needs one)."""
+    beta = np.asarray(beta, dtype=float)
+    first = design.stages[0]
+    n = first.n_per_center
+    packages = [np.zeros(beta.size - 1)] * first.n_control_centers
+    packages += [np.asarray(p, dtype=float) for p in first.probe_packages]
+    X = np.array([np.concatenate(([1.0], pkg)) for pkg in packages])
+    info = logistic_information(X, np.full(len(packages), float(n)), expit(X @ beta))
+    return FittedModel(
+        beta=beta,
+        link="logit",
+        covariance=np.linalg.inv(info),
+        n_used=int(
+            first.n_per_center
+            * (first.n_control_centers + first.n_intervention_centers)
+        ),
+        kind="assumed",
+    )
+
+
+def _dominance_oracle(design, beta, alpha=0.05, pi=0.8, approach="unconditional",
+                      test=Selector("z_unpooled")):
+    model = _expectation_model(design, beta)
+    summary = _expectation_summary(design, beta)
+    goals = GoalSpec(power_goal=pi, alpha=alpha, approach=approach, test=test)
+    cost = design.cost if design.cost is not None else CostFunction(((None, 0, 0.0),))
+    lo, hi = _bounds_arrays(design.bounds, model.n_components)
+    return float(_threshold_core(model, summary, goals, cost, lo, hi)[0])
+
+
+def _level_or_error(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except NoThresholdError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+ORACLE_BETAS = (BETA, (-0.4, 0.5, 0.1))
+
+
+@pytest.mark.parametrize("n", [10, 40, 200])
+@pytest.mark.parametrize("approach", ["unconditional", "conditional"])
+@pytest.mark.parametrize("kind", ["z_unpooled", "z_pooled"])
+def test_dominance_matches_the_hand_built_expectation_oracle(n, approach, kind):
+    design = dominance_design(n)
+    for pi in (0.5, 0.8, 0.9):
+        for beta in ORACLE_BETAS:
+            kw = dict(pi=pi, approach=approach, test=Selector(kind))
+            got = _level_or_error(dominance_threshold, design, beta, **kw)
+            want = _level_or_error(_dominance_oracle, design, beta, **kw)
+            assert got == want, (pi, beta, got, want)
+
+
+def test_dominance_with_three_control_centers_matches_the_oracle():
+    # The trial sums the three control centers' expected sums one center at
+    # a time; the oracle multiplies the arm size by the control probability.
+    # The two differ in the last bits, which the root can move by a few of
+    # its 1e-12 tolerances.
+    design = DominanceDesign(
+        stages=(StagePlan(3, 2, 40, ((1.0, 0.0), (0.0, 4.0))), StagePlan(3, 2, 40)),
+        bounds=((0.0, 2.0), (0.0, 8.0)),
+    )
+    for pi in (0.5, 0.8, 0.9):
+        for approach in ("unconditional", "conditional"):
+            for kind in ("z_unpooled", "z_pooled"):
+                for beta in ORACLE_BETAS:
+                    kw = dict(pi=pi, approach=approach, test=Selector(kind))
+                    got = dominance_threshold(design, beta, **kw)
+                    want = _dominance_oracle(design, beta, **kw)
+                    assert got == pytest.approx(want, rel=0.0, abs=1e-11), (kw, beta)
+
+
+def test_wald_dominance_level_is_certified():
+    # The hand-built summary had no per-center design, so the package-df
+    # kinds could not run there at all.
+    design = dataclasses.replace(dominance_design(40), cost=COST_1A)
+    sel = Selector("wald_pdf_binary")
+    with pytest.raises(ValueError, match="design_obs"):
+        _dominance_oracle(design, BETA, pi=0.8, test=sel)
+    level = dominance_threshold(design, BETA, pi=0.8, test=sel)
+    assert CONTROL < level < 1.0
+    model, state = _expected_trial(design, BETA, GoalSpec(power_goal=0.8, test=sel))
+    summary = _state_summary(state, sel, 2)
+    x = min_cost_subject_to_threshold(model, COST_1A, design.bounds, level)
+    assert unconditional_power(np.asarray(x), model, summary, sel, 0.05) >= 0.8 - 1e-9
 
 
 def test_dominance_design_validation():

@@ -150,6 +150,8 @@ def _fit_continuous_scalar(records, link="identity"):
     _check_rank(X, rank)
     if n_obs <= k:
         raise RankDeficientError("need more observations than coefficients")
+    if link == "identity" and not np.all(np.isfinite(beta)):
+        raise NonFiniteError("non-finite coefficients during GLM fit")
 
     def linear(b):
         eta = X @ b
@@ -750,6 +752,14 @@ def test_every_way_out_of_the_continuous_fit_matches_per_lane():
         "NonFiniteError: non-finite coefficients during GLM fit",
         "LinAlgError: SVD did not converge in Linear Least Squares",
     }
+
+
+def test_an_identity_fit_with_non_finite_coefficients_raises_without_a_warning():
+    records = _one_component_continuous(*CONTINUOUS_EDGES["diverging"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="non-finite coefficients during GLM fit"):
+            lago.fit_continuous(records, link="identity")
 
 
 def _continuous_sim_designs(count, link):

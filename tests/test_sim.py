@@ -217,6 +217,10 @@ def test_scenario_config_missing_field_is_value_error(field):
     ("true_beta", (0.1, 0.3, float("inf")), "true_beta must be finite"),
     ("outcome_link", "logit", "outcome_link must be one of"),
     ("replicates", 2.5, "replicates must be an integer"),
+    ("replicates", True, "replicates must be an integer"),
+    ("rng_seed", 1.5, "rng_seed must be an integer"),
+    ("rng_seed", True, "rng_seed must be an integer"),
+    ("rng_seed", -1, "rng_seed must be an integer >= 0"),
     ("bounds", ((2.0, 0.0), (0.0, 8.0)), "must not exceed its upper bound"),
     ("bounds", ((0.0, 2.0), (0.0, float("inf"))), "bounds must be finite"),
     ("bounds", ((0.0, float("nan")), (0.0, 8.0)), "bounds must be finite"),
@@ -230,6 +234,39 @@ def test_scenario_rejects_bad_input_when_built(field, value, message):
     spec = scenario_1a(replicates=2)
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(spec, **{field: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(rng_seed=1.5), "rng_seed must be an integer"),
+    (lambda doc: doc.update(replicates=True), "replicates must be an integer"),
+    (lambda doc: doc["stages"][0].update(n_per_center=True), "n_per_center must be an integer"),
+])
+def test_scenario_config_integers_are_never_truncated_or_bools(edit, message):
+    doc = scenario_1a(replicates=2).to_config()
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec.from_config(doc)
+
+
+@pytest.mark.parametrize("seed", [1.7, True, -1, "3"])
+def test_run_scenario_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_scenario(small(scenario_1a, reps=2), seed=seed, threads=1)
+
+
+def test_run_scenario_takes_a_numpy_integer_seed():
+    spec = small(scenario_1a, reps=4)
+    report = run_scenario(spec, seed=np.int64(SEED), threads=1)
+    assert report.to_dict() == run_scenario(spec, seed=SEED, threads=1).to_dict()
+
+
+def test_a_goal_test_for_the_other_outcome_kind_is_refused_before_any_draw():
+    # The spec is valid on its own (a later replace may switch the goal too);
+    # the run refuses it when it builds the trial config.
+    spec = dataclasses.replace(scenario_2b(replicates=30, seed=3),
+                               outcome_kind="continuous", outcome_sigma=8.0)
+    with pytest.raises(ValueError, match="test 'z_unpooled' does not analyze a continuous"):
+        run_scenario(spec, threads=1)
 
 
 def test_stage_plan_rejects_non_finite_probe_packages():

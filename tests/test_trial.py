@@ -215,6 +215,24 @@ def test_config_rejects_a_continuous_outcome_link_it_cannot_fit(link):
         )
 
 
+@pytest.mark.parametrize("kind, test", [
+    ("continuous", "z_unpooled"),
+    ("continuous", "wald_pdf_binary"),
+    ("binary", "t_pooled"),
+    ("binary", "wald_pdf_continuous"),
+])
+def test_config_rejects_a_goal_test_for_the_other_outcome_kind(kind, test):
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector(test))
+    with pytest.raises(ValueError, match=f"test '{test}' does not analyze a {kind} outcome"):
+        TrialConfig(
+            stages=(PlannedStage(120.0, 40.0), PlannedStage(120.0, 40.0)),
+            bounds=BOUNDS, cost=CUBIC, goals=goals, outcome_kind=kind,
+        )
+    entry = {**make_config().to_config(), "goals": goals.to_config(), "outcome_kind": kind}
+    with pytest.raises(ValueError, match="does not analyze"):
+        TrialConfig.from_config(entry)
+
+
 def test_config_round_trip():
     cfg = make_config(POWER_GOALS)
     again = TrialConfig.from_config(cfg.to_config())
