@@ -27,8 +27,8 @@ import numpy as np
 
 from .cost import CostFunction
 from .diagnostics import dominance_design, dominance_threshold, verify_assumption7
-from .errors import LagoError
-from .model import FittedModel, _assumed, _json_value, expit, load_stage_csv, predict
+from .errors import LagoError, config_errors
+from .model import FittedModel, _assumed, _from_fields, _json_value, expit, load_stage_csv, predict
 from .optimizer import (
     GoalSpec,
     _state_summary,
@@ -230,7 +230,8 @@ def _fixture_summary(doc: dict) -> ArmSummary | None:
     entry = doc.get("arm_summary")
     if not entry:
         return None
-    summary = ArmSummary(**entry)
+    with config_errors("arm_summary"):
+        summary = _from_fields(ArmSummary, entry)
     for name in ("n1_obs", "n0_obs", "n1_future", "n0_future"):
         if not 0.0 <= float(getattr(summary, name)) < math.inf:
             raise ValueError(f"arm_summary {name} must be finite and nonnegative")
@@ -502,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "config carries one)")
     p.add_argument("--null", action="store_true",
                    help="zero all intervention effects (size check)")
-    p.add_argument("--threads", type=int, help="worker processes "
-                   "(default: LAGO_THREADS or 1)")
+    p.add_argument("--threads", type=int, help="worker processes, at most "
+                   "the CPU count (default: LAGO_THREADS or 1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-config", metavar="FILE",
                    help="write the resolved scenario config and exit")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -145,6 +145,25 @@ def _json_fields(obj) -> dict:
     """``obj``'s dataclass fields in field order, each through ``_json_value``:
     the body of every ``to_config`` and ``to_dict``."""
     return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _from_fields(cls, doc, **readers):
+    """``cls`` from a ``_json_fields`` document: the body of every
+    ``from_config``.  Each key must name an init field of ``cls``; an absent
+    field takes its declared default (``KeyError`` when it has none);
+    ``readers`` maps a field to the function that reads its non-null value,
+    and every other value goes to ``cls`` unchanged, for its own checks."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} fields must be an object, got {type(doc).__name__}")
+    known = {f.name: f for f in fields(cls) if f.init}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {cls.__name__} field {key!r}; known: {', '.join(known)}")
+    for name, f in known.items():
+        if name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(name)
+    return cls(**{key: value if value is None or key not in readers else readers[key](value)
+                  for key, value in doc.items()})
 
 
 @dataclass(init=False)

@@ -29,6 +29,7 @@ from .errors import InfeasibleError, LagoError, NoThresholdError
 from .model import (
     FittedModel,
     _assumed,
+    _from_fields,
     _json_fields,
     link_forward,
     link_inverse,
@@ -130,11 +131,9 @@ class GoalSpec:
 
     @classmethod
     def from_config(cls, entry: dict) -> "GoalSpec":
-        data = dict(entry)
-        kind = data.get("test")
-        if isinstance(kind, str):
-            data["test"] = TestSelector(kind)
-        return cls(**data)
+        return _from_fields(
+            cls, entry, test=lambda kind: TestSelector(kind) if isinstance(kind, str) else kind
+        )
 
 
 @dataclass(eq=False)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import CostFunction
-from .errors import InfeasibleError, config_errors
+from .errors import InfeasibleError, NonFiniteError, config_errors
 from .model import (
     CONTINUOUS_LINKS,
     CenterData,
@@ -39,6 +39,7 @@ from .model import (
     _center_rows,
     _fit_binary_stack,
     _fit_continuous_stack,
+    _from_fields,
     _json_fields,
     _stack_rows,
     expit,
@@ -121,16 +122,6 @@ class StagePlan:
 
     def to_config(self) -> dict:
         return _json_fields(self)
-
-    @classmethod
-    def from_config(cls, entry: dict) -> "StagePlan":
-        probes = entry.get("probe_packages")
-        return cls(
-            n_control_centers=entry["n_control_centers"],
-            n_intervention_centers=entry["n_intervention_centers"],
-            n_per_center=entry["n_per_center"],
-            probe_packages=None if probes is None else tuple(tuple(p) for p in probes),
-        )
 
 
 def _check_stage_plans(stages: tuple, n_components: int) -> None:
@@ -253,26 +244,10 @@ class ScenarioSpec:
     @classmethod
     def from_config(cls, doc: dict) -> "ScenarioSpec":
         with config_errors("scenario config"):
-            fallback = doc.get("stage1_fallback_x")
-            return cls(
-                name=str(doc["name"]),
-                true_beta=tuple(doc["true_beta"]),
-                stages=tuple(StagePlan.from_config(e) for e in doc["stages"]),
-                cost=CostFunction.from_config(doc["cost"]),
-                bounds=tuple(tuple(b) for b in doc["bounds"]),
-                goals=GoalSpec.from_config(doc["goals"]),
-                replicates=doc["replicates"],
-                rng_seed=doc.get("rng_seed"),
-                outcome_kind=doc.get("outcome_kind", "binary"),
-                outcome_sigma=float(doc.get("outcome_sigma", 1.0)),
-                outcome_link=doc.get("outcome_link", "identity"),
-                design_mode=doc.get("design_mode", "lago"),
-                se_source=doc.get("se_source", "model"),
-                stage1_fallback_x=None if fallback is None else tuple(fallback),
-                deploy_step=(
-                    None if doc.get("deploy_step") is None
-                    else tuple(doc["deploy_step"])
-                ),
+            return _from_fields(
+                cls, doc, name=str, outcome_sigma=float,
+                stages=lambda entries: tuple(_from_fields(StagePlan, e) for e in entries),
+                cost=CostFunction.from_config, goals=GoalSpec.from_config,
             )
 
 
@@ -384,13 +359,16 @@ def _draw_stage(rng, spec, truth, control_mean, stage_index, splan, packages) ->
     (row sums, then the row dots of the deviations), each row as
     ``CenterData(arm, x, y)`` reduces it.  Binary centers keep one scalar
     ``rng.binomial`` call each, which costs less than one call over an
-    array of probabilities.
+    array of probabilities.  A non-finite mean, or a non-finite sum or m2,
+    raises ``NonFiniteError``, which fails the replicate.
     """
     n = splan.n_per_center
     xs = [np.zeros(spec.n_components)] * splan.n_control_centers + list(packages)
     arms = [0] * splan.n_control_centers + [1] * len(packages)
     mean_of = {key: predict(truth, x) for key, x in {x.tobytes(): x for x in packages}.items()}
     means = [control_mean] * splan.n_control_centers + [mean_of[x.tobytes()] for x in packages]
+    if not all(map(math.isfinite, means)):
+        raise NonFiniteError("non-finite value in model input")
     if spec.outcome_kind == "binary":
         successes = [int(rng.binomial(n, p)) for p in means]
         centers = [
@@ -402,11 +380,10 @@ def _draw_stage(rng, spec, truth, control_mean, stage_index, splan, packages) ->
         totals = ys.sum(axis=1)
         dev = ys - (totals / n)[:, None]
         m2 = np.vecdot(dev, dev)
-        if np.isfinite(m2).all():
-            centers = [CenterData.from_stats(arm, x, n, total, v) for arm, x, total, v
-                       in zip(arms, xs, totals.tolist(), m2.tolist())]
-        else:  # non-finite draws are kept, for the fit to reject per lane
-            centers = [CenterData(arm, x, y) for arm, x, y in zip(arms, xs, ys)]
+        if not (np.isfinite(totals).all() and np.isfinite(m2).all()):
+            raise NonFiniteError("non-finite value in model input")
+        centers = [CenterData.from_stats(arm, x, n, total, v) for arm, x, total, v
+                   in zip(arms, xs, totals.tolist(), m2.tolist())]
     return StageRecord(stage_index, centers)
 
 
@@ -604,10 +581,16 @@ def _resolve_threads(threads) -> int:
     """Worker process count: ``threads``, else LAGO_THREADS, else 1.
 
     ``threads`` must be an integer >= 1; a bool or a float raises rather
-    than being truncated.  LAGO_THREADS is parsed with ``int``.
+    than being truncated.  LAGO_THREADS is parsed with ``int``, and a value
+    that is not an integer raises a ValueError naming it.  ``run_scenario``
+    starts at most the CPU count of these.
     """
     if threads is None:
-        threads = int(os.environ.get("LAGO_THREADS", "1"))
+        raw = os.environ.get("LAGO_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"LAGO_THREADS must be an integer, got {raw!r}") from None
     _check_count("threads", threads, 1)
     return int(threads)
 
@@ -646,8 +629,9 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
     ``seed`` overrides ``spec.rng_seed``; one of the two must be set.  The
     replicates run in contiguous blocks of at most ``BLOCK_LANES`` seeds, so
     memory does not grow with R.  With ``threads > 1`` (or LAGO_THREADS set)
-    the blocks, of at most ceil(R / threads) seeds, are shared among that
-    many worker processes, with results identical to the serial run.
+    the blocks, of at most ceil(R / workers) seeds, are shared among
+    ``workers = min(threads, CPU count)`` processes, with results identical
+    to the serial run.
     """
     if seed is None:
         seed = spec.rng_seed
@@ -655,7 +639,7 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
         raise ValueError("a simulation needs a seed (spec.rng_seed or the seed argument)")
     _check_count("seed", seed, 0)
     seed = int(seed)
-    threads = _resolve_threads(threads)
+    threads = min(_resolve_threads(threads), os.cpu_count() or 1)
 
     config = _trial_config(spec)
     child_seeds = np.random.SeedSequence(seed).spawn(spec.replicates)

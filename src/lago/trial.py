@@ -32,6 +32,7 @@ from .model import (
     StageRecord,
     _center_rows,
     _check_binary,
+    _from_fields,
     _json_fields,
     _json_value,
     fit_binary,
@@ -175,15 +176,10 @@ class TrialConfig:
     @classmethod
     def from_config(cls, entry: dict) -> "TrialConfig":
         with config_errors("trial config"):
-            stage1 = entry.get("stage1_package")
-            return cls(
-                stages=tuple(PlannedStage(**s) for s in entry["stages"]),
-                bounds=tuple(tuple(b) for b in entry["bounds"]),
-                cost=CostFunction.from_config(entry["cost"]),
-                goals=GoalSpec.from_config(entry["goals"]),
-                outcome_kind=entry.get("outcome_kind", "binary"),
-                outcome_link=entry.get("outcome_link", "identity"),
-                stage1_package=tuple(stage1) if stage1 is not None else None,
+            return _from_fields(
+                cls, entry,
+                stages=lambda entries: tuple(_from_fields(PlannedStage, e) for e in entries),
+                cost=CostFunction.from_config, goals=GoalSpec.from_config,
             )
 
 
@@ -424,20 +420,6 @@ def _record_from_dict(entry: dict, version: int) -> StageRecord:
     )
 
 
-def _rec_from_dict(entry: dict) -> Recommendation:
-    return Recommendation(
-        x_hat=np.asarray(entry["x_hat"], dtype=float),
-        regime=entry["regime"],
-        achieved_outcome=float(entry["achieved_outcome"]),
-        required_threshold=float(entry["required_threshold"]),
-        projected_power=(
-            None if entry["projected_power"] is None
-            else float(entry["projected_power"])
-        ),
-        cost=float(entry["cost"]),
-    )
-
-
 def to_document(state: TrialState) -> dict:
     """JSON-ready snapshot of the whole trial for resume-between-stages."""
     return {
@@ -465,7 +447,10 @@ def from_document(doc: dict) -> TrialState:
             raise ValueError(f"unsupported document version {version!r}")
         config = TrialConfig.from_config(doc["config"])
         completed = tuple(_record_from_dict(r, version) for r in doc["completed"])
-        recommendations = [_rec_from_dict(r) for r in doc["recommendations"]]
+        recommendations = [_from_fields(
+            Recommendation, r, x_hat=lambda x: np.asarray(x, dtype=float), achieved_outcome=float,
+            required_threshold=float, projected_power=float, cost=float,
+        ) for r in doc["recommendations"]]
         status = doc["status"]
     if completed and config.outcome_kind == "binary":
         _check_binary(*_center_rows(completed)[1:])

@@ -215,6 +215,21 @@ def test_recommend_rejects_non_finite_fixture_arm_summary(tmp_path, capsys, fiel
     assert field in captured.err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda entry: entry.update(n1_obz=100.0), "unknown ArmSummary field 'n1_obz'"),
+    (lambda entry: entry.pop("s0_obs"), "arm_summary is missing required field 's0_obs'"),
+])
+def test_recommend_reads_the_fixture_arm_summary_by_its_fields(tmp_path, capsys, edit, message):
+    doc = _bundled("betterbirth")
+    edit(doc["arm_summary"])
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "recommend", "--coefficients", path,
+                         "--goal", "0.1", "--power-goal", "0.8")
+    assert code == 2
+    assert message in captured.err
+
+
 def test_recommend_without_inputs_is_validation_error(capsys):
     code, captured = run(capsys, "recommend", "--goal", "0.7")
     assert code == 2

@@ -215,10 +215,15 @@ def _fit_continuous_scalar(records, link="identity"):
 
 def _draw_center(rng, spec, truth, arm, x, n):
     mean = predict(truth, x)
+    if not math.isfinite(mean):
+        raise NonFiniteError("non-finite value in model input")
     if spec.outcome_kind == "binary":
         successes = int(rng.binomial(n, mean))
         return CenterData.from_stats(arm, x, n, successes, successes * (n - successes) / n)
-    return CenterData(arm=arm, package=x, outcomes=rng.normal(mean, spec.outcome_sigma, size=n))
+    center = CenterData(arm=arm, package=x, outcomes=rng.normal(mean, spec.outcome_sigma, size=n))
+    if not (math.isfinite(center.outcome_sum) and math.isfinite(center.m2)):
+        raise NonFiniteError("non-finite value in model input")
+    return center
 
 
 def _simulate_replicate(spec, config, child_seed):
@@ -403,8 +408,8 @@ def test_a_failing_final_test_is_reported_before_the_final_package(monkeypatch):
 
 
 def test_non_finite_continuous_draws_fail_their_lanes_as_the_oracle_does(monkeypatch):
-    # A NaN package gives NaN outcomes; the center keeps them and the fit
-    # fails that lane, as a center built from the outcome vector does.
+    # A NaN package gives a NaN mean, and the draw fails that lane with the
+    # error the fit would raise on its data.
     def nan_second_component(stage, center, x):
         out = np.asarray(x, dtype=float).copy()
         if stage == 2:
@@ -415,6 +420,18 @@ def test_non_finite_continuous_draws_fail_their_lanes_as_the_oracle_does(monkeyp
     got = sim.run_scenario(spec, seed=29, threads=1).to_dict()
     assert repr(got) == repr(_oracle_report(monkeypatch, spec, 29))
     assert got["failure_kinds"] == {"NonFiniteError": spec.replicates}
+
+
+def test_a_non_finite_binary_package_fails_its_lanes_as_the_oracle_does(monkeypatch):
+    # A NaN package is a NaN success probability, which the binomial draw
+    # cannot take; the lane fails as the continuous one does.
+    def nan_package(stage, center, x):
+        return np.full(2, math.nan) if stage == 2 else x
+
+    spec = dataclasses.replace(sim.scenario_1a(replicates=6, seed=3), distortion=nan_package)
+    got = sim.run_scenario(spec, threads=1).to_dict()
+    assert repr(got) == repr(_oracle_report(monkeypatch, spec, 3))
+    assert got["failure_kinds"] == {"NonFiniteError": 6}
 
 
 def test_a_fit_input_error_ends_the_run(monkeypatch):

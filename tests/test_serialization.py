@@ -1,19 +1,26 @@
 """The one JSON rule: every report, config and state document is built from
 its fields by ``model._json_value``, and each one is strict JSON
-(``allow_nan=False``) even where a value is NaN or infinite."""
+(``allow_nan=False``) even where a value is NaN or infinite.  Every config
+and state document is read back by the inverse rule, ``model._from_fields``,
+which refuses a field it does not know."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import lago
 from lago import sim
 from lago.diagnostics import verify_assumption7
-from lago.model import FittedModel, _json_value, predict
+from lago.model import FittedModel, _from_fields, _json_fields, _json_value, predict
 from lago.optimizer import GoalSpec, Recommendation, recommend_from_summary
 from lago.power import TestResult as Result
 from lago.power import TestSelector as Selector
-from lago.trial import from_document, ingest_stage, new_trial, to_document
+from lago.trial import TrialConfig, from_document, ingest_stage, new_trial, to_document
+from test_trial import STATE_V1, _after_stage1_doc
 
 
 def strict(doc) -> str:
@@ -120,3 +127,152 @@ def test_final_test_payload_is_its_fields():
     result = Result(statistic=float("nan"), df=1, p_value=1.0, reject=False, kind="z_pooled")
     assert _json_value(result) == {"statistic": None, "df": 1, "p_value": 1.0,
                                    "reject": False, "kind": "z_pooled"}
+
+
+# ---------------------------------------------------------------------------
+# reading: the inverse of _json_fields
+
+
+def through_text(doc):
+    return json.loads(strict(doc))
+
+
+@dataclasses.dataclass(frozen=True)
+class Plain:
+    a: int
+    b: tuple = (1.0,)
+    c: str | None = None
+
+
+def test_reader_rule():
+    assert _from_fields(Plain, {"a": 1}) == Plain(1)
+    assert _from_fields(Plain, {"a": 1, "b": [2.0], "c": None}, b=tuple, c=str) == \
+        Plain(1, (2.0,), None)
+    got = Plain(2, (3.0, 4.0), "x")
+    assert _from_fields(Plain, through_text(_json_fields(got)), b=tuple) == got
+    with pytest.raises(KeyError, match="'a'"):
+        _from_fields(Plain, {"b": [2.0]})
+    with pytest.raises(ValueError, match="unknown Plain field 'd'; known: a, b, c"):
+        _from_fields(Plain, {"a": 1, "d": 2})
+    with pytest.raises(TypeError, match="Plain fields must be an object, got list"):
+        _from_fields(Plain, [1])
+
+
+def _scenario_doc():
+    return sim.scenario_1a(replicates=2, seed=4).to_config()
+
+
+def _trial_doc():
+    return sim._trial_config(sim.scenario_1a(replicates=2)).to_config()
+
+
+@pytest.mark.parametrize("where, read, doc, entry, key", [
+    ("scenario", sim.ScenarioSpec.from_config, _scenario_doc, lambda d: d, "se_sorce"),
+    ("stage plan", sim.ScenarioSpec.from_config, _scenario_doc, lambda d: d["stages"][1],
+     "probe_package"),
+    ("goals", sim.ScenarioSpec.from_config, _scenario_doc, lambda d: d["goals"], "power_gaol"),
+    ("trial config", TrialConfig.from_config, _trial_doc, lambda d: d, "stage1_pakage"),
+    ("planned stage", TrialConfig.from_config, _trial_doc, lambda d: d["stages"][0],
+     "n_interventions"),
+    ("trial goals", TrialConfig.from_config, _trial_doc, lambda d: d["goals"], "tset"),
+    ("recommendation", from_document, _after_stage1_doc,
+     lambda d: d["recommendations"][0], "xhat"),
+])
+def test_every_reader_refuses_an_unknown_field(where, read, doc, entry, key):
+    doc = doc()
+    read(doc)
+    entry(doc)[key] = 1.0
+    with pytest.raises(ValueError, match=f"field '{key}'"):
+        read(doc)
+
+
+@pytest.mark.parametrize("read, doc, entry, key, what", [
+    (TrialConfig.from_config, _trial_doc, lambda d: d["stages"][0], "n_control",
+     "trial config"),
+    (from_document, _after_stage1_doc, lambda d: d["recommendations"][0],
+     "regime", "trial state document"),
+    (sim.ScenarioSpec.from_config, _scenario_doc, lambda d: d["stages"][0],
+     "n_per_center", "scenario config"),
+])
+def test_a_missing_nested_field_is_named(read, doc, entry, key, what):
+    doc = doc()
+    del entry(doc)[key]
+    with pytest.raises(ValueError, match=f"{what} is missing required field '{key}'"):
+        read(doc)
+
+
+def test_absent_fields_take_their_declared_defaults():
+    spec = sim.scenario_1a(replicates=2, seed=4)
+    doc = spec.to_config()
+    for name in ("outcome_kind", "outcome_sigma", "outcome_link", "design_mode", "se_source",
+                 "stage1_fallback_x", "deploy_step"):
+        del doc[name]
+    del doc["stages"][1]["probe_packages"]
+    for name in ("direction", "alpha", "approach", "test", "conditional_scale"):
+        del doc["goals"][name]
+    assert sim.ScenarioSpec.from_config(doc) == dataclasses.replace(
+        spec, stage1_fallback_x=None, deploy_step=None)
+
+
+def _continuous(spec):
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("t_pooled"))
+    return dataclasses.replace(spec, goals=goals, outcome_kind="continuous",
+                               outcome_sigma=8.0, outcome_link="log", se_source="sandwich")
+
+
+@pytest.mark.parametrize("spec", [
+    *(build(replicates=3, seed=5) for build in sim.SHIPPED_SCENARIOS.values()),
+    *(sim.null_variant(build(replicates=3, seed=5)) for build in sim.SHIPPED_SCENARIOS.values()),
+    _continuous(sim.scenario_1a(replicates=3)),
+    dataclasses.replace(sim.scenario_1b(replicates=3), deploy_step=None, stage1_fallback_x=None),
+], ids=lambda spec: spec.name)
+def test_every_scenario_config_reads_back_equal_through_json_text(spec):
+    assert sim.ScenarioSpec.from_config(through_text(spec.to_config())) == spec
+    config = sim._trial_config(spec)
+    assert TrialConfig.from_config(through_text(config.to_config())) == config
+
+
+def test_a_trial_config_without_an_anchor_reads_back_equal():
+    config = sim._trial_config(sim.scenario_1a(replicates=2))
+    config = dataclasses.replace(config, stage1_package=None)
+    doc = through_text(config.to_config())
+    assert "stage1_package" not in doc
+    assert TrialConfig.from_config(doc) == config
+
+
+def test_state_documents_read_back_equal():
+    doc = through_text(_after_stage1_doc())
+    again = from_document(doc)
+    assert to_document(again) == doc
+    x_hat = again.recommendations[0].x_hat
+    assert x_hat.dtype == float and x_hat.tolist() == doc["recommendations"][0]["x_hat"]
+
+    v1 = from_document(json.loads(STATE_V1))
+    resaved = through_text(to_document(v1))
+    assert from_document(resaved) == v1
+    assert to_document(from_document(resaved)) == resaved
+
+
+def _returns(function: ast.FunctionDef) -> list:
+    return [node.value for node in ast.walk(function) if isinstance(node, ast.Return)]
+
+
+def test_every_from_config_is_one_field_read():
+    """No reader lists its fields by hand: every ``from_config`` in the
+    package returns a ``_from_fields`` call, except the cost's list format."""
+    found = []
+    for path in sorted(Path(lago.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for function in cls.body:
+                if isinstance(function, ast.FunctionDef) and function.name == "from_config":
+                    found.append(cls.name)
+                    if cls.name == "CostFunction":
+                        continue
+                    returns = _returns(function)
+                    assert returns, cls.name
+                    for value in returns:
+                        assert (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                                and value.func.id == "_from_fields"), cls.name
+    assert sorted(found) == ["CostFunction", "GoalSpec", "ScenarioSpec", "TrialConfig"]

@@ -157,6 +157,44 @@ def test_thread_count_from_the_environment(monkeypatch):
         _resolve_threads(None)
 
 
+@pytest.mark.parametrize("value", ["two", "2.5", ""])
+def test_a_non_integer_thread_variable_is_named(monkeypatch, value):
+    monkeypatch.setenv("LAGO_THREADS", value)
+    with pytest.raises(ValueError, match=f"LAGO_THREADS must be an integer, got {value!r}"):
+        _resolve_threads(None)
+
+
+@pytest.mark.parametrize("cpus, workers, blocks", [(2, [2], [20, 20]), (None, [], [40])])
+def test_worker_processes_are_at_most_the_cpu_count(monkeypatch, cpus, workers, blocks):
+    requested, sizes = [], []
+
+    class RecordingPool:
+        """Records the ``max_workers`` asked for and runs the blocks in this
+        process, so no process is started."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    spec = small(scenario_1a, reps=40)
+    serial = run_scenario(spec, seed=SEED, threads=1).to_dict()
+    real = sim_module._simulate_block
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim_module, "_simulate_block",
+                        lambda *args: sizes.append(len(args[2])) or real(*args))
+    assert run_scenario(spec, seed=SEED, threads=10_000).to_dict() == serial
+    assert requested == workers and sizes == blocks
+
+
 def test_seed_argument_overrides_spec_seed():
     spec = small(scenario_1a, reps=8, seed=7)
     assert run_scenario(spec).seed == 7
