@@ -90,6 +90,19 @@ def link_inverse(link: str, eta):
     raise ValueError(f"unknown link {link!r}")
 
 
+def _link_inverse_lanes(link: str, eta: np.ndarray) -> np.ndarray:
+    """``link_inverse`` of each entry of the array ``eta`` by its float path:
+    ``math.exp`` per entry, which ``np.exp`` does not match bitwise."""
+    if link == "identity":
+        return np.array(eta, dtype=float)
+    if link == "log":
+        return np.array(list(map(math.exp, eta.tolist())))
+    if link != "logit":
+        raise ValueError(f"unknown link {link!r}")
+    ex = np.array(list(map(math.exp, np.minimum(eta, -eta).tolist())))
+    return np.where(eta >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
 def link_inverse_deriv(link: str, eta):
     """d g^{-1}/d eta, needed by the sandwich covariance and Wald projections."""
     if link == "logit":

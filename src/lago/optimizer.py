@@ -21,26 +21,31 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .cost import CostFunction, _ComponentPoly
-from .errors import InfeasibleError, LagoError, NoThresholdError
+from .errors import DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError
 from .model import (
     FittedModel,
     _assumed,
     _from_fields,
     _json_fields,
+    _link_inverse_lanes,
     link_forward,
     link_inverse,
     mirrored,
-    predict,
 )
 from .power import (
     ArmSummary,
     TestSelector,
+    _lane_projection,
     _passing_root,
+    _passing_roots,
+    _projected_power_lanes,
     _Projection,
+    _threshold_residual_lanes,
     _wald_lambda_binary,
     conditional_power,
     conditional_slack_at_level,
@@ -200,10 +205,12 @@ def _raw_level(link: str, eta_work: float, direction: str) -> float:
 
 
 def _eta_extremes(wm: FittedModel, lo, hi):
+    """(eta_min, eta_max) of the work model ``wm`` inside the bounds, or of
+    each lane when ``wm`` holds lane arrays: intercept[L] and effects[L, P]."""
     contrib_lo = wm.effects * lo
     contrib_hi = wm.effects * hi
-    eta_max = wm.intercept + float(np.maximum(contrib_lo, contrib_hi).sum())
-    eta_min = wm.intercept + float(np.minimum(contrib_lo, contrib_hi).sum())
+    eta_max = wm.intercept + np.maximum(contrib_lo, contrib_hi).sum(axis=-1)
+    eta_min = wm.intercept + np.minimum(contrib_lo, contrib_hi).sum(axis=-1)
     return eta_min, eta_max
 
 
@@ -755,8 +762,9 @@ def _threshold_core(model, summary, goals: GoalSpec, cost, lo, hi, eta_hi=None):
     the cost-minimal package minus pi for the Wald test.
     ``_passing_root`` narrows the bracket below ``_THRESHOLD_RTOL`` relative
     width and the passing end is returned, so the certificate always holds
-    at the reported level.  The 1-df residuals share one ``_Projection``, so
-    the level-free parts of the power are computed once per search.
+    at the reported level.  The residuals share one ``_Projection``, so
+    the level-free parts of the power (the Wald critical value among them)
+    are computed once per search.
     """
     test, alpha, pi = goals.test, goals.alpha, goals.power_goal
     direction = goals.direction
@@ -765,8 +773,7 @@ def _threshold_core(model, summary, goals: GoalSpec, cost, lo, hi, eta_hi=None):
     eta_lo = wm.intercept
     if eta_hi is None:
         _, eta_hi = _eta_extremes(wm, lo, hi)
-    if not test.wald:
-        summary = _Projection(model, summary, test, alpha, pi)
+    summary = _Projection(model, summary, test, alpha, pi)
 
     def residual(eta_w: float) -> float:
         raw = _raw_level(model.link, eta_w, direction)
@@ -902,106 +909,190 @@ def recommend_from_summary(
     return rec
 
 
-def _decide(model: FittedModel, summary, goals: GoalSpec, cost, lo, hi):
-    """One lane's regime and working level inside validated bounds (lo, hi).
-
-    Returns (work model, regime, eta_eff, eta_max_w, eta_goal_w); eta_eff
-    is None in the shrinking-fallback regime.
-    """
-    direction = goals.direction
-    link = model.link
-    wm = _work_model(model, direction)
-    _, eta_max_w = _eta_extremes(wm, lo, hi)
-    ftol = 1e-9 * max(1.0, abs(eta_max_w))
-
-    eta_goal_w = None
-    if goals.outcome_goal is not None:
-        _check_level_domain(link, goals.outcome_goal, what="outcome_goal")
-        g = float(link_forward(link, goals.outcome_goal))
-        eta_goal_w = g if direction == "increase" else -g
-
-    eta_pow_w = None
-    pow_attainable = None
-    if goals.power_goal is not None:
-        if summary is None:
-            raise ValueError("a power goal needs observed/planned arm sizes")
-        try:
-            _, eta_pow_w = _threshold_core(model, summary, goals, cost, lo, hi, eta_max_w)
-            pow_attainable = True
-        except NoThresholdError:
-            pow_attainable = False
-
-    if eta_goal_w is None:
-        # Power goal alone: its threshold if one exists, else the best level.
-        if pow_attainable:
-            eta_eff, regime = eta_pow_w, REGIME_GOAL
-        else:
-            eta_eff, regime = eta_max_w, REGIME_PMAX
-    else:
-        if goals.power_goal is None:
-            candidate = eta_goal_w
-        elif pow_attainable:
-            candidate = max(eta_goal_w, eta_pow_w)
-        else:
-            candidate = math.inf
-        if candidate <= eta_max_w + ftol:
-            eta_eff, regime = candidate, REGIME_GOAL
-        elif eta_goal_w <= eta_max_w + ftol:
-            eta_eff, regime = eta_max_w, REGIME_PMAX
-        else:
-            eta_eff, regime = None, REGIME_SHRINK
-    return wm, regime, eta_eff, eta_max_w, eta_goal_w
-
-
 def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) -> list:
     """One recommendation per lane, each lane a fitted model with its arm
     totals and shrinking anchor, all under one set of goals, cost and
-    validated bounds (lo, hi).
+    validated bounds (lo, hi).  The models share one link.
 
-    Each lane is decided on its own (``_decide``); the goal-feasible and
-    pmax lanes then get their packages from one ``_min_cost_lanes`` call,
-    and the shrinking lanes from the shrinking fallback.  Returns, per lane,
-    its Recommendation or the ``_LANE_ERRORS`` exception its decision
-    raised; any other exception propagates.
+    The lanes are decided together, as arrays: the best working level, the
+    power threshold (``_power_thresholds``), the regime, one
+    ``_min_cost_lanes`` call for the goal-feasible and pmax lanes, the
+    shrinking fallback for each shrinking lane, then the achieved outcome,
+    projected power and cost.  Each lane's Recommendation is bitwise the
+    one its own decision gives; the tests keep that per-lane decision as
+    the oracle.  Returns, per lane, its Recommendation or the
+    ``_LANE_ERRORS`` exception its decision raised; any other exception
+    propagates.
     """
-    out = [None] * len(models)
-    plans = {}  # lane -> [regime, required level, package]
-    solve = []  # (lane, work model, working level) awaiting a min-cost package
-    for i, (model, summary, anchor) in enumerate(zip(models, summaries, anchors)):
+    L = len(models)
+    out = [None] * L
+    if not L:
+        return out
+    direction, link = goals.direction, models[0].link
+    if any(model.link != link for model in models):
+        raise ValueError("the lanes' models must share one link")
+    sign = 1.0 if direction == "increase" else -1.0
+    beta = np.array([model.beta for model in models], dtype=float)
+    work = sign * beta  # each lane's _work_model
+    _, eta_max = _eta_extremes(SimpleNamespace(intercept=work[:, 0], effects=work[:, 1:]), lo, hi)
+    ftol = 1e-9 * np.fmax(np.abs(eta_max), 1.0)
+
+    eta_goal = None
+    if goals.outcome_goal is not None:
+        _check_level_domain(link, goals.outcome_goal, what="outcome_goal")
+        eta_goal = sign * float(link_forward(link, goals.outcome_goal))
+    proj, eta_pow = None, np.full(L, math.nan)  # nan: no power threshold
+    if goals.power_goal is not None:
+        if any(summary is None for summary in summaries):
+            raise ValueError("a power goal needs observed/planned arm sizes")
+        proj, eta_pow = _power_thresholds(models, summaries, goals, cost, lo, hi, beta, eta_max, out)
+
+    attainable = ~np.isnan(eta_pow)
+    if eta_goal is None:
+        # Power goal alone: its threshold if one exists, else the best level.
+        goal, candidate, shrink = attainable, eta_pow, np.zeros(L, bool)
+    else:
+        if goals.power_goal is None:
+            candidate = np.full(L, eta_goal)
+        else:
+            candidate = np.where(attainable, np.where(eta_pow > eta_goal, eta_pow, eta_goal), math.inf)
+        goal = candidate <= eta_max + ftol
+        shrink = ~goal & ~(eta_goal <= eta_max + ftol)
+    eta_eff = np.where(goal, candidate, eta_max)
+
+    live = np.array([rec is None for rec in out])
+    packages, required = [None] * L, np.full(L, math.nan)
+    solve = np.flatnonzero(live & ~shrink)
+    if solve.size:
+        required[solve] = _link_inverse_lanes(link, sign * eta_eff[solve])
+        target, cap = eta_eff[solve], eta_max[solve]
+        solved = _min_cost_lanes(
+            work[solve, 0], work[solve, 1:], cost, lo, hi, np.where(cap < target, cap, target))
+        for i, x in zip(solve.tolist(), solved):
+            packages[i] = x
+    for i in np.flatnonzero(live & shrink).tolist():
         try:
-            wm, regime, eta_eff, eta_max_w, eta_goal_w = _decide(
-                model, summary, goals, cost, lo, hi
-            )
-            if regime != REGIME_SHRINK:
-                plans[i] = [regime, _raw_level(model.link, eta_eff, goals.direction), None]
-                solve.append((i, wm, min(eta_eff, eta_max_w)))
-                continue
-            if anchor is None:
+            if anchors[i] is None:
                 raise InfeasibleError(
                     "no package inside the bounds reaches the outcome goal, and "
                     "the shrinking fallback has no stage-1 anchor package"
                 )
-            goal_w = float(link_inverse(model.link, eta_goal_w))
-            x = shrinking_method(wm, np.column_stack((lo, hi)), anchor, goal_w)
-            plans[i] = [regime, float(goals.outcome_goal), x]
+            goal_w = float(link_inverse(link, eta_goal))
+            packages[i] = shrinking_method(
+                _work_model(models[i], direction), np.column_stack((lo, hi)), anchors[i], goal_w)
+            required[i] = float(goals.outcome_goal)
         except _LANE_ERRORS as exc:
             out[i] = exc
-    if solve:
-        packages = _min_cost_lanes(
-            [wm.intercept for _, wm, _ in solve], [wm.effects for _, wm, _ in solve],
-            cost, lo, hi, [eta for _, _, eta in solve],
-        )
-        for (i, _, _), x in zip(solve, packages):
-            plans[i][2] = x
-    for i, (regime, required, x) in plans.items():
+    for i, x in enumerate(packages):
         if isinstance(x, Exception):
             out[i] = x
-            continue
+
+    done = np.flatnonzero([rec is None and x is not None for rec, x in zip(out, packages)])
+    if not done.size:
+        return out
+    X = np.array([packages[i] for i in done])
+    achieved = _link_inverse_lanes(link, beta[done, 0] + np.vecdot(beta[done, 1:], X))
+    power = [None] * L
+    if goals.power_goal is not None:
+        fast = np.zeros(L, bool) if proj is None else proj.exact
+        lanes = done[fast[done]]
+        if lanes.size:
+            level = np.zeros(L)
+            level[done] = achieved
+            with np.errstate(all="ignore"):  # as in _power_thresholds
+                values, degenerate = _projected_power_lanes(
+                    level, lanes, proj, goals.approach, direction)
+            for i, value, bad in zip(lanes.tolist(), values.tolist(), degenerate.tolist()):
+                if bad:
+                    out[i] = DegenerateVarianceError("zero projected variance")
+                power[i] = value
+        for i in done[~fast[done]].tolist():
+            try:
+                power[i] = _projected_power(packages[i], models[i], summaries[i], goals)
+            except _LANE_ERRORS as exc:
+                out[i] = exc
+    for i, value in zip(done.tolist(), achieved.tolist()):
+        if out[i] is None:
+            out[i] = Recommendation(
+                x_hat=packages[i],
+                regime=REGIME_GOAL if goal[i] else REGIME_SHRINK if shrink[i] else REGIME_PMAX,
+                achieved_outcome=value,
+                required_threshold=float(required[i]),
+                projected_power=power[i],
+                cost=float(cost(packages[i])),
+            )
+    return out
+
+
+def _power_thresholds(models, summaries, goals: GoalSpec, cost, lo, hi, beta, eta_max, out):
+    """Each lane's power threshold on the working scale, nan where none
+    exists inside the bounds, and the 1-df lanes' ``_lane_projection``
+    (None for the Wald tests).  ``beta`` stacks the lanes' coefficients and
+    ``eta_max`` their best working levels.  A lane whose search raises a
+    ``_LANE_ERRORS`` error gets it in ``out``.
+
+    The 1-df lanes search together, as ``_threshold_core`` does one lane:
+    the residual at the control levels, then at the best levels, then one
+    ``_passing_roots`` call; each step evaluates every searching lane at
+    once.  Wald lanes, and the lanes outside the projection's ``exact``
+    mask, call ``_threshold_core``.
+    """
+    L = len(models)
+    direction, link = goals.direction, models[0].link
+    sign = 1.0 if direction == "increase" else -1.0
+    eta_pow = np.full(L, math.nan)
+    proj = None
+    if not goals.test.wald:
+        proj = _lane_projection(
+            link, beta[:, 0], summaries, goals.test, goals.alpha, goals.power_goal)
+    exact = np.zeros(L, bool) if proj is None else proj.exact
+    for i in np.flatnonzero(~exact).tolist():
         try:
-            out[i] = _assemble(models[i], summaries[i], goals, cost, x, regime, required)
+            eta_pow[i] = _threshold_core(
+                models[i], summaries[i], goals, cost, lo, hi, float(eta_max[i]))[1]
+        except NoThresholdError:
+            pass
         except _LANE_ERRORS as exc:
             out[i] = exc
-    return out
+    lanes = np.flatnonzero(exact)
+    if not lanes.size:
+        return proj, eta_pow
+
+    level, failed = np.zeros(L), np.zeros(L, bool)
+
+    def residual(eta_w, at):
+        """The residuals of the lanes ``at`` at the working levels ``eta_w``;
+        nan on a lane whose residual has raised, which is evaluated no more."""
+        f = np.full(at.size, math.nan)
+        ok = ~failed[at]
+        at, eta_w = at[ok], eta_w[ok]
+        level[at] = _link_inverse_lanes(link, sign * eta_w)
+        f[ok], degenerate = _threshold_residual_lanes(
+            level, at, proj, goals.approach, direction, goals.conditional_scale)
+        for i in at[degenerate].tolist():
+            failed[i] = True
+            out[i] = DegenerateVarianceError("zero projected variance")
+        return f
+
+    # The residual arrays hold every lane, and a lane outside ``exact`` may
+    # divide by zero there; no entry of such a lane is read.
+    with np.errstate(all="ignore"):
+        eta_lo = sign * beta[lanes, 0]  # the control level
+        f_lo = residual(eta_lo, lanes)
+        passing = f_lo >= 0.0
+        eta_pow[lanes[passing]] = eta_lo[passing]
+        rest = ~passing & ~failed[lanes]
+        lanes, eta_lo, f_lo = lanes[rest], eta_lo[rest], f_lo[rest]
+        f_hi = residual(eta_max[lanes], lanes)
+        bracketed = f_hi >= 0.0
+        roots = lanes[bracketed]
+        if roots.size:
+            eta_pow[roots] = _passing_roots(
+                lambda x, at: residual(x, roots[at]),
+                eta_lo[bracketed], eta_max[roots], f_lo[bracketed], f_hi[bracketed],
+            )[0]
+    eta_pow[failed] = math.nan
+    return proj, eta_pow
 
 
 def _projected_power(x, model, summary, goals: GoalSpec) -> float:
@@ -1012,19 +1103,6 @@ def _projected_power(x, model, summary, goals: GoalSpec) -> float:
             x, model, summary, goals.test, goals.alpha, direction=goals.direction
         )
     return unconditional_power(x, model, summary, goals.test, goals.alpha)
-
-
-def _assemble(model, summary, goals: GoalSpec, cost, x, regime, required) -> Recommendation:
-    """A lane's Recommendation for its package ``x``."""
-    power = None if goals.power_goal is None else _projected_power(x, model, summary, goals)
-    return Recommendation(
-        x_hat=x,
-        regime=regime,
-        achieved_outcome=predict(model, x),
-        required_threshold=required,
-        projected_power=power,
-        cost=float(cost(x)),
-    )
 
 
 def _stage_inputs(trial_state, goals: GoalSpec, k: int):

@@ -7,14 +7,15 @@ Everything here is pure arithmetic on realized or projected arm summaries:
   incomplete gamma, central and noncentral chi-square written here from
   documented series and continued fractions, which no stdlib function covers;
 * ``_passing_root`` (Brent's zeroin), the package's one solver for scalar
-  equations, here and in ``optimizer`` and ``sim``;
+  equations, here and in ``optimizer`` and ``sim``, and ``_passing_roots``,
+  the same steps for many brackets in lockstep;
 * the final-analysis statistics (two-proportion z, two-sample t, P-df Wald),
   each in pooled and unpooled variants;
 * projected power for a candidate package x under the *unconditional*
   approach (noncentrality of the squared statistic with future-stage sums
   replaced by model projections) and the *conditional* approach (an
   inequality on observed data plus future-stage randomness only; satisfied
-  when the returned slack is <= 0).
+  when the returned slack is <= 0), and their 1-df forms over lane arrays.
 
 1-df unconditional power uses the exact normal form
 Phi(r - c) + Phi(-r - c), r = sqrt(lam), c = z_{alpha/2} (scaled by the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from statistics import NormalDist
 
 import numpy as np
@@ -39,6 +41,7 @@ import numpy as np
 from .errors import DegenerateVarianceError, SingularCovarianceError
 from .model import (
     FittedModel,
+    _link_inverse_lanes,
     expit,
     link_inverse,
     link_inverse_deriv,
@@ -85,18 +88,17 @@ def _check_probability(name: str, value: float) -> None:
 _THRESHOLD_RTOL = 1e-12
 
 
-def _passing_root(residual, a: float, b: float, fa: float, fb: float):
-    """Brent's zeroin (1973) on a pass/fail bracket of ``residual``.
+def _zeroin(a: float, b: float, fa: float, fb: float):
+    """Brent's zeroin (1973) on a pass/fail bracket, as a generator.
 
-    Every scalar equation of the package is a residual solved here; the
-    caller finds the bracket.  ``a`` fails and ``b`` passes, where a point
-    passes when its residual is ``>= 0`` (so nan fails).  Returns the
-    passing end ``(x, f(x))`` of a bracket narrower than
-    ``_THRESHOLD_RTOL * max(1, |x|)``.  Inverse quadratic or secant steps
-    are taken only on finite residuals and only while they shrink the
-    bracket as fast as Brent's safeguard demands; otherwise the step is a
-    bisection, so a step-shaped residual costs about what plain bisection
-    would.
+    ``a`` fails and ``b`` passes, where a point passes when its residual is
+    ``>= 0`` (so nan fails).  The generator yields each point whose
+    residual it needs and is sent that residual; it returns the passing end
+    ``(x, f(x))`` of a bracket narrower than ``_THRESHOLD_RTOL * max(1,
+    |x|)``.  Inverse quadratic or secant steps are taken only on finite
+    residuals and only while they shrink the bracket as fast as Brent's
+    safeguard demands; otherwise the step is a bisection, so a step-shaped
+    residual costs about what plain bisection would.
     """
     c, fc = a, fa
     d = e = b - a
@@ -134,8 +136,49 @@ def _passing_root(residual, a: float, b: float, fa: float, fb: float):
             d = e = xm
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = residual(b)
+        fb = yield b
     return (b, fb) if fb >= 0.0 else (c, fc)
+
+
+def _passing_root(residual, a: float, b: float, fa: float, fb: float):
+    """``_zeroin`` on the bracket (a, b) of ``residual``: the passing end
+    (x, f(x)).  Every scalar equation of the package is a residual solved
+    here; the caller finds the bracket."""
+    search = _zeroin(a, b, fa, fb)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(residual(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _passing_roots(residual, a, b, fa, fb):
+    """``_passing_root`` on many brackets at once, one lane per bracket.
+
+    ``a``, ``b``, ``fa`` and ``fb`` are arrays over the lanes.  Each lane
+    runs its own ``_zeroin``, so it takes exactly the scalar search's
+    steps; the searches advance in lockstep, one step per round, and each
+    round evaluates the points ``x`` of the lanes still searching (indices
+    ``lanes``) in one call ``residual(x, lanes)``.  Returns the arrays
+    (x, f(x)) of the passing ends.
+    """
+    brackets = zip(*(np.asarray(v, dtype=float).tolist() for v in (a, b, fa, fb)))
+    searches = [_zeroin(*bracket) for bracket in brackets]
+    x, fx = np.empty(len(searches)), np.empty(len(searches))
+    lanes, f = list(range(len(searches))), [None] * len(searches)
+    while lanes:
+        searching, points = [], []
+        for i, value in zip(lanes, f):
+            try:
+                points.append(searches[i].send(value))
+                searching.append(i)
+            except StopIteration as stop:
+                x[i], fx[i] = stop.value
+        lanes = searching
+        if lanes:
+            f = residual(np.array(points), np.array(lanes)).tolist()
+    return x, fx
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +464,7 @@ class ArmSummary:
         by_arm, design = ([], []), []
         for rec in records:
             for c in rec.centers:
-                design.append((tuple(float(v) for v in c.package), float(c.size)))
+                design.append((tuple(c.package.tolist()), float(c.size)))
                 n[c.arm] += c.size
                 s[c.arm] += c.outcome_sum
                 by_arm[c.arm].append(c)
@@ -568,10 +611,11 @@ def _sigma1_tilde(level: float, summary: ArmSummary) -> float:
 
 
 class _Projection:
-    """The level-free parts of the 1-df projections of one fitted model and
-    arm summary, each computed on first use: the all-stage arm sizes N1 and
-    N0, the model control level p0 and projected control rate pbar0, the
-    level-free future variance, and z_{alpha/2} and z_pi.
+    """The level-free parts of the projections of one fitted model and arm
+    summary, each computed on first use: the all-stage arm sizes N1 and N0,
+    the model control level p0 and projected control rate pbar0, the
+    level-free future variance, z_{alpha/2} and z_pi, and the critical value
+    of the package-df Wald test.
 
     Every ``*_at_level`` function builds one from its arguments, or takes
     one in place of its summary: the threshold search evaluates one
@@ -586,6 +630,8 @@ class _Projection:
     p0 = cached_property(lambda self: float(link_inverse(self.model.link, self.model.intercept)))
     z_half_alpha = cached_property(lambda self: norm_quantile(1.0 - self.alpha / 2.0))
     z_pi = cached_property(lambda self: norm_quantile(1.0 - self.pi))  # negative for pi > 1/2
+    wald_crit = cached_property(
+        lambda self: chisq_quantile(1.0 - self.alpha, self.model.n_components))
 
     @cached_property
     def pbar0(self) -> float:
@@ -780,10 +826,9 @@ def unconditional_power(
     """Projected power of the selected test at package x."""
     _check_probability("alpha", alpha)
     if test.wald:
-        lam = unconditional_lambda(x, model, summary, test)
-        df = model.n_components
-        crit = chisq_quantile(1.0 - alpha, df)
-        return 1.0 - noncentral_chisq_cdf(crit, df, lam)
+        proj = _projection(model, summary, alpha=alpha)
+        lam = unconditional_lambda(x, model, proj.summary, test)
+        return 1.0 - noncentral_chisq_cdf(proj.wald_crit, model.n_components, lam)
     return unconditional_power_at_level(predict(model, x), model, summary, test, alpha)
 
 
@@ -813,12 +858,19 @@ def _conditional_parts(
         raise ValueError("the conditional approach is defined for 1-df tests only")
     proj = _projection(model, summary, test)
     pbar1, pbar0, _, test_var = _arm_moments(level, proj, test)
-    g1 = math.sqrt(max(test_var, 0.0))
+    g1 = _sqrt_clamped(test_var)
     fut_var = proj.future_var
     if not test.continuous_outcome:
         N1 = proj.N1
         fut_var = proj.summary.n1_future * level * (1.0 - level) / (N1 * N1) + fut_var
-    return g1, pbar1 - pbar0, math.sqrt(max(fut_var, 0.0)), fut_var
+    return g1, pbar1 - pbar0, _sqrt_clamped(fut_var), fut_var
+
+
+def _sqrt_clamped(v):
+    """``math.sqrt(max(v, 0.0))`` of a float, or of each entry of an array."""
+    if isinstance(v, np.ndarray):
+        return np.sqrt(np.where(v < 0.0, 0.0, v))
+    return math.sqrt(max(v, 0.0))
 
 
 def _direction_sign(direction: str) -> float:
@@ -914,3 +966,105 @@ def conditional_power(
     return conditional_power_at_level(
         level, model, summary, test, alpha=alpha, direction=direction
     )
+
+
+# ---------------------------------------------------------------------------
+# the 1-df forms over many lanes
+#
+# A lane is one decision, such as one replicate of a simulation.  A lane
+# projection is one ``_Projection`` whose summary fields and control levels
+# are arrays over the lanes, so ``_arm_moments``, ``_conditional_parts`` and
+# ``conditional_slack_at_level`` evaluate every lane in one pass with the
+# scalar formulas.  The functions below are the scalar forms' tails on such
+# arrays: numpy and Python round + - * / and sqrt alike, and exp and erfc run
+# per lane through ``math``, so each lane's value is bitwise the scalar one.
+# ---------------------------------------------------------------------------
+
+_LANE_FIELDS = ("n1_obs", "n0_obs", "s1_obs", "s0_obs", "n1_future", "n0_future")
+
+
+def _lane_projection(link, intercepts, summaries, test, alpha, pi) -> _Projection:
+    """The ``_Projection`` of many lanes' 1-df decisions, from each lane's
+    model intercept and ``ArmSummary``.
+
+    Its ``exact`` mask marks the lanes whose scalar forms divide by no zero
+    arm size and find the arm variances they need: the lanes the arrays
+    reproduce.  Any other lane must keep the scalar forms.
+    """
+    names = _LANE_FIELDS + (("var1_obs", "var0_obs") if test.continuous_outcome else ())
+    columns = np.array(list(map(attrgetter(*names), summaries)), dtype=float).T
+    proj = _Projection(None, ArmSummary(**dict(zip(names, columns))), test, alpha, pi)
+    proj.p0 = _link_inverse_lanes(link, intercepts)
+    N1, N0 = proj.N1, proj.N0
+    exact = (N1 * N1 != 0.0) & (N0 * N0 != 0.0) & (N1 + N0 != 0.0)
+    if test.continuous_outcome:
+        exact &= (proj.summary.n1_obs != 0.0) & (N1 - 1.0 != 0.0) & (N1 + N0 - 2.0 != 0.0)
+        exact &= [lane.var1_obs is not None and lane.var0_obs is not None for lane in summaries]
+    proj.exact = exact
+    return proj
+
+
+def _unconditional_power_lanes(diff, unpooled_var, test_var, z_half_alpha):
+    """``unconditional_power_at_level`` on lane arrays of its arm moments
+    (``diff`` is pbar1 - pbar0).
+
+    Returns (power, degenerate): ``degenerate`` marks the lanes the scalar
+    form refuses with DegenerateVarianceError, whose power is nan.  A
+    negative variance ratio raises the scalar form's ValueError.
+    """
+    degenerate = unpooled_var <= 0.0
+    power = np.full(diff.size, math.nan)
+    ok = ~degenerate
+    if np.count_nonzero(degenerate):
+        diff, unpooled_var, test_var = diff[ok], unpooled_var[ok], test_var[ok]
+    rescale = test_var / unpooled_var
+    if np.count_nonzero(rescale < 0.0):
+        raise ValueError("math domain error")
+    c = z_half_alpha * np.sqrt(rescale)
+    r = np.sqrt(diff * diff / unpooled_var)
+    # norm_sf(c - r) + norm_sf(c + r), each through math.erfc
+    tails = 0.5 * np.array(list(map(math.erfc, (np.concatenate((c - r, c + r)) / _SQRT2).tolist())))
+    power[ok] = tails[:c.size] + tails[c.size:]
+    return power, degenerate
+
+
+def _threshold_residual_lanes(level, lanes, proj, approach, direction, scale):
+    """``_threshold_core``'s 1-df residual of the lanes ``lanes`` at the raw
+    levels ``level`` (an array over every lane of ``proj``): the negated
+    conditional slack, or the unconditional power minus pi, -inf while the
+    projected drift points the wrong way.  Returns (residuals, degenerate)
+    as ``_unconditional_power_lanes`` does."""
+    if approach == "conditional":
+        slack = conditional_slack_at_level(
+            level, None, proj, proj.test, proj.alpha, proj.pi, direction=direction, scale=scale,
+        )
+        return -slack[lanes], np.zeros(lanes.size, bool)
+    pbar1, pbar0, unpooled_var, test_var = _arm_moments(level, proj, proj.test)
+    drift = (pbar1 - pbar0)[lanes]
+    live = ~(_direction_sign(direction) * drift <= 0.0)
+    at = lanes[live]
+    f = np.full(lanes.size, -math.inf)
+    degenerate = np.zeros(lanes.size, bool)
+    power, degenerate[live] = _unconditional_power_lanes(
+        drift[live], unpooled_var[at], test_var[at], proj.z_half_alpha)
+    f[live] = power - proj.pi
+    return f, degenerate
+
+
+def _projected_power_lanes(level, lanes, proj, approach, direction):
+    """The power ``optimizer._projected_power`` projects, for the lanes
+    ``lanes`` at the levels ``level`` (an array over every lane of
+    ``proj``): (power, degenerate) as ``_unconditional_power_lanes``
+    returns them.  A lane with no future randomness divides by zero here,
+    so callers silence numpy's floating-point warnings."""
+    if approach == "unconditional":
+        pbar1, pbar0, unpooled_var, test_var = _arm_moments(level, proj, proj.test)
+        return _unconditional_power_lanes(
+            (pbar1 - pbar0)[lanes], unpooled_var[lanes], test_var[lanes], proj.z_half_alpha)
+    g1, drift, fut_sd, _ = _conditional_parts(level, None, proj, proj.test)
+    margin = (_direction_sign(direction) * drift - proj.z_half_alpha * g1)[lanes]
+    fut_sd = fut_sd[lanes]
+    power = 0.5 * np.array(list(map(math.erfc, (-(margin / fut_sd) / _SQRT2).tolist())))
+    certain = fut_sd == 0.0
+    power[certain] = margin[certain] >= 0.0
+    return power, np.zeros(lanes.size, bool)

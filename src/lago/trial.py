@@ -39,6 +39,9 @@ from .model import (
     fit_continuous,
 )
 from .optimizer import (
+    REGIME_GOAL,
+    REGIME_PMAX,
+    REGIME_SHRINK,
     GoalSpec,
     Recommendation,
     _bounds_arrays,
@@ -432,6 +435,27 @@ def to_document(state: TrialState) -> dict:
     }
 
 
+def _check_recommendation(rec: Recommendation, n_components: int) -> None:
+    """Refuse a stored recommendation the engine could not have made: its
+    ``x_hat`` must be ``n_components`` finite numbers, its regime one of the
+    three labels, its levels and cost finite and its projected power null
+    or finite."""
+    x = rec.x_hat
+    if x is None or x.shape != (n_components,) or not np.isfinite(x).all():
+        shown = None if x is None else x.tolist()
+        raise ValueError(
+            f"recommendation x_hat must be {n_components} finite numbers, got {shown!r}")
+    regimes = (REGIME_GOAL, REGIME_PMAX, REGIME_SHRINK)
+    if rec.regime not in regimes:
+        raise ValueError(f"recommendation regime must be one of {regimes}, got {rec.regime!r}")
+    for name in ("achieved_outcome", "required_threshold", "cost", "projected_power"):
+        value = getattr(rec, name)
+        if value is None and name == "projected_power":
+            continue
+        if value is None or not math.isfinite(value):
+            raise ValueError(f"recommendation {name} must be finite, got {value!r}")
+
+
 def from_document(doc: dict) -> TrialState:
     """Trial state from a ``to_document`` snapshot (version 2, or version 1).
 
@@ -451,6 +475,8 @@ def from_document(doc: dict) -> TrialState:
             Recommendation, r, x_hat=lambda x: np.asarray(x, dtype=float), achieved_outcome=float,
             required_threshold=float, projected_power=float, cost=float,
         ) for r in doc["recommendations"]]
+        for rec in recommendations:
+            _check_recommendation(rec, config.n_components)
         status = doc["status"]
     if completed and config.outcome_kind == "binary":
         _check_binary(*_center_rows(completed)[1:])

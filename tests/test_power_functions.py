@@ -281,6 +281,21 @@ def test_arm_variance_at_a_large_mean():
     assert s.var0_obs == pytest.approx(np.var(ys[0], ddof=1), rel=1e-12)
 
 
+def test_design_rows_are_the_packages_as_floats():
+    """``from_records`` builds each design row with ``tolist``; the rows
+    equal the per-value ``float`` rows, signed zeros included."""
+    rng = np.random.default_rng(19)
+    centers = [CenterData.from_stats(0, np.array([0.0, -0.0, 0.0]), 30, 12, 12 * 18 / 30)]
+    for _ in range(40):
+        package = rng.choice([-0.0, 0.0, 1.0, 2.5, 1e-300, 7.0 / 3.0], size=3)
+        centers.append(CenterData.from_stats(1, package, int(rng.integers(1, 60)), 0, 0.0))
+    records = [StageRecord(stage_index=1, centers=centers)]
+    rows = ArmSummary.from_records(records).design_obs
+    expected = tuple((tuple(float(v) for v in c.package), float(c.size)) for c in centers)
+    assert repr(rows) == repr(expected)
+    assert all(type(v) is float for row, _ in rows for v in row)
+
+
 def test_t_statistic_requires_variances():
     s = ArmSummary(n1_obs=10, n0_obs=10, s1_obs=5.0, s0_obs=3.0)
     with pytest.raises(ValueError):

@@ -270,6 +270,69 @@ def test_wald_threshold_matches_bisection(direction):
     assert paths.count("root") >= 2, paths
 
 
+def _wald_problem(rng, direction):
+    sign = 1.0 if direction == "increase" else -1.0
+    packages = [(0.0, 0.0), (1.0, 0.0), (0.0, 4.0), (1.0, 4.0), (2.0, 8.0)]
+    beta = np.array([0.1, sign * 0.15, sign * 0.075]) + rng.normal(0.0, 0.05, 3)
+    centers = []
+    for j, x in enumerate(packages):
+        p = 1.0 / (1.0 + math.exp(-(beta[0] + beta[1:] @ np.asarray(x))))
+        centers.append(_center(int(j > 0), x, 15, int(rng.binomial(15, p))))
+    records = [StageRecord(stage_index=1, centers=centers)]
+    goals = GoalSpec(
+        outcome_goal=None, direction=direction, power_goal=rng.uniform(0.5, 0.85),
+        test=Selector("wald_pdf_binary"),
+    )
+    return fit_binary(records), ArmSummary.from_records(records, future=(100.0, 30.0)), goals
+
+
+def _wald_root_uncached(model, summary, goals, cost, lo, hi):
+    """``_threshold_core``'s Wald search with the residual it had before the
+    critical value was cached: ``unconditional_power`` on the bare summary,
+    which computes the chi-square quantile on every call."""
+    direction = goals.direction
+
+    def residual(eta_w):
+        raw = _raw_level(model.link, eta_w, direction)
+        x = optimizer._min_cost_at_level(model, cost, lo, hi, raw, direction)
+        return unconditional_power(x, model, summary, goals.test, goals.alpha) - goals.power_goal
+
+    wm = _work_model(model, direction)
+    eta_lo = wm.intercept
+    _, eta_hi = _eta_extremes(wm, lo, hi)
+    f_lo = residual(eta_lo)
+    if f_lo >= 0.0:
+        return eta_lo
+    f_hi = residual(eta_hi)
+    if not f_hi >= 0.0:
+        return None
+    return _passing_root(residual, eta_lo, eta_hi, f_lo, f_hi)[0]
+
+
+@pytest.mark.parametrize("direction", ["increase", "decrease"])
+def test_a_wald_search_computes_its_critical_value_once(monkeypatch, direction):
+    rng = np.random.default_rng([8, direction == "increase"])
+    lo, hi = _bounds_arrays(BOUNDS, 2)
+    calls = Counter()
+    _counting(monkeypatch, calls, power, "chisq_quantile")
+    searched = 0
+    for _ in range(12):
+        model, summary, goals = _wald_problem(rng, direction)
+        calls.clear()
+        try:
+            eta = _threshold_core(model, summary, goals, CUBIC, lo, hi)[1]
+        except NoThresholdError:
+            eta = None
+        assert calls["chisq_quantile"] == 1, calls
+        calls.clear()
+        want = _wald_root_uncached(model, summary, goals, CUBIC, lo, hi)
+        assert repr(None if eta is None else float(eta)) == repr(
+            None if want is None else float(want))
+        # the uncached residual computed the quantile once per evaluation
+        searched += calls["chisq_quantile"] > 2
+    assert searched >= 2
+
+
 def _counted(f):
     calls = [0]
 

@@ -612,6 +612,29 @@ def test_document_with_inconsistent_state_is_rejected(edit):
         from_document(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x_hat", [1.0]),
+    ("x_hat", None),
+    ("x_hat", [float("nan"), 4.0]),
+    ("regime", 5),
+    ("achieved_outcome", None),
+    ("required_threshold", float("inf")),
+    ("cost", None),
+    ("projected_power", float("nan")),
+])
+def test_a_stored_recommendation_the_engine_could_not_make_is_refused(field, value):
+    doc = _after_stage1_doc()
+    doc["recommendations"][0][field] = value
+    with pytest.raises(ValueError, match=f"recommendation {field} must be"):
+        from_document(doc)
+
+
+def test_a_stored_recommendation_without_projected_power_reads():
+    doc = _after_stage1_doc()
+    doc["recommendations"][0]["projected_power"] = None
+    assert from_document(doc).recommendations[0].projected_power is None
+
+
 def _drop_status(doc):
     del doc["status"]
 
