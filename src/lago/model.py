@@ -306,6 +306,15 @@ def predict(model: FittedModel, x) -> float:
     return float(link_inverse(model.link, model.linear_predictor(x)))
 
 
+def _predict_lanes(link: str, intercept, effects, packages) -> np.ndarray:
+    """``predict`` at every package row of ``packages`` (..., P), bitwise:
+    ``intercept`` and ``effects`` broadcast against the rows, ``np.vecdot``
+    takes numpy's dot per row as ``effects @ x`` does, and the link inverse
+    runs per entry through ``math``."""
+    eta = intercept + np.vecdot(packages, effects)
+    return _link_inverse_lanes(link, eta.ravel()).reshape(eta.shape)
+
+
 def _assumed(beta, link: str = "logit") -> FittedModel:
     """Model at given coefficients with zero covariance: a simulation truth,
     published or planning coefficients, or a perturbed probe point."""
@@ -336,30 +345,19 @@ def mirrored(model: FittedModel) -> FittedModel:
 # design assembly
 # ---------------------------------------------------------------------------
 
-def _stack_rows(lanes):
-    """Per-center grouped designs of several fits, stacked lane first.
-
-    ``lanes`` holds one sequence of stage records per fit; every lane must
-    have the same number of centers and components.  Returns X (L, C, P+1)
-    with the intercept column first, and the sizes, outcome sums and m2,
-    each (L, C).
-    """
-    lanes = [[c for rec in records for c in rec.centers] for records in lanes]
-    if not all(lanes):
+def _center_rows(records):
+    """Per-center grouped design of stage records: X rows (C, P+1) with the
+    intercept column first, and the sizes, outcome sums and m2, each (C,).
+    A stacked fit takes these of each lane stacked lane first."""
+    centers = [c for rec in records for c in rec.centers]
+    if not centers:
         raise ValueError("no stage records to fit: the input is empty")
     try:
-        X = np.array([[[1.0, *c.package.tolist()] for c in centers] for centers in lanes])
+        X = np.array([[1.0, *c.package.tolist()] for c in centers])
     except TypeError:  # a 0-d package unpacks as a float
         raise ValueError("every package must be a vector") from None
-    n = np.array([[float(c.size) for c in centers] for centers in lanes])
-    s = np.array([[c.outcome_sum for c in centers] for centers in lanes])
-    m2 = np.array([[c.m2 for c in centers] for centers in lanes])
-    return X, n, s, m2
-
-
-def _center_rows(records):
-    """Per-center grouped design: (X rows with intercept, sizes, outcome sums, m2)."""
-    return tuple(a[0] for a in _stack_rows([records]))
+    n = np.array([float(c.size) for c in centers])
+    return X, n, np.array([c.outcome_sum for c in centers]), np.array([c.m2 for c in centers])
 
 
 def logistic_information(X, n, p):
@@ -426,7 +424,7 @@ def _fit_binary_stack(X, m, s, m2) -> list:
     """Logistic fits of L independent grouped designs at once.
 
     ``X`` (L, C, P+1), ``m``, ``s`` and ``m2`` (L, C) are what
-    ``_stack_rows`` returns.  Each lane is fitted as ``fit_binary`` fits
+    ``_center_rows`` gives, stacked.  Each lane is fitted as ``fit_binary`` fits
     one: the same input checks, IRLS with step-halving, gradient-norm
     tolerance ``GRAD_TOL``, at most ``MAX_ITER`` iterations and the
     ``COEF_CAP`` divergence test.  Only the lanes still iterating are
@@ -532,7 +530,7 @@ def fit_binary(records) -> FittedModel:
     outcomes raise ValueError; the one case the statistics cannot see is a
     vector that is not 0/1 but has the size, sum and m2 of one.
     """
-    (result,) = _fit_binary_stack(*_stack_rows([records]))
+    (result,) = _fit_binary_stack(*(a[None] for a in _center_rows(records)))
     if isinstance(result, Exception):
         raise result
     return result
@@ -568,7 +566,7 @@ def _fit_continuous_stack(X, n, s, m2, link: str) -> list:
     """Continuous-outcome fits of L independent grouped designs at once.
 
     ``X`` (L, C, P+1), ``n``, ``s`` and ``m2`` (L, C) are what
-    ``_stack_rows`` returns.  Each lane is fitted as ``fit_continuous``
+    ``_center_rows`` gives, stacked.  Each lane is fitted as ``fit_continuous``
     fits one, with the same checks in the same order: the identity link by
     one stacked least-squares solve, the log link by Gauss-Newton with
     step-halving on the lanes still iterating.  Every stacked product,
@@ -701,7 +699,7 @@ def fit_continuous(records, link: str = "identity") -> FittedModel:
     B = sum d^2 (m2 + n (ybar - mu)^2) x x', d = dg^{-1}/deta.  The one-lane
     call of ``_fit_continuous_stack``.
     """
-    (result,) = _fit_continuous_stack(*_stack_rows([records]), link)
+    (result,) = _fit_continuous_stack(*(a[None] for a in _center_rows(records)), link)
     if isinstance(result, Exception):
         raise result
     return result

@@ -33,6 +33,7 @@ from .model import (
     _from_fields,
     _json_fields,
     _link_inverse_lanes,
+    _predict_lanes,
     link_forward,
     link_inverse,
     mirrored,
@@ -41,6 +42,7 @@ from .power import (
     ArmSummary,
     TestSelector,
     _lane_projection,
+    _LaneSummaries,
     _passing_root,
     _passing_roots,
     _projected_power_lanes,
@@ -912,7 +914,9 @@ def recommend_from_summary(
 def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) -> list:
     """One recommendation per lane, each lane a fitted model with its arm
     totals and shrinking anchor, all under one set of goals, cost and
-    validated bounds (lo, hi).  The models share one link.
+    validated bounds (lo, hi).  The models share one link; ``summaries`` is
+    a sequence of ArmSummary (None entries without a power goal), or
+    ``power._LaneSummaries``.
 
     The lanes are decided together, as arrays: the best working level, the
     power threshold (``_power_thresholds``), the regime, one
@@ -943,7 +947,7 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
         eta_goal = sign * float(link_forward(link, goals.outcome_goal))
     proj, eta_pow = None, np.full(L, math.nan)  # nan: no power threshold
     if goals.power_goal is not None:
-        if any(summary is None for summary in summaries):
+        if not isinstance(summaries, _LaneSummaries) and any(s is None for s in summaries):
             raise ValueError("a power goal needs observed/planned arm sizes")
         proj, eta_pow = _power_thresholds(models, summaries, goals, cost, lo, hi, beta, eta_max, out)
 
@@ -991,7 +995,7 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
     if not done.size:
         return out
     X = np.array([packages[i] for i in done])
-    achieved = _link_inverse_lanes(link, beta[done, 0] + np.vecdot(beta[done, 1:], X))
+    achieved = _predict_lanes(link, beta[done, 0], beta[done, 1:], X)
     power = [None] * L
     if goals.power_goal is not None:
         fast = np.zeros(L, bool) if proj is None else proj.exact

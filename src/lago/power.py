@@ -460,40 +460,43 @@ class ArmSummary:
     @classmethod
     def from_records(cls, records, future=(0.0, 0.0), continuous: bool = False):
         """Aggregate stage records; ``future`` is the planned (n1, n0) remainder."""
-        n, s = [0.0, 0.0], [0.0, 0.0]
-        by_arm, design = ([], []), []
-        for rec in records:
-            for c in rec.centers:
-                design.append((tuple(c.package.tolist()), float(c.size)))
-                n[c.arm] += c.size
-                s[c.arm] += c.outcome_sum
-                by_arm[c.arm].append(c)
-        var = [
-            _pooled_variance(by_arm[arm], n[arm], s[arm])
-            if continuous and by_arm[arm] else None
-            for arm in (0, 1)
-        ]
-        return cls(
-            n1_obs=n[1],
-            n0_obs=n[0],
-            s1_obs=s[1],
-            s0_obs=s[0],
-            n1_future=float(future[0]),
-            n0_future=float(future[1]),
-            var1_obs=var[1],
-            var0_obs=var[0],
-            design_obs=tuple(design),
-        )
+        centers = [c for rec in records for c in rec.centers]
+        return cls._from_centers(
+            [(c.arm, c.size, c.outcome_sum, c.m2) for c in centers], future, continuous,
+            tuple((tuple(c.package.tolist()), float(c.size)) for c in centers))
+
+    @classmethod
+    def _from_centers(cls, centers, future, continuous: bool, design_obs=None):
+        """``from_records`` of the centers' (arm, size, outcome sum, m2), in
+        record order.  The sums and m2 may be lane arrays (the sizes are
+        the same in every lane); the arm sums and variances are then lane
+        arrays too, each added center by center as for one lane."""
+        n, s, by_arm = [0.0, 0.0], [0.0, 0.0], ([], [])
+        for arm, size, total, m2 in centers:
+            n[arm] += size
+            s[arm] = s[arm] + total
+            by_arm[arm].append((size, total, m2))
+        var = [_pooled_variance(by_arm[arm], n[arm], s[arm]) if continuous and by_arm[arm]
+               else None for arm in (0, 1)]
+        return cls(n1_obs=n[1], n0_obs=n[0], s1_obs=s[1], s0_obs=s[0],
+                   n1_future=float(future[0]), n0_future=float(future[1]),
+                   var1_obs=var[1], var0_obs=var[0], design_obs=design_obs)
 
 
-def _pooled_variance(centers, n: float, total: float) -> float:
-    """Sample variance (ddof 1) of the ``n`` outcomes of ``centers``, which sum
-    to ``total``: m2 pools as sum m2_c + n_c (ybar_c - ybar)^2 (Chan, Golub &
-    LeVeque 1983), free of the cancellation of a raw sum of squares."""
+def _pooled_variance(centers, n: float, total):
+    """Sample variance (ddof 1) of the ``n`` outcomes of ``centers``, (size,
+    outcome sum, m2) triples, which sum to ``total``: m2 pools as
+    sum m2_c + n_c (ybar_c - ybar)^2 (Chan, Golub & LeVeque 1983), free of the
+    cancellation of a raw sum of squares.  Lane arrays are squared per entry
+    by Python's ``**`` (libm ``pow``; ``x * x`` can differ in the last bit)."""
     if n <= 1:
         return 0.0
     mean = total / n
-    m2 = sum(c.m2 + c.size * (c.outcome_sum / c.size - mean) ** 2 for c in centers)
+    m2 = 0
+    for size, outcome_sum, center_m2 in centers:
+        dev = outcome_sum / size - mean
+        sq = np.array([d ** 2 for d in dev.tolist()]) if isinstance(dev, np.ndarray) else dev ** 2
+        m2 = m2 + (center_m2 + size * sq)
     return m2 / (n - 1.0)
 
 
@@ -501,40 +504,48 @@ def _pooled_variance(centers, n: float, total: float) -> float:
 # realized-data statistics
 # ---------------------------------------------------------------------------
 
-def z_statistic(summary: ArmSummary, pooled: bool = False) -> float:
-    """Two-proportion z on the realized counts (future sizes ignored)."""
+def _contrast(summary: ArmSummary, test: TestSelector):
+    """(arm contrast, its variance) of the 1-df final statistic ``test`` on
+    the realized data (future sizes ignored): floats, or lane arrays when
+    the summary's fields are.  The sizes must be the same in every lane;
+    one that the statistic cannot divide by raises ValueError."""
     n1, n0 = summary.n1_obs, summary.n0_obs
-    if n1 <= 0 or n0 <= 0:
-        raise ValueError("both arms need observations")
-    p1 = summary.s1_obs / n1
-    p0 = summary.s0_obs / n0
-    if pooled:
-        pp = (summary.s1_obs + summary.s0_obs) / (n1 + n0)
-        var = pp * (1.0 - pp) * (1.0 / n1 + 1.0 / n0)
-    else:
-        var = p1 * (1.0 - p1) / n1 + p0 * (1.0 - p0) / n0
-    if var <= 0.0:
-        raise DegenerateVarianceError("zero variance: all outcomes identical")
-    return (p1 - p0) / math.sqrt(var)
-
-
-def t_statistic(summary: ArmSummary, pooled: bool = False) -> float:
-    """Two-sample t (normal critical values downstream) on arm means."""
-    n1, n0 = summary.n1_obs, summary.n0_obs
-    if n1 <= 1 or n0 <= 1:
+    if test.kind.startswith("z"):
+        if np.any(n1 <= 0) or np.any(n0 <= 0):
+            raise ValueError("both arms need observations")
+        p1 = summary.s1_obs / n1
+        p0 = summary.s0_obs / n0
+        if test.pooled:
+            pp = (summary.s1_obs + summary.s0_obs) / (n1 + n0)
+            return p1 - p0, pp * (1.0 - pp) * (1.0 / n1 + 1.0 / n0)
+        return p1 - p0, p1 * (1.0 - p1) / n1 + p0 * (1.0 - p0) / n0
+    if np.any(n1 <= 1) or np.any(n0 <= 1):
         raise ValueError("both arms need at least two observations")
     if summary.var1_obs is None or summary.var0_obs is None:
         raise ValueError("t statistic needs arm variance estimates")
     m1, m0 = summary.mean1_obs, summary.mean0_obs
     v1, v0 = summary.var1_obs, summary.var0_obs
-    if pooled:
+    if test.pooled:
         s2 = ((n1 - 1.0) * v1 + (n0 - 1.0) * v0) / (n1 + n0 - 2.0)
-        var = s2 * (1.0 / n1 + 1.0 / n0)
-    else:
-        var = v1 / n1 + v0 / n0
+        return m1 - m0, s2 * (1.0 / n1 + 1.0 / n0)
+    return m1 - m0, v1 / n1 + v0 / n0
+
+
+def _studentized(summary: ArmSummary, test: TestSelector) -> float:
+    diff, var = _contrast(summary, test)
     if var <= 0.0:
         raise DegenerateVarianceError("zero variance: all outcomes identical")
-    return (m1 - m0) / math.sqrt(var)
+    return diff / math.sqrt(var)
+
+
+def z_statistic(summary: ArmSummary, pooled: bool = False) -> float:
+    """Two-proportion z on the realized counts (future sizes ignored)."""
+    return _studentized(summary, TestSelector("z_pooled" if pooled else "z_unpooled"))
+
+
+def t_statistic(summary: ArmSummary, pooled: bool = False) -> float:
+    """Two-sample t (normal critical values downstream) on arm means."""
+    return _studentized(summary, TestSelector("t_pooled" if pooled else "t_unpooled"))
 
 
 def wald_statistic(model: FittedModel) -> float:
@@ -576,18 +587,34 @@ def final_test(
     if test.wald:
         if model is None:
             raise ValueError("Wald tests need the fitted model")
-        w = wald_statistic(model)
-        df = model.n_components
-        p = chisq_sf(w, df)
-        reject = w > chisq_quantile(1.0 - alpha, df)
-        return TestResult(statistic=w, df=df, p_value=p, reject=reject, kind=test.kind)
-    if test.kind.startswith("z"):
-        stat = z_statistic(summary, pooled=test.pooled)
-    else:
-        stat = t_statistic(summary, pooled=test.pooled)
-    p = 2.0 * norm_sf(abs(stat))
-    reject = abs(stat) > norm_quantile(1.0 - alpha / 2.0)
-    return TestResult(statistic=stat, df=1, p_value=p, reject=reject, kind=test.kind)
+        w, df = wald_statistic(model), model.n_components
+        return TestResult(statistic=w, df=df, p_value=chisq_sf(w, df),
+                          reject=w > chisq_quantile(1.0 - alpha, df), kind=test.kind)
+    stat = _studentized(summary, test)
+    return TestResult(statistic=stat, df=1, p_value=2.0 * norm_sf(abs(stat)),
+                      reject=abs(stat) > norm_quantile(1.0 - alpha / 2.0), kind=test.kind)
+
+
+def _final_rejects(summary: ArmSummary, test: TestSelector, alpha: float, models) -> list:
+    """``final_test(...).reject`` of each of many lanes, or the LagoError its
+    scalar call raises.  The 1-df tests run the scalar formulas over
+    ``summary``, an ArmSummary of lane arrays; the Wald tests compare each
+    lane's statistic of its fitted ``models`` entry with one critical value."""
+    _check_probability("alpha", alpha)
+    if test.wald:
+        out = []
+        crit = chisq_quantile(1.0 - alpha, models[0].n_components) if models else None
+        for model in models:
+            try:
+                out.append(wald_statistic(model) > crit)
+            except SingularCovarianceError as exc:
+                out.append(exc)
+        return out
+    diff, var = _contrast(summary, test)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reject = np.abs(diff / np.sqrt(var)) > norm_quantile(1.0 - alpha / 2.0)
+    return [DegenerateVarianceError("zero variance: all outcomes identical") if bad else r
+            for r, bad in zip(reject.tolist(), (var <= 0.0).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -981,25 +1008,53 @@ def conditional_power(
 # ---------------------------------------------------------------------------
 
 _LANE_FIELDS = ("n1_obs", "n0_obs", "s1_obs", "s0_obs", "n1_future", "n0_future")
+_VAR_FIELDS = ("var1_obs", "var0_obs")
+
+
+class _LaneSummaries:
+    """The ArmSummary of each of many lanes, held as ``columns``: one
+    ArmSummary whose ``_LANE_FIELDS`` and arm variances are lane arrays (a
+    variance None where its arm has no centers).  ``lanes[i]`` is lane i's
+    own ArmSummary, for the per-lane paths; its ``design_obs``, which only
+    the Wald projections read, is built then from ``packages`` (L, C, P) and
+    ``sizes`` (C,), the observed centers."""
+
+    def __init__(self, columns: ArmSummary, packages, sizes):
+        values = {name: getattr(columns, name) for name in _LANE_FIELDS + _VAR_FIELDS}
+        self.columns = ArmSummary(**{name: v if v is None else np.broadcast_to(v, (len(packages),))
+                                     for name, v in values.items()})
+        self.packages, self.sizes = packages, sizes
+
+    def __getitem__(self, i):
+        values = {name: getattr(self.columns, name) for name in _LANE_FIELDS + _VAR_FIELDS}
+        design = tuple(zip(map(tuple, self.packages[i].tolist()), self.sizes.tolist()))
+        return ArmSummary(**{name: v if v is None else float(v[i]) for name, v in values.items()},
+                          design_obs=design)
 
 
 def _lane_projection(link, intercepts, summaries, test, alpha, pi) -> _Projection:
     """The ``_Projection`` of many lanes' 1-df decisions, from each lane's
-    model intercept and ``ArmSummary``.
+    model intercept and ``ArmSummary`` (a sequence, or ``_LaneSummaries``).
 
     Its ``exact`` mask marks the lanes whose scalar forms divide by no zero
     arm size and find the arm variances they need: the lanes the arrays
     reproduce.  Any other lane must keep the scalar forms.
     """
-    names = _LANE_FIELDS + (("var1_obs", "var0_obs") if test.continuous_outcome else ())
-    columns = np.array(list(map(attrgetter(*names), summaries)), dtype=float).T
-    proj = _Projection(None, ArmSummary(**dict(zip(names, columns))), test, alpha, pi)
+    if isinstance(summaries, _LaneSummaries):
+        summary = summaries.columns
+        has_var = summary.var1_obs is not None and summary.var0_obs is not None
+    else:
+        names = _LANE_FIELDS + (_VAR_FIELDS if test.continuous_outcome else ())
+        columns = np.array(list(map(attrgetter(*names), summaries)), dtype=float).T
+        summary = ArmSummary(**dict(zip(names, columns)))
+        has_var = [lane.var1_obs is not None and lane.var0_obs is not None for lane in summaries]
+    proj = _Projection(None, summary, test, alpha, pi)
     proj.p0 = _link_inverse_lanes(link, intercepts)
     N1, N0 = proj.N1, proj.N0
     exact = (N1 * N1 != 0.0) & (N0 * N0 != 0.0) & (N1 + N0 != 0.0)
     if test.continuous_outcome:
         exact &= (proj.summary.n1_obs != 0.0) & (N1 - 1.0 != 0.0) & (N1 + N0 - 2.0 != 0.0)
-        exact &= [lane.var1_obs is not None and lane.var0_obs is not None for lane in summaries]
+        exact &= has_var
     proj.exact = exact
     return proj
 

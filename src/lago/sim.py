@@ -1,18 +1,19 @@
 """Monte Carlo evaluation of staged adaptive designs.
 
-``run_scenario`` cuts its replicates into blocks of at most ``BLOCK_LANES``
-and runs each block in lockstep, one stage at a time: the recommendations
-of a stage that deploys one are decided for all the block's replicates in
-one batched call, every replicate draws its stage outcomes under the true
-coefficients, then the pooled binary fits of the block's replicates run as
-one stacked IRLS.  After the last stage the final cost-minimal packages
-are decided in one more batched call, each replicate finishes on its own
-with the final test, and the estimator and decision metrics are
-aggregated across replicates.
+``run_scenario`` cuts its replicates ("lanes") into blocks of at most
+``BLOCK_LANES`` and runs each block in lockstep, one stage at a time, on
+lane arrays (``_Block``): center packages, outcome sums and m2 as (lanes,
+centers) arrays, the arm layout once.  Per stage, the recommendations are
+decided for all lanes in one batched call on arm totals reduced from the
+arrays, every lane draws from its own stream, and the pooled fits of all
+lanes run as one stacked call.  After the last stage one more batched call
+decides the final packages, and the final test runs over the lanes.  No
+per-replicate trial state is built; ``tests/test_lockstep.py`` keeps that
+per-replicate path, through the public ``trial`` API, as the oracle.
 
 Reproducibility contract: every replicate gets its own substream spawned
 from a single ``SeedSequence``, and a replicate's numbers do not depend on
-which other replicates share its stack, so results do not depend on the
+which other replicates share its block, so results do not depend on the
 block size or on how the blocks are shared among processes.
 ``run_scenario(spec, threads=4)`` and the serial run agree bitwise.
 """
@@ -32,16 +33,13 @@ from .cost import CostFunction
 from .errors import InfeasibleError, NonFiniteError, config_errors
 from .model import (
     CONTINUOUS_LINKS,
-    CenterData,
     FittedModel,
-    StageRecord,
     _assumed,
-    _center_rows,
     _fit_binary_stack,
     _fit_continuous_stack,
     _from_fields,
     _json_fields,
-    _stack_rows,
+    _predict_lanes,
     expit,
     link_inverse,
     predict,
@@ -49,25 +47,24 @@ from .model import (
 from .optimizer import (
     _LANE_ERRORS,
     GoalSpec,
-    Recommendation,
     _bounds_arrays,
     _recommend_lanes,
-    _stage_inputs,
     min_cost_subject_to_threshold,
 )
-from .power import ArmSummary, TestSelector, _passing_root, norm_quantile
-from .trial import (
-    PlannedStage,
-    TrialConfig,
-    _store_fit,
-    _store_recommendation,
-    final_optimal,
-    final_test,
-    ingest_stage,
-    new_trial,
-    next_recommendation,
-    refit,
+from .power import (
+    ArmSummary,
+    TestSelector,
+    _default_test,
+    _final_rejects,
+    _LaneSummaries,
+    _passing_root,
+    norm_quantile,
 )
+from .trial import PlannedStage, TrialConfig, TrialState
+
+# The per-trial calls the benchmark's tracer (perfbench/tracing.py) rebinds in
+# this module; a Monte Carlo block runs on lane arrays and makes none of them.
+from .trial import final_optimal, final_test, ingest_stage, next_recommendation, refit  # noqa
 
 _OUTCOME_KINDS = ("binary", "continuous")
 _DESIGN_MODES = ("lago", "factorial-repeat")
@@ -311,7 +308,7 @@ class MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# one replicate
+# one block of replicates
 
 
 def _true_model(spec: ScenarioSpec) -> FittedModel:
@@ -345,91 +342,65 @@ def _trial_config(spec: ScenarioSpec) -> TrialConfig:
     )
 
 
-def _draw_stage(rng, spec, truth, control_mean, stage_index, splan, packages) -> StageRecord:
-    """One replicate's stage: its control centers, drawn around
-    ``control_mean`` (the caller's ``predict`` of the zero package), then one
-    intervention center per package, drawn around its ``predict`` mean,
-    computed once per distinct package.
-
-    Continuous outcomes are one block of standard normals, scaled and
-    shifted per center: ``loc + scale * z`` is how ``rng.normal`` makes each
-    draw, so the outcomes and the stream position after them equal one
-    ``rng.normal`` call per center, and one block costs less than a call
-    per center.  The centers' statistics come from one pass over the block
-    (row sums, then the row dots of the deviations), each row as
-    ``CenterData(arm, x, y)`` reduces it.  Binary centers keep one scalar
-    ``rng.binomial`` call each, which costs less than one call over an
-    array of probabilities.  A non-finite mean, or a non-finite sum or m2,
-    raises ``NonFiniteError``, which fails the replicate.
+def _draw_stage(rngs, spec, truth, packages, n):
+    """One stage's outcomes: lane i draws ``n`` outcomes at each center
+    package of ``packages[i]`` (C, P) from ``rngs[i]``, around its mean
+    under ``truth``.  Returns the centers' outcome sums and m2, each (L, C),
+    and the mask of the lanes that fail with NonFiniteError (a non-finite
+    mean, which draws nothing, sum or m2).  A binary center is one scalar
+    ``rng.binomial`` call, cheaper than one call over an array.  A
+    continuous lane is one block of standard normals, scaled and shifted per
+    center as ``rng.normal`` makes each draw (so the outcomes and stream
+    position equal one ``rng.normal`` call per center), reduced as
+    ``CenterData(arm, x, y)`` reduces y: row sums, then deviations' dots.
     """
-    n = splan.n_per_center
-    xs = [np.zeros(spec.n_components)] * splan.n_control_centers + list(packages)
-    arms = [0] * splan.n_control_centers + [1] * len(packages)
-    mean_of = {key: predict(truth, x) for key, x in {x.tobytes(): x for x in packages}.items()}
-    means = [control_mean] * splan.n_control_centers + [mean_of[x.tobytes()] for x in packages]
-    if not all(map(math.isfinite, means)):
-        raise NonFiniteError("non-finite value in model input")
+    means = _predict_lanes(truth.link, truth.beta[0], truth.effects, packages)
+    failed = ~np.isfinite(means).all(axis=1)
+    sums, m2 = np.zeros(means.shape), np.zeros(means.shape)
+    for i in np.flatnonzero(~failed).tolist():
+        if spec.outcome_kind == "binary":
+            sums[i] = [rngs[i].binomial(n, p) for p in means[i].tolist()]
+        else:
+            z = rngs[i].standard_normal((means.shape[1], n))
+            ys = means[i][:, None] + spec.outcome_sigma * z
+            sums[i] = ys.sum(axis=1)
+            dev = ys - (sums[i] / n)[:, None]
+            m2[i] = np.vecdot(dev, dev)
     if spec.outcome_kind == "binary":
-        successes = [int(rng.binomial(n, p)) for p in means]
-        centers = [
-            CenterData.from_stats(arm, x, n, k, k * (n - k) / n)
-            for arm, x, k in zip(arms, xs, successes)
-        ]
-    else:
-        ys = np.array(means)[:, None] + spec.outcome_sigma * rng.standard_normal((len(xs), n))
-        totals = ys.sum(axis=1)
-        dev = ys - (totals / n)[:, None]
-        m2 = np.vecdot(dev, dev)
-        if not (np.isfinite(totals).all() and np.isfinite(m2).all()):
-            raise NonFiniteError("non-finite value in model input")
-        centers = [CenterData.from_stats(arm, x, n, total, v) for arm, x, total, v
-                   in zip(arms, xs, totals.tolist(), m2.tolist())]
-    return StageRecord(stage_index, centers)
+        m2 = sums * (n - sums) / n
+    return sums, m2, failed | ~(np.isfinite(sums).all(axis=1) & np.isfinite(m2).all(axis=1))
 
 
-def _deployed_package(spec: ScenarioSpec, x) -> np.ndarray:
-    """What the centers actually run for a recommendation ``x``.
+def _deployed_packages(spec: ScenarioSpec, x) -> np.ndarray:
+    """What the centers actually run for the recommendations ``x`` (L, P).
 
     Components with a ``deploy_step`` are delivered in whole multiples of
     that step, rounded up (a recommendation of 3.1 visits means 4 visits),
     capped at the component's upper bound.  Probe packages are design
-    choices, not recommendations, and are never rounded.
-    """
-    x = np.asarray(x, dtype=float).copy()
-    if spec.deploy_step is None:
-        return x
-    for j, step in enumerate(spec.deploy_step):
-        if step is None:
-            continue
-        snapped = math.ceil(x[j] / step - 1e-9) * step
-        x[j] = min(snapped, spec.bounds[j][1])
+    choices, not recommendations, and are never rounded.  (``+ 0.0`` turns
+    the -0.0 ``np.ceil`` gives just below zero into an integer's 0.0.)"""
+    x = np.array(x, dtype=float).reshape(-1, len(spec.bounds))
+    for j, step in enumerate(spec.deploy_step or ()):
+        if step is not None:
+            snapped = np.ceil(x[:, j] / step - 1e-9) * step + 0.0
+            upper = spec.bounds[j][1]
+            x[:, j] = np.where(upper < snapped, upper, snapped)
     return x
 
 
-def _stage_packages(spec, splan, stage_index, state):
-    """Intervention packages for one stage: probes, repeats, or the recommendation."""
-    if stage_index == 1:
-        return [np.asarray(p, dtype=float) for p in splan.probe_packages]
-    if spec.design_mode == "factorial-repeat":
-        return [np.asarray(p, dtype=float) for p in spec.stages[0].probe_packages]
-    if splan.probe_packages is not None:
-        return [np.asarray(p, dtype=float) for p in splan.probe_packages]
-    rec = next_recommendation(state)
-    deployed = _deployed_package(spec, rec.x_hat)
-    return [deployed] * splan.n_intervention_centers
-
-
-def _sandwich_cov(state, model):
-    """Heteroscedasticity-robust covariance for the binary fit.
-
-    Grouped-binomial score per center is (s - n p) x, so the meat is the
-    sum of (s - n p)^2 x x'; the bread is the Fisher information, whose
-    inverse the binary fit already carries as its covariance.
-    """
-    X, n, s, _ = _center_rows(state.completed)
-    resid = s - n * expit(X @ model.beta)
-    meat = X.T @ (X * (resid * resid)[:, None])
-    return model.covariance @ meat @ model.covariance
+def _distort(spec: ScenarioSpec, stage_index: int, packages):
+    """Overwrite each row of ``packages``, one lane's intervention centers in
+    one stage, with the package the spec's distortion hook delivers there.
+    Returns the ``_LANE_ERRORS`` error the hook raised, or None."""
+    try:
+        for j, x in enumerate(packages):
+            out = np.asarray(spec.distortion(stage_index, j, x.copy()), dtype=float)
+            if out.size != x.size:
+                raise ValueError(f"package has {out.size} components, model expects {x.size}")
+            packages[j] = out.ravel()
+    except _LANE_ERRORS as exc:
+        return exc
+    return None
 
 
 def _recommends(spec: ScenarioSpec, splan: StagePlan) -> bool:
@@ -445,131 +416,161 @@ def _fit_used(spec: ScenarioSpec, stage_index: int) -> bool:
     return _recommends(spec, spec.stages[stage_index])
 
 
-def _decide_lanes(config: TrialConfig, goals: GoalSpec, states, models, lanes, lo, hi) -> dict:
-    """The pending decision of each state in ``lanes`` under ``goals``, as
-    one ``_recommend_lanes`` call over their fits (``models``: lane -> the
-    stacked fit of its stages completed now).  Returns lane ->
-    Recommendation, or the ``_LANE_ERRORS`` exception its decision raised,
-    in lane order."""
-    inputs = [_stage_inputs(states[i], goals, states[i].next_stage) for i in lanes]
-    return dict(zip(lanes, _recommend_lanes(
-        [models[i] for i in lanes], [summary for summary, _ in inputs], goals,
-        config.cost, lo, hi, [anchor for _, anchor in inputs],
-    )))
+class _Block:
+    """One lockstep block's data, as arrays over its lanes and centers,
+    which are listed as a trial's stage records list them (stage by stage,
+    controls first).  ``arm`` (0 control, 1 intervention), ``size`` and
+    ``stage`` (C,) are the same in every lane; ``X`` (L, C, P+1) holds each
+    lane's design rows (intercept, then package), ``s`` and ``m2`` (L, C)
+    its centers' outcome sums and sums of squared deviations."""
+
+    def __init__(self, spec: ScenarioSpec, lanes: int):
+        centers = [(k, arm, sp.n_per_center) for k, sp in enumerate(spec.stages, start=1)
+                   for arm in [0] * sp.n_control_centers + [1] * sp.n_intervention_centers]
+        self.stage, self.arm, size = np.array(centers).T
+        self.size = size.astype(float)
+        self.X = np.zeros((lanes, len(centers), spec.n_components + 1))
+        self.X[:, :, 0] = 1.0
+        self.s, self.m2 = np.zeros(self.X.shape[:2]), np.zeros(self.X.shape[:2])
+
+    def rows(self, lanes, end: int):
+        """The fit stacks (X, n, s, m2) of ``lanes`` over their first ``end``
+        centers: ``model._center_rows`` of those stage records, stacked."""
+        return (self.X[lanes, :end], np.tile(self.size[:end], (lanes.size, 1)),
+                self.s[lanes, :end], self.m2[lanes, :end])
+
+    def summaries(self, lanes, end: int, future, continuous: bool) -> _LaneSummaries:
+        """``ArmSummary.from_records`` of each lane in ``lanes`` over its
+        first ``end`` centers, with the planned ``future`` (n1, n0)."""
+        centers = [(arm, int(self.size[c]), self.s[lanes, c], self.m2[lanes, c])
+                   for c, arm in enumerate(self.arm[:end].tolist())]
+        columns = ArmSummary._from_centers(centers, future, continuous)
+        return _LaneSummaries(columns, self.X[lanes, :end, 1:], self.size[:end])
+
+    def anchors(self, config: TrialConfig, lanes, end: int) -> list:
+        """``optimizer._stage1_anchor`` of each lane in ``lanes`` over its
+        first ``end`` centers: the configured stage-1 package, else the
+        size-weighted mean package of the intervention centers of the
+        earliest stage that has some, else None."""
+        treated = np.flatnonzero(self.arm[:end] == 1)
+        if config.stage1_package is not None or not treated.size:
+            return [config.stage1_package] * lanes.size
+        first = treated[self.stage[treated] == self.stage[treated[0]]]
+        return [np.average(self.X[i, first, 1:], axis=0, weights=self.size[first])
+                for i in lanes.tolist()]
 
 
-def _finish_replicate(spec: ScenarioSpec, state, truth) -> tuple:
-    """Final estimates, test and packages of one completed trial."""
-    model = refit(state)
-    if spec.se_source == "sandwich" and spec.outcome_kind == "binary":
-        covariance = _sandwich_cov(state, model)
-    else:
-        covariance = model.covariance
-    result = final_test(state, alpha=spec.goals.alpha)
-
-    x_rec = None
-    if state.recommendations:
-        x_rec = np.asarray(state.recommendations[-1].x_hat, dtype=float)
-    x_opt = None
-    if spec.goals.outcome_goal is not None:
-        x_opt = np.asarray(final_optimal(state).x_hat, dtype=float)
-
-    x_for_propt = x_rec if x_rec is not None else x_opt
-    propt = None if x_for_propt is None else predict(truth, x_for_propt)
-    payload = {
-        "beta": np.asarray(model.beta, dtype=float),
-        "se": np.sqrt(np.diag(covariance)),
-        "reject": bool(result.reject),
-        "x_rec": x_rec,
-        "x_opt": x_opt,
-        "propt": propt,
-    }
-    return ("ok", payload)
+def _decide_lanes(config: TrialConfig, goals: GoalSpec, block: _Block, models, lanes, k: int,
+                  lo, hi) -> list:
+    """The stage-``k`` decision (k = K + 1: the final package) of each lane in
+    ``lanes`` under ``goals``, as one ``_recommend_lanes`` call over their
+    fits (``models``: lane -> its stacked fit of stages below k), arm totals
+    and anchors: per lane its Recommendation or ``_LANE_ERRORS`` error."""
+    end = int(np.count_nonzero(block.stage < k))
+    summaries = [None] * lanes.size
+    if goals.power_goal is not None:
+        future = TrialState(config).future_arm_sizes(k)
+        summaries = block.summaries(lanes, end, future, goals.test.continuous_outcome)
+    return _recommend_lanes([models[i] for i in lanes.tolist()], summaries, goals, config.cost,
+                            lo, hi, block.anchors(config, lanes, end))
 
 
 def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> list:
     """Run one trial per seed under ``config`` (the run's ``_trial_config``),
-    all trials ("lanes") advancing one stage at a time.
+    all trials ("lanes") advancing one stage at a time on one ``_Block``.
 
-    Per stage, a stage that deploys a recommendation first decides it for
-    all live lanes in one ``_decide_lanes`` call and stores each lane's in
-    its state (a lane whose decision raises fails with that kind); then
-    each live lane picks its packages, draws from its own stream and
-    ingests the stage; then, when the pooled fit is used, the fits of all
-    live lanes run as one stacked call (``_fit_binary_stack`` or
-    ``_fit_continuous_stack``) and each lands in its state's ``refit``
-    memo.  After the last stage one more ``_decide_lanes`` call, with
-    the power goal stripped, stores each lane's ``final_optimal`` package;
-    a lane whose final package fails is left to ``_finish_replicate``,
-    which reports a failing final test first.  Returns one ("ok", payload)
-    or ("fail", kind) per seed, in seed order.
+    Per stage, a stage that deploys a recommendation decides it for all live
+    lanes in one ``_decide_lanes`` call; the stage's packages (probes,
+    repeats or each lane's deployed recommendation, through the distortion
+    hook if any) go into the block; every live lane draws from its own
+    stream; and when the pooled fit is used, the fits of all live lanes run
+    as one stacked call.  A lane whose decision, hook, draw or fit fails
+    with a ``_LANE_ERRORS`` error fails with its kind.  After the last
+    stage, ``_decide_lanes`` with the power goal stripped gives the final
+    packages and ``_final_rejects`` the final tests; a failed final test is
+    reported before a failed final package, as in a trial run alone.
+    Returns one ("ok", payload) or ("fail", kind) per seed, in seed order.
     """
     truth = _true_model(spec)
-    control_mean = predict(truth, np.zeros(spec.n_components))
     lo, hi = _bounds_arrays(config.bounds, config.n_components)
-    rngs = [np.random.default_rng(cs) for cs in child_seeds]
-    states = [new_trial(config) for _ in rngs]
-    outcomes: list = [None] * len(states)
-    models: dict = {}
-    live = list(range(len(states)))
-    for stage_index, splan in enumerate(spec.stages, start=1):
-        if _recommends(spec, splan):
-            decisions = _decide_lanes(config, config.goals, states, models, live, lo, hi)
-            for i, rec in decisions.items():
-                if isinstance(rec, Recommendation):
-                    _store_recommendation(states[i], rec)
-                else:
-                    outcomes[i] = ("fail", type(rec).__name__)
-            live = [i for i in live if outcomes[i] is None]
-        records = {}
-        for i in live:
-            try:
-                packages = _stage_packages(spec, splan, stage_index, states[i])
-                if spec.distortion is not None:
-                    packages = [
-                        np.asarray(spec.distortion(stage_index, j, x), dtype=float)
-                        for j, x in enumerate(packages)
-                    ]
-                records[i] = _draw_stage(rngs[i], spec, truth, control_mean, stage_index,
-                                         splan, packages)
-            except _LANE_ERRORS as exc:
-                outcomes[i] = ("fail", type(exc).__name__)
-        with warnings.catch_warnings():
-            # A distortion hook may push packages outside the nominal
-            # bounds on purpose; the per-ingest warning is noise here.
-            warnings.simplefilter("ignore")
-            for i, record in records.items():
-                try:
-                    states[i] = ingest_stage(states[i], record)
-                except _LANE_ERRORS as exc:
-                    outcomes[i] = ("fail", type(exc).__name__)
-        live = [i for i in live if outcomes[i] is None]
-        if live and _fit_used(spec, stage_index):
-            pooled = _stack_rows([states[i].completed for i in live])
-            if spec.outcome_kind == "binary":
-                fits = _fit_binary_stack(*pooled)
-            else:
-                fits = _fit_continuous_stack(*pooled, config.outcome_link)
-            for i, fit in zip(live, fits):
-                if isinstance(fit, FittedModel):
-                    models[i] = fit
-                    _store_fit(states[i], fit)
-                elif isinstance(fit, _LANE_ERRORS):
-                    outcomes[i] = ("fail", type(fit).__name__)
-                else:
-                    raise fit
-            live = [i for i in live if outcomes[i] is None]
+    rngs = [np.random.Generator(np.random.PCG64(cs)) for cs in child_seeds]  # = default_rng(cs)
+    block = _Block(spec, len(rngs))
+    P, binary = spec.n_components, spec.outcome_kind == "binary"
+    outcomes, models, recs = [None] * len(rngs), {}, {}  # recs: lane -> its last decision
 
+    def settle(lanes, results):
+        """``lanes`` less those whose result is a ``_LANE_ERRORS`` error,
+        which fail with its kind; any other exception is raised."""
+        failed = [j for j, result in enumerate(results) if isinstance(result, Exception)]
+        for j in failed:
+            if not isinstance(results[j], _LANE_ERRORS):
+                raise results[j]
+            outcomes[lanes[j]] = ("fail", type(results[j]).__name__)
+        return np.delete(lanes, failed) if failed else lanes
+
+    live, start = np.arange(len(rngs)), 0
+    for k, splan in enumerate(spec.stages, start=1):
+        end = start + splan.n_control_centers + splan.n_intervention_centers
+        treated = slice(start + splan.n_control_centers, end)
+        if _recommends(spec, splan):
+            decisions = _decide_lanes(config, config.goals, block, models, live, k, lo, hi)
+            recs.update(zip(live.tolist(), decisions))
+            live = settle(live, decisions)
+            x = [recs[i].x_hat for i in live.tolist()]
+            block.X[live, treated, 1:] = _deployed_packages(spec, x)[:, None]
+        else:
+            plan = spec.stages[0] if spec.design_mode == "factorial-repeat" else splan
+            block.X[:, treated, 1:] = np.reshape(plan.probe_packages, (-1, P))
+        if spec.distortion is not None:
+            hooked = [_distort(spec, k, block.X[i, treated, 1:]) for i in live.tolist()]
+            live = settle(live, hooked)
+        sums, m2, failed = _draw_stage([rngs[i] for i in live.tolist()], spec, truth,
+                                       block.X[live, start:end, 1:], splan.n_per_center)
+        block.s[live, start:end], block.m2[live, start:end] = sums, m2
+        live = settle(live, [NonFiniteError("non-finite value in model input") if bad else None
+                             for bad in failed.tolist()])
+        if live.size and _fit_used(spec, k):
+            rows = block.rows(live, end)
+            fits = (_fit_binary_stack(*rows) if binary
+                    else _fit_continuous_stack(*rows, config.outcome_link))
+            models.update(zip(live.tolist(), fits))
+            live = settle(live, fits)
+        start = end
+
+    finals = [None] * live.size
     if spec.goals.outcome_goal is not None:
-        final_goals = replace(config.goals, power_goal=None)
-        for i, rec in _decide_lanes(config, final_goals, states, models, live, lo, hi).items():
-            if isinstance(rec, Recommendation):
-                _store_recommendation(states[i], rec)
-    for i in live:
-        try:
-            outcomes[i] = _finish_replicate(spec, states[i], truth)
-        except _LANE_ERRORS as exc:
-            outcomes[i] = ("fail", type(exc).__name__)
+        finals = _decide_lanes(config, replace(config.goals, power_goal=None), block, models,
+                               live, len(spec.stages) + 1, lo, hi)
+    test = config.goals.test or _default_test(spec.outcome_kind)
+    summary = None if test.wald else block.summaries(live, start, (0.0, 0.0),
+                                                     test.continuous_outcome).columns
+    rejects = _final_rejects(summary, test, spec.goals.alpha, [models[i] for i in live.tolist()])
+    results = [r if isinstance(r, Exception) else f for r, f in zip(rejects, finals)]
+    ok = [j for j, r in enumerate(results) if not isinstance(r, Exception)]
+    lanes = settle(live, results)
+
+    fits = [models[i] for i in lanes.tolist()]
+    beta = np.array([fit.beta for fit in fits]).reshape(lanes.size, P + 1)
+    cov = np.array([fit.covariance for fit in fits]).reshape(lanes.size, P + 1, P + 1)
+    if spec.se_source == "sandwich" and binary:
+        # Grouped-binomial score per center is (s - n p) x, so the meat is the
+        # sum of (s - n p)^2 x x'; the bread is the Fisher information, whose
+        # inverse the binary fit already carries as its covariance.
+        X, n, s, _ = block.rows(lanes, start)
+        resid = s - n * expit((X @ beta[:, :, None])[:, :, 0])
+        cov = cov @ (np.swapaxes(X, 1, 2) @ (X * (resid * resid)[:, :, None])) @ cov
+    se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    x_rec = x_opt = propt = [None] * lanes.size
+    if spec.goals.outcome_goal is not None:
+        x_opt = propt = [finals[j].x_hat for j in ok]
+    if recs:  # every lane left made every staged decision
+        x_rec = propt = [recs[i].x_hat for i in lanes.tolist()]
+    if lanes.size and propt[0] is not None:  # the last recommendation, else the final package
+        propt = _predict_lanes(truth.link, truth.beta[0], truth.effects,
+                               np.reshape(propt, (lanes.size, P))).tolist()
+    for j, i in enumerate(lanes.tolist()):
+        outcomes[i] = ("ok", {"beta": beta[j], "se": se[j], "reject": bool(rejects[ok[j]]),
+                              "x_rec": x_rec[j], "x_opt": x_opt[j], "propt": propt[j]})
     return outcomes
 
 
@@ -955,10 +956,10 @@ def betterbirth_power(
     future-stage outcomes are drawn, intervention arm at ``recommendation``
     and control at zero, both under ``model`` taken as the truth.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    _check_count("replicates", replicates, 1)
     if seed is None:
         raise ValueError("betterbirth_power needs a seed")
+    _check_count("seed", seed, 0)
     if test.kind not in ("z_pooled", "z_unpooled"):
         raise ValueError("the final test here is a two-proportion z test")
     if not (trial_layout.n1_future > 0 and trial_layout.n0_future > 0):
@@ -973,17 +974,7 @@ def betterbirth_power(
     n0f = int(round(trial_layout.n0_future))
     s1 = trial_layout.s1_obs + rng.binomial(n1f, p_x, size=replicates)
     s0 = trial_layout.s0_obs + rng.binomial(n0f, p_0, size=replicates)
-    N1 = trial_layout.n1_obs + n1f
-    N0 = trial_layout.n0_obs + n0f
-
-    r1 = s1 / N1
-    r0 = s0 / N0
-    if test.kind == "z_pooled":
-        pbar = (s1 + s0) / (N1 + N0)
-        var = pbar * (1.0 - pbar) * (1.0 / N1 + 1.0 / N0)
-    else:
-        var = r1 * (1.0 - r1) / N1 + r0 * (1.0 - r0) / N0
-    crit = norm_quantile(1.0 - alpha / 2.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zstat = np.where(var > 0, (r1 - r0) / np.sqrt(var), 0.0)
-    return float(np.mean(np.abs(zstat) > crit))
+    data = ArmSummary(n1_obs=trial_layout.n1_obs + n1f, n0_obs=trial_layout.n0_obs + n0f,
+                      s1_obs=s1, s0_obs=s0)
+    # a replicate with all outcomes identical has no z and does not reject
+    return float(np.mean([r is True for r in _final_rejects(data, test, alpha, None)]))

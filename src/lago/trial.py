@@ -201,8 +201,6 @@ class TrialState:
     status: str = "awaiting-stage-1"
     # (completed, model) of the last ``refit``; see there.
     _fit: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    # (completed, recommendation) stored for ``final_optimal``; see there.
-    _final: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def next_stage(self) -> int:
@@ -279,27 +277,8 @@ def refit(state: TrialState) -> FittedModel:
         model = fit_binary(state.completed)
     else:
         model = fit_continuous(state.completed, link=state.config.outcome_link)
-    _store_fit(state, model)
-    return model
-
-
-def _store_fit(state: TrialState, model: FittedModel) -> None:
-    """Make ``model`` what ``refit(state)`` returns for the stages completed
-    now: a fit of exactly those stages made elsewhere, such as one lane of
-    a stacked fit."""
     state._fit = (state.completed, model)
-
-
-def _store_recommendation(state: TrialState, rec: Recommendation) -> None:
-    """Make ``rec`` the state's pending decision, made elsewhere (one lane of
-    a batched decision; the counterpart of ``_store_fit``): what
-    ``next_recommendation`` returns while stages remain, or what
-    ``final_optimal`` returns for the stages completed now once the trial
-    is complete."""
-    if state.status == "complete":
-        state._final = (state.completed, rec)
-    else:
-        state.recommendations.append(rec)
+    return model
 
 
 def next_recommendation(state: TrialState) -> Recommendation:
@@ -333,16 +312,13 @@ def final_optimal(state: TrialState) -> Recommendation:
     product is ``recommend_from_summary`` on the all-data fit with the
     power goal stripped, so an unreachable outcome goal takes the same
     shrinking fallback as the staged recommendations, anchored at
-    ``_stage1_anchor``.  A package stored with ``_store_recommendation`` for
-    the stages completed now is returned as it is.
+    ``_stage1_anchor``.
     """
     if state.status != "complete":
         raise ValueError("final_optimal needs a complete trial")
     goals = state.config.goals
     if goals.outcome_goal is None:
         raise ValueError("final_optimal needs an outcome goal")
-    if state._final is not None and state._final[0] is state.completed:
-        return state._final[1]
     return recommend_from_summary(
         refit(state), None, dataclasses.replace(goals, power_goal=None),
         state.config.cost, state.config.bounds, _stage1_anchor(state),
@@ -408,18 +384,21 @@ def final_test(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _center_from_dict(entry: dict, version: int) -> CenterData:
+def _center_from_dict(entry: dict, version: int, n_components: int) -> CenterData:
     arm, package = int(entry["arm"]), np.asarray(entry["package"], dtype=float)
+    if package.shape != (n_components,) or not np.isfinite(package).all():
+        raise ValueError(
+            f"center package must be {n_components} finite numbers, got {entry['package']!r}")
     if version == 1:
         return CenterData(arm=arm, package=package, outcomes=entry["outcomes"])
     stats = (entry["size"], entry["outcome_sum"], entry["m2"])
     return CenterData.from_stats(arm, package, *stats)
 
 
-def _record_from_dict(entry: dict, version: int) -> StageRecord:
+def _record_from_dict(entry: dict, version: int, n_components: int) -> StageRecord:
     return StageRecord(
         stage_index=int(entry["stage_index"]),
-        centers=[_center_from_dict(c, version) for c in entry["centers"]],
+        centers=[_center_from_dict(c, version, n_components) for c in entry["centers"]],
     )
 
 
@@ -459,7 +438,7 @@ def _check_recommendation(rec: Recommendation, n_components: int) -> None:
 def from_document(doc: dict) -> TrialState:
     """Trial state from a ``to_document`` snapshot (version 2, or version 1).
 
-    Rejects invalid center statistics, and a document whose status, stage
+    Rejects invalid center statistics or packages, and a document whose status, stage
     indices or recommendation count disagree with its completed stages, so
     a hand-edited status cannot unlock ``final_test`` on part of the trial.
     """
@@ -470,7 +449,8 @@ def from_document(doc: dict) -> TrialState:
         if version not in (1, DOCUMENT_VERSION):
             raise ValueError(f"unsupported document version {version!r}")
         config = TrialConfig.from_config(doc["config"])
-        completed = tuple(_record_from_dict(r, version) for r in doc["completed"])
+        completed = tuple(
+            _record_from_dict(r, version, config.n_components) for r in doc["completed"])
         recommendations = [_from_fields(
             Recommendation, r, x_hat=lambda x: np.asarray(x, dtype=float), achieved_outcome=float,
             required_threshold=float, projected_power=float, cost=float,

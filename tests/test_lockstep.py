@@ -1,9 +1,11 @@
 """Differential tests for the lockstep replicate engine and the stacked fits.
 
-``run_scenario`` advances all replicates of a block one stage at a time and
-fits every replicate's pooled data in one ``_fit_binary_stack`` or
-``_fit_continuous_stack`` call per stage.  The per-replicate path it
-replaced, with its per-center draws and outcome vectors, and the
+``run_scenario`` advances all replicates of a block one stage at a time on
+lane arrays (``sim._Block``) and fits every replicate's pooled data in one
+``_fit_binary_stack`` or ``_fit_continuous_stack`` call per stage.  The
+per-replicate path it replaced (one trial state per replicate through the
+public ``trial`` API, one draw call per center with its outcome vector, its
+deployed packages and sandwich covariance per replicate), and the
 single-design fits ``fit_binary`` and ``fit_continuous`` ran before each
 became the one-lane call of its kernel, are kept here as oracles: the
 engine's reports and the kernels' fits must agree with them bitwise, with
@@ -15,12 +17,15 @@ import ast
 import dataclasses
 import math
 import re
+import sys
 import warnings
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lago
 import lago.trial as trial_module
@@ -45,14 +50,20 @@ from lago.model import (
     _fit_binary_stack,
     _fit_continuous_stack,
     _lstsq_stack,
-    _stack_rows,
     expit,
     link_inverse,
     link_inverse_deriv,
     logistic_information,
     predict,
 )
-from lago.trial import final_optimal, final_test, ingest_stage, new_trial, refit
+from lago.trial import (
+    final_optimal,
+    final_test,
+    ingest_stage,
+    new_trial,
+    next_recommendation,
+    refit,
+)
 from test_fast_paths import _check_finite, _fit_binary_oracle, _grouped_design, _outcome
 
 # ---------------------------------------------------------------------------
@@ -213,6 +224,43 @@ def _fit_continuous_scalar(records, link="identity"):
     )
 
 
+def _deployed_package(spec, x):
+    """What the centers run for a recommendation ``x``: components with a
+    ``deploy_step`` in whole steps, rounded up, capped at the upper bound."""
+    x = np.asarray(x, dtype=float).copy()
+    if spec.deploy_step is None:
+        return x
+    for j, step in enumerate(spec.deploy_step):
+        if step is None:
+            continue
+        snapped = math.ceil(x[j] / step - 1e-9) * step
+        x[j] = min(snapped, spec.bounds[j][1])
+    return x
+
+
+def _stage_packages(spec, splan, stage_index, state):
+    """Intervention packages for one stage: probes, repeats, or the recommendation."""
+    if stage_index == 1:
+        return [np.asarray(p, dtype=float) for p in splan.probe_packages]
+    if spec.design_mode == "factorial-repeat":
+        return [np.asarray(p, dtype=float) for p in spec.stages[0].probe_packages]
+    if splan.probe_packages is not None:
+        return [np.asarray(p, dtype=float) for p in splan.probe_packages]
+    rec = next_recommendation(state)
+    deployed = _deployed_package(spec, rec.x_hat)
+    return [deployed] * splan.n_intervention_centers
+
+
+def _sandwich_cov(state, model):
+    """Heteroscedasticity-robust covariance of the binary fit: the meat
+    sums (s - n p)^2 x x' over the centers, the bread is the fit's
+    covariance."""
+    X, n, s, _ = _center_rows(state.completed)
+    resid = s - n * expit(X @ model.beta)
+    meat = X.T @ (X * (resid * resid)[:, None])
+    return model.covariance @ meat @ model.covariance
+
+
 def _draw_center(rng, spec, truth, arm, x, n):
     mean = predict(truth, x)
     if not math.isfinite(mean):
@@ -233,7 +281,7 @@ def _simulate_replicate(spec, config, child_seed):
     try:
         state = new_trial(config)
         for stage_index, splan in enumerate(spec.stages, start=1):
-            packages = sim._stage_packages(spec, splan, stage_index, state)
+            packages = _stage_packages(spec, splan, stage_index, state)
             if spec.distortion is not None:
                 packages = [
                     np.asarray(spec.distortion(stage_index, j, x), dtype=float)
@@ -250,7 +298,7 @@ def _simulate_replicate(spec, config, child_seed):
 
         model = refit(state)
         if spec.se_source == "sandwich" and spec.outcome_kind == "binary":
-            covariance = sim._sandwich_cov(state, model)
+            covariance = _sandwich_cov(state, model)
         else:
             covariance = model.covariance
         result = final_test(state, alpha=spec.goals.alpha)
@@ -376,6 +424,8 @@ def _without_anchor(monkeypatch):
     InfeasibleError: the anchor is never the observed stage-1 mean."""
     for module in (lago.optimizer, trial_module):
         monkeypatch.setattr(module, "_stage1_anchor", lambda state: state.config.stage1_package)
+    monkeypatch.setattr(sim._Block, "anchors",
+                        lambda block, config, lanes, end: [config.stage1_package] * len(lanes))
 
 
 def _unanchored(design_mode="lago"):
@@ -400,11 +450,17 @@ def test_a_failing_final_test_is_reported_before_the_final_package(monkeypatch):
     kinds = sim.run_scenario(spec, seed=29, threads=1).failure_kinds
     assert kinds.get("InfeasibleError", 0) > 0
 
+    def failing_tests(summary, test, alpha, models):
+        return [NonFiniteError("final test failed")] * len(models)
+
     def failing_test(state, alpha=0.05):
         raise NonFiniteError("final test failed")
 
-    monkeypatch.setattr(sim, "final_test", failing_test)
-    assert sim.run_scenario(spec, seed=29, threads=1).failure_kinds == {"NonFiniteError": 40}
+    monkeypatch.setattr(sim, "_final_rejects", failing_tests)
+    got = sim.run_scenario(spec, seed=29, threads=1).to_dict()
+    monkeypatch.setattr(sys.modules[__name__], "final_test", failing_test)  # the oracle's
+    assert repr(got) == repr(_oracle_report(monkeypatch, spec, 29))
+    assert got["failure_kinds"] == {"NonFiniteError": 40}
 
 
 def test_non_finite_continuous_draws_fail_their_lanes_as_the_oracle_does(monkeypatch):
@@ -449,27 +505,47 @@ def test_a_fit_input_error_ends_the_run(monkeypatch):
 
 
 def test_stage_draws_match_per_center_draws_and_stream_position():
+    # One call draws a stage for several lanes, each from its own stream:
+    # every lane's sums, m2 and stream position equal one draw call per center.
     deployed = np.array([0.75, 3.0])
     for outcome_kind in ("binary", "continuous"):
         spec = dataclasses.replace(sim.scenario_1a(n_per_center=25, replicates=1),
                                    outcome_kind=outcome_kind, outcome_sigma=8.0)
         truth = sim._true_model(spec)
         splan = spec.stages[0]
-        control_mean = predict(truth, np.zeros(2))
         layouts = (
             [np.asarray(p, dtype=float) for p in splan.probe_packages],
             [deployed] * 3,  # one recommendation at every center
             [deployed.copy(), np.array([1.0, 4.0]), deployed.copy()],
         )
-        for seed in range(200):
-            packages = layouts[seed % 3]
-            a = np.random.default_rng([seed, 3])
-            b = np.random.default_rng([seed, 3])
-            got = sim._draw_stage(a, spec, truth, control_mean, 1, splan, packages)
-            arms = [(0, np.zeros(2))] * splan.n_control_centers + [(1, x) for x in packages]
-            want = StageRecord(1, [_draw_center(b, spec, truth, arm, x, 25) for arm, x in arms])
-            assert got == want
-            assert a.bit_generator.state == b.bit_generator.state
+        arms = [0] * splan.n_control_centers + [1] * 3
+        for seed in range(0, 200, 5):
+            lanes = [[np.zeros(2)] * splan.n_control_centers + layouts[(seed + j) % 3]
+                     for j in range(5)]
+            got_rngs = [np.random.default_rng([seed + j, 3]) for j in range(5)]
+            sums, m2, failed = sim._draw_stage(got_rngs, spec, truth, np.array(lanes), 25)
+            assert sums.shape == m2.shape == (5, 4) and not failed.any()
+            for j, packages in enumerate(lanes):
+                rng = np.random.default_rng([seed + j, 3])
+                want = [_draw_center(rng, spec, truth, a, x, 25) for a, x in zip(arms, packages)]
+                assert sums[j].tobytes() == np.array([c.outcome_sum for c in want]).tobytes()
+                assert m2[j].tobytes() == np.array([c.m2 for c in want]).tobytes()
+                assert got_rngs[j].bit_generator.state == rng.bit_generator.state
+
+
+def test_deployed_packages_match_the_per_replicate_rounding():
+    # Whole steps rounded up and capped, bitwise, signed zeros included: a
+    # recommendation of 0 (or just above a step) must not deploy -0.0.
+    spec = dataclasses.replace(sim.scenario_1a(replicates=1), deploy_step=(0.25, 1.0))
+    rng = np.random.default_rng(43)
+    x = np.concatenate([rng.uniform(0.0, 1.0, (300, 2)) * (2.0, 8.0),
+                        rng.integers(0, 9, (300, 2)) * (0.25, 1.0),
+                        np.array([[0.0, 0.0], [1e-12, 1e-12], [2.0, 8.0], [1.99, 7.5]])])
+    got = sim._deployed_packages(spec, x)
+    want = np.array([_deployed_package(spec, row) for row in x])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() != sim._deployed_packages(
+        dataclasses.replace(spec, deploy_step=None), x).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 2000, 2001])
@@ -481,35 +557,186 @@ def test_block_statistics_match_centers_built_from_their_outcomes(n):
     packages = [np.asarray(p, dtype=float) for p in splan.probe_packages]
     arms = [(0, np.zeros(2))] * splan.n_control_centers + [(1, x) for x in packages]
     means = np.array([predict(truth, x) for _, x in arms])
-    for seed in range(40):
-        got = sim._draw_stage(np.random.default_rng([seed, n]), spec, truth, means[0], 1,
-                              splan, packages)
-        z = np.random.default_rng([seed, n]).standard_normal((len(arms), n))
-        ys = means[:, None] + spec.outcome_sigma * z
-        assert got == StageRecord(1, [CenterData(arm, x, y) for (arm, x), y in zip(arms, ys)])
+    lanes = np.array([[x for _, x in arms]] * 4)
+    for seed in range(0, 40, 4):
+        sums, m2, _ = sim._draw_stage([np.random.default_rng([seed + j, n]) for j in range(4)],
+                                      spec, truth, lanes, n)
+        for j in range(4):
+            z = np.random.default_rng([seed + j, n]).standard_normal((len(arms), n))
+            ys = means[:, None] + spec.outcome_sigma * z
+            want = [CenterData(arm, x, y) for (arm, x), y in zip(arms, ys)]
+            assert sums[j].tobytes() == np.array([c.outcome_sum for c in want]).tobytes()
+            assert m2[j].tobytes() == np.array([c.m2 for c in want]).tobytes()
 
 
-def test_a_replicate_predicts_each_distinct_mean_once(monkeypatch):
-    # Stage 1 runs three distinct probes, stage 2 one recommendation at all
-    # three intervention centers; the control mean is computed once per block.
+@pytest.mark.parametrize("block_lanes, blocks", [(512, 1), (7, 3)])
+def test_a_block_computes_its_means_in_one_array_call_per_stage(monkeypatch, block_lanes, blocks):
+    # No scalar predict: a block's draw means are one _predict_lanes call per
+    # stage, over all its lanes and centers, and its replicates' propt one more.
     calls = Counter()
-    real_predict, real_draw = sim.predict, sim._draw_stage
+    real_means = sim._predict_lanes
 
     def counted_predict(model, x):
         calls["predict"] += 1
-        return real_predict(model, x)
+        raise AssertionError("a scalar predict in the block")
 
-    def counted_draw(*args):
-        before = calls["predict"]
-        record = real_draw(*args)
-        calls["draw"] += calls["predict"] - before
-        return record
+    def counted_means(*args):
+        calls["means"] += 1
+        return real_means(*args)
 
     monkeypatch.setattr(sim, "predict", counted_predict)
-    monkeypatch.setattr(sim, "_draw_stage", counted_draw)
-    report = sim.run_scenario(sim.scenario_1a(replicates=1), seed=29, threads=1)
-    assert report.n_used == 1
-    assert calls["draw"] <= 4, calls
+    monkeypatch.setattr(sim, "_predict_lanes", counted_means)
+    monkeypatch.setattr(sim, "BLOCK_LANES", block_lanes)
+    report = sim.run_scenario(sim.scenario_1a(replicates=20), seed=29, threads=1)
+    assert report.n_used == 20
+    assert calls == {"means": 3 * blocks}, calls
+
+
+# ---------------------------------------------------------------------------
+# seeded random specs at every block size against the oracle
+
+
+def _draw_spec(data, seed):
+    kind = data.draw(st.sampled_from(["binary", "continuous"]), "kind")
+    n_stages = data.draw(st.integers(2, 3), "stages")
+    probes = st.sampled_from([(1.0, 0.0), (0.0, 4.0), (1.0, 4.0), (2.0, 8.0), (0.5, 1.0)])
+    stages = []
+    for k in range(n_stages):
+        # stage 1 runs three distinct probes, which identify the model unless
+        # two of them are collinear
+        n_int = 3 if k == 0 else data.draw(st.integers(1, 3), f"interventions {k}")
+        stage_probes = None
+        if k == 0 or data.draw(st.booleans(), f"probes {k}"):
+            stage_probes = tuple(data.draw(st.lists(probes, min_size=n_int, max_size=n_int,
+                                                    unique=k == 0), f"probes {k}"))
+        stages.append(sim.StagePlan(data.draw(st.integers(1, 2), f"controls {k}"), n_int,
+                                    data.draw(st.integers(2, 60), f"n {k}"), stage_probes))
+    test = data.draw(st.sampled_from(["z_unpooled", "z_pooled"] if kind == "binary"
+                                     else ["t_unpooled", "t_pooled"]), "test")
+    power = data.draw(st.sampled_from(["conditional", "unconditional", None]), "power")
+    # the higher goals are out of reach in some lanes: the shrinking fallback
+    goal = data.draw(st.sampled_from([0.7, 0.85] if kind == "binary" else [0.8, 1.0]), "goal")
+    goals = (lago.GoalSpec(outcome_goal=goal) if power is None else lago.GoalSpec(
+        outcome_goal=goal, power_goal=0.8, approach=power, test=lago.TestSelector(test)))
+    spec = dataclasses.replace(
+        sim.scenario_1a(replicates=data.draw(st.integers(1, 12), "replicates"), goals=goals,
+                        seed=seed),
+        stages=tuple(stages),
+        deploy_step=data.draw(st.sampled_from([None, (None, 1.0), (0.25, 2.0)]), "deploy"),
+        stage1_fallback_x=data.draw(st.sampled_from([None, (1.0, 4.0)]), "anchor"))
+    if kind == "continuous":
+        spec = dataclasses.replace(spec, outcome_kind="continuous", outcome_sigma=2.0,
+                                   true_beta=(0.5, 0.1, 0.04))
+    return spec
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 2**32 - 1))
+def test_random_specs_match_the_oracle_at_every_block_size(data, seed):
+    spec = _draw_spec(data, seed)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = repr(_oracle_report(patch, spec, seed))
+        for lanes in (1, 7, 512):
+            patch.setattr(sim, "BLOCK_LANES", lanes)
+            assert repr(sim.run_scenario(spec, threads=1).to_dict()) == want, lanes
+
+
+# ---------------------------------------------------------------------------
+# arm totals and the final test over lanes against the per-lane forms
+
+
+def _lane_records(rng, lanes, continuous, effect=0.1, sd=2.0):
+    """Each lane's two stage records of one layout (one control and three
+    intervention centers a stage, 2 to 29 outcomes per center); every tenth
+    lane has the same outcome everywhere.  With a small ``sd`` the centers'
+    continuous means spread far wider than their outcomes."""
+    sizes = rng.integers(2, 30, 8).tolist()
+    out = []
+    for lane in range(lanes):
+        centers = []
+        for c, n in enumerate(sizes):
+            x = np.zeros(2) if c % 4 == 0 else np.round(rng.uniform(0.0, 4.0, 2), 2)
+            shift = rng.uniform(0.0, 100.0) if sd < 1.0 else 0.0
+            y = (rng.normal(3.0 + effect * x.sum() + shift, sd, n) if continuous
+                 else (rng.random(n) < 0.3 + effect * x.sum()).astype(float))
+            centers.append(CenterData(int(c % 4 != 0), x, np.full(n, 1.0) if lane % 10 == 0 else y))
+        out.append([StageRecord(1, centers[:4]), StageRecord(2, centers[4:])])
+    return out
+
+
+def _lane_summaries(lanes, future, continuous):
+    # one tuple per center: that center in every lane
+    centers = list(zip(*([c for rec in recs for c in rec.centers] for recs in lanes)))
+    columns = lago.power.ArmSummary._from_centers(
+        [(cs[0].arm, cs[0].size, np.array([c.outcome_sum for c in cs]),
+          np.array([c.m2 for c in cs])) for cs in centers], future, continuous)
+    packages = np.array([[c.package for c in cs] for cs in centers]).swapaxes(0, 1)
+    return lago.power._LaneSummaries(columns, packages, np.array([float(cs[0].size)
+                                                                 for cs in centers]))
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_lane_arm_totals_match_each_lane_summary_bitwise(continuous):
+    # Centers far apart, so the pooled variance is mostly the squared mean
+    # deviations: its per-entry pow shows if it became x * x (the two differ
+    # in the last bit on about 1 square in 1,200).
+    lanes = _lane_records(np.random.default_rng([47, continuous]), 1500, continuous, sd=0.01)
+    summaries = _lane_summaries(lanes, (100.0, 30.0), continuous)
+    for i, records in enumerate(lanes):
+        want = lago.ArmSummary.from_records(records, future=(100.0, 30.0), continuous=continuous)
+        assert repr(summaries[i]) == repr(want), i
+
+
+@pytest.mark.parametrize("kind", ["z_unpooled", "z_pooled", "t_unpooled", "t_pooled"])
+def test_final_rejects_over_lanes_match_the_scalar_final_test(kind):
+    test = lago.TestSelector(kind)
+    lanes = _lane_records(np.random.default_rng([53, len(kind)]), 200, test.continuous_outcome)
+    got = lago.power._final_rejects(
+        _lane_summaries(lanes, (0.0, 0.0), test.continuous_outcome).columns, test, 0.05, None)
+    seen = Counter()
+    for records, g in zip(lanes, got):
+        summary = lago.ArmSummary.from_records(records, continuous=test.continuous_outcome)
+        try:
+            want = lago.summary_final_test(summary, test, alpha=0.05).reject
+        except LagoError as exc:
+            want = exc
+        _assert_same_result(g, want)
+        seen[repr(want)[:20]] += 1
+    assert seen["True"] and seen["False"] and len(seen) == 3, seen
+
+
+def _assert_same_result(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert type(got) is bool and got == want
+
+
+def test_the_wald_final_test_computes_one_critical_value_per_block(monkeypatch):
+    test = lago.TestSelector("wald_pdf_binary")
+    models = [lago.fit_binary(records) for records in
+              _lane_records(np.random.default_rng(59), 60, False, 0.02)[1::2]]
+    models.append(dataclasses.replace(models[0], covariance=np.zeros((3, 3))))  # singular
+    want = []
+    for model in models:
+        try:
+            want.append(lago.summary_final_test(None, test, alpha=0.05, model=model).reject)
+        except LagoError as exc:
+            want.append(exc)
+    calls = Counter()
+    real = lago.power.chisq_quantile
+
+    def counted(p, df):
+        calls[(p, df)] += 1
+        return real(p, df)
+
+    monkeypatch.setattr(lago.power, "chisq_quantile", counted)
+    got = lago.power._final_rejects(None, test, 0.05, models)
+    assert calls == {(0.95, 2): 1}
+    for g, w in zip(got, want):
+        _assert_same_result(g, w)
+    assert isinstance(want[-1], lago.SingularCovarianceError) and True in want and False in want
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +744,7 @@ def test_a_replicate_predicts_each_distinct_mean_once(monkeypatch):
 
 
 def _stack(designs):
-    return [np.concatenate(parts) for parts in zip(*(_stack_rows([d]) for d in designs))]
+    return [np.stack(parts) for parts in zip(*(_center_rows(d) for d in designs))]
 
 
 def _same_fit(got, want):
@@ -617,8 +844,9 @@ def _sim_designs(count):
         records = []
         for stage_index, splan in enumerate(spec.stages, start=1):
             packages = [np.round(rng.uniform(0.0, (2.0, 8.0)), 2) for _ in range(3)]
-            records.append(sim._draw_stage(rng, spec, truth, predict(truth, np.zeros(2)),
-                                           stage_index, splan, packages))
+            arms = [(0, np.zeros(2))] * splan.n_control_centers + [(1, x) for x in packages]
+            records.append(StageRecord(stage_index, [
+                _draw_center(rng, spec, truth, arm, x, splan.n_per_center) for arm, x in arms]))
         designs.append(records)
     return designs
 
@@ -791,8 +1019,9 @@ def _continuous_sim_designs(count, link):
         records = []
         for stage_index, splan in enumerate(spec.stages, start=1):
             packages = [np.round(rng.uniform(0.0, (2.0, 8.0)), 2) for _ in range(3)]
-            records.append(sim._draw_stage(rng, spec, truth, predict(truth, np.zeros(2)),
-                                           stage_index, splan, packages))
+            arms = [(0, np.zeros(2))] * splan.n_control_centers + [(1, x) for x in packages]
+            records.append(StageRecord(stage_index, [
+                _draw_center(rng, spec, truth, arm, x, splan.n_per_center) for arm, x in arms]))
         designs.append(records)
     return designs
 

@@ -15,11 +15,12 @@ import pytest
 import lago
 from lago import sim
 from lago.diagnostics import verify_assumption7
-from lago.model import FittedModel, _from_fields, _json_fields, _json_value, predict
+from lago.model import FittedModel, StageRecord, _from_fields, _json_fields, _json_value
 from lago.optimizer import GoalSpec, Recommendation, recommend_from_summary
 from lago.power import TestResult as Result
 from lago.power import TestSelector as Selector
 from lago.trial import TrialConfig, from_document, ingest_stage, new_trial, to_document
+from test_lockstep import _draw_center, _stage_packages
 from test_trial import STATE_V1, _after_stage1_doc
 
 
@@ -108,11 +109,11 @@ def test_trial_document_and_scenario_config_are_strict_json():
     state = new_trial(config)
     rng = np.random.default_rng(2)
     truth = sim._true_model(spec)
-    control = predict(truth, np.zeros(2))
     for k, plan in enumerate(spec.stages, start=1):
-        packages = sim._stage_packages(spec, plan, k, state)
-        record = sim._draw_stage(rng, spec, truth, control, k, plan, packages)
-        state = ingest_stage(state, record)
+        arms = [(0, np.zeros(2))] * plan.n_control_centers
+        arms += [(1, x) for x in _stage_packages(spec, plan, k, state)]
+        state = ingest_stage(state, StageRecord(k, [
+            _draw_center(rng, spec, truth, arm, x, plan.n_per_center) for arm, x in arms]))
     doc = json.loads(strict(to_document(state)))
     assert to_document(from_document(doc)) == doc
     assert doc["recommendations"] and doc["config"]["stage1_package"] == [1.0, 4.0]

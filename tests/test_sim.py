@@ -17,7 +17,7 @@ from lago.sim import (
     MetricsReport,
     ScenarioSpec,
     StagePlan,
-    _deployed_package,
+    _deployed_packages,
     _resolve_threads,
     _trial_config,
     betterbirth_model,
@@ -221,17 +221,16 @@ def test_config_round_trip_reproduces_run():
 
 def test_deploy_step_rounds_recommendation_up():
     spec = scenario_1a(replicates=2)
-    assert _deployed_package(spec, (0.48, 3.13)).tolist() == [0.48, 4.0]
-    # exact multiples stay put, the cap is the upper bound
-    assert _deployed_package(spec, (0.5, 4.0)).tolist() == [0.5, 4.0]
-    assert _deployed_package(spec, (1.2, 7.4)).tolist() == [1.2, 8.0]
+    # one lane per row; exact multiples stay put, the cap is the upper bound
+    got = _deployed_packages(spec, [(0.48, 3.13), (0.5, 4.0), (1.2, 7.4)])
+    assert got.tolist() == [[0.48, 4.0], [0.5, 4.0], [1.2, 8.0]]
 
 
 def test_deploy_step_none_is_identity():
     spec = scenario_1a(replicates=2)
     bare = ScenarioSpec.from_config({**spec.to_config(), "deploy_step": None})
     x = (0.481, 3.135)
-    assert _deployed_package(bare, x).tolist() == list(x)
+    assert _deployed_packages(bare, [x]).tolist() == [list(x)]
 
 
 def test_deploy_step_validation():
@@ -473,6 +472,24 @@ def test_betterbirth_power_matches_exact_enumeration():
     mc = betterbirth_power(model, layout, x, replicates=4000, seed=SEED)
     se = np.sqrt(exact * (1 - exact) / 4000)
     assert abs(mc - exact) < 4 * se + 1e-9
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", True), ("seed", -1), ("replicates", 2.5), ("replicates", True),
+    ("replicates", 0),
+])
+def test_betterbirth_power_refuses_a_count_that_is_not_a_whole_number(name, value):
+    model, layout = betterbirth_model("all"), betterbirth_summary()
+    args = {"replicates": 50, "seed": SEED, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        betterbirth_power(model, layout, (21.18, 1.0), **args)
+
+
+def test_betterbirth_power_takes_numpy_integers():
+    model, layout = betterbirth_model("all"), betterbirth_summary()
+    want = betterbirth_power(model, layout, (21.18, 1.0), replicates=200, seed=SEED)
+    assert betterbirth_power(model, layout, (21.18, 1.0), replicates=np.int64(200),
+                             seed=np.int64(SEED)) == want
 
 
 def test_betterbirth_power_deterministic():

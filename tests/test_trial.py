@@ -3,6 +3,7 @@ recommendation solver, final analysis, futility reporting, and resume."""
 
 import dataclasses
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -633,6 +634,23 @@ def test_a_stored_recommendation_without_projected_power_reads():
     doc = _after_stage1_doc()
     doc["recommendations"][0]["projected_power"] = None
     assert from_document(doc).recommendations[0].projected_power is None
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("package", [
+    [1.0, 0.0, 5.0],  # a third component: refit would find the design rank deficient
+    [1.0, None],  # a null entry: refit would see a NaN
+    [1.0, float("inf")],
+    [1.0],
+    1.0,
+    None,
+])
+def test_a_completed_center_package_the_config_cannot_hold_is_refused(version, package):
+    doc = json.loads(STATE_V1) if version == 1 else _after_stage1_doc()
+    doc["completed"][0]["centers"][2]["package"] = package
+    with pytest.raises(ValueError, match=re.escape(
+            f"center package must be 2 finite numbers, got {package!r}")):
+        from_document(doc)
 
 
 def _drop_status(doc):
