@@ -7,11 +7,10 @@ configs), 3 numerical failure (separation, infeasibility, no certifying
 threshold, ...).
 
 Stage data CSVs carry one observation per row with columns ``stage``,
-``center``, ``arm``, ``x_1`` .. ``x_P``, ``y``.  Trial configs, scenario
-configs, and coefficient fixtures are JSON; the bundled fixtures
-(``scenario_1a`` .. ``scenario_2b``, ``betterbirth``) can be named wherever
-a config or coefficient file is expected, and are built from their
-definitions in ``lago.sim``.
+``center``, ``arm``, ``x_1`` .. ``x_P``, ``y``.  Trial configs, scenario configs
+and coefficient fixtures (``--beta b`` is ``{"beta": b}``) are JSON, and an
+unknown key in one is refused.  The bundled ``scenario_1a`` .. ``scenario_2b``
+and ``betterbirth`` (from ``lago.sim``) can be named wherever a file is expected.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ import numpy as np
 from .cost import CostFunction
 from .diagnostics import dominance_design, dominance_threshold, verify_assumption7
 from .errors import LagoError, config_errors
-from .model import FittedModel, _assumed, _from_fields, _json_value, expit, load_stage_csv, predict
+from .model import (FittedModel, _assumed, _from_fields, _json_value, _value_eq, expit,
+                    load_stage_csv, predict)
 from .optimizer import (
     GoalSpec,
     _state_summary,
@@ -51,6 +51,7 @@ from .sim import (
     BETTERBIRTH_COST,
     SHIPPED_SCENARIOS,
     ScenarioSpec,
+    _trial_config,
     betterbirth_model,
     betterbirth_summary,
     null_variant,
@@ -77,14 +78,10 @@ GOAL_FLAGS = ("goal", "direction", "power_goal", "alpha", "approach", "test")
 def _bundled(name: str) -> dict:
     """The document a bundled fixture name stands for, built from the library."""
     if name == "betterbirth":
-        return _json_value({
-            "name": "betterbirth",
-            "beta": betterbirth_model("stages12").beta,
-            "direction": "decrease",
-            "cost": BETTERBIRTH_COST,
-            "bounds": BETTERBIRTH_BOUNDS,
-            "arm_summary": betterbirth_summary(),
-        })
+        return _json_value(CoefficientFixture(
+            betterbirth_model("stages12").beta, name="betterbirth", direction="decrease",
+            cost=BETTERBIRTH_COST, bounds=BETTERBIRTH_BOUNDS, arm_summary=betterbirth_summary(),
+        ))
     return SHIPPED_SCENARIOS[name.removeprefix("scenario_")]().to_config()
 
 
@@ -191,54 +188,74 @@ def _truncate_state(state, k: int):
     return out
 
 
-def _model_fixture(source: str):
-    """Coefficient fixture -> (model, fixture dict).
+@dataclasses.dataclass
+class CoefficientFixture:
+    """Coefficient fixture JSON: a model's ``beta`` (intercept first), ``link``
+    and ``covariance`` (zeros when absent), and the subcommand's defaults for
+    goal ``direction``, ``cost``, ``bounds`` and the power goal's arm totals."""
 
-    The fixture carries ``beta`` and ``link``; ``covariance`` is optional
-    (zeros when absent).  Cost/bounds/direction/arm_summary, when present,
-    serve as defaults for the calling subcommand.
-    """
-    doc = _read_json(source)
-    if "beta" not in doc:
-        raise ValueError(f"{source}: no 'beta' coefficient vector")
-    beta = np.asarray(doc["beta"], dtype=float)
-    if beta.ndim != 1 or beta.size < 2:
-        raise ValueError(f"{source}: coefficient vector needs intercept plus effects")
-    cov = np.asarray(doc.get("covariance", np.zeros((beta.size, beta.size))), dtype=float)
-    if cov.shape != (beta.size, beta.size):
-        raise ValueError(f"{source}: covariance shape does not match beta")
-    model = FittedModel(
-        beta=beta, link=doc.get("link", "logit"), covariance=cov,
-        n_used=int(doc.get("n_used", 0)), kind=str(doc.get("kind", "assumed")),
-    )
-    return model, doc
+    beta: np.ndarray
+    link: str = "logit"
+    covariance: np.ndarray | None = None
+    n_used: int = 0
+    kind: str = "assumed"
+    name: str | None = None
+    direction: str = "increase"
+    cost: CostFunction | None = None
+    bounds: tuple | None = None
+    arm_summary: ArmSummary | None = None
+
+    __eq__ = _value_eq
+
+    def __post_init__(self):
+        self.beta = np.asarray(self.beta, dtype=float)
+        if self.beta.ndim != 1 or self.beta.size < 2:
+            raise ValueError("coefficient vector needs intercept plus effects")
+        size = self.beta.size
+        cov = np.zeros((size, size)) if self.covariance is None else self.covariance
+        self.covariance = np.asarray(cov, dtype=float)
+        if self.covariance.shape != (size, size):
+            raise ValueError("covariance shape does not match beta")
+        if self.arm_summary is not None:
+            for name in ("n1_obs", "n0_obs", "n1_future", "n0_future"):
+                if not 0.0 <= float(getattr(self.arm_summary, name)) < math.inf:
+                    raise ValueError(f"arm_summary {name} must be finite and nonnegative")
+            for name in ("s1_obs", "s0_obs"):
+                if not math.isfinite(float(getattr(self.arm_summary, name))):
+                    raise ValueError(f"arm_summary {name} must be finite")
+
+    @property
+    def model(self) -> FittedModel:
+        return FittedModel(self.beta, self.link, self.covariance, self.n_used, self.kind)
+
+    @classmethod
+    def from_config(cls, doc: dict) -> "CoefficientFixture":
+        with config_errors("coefficient fixture"):
+            return _from_fields(cls, doc, n_used=int, kind=str, cost=CostFunction.from_config,
+                                bounds=lambda b: tuple(map(tuple, b)), arm_summary=_arm_summary)
 
 
-def _fixture_cost_bounds(args, doc: dict):
-    """Cost and bounds from --config when given, else the coefficient fixture."""
-    cfg = _read_json(args.config) if getattr(args, "config", None) else doc
-    cost = CostFunction.from_config(cfg["cost"]) if "cost" in cfg else None
-    bounds = cfg.get("bounds")
-    if cost is None or bounds is None:
+def _arm_summary(entry) -> ArmSummary:
+    with config_errors("arm_summary"):
+        return _from_fields(ArmSummary, entry)
+
+
+def _fixture(args) -> CoefficientFixture:
+    """The ``--coefficients`` or ``--beta`` fixture, with ``--config``'s cost and bounds."""
+    if args.coefficients:
+        fixture = CoefficientFixture.from_config(_read_json(args.coefficients))
+    elif getattr(args, "beta", None):
+        fixture = CoefficientFixture(_floats(args.beta, "--beta"))
+    else:
+        raise ValueError("need --beta or --coefficients")
+    if args.config:
+        cfg = _read_json(args.config)
+        cost = CostFunction.from_config(cfg["cost"]) if "cost" in cfg else None
+        fixture = dataclasses.replace(fixture, cost=cost, bounds=cfg.get("bounds"))
+    if fixture.cost is None or fixture.bounds is None:
         raise ValueError("no cost/bounds available; pass --config or use a "
                          "fixture that carries them")
-    return cost, tuple(tuple(b) for b in bounds)
-
-
-def _fixture_summary(doc: dict) -> ArmSummary | None:
-    """The fixture's arm totals; counts finite and nonnegative, sums finite."""
-    entry = doc.get("arm_summary")
-    if not entry:
-        return None
-    with config_errors("arm_summary"):
-        summary = _from_fields(ArmSummary, entry)
-    for name in ("n1_obs", "n0_obs", "n1_future", "n0_future"):
-        if not 0.0 <= float(getattr(summary, name)) < math.inf:
-            raise ValueError(f"arm_summary {name} must be finite and nonnegative")
-    for name in ("s1_obs", "s0_obs"):
-        if not math.isfinite(float(getattr(summary, name))):
-            raise ValueError(f"arm_summary {name} must be finite")
-    return summary
+    return fixture
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +264,10 @@ def _fixture_summary(doc: dict) -> ArmSummary | None:
 
 def _cmd_recommend(args) -> int:
     if args.coefficients:
-        model, doc = _model_fixture(args.coefficients)
-        cost, bounds = _fixture_cost_bounds(args, doc)
-        goals = _goals_from_flags(
-            args, {"direction": doc.get("direction") or "increase"}, "binary")
-        summary = _fixture_summary(doc) if goals.power_goal is not None else None
-        if goals.power_goal is not None and summary is None:
-            raise ValueError("a power goal needs arm totals; the coefficient "
-                             "fixture has no arm_summary")
-        rec = recommend_from_summary(model, summary, goals, cost, bounds)
+        fixture = _fixture(args)
+        model, cost, bounds = fixture.model, fixture.cost, fixture.bounds
+        goals = _goals_from_flags(args, {"direction": fixture.direction}, "binary")
+        rec = recommend_from_summary(model, fixture.arm_summary, goals, cost, bounds)
     else:
         state = _load_trial_state(args)
         if args.stage is not None:
@@ -299,6 +311,7 @@ def _cmd_simulate(args) -> int:
     spec = dataclasses.replace(spec, rng_seed=seed)
 
     if args.emit_config is not None:
+        _trial_config(spec)  # the run's config: refuse what the run would refuse
         _emit(spec.to_config(), args.emit_config)
         return 0
 
@@ -351,17 +364,9 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_plan_stage1(args) -> int:
-    if args.coefficients:
-        model, doc = _model_fixture(args.coefficients)
-        beta = model.beta
-    elif args.beta:
-        beta = np.asarray(_floats(args.beta, "--beta"), dtype=float)
-        doc = {}
-    else:
-        raise ValueError("need --beta or --coefficients")
-    cost, bounds = _fixture_cost_bounds(args, doc)
-    goals = _goals_from_flags(
-        args, {"direction": doc.get("direction") or "increase"}, "binary")
+    fixture = _fixture(args)
+    beta, cost, bounds = fixture.beta, fixture.cost, fixture.bounds
+    goals = _goals_from_flags(args, {"direction": fixture.direction}, "binary")
 
     if args.sizes:
         pairs = []
@@ -416,16 +421,9 @@ def _cmd_dominance(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.coefficients:
-        subject, doc = _model_fixture(args.coefficients)
-    elif args.beta:
-        subject = _floats(args.beta, "--beta")
-        doc = {}
-    else:
-        raise ValueError("need --beta or --coefficients")
-    cost, bounds = _fixture_cost_bounds(args, doc)
+    fixture = _fixture(args)
     report = verify_assumption7(
-        subject, cost, bounds,
+        fixture.model, fixture.cost, fixture.bounds,
         goal=args.goal,
         epsilon=args.epsilon,
         L=args.samples,
@@ -433,7 +431,7 @@ def _cmd_verify(args) -> int:
         extended=args.extended,
         M=args.grid_points,
         seed=args.seed,
-        direction=args.direction or doc.get("direction") or "increase",
+        direction=args.direction or fixture.direction,
     )
     _emit(report.to_dict(), args.out)
     return 0

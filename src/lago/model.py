@@ -46,8 +46,8 @@ def expit(eta):
     """Numerically stable inverse logit, scalar or array.
 
     Python and numpy scalars take a ``math.exp`` path that returns a float;
-    the power-threshold root search calls this on scalars several times per
-    decision, where a numpy round trip costs more than the arithmetic.
+    ``predict``, ``optimizer._raw_level`` and ``power._Projection.p0`` call
+    this on scalars, where a numpy round trip costs more than the arithmetic.
     """
     if isinstance(eta, (float, int, np.floating, np.integer)):
         eta = float(eta)
@@ -208,9 +208,9 @@ class CenterData:
 
     @classmethod
     def from_stats(cls, arm: int, package, size, outcome_sum, m2) -> "CenterData":
-        """Center from its statistics: an integer ``size`` >= 1, a finite
-        ``outcome_sum`` and a finite ``m2`` >= 0."""
-        valid = (math.isfinite(size) and size == int(size) >= 1
+        """Center from its statistics: an integer ``size`` >= 1 (not a bool),
+        a finite ``outcome_sum`` and a finite ``m2`` >= 0."""
+        valid = (not isinstance(size, bool) and math.isfinite(size) and size == int(size) >= 1
                  and math.isfinite(outcome_sum) and math.isfinite(m2) and m2 >= 0.0)
         if not valid:
             raise ValueError(

@@ -70,8 +70,8 @@ _OUTCOME_KINDS = ("binary", "continuous")
 _DESIGN_MODES = ("lago", "factorial-repeat")
 _SE_SOURCES = ("model", "sandwich")
 
-# Most replicates ("lanes") one lockstep block runs at once; a block's trial
-# states live until its last stage, so this caps a run's memory.
+# Most replicates ("lanes") one lockstep block runs at once; a block's lane
+# arrays live until its last stage, so this caps a run's memory.
 BLOCK_LANES = 512
 
 

@@ -105,8 +105,8 @@ class PlannedStage:
             raise ValueError("a planned stage needs a positive sample")
         for name in ("centers_intervention", "centers_control"):
             count = getattr(self, name)
-            if not (isinstance(count, numbers.Real) and math.isfinite(count)
-                    and count == int(count)):
+            if (isinstance(count, bool) or not isinstance(count, numbers.Real)
+                    or not math.isfinite(count) or count != int(count)):
                 raise ValueError(
                     f"planned center counts must be integers, got {name}={count!r}"
                 )

@@ -12,10 +12,10 @@ import json
 import numpy as np
 import pytest
 
-from lago.cli import _bundled, main
+from lago.cli import CoefficientFixture, _bundled, main
 from lago.cost import CostFunction
 from lago.diagnostics import verify_assumption7
-from lago.model import expit
+from lago.model import _json_value, expit
 from lago.optimizer import GoalSpec, plan_stage1, recommend_from_summary
 from lago.power import TestSelector as Selector
 from lago.sim import (
@@ -230,6 +230,20 @@ def test_recommend_reads_the_fixture_arm_summary_by_its_fields(tmp_path, capsys,
     assert message in captured.err
 
 
+@pytest.mark.parametrize("key, typo", [
+    ("direction", "directon"), ("link", "lnk"), ("covariance", "covarance"),
+])
+def test_recommend_refuses_a_misspelt_fixture_key(tmp_path, capsys, key, typo):
+    doc = _bundled("betterbirth")
+    doc[typo] = doc.pop(key)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "recommend", "--coefficients", path, "--goal", "0.10")
+    assert code == 2
+    assert f"unknown CoefficientFixture field '{typo}'" in captured.err
+    assert captured.out == ""
+
+
 def test_recommend_without_inputs_is_validation_error(capsys):
     code, captured = run(capsys, "recommend", "--goal", "0.7")
     assert code == 2
@@ -275,6 +289,31 @@ def test_bundled_betterbirth_loads_through_each_consumer(capsys):
     by_config = run_json(capsys, *probe, f"--beta={beta}", "--config", "betterbirth",
                          "--direction", "decrease")
     assert by_config == by_name
+
+
+def test_bundled_betterbirth_reads_back_equal_through_json_text():
+    doc = _bundled("betterbirth")
+    fixture = CoefficientFixture.from_config(json.loads(json.dumps(doc)))
+    assert fixture == CoefficientFixture(
+        betterbirth_model("stages12").beta, name="betterbirth", direction="decrease",
+        cost=BETTERBIRTH_COST, bounds=BETTERBIRTH_BOUNDS, arm_summary=betterbirth_summary())
+    assert _json_value(fixture) == doc
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan-stage1", "--goal", "0.7", "--power-goal", "0.8", "--integerize"),
+    ("verify-assumption7", "--goal", "0.7", "--epsilon", "0.02", "--samples", "20",
+     "--seed", "9"),
+])
+def test_beta_is_the_one_field_fixture(tmp_path, capsys, argv):
+    cfg, _ = write_trial_files(tmp_path)
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"beta": [0.1, 0.3, 0.15]}))
+    code, by_flag = run(capsys, *argv, "--beta", "0.1,0.3,0.15", "--config", cfg)
+    assert code == 0, by_flag.err
+    code, by_file = run(capsys, *argv, "--coefficients", path, "--config", cfg)
+    assert code == 0, by_file.err
+    assert by_file.out == by_flag.out
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +374,15 @@ def test_simulate_rejects_invalid_bounds_before_emitting(tmp_path, capsys, bound
                          "--emit-config", out)
     assert code == 2
     assert "bound" in captured.err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_test_for_the_other_outcome_kind_before_emitting(tmp_path, capsys):
+    out = tmp_path / "emitted.json"
+    code, captured = run(capsys, "simulate", "--scenario", "1a", "--reps", "5", "--seed", "3",
+                         "--power-goal", "0.8", "--test", "t_unpooled", "--emit-config", out)
+    assert code == 2
+    assert "test 't_unpooled' does not analyze a binary outcome" in captured.err
     assert not out.exists()
 
 

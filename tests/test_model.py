@@ -133,8 +133,10 @@ def test_center_data_keeps_only_statistics():
     assert not hasattr(c, "outcomes")
     same = CenterData.from_stats(1, [1.0], 5, c.outcome_sum, c.m2)
     assert (same.size, same.outcome_sum, same.m2) == (c.size, c.outcome_sum, c.m2)
+    whole = CenterData.from_stats(1, [1.0], 5.0, c.outcome_sum, c.m2)
+    assert whole == same and type(whole.size) is int
     for size, total, m2 in ((0, 0.0, 0.0), (2.5, 1.0, 0.5), (3, math.nan, 0.5),
-                            (3, 1.0, -0.5), (3, 1.0, math.inf)):
+                            (3, 1.0, -0.5), (3, 1.0, math.inf), (True, 1.0, 0.0)):
         with pytest.raises(ValueError):
             CenterData.from_stats(1, [1.0], size, total, m2)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 
 import lago
 from lago import sim
+from lago.cli import CoefficientFixture, _bundled
 from lago.diagnostics import verify_assumption7
 from lago.model import FittedModel, StageRecord, _from_fields, _json_fields, _json_value
 from lago.optimizer import GoalSpec, Recommendation, recommend_from_summary
@@ -178,6 +179,8 @@ def _trial_doc():
     ("trial goals", TrialConfig.from_config, _trial_doc, lambda d: d["goals"], "tset"),
     ("recommendation", from_document, _after_stage1_doc,
      lambda d: d["recommendations"][0], "xhat"),
+    ("coefficient fixture", CoefficientFixture.from_config, lambda: _bundled("betterbirth"),
+     lambda d: d, "directon"),
 ])
 def test_every_reader_refuses_an_unknown_field(where, read, doc, entry, key):
     doc = doc()
@@ -276,4 +279,5 @@ def test_every_from_config_is_one_field_read():
                     for value in returns:
                         assert (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
                                 and value.func.id == "_from_fields"), cls.name
-    assert sorted(found) == ["CostFunction", "GoalSpec", "ScenarioSpec", "TrialConfig"]
+    assert sorted(found) == [
+        "CoefficientFixture", "CostFunction", "GoalSpec", "ScenarioSpec", "TrialConfig"]

@@ -693,6 +693,10 @@ def _center_size_fractional(doc):
     _first_center(doc)["size"] = 2.5
 
 
+def _center_size_true(doc):
+    _first_center(doc).update(size=True, outcome_sum=1.0, m2=0.0)
+
+
 def _center_m2_negative(doc):
     _first_center(doc)["m2"] = -1.0
 
@@ -708,7 +712,7 @@ def _binary_sum_above_size(doc):
 @pytest.mark.parametrize("edit", [
     _drop_status, _drop_planned_stages, _unknown_stage_key, _unknown_goal_key,
     _null_completed, _config_not_object, _center_m2_missing, _center_size_zero,
-    _center_size_fractional, _center_m2_negative, _center_sum_nan,
+    _center_size_fractional, _center_size_true, _center_m2_negative, _center_sum_nan,
     _binary_sum_above_size,
 ])
 def test_malformed_document_is_value_error(edit, tmp_path):
@@ -839,7 +843,7 @@ def test_document_is_json_clean():
 # planned center counts and the out-of-bounds warning
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, -0.5, "3", None])
+@pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, -0.5, "3", None, True])
 def test_planned_stage_rejects_non_integer_center_counts(count):
     with pytest.raises(ValueError, match="center counts"):
         PlannedStage(120.0, 40.0, count, 1)
@@ -851,7 +855,7 @@ def test_planned_stage_rejects_non_integer_center_counts(count):
         TrialConfig.from_config(entry)
 
 
-@pytest.mark.parametrize("count", [float("nan"), 2.5, "3"])
+@pytest.mark.parametrize("count", [float("nan"), 2.5, "3", True])
 def test_state_document_rejects_non_integer_center_counts(count, tmp_path):
     doc = _after_stage1_doc()
     doc["config"]["stages"][0]["centers_intervention"] = count
