@@ -264,6 +264,9 @@ def _fixture(args) -> CoefficientFixture:
 
 def _cmd_recommend(args) -> int:
     if args.coefficients:
+        for flag in ("trial", "data", "stage"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--coefficients takes no --{flag}: it recommends from the fixture")
         fixture = _fixture(args)
         model, cost, bounds = fixture.model, fixture.cost, fixture.bounds
         goals = _goals_from_flags(args, {"direction": fixture.direction}, "binary")
@@ -365,6 +368,8 @@ def _cmd_power(args) -> int:
 
 def _cmd_plan_stage1(args) -> int:
     fixture = _fixture(args)
+    if fixture.link != "logit":
+        raise ValueError(f"plan-stage1 plans a logistic model, not link {fixture.link!r}")
     beta, cost, bounds = fixture.beta, fixture.cost, fixture.bounds
     goals = _goals_from_flags(args, {"direction": fixture.direction}, "binary")
 

@@ -171,6 +171,27 @@ class CostFunction:
                 total += c * x[comp] ** d
         return float(total)
 
+    def evaluate_rows(self, X) -> list:
+        """``evaluate`` of each row of the (L, P) stack ``X``, bitwise, as a list.
+
+        The terms are added in order on Python floats, whose ``**`` is libm
+        ``pow`` like numpy's scalar power (numpy's vector power rounds
+        differently).  Python refuses a power that overflows, and a package
+        too short for the cost; those stacks go through ``evaluate``.
+        """
+        X = np.asarray(X, dtype=float)
+        terms = [(c, None if d == 0 else comp, d) for comp, d, c in self.terms]
+        try:
+            out = []
+            for row in X.tolist():
+                total = 0.0
+                for c, comp, d in terms:
+                    total += c if comp is None else c * row[comp] ** d
+                out.append(total)
+            return out
+        except (IndexError, OverflowError):
+            return [self.evaluate(row) for row in X]
+
     def __call__(self, x) -> float:
         return self.evaluate(x)
 

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,6 +336,25 @@ def _padded_polys(cost: CostFunction, P: int) -> tuple:
     return infos + (_ComponentPoly((0.0, 0.0)),) * (P - len(infos))
 
 
+def _fold(terms):
+    """Left-to-right sum from 0.0.  ``sum`` of floats is compensated from
+    Python 3.12 on, and the lanes kernels copy this order."""
+    acc = 0.0
+    for term in terms:
+        acc += term
+    return acc
+
+
+def _cheapest(cands) -> tuple:
+    """The package of the cheapest (total, package) candidate within 1e-9
+    relative: the lexicographically smallest, the first of equal ones."""
+    if not cands:
+        raise InfeasibleError(_UNREACHABLE)
+    best = min(v for v, _ in cands)
+    tol = max(1e-9, 1e-9 * abs(best))
+    return min(vals for v, vals in cands if v <= best + tol)
+
+
 def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     """Minimize the separable cost over the box subject to
     beta0 + beta1 @ x >= eta_target.
@@ -343,12 +363,14 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     to six, the candidates are every combination of bounds and interior
     stationary points (accepted within the solver's tolerance, so they keep
     a corner that the slices below can miss by rounding), the minimum over
-    the feasible slice for a single component, and ``_min_pair`` on every
-    pair with the other components at those fixings, which covers fixing all
-    components but one.  From three on, the Lagrangian point at the root of
-    the eta multiplier (``_dual_candidate``) adds a candidate and exact
-    pairwise descent refines the best; the eta-maximizing corner is the
-    fallback (deterministic, near-exact).
+    the feasible slice for a single component, and the exact pair minimum
+    on every pair with the other components at those fixings, which covers
+    fixing all components but one.  From three on, the Lagrangian point at
+    the root of the eta multiplier (``_dual_candidate``) adds a candidate
+    and exact pairwise descent refines the best; the eta-maximizing corner
+    is the fallback (deterministic, near-exact).  Three to six components
+    are enumerated as arrays (``_fixing_lanes``), every pair minimum of the
+    solve in one ``_min_pair_lanes`` call.
     """
     beta1 = np.asarray(beta1, dtype=float)
     P = beta1.size
@@ -368,7 +390,7 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
         return x
 
     eff = [p for p in range(P) if beta1[p] != 0.0 and hi[p] > lo[p]]
-    base = beta0 + sum(beta1[p] * x[p] for p in range(P) if p not in eff)
+    base = beta0 + _fold(beta1[p] * x[p] for p in range(P) if p not in eff)
     need = eta_t - base  # residual the effective components must supply
 
     if cost.is_linear:
@@ -378,52 +400,44 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
 
     # The search below is scalar arithmetic: run it on Python floats.
     beta1, lo, hi, need = beta1.tolist(), lo.tolist(), hi.tolist(), float(need)
-    cands = []
+    if 3 <= len(eff) <= 6:
+        chosen = _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol)
+    else:
+        cands = []
 
-    def consider(values: dict) -> None:
-        supplied = sum(beta1[p] * values[p] for p in eff)
-        if supplied >= need - ftol and all(
-            lo[p] - 1e-12 <= values[p] <= hi[p] + 1e-12 for p in eff
-        ):
-            total = sum(infos[p](values[p]) for p in eff)
-            cands.append((total, tuple(min(max(values[p], lo[p]), hi[p]) for p in eff)))
+        def consider(values: dict) -> None:
+            supplied = _fold(beta1[p] * values[p] for p in eff)
+            if supplied >= need - ftol and all(
+                lo[p] - 1e-12 <= values[p] <= hi[p] + 1e-12 for p in eff
+            ):
+                total = _fold(infos[p](values[p]) for p in eff)
+                cands.append((total, tuple(min(max(values[p], lo[p]), hi[p]) for p in eff)))
 
-    # The eta-maximizing corner is always feasible after the clamp above.
-    consider({p: (hi[p] if beta1[p] > 0.0 else lo[p]) for p in eff})
+        # The eta-maximizing corner is always feasible after the clamp above.
+        consider({p: (hi[p] if beta1[p] > 0.0 else lo[p]) for p in eff})
 
-    if len(eff) <= 6:
-        opts = {p: infos[p].options_on(lo[p], hi[p]) for p in eff}
-        for assign in itertools.product(*(opts[p] for p in eff)):
-            consider(dict(zip(eff, assign)))
-        if len(eff) == 1:
-            (f,) = eff
-            sl = _feasible_slice(beta1[f], lo[f], hi[f], need)
-            if sl is not None:
-                consider({f: infos[f].min_on(*sl)[0]})
-        for f, g in itertools.combinations(eff, 2):
-            others = [p for p in eff if p not in (f, g)]
-            for assign in itertools.product(*(opts[p] for p in others)):
-                rem = need - sum(beta1[p] * v for p, v in zip(others, assign))
+        if len(eff) <= 2:
+            opts = {p: infos[p].options_on(lo[p], hi[p]) for p in eff}
+            for assign in itertools.product(*(opts[p] for p in eff)):
+                consider(dict(zip(eff, assign)))
+            if len(eff) == 1:
+                (f,) = eff
+                sl = _feasible_slice(beta1[f], lo[f], hi[f], need)
+                if sl is not None:
+                    consider({f: infos[f].min_on(*sl)[0]})
+            if len(eff) == 2:
+                f, g = eff
                 res = _min_pair(
                     infos[f], infos[g], beta1[f], beta1[g],
-                    (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol,
+                    (lo[f], hi[f]), (lo[g], hi[g]), need, ftol,
                 )
-                if res is None:
-                    continue
-                values = dict(zip(others, assign))
-                values[f], values[g] = res
-                consider(values)
-
-    if len(eff) >= 3:
-        dual = _dual_candidate(infos, beta1, eff, lo, hi, need, ftol)
-        if dual is not None:
-            consider(dual)
-
-    if not cands:
-        raise InfeasibleError(_UNREACHABLE)
-    best = min(v for v, _ in cands)
-    tol = max(1e-9, 1e-9 * abs(best))
-    chosen = dict(zip(eff, min(vals for v, vals in cands if v <= best + tol)))
+                if res is not None:
+                    consider(dict(zip(eff, res)))
+        else:
+            dual = _dual_candidate(infos, beta1, eff, lo, hi, need, ftol)
+            if dual is not None:
+                consider(dual)
+        chosen = dict(zip(eff, _cheapest(cands)))
 
     if len(eff) >= 3:
         chosen = _pair_descent(chosen, infos, beta1, eff, lo, hi, need, ftol)
@@ -447,7 +461,7 @@ def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
 
     def residual(mu):
         values = solve(mu)
-        return sum(beta1[p] * values[p] for p in eff) - (need - ftol)
+        return _fold(beta1[p] * values[p] for p in eff) - (need - ftol)
 
     mu_lo, f_lo, mu_hi = 0.0, residual(0.0), 1.0
     for _ in range(60):
@@ -463,7 +477,7 @@ def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
     for _ in range(50):
         improved = False
         for f, g in itertools.combinations(eff, 2):
-            rem = need - sum(beta1[p] * values[p] for p in eff if p not in (f, g))
+            rem = need - _fold(beta1[p] * values[p] for p in eff if p not in (f, g))
             res = _min_pair(
                 infos[f], infos[g], beta1[f], beta1[g],
                 (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol,
@@ -481,14 +495,17 @@ def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
 
 
 # ---------------------------------------------------------------------------
-# the same solve for many lanes at once (two components)
+# the same search as arrays
 #
 # ``_min_cost_lanes`` runs ``_min_cost_eta``'s two-component search with one
-# numpy operation per scalar operation, over every lane of a call.  Python's
-# max(a, b) and min(a, b) keep the first argument on ties, Python's min over
-# candidates keeps the first of equal ones, and sums start from 0, so the
-# helpers below spell those rules out and the packages come out bitwise
-# equal to the scalar solver's.
+# numpy operation per scalar operation, over every lane of a call, and
+# ``_fixing_lanes`` its three-to-six-component enumeration over the
+# candidate rows of one solve.  Both solve their pairs with
+# ``_min_pair_lanes``.  Python's max(a, b) and min(a, b) keep the first
+# argument on ties, Python's min over candidates keeps the first of equal
+# ones, and sums fold left to right from 0.0 (``_fold``), so the helpers
+# below spell those rules out and the packages come out bitwise equal to
+# the scalar solver's.
 # ---------------------------------------------------------------------------
 
 def _py_max(a, b):
@@ -568,38 +585,84 @@ def _slice_lanes(beta, lo: float, hi: float, residual):
     return np.where(up, start, lo), np.where(up, hi, end), np.where(up, start <= hi, end >= lo)
 
 
+class _LanePolys(NamedTuple):
+    """One component polynomial per lane, as ``_min_pair_lanes`` reads it.
+
+    ``coeffs`` ascend in degree: floats shared by every lane, or lane
+    arrays zero-padded to one length, with ``padded`` True on the lanes
+    whose polynomial was shorter.  ``stationary`` holds the stationary
+    points in ascending (point, present) slots, ``options`` the candidate
+    fixings (bounds and interior stationary points) as (K, lanes) or (K, 1)
+    rows, a lane with fewer repeating its first, and ``free`` the minimum
+    over the whole box.
+    """
+
+    coeffs: list
+    stationary: list
+    options: np.ndarray
+    free: object
+    padded: object = False
+
+
+def _shared_lanes(poly: _ComponentPoly, lo: float, hi: float) -> _LanePolys:
+    """``_LanePolys`` of one polynomial and box shared by every lane."""
+    return _LanePolys(poly.coeffs, [(t, True) for t in poly.stationary],
+                      np.array(poly.options_on(lo, hi))[:, None], poly.min_on(lo, hi)[0])
+
+
 def _min_pair_lanes(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
-    """``_min_pair`` elementwise over lane arrays bf, bg, residual and ftol.
+    """``_min_pair`` elementwise over lane arrays bf, bg, residual and ftol,
+    with ``_LanePolys`` info_f and info_g and boxes of floats or lane arrays.
 
     Returns (xf, xg, found, exact): the pair on lanes where ``found``, and
     ``exact`` False on lanes this cannot match: a constraint-active segment
-    whose polynomial is not a cubic, or a non-finite candidate.
+    whose polynomial is not a cubic, or comes from padded coefficients with
+    a zero h[1] or h[2], or a non-finite candidate.
     """
     (lo_f, hi_f), (lo_g, hi_g) = box_f, box_g
-    fix_f = np.array(info_f.options_on(lo_f, hi_f))[:, None]
-    fix_g = np.array(info_g.options_on(lo_g, hi_g))[:, None]
+    fix_f, fix_g = info_f.options, info_g.options
     # Candidate rows: both free minima, each fixing of f with the best g
-    # on its feasible slice, each fixing of g likewise, the segment.
+    # on its feasible slice, each fixing of g likewise, the segment.  A
+    # repeated fixing repeats an earlier row, which the pick never prefers.
     rows_f, rows_g = slice(1, 1 + len(fix_f)), slice(1 + len(fix_f), -1)
     xf = np.empty((2 + len(fix_f) + len(fix_g), residual.size))
     xg = np.empty(xf.shape)
     ok = np.empty(xf.shape, bool)
-    xf[0], xg[0], ok[0] = info_f.min_on(lo_f, hi_f)[0], info_g.min_on(lo_g, hi_g)[0], True
-    start, end, ok[rows_f] = _slice_lanes(bg, lo_g, hi_g, residual - bf * fix_f)
-    xf[rows_f] = fix_f
-    xg[rows_f] = _min_on_lanes(info_g.coeffs, [(t, True) for t in info_g.stationary], start, end)
-    start, end, ok[rows_g] = _slice_lanes(bf, lo_f, hi_f, residual - bg * fix_g)
-    xf[rows_g] = _min_on_lanes(info_f.coeffs, [(t, True) for t in info_f.stationary], start, end)
-    xg[rows_g] = fix_g
+    start, end = np.empty(xf.shape), np.empty(xf.shape)
+    xf[0], xg[0], ok[0] = info_f.free, info_g.free, True
+    start[rows_f], end[rows_f], ok[rows_f] = _slice_lanes(bg, lo_g, hi_g, residual - bf * fix_f)
+    start[rows_g], end[rows_g], ok[rows_g] = _slice_lanes(bf, lo_f, hi_f, residual - bg * fix_g)
     # Constraint-active segment: xg = A + B*xf restricted to both boxes.
     A, B = residual / bg, -bf / bg
     up = B > 0.0
-    start = _py_max(lo_f, (np.where(up, lo_g, hi_g) - A) / B)
-    end = _py_min(hi_f, (np.where(up, hi_g, lo_g) - A) / B)
-    on_seg = ok[-1] = (B != 0.0) & (start <= end)
+    start[-1] = _py_max(lo_f, (np.where(up, lo_g, hi_g) - A) / B)
+    end[-1] = _py_min(hi_f, (np.where(up, hi_g, lo_g) - A) / B)
+    on_seg = ok[-1] = (B != 0.0) & (start[-1] <= end[-1])
     h = [np.asarray(c) for c in _segment_coeffs(info_f.coeffs, info_g.coeffs, A, B)]
     stationary, cubic = _cubic_stationary(h)
-    xf[-1] = _min_on_lanes(h, stationary, start, end)
+    padded = info_f.padded | info_g.padded
+    if padded is not False:
+        # Padding changes only the sign of zero coefficients, which moves a
+        # stationary point only through a zero h[1] or h[2].
+        cubic = cubic & ~(padded & ((h[1] == 0.0) | (h[2] == 0.0)))
+    # One exact minimum over the slices and the segment: g's polynomial on
+    # f's rows, f's on g's, the segment's on the last.  Zero coefficients
+    # above a polynomial's degree leave its values unchanged.
+    on_f, on_g = slice(0, len(fix_f)), slice(len(fix_f), -1)  # rows_f and rows_g, less row 0
+    groups = ((info_g.coeffs, info_g.stationary, on_f), (info_f.coeffs, info_f.stationary, on_g),
+              (h, stationary, -1))
+    S = max(len(slots) for _, slots, _ in groups)
+    coeffs = np.zeros((len(h),) + start[1:].shape)
+    point, present = np.zeros((S,) + start[1:].shape), np.zeros((S,) + start[1:].shape, bool)
+    for poly, slots, rows in groups:
+        for k, ck in enumerate(poly):
+            coeffs[k, rows] = ck
+        for j, (t, there) in enumerate(slots):
+            point[j, rows], present[j, rows] = t, there
+    best_on = _min_on_lanes(list(coeffs), list(zip(point, present)), start[1:], end[1:])
+    xf[rows_f], xg[rows_f] = fix_f, best_on[on_f]
+    xf[rows_g], xg[rows_g] = best_on[on_g], fix_g
+    xf[-1] = best_on[-1]
     xg[-1] = A + B * xf[-1]
 
     xf = _py_min(_py_max(xf, lo_f), hi_f)
@@ -612,6 +675,94 @@ def _min_pair_lanes(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
     finite = np.isfinite(xf) & np.isfinite(xg) & np.isfinite(value)
     exact = (cubic | ~on_seg) & (finite | ~ok).all(axis=0)
     return _pick(xf, index), _pick(xg, index), ok.any(axis=0), exact
+
+
+def _component_lanes(polys, table, eff, lo, hi, *picks) -> list:
+    """``_LanePolys`` of the components ``polys`` (at most cubic) picked per
+    lane by each index array in ``picks``; row e of ``table`` holds the
+    fixings of component e."""
+    coeffs = np.array([poly.coeffs + [0.0] * (4 - len(poly.coeffs)) for poly in polys])
+    S = max(len(poly.stationary) for poly in polys)
+    point, present = np.zeros((len(polys), S)), np.zeros((len(polys), S), bool)
+    for e, poly in enumerate(polys):
+        point[e, :len(poly.stationary)] = poly.stationary
+        present[e, :len(poly.stationary)] = True
+    free = np.array([poly.min_on(lo[p], hi[p])[0] for p, poly in zip(eff, polys)])
+    short = np.array([len(poly.coeffs) < 4 for poly in polys])
+    return [
+        _LanePolys(list(coeffs[c].T), [(point[c, s], present[c, s]) for s in range(S)],
+                   table[c].T, free[c], short[c])
+        for c in picks
+    ]
+
+
+def _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol) -> dict:
+    """The package ``_min_cost_eta`` picks among its candidates for 3 to 6
+    effective components ``eff``, as arrays over the candidate rows.
+
+    The rows come in the scalar search's order: the eta-maximizing corner,
+    every fixing of all components at a bound or interior stationary point,
+    the exact pair minimum of each pair (``combinations`` order) with the
+    others at each of their fixings (``product`` order), then the
+    Lagrangian point (``_dual_candidate``).  Every pair minimum of the solve
+    comes from one ``_min_pair_lanes`` call; a lane it cannot match, and
+    every lane when a component is above cubic or a box is not finite, goes
+    through ``_min_pair``.  Arguments are Python floats and lists, as in
+    ``_min_cost_eta``.
+    """
+    E = len(eff)
+    polys = [infos[p] for p in eff]
+    b = np.array([beta1[p] for p in eff])
+    lo_e, hi_e = np.array([lo[p] for p in eff]), np.array([hi[p] for p in eff])
+    opts = [poly.options_on(lo[p], hi[p]) for p, poly in zip(eff, polys)]
+    K = max(map(len, opts))
+    table = np.array([o + o[:1] * (K - len(o)) for o in opts])  # (E, K), first repeated
+    idx = np.indices([len(o) for o in opts]).reshape(E, -1).T  # product order
+    grid = table[np.arange(E), idx]  # every fixing, (F, E)
+    # Pair lanes, in combinations x product order: pair (i, j) with the
+    # others at each of their fixings, i.e. at the fixings holding i and j
+    # at their first option.
+    i, j = np.array(list(itertools.combinations(range(E), 2))).T
+    q, rows = np.nonzero((idx[:, i] == 0).T & (idx[:, j] == 0).T)
+    fi, gi, lanes = i[q], j[q], np.arange(len(rows))
+    paired = grid[rows]
+    pair_f, pair_g = np.empty(len(rows)), np.empty(len(rows))
+    found, exact = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
+    with np.errstate(all="ignore"):
+        others = b * paired
+        others[lanes, fi] = others[lanes, gi] = 0.0  # adding 0.0 to the fold is exact
+        rem = need - _fold(others.T)
+        if max(len(poly.coeffs) for poly in polys) <= 4 and np.isfinite(lo_e + hi_e).all():
+            pair_f, pair_g, found, exact = _min_pair_lanes(
+                *_component_lanes(polys, table, eff, lo, hi, fi, gi),
+                b[fi], b[gi], (lo_e[fi], hi_e[fi]), (lo_e[gi], hi_e[gi]), rem, ftol,
+            )
+    for k in np.flatnonzero(~exact).tolist():
+        f, g = eff[fi[k]], eff[gi[k]]
+        res = _min_pair(infos[f], infos[g], beta1[f], beta1[g],
+                        (lo[f], hi[f]), (lo[g], hi[g]), float(rem[k]), ftol)
+        found[k] = res is not None
+        if res is not None:
+            pair_f[k], pair_g[k] = res
+    paired[lanes, fi], paired[lanes, gi] = pair_f, pair_g
+    dual = _dual_candidate(infos, beta1, eff, lo, hi, need, ftol)
+    dual = np.reshape([] if dual is None else [dual[p] for p in eff], (-1, E))
+
+    with np.errstate(all="ignore"):
+        V = np.concatenate((np.where(b > 0.0, hi_e, lo_e)[None], grid, paired, dual))
+        ok = np.concatenate((np.ones(1 + len(grid), bool), found, np.ones(len(dual), bool)))
+        ok &= _fold((b * V).T) >= need - ftol
+        ok &= ((lo_e - 1e-12 <= V) & (V <= hi_e + 1e-12)).all(axis=1)
+        total = _fold(_horner(poly.coeffs, column) for poly, column in zip(polys, V.T))
+        V = _py_min(_py_max(V, lo_e), hi_e)
+    if np.isnan(total[ok]).any():  # Python's min orders nan its own way
+        return dict(zip(eff, _cheapest([(v, tuple(x)) for v, x, keep
+                                        in zip(total.tolist(), V.tolist(), ok.tolist()) if keep])))
+    if not ok.any():
+        raise InfeasibleError(_UNREACHABLE)
+    best = float(total[ok].min())
+    near = ok & (total <= best + max(1e-9, 1e-9 * abs(best)))
+    return dict(zip(eff, min(V[near].tolist())))  # rows in order: Python's pick
 
 
 def _min_cost_lanes(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> list:
@@ -679,7 +830,8 @@ def _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target) -> None:
     (lo_f, lo_g), (hi_f, hi_g) = lo.tolist(), hi.tolist()
     info_f, info_g = infos
     pair_f, pair_g, found, exact = _min_pair_lanes(
-        info_f, info_g, bf, bg, (lo_f, hi_f), (lo_g, hi_g), need, ftol,
+        _shared_lanes(info_f, lo_f, hi_f), _shared_lanes(info_g, lo_g, hi_g),
+        bf, bg, (lo_f, hi_f), (lo_g, hi_g), need, ftol,
     )
     # Candidate rows: the eta-maximizing corner, every fixing of both
     # components, the pair.
@@ -1015,7 +1167,8 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
                 power[i] = _projected_power(packages[i], models[i], summaries[i], goals)
             except _LANE_ERRORS as exc:
                 out[i] = exc
-    for i, value in zip(done.tolist(), achieved.tolist()):
+    totals = cost.evaluate_rows(X)
+    for i, value, total in zip(done.tolist(), achieved.tolist(), totals):
         if out[i] is None:
             out[i] = Recommendation(
                 x_hat=packages[i],
@@ -1023,7 +1176,7 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
                 achieved_outcome=value,
                 required_threshold=float(required[i]),
                 projected_power=power[i],
-                cost=float(cost(packages[i])),
+                cost=total,
             )
     return out
 

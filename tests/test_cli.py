@@ -127,6 +127,16 @@ def test_recommend_needs_a_goal(capsys):
     assert "goal" in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [("--stage", "2"), ("--data", "stages.csv"),
+                                         ("--trial", "state.json")])
+def test_recommend_from_coefficients_refuses_trial_flags(capsys, flag, value):
+    # The fixture is the whole input; a trial flag beside it was once ignored.
+    code, captured = run(capsys, "recommend", "--coefficients", "betterbirth",
+                         "--goal", "0.1", flag, value)
+    assert code == 2
+    assert flag in captured.err and not captured.out
+
+
 def test_recommend_unreachable_goal_is_numerical_failure(capsys):
     code, captured = run(capsys, "recommend", "--coefficients", "betterbirth",
                          "--goal", "0.001")
@@ -517,6 +527,18 @@ def test_plan_stage1_with_explicit_sizes(tmp_path, capsys):
     b = run_json(capsys, "plan-stage1", "--beta", "0.1,0.3,0.15",
                  "--config", cfg, "--goal", "0.7", "--power-goal", "0.8")
     assert a == b  # config stages say the same thing
+
+
+def test_plan_stage1_refuses_a_non_logit_fixture(capsys, tmp_path):
+    fixture = tmp_path / "identity.json"
+    fixture.write_text(json.dumps({
+        "beta": [0.1, 0.3, 0.15], "link": "identity",
+        "cost": [[1, 1, 1.0], [2, 1, 4.0]], "bounds": [[0.0, 2.0], [0.0, 8.0]],
+    }))
+    code, captured = run(capsys, "plan-stage1", "--coefficients", fixture,
+                         "--goal", "0.3", "--sizes", "120,40")
+    assert code == 2
+    assert "'identity'" in captured.err and not captured.out
 
 
 def test_plan_stage1_needs_sizes(capsys, tmp_path):

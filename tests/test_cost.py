@@ -118,3 +118,24 @@ def test_separability():
     poly = CUBIC_TWO_COMPONENT.component_coefficients(1)
     direct = np.polyval(poly[::-1], 1.7) - np.polyval(poly[::-1], x[1])
     assert delta == pytest.approx(direct, rel=1e-12)
+
+
+def test_evaluate_rows_is_evaluate_per_row_bitwise():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        P = int(rng.integers(1, 5))
+        terms = [(None, 0, float(rng.normal()))] if rng.random() < 0.5 else []
+        for _ in range(int(rng.integers(1, 9))):
+            terms.append((int(rng.integers(P)), int(rng.integers(0, 5)),
+                          float(rng.normal() * rng.choice([0.01, 1.0, 100.0]))))
+        cost = CostFunction(tuple(terms))
+        X = rng.normal(size=(int(rng.integers(1, 40)), P)) * rng.choice([0.1, 1.0, 30.0])
+        X[rng.random(X.shape) < 0.05] = 0.0
+        X[rng.random(X.shape) < 0.05] = -0.0
+        want = np.array([cost.evaluate(row) for row in X])
+        assert np.array(cost.evaluate_rows(X)).tobytes() == want.tobytes()
+    square = CostFunction(((0, 2, 1.0), (None, 0, 1.0)))
+    with np.errstate(over="ignore"):  # Python's power refuses to overflow
+        assert square.evaluate_rows([[2.0], [1e200]]) == [5.0, np.inf]
+    with pytest.raises(ValueError, match="references component 2 but package has 1"):
+        CUBIC_TWO_COMPONENT.evaluate_rows(np.zeros((3, 1)))

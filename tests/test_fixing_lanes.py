@@ -1,0 +1,329 @@
+"""Differential tests for the array enumeration of the P >= 3 min-cost search.
+
+``optimizer._min_cost_eta`` enumerates the candidates of three to six
+effective components as arrays (``_fixing_lanes``), with every pair minimum
+of a solve in one ``_min_pair_lanes`` call.  The scalar loop it replaced is
+kept below, verbatim apart from its sums, which fold left to right from 0.0
+as the solver's do, and is the oracle: every package must equal the
+oracle's bitwise, and every failure must raise the same error type and
+message.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from lago import optimizer
+from lago.cost import CostFunction
+from lago.diagnostics import verify_assumption7
+from lago.errors import InfeasibleError, LagoError
+from lago.optimizer import (
+    _UNREACHABLE,
+    _beyond_eta_max,
+    _component_lanes,
+    _dual_candidate,
+    _feasible_slice,
+    _fold,
+    _greedy_linear,
+    _min_cost_eta,
+    _min_pair,
+    _min_pair_lanes,
+    _padded_polys,
+    _pair_descent,
+)
+
+# ---------------------------------------------------------------------------
+# the replaced loop
+
+
+def _min_cost_eta_scalar(beta0, beta1, cost, lo, hi, eta_target):
+    beta1 = np.asarray(beta1, dtype=float)
+    P = beta1.size
+    contrib_lo, contrib_hi = beta1 * lo, beta1 * hi
+    eta_max = float(beta0 + np.maximum(contrib_lo, contrib_hi).sum())
+    scale = max(1.0, abs(eta_max), abs(eta_target))
+    ftol = 1e-9 * scale
+    if eta_target > eta_max + ftol:
+        raise _beyond_eta_max(eta_target, eta_max)
+    eta_t = min(eta_target, eta_max)
+
+    infos = _padded_polys(cost, P)
+    x = np.empty(P)
+    for p in range(P):
+        x[p] = infos[p].min_on(lo[p], hi[p])[0]
+    if beta0 + float(beta1 @ x) >= eta_t - ftol:
+        return x
+
+    eff = [p for p in range(P) if beta1[p] != 0.0 and hi[p] > lo[p]]
+    base = beta0 + _fold(beta1[p] * x[p] for p in range(P) if p not in eff)
+    need = eta_t - base
+
+    if cost.is_linear:
+        lin = [poly.coeffs[1] for poly in infos]
+        _greedy_linear(x, lin, beta1, eff, lo, hi, eta_t - (beta0 + float(beta1 @ x)), ftol)
+        return x
+
+    beta1, lo, hi, need = beta1.tolist(), lo.tolist(), hi.tolist(), float(need)
+    cands = []
+
+    def consider(values: dict) -> None:
+        supplied = _fold(beta1[p] * values[p] for p in eff)
+        if supplied >= need - ftol and all(
+            lo[p] - 1e-12 <= values[p] <= hi[p] + 1e-12 for p in eff
+        ):
+            total = _fold(infos[p](values[p]) for p in eff)
+            cands.append((total, tuple(min(max(values[p], lo[p]), hi[p]) for p in eff)))
+
+    consider({p: (hi[p] if beta1[p] > 0.0 else lo[p]) for p in eff})
+
+    if len(eff) <= 6:
+        opts = {p: infos[p].options_on(lo[p], hi[p]) for p in eff}
+        for assign in itertools.product(*(opts[p] for p in eff)):
+            consider(dict(zip(eff, assign)))
+        if len(eff) == 1:
+            (f,) = eff
+            sl = _feasible_slice(beta1[f], lo[f], hi[f], need)
+            if sl is not None:
+                consider({f: infos[f].min_on(*sl)[0]})
+        for f, g in itertools.combinations(eff, 2):
+            others = [p for p in eff if p not in (f, g)]
+            for assign in itertools.product(*(opts[p] for p in others)):
+                rem = need - _fold(beta1[p] * v for p, v in zip(others, assign))
+                res = _min_pair(
+                    infos[f], infos[g], beta1[f], beta1[g],
+                    (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol,
+                )
+                if res is None:
+                    continue
+                values = dict(zip(others, assign))
+                values[f], values[g] = res
+                consider(values)
+
+    if len(eff) >= 3:
+        dual = _dual_candidate(infos, beta1, eff, lo, hi, need, ftol)
+        if dual is not None:
+            consider(dual)
+
+    if not cands:
+        raise InfeasibleError(_UNREACHABLE)
+    best = min(v for v, _ in cands)
+    tol = max(1e-9, 1e-9 * abs(best))
+    chosen = dict(zip(eff, min(vals for v, vals in cands if v <= best + tol)))
+
+    if len(eff) >= 3:
+        chosen = _pair_descent(chosen, infos, beta1, eff, lo, hi, need, ftol)
+
+    for p in eff:
+        x[p] = chosen[p]
+    return x
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except LagoError as exc:
+        return exc
+
+
+def _assert_same(args):
+    got = _outcome(_min_cost_eta, *args)
+    want = _outcome(_min_cost_eta_scalar, *args)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (args, got, want)
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes(), (args, got, want)
+    return got
+
+
+def _probe_problem(seed: int, batch: int, P: int):
+    """The benchmark's ``probe`` problem: separable cubic costs increasing on
+    the whole line and a logit goal 40-60% of the way from the control level
+    to the best one in the bounds."""
+    rng = np.random.default_rng([int(seed), int(batch), int(P)])
+    upper = rng.uniform(2.0, 8.0, P)
+    terms = []
+    for p in range(P):
+        c1 = rng.uniform(1.0, 10.0)
+        c3 = rng.uniform(0.05, 2.0) / upper[p]
+        c2 = -rng.uniform(0.2, 0.9) * math.sqrt(3.0 * c1 * c3)
+        terms += [(p, 1, float(c1)), (p, 2, float(c2)), (p, 3, float(c3))]
+    beta = np.concatenate(([math.log(0.3 / 0.7)], rng.uniform(0.5, 1.5, P) / upper))
+    eta_max = beta[0] + float(np.sum(beta[1:] * upper))
+    eta_goal = beta[0] + rng.uniform(0.4, 0.6) * (eta_max - beta[0])
+    bounds = tuple((0.0, float(u)) for u in upper)
+    return beta, CostFunction(tuple(terms)), bounds, 1.0 / (1.0 + math.exp(-eta_goal)), rng
+
+
+def _args(beta, cost, bounds, eta_target):
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    return float(beta[0]), np.asarray(beta[1:], dtype=float), cost, lo, hi, float(eta_target)
+
+
+def _eta_max(beta, bounds):
+    lo, hi = np.array(bounds).T
+    return float(beta[0] + np.maximum(beta[1:] * lo, beta[1:] * hi).sum())
+
+
+# ---------------------------------------------------------------------------
+# the probe problems
+
+
+@pytest.mark.parametrize("P", [3, 4, 5, 6])
+def test_probe_problems_match_the_scalar_loop(P):
+    for seed in range(50):
+        beta, cost, bounds, goal, rng = _probe_problem(seed, 0, P)
+        eta_goal = math.log(goal / (1.0 - goal))
+        _assert_same(_args(beta, cost, bounds, eta_goal))
+        # the same problem with the coefficients perturbed as the probe does
+        _assert_same(_args(beta + rng.normal(0.0, 0.05, beta.size), cost, bounds, eta_goal))
+
+
+def test_probe_reports_match_the_scalar_loop(monkeypatch):
+    problems = [_probe_problem(seed, seed, P) for seed in range(6) for P in (3, 4, 5, 6)]
+
+    def reports():
+        return [
+            verify_assumption7(beta, cost, bounds, goal, epsilon=0.05, L=2, seed=seed).to_dict()
+            for seed, (beta, cost, bounds, goal, _) in enumerate(problems)
+        ]
+
+    got = reports()
+    monkeypatch.setattr(optimizer, "_min_cost_eta", _min_cost_eta_scalar)
+    assert got == reports()
+
+
+def test_the_lanes_path_is_taken(monkeypatch):
+    calls = []
+    kernel = optimizer._min_pair_lanes
+    monkeypatch.setattr(optimizer, "_min_pair_lanes",
+                        lambda *args: calls.append(args[-2].size) or kernel(*args))
+    for P, lanes in ((3, 6), (4, 24), (5, 80), (6, 240)):
+        beta, cost, bounds, goal, _ = _probe_problem(0, 0, P)
+        _min_cost_eta(*_args(beta, cost, bounds, math.log(goal / (1.0 - goal))))
+        assert calls.pop() == lanes and not calls
+
+
+# ---------------------------------------------------------------------------
+# other shapes
+
+
+def _mixed_cost(rng, P):
+    """Per component: zero, linear, quadratic or cubic, with either sign of
+    curvature."""
+    terms = [(0, 3, float(rng.normal()))]  # one nonlinear term at least
+    for p in range(P):
+        degree = int(rng.integers(0, 4))
+        for d in range(1, degree + 1):
+            if rng.random() < 0.8:
+                terms.append((p, d, float(rng.normal() * rng.choice([0.1, 1.0, 10.0]))))
+    return CostFunction(tuple(terms))
+
+
+def _mixed_problem(rng):
+    P = int(rng.integers(3, 7))
+    cost = _mixed_cost(rng, P)
+    lo = rng.uniform(-2.0, 1.0, P)
+    hi = lo + rng.uniform(0.5, 6.0, P)
+    flat = rng.random(P) < 0.1
+    hi[flat] = lo[flat]
+    beta = np.concatenate(([rng.normal()], rng.normal(size=P)))
+    beta[1:][rng.random(P) < 0.1] = 0.0
+    return beta, cost, tuple(zip(lo.tolist(), hi.tolist()))
+
+
+def test_mixed_degree_costs_match_the_scalar_loop():
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        beta, cost, bounds = _mixed_problem(rng)
+        eta_max = _eta_max(beta, bounds)
+        lo, hi = np.array(bounds).T
+        eta_min = float(beta[0] + np.minimum(beta[1:] * lo, beta[1:] * hi).sum())
+        ftol = 1e-9 * max(1.0, abs(eta_max))
+        for target in (eta_min + rng.uniform(0.2, 0.9) * (eta_max - eta_min),
+                       eta_max, eta_max + 0.5 * ftol, eta_max - 0.5 * ftol, eta_max + 1.0):
+            _assert_same(_args(beta, cost, bounds, target))
+
+
+def test_negative_effects_and_flat_boxes_match_the_scalar_loop():
+    rng = np.random.default_rng(77)
+    for P in (3, 4, 5, 6, 7):
+        for _ in range(10):
+            beta, cost, bounds, goal, _ = _probe_problem(int(rng.integers(1000)), 1, P)
+            beta = beta * np.concatenate(([1.0], rng.choice([-1.0, 1.0], P)))
+            bounds = list(bounds)
+            bounds[int(rng.integers(P))] = (1.0, 1.0)
+            eta_max = _eta_max(beta, bounds)
+            target = beta[0] + rng.uniform(0.3, 1.0) * (eta_max - beta[0])
+            _assert_same(_args(beta, cost, bounds, target))
+
+
+def test_degenerate_pairs_fall_back_and_match():
+    # Linear and zero components make segment polynomials below cubic; a
+    # quartic component sends every pair to the scalar pair solver; zero
+    # effects leave fewer effective components.
+    cases = [
+        ((0, 3, 1.0), (1, 1, 2.0), (2, 1, 0.5)),
+        ((0, 3, 1.0), (0, 1, 1.0), (3, 2, 0.3)),
+        ((0, 4, 0.2), (1, 3, 1.0), (2, 2, 1.0), (3, 1, 1.0)),
+        ((0, 3, -0.5), (0, 1, 4.0), (1, 3, 0.2), (2, 2, -1.0), (2, 1, 3.0)),
+    ]
+    bounds = ((0.0, 2.0), (0.0, 3.0), (-1.0, 1.0), (0.0, 1.5))
+    for terms in cases:
+        cost = CostFunction(terms)
+        for effects in ((0.5, 0.4, 0.3, 0.2), (0.5, 0.0, 0.3, 0.2), (0.5, -0.4, 0.3, -0.2)):
+            beta = np.array((-1.0,) + effects)
+            eta_max = _eta_max(beta, bounds)
+            for share in (0.2, 0.5, 0.8, 1.0):
+                _assert_same(_args(beta, cost, bounds, beta[0] + share * (eta_max - beta[0])))
+
+
+def test_unreachable_and_beyond_targets_raise_the_scalar_errors():
+    beta, cost, bounds, _, _ = _probe_problem(5, 5, 4)
+    eta_max = _eta_max(beta, bounds)
+    got = _assert_same(_args(beta, cost, bounds, eta_max + 1.0))
+    assert isinstance(got, InfeasibleError) and "exceeds the maximum" in str(got)
+
+
+def test_pair_kernel_on_padded_polynomials_matches_the_scalar_pair():
+    # A zero residual leaves signed zeros in the segment polynomial of a
+    # linear and a pure cubic cost, and zero-padding the linear one flips
+    # their sign; the kernel must hand such lanes to the scalar pair solver.
+    rng = np.random.default_rng(9)
+    exact_lanes = 0
+    for _ in range(400):
+        c1, c3 = rng.choice([-1.0, 1.0], 2) * rng.uniform([0.5, 0.1], [5.0, 3.0])
+        terms = [(0, 1, c1), (1, 3, c3)]
+        if rng.random() < 0.5:
+            terms.append((int(rng.integers(2)), 2, float(rng.normal())))
+        polys = list(_padded_polys(CostFunction(tuple(terms)), 2))
+        lo = (-rng.uniform(0.5, 3.0, 2)).tolist()
+        hi = rng.uniform(0.5, 3.0, 2).tolist()
+        opts = [poly.options_on(a, b) for poly, a, b in zip(polys, lo, hi)]
+        table = np.array([o + o[:1] * (4 - len(o)) for o in opts])
+        beta = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.2, 2.0, 2)
+        residuals = np.array([0.0, -0.0, *rng.normal(size=4)])
+        n = residuals.size
+        info_f, info_g = _component_lanes(polys, table, [0, 1], lo, hi,
+                                          np.zeros(n, int), np.ones(n, int))
+        with np.errstate(all="ignore"):
+            xf, xg, found, exact = _min_pair_lanes(
+                info_f, info_g, np.full(n, beta[0]), np.full(n, beta[1]),
+                (np.full(n, lo[0]), np.full(n, hi[0])), (np.full(n, lo[1]), np.full(n, hi[1])),
+                residuals, 1e-9,
+            )
+        for k in np.flatnonzero(exact):
+            want = _min_pair(polys[0], polys[1], beta[0], beta[1],
+                             (lo[0], hi[0]), (lo[1], hi[1]), float(residuals[k]), 1e-9)
+            got = (float(xf[k]), float(xg[k])) if found[k] else None
+            assert (got is None) == (want is None), (terms, k)
+            if want is not None:
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (terms, k, got, want)
+        exact_lanes += int(exact.sum())
+    assert exact_lanes > 1000

@@ -1,10 +1,12 @@
 """Differential tests for the batched two-component min-cost kernel.
 
 ``optimizer._min_cost_lanes`` solves the common P = 2 case for every lane of
-a call with numpy array arithmetic and sends every other lane through the
-scalar ``_min_cost_eta``, which stays the solver for P >= 3 and is the
-oracle here: each lane's package must equal the scalar solver's bitwise,
-and a lane that fails must raise the same error type and message.
+a call with numpy array arithmetic and sends every other lane through
+``_min_cost_eta``, the solver of one problem, which is the oracle here: each
+lane's package must equal its package bitwise, and a lane that fails must
+raise the same error type and message.  ``_min_cost_eta``'s own array
+enumeration of three to six components is checked against the scalar loop
+it replaced in ``test_fixing_lanes.py``.
 """
 
 import dataclasses
