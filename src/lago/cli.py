@@ -99,9 +99,12 @@ def _read_json(source: str) -> dict:
 
 def _floats(text: str, what: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
+        pass
+    raise ValueError(f"{what} must be comma-separated finite numbers, got {text!r}")
 
 
 def _unit_interval(text: str) -> float:
@@ -216,6 +219,8 @@ class CoefficientFixture:
         self.covariance = np.asarray(cov, dtype=float)
         if self.covariance.shape != (size, size):
             raise ValueError("covariance shape does not match beta")
+        if not (np.isfinite(self.beta).all() and np.isfinite(self.covariance).all()):
+            raise ValueError("beta and covariance entries must be finite")
         if self.arm_summary is not None:
             for name in ("n1_obs", "n0_obs", "n1_future", "n0_future"):
                 if not 0.0 <= float(getattr(self.arm_summary, name)) < math.inf:
@@ -223,6 +228,9 @@ class CoefficientFixture:
             for name in ("s1_obs", "s0_obs"):
                 if not math.isfinite(float(getattr(self.arm_summary, name))):
                     raise ValueError(f"arm_summary {name} must be finite")
+            s = self.arm_summary
+            if not (s.n1_obs + s.n1_future > 0 and s.n0_obs + s.n0_future > 0):
+                raise ValueError("arm_summary needs observations in each arm (obs + future > 0)")
 
     @property
     def model(self) -> FittedModel:
@@ -506,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "config carries one)")
     p.add_argument("--null", action="store_true",
                    help="zero all intervention effects (size check)")
-    p.add_argument("--threads", type=int, help="worker processes, at most "
-                   "the CPU count (default: LAGO_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most the CPU count (default 1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-config", metavar="FILE",
                    help="write the resolved scenario config and exit")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import config_errors
+from .errors import NonFiniteError, config_errors
 
 
 def _stationary_points(c) -> tuple:
@@ -84,7 +84,10 @@ class _ComponentPoly:
         vals = [self(t) for t in cands]
         vmin = min(vals)
         tol = 1e-12 * (1.0 + abs(vmin))
-        x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
+        try:
+            x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
+        except ValueError:  # vmin + tol is nan: the cost overflowed on [a, b]
+            raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
         return x, self(x)
 
     def options_on(self, a: float, b: float):

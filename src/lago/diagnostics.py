@@ -195,10 +195,10 @@ def verify_assumption7(
     unreachable at the estimate itself there is no solution to verify, and
     that error propagates.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     if L < 1 or M < 1:
         raise ValueError("L and M must be at least 1")
 

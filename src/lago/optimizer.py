@@ -1323,6 +1323,10 @@ def plan_stage1(
     sizes = np.atleast_2d(np.asarray(planned_sizes, dtype=float))
     if sizes.shape[1] != 2:
         raise ValueError("planned_sizes must be (intervention, control) pairs")
+    if not ((0 <= sizes) & (sizes < np.inf)).all():
+        raise ValueError(f"planned_sizes must be finite and nonnegative, got {sizes.tolist()}")
+    if goals.power_goal is not None and not (sizes.sum(axis=0) > 0).all():
+        raise ValueError("planned_sizes must give each arm a positive total for a power goal")
     summary = ArmSummary(
         n1_obs=0.0, n0_obs=0.0, s1_obs=0.0, s0_obs=0.0, design_obs=(),
         n1_future=float(sizes[:, 0].sum()), n0_future=float(sizes[:, 1].sum()),

@@ -578,24 +578,6 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
 # the scenario runner
 
 
-def _resolve_threads(threads) -> int:
-    """Worker process count: ``threads``, else LAGO_THREADS, else 1.
-
-    ``threads`` must be an integer >= 1; a bool or a float raises rather
-    than being truncated.  LAGO_THREADS is parsed with ``int``, and a value
-    that is not an integer raises a ValueError naming it.  ``run_scenario``
-    starts at most the CPU count of these.
-    """
-    if threads is None:
-        raw = os.environ.get("LAGO_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"LAGO_THREADS must be an integer, got {raw!r}") from None
-    _check_count("threads", threads, 1)
-    return int(threads)
-
-
 def _rel_bias_pct(estimate, reference):
     out = []
     for est, ref in zip(estimate, reference):
@@ -624,13 +606,14 @@ def true_optimum(spec: ScenarioSpec):
     return np.asarray(x, dtype=float)
 
 
-def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
+def run_scenario(spec: ScenarioSpec, seed=None, threads=1) -> MetricsReport:
     """Estimate a scenario's operating characteristics by simulation.
 
     ``seed`` overrides ``spec.rng_seed``; one of the two must be set.  The
     replicates run in contiguous blocks of at most ``BLOCK_LANES`` seeds, so
-    memory does not grow with R.  With ``threads > 1`` (or LAGO_THREADS set)
-    the blocks, of at most ceil(R / workers) seeds, are shared among
+    memory does not grow with R.  ``threads`` is an integer >= 1 (a bool or
+    a float raises rather than being truncated).  With ``threads > 1`` the
+    blocks, of at most ceil(R / workers) seeds, are shared among
     ``workers = min(threads, CPU count)`` processes, with results identical
     to the serial run.
     """
@@ -640,7 +623,8 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=None) -> MetricsReport:
         raise ValueError("a simulation needs a seed (spec.rng_seed or the seed argument)")
     _check_count("seed", seed, 0)
     seed = int(seed)
-    threads = min(_resolve_threads(threads), os.cpu_count() or 1)
+    _check_count("threads", threads, 1)
+    threads = min(int(threads), os.cpu_count() or 1)
 
     config = _trial_config(spec)
     child_seeds = np.random.SeedSequence(seed).spawn(spec.replicates)

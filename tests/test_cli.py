@@ -225,6 +225,31 @@ def test_recommend_rejects_non_finite_fixture_arm_summary(tmp_path, capsys, fiel
     assert field in captured.err
 
 
+@pytest.mark.parametrize("arm", ["1", "0"])
+def test_recommend_refuses_a_fixture_arm_summary_with_an_empty_arm(tmp_path, capsys, arm):
+    doc = _bundled("betterbirth")
+    doc["arm_summary"].update({f"n{arm}_obs": 0.0, f"n{arm}_future": 0.0, f"s{arm}_obs": 0.0})
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "recommend", "--coefficients", path,
+                         "--goal", "0.1", "--power-goal", "0.8")
+    assert code == 2
+    assert "arm_summary needs observations in each arm" in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    {"beta": [0.1, float("nan"), 0.15]},
+    {"beta": [0.1, 0.3, 0.15], "covariance": np.diag([float("inf"), 0.0, 0.0]).tolist()},
+])
+def test_a_non_finite_fixture_coefficient_is_refused(tmp_path, capsys, doc):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "plan-stage1", "--coefficients", path,
+                         "--config", "scenario_1a", "--goal", "0.7", "--sizes", "100,100")
+    assert code == 2
+    assert "beta and covariance entries must be finite" in captured.err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda entry: entry.update(n1_obz=100.0), "unknown ArmSummary field 'n1_obz'"),
     (lambda entry: entry.pop("s0_obs"), "arm_summary is missing required field 's0_obs'"),
@@ -527,6 +552,56 @@ def test_plan_stage1_with_explicit_sizes(tmp_path, capsys):
     b = run_json(capsys, "plan-stage1", "--beta", "0.1,0.3,0.15",
                  "--config", cfg, "--goal", "0.7", "--power-goal", "0.8")
     assert a == b  # config stages say the same thing
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("nan,100", "--sizes must be comma-separated finite numbers"),
+    ("-100,100", "planned_sizes must be finite and nonnegative"),
+    ("0,100;0,100", "planned_sizes must give each arm a positive total"),
+])
+def test_plan_stage1_refuses_bad_planned_sizes(capsys, sizes, message):
+    code, captured = run(capsys, "plan-stage1", "--beta", "0.1,0.3,0.15",
+                         "--config", "scenario_1a", "--goal", "0.7", "--power-goal", "0.8",
+                         f"--sizes={sizes}")
+    assert code == 2
+    assert message in captured.err and not captured.out
+
+
+def test_plan_stage1_refuses_negative_config_stage_sizes(capsys, tmp_path):
+    cfg_path = tmp_path / "stages.json"
+    cfg_path.write_text(json.dumps({
+        "cost": [[1, 1, 1.0], [2, 1, 4.0]], "bounds": [[0.0, 2.0], [0.0, 8.0]],
+        "stages": [{"n_intervention": -100, "n_control": 100}],
+    }))
+    code, captured = run(capsys, "plan-stage1", "--beta", "0.1,0.3,0.15",
+                         "--config", cfg_path, "--goal", "0.7")
+    assert code == 2
+    assert "planned_sizes must be finite and nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan-stage1", "--beta", "0.1,inf,0.15", "--config", "scenario_1a", "--goal", "0.7",
+     "--sizes", "100,100"),
+    ("dominance-threshold", "--beta", "0.1,nan,0.15", "--pi", "0.9"),
+    ("power", "--x", "1.0,-inf"),
+])
+def test_number_lists_refuse_non_finite_tokens(tmp_path, capsys, argv):
+    if argv[0] == "power":
+        cfg, data = write_trial_files(tmp_path)
+        argv += ("--config", cfg, "--data", data)
+    code, captured = run(capsys, *argv)
+    assert code == 2
+    assert "must be comma-separated finite numbers" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--eta"])
+def test_verify_assumption7_refuses_an_infinite_ball(capsys, flag):
+    argv = {"--epsilon": "0.02", "--eta": "0.5", flag: "inf"}
+    code, captured = run(capsys, "verify-assumption7", "--beta", "0.1,0.3,0.15",
+                         "--config", "scenario_1a", "--goal", "0.7", "--samples", "3",
+                         "--seed", "1", *(t for item in argv.items() for t in item))
+    assert code == 2
+    assert f"{flag[2:]} must be positive and finite" in captured.err
 
 
 def test_plan_stage1_refuses_a_non_logit_fixture(capsys, tmp_path):

@@ -390,6 +390,15 @@ def test_extended_mode_needs_a_covariance():
         )
 
 
+@pytest.mark.parametrize("epsilon, eta, name", [
+    (math.inf, 1e-6, "epsilon"), (math.nan, 1e-6, "epsilon"), (0.02, math.inf, "eta"),
+])
+def test_the_ball_radius_and_eta_must_be_positive_and_finite(epsilon, eta, name):
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        verify_assumption7(BETA, LIN_COST, BOUNDS, goal=0.7455, epsilon=epsilon, eta=eta,
+                           L=3, seed=1)
+
+
 def test_report_serializes_to_json():
     report = verify_assumption7(
         BETA, LIN_COST, BOUNDS, goal=0.7455, epsilon=0.02, L=20, seed=1

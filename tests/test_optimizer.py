@@ -20,7 +20,7 @@ from scipy.optimize import linprog, minimize_scalar
 from scipy.special import expit as sp_expit, logit as sp_logit
 
 from lago.cost import CostFunction
-from lago.errors import InfeasibleError, NoThresholdError
+from lago.errors import InfeasibleError, NoThresholdError, NonFiniteError
 from lago.model import CenterData, FittedModel, StageRecord, mirrored, predict
 from lago.optimizer import (
     GoalSpec,
@@ -650,6 +650,27 @@ def test_plan_stage1_infeasible_raises():
     goals = GoalSpec(outcome_goal=0.9)
     with pytest.raises(InfeasibleError):
         plan_stage1([0.0, 0.05, 0.01], goals, CUBIC, BOUNDS_1A, [(160.0, 40.0)])
+
+
+@pytest.mark.parametrize("sizes, goals", [
+    ([(math.nan, 40.0)], GoalSpec(outcome_goal=0.7)),
+    ([(math.inf, 40.0)], GoalSpec(outcome_goal=0.7)),
+    ([(160.0, 40.0), (-100.0, 40.0)], GoalSpec(outcome_goal=0.7)),
+    ([(0.0, 40.0), (0.0, 40.0)],
+     GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled"))),
+])
+def test_plan_stage1_refuses_bad_planned_sizes(sizes, goals):
+    with pytest.raises(ValueError, match="planned_sizes"):
+        plan_stage1([0.1, 0.3, 0.15], goals, CUBIC, BOUNDS_1A, sizes)
+
+
+def test_a_cost_that_overflows_on_the_box_is_a_non_finite_error():
+    # x1^3 - x2^3 on [0, 1e110]^2 overflows to -inf, so no candidate is within
+    # the tie tolerance of the minimum.
+    cost = CostFunction(((0, 3, 1.0), (1, 3, -1.0)))
+    model = FittedModel(np.array([0.0, 1e-110, 1e-110]), "logit", np.zeros((3, 3)), 0, "assumed")
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="not finite"):
+        min_cost_subject_to_threshold(model, cost, ((0.0, 1e110), (0.0, 1e110)), 0.6)
 
 
 def test_plan_stage1_accepts_single_total_pair():

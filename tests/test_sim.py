@@ -18,7 +18,6 @@ from lago.sim import (
     ScenarioSpec,
     StagePlan,
     _deployed_packages,
-    _resolve_threads,
     _trial_config,
     betterbirth_model,
     betterbirth_power,
@@ -148,20 +147,16 @@ def test_thread_count_must_be_a_positive_integer(threads):
         run_scenario(small(scenario_1a, reps=2), seed=SEED, threads=threads)
 
 
-def test_thread_count_from_the_environment(monkeypatch):
+def test_the_thread_count_is_not_read_from_the_environment(monkeypatch):
+    spec = small(scenario_1a, reps=6)
+    serial = run_scenario(spec, seed=SEED, threads=1).to_dict()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
     monkeypatch.setenv("LAGO_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(np.int64(2)) == 2
-    monkeypatch.setenv("LAGO_THREADS", "0")
-    with pytest.raises(ValueError):
-        _resolve_threads(None)
-
-
-@pytest.mark.parametrize("value", ["two", "2.5", ""])
-def test_a_non_integer_thread_variable_is_named(monkeypatch, value):
-    monkeypatch.setenv("LAGO_THREADS", value)
-    with pytest.raises(ValueError, match=f"LAGO_THREADS must be an integer, got {value!r}"):
-        _resolve_threads(None)
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", no_pool)
+    assert run_scenario(spec, seed=SEED).to_dict() == serial
 
 
 @pytest.mark.parametrize("cpus, workers, blocks", [(2, [2], [20, 20]), (None, [], [40])])
