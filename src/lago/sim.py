@@ -6,8 +6,10 @@ lane arrays (``_Block``): center packages, outcome sums and m2 as (lanes,
 centers) arrays, the arm layout once.  Per stage, the recommendations are
 decided for all lanes in one batched call on arm totals reduced from the
 arrays, every lane draws from its own stream, and the pooled fits of all
-lanes run as one stacked call.  After the last stage one more batched call
-decides the final packages, and the final test runs over the lanes.  No
+lanes run as one stacked call.  After the last stage the final test runs
+over the lanes and one more batched call decides the final packages.  A
+block returns one seed-ordered column per field (failure kind, estimates,
+packages) and ``run_scenario`` concatenates the blocks' columns.  No
 per-replicate trial state is built; ``tests/test_lockstep.py`` keeps that
 per-replicate path, through the public ``trial`` API, as the oracle.
 
@@ -24,6 +26,7 @@ import functools
 import math
 import os
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -148,6 +151,10 @@ class ScenarioSpec:
     actually delivers -- a deterministic stand-in for implementation drift.
     It must be a module-level function to survive pickling into worker
     processes, and a spec carrying one cannot be serialized to config.
+
+    ``se_source`` picks the binary fits' SEs: the model-based covariance or
+    the robust sandwich.  Continuous fits already carry the sandwich
+    covariance (see ``FittedModel``), so it leaves their SEs alone.
     """
 
     name: str
@@ -259,9 +266,11 @@ class MetricsReport:
     Per-coefficient entries are ordered like the coefficient vector
     (intercept first).  Relative biases are reported as NaN when the
     reference value is zero.  Metrics are computed over the replicates
-    that completed; ``failures`` counts the ones that did not (fit or
-    recommendation raised), broken down in ``failure_kinds``.  ``to_dict``
-    writes every NaN or infinite entry as None.
+    that completed; ``failures`` counts the ones whose decision, distortion
+    hook, draw, fit, final test or final package raised, broken down by
+    error type in ``failure_kinds`` (keys in first-occurrence seed order).
+    ``to_dict`` writes every NaN or infinite entry as None; the CSV row has
+    the same columns for every report of a P-component spec.
     """
 
     scenario: str
@@ -285,7 +294,7 @@ class MetricsReport:
 
     def _csv_cells(self) -> list:
         """(column, value) pairs of the CSV row, in column order."""
-        n_comp = len(self.mean_recommendation or self.opt_rel_bias_pct or ())
+        n_comp = len(self.rel_bias_pct) - 1
         opt = self.opt_rel_bias_pct or (float("nan"),) * n_comp
         cells = [(name, getattr(self, name))
                  for name in ("scenario", "replicates", "n_used", "failures", "power_pct")]
@@ -330,14 +339,13 @@ def _planned_stages(stages) -> tuple:
 
 
 def _trial_config(spec: ScenarioSpec) -> TrialConfig:
-    link = "logit" if spec.outcome_kind == "binary" else spec.outcome_link
     return TrialConfig(
         stages=_planned_stages(spec.stages),
         bounds=spec.bounds,
         cost=spec.cost,
         goals=spec.goals,
         outcome_kind=spec.outcome_kind,
-        outcome_link=link,
+        outcome_link=_true_model(spec).link,
         stage1_package=spec.stage1_fallback_x,
     )
 
@@ -465,17 +473,18 @@ def _decide_lanes(config: TrialConfig, goals: GoalSpec, block: _Block, models, l
     """The stage-``k`` decision (k = K + 1: the final package) of each lane in
     ``lanes`` under ``goals``, as one ``_recommend_lanes`` call over their
     fits (``models``: lane -> its stacked fit of stages below k), arm totals
-    and anchors: per lane its Recommendation or ``_LANE_ERRORS`` error."""
+    and anchors: per lane its package or ``_LANE_ERRORS`` error."""
     end = int(np.count_nonzero(block.stage < k))
     summaries = [None] * lanes.size
     if goals.power_goal is not None:
         future = TrialState(config).future_arm_sizes(k)
         summaries = block.summaries(lanes, end, future, goals.test.continuous_outcome)
-    return _recommend_lanes([models[i] for i in lanes.tolist()], summaries, goals, config.cost,
-                            lo, hi, block.anchors(config, lanes, end))
+    decisions = _recommend_lanes([models[i] for i in lanes.tolist()], summaries, goals,
+                                 config.cost, lo, hi, block.anchors(config, lanes, end))
+    return [d if isinstance(d, Exception) else d.x_hat for d in decisions]
 
 
-def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> list:
+def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> dict:
     """Run one trial per seed under ``config`` (the run's ``_trial_config``),
     all trials ("lanes") advancing one stage at a time on one ``_Block``.
 
@@ -486,38 +495,51 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
     stream; and when the pooled fit is used, the fits of all live lanes run
     as one stacked call.  A lane whose decision, hook, draw or fit fails
     with a ``_LANE_ERRORS`` error fails with its kind.  After the last
-    stage, ``_decide_lanes`` with the power goal stripped gives the final
-    packages and ``_final_rejects`` the final tests; a failed final test is
-    reported before a failed final package, as in a trial run alone.
-    Returns one ("ok", payload) or ("fail", kind) per seed, in seed order.
+    stage, ``_final_rejects`` runs the final tests and ``_decide_lanes``
+    with the power goal stripped gives the final packages of the lanes whose
+    test passed, so a failed final test is reported before a failed final
+    package, as in a trial run alone.
+
+    Returns the block's columns, one row per seed in seed order: ``kind``
+    (the failure kind, "" for a lane that completed); ``beta`` and ``se``
+    (L, P+1); ``reject`` (L,); ``x_rec`` (the last staged recommendation)
+    and ``x_opt`` (the final package), each (L, P); and ``propt`` (L,), the
+    true mean outcome at ``x_rec``, else at ``x_opt``.  A failed lane's
+    entries, and a package no stage decided, are NaN (``reject`` False).
     """
     truth = _true_model(spec)
     lo, hi = _bounds_arrays(config.bounds, config.n_components)
     rngs = [np.random.Generator(np.random.PCG64(cs)) for cs in child_seeds]  # = default_rng(cs)
-    block = _Block(spec, len(rngs))
-    P, binary = spec.n_components, spec.outcome_kind == "binary"
-    outcomes, models, recs = [None] * len(rngs), {}, {}  # recs: lane -> its last decision
+    L, P, binary = len(rngs), spec.n_components, spec.outcome_kind == "binary"
+    block, models = _Block(spec, L), {}
+    cols = {"kind": np.full(L, "", dtype=object), "beta": np.full((L, P + 1), np.nan),
+            "se": np.full((L, P + 1), np.nan), "reject": np.zeros(L, bool),
+            "x_rec": np.full((L, P), np.nan), "x_opt": np.full((L, P), np.nan),
+            "propt": np.full(L, np.nan)}
 
-    def settle(lanes, results):
+    def settle(lanes, results, column=None):
         """``lanes`` less those whose result is a ``_LANE_ERRORS`` error,
-        which fail with its kind; any other exception is raised."""
+        which fail with its kind; any other exception is raised.  The other
+        lanes' results go to their rows of ``column``, if given."""
         failed = [j for j, result in enumerate(results) if isinstance(result, Exception)]
         for j in failed:
             if not isinstance(results[j], _LANE_ERRORS):
                 raise results[j]
-            outcomes[lanes[j]] = ("fail", type(results[j]).__name__)
-        return np.delete(lanes, failed) if failed else lanes
+            cols["kind"][lanes[j]] = type(results[j]).__name__
+        kept = np.delete(lanes, failed) if failed else lanes
+        if column is not None:
+            values = [result for result in results if not isinstance(result, Exception)]
+            column[kept] = np.reshape(values, (kept.size,) + column.shape[1:])
+        return kept
 
-    live, start = np.arange(len(rngs)), 0
+    live, start = np.arange(L), 0
     for k, splan in enumerate(spec.stages, start=1):
         end = start + splan.n_control_centers + splan.n_intervention_centers
         treated = slice(start + splan.n_control_centers, end)
         if _recommends(spec, splan):
             decisions = _decide_lanes(config, config.goals, block, models, live, k, lo, hi)
-            recs.update(zip(live.tolist(), decisions))
-            live = settle(live, decisions)
-            x = [recs[i].x_hat for i in live.tolist()]
-            block.X[live, treated, 1:] = _deployed_packages(spec, x)[:, None]
+            live = settle(live, decisions, cols["x_rec"])
+            block.X[live, treated, 1:] = _deployed_packages(spec, cols["x_rec"][live])[:, None]
         else:
             plan = spec.stages[0] if spec.design_mode == "factorial-repeat" else splan
             block.X[:, treated, 1:] = np.reshape(plan.probe_packages, (-1, P))
@@ -537,52 +559,43 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> lis
             live = settle(live, fits)
         start = end
 
-    finals = [None] * live.size
-    if spec.goals.outcome_goal is not None:
-        finals = _decide_lanes(config, replace(config.goals, power_goal=None), block, models,
-                               live, len(spec.stages) + 1, lo, hi)
     test = config.goals.test or _default_test(spec.outcome_kind)
     summary = None if test.wald else block.summaries(live, start, (0.0, 0.0),
                                                      test.continuous_outcome).columns
     rejects = _final_rejects(summary, test, spec.goals.alpha, [models[i] for i in live.tolist()])
-    results = [r if isinstance(r, Exception) else f for r, f in zip(rejects, finals)]
-    ok = [j for j, r in enumerate(results) if not isinstance(r, Exception)]
-    lanes = settle(live, results)
+    live = settle(live, rejects, cols["reject"])
+    if spec.goals.outcome_goal is not None:
+        finals = _decide_lanes(config, replace(config.goals, power_goal=None), block, models,
+                               live, len(spec.stages) + 1, lo, hi)
+        live = settle(live, finals, cols["x_opt"])
+    failed = cols["kind"] != ""
+    cols["x_rec"][failed], cols["reject"][failed] = np.nan, False
 
-    fits = [models[i] for i in lanes.tolist()]
-    beta = np.array([fit.beta for fit in fits]).reshape(lanes.size, P + 1)
-    cov = np.array([fit.covariance for fit in fits]).reshape(lanes.size, P + 1, P + 1)
+    beta = np.reshape([models[i].beta for i in live.tolist()], (-1, P + 1))
+    cov = np.reshape([models[i].covariance for i in live.tolist()], (-1, P + 1, P + 1))
     if spec.se_source == "sandwich" and binary:
         # Grouped-binomial score per center is (s - n p) x, so the meat is the
         # sum of (s - n p)^2 x x'; the bread is the Fisher information, whose
         # inverse the binary fit already carries as its covariance.
-        X, n, s, _ = block.rows(lanes, start)
+        X, n, s, _ = block.rows(live, start)
         resid = s - n * expit((X @ beta[:, :, None])[:, :, 0])
         cov = cov @ (np.swapaxes(X, 1, 2) @ (X * (resid * resid)[:, :, None])) @ cov
-    se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-    x_rec = x_opt = propt = [None] * lanes.size
-    if spec.goals.outcome_goal is not None:
-        x_opt = propt = [finals[j].x_hat for j in ok]
-    if recs:  # every lane left made every staged decision
-        x_rec = propt = [recs[i].x_hat for i in lanes.tolist()]
-    if lanes.size and propt[0] is not None:  # the last recommendation, else the final package
-        propt = _predict_lanes(truth.link, truth.beta[0], truth.effects,
-                               np.reshape(propt, (lanes.size, P))).tolist()
-    for j, i in enumerate(lanes.tolist()):
-        outcomes[i] = ("ok", {"beta": beta[j], "se": se[j], "reject": bool(rejects[ok[j]]),
-                              "x_rec": x_rec[j], "x_opt": x_opt[j], "propt": propt[j]})
-    return outcomes
+    cols["beta"][live], cols["se"][live] = beta, np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    # the last recommendation, else the final package
+    x = np.where(np.isnan(cols["x_rec"]), cols["x_opt"], cols["x_rec"])[live]
+    cols["propt"][live] = _predict_lanes(truth.link, truth.beta[0], truth.effects, x)
+    return cols
 
 
 # ---------------------------------------------------------------------------
 # the scenario runner
 
 
-def _rel_bias_pct(estimate, reference):
-    out = []
-    for est, ref in zip(estimate, reference):
-        out.append(abs(100.0 * (est - ref) / ref) if ref != 0.0 else float("nan"))
-    return tuple(out)
+def _rel_bias_pct(estimate, reference) -> tuple:
+    """|100 (estimate - reference) / reference|, NaN where the reference is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tuple(np.where(reference != 0.0, np.abs(100.0 * (estimate - reference) / reference),
+                              np.nan))
 
 
 def true_optimum(spec: ScenarioSpec):
@@ -636,60 +649,45 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=1) -> MetricsReport:
     else:
         with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
             results = list(pool.map(run_block, blocks))
-    outcomes = [o for block in results for o in block]
-
-    payloads = [p for status, p in outcomes if status == "ok"]
-    failure_kinds: dict = {}
-    for status, p in outcomes:
-        if status == "fail":
-            failure_kinds[p] = failure_kinds.get(p, 0) + 1
-    failures = spec.replicates - len(payloads)
-
-    n_beta = len(spec.true_beta)
-    betas = np.array([p["beta"] for p in payloads]).reshape(-1, n_beta)
-    ses = np.array([p["se"] for p in payloads]).reshape(-1, n_beta)
-    rejects = np.array([p["reject"] for p in payloads], dtype=float)
+    cols = {name: np.concatenate([block[name] for block in results]) for name in results[0]}
+    ok = cols["kind"] == ""
+    n_used = int(np.count_nonzero(ok))
+    betas, ses = cols["beta"][ok], cols["se"][ok]
     beta_star = np.asarray(spec.true_beta)
 
     with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
         # With every replicate failed each mean is of an empty slice: NaN.
         warnings.simplefilter("ignore", RuntimeWarning)
         mean_beta = betas.mean(axis=0)
-        emp_sd = betas.std(axis=0, ddof=1) if len(payloads) > 1 else np.full(n_beta, np.nan)
+        emp_sd = betas.std(axis=0, ddof=1)  # NaN for fewer than two
         se_ratio = tuple(100.0 * ses.mean(axis=0) / emp_sd)
         z = norm_quantile(0.975)
         covered = np.abs(betas - beta_star) <= z * ses
         cp95 = tuple(100.0 * covered.mean(axis=0))
-        power_pct = 100.0 * rejects.mean()
+        power_pct = 100.0 * cols["reject"][ok].mean()
 
-    x_star = true_optimum(spec)
-    opt_rel_bias = None
-    opts = [p["x_opt"] for p in payloads if p["x_opt"] is not None]
-    if x_star is not None and opts:
-        opt_rel_bias = _rel_bias_pct(np.vstack(opts).mean(axis=0), x_star)
-
-    recs = [p["x_rec"] for p in payloads if p["x_rec"] is not None]
-    mean_rec = tuple(np.vstack(recs).mean(axis=0)) if recs else None
-
-    propts = np.array([p["propt"] for p in payloads if p["propt"] is not None])
-    if len(propts):
-        q_lo, q_hi = np.quantile(propts, [0.025, 0.975])
-    else:
-        q_lo = q_hi = None
+    x_star, staged = true_optimum(spec), any(_recommends(spec, sp) for sp in spec.stages)
+    opt_rel_bias = mean_rec = q_lo = q_hi = None
+    if n_used and x_star is not None:
+        opt_rel_bias = _rel_bias_pct(cols["x_opt"][ok].mean(axis=0), x_star)
+    if n_used and staged:
+        mean_rec = tuple(cols["x_rec"][ok].mean(axis=0))
+    if n_used and (staged or spec.goals.outcome_goal is not None):
+        q_lo, q_hi = np.quantile(cols["propt"][ok], [0.025, 0.975]).tolist()
 
     return MetricsReport(
         scenario=spec.name,
         replicates=spec.replicates,
-        n_used=len(payloads),
-        failures=failures,
-        failure_kinds=failure_kinds,
+        n_used=n_used,
+        failures=spec.replicates - n_used,
+        failure_kinds=dict(Counter(kind for kind in cols["kind"].tolist() if kind)),
         power_pct=power_pct,
         rel_bias_pct=_rel_bias_pct(mean_beta, beta_star),
         se_over_emp_sd_pct=se_ratio,
         cp95_pct=cp95,
         opt_rel_bias_pct=opt_rel_bias,
-        propt_q2p5=None if q_lo is None else float(q_lo),
-        propt_q97p5=None if q_hi is None else float(q_hi),
+        propt_q2p5=q_lo,
+        propt_q97p5=q_hi,
         mean_recommendation=mean_rec,
         true_optimum=None if x_star is None else tuple(x_star),
         seed=seed,

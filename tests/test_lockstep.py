@@ -8,9 +8,9 @@ public ``trial`` API, one draw call per center with its outcome vector, its
 deployed packages and sandwich covariance per replicate), and the
 single-design fits ``fit_binary`` and ``fit_continuous`` ran before each
 became the one-lane call of its kernel, are kept here as oracles: the
-engine's reports and the kernels' fits must agree with them bitwise, with
-the same error type and message, and a lane's result must not depend on
-the other lanes of its stack.
+engine's reports, its block columns and the kernels' fits must agree with
+them bitwise, with the same error type and message, and a lane's result
+must not depend on the other lanes of its stack.
 """
 
 import ast
@@ -322,14 +322,38 @@ def _simulate_replicate(spec, config, child_seed):
         return ("fail", type(exc).__name__)
 
 
+def _as_columns(results, n_components):
+    """Per-replicate ("ok", payload) / ("fail", kind) results packed as
+    ``_simulate_block``'s columns: one row per replicate, NaN (False for
+    ``reject``) where the replicate failed or the payload holds None."""
+    P = n_components
+    blanks = {"beta": np.full(P + 1, np.nan), "se": np.full(P + 1, np.nan), "reject": False,
+              "x_rec": np.full(P, np.nan), "x_opt": np.full(P, np.nan), "propt": np.nan}
+    kinds = [p if status == "fail" else "" for status, p in results]
+    cols = {"kind": np.array(kinds, dtype=object)}
+    for name, blank in blanks.items():
+        rows = [blank if status == "fail" or p[name] is None else p[name] for status, p in results]
+        cols[name] = np.array(rows, dtype=np.asarray(blank).dtype).reshape(
+            (len(rows),) + np.shape(blank))
+    return cols
+
+
+def _oracle_block(spec, config, seeds):
+    """``_simulate_block``'s columns, every replicate run by the oracle."""
+    return _as_columns([_simulate_replicate(spec, config, cs) for cs in seeds],
+                       spec.n_components)
+
+
+def _oracle_fits(patch):
+    patch.setattr(trial_module, "fit_binary", _fit_binary_scalar)
+    patch.setattr(trial_module, "fit_continuous", _fit_continuous_scalar)
+
+
 def _oracle_report(monkeypatch, spec, seed):
     """``run_scenario``'s report with every replicate run by the oracles."""
     with monkeypatch.context() as patch:
-        patch.setattr(trial_module, "fit_binary", _fit_binary_scalar)
-        patch.setattr(trial_module, "fit_continuous", _fit_continuous_scalar)
-        patch.setattr(sim, "_simulate_block", lambda spec, config, seeds: [
-            _simulate_replicate(spec, config, cs) for cs in seeds
-        ])
+        _oracle_fits(patch)
+        patch.setattr(sim, "_simulate_block", _oracle_block)
         return sim.run_scenario(spec, seed=seed, threads=1).to_dict()
 
 
@@ -341,6 +365,17 @@ def _shift_second_component(stage, center, x):
     out = np.asarray(x, dtype=float).copy()
     out[1] = min(out[1] + 1.0, 8.0)
     return out
+
+
+def _nan_second_component_from_four(stage, center, x):
+    out = np.asarray(x, dtype=float).copy()
+    if stage == 2 and out[1] >= 4.0:
+        out[1] = math.nan
+    return out
+
+
+def _nan_package_at_stage_two(stage, center, x):
+    return np.full(2, math.nan) if stage == 2 else x
 
 
 def _three_stage(spec):
@@ -404,6 +439,15 @@ SPECS = {
     "1a-decrease": lambda: dataclasses.replace(sim.scenario_1a(replicates=20, goals=lago.GoalSpec(
         outcome_goal=0.35, direction="decrease", power_goal=0.8, approach="conditional",
         test=lago.TestSelector("z_unpooled"))), true_beta=(0.1, -0.3, -0.15)),
+    # two failure kinds: a NaN deployed package fails the draw, and small
+    # centers separate some fits
+    "1a-two-kinds": lambda: dataclasses.replace(
+        sim.scenario_1a(n_per_center=3, replicates=120),
+        distortion=_nan_second_component_from_four),
+    # every lane decides stage 2, then fails its draw
+    "1a-all-fail": lambda: dataclasses.replace(
+        sim.scenario_1a(replicates=20, goals=_power("conditional", "z_unpooled")),
+        distortion=_nan_package_at_stage_two),
 }
 
 
@@ -415,8 +459,33 @@ def test_run_scenario_matches_per_replicate_oracle_bitwise(monkeypatch, name):
     assert repr(got) == repr(want)
     if name == "1a-n3-separation":
         assert got["failure_kinds"].get("SeparationError", 0) > 0, got["failure_kinds"]
+    elif name == "1a-two-kinds":
+        assert list(got["failure_kinds"]) == ["NonFiniteError", "SeparationError"], got
+        assert got["n_used"] > 0
+    elif name == "1a-all-fail":
+        assert got["failure_kinds"] == {"NonFiniteError": spec.replicates}
+        assert got["mean_recommendation"] is None and got["propt_q2p5"] is None
     else:
         assert got["n_used"] > 0
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_block_columns_match_the_oracle_lane_by_lane(monkeypatch, name):
+    # The report's quantiles and means do not see a permutation of the
+    # lanes; the columns do, row by row, NaN positions included.
+    spec = SPECS[name]()
+    config = sim._trial_config(spec)
+    seeds = np.random.SeedSequence(29).spawn(spec.replicates)
+    got = sim._simulate_block(spec, config, seeds)
+    with monkeypatch.context() as patch:
+        _oracle_fits(patch)
+        want = _oracle_block(spec, config, seeds)
+    assert list(got) == list(want)
+    assert got["kind"].tolist() == want["kind"].tolist()
+    for field in list(want)[1:]:
+        assert got[field].dtype == want[field].dtype, field
+        assert got[field].shape == want[field].shape, field
+        assert got[field].tobytes() == want[field].tobytes(), field
 
 
 def _without_anchor(monkeypatch):

@@ -376,6 +376,23 @@ def test_metrics_csv_row_matches_header():
     assert len(rep.csv_row()) == len(rep.csv_header())
 
 
+def test_csv_header_depends_only_on_the_component_count():
+    # A run whose replicates all fail, and a design that never optimizes,
+    # leave the package metrics empty but keep their columns.
+    completed = run_scenario(small(scenario_1a, reps=6), seed=SEED)
+    failed = run_scenario(dataclasses.replace(scenario_1a(replicates=4),
+                                              true_beta=(30.0, 0.3, 0.15)), seed=3)
+    repeat = run_scenario(small(scenario_2b, reps=6), seed=SEED)
+    assert completed.n_used == 6 and failed.n_used == 0 and repeat.opt_rel_bias_pct is None
+    header = completed.csv_header()
+    assert len(header) == 19 and "opt_rel_bias_pct_x2" in header
+    for rep in (failed, repeat):
+        assert rep.csv_header() == header
+        assert len(rep.csv_row()) == len(header)
+    cells = dict(zip(header, repeat.csv_row()))
+    assert cells["opt_rel_bias_pct_x1"] == cells["opt_rel_bias_pct_x2"] == ""
+
+
 def _shift_second_component(stage, center, x):
     out = np.asarray(x, dtype=float).copy()
     out[1] = min(out[1] + 1.0, 8.0)
