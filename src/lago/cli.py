@@ -41,6 +41,7 @@ from .power import (
     ArmSummary,
     TEST_KINDS,
     TestSelector,
+    _check_summary,
     _default_test,
     conditional_constraint_slack,
     unconditional_lambda,
@@ -222,15 +223,7 @@ class CoefficientFixture:
         if not (np.isfinite(self.beta).all() and np.isfinite(self.covariance).all()):
             raise ValueError("beta and covariance entries must be finite")
         if self.arm_summary is not None:
-            for name in ("n1_obs", "n0_obs", "n1_future", "n0_future"):
-                if not 0.0 <= float(getattr(self.arm_summary, name)) < math.inf:
-                    raise ValueError(f"arm_summary {name} must be finite and nonnegative")
-            for name in ("s1_obs", "s0_obs"):
-                if not math.isfinite(float(getattr(self.arm_summary, name))):
-                    raise ValueError(f"arm_summary {name} must be finite")
-            s = self.arm_summary
-            if not (s.n1_obs + s.n1_future > 0 and s.n0_obs + s.n0_future > 0):
-                raise ValueError("arm_summary needs observations in each arm (obs + future > 0)")
+            _check_summary(self.arm_summary, binary=False)
 
     @property
     def model(self) -> FittedModel:

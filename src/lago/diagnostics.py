@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction
-from .errors import LagoError
+from .errors import LagoError, _check_count
 from .model import CenterData, FittedModel, StageRecord, _assumed, _json_fields, predict
 from .optimizer import GoalSpec, _bounds_arrays, min_cost_subject_to_threshold, power_threshold
 from .power import TestSelector, norm_quantile
@@ -199,8 +199,8 @@ def verify_assumption7(
         raise ValueError("epsilon must be positive and finite")
     if not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
-    if L < 1 or M < 1:
-        raise ValueError("L and M must be at least 1")
+    _check_count("L", L, 1)
+    _check_count("M", M, 1)
 
     if isinstance(model_or_beta, FittedModel):
         base_model = model_or_beta

@@ -1,12 +1,20 @@
 """Exception taxonomy for the LAGO engine.
 
-Validation problems (bad shapes, impossible configs) raise plain ValueError;
-the classes here mark *numerical* conditions a caller may want to catch and
-handle (fall through to another algorithm branch, count a failed replicate,
-map to a CLI exit code).
+Validation problems (bad shapes, impossible configs) raise plain ValueError,
+some through the shared checks here; the classes here mark *numerical*
+conditions a caller may want to catch and handle (fall through to another
+algorithm branch, count a failed replicate, map to a CLI exit code).
 """
 
 import contextlib
+
+import numpy as np
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """``value`` is an integer (not a bool, never truncated) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @contextlib.contextmanager

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cost import CostFunction, _ComponentPoly
-from .errors import DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError
+from .errors import (DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError,
+                     _check_count)
 from .model import (
     FittedModel,
     _assumed,
@@ -42,6 +43,7 @@ from .model import (
 from .power import (
     ArmSummary,
     TestSelector,
+    _check_summary,
     _lane_projection,
     _LaneSummaries,
     _passing_root,
@@ -903,57 +905,100 @@ def _state_summary(trial_state, test: TestSelector | None, k: int) -> ArmSummary
     return ArmSummary.from_records(records, future=future, continuous=continuous)
 
 
-def _threshold_core(model, summary, goals: GoalSpec, cost, lo, hi, eta_hi=None):
-    """Smallest future outcome level that certifies the power goal.
+def _threshold_core(models, summaries, goals: GoalSpec, cost, lo, hi, beta, eta_max, out):
+    """Each lane's smallest future outcome level that certifies the power
+    goal: the package's one threshold search.
 
-    Returns (raw_level, eta_work).  The bracket runs on the working linear
-    predictor from the control level to the best level attainable in the
-    validated bounds (lo, hi), ``eta_hi`` when the caller has it.  Inside
-    it the threshold is the root of a signed residual that is >= 0 exactly
-    where the goal is certified (so nan fails): power - pi
-    (-inf while the projected drift points the wrong way) for the
-    unconditional approach, -slack for the conditional one, and the power of
-    the cost-minimal package minus pi for the Wald test.
-    ``_passing_root`` narrows the bracket below ``_THRESHOLD_RTOL`` relative
-    width and the passing end is returned, so the certificate always holds
-    at the reported level.  The residuals share one ``_Projection``, so
-    the level-free parts of the power (the Wald critical value among them)
-    are computed once per search.
+    Returns (proj, eta_pow): the lanes' ``_lane_projection`` (None for the
+    Wald tests and for one lane) and each lane's threshold on the working
+    scale, nan where none exists inside the validated bounds (lo, hi).
+    ``beta`` stacks the lanes' coefficients and ``eta_max`` their best
+    working levels.  A lane whose search raises a ``_LANE_ERRORS`` error
+    gets it in ``out``; any other exception propagates.
+
+    A lane's bracket runs on the working linear predictor from its control
+    level to its best level, and its threshold is the root of a signed
+    residual that is >= 0 exactly where the goal is certified (so nan
+    fails): power - pi (-inf while the projected drift points the wrong way)
+    unconditionally, -slack conditionally, and for the Wald test the power
+    of the cost-minimal package minus pi.  The lanes step in lockstep
+    through one ``_passing_roots`` call, which returns each bracket's
+    passing end, so the certificate holds at the reported level.  The lanes
+    of ``proj.exact`` are evaluated as arrays; every other lane (Wald,
+    outside ``exact``, or alone in its call) by the scalar residual on its
+    own ``_Projection``, which computes the level-free parts once per search.
     """
+    L = len(models)
     test, alpha, pi = goals.test, goals.alpha, goals.power_goal
-    direction = goals.direction
+    direction, link = goals.direction, models[0].link
     sign = 1.0 if direction == "increase" else -1.0
-    wm = _work_model(model, direction)
-    eta_lo = wm.intercept
-    if eta_hi is None:
-        _, eta_hi = _eta_extremes(wm, lo, hi)
-    summary = _Projection(model, summary, test, alpha, pi)
+    proj, exact = None, np.zeros(L, bool)
+    if L > 1 and not test.wald:
+        proj = _lane_projection(link, beta[:, 0], summaries, test, alpha, pi)
+        exact = proj.exact
+    own = {i: _Projection(models[i], summaries[i], test, alpha, pi)
+           for i in np.flatnonzero(~exact).tolist()}
+    level, failed = np.zeros(L), np.zeros(L, bool)
 
-    def residual(eta_w: float) -> float:
-        raw = _raw_level(model.link, eta_w, direction)
-        if test.wald:
-            x = _min_cost_at_level(model, cost, lo, hi, raw, direction)
-            return unconditional_power(x, model, summary, test, alpha) - pi
-        if goals.approach == "unconditional":
-            drift = projected_drift_at_level(raw, model, summary)
-            if sign * drift <= 0.0:
-                return -math.inf
-            return unconditional_power_at_level(raw, model, summary, test, alpha) - pi
-        return -conditional_slack_at_level(
-            raw, model, summary, test, alpha, pi,
-            direction=direction, scale=goals.conditional_scale,
-        )
+    def scalar(i, eta_w: float) -> float:
+        """Lane i's residual by the scalar forms; nan once it has raised."""
+        if failed[i]:
+            return math.nan
+        model, summary = models[i], own[i]
+        try:
+            raw = _raw_level(link, eta_w, direction)
+            if test.wald:
+                x = _min_cost_at_level(model, cost, lo, hi, raw, direction)
+                return unconditional_power(x, model, summary, test, alpha) - pi
+            if goals.approach == "unconditional":
+                drift = projected_drift_at_level(raw, model, summary)
+                if sign * drift <= 0.0:
+                    return -math.inf
+                return unconditional_power_at_level(raw, model, summary, test, alpha) - pi
+            return -conditional_slack_at_level(
+                raw, model, summary, test, alpha, pi,
+                direction=direction, scale=goals.conditional_scale,
+            )
+        except _LANE_ERRORS as exc:
+            failed[i], out[i] = True, exc
+            return math.nan
 
-    f_lo = residual(eta_lo)
-    if f_lo >= 0.0:
-        return _raw_level(model.link, eta_lo, direction), eta_lo
-    f_hi = residual(eta_hi)
-    if not f_hi >= 0.0:
-        raise NoThresholdError(
-            "the power goal is not certified anywhere inside the bounds"
-        )
-    eta, _ = _passing_root(residual, eta_lo, eta_hi, f_lo, f_hi)
-    return _raw_level(model.link, eta, direction), eta
+    def residual(eta_w, at):
+        """The residuals of the lanes ``at`` at the working levels ``eta_w``;
+        nan on a lane whose residual has raised, which is evaluated no more."""
+        if own:
+            f = np.array([scalar(i, x) if i in own else math.nan
+                          for i, x in zip(at.tolist(), eta_w.tolist())])
+        else:
+            f = np.full(at.size, math.nan)
+        if proj is None:
+            return f
+        fast = exact[at] & ~failed[at]
+        lanes = at[fast]
+        # The arrays hold every lane, and a lane outside ``exact`` may divide
+        # by zero there; no entry of such a lane is read.
+        with np.errstate(all="ignore"):
+            level[lanes] = _link_inverse_lanes(link, sign * eta_w[fast])
+            f[fast], degenerate = _threshold_residual_lanes(
+                level, lanes, proj, goals.approach, direction, goals.conditional_scale)
+        for i in lanes[degenerate].tolist():
+            failed[i], out[i] = True, DegenerateVarianceError("zero projected variance")
+        return f
+
+    eta_lo = sign * beta[:, 0]  # the control levels
+    f_lo = residual(eta_lo, np.arange(L))
+    passing = f_lo >= 0.0
+    eta_pow = np.where(passing, eta_lo, math.nan)
+    lanes = np.flatnonzero(~passing & ~failed)
+    f_hi = residual(eta_max[lanes], lanes)
+    bracketed = f_hi >= 0.0
+    roots = lanes[bracketed]
+    eta_pow[roots] = _passing_roots(
+        lambda x, at: residual(x, roots[at]),
+        eta_lo[roots], eta_max[roots], f_lo[roots], f_hi[bracketed],
+    )[0]
+    eta_pow[failed] = math.nan
+    return proj, eta_pow
 
 
 def power_threshold(
@@ -977,7 +1022,15 @@ def power_threshold(
     k_next = len(trial_state.completed) + 1
     summary = _state_summary(trial_state, goals.test, k_next)
     lo, hi = _bounds_arrays(bounds, model.n_components)
-    return _threshold_core(model, summary, goals, cost, lo, hi)[0]
+    _, eta_max = _eta_extremes(_work_model(model, goals.direction), lo, hi)
+    out = [None]
+    _, (eta,) = _threshold_core([model], [summary], goals, cost, lo, hi,
+                                np.array([model.beta], dtype=float), np.array([eta_max]), out)
+    if out[0] is not None:
+        raise out[0]
+    if math.isnan(eta):
+        raise NoThresholdError("the power goal is not certified anywhere inside the bounds")
+    return _raw_level(model.link, float(eta), goals.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -998,6 +1051,8 @@ def shrinking_method(model: FittedModel, bounds, stage1_x, outcome_goal: float):
     x1 = np.asarray(stage1_x, dtype=float)
     if x1.size != model.n_components:
         raise ValueError("stage1_x has the wrong number of components")
+    if not np.isfinite(x1).all():
+        raise ValueError("stage1_x must be finite")
     _check_level_domain(model.link, outcome_goal, what="outcome_goal")
     g_t = float(link_forward(model.link, outcome_goal))
     b = model.effects
@@ -1057,6 +1112,8 @@ def recommend_from_summary(
     None when the goals carry no power goal.
     """
     lo, hi = _bounds_arrays(bounds, model.n_components)
+    if goals.power_goal is not None and summary is not None:
+        _check_summary(summary, binary=not goals.test.continuous_outcome)
     (rec,) = _recommend_lanes([model], [summary], goals, cost, lo, hi, [stage1_x])
     if isinstance(rec, Exception):
         raise rec
@@ -1071,14 +1128,15 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
     ``power._LaneSummaries``.
 
     The lanes are decided together, as arrays: the best working level, the
-    power threshold (``_power_thresholds``), the regime, one
+    power threshold (one ``_threshold_core`` search), the regime, one
     ``_min_cost_lanes`` call for the goal-feasible and pmax lanes, the
     shrinking fallback for each shrinking lane, then the achieved outcome,
-    projected power and cost.  Each lane's Recommendation is bitwise the
-    one its own decision gives; the tests keep that per-lane decision as
-    the oracle.  Returns, per lane, its Recommendation or the
-    ``_LANE_ERRORS`` exception its decision raised; any other exception
-    propagates.
+    projected power and cost.  A lane outside the search's ``exact`` lanes
+    takes the scalar ``_projected_power``, as it took the scalar residual.
+    Each lane's Recommendation is bitwise the one its own decision gives;
+    the tests keep that per-lane decision as the oracle.  Returns, per
+    lane, its Recommendation or the ``_LANE_ERRORS`` exception its decision
+    raised; any other exception propagates.
     """
     L = len(models)
     out = [None] * L
@@ -1101,7 +1159,7 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
     if goals.power_goal is not None:
         if not isinstance(summaries, _LaneSummaries) and any(s is None for s in summaries):
             raise ValueError("a power goal needs observed/planned arm sizes")
-        proj, eta_pow = _power_thresholds(models, summaries, goals, cost, lo, hi, beta, eta_max, out)
+        proj, eta_pow = _threshold_core(models, summaries, goals, cost, lo, hi, beta, eta_max, out)
 
     attainable = ~np.isnan(eta_pow)
     if eta_goal is None:
@@ -1155,7 +1213,7 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
         if lanes.size:
             level = np.zeros(L)
             level[done] = achieved
-            with np.errstate(all="ignore"):  # as in _power_thresholds
+            with np.errstate(all="ignore"):  # as in _threshold_core
                 values, degenerate = _projected_power_lanes(
                     level, lanes, proj, goals.approach, direction)
             for i, value, bad in zip(lanes.tolist(), values.tolist(), degenerate.tolist()):
@@ -1179,77 +1237,6 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
                 cost=total,
             )
     return out
-
-
-def _power_thresholds(models, summaries, goals: GoalSpec, cost, lo, hi, beta, eta_max, out):
-    """Each lane's power threshold on the working scale, nan where none
-    exists inside the bounds, and the 1-df lanes' ``_lane_projection``
-    (None for the Wald tests).  ``beta`` stacks the lanes' coefficients and
-    ``eta_max`` their best working levels.  A lane whose search raises a
-    ``_LANE_ERRORS`` error gets it in ``out``.
-
-    The 1-df lanes search together, as ``_threshold_core`` does one lane:
-    the residual at the control levels, then at the best levels, then one
-    ``_passing_roots`` call; each step evaluates every searching lane at
-    once.  Wald lanes, and the lanes outside the projection's ``exact``
-    mask, call ``_threshold_core``.
-    """
-    L = len(models)
-    direction, link = goals.direction, models[0].link
-    sign = 1.0 if direction == "increase" else -1.0
-    eta_pow = np.full(L, math.nan)
-    proj = None
-    if not goals.test.wald:
-        proj = _lane_projection(
-            link, beta[:, 0], summaries, goals.test, goals.alpha, goals.power_goal)
-    exact = np.zeros(L, bool) if proj is None else proj.exact
-    for i in np.flatnonzero(~exact).tolist():
-        try:
-            eta_pow[i] = _threshold_core(
-                models[i], summaries[i], goals, cost, lo, hi, float(eta_max[i]))[1]
-        except NoThresholdError:
-            pass
-        except _LANE_ERRORS as exc:
-            out[i] = exc
-    lanes = np.flatnonzero(exact)
-    if not lanes.size:
-        return proj, eta_pow
-
-    level, failed = np.zeros(L), np.zeros(L, bool)
-
-    def residual(eta_w, at):
-        """The residuals of the lanes ``at`` at the working levels ``eta_w``;
-        nan on a lane whose residual has raised, which is evaluated no more."""
-        f = np.full(at.size, math.nan)
-        ok = ~failed[at]
-        at, eta_w = at[ok], eta_w[ok]
-        level[at] = _link_inverse_lanes(link, sign * eta_w)
-        f[ok], degenerate = _threshold_residual_lanes(
-            level, at, proj, goals.approach, direction, goals.conditional_scale)
-        for i in at[degenerate].tolist():
-            failed[i] = True
-            out[i] = DegenerateVarianceError("zero projected variance")
-        return f
-
-    # The residual arrays hold every lane, and a lane outside ``exact`` may
-    # divide by zero there; no entry of such a lane is read.
-    with np.errstate(all="ignore"):
-        eta_lo = sign * beta[lanes, 0]  # the control level
-        f_lo = residual(eta_lo, lanes)
-        passing = f_lo >= 0.0
-        eta_pow[lanes[passing]] = eta_lo[passing]
-        rest = ~passing & ~failed[lanes]
-        lanes, eta_lo, f_lo = lanes[rest], eta_lo[rest], f_lo[rest]
-        f_hi = residual(eta_max[lanes], lanes)
-        bracketed = f_hi >= 0.0
-        roots = lanes[bracketed]
-        if roots.size:
-            eta_pow[roots] = _passing_roots(
-                lambda x, at: residual(x, roots[at]),
-                eta_lo[bracketed], eta_max[roots], f_lo[bracketed], f_hi[bracketed],
-            )[0]
-    eta_pow[failed] = math.nan
-    return proj, eta_pow
 
 
 def _projected_power(x, model, summary, goals: GoalSpec) -> float:
@@ -1414,8 +1401,7 @@ def min_cost_per_center(
     noncentrality margin between the outcome-goal level and the best one).
     Binary outcomes only.
     """
-    if n_centers < 1:
-        raise ValueError("n_centers must be at least 1")
+    _check_count("n_centers", n_centers, 1)
     if goals.test is None or not goals.test.wald:
         raise ValueError("per-center packages are only defined for the Wald path")
     if goals.test.continuous_outcome or model.link != "logit":

@@ -483,6 +483,23 @@ class ArmSummary:
                    var1_obs=var[1], var0_obs=var[0], design_obs=design_obs)
 
 
+def _check_summary(summary: ArmSummary, binary: bool) -> None:
+    """Refuse, naming the field, an arm summary the power formulas cannot
+    use: a negative or non-finite count or variance, a non-finite sum,
+    (``binary``) a sum outside [0, its observed count], or an empty arm."""
+    for name in ("n1_obs", "n0_obs", "n1_future", "n0_future", "var1_obs", "var0_obs"):
+        value = getattr(summary, name)
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"arm_summary {name} must be finite and nonnegative, got {value!r}")
+    for name, count in (("s1_obs", "n1_obs"), ("s0_obs", "n0_obs")):
+        value = getattr(summary, name)
+        if not math.isfinite(value) or binary and not 0.0 <= value <= getattr(summary, count):
+            rule = f"in [0, {count}]" if binary else "finite"
+            raise ValueError(f"arm_summary {name} must be {rule}, got {value!r}")
+    if not (summary.N1 > 0 and summary.N0 > 0):
+        raise ValueError("arm_summary needs observations in each arm (obs + future > 0)")
+
+
 def _pooled_variance(centers, n: float, total):
     """Sample variance (ddof 1) of the ``n`` outcomes of ``centers``, (size,
     outcome sum, m2) triples, which sum to ``total``: m2 pools as
@@ -1084,11 +1101,12 @@ def _unconditional_power_lanes(diff, unpooled_var, test_var, z_half_alpha):
 
 
 def _threshold_residual_lanes(level, lanes, proj, approach, direction, scale):
-    """``_threshold_core``'s 1-df residual of the lanes ``lanes`` at the raw
-    levels ``level`` (an array over every lane of ``proj``): the negated
-    conditional slack, or the unconditional power minus pi, -inf while the
-    projected drift points the wrong way.  Returns (residuals, degenerate)
-    as ``_unconditional_power_lanes`` does."""
+    """``optimizer._threshold_core``'s 1-df residual as arrays, bitwise the
+    scalar one, for the lanes ``lanes`` of ``proj.exact`` at the raw levels
+    ``level`` (an array over every lane of ``proj``): the negated conditional
+    slack, or the unconditional power minus pi, -inf while the projected
+    drift points the wrong way.  Returns (residuals, degenerate) as
+    ``_unconditional_power_lanes`` does."""
     if approach == "conditional":
         slack = conditional_slack_at_level(
             level, None, proj, proj.test, proj.alpha, proj.pi, direction=direction, scale=scale,

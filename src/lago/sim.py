@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import CostFunction
-from .errors import InfeasibleError, NonFiniteError, config_errors
+from .errors import InfeasibleError, NonFiniteError, _check_count, config_errors
 from .model import (
     CONTINUOUS_LINKS,
     FittedModel,
@@ -80,12 +80,6 @@ BLOCK_LANES = 512
 
 # ---------------------------------------------------------------------------
 # scenario description
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """``value`` is an integer (not a bool, never truncated) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

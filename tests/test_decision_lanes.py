@@ -1,14 +1,16 @@
 """Differential tests for the lockstep decision of many lanes.
 
-``optimizer._recommend_lanes`` decides every lane of a call as arrays: one
-``power._passing_roots`` search for the 1-df power thresholds, with the
-residuals evaluated for all searching lanes at once.  The per-lane decision
-it replaced (``_decide`` and ``_assemble`` around the scalar
-``_threshold_core``) is kept here verbatim as the oracle: every lane's
-Recommendation must equal it bitwise, or fail with the same error type and
-message, whatever the lane order or the chunking of the lanes into calls.
-``_passing_roots`` is held to the scalar ``_passing_root`` the same way,
-down to the points each lane evaluates.
+``optimizer._recommend_lanes`` decides every lane of a call as arrays, and
+its one threshold search, ``optimizer._threshold_core``, runs every lane's
+Brent search in lockstep through ``power._passing_roots``: the 1-df lanes
+of its lane projection are evaluated all at once, every other lane by the
+scalar residual.  The per-lane decision it replaced (``_decide`` and
+``_assemble`` around the scalar ``_threshold_core``, here
+``_scalar_threshold_core``) is kept here verbatim as the oracle: every
+lane's Recommendation must equal it bitwise, or fail with the same error
+type and message, whatever the lane order or the chunking of the lanes into
+calls.  ``_passing_roots`` is held to the scalar ``_passing_root`` the same
+way, down to the points each lane evaluates.
 """
 
 import ast
@@ -33,11 +35,11 @@ from lago.optimizer import (
     Recommendation,
     _check_level_domain,
     _eta_extremes,
+    _min_cost_at_level,
     _min_cost_lanes,
     _projected_power,
     _raw_level,
     _recommend_lanes,
-    _threshold_core,
     _work_model,
     shrinking_method,
 )
@@ -47,11 +49,69 @@ from lago.power import (
     TestSelector as Selector,
     _passing_root,
     _passing_roots,
+    _Projection,
+    conditional_slack_at_level,
+    projected_drift_at_level,
+    unconditional_power,
+    unconditional_power_at_level,
 )
 from test_lockstep import SPECS
 
 # ---------------------------------------------------------------------------
 # the per-lane decision (the oracle)
+
+
+def _scalar_threshold_core(model, summary, goals: GoalSpec, cost, lo, hi, eta_hi=None):
+    """Smallest future outcome level that certifies the power goal.
+
+    Returns (raw_level, eta_work).  The bracket runs on the working linear
+    predictor from the control level to the best level attainable in the
+    validated bounds (lo, hi), ``eta_hi`` when the caller has it.  Inside
+    it the threshold is the root of a signed residual that is >= 0 exactly
+    where the goal is certified (so nan fails): power - pi
+    (-inf while the projected drift points the wrong way) for the
+    unconditional approach, -slack for the conditional one, and the power of
+    the cost-minimal package minus pi for the Wald test.
+    ``_passing_root`` narrows the bracket below ``_THRESHOLD_RTOL`` relative
+    width and the passing end is returned, so the certificate always holds
+    at the reported level.  The residuals share one ``_Projection``, so
+    the level-free parts of the power (the Wald critical value among them)
+    are computed once per search.
+    """
+    test, alpha, pi = goals.test, goals.alpha, goals.power_goal
+    direction = goals.direction
+    sign = 1.0 if direction == "increase" else -1.0
+    wm = _work_model(model, direction)
+    eta_lo = wm.intercept
+    if eta_hi is None:
+        _, eta_hi = _eta_extremes(wm, lo, hi)
+    summary = _Projection(model, summary, test, alpha, pi)
+
+    def residual(eta_w: float) -> float:
+        raw = _raw_level(model.link, eta_w, direction)
+        if test.wald:
+            x = _min_cost_at_level(model, cost, lo, hi, raw, direction)
+            return unconditional_power(x, model, summary, test, alpha) - pi
+        if goals.approach == "unconditional":
+            drift = projected_drift_at_level(raw, model, summary)
+            if sign * drift <= 0.0:
+                return -math.inf
+            return unconditional_power_at_level(raw, model, summary, test, alpha) - pi
+        return -conditional_slack_at_level(
+            raw, model, summary, test, alpha, pi,
+            direction=direction, scale=goals.conditional_scale,
+        )
+
+    f_lo = residual(eta_lo)
+    if f_lo >= 0.0:
+        return _raw_level(model.link, eta_lo, direction), eta_lo
+    f_hi = residual(eta_hi)
+    if not f_hi >= 0.0:
+        raise NoThresholdError(
+            "the power goal is not certified anywhere inside the bounds"
+        )
+    eta, _ = _passing_root(residual, eta_lo, eta_hi, f_lo, f_hi)
+    return _raw_level(model.link, eta, direction), eta
 
 
 def _decide(model: FittedModel, summary, goals: GoalSpec, cost, lo, hi):
@@ -78,7 +138,7 @@ def _decide(model: FittedModel, summary, goals: GoalSpec, cost, lo, hi):
         if summary is None:
             raise ValueError("a power goal needs observed/planned arm sizes")
         try:
-            _, eta_pow_w = _threshold_core(model, summary, goals, cost, lo, hi, eta_max_w)
+            _, eta_pow_w = _scalar_threshold_core(model, summary, goals, cost, lo, hi, eta_max_w)
             pow_attainable = True
         except NoThresholdError:
             pow_attainable = False
@@ -461,6 +521,41 @@ def test_recommend_lanes_match_the_oracle_in_every_one_df_case(kind, approach, s
             assert not isinstance(want, Exception), want
 
 
+def _wald_lane(rng, sign, wrong_way):
+    """A binary lane with the per-center design rows the Wald projections
+    read: the control arm at one center, the intervention arm over three
+    random packages.  A ``wrong_way`` lane's effects point against the goal."""
+    model, summary = _binary_lane(rng, "logit", sign)
+    if wrong_way:
+        model = FittedModel(beta=model.beta * [1.0, -1.0, -1.0], link="logit",
+                            covariance=np.eye(3), n_used=400, kind="binary")
+    packages = [tuple(rng.uniform(LO, HI).tolist()) for _ in range(3)]
+    design = (((0.0, 0.0), summary.n0_obs),) + tuple((x, summary.n1_obs / 3) for x in packages)
+    return model, dataclasses.replace(summary, design_obs=design)
+
+
+@pytest.mark.parametrize("direction", ["increase", "decrease"])
+def test_wald_lanes_match_the_oracle(direction):
+    # The bounds start above zero, so the control level of a wrong-way lane
+    # is out of reach: its min-cost solve fails inside the search.
+    rng = np.random.default_rng([21, direction == "increase"])
+    sign = 1.0 if direction == "increase" else -1.0
+    lo, hi = np.array([0.25, 1.0]), HI
+    lanes = [_wald_lane(rng, sign, wrong_way=i % 4 == 3) for i in range(20)]
+    models, summaries = [m for m, _ in lanes], [s for _, s in lanes]
+    goal = float(np.median([predict(m, [1.0, 4.0]) for m in models]))
+    seen = set()
+    for outcome_goal in (None, goal):
+        goals = GoalSpec(outcome_goal=outcome_goal, direction=direction, power_goal=0.8,
+                         test=Selector("wald_pdf_binary"))
+        anchors = [np.array([1.0, 4.0])] * len(models)
+        want = check_against_oracle(models, summaries, goals, CUBIC, lo, hi, anchors, rng)
+        assert not isinstance(want, Exception), want
+        seen |= {rec.regime if isinstance(rec, Recommendation) else type(rec).__name__
+                 for rec in want}
+    assert {REGIME_GOAL, "InfeasibleError"} <= seen, seen
+
+
 def test_lanes_the_arrays_cannot_reproduce_keep_the_scalar_errors():
     # A degenerate projected variance fails its lane; an empty future arm
     # divides by zero in the scalar forms, which the call raises as they do.
@@ -515,20 +610,32 @@ def _called(func):
 
 
 def test_the_one_df_thresholds_of_the_lanes_go_through_passing_roots():
-    assert "_power_thresholds" in _called(_function("_recommend_lanes"))
-    called = _called(_function("_power_thresholds"))
+    assert "_threshold_core" in _called(_function("_recommend_lanes"))
+    called = _called(_function("_threshold_core"))
     assert {"_passing_roots", "_threshold_residual_lanes"} <= called
     assert "_passing_root" not in called
     callers = {node.name for node in ast.parse(Path(optimizer.__file__).read_text()).body
                if isinstance(node, ast.FunctionDef) and "_threshold_core" in _called(node)}
-    assert callers == {"power_threshold", "_power_thresholds"}
+    assert callers == {"power_threshold", "_recommend_lanes"}
+
+
+# The optimizer's names of the scalar power forms: the scalar residual and
+# the scalar projected power call them, the lane arrays never do.
+SCALAR_POWER_NAMES = (
+    "projected_drift_at_level",
+    "unconditional_power_at_level",
+    "conditional_slack_at_level",
+    "unconditional_power",
+    "conditional_power",
+)
 
 
 @pytest.mark.parametrize("name", ["1a-conditional", "1a-unconditional-z", "continuous-1a-t"])
 def test_a_one_df_run_never_searches_one_lane_at_a_time(monkeypatch, name):
     def scalar(*args, **kwargs):
-        raise AssertionError("a 1-df lane took the scalar threshold search")
+        raise AssertionError("a 1-df lane took a scalar power form")
 
-    monkeypatch.setattr(optimizer, "_threshold_core", scalar)
+    for power_name in SCALAR_POWER_NAMES:
+        monkeypatch.setattr(optimizer, power_name, scalar)
     report = sim.run_scenario(SPECS[name](), seed=31, threads=1)
     assert report.n_used > 0

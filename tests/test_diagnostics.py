@@ -39,7 +39,6 @@ from lago.optimizer import (
     GoalSpec,
     _bounds_arrays,
     _state_summary,
-    _threshold_core,
     min_cost_subject_to_threshold,
 )
 from lago.power import (
@@ -50,6 +49,7 @@ from lago.power import (
 )
 from lago.sim import COST_1A, StagePlan, _planned_stages
 from lago.trial import TrialConfig, ingest_stage, new_trial
+from test_decision_lanes import _scalar_threshold_core
 
 BETA = (0.1, 0.3, 0.15)
 CONTROL = expit(0.1)
@@ -187,7 +187,7 @@ def _dominance_oracle(design, beta, alpha=0.05, pi=0.8, approach="unconditional"
     goals = GoalSpec(power_goal=pi, alpha=alpha, approach=approach, test=test)
     cost = design.cost if design.cost is not None else CostFunction(((None, 0, 0.0),))
     lo, hi = _bounds_arrays(design.bounds, model.n_components)
-    return float(_threshold_core(model, summary, goals, cost, lo, hi)[0])
+    return float(_scalar_threshold_core(model, summary, goals, cost, lo, hi)[0])
 
 
 def _level_or_error(fn, *args, **kw):
@@ -418,3 +418,15 @@ def test_probe_argument_validation(kw):
     args.update(kw)
     with pytest.raises(ValueError):
         verify_assumption7(BETA, LIN_COST, BOUNDS, **args)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("L", 2.5), ("L", True), ("L", np.float64(10.0)), ("M", 2.0), ("M", True), ("M", -3),
+])
+def test_probe_counts_are_integers(name, value):
+    # L=2.5 raised a TypeError from range; L=True ran one sample.
+    args = {**dict(goal=0.7455, epsilon=0.02, L=10, eta=0.5, seed=1), name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        verify_assumption7(BETA, LIN_COST, BOUNDS, **args)
+    args[name] = np.int64(3)  # a numpy integer is a count
+    assert verify_assumption7(BETA, LIN_COST, BOUNDS, **args).samples_per_center == args["L"]

@@ -7,6 +7,7 @@ instances.  Threshold searches are checked by plugging the returned level
 back into the noncentrality it was meant to hit.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from scipy.special import expit as sp_expit, logit as sp_logit
 
 from lago.cost import CostFunction
 from lago.errors import InfeasibleError, NoThresholdError, NonFiniteError
-from lago.model import CenterData, FittedModel, StageRecord, mirrored, predict
+from lago.model import CenterData, FittedModel, StageRecord, _assumed, mirrored, predict
 from lago.optimizer import (
     GoalSpec,
     _ComponentPoly,
@@ -34,11 +35,13 @@ from lago.optimizer import (
     p_max,
     plan_stage1,
     power_threshold,
+    recommend_from_summary,
     recommend_stage_k,
     shrinking_method,
 )
 from lago.power import ArmSummary, TestSelector as Selector, _wald_lambda_binary
 from lago.power import lambda_at_level, lambda_min, unconditional_lambda, unconditional_power
+from lago.sim import COST_1A
 
 
 def make_model(beta, link="logit"):
@@ -582,6 +585,76 @@ def test_dispatch_continuous_at_pmax_boundary():
     assert just_above.regime in ("goal-feasible", "pmax-fallback")
 
 
+SUMMARY_1A = ArmSummary(120.0, 40.0, 70.0, 20.0, 120.0, 40.0)
+
+
+def _goals_1a(approach="unconditional", **kw):
+    return GoalSpec(outcome_goal=0.64, power_goal=0.8, test=Selector("z_unpooled"),
+                    approach=approach, **kw)
+
+
+BAD_SUMMARIES = [
+    ("n1_future", -50.0, "n1_future must be finite and nonnegative"),
+    ("n0_future", math.inf, "n0_future must be finite and nonnegative"),
+    ("n1_obs", math.nan, "n1_obs must be finite and nonnegative"),
+    ("n0_obs", -1.0, "n0_obs must be finite and nonnegative"),
+    ("s1_obs", math.nan, r"s1_obs must be in \[0, n1_obs\], got nan"),
+    ("s0_obs", -math.inf, r"s0_obs must be in \[0, n0_obs\], got -inf"),
+    ("s1_obs", 700.0, r"s1_obs must be in \[0, n1_obs\], got 700.0"),
+    ("s0_obs", -20.0, r"s0_obs must be in \[0, n0_obs\], got -20.0"),
+    ("var1_obs", -1.0, "var1_obs must be finite and nonnegative"),
+    ("var0_obs", math.nan, "var0_obs must be finite and nonnegative"),
+]
+
+
+@pytest.mark.parametrize("approach", ["unconditional", "conditional"])
+@pytest.mark.parametrize("field, value, message", BAD_SUMMARIES,
+                         ids=[f"{field}={value}" for field, value, _ in BAD_SUMMARIES])
+def test_recommend_from_summary_refuses_an_arm_summary_it_cannot_use(
+        approach, field, value, message):
+    # Each of these ran: a pmax fallback, a nan projected power, or a
+    # goal-feasible package certified at power 1.0 from an impossible sum.
+    bad = dataclasses.replace(SUMMARY_1A, **{field: value})
+    with pytest.raises(ValueError, match=message):
+        recommend_from_summary(_assumed((0.1, 0.3, 0.15)), bad, _goals_1a(approach),
+                               COST_1A, BOUNDS_1A)
+
+
+@pytest.mark.parametrize("arm", ["1", "0"])
+def test_recommend_from_summary_refuses_an_empty_arm(arm):
+    # The scalar power forms divided by the arm's zero size.
+    empty = dataclasses.replace(SUMMARY_1A, **{f"n{arm}_obs": 0.0, f"s{arm}_obs": 0.0,
+                                               f"n{arm}_future": 0.0})
+    with pytest.raises(ValueError, match="arm_summary needs observations in each arm"):
+        recommend_from_summary(_assumed((0.1, 0.3, 0.15)), empty, _goals_1a(), COST_1A, BOUNDS_1A)
+
+
+def test_recommend_from_summary_reads_the_arm_summary_only_for_a_power_goal():
+    model = _assumed((0.1, 0.3, 0.15))
+    rec = recommend_from_summary(model, SUMMARY_1A, _goals_1a(), COST_1A, BOUNDS_1A)
+    assert rec.regime == "goal-feasible"
+    assert rec.x_hat == pytest.approx([1.405, 5.627], abs=5e-4)
+    bad = dataclasses.replace(SUMMARY_1A, s1_obs=700.0)
+    rec = recommend_from_summary(model, bad, GoalSpec(outcome_goal=0.64), COST_1A, BOUNDS_1A)
+    assert rec.regime == "goal-feasible" and rec.projected_power is None
+
+
+def test_a_continuous_tests_sums_are_not_held_to_the_counts():
+    model = FittedModel(beta=np.array([7.0, 0.8, 0.2]), link="identity",
+                        covariance=np.eye(3), n_used=160, kind="continuous", sigma2=64.0)
+    summary = ArmSummary(120.0, 40.0, 120.0 * 8.0, 40.0 * 7.0, 120.0, 40.0,
+                         var1_obs=60.0, var0_obs=64.0)
+    goals = GoalSpec(outcome_goal=8.0, power_goal=0.8, test=Selector("t_unpooled"))
+    rec = recommend_from_summary(model, summary, goals, COST_1A, BOUNDS_1A)
+    assert rec.projected_power is not None
+    with pytest.raises(ValueError, match="s1_obs must be finite, got inf"):
+        recommend_from_summary(model, dataclasses.replace(summary, s1_obs=math.inf), goals,
+                               COST_1A, BOUNDS_1A)
+    with pytest.raises(ValueError, match="var1_obs must be finite and nonnegative"):
+        recommend_from_summary(model, dataclasses.replace(summary, var1_obs=-60.0), goals,
+                               COST_1A, BOUNDS_1A)
+
+
 # ---------------------------------------------------------------------------
 # shrinking fallback
 # ---------------------------------------------------------------------------
@@ -616,6 +689,16 @@ def test_shrinking_respects_bounds():
     m = make_model([0.0, 2.0, 2.0])
     x = shrinking_method(m, BOUNDS_1A, [1.5, 7.0], 0.99)
     assert np.all(x >= [0.0, 0.0]) and np.all(x <= [2.0, 8.0])
+
+
+@pytest.mark.parametrize("anchor", [[math.nan, 1.0], [1.0, math.inf]])
+def test_shrinking_refuses_a_non_finite_anchor(anchor):
+    # The nan anchor gave a shrinking-fallback package (nan, 5.221) at cost nan.
+    with pytest.raises(ValueError, match="stage1_x must be finite"):
+        recommend_from_summary(_assumed((0.1, 0.3, 0.15)), None, GoalSpec(outcome_goal=0.9),
+                               COST_1A, BOUNDS_1A, stage1_x=anchor)
+    with pytest.raises(ValueError, match="stage1_x must be finite"):
+        shrinking_method(MODEL_1A, BOUNDS_1A, anchor, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -803,3 +886,12 @@ def test_per_center_packages_validate_and_summarize_once(monkeypatch):
     got = min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
     assert calls == {"_bounds_arrays": 1, "_state_summary": 1}
     assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+@pytest.mark.parametrize("n_centers", [2.0, True, np.float64(3.0), 0])
+def test_per_center_count_is_an_integer(n_centers):
+    # 2.0 raised a TypeError from range, and True ran as one center.
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary"))
+    with pytest.raises(ValueError, match="n_centers must be an integer >= 1"):
+        min_cost_per_center(MODEL_1A, scenario_state(), goals, n_centers=n_centers)
+    assert len(min_cost_per_center(MODEL_1A, scenario_state(), goals, n_centers=np.int64(2))) == 2

@@ -1,12 +1,14 @@
 """Every scalar equation of the package goes through one root finder.
 
-``power._passing_root`` (Brent's zeroin) solves the power threshold, the
-chi-square quantile, the noncentrality ``lambda_min``, the multiplier of the
-P >= 3 min-cost dual, the per-center Wald level and the BetterBirth arm-rate
-reconstruction.  The oracles here are the bisection loops those sites ran
-before, kept verbatim.  On seeded inputs each site must agree with its
-oracle to the stated tolerance and return the passing end of its bracket.
-An ``ast`` guard keeps every site on the shared root finder.
+``power._passing_root`` (Brent's zeroin) solves the chi-square quantile,
+the noncentrality ``lambda_min``, the multiplier of the P >= 3 min-cost
+dual, the per-center Wald level and the BetterBirth arm-rate
+reconstruction; the power threshold takes the same steps for every lane of
+a call in lockstep (``power._passing_roots``).  The oracles here are the
+bisection loops those sites ran before, kept verbatim.  On seeded inputs
+each site must agree with its oracle to the stated tolerance and return the
+passing end of its bracket.  An ``ast`` guard keeps every site on its
+shared root finder.
 """
 
 import ast
@@ -353,18 +355,20 @@ def test_bb_stage_rates_match_bisection():
 # one root finder
 
 
+# (module, function, the root finder it calls)
 ROOT_SITES = (
-    ("power", "chisq_quantile"),
-    ("power", "lambda_min"),
-    ("optimizer", "_threshold_core"),
-    ("optimizer", "_dual_candidate"),
-    ("optimizer", "min_cost_per_center"),
-    ("sim", "_bb_stage_rates"),
+    ("power", "chisq_quantile", "_passing_root"),
+    ("power", "lambda_min", "_passing_root"),
+    ("optimizer", "_threshold_core", "_passing_roots"),
+    ("optimizer", "_dual_candidate", "_passing_root"),
+    ("optimizer", "min_cost_per_center", "_passing_root"),
+    ("sim", "_bb_stage_rates", "_passing_root"),
 )
 
 
-@pytest.mark.parametrize("module, name", ROOT_SITES)
-def test_root_site_calls_the_shared_root_finder(module, name):
+@pytest.mark.parametrize("module, name, finder", ROOT_SITES,
+                         ids=[f"{module}-{name}" for module, name, _ in ROOT_SITES])
+def test_root_site_calls_the_shared_root_finder(module, name, finder):
     tree = ast.parse(Path(getattr(lago, module).__file__).read_text())
     func = next(
         node for node in tree.body
@@ -374,4 +378,4 @@ def test_root_site_calls_the_shared_root_finder(module, name):
         node.func.id for node in ast.walk(func)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
-    assert "_passing_root" in called, f"{module}.{name} no longer calls _passing_root"
+    assert finder in called, f"{module}.{name} no longer calls {finder}"

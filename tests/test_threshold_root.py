@@ -1,13 +1,16 @@
 """The power threshold as a bracketed root, against the bisection it replaced.
 
-``optimizer._threshold_core`` solves a signed residual with Brent's zeroin.
-The oracle here is the earlier search, kept verbatim: 60 halvings of the
-bracket on the boolean "power goal certified at this level".  On seeded
-random problems (every 1-df test kind, both approaches and conditional
-scales, both directions, logit and identity links, and the binary Wald
-test) the two must take the same early return or raise the same error, and
-otherwise land on the same level to the root finder's tolerance, with the
-goal certified at the returned level.
+``optimizer._threshold_core`` solves a signed residual with Brent's zeroin;
+its subject here is the one-lane call, as ``power_threshold`` makes it.  The
+oracle is the earlier search, kept verbatim: 60 halvings of the bracket on
+the boolean "power goal certified at this level".  On seeded random problems
+(every 1-df test kind, both approaches and conditional scales, both
+directions, logit and identity links, and the binary Wald test) the two must
+take the same early return or raise the same error, and otherwise land on
+the same level to the root finder's tolerance, with the goal certified at
+the returned level.  The one-lane call must also equal the scalar search it
+replaced (``test_decision_lanes._scalar_threshold_core``) exactly: the same
+level to the last bit, or the same error type and message.
 """
 
 import math
@@ -40,6 +43,7 @@ from lago.power import (
     unconditional_power,
     unconditional_power_at_level,
 )
+from test_decision_lanes import _scalar_threshold_core
 
 CUBIC = CostFunction(terms=(
     (0, 3, 2.0), (0, 2, -1.19), (0, 1, 10.0), (None, 0, 10.0),
@@ -93,16 +97,40 @@ def bisect_threshold(model, summary, goals, cost, bounds):
     return _raw_level(model.link, eta_hi, goals.direction), eta_hi
 
 
+def one_lane(model, summary, goals, cost, lo, hi):
+    """(raw_level, eta_work) of ``_threshold_core`` on one lane, as
+    ``power_threshold`` calls it: the lane's error or NoThresholdError raised."""
+    _, eta_max = _eta_extremes(_work_model(model, goals.direction), lo, hi)
+    out = [None]
+    _, (eta,) = _threshold_core([model], [summary], goals, cost, lo, hi,
+                                np.array([model.beta], dtype=float), np.array([eta_max]), out)
+    if out[0] is not None:
+        raise out[0]
+    if math.isnan(eta):
+        raise NoThresholdError("the power goal is not certified anywhere inside the bounds")
+    return _raw_level(model.link, float(eta), goals.direction), float(eta)
+
+
+def _outcome(search, *args):
+    try:
+        return repr(tuple(map(float, search(*args))))
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return f"{type(exc).__name__}: {exc}"
+
+
 def compare(model, summary, goals, cost=CUBIC, bounds=BOUNDS) -> str:
-    """Assert root == bisection on one problem; returns which path it took."""
+    """Assert root == bisection on one problem, and the one-lane search ==
+    the scalar one exactly; returns which path it took."""
     lo, hi = _bounds_arrays(bounds, model.n_components)
+    args = (model, summary, goals, cost, lo, hi)
+    assert _outcome(one_lane, *args) == _outcome(_scalar_threshold_core, *args)
     try:
         expected = bisect_threshold(model, summary, goals, cost, bounds)
     except NoThresholdError:
         with pytest.raises(NoThresholdError):
-            _threshold_core(model, summary, goals, cost, lo, hi)
+            one_lane(*args)
         return "none"
-    raw, eta = _threshold_core(model, summary, goals, cost, lo, hi)
+    raw, eta = one_lane(*args)
     control = _work_model(model, goals.direction).intercept
     if expected[1] == control:
         assert (raw, eta) == expected
@@ -320,7 +348,7 @@ def test_a_wald_search_computes_its_critical_value_once(monkeypatch, direction):
         model, summary, goals = _wald_problem(rng, direction)
         calls.clear()
         try:
-            eta = _threshold_core(model, summary, goals, CUBIC, lo, hi)[1]
+            eta = one_lane(model, summary, goals, CUBIC, lo, hi)[1]
         except NoThresholdError:
             eta = None
         assert calls["chisq_quantile"] == 1, calls
