@@ -5,6 +5,9 @@ constant, so it is separable across components — the structure the package
 optimizer exploits. Terms are stored as ``(component, degree, coeff)``
 triples with 0-based components internally; the JSON config form uses
 1-based components and ``null`` for the constant term.
+
+Every cost value, the solver's and a package's total, comes from each
+component's polynomial (``_ComponentPoly``) through one Horner rule, ``_horner``.
 """
 
 from __future__ import annotations
@@ -52,13 +55,22 @@ def _stationary_points(c) -> tuple:
     return tuple(sorted(set(pts)))
 
 
+def _horner(coeffs, x):
+    """sum(coeffs[k] * x**k) by Horner's rule, in the order of
+    ``numpy.polynomial.polynomial.polyval``, so values agree with it
+    bitwise; ``x`` and the coefficients may be floats or arrays."""
+    v = 0.0
+    for ck in reversed(coeffs):
+        v = ck + v * x
+    return v
+
+
 class _ComponentPoly:
     """One component's cost polynomial with precomputed stationary points.
 
-    ``coeffs`` is a list of Python floats in increasing degree; evaluation is
-    the Horner recurrence of ``numpy.polynomial.polynomial.polyval`` in the
-    same order, so values agree with it bitwise.  A ``CostFunction`` shares
-    its instances with every solve, so treat them as read-only.
+    ``coeffs`` is a list of Python floats in increasing degree, evaluated by
+    ``_horner``.  A ``CostFunction`` shares its instances with every solve,
+    so treat them as read-only.
     """
 
     __slots__ = ("coeffs", "stationary")
@@ -68,10 +80,7 @@ class _ComponentPoly:
         self.stationary = _stationary_points(self.coeffs)
 
     def __call__(self, x: float) -> float:
-        v = 0.0
-        for ck in reversed(self.coeffs):
-            v = ck + v * x
-        return v
+        return _horner(self.coeffs, x)
 
     def min_on(self, a: float, b: float):
         """Exact minimum on [a, b] as (x, cost); None for an empty interval.
@@ -81,14 +90,14 @@ class _ComponentPoly:
         if b < a:
             return None
         cands = [a, b] + [t for t in self.stationary if a < t < b]
-        vals = [self(t) for t in cands]
+        vals = [_horner(self.coeffs, t) for t in cands]
         vmin = min(vals)
         tol = 1e-12 * (1.0 + abs(vmin))
         try:
             x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
         except ValueError:  # vmin + tol is nan: the cost overflowed on [a, b]
             raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
-        return x, self(x)
+        return x, _horner(self.coeffs, x)
 
     def options_on(self, a: float, b: float):
         """Bound and interior stationary values — the candidate fixings."""
@@ -132,7 +141,7 @@ class CostFunction:
 
     @property
     def constant(self) -> float:
-        return sum(c for comp, d, c in self.terms if comp is None or d == 0)
+        return sum((c for comp, d, c in self.terms if comp is None or d == 0), 0.0)
 
     @property
     def max_component(self) -> int:
@@ -160,40 +169,29 @@ class CostFunction:
 
     # -- evaluation --------------------------------------------------------
 
+    def _total(self, columns):
+        """The constant, then each component's polynomial at its entry of
+        ``columns`` (floats, or arrays over packages), added in component
+        order."""
+        for comp, d, _ in self.terms:
+            if d and comp >= len(columns):
+                raise ValueError(
+                    f"cost references component {comp + 1} but package has {len(columns)}")
+        total = self.constant
+        for poly, column in zip(self.polys, columns):
+            total += _horner(poly.coeffs, column)
+        return total
+
     def evaluate(self, x) -> float:
+        """The cost of one package, on Python floats."""
         x = np.asarray(x, dtype=float)
-        total = 0.0
-        for comp, d, c in self.terms:
-            if comp is None or d == 0:
-                total += c
-            else:
-                if comp >= x.size:
-                    raise ValueError(
-                        f"cost references component {comp + 1} but package has {x.size}"
-                    )
-                total += c * x[comp] ** d
-        return float(total)
+        return float(self._total(x.tolist()))
 
     def evaluate_rows(self, X) -> list:
-        """``evaluate`` of each row of the (L, P) stack ``X``, bitwise, as a list.
-
-        The terms are added in order on Python floats, whose ``**`` is libm
-        ``pow`` like numpy's scalar power (numpy's vector power rounds
-        differently).  Python refuses a power that overflows, and a package
-        too short for the cost; those stacks go through ``evaluate``.
-        """
+        """``evaluate`` of each row of the (L, P) stack ``X``, bitwise, as a
+        list: one pass over the columns."""
         X = np.asarray(X, dtype=float)
-        terms = [(c, None if d == 0 else comp, d) for comp, d, c in self.terms]
-        try:
-            out = []
-            for row in X.tolist():
-                total = 0.0
-                for c, comp, d in terms:
-                    total += c if comp is None else c * row[comp] ** d
-                out.append(total)
-            return out
-        except (IndexError, OverflowError):
-            return [self.evaluate(row) for row in X]
+        return np.full(len(X), self._total(X.T)).tolist()
 
     def __call__(self, x) -> float:
         return self.evaluate(x)

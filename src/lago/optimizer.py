@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import CostFunction, _ComponentPoly
+from .cost import CostFunction, _ComponentPoly, _horner
 from .errors import (DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError,
-                     _check_count)
+                     NonFiniteError, _check_count)
 from .model import (
     FittedModel,
     _assumed,
@@ -518,14 +518,6 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _horner(coeffs, x):
-    """``_ComponentPoly.__call__`` elementwise; coefficients may be lane arrays."""
-    v = 0.0
-    for ck in reversed(coeffs):
-        v = ck + v * x
-    return v
-
-
 def _first_min(keep, *keys):
     """Per column of the (candidates, lanes) arrays ``keys``: the index of the
     lexicographically smallest kept candidate, the first of equal ones."""
@@ -811,8 +803,11 @@ def _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target) -> None:
     eta_t = _py_min(eta_target, eta_max)
 
     x_free = np.empty(2)
-    for p in range(2):
-        x_free[p] = infos[p].min_on(lo[p], hi[p])[0]
+    try:
+        for p in range(2):
+            x_free[p] = infos[p].min_on(lo[p], hi[p])[0]
+    except NonFiniteError:  # the lanes left over fail in _min_cost_eta, one at a time
+        return
     reach, floor = beta0 + beta1 @ x_free, eta_t - ftol
     # The scalar solver's dot product may round differently; near the
     # boundary take its own expression.
@@ -1021,6 +1016,7 @@ def power_threshold(
     bounds = bounds if bounds is not None else trial_state.config.bounds
     k_next = len(trial_state.completed) + 1
     summary = _state_summary(trial_state, goals.test, k_next)
+    _check_summary(summary, binary=not goals.test.continuous_outcome)
     lo, hi = _bounds_arrays(bounds, model.n_components)
     _, eta_max = _eta_extremes(_work_model(model, goals.direction), lo, hi)
     out = [None]

@@ -119,13 +119,16 @@ class StagePlan:
 
 
 def _check_stage_plans(stages: tuple, n_components: int) -> None:
-    """At least two StagePlan values, stage 1 with probe packages, and every
-    probe package with ``n_components`` components."""
+    """At least two StagePlan values, a control center in some stage, stage 1
+    with probe packages, and every probe package with ``n_components``
+    components."""
     if len(stages) < 2:
         raise ValueError("a staged design needs at least two stages")
     for sp in stages:
         if not isinstance(sp, StagePlan):
             raise ValueError("stages must be StagePlan values")
+    if not any(sp.n_control_centers for sp in stages):
+        raise ValueError("a staged design needs a control center in some stage")
     if stages[0].probe_packages is None:
         raise ValueError("stage 1 needs explicit probe packages")
     for sp in stages:

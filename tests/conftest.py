@@ -1,5 +1,12 @@
 import sys
 
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and keep no example
+# database in the checkout.
+settings.register_profile("lago", derandomize=True, database=None)
+settings.load_profile("lago")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the acceptance report lines after capture has ended."""

@@ -412,6 +412,18 @@ def test_simulate_rejects_invalid_bounds_before_emitting(tmp_path, capsys, bound
     assert not out.exists()
 
 
+def test_simulate_rejects_a_layout_without_a_control_center(tmp_path, capsys):
+    cfg_path = tmp_path / "spec.json"
+    doc = SHIPPED_SCENARIOS["1a"](replicates=5).to_config()
+    for stage in doc["stages"]:
+        stage["n_control_centers"] = 0
+    doc["goals"] = {**doc["goals"], "power_goal": 0.8, "test": "z_unpooled"}
+    cfg_path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "simulate", "--config", cfg_path, "--seed", "3")
+    assert code == 2
+    assert "needs a control center in some stage" in captured.err
+
+
 def test_simulate_rejects_a_test_for_the_other_outcome_kind_before_emitting(tmp_path, capsys):
     out = tmp_path / "emitted.json"
     code, captured = run(capsys, "simulate", "--scenario", "1a", "--reps", "5", "--seed", "3",

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 import sympy as sp
+from numpy.polynomial import polynomial as npoly
 
 from lago.cost import CostFunction
 
@@ -135,7 +136,33 @@ def test_evaluate_rows_is_evaluate_per_row_bitwise():
         want = np.array([cost.evaluate(row) for row in X])
         assert np.array(cost.evaluate_rows(X)).tobytes() == want.tobytes()
     square = CostFunction(((0, 2, 1.0), (None, 0, 1.0)))
-    with np.errstate(over="ignore"):  # Python's power refuses to overflow
+    with np.errstate(over="ignore"):  # the square overflows to inf
         assert square.evaluate_rows([[2.0], [1e200]]) == [5.0, np.inf]
     with pytest.raises(ValueError, match="references component 2 but package has 1"):
         CUBIC_TWO_COMPONENT.evaluate_rows(np.zeros((3, 1)))
+
+
+def test_evaluate_is_the_constant_plus_each_component_polynomial_bitwise():
+    # One rule: the constant, then numpy's polyval of each component's
+    # polynomial at its entry, added in component order.
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(300):
+        P = int(rng.integers(1, 5))
+        terms = [(None, 0, float(rng.normal()))] if rng.random() < 0.5 else []
+        for _ in range(int(rng.integers(1, 9))):
+            terms.append((int(rng.integers(P)), int(rng.integers(0, 5)),
+                          float(rng.normal() * rng.choice([0.01, 1.0, 100.0]))))
+        cost = CostFunction(tuple(terms))
+        x = rng.normal(size=P + int(rng.integers(0, 2))) * rng.choice([0.1, 1.0, 30.0])
+        x[rng.random(x.size) < 0.15] = 0.0
+        x[rng.random(x.size) < 0.15] = -0.0
+        want = cost.constant
+        for p in range(cost.max_component + 1):
+            want += npoly.polyval(x[p], cost.component_coefficients(p))
+        assert cost.evaluate(x).hex() == float(want).hex(), (terms, x)
+        seen |= {("degree", d) for _, d, _ in terms}
+        seen |= {"constant" for comp, _, _ in terms if comp is None}
+        seen |= {"skipped" for p in range(x.size) if all(comp != p for comp, _, _ in terms)}
+        seen |= {str(v) for v in x if v == 0.0}
+    assert seen >= {("degree", d) for d in range(5)} | {"constant", "skipped", "0.0", "-0.0"}

@@ -247,6 +247,13 @@ def test_wald_dominance_level_is_certified():
     assert unconditional_power(np.asarray(x), model, summary, sel, 0.05) >= 0.8 - 1e-9
 
 
+def test_a_dominance_design_without_a_control_center_is_refused():
+    # dominance_threshold divided by the empty control arm.
+    probes = StagePlan(0, 2, 40, probe_packages=((1.0, 0.0), (0.0, 4.0)))
+    with pytest.raises(ValueError, match="needs a control center in some stage"):
+        DominanceDesign(stages=(probes, StagePlan(0, 2, 40)), bounds=((0, 2), (0, 8)))
+
+
 def test_dominance_design_validation():
     stage = StagePlan(2, 2, 40, probe_packages=((1.0, 0.0), (0.0, 4.0)))
     with pytest.raises(ValueError, match="two stages"):

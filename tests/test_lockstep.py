@@ -488,6 +488,23 @@ def test_block_columns_match_the_oracle_lane_by_lane(monkeypatch, name):
         assert got[field].tobytes() == want[field].tobytes(), field
 
 
+@pytest.mark.parametrize("name", list(SPECS))
+def test_every_recommendation_costs_what_the_cost_evaluates_bitwise(monkeypatch, name):
+    decided = []
+
+    def recording(models, summaries, goals, cost, *rest):
+        out = lago.optimizer._recommend_lanes(models, summaries, goals, cost, *rest)
+        decided.extend((rec, cost) for rec in out if isinstance(rec, lago.Recommendation))
+        return out
+
+    monkeypatch.setattr(sim, "_recommend_lanes", recording)
+    spec = SPECS[name]()
+    sim.run_scenario(spec, seed=29, threads=1)
+    assert decided or spec.design_mode == "factorial-repeat"
+    for rec, cost in decided:
+        assert rec.cost.hex() == cost.evaluate(rec.x_hat).hex(), rec
+
+
 def _without_anchor(monkeypatch):
     """Shrinking fallbacks without a configured stage-1 package raise
     InfeasibleError: the anchor is never the observed stage-1 mean."""

@@ -17,7 +17,7 @@ import pytest
 import lago
 from lago import optimizer, sim
 from lago.cost import CostFunction
-from lago.errors import InfeasibleError, LagoError
+from lago.errors import InfeasibleError, LagoError, NonFiniteError
 from lago.optimizer import _min_cost_eta, _min_cost_lanes
 
 CUBIC = sim.COST_1A
@@ -189,6 +189,18 @@ def test_infeasible_targets_raise_the_scalar_message(scalar_lanes):
         assert isinstance(x, InfeasibleError)
         assert "attainable inside the bounds" in str(x)
     assert not scalar_lanes
+
+
+def test_a_cost_not_finite_on_the_box_fails_each_lane_alone():
+    # The first component's free minimum overflows on [0, 2]: lane 0 fails
+    # there, while lane 1 asks for more than the bounds attain.
+    cost = CostFunction(((0, 3, -1e308), (0, 1, 1.0), (1, 3, 1.0), (1, 1, 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _check([0.1, 0.1], [[0.3, 0.15], [0.3, 0.15]], cost, LO, HI, [1.0, 5.0])
+    assert type(got[0]) is NonFiniteError
+    assert str(got[0]) == "the cost is not finite on [0.0, 2.0]"
+    assert type(got[1]) is InfeasibleError
+    assert str(got[1]).startswith("required linear predictor 5 exceeds the maximum 1.9")
 
 
 def test_ties_go_to_the_lexicographically_smallest_package(scalar_lanes):

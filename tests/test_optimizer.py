@@ -439,6 +439,21 @@ def test_power_threshold_unattainable_raises():
         power_threshold(MODEL_1A, state, goals)
 
 
+@pytest.mark.parametrize("approach", ["unconditional", "conditional"])
+def test_power_threshold_refuses_an_empty_control_arm(approach):
+    # The threshold divided by the empty arm; recommend_stage_k already
+    # refused it through its summary check.
+    state = make_state([StageRecord(stage_index=1, centers=[
+        center(1, [1.0, 0.0], 40, 25),
+        center(1, [1.0, 4.0], 40, 30),
+    ])], (120.0, 0.0))
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled"),
+                     approach=approach)
+    for call in (power_threshold, recommend_stage_k):
+        with pytest.raises(ValueError, match="arm_summary needs observations in each arm"):
+            call(MODEL_1A, state, goals)
+
+
 def test_conditional_threshold_not_above_unconditional_on_favorable_data():
     rec = StageRecord(stage_index=1, centers=[
         center(0, [0.0, 0.0], 40, 18),

@@ -306,6 +306,22 @@ def test_stage_plan_rejects_non_finite_probe_packages():
         StagePlan(1, 2, 40, ((1.0, 0.0), (0.0, float("inf"))))
 
 
+NO_CONTROL = (StagePlan(0, 3, 40, ((1.0, 0.0), (0.0, 4.0), (1.0, 4.0))), StagePlan(0, 3, 40))
+
+
+@pytest.mark.parametrize("goals", [
+    GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled")),
+    GoalSpec(outcome_goal=0.7),
+], ids=["power-goal", "outcome-only"])
+def test_a_layout_without_a_control_center_is_refused(goals):
+    # With a power goal the run divided by the empty control arm; without
+    # one it drew and fit every stage before its final test refused.
+    with pytest.raises(ValueError, match="needs a control center in some stage"):
+        dataclasses.replace(scenario_1a(replicates=5, goals=goals), stages=NO_CONTROL)
+    late = (NO_CONTROL[0], StagePlan(1, 3, 40))
+    assert dataclasses.replace(scenario_1a(replicates=5, goals=goals), stages=late).stages == late
+
+
 def test_stage_plan_rejects_fractional_center_size():
     with pytest.raises(ValueError, match="n_per_center must be an integer"):
         StagePlan(n_control_centers=1, n_intervention_centers=1, n_per_center=40.5)
