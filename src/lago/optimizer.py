@@ -386,8 +386,10 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
 
     infos = _padded_polys(cost, P)
     x = np.empty(P)
-    for p in range(P):
-        x[p] = infos[p].min_on(lo[p], hi[p])[0]
+    # On Python floats a cost that overflows on the box gives inf and nan
+    # silently, and min_on raises NonFiniteError.
+    for p, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        x[p] = infos[p].min_on(a, b)[0]
     if beta0 + float(beta1 @ x) >= eta_t - ftol:
         return x
 

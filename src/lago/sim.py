@@ -13,11 +13,15 @@ packages) and ``run_scenario`` concatenates the blocks' columns.  No
 per-replicate trial state is built; ``tests/test_lockstep.py`` keeps that
 per-replicate path, through the public ``trial`` API, as the oracle.
 
-Reproducibility contract: every replicate gets its own substream spawned
-from a single ``SeedSequence``, and a replicate's numbers do not depend on
-which other replicates share its block, so results do not depend on the
-block size or on how the blocks are shared among processes.
-``run_scenario(spec, threads=4)`` and the serial run agree bitwise.
+Reproducibility contract: replicate i draws from ``PCG64`` seeded as
+``numpy.random.SeedSequence(seed).spawn(R)[i]`` seeds it, and a replicate's
+numbers do not depend on which other replicates share its block, so results
+do not depend on the block size or on how the blocks are shared among
+processes.  ``run_scenario(spec, threads=4)`` and the serial run agree
+bitwise.  The spawn children's seed words are computed for all replicates
+at once as arrays (``_spawn_words``), not through one ``SeedSequence`` per
+replicate; ``tests/test_lockstep.py`` pins them to numpy's spawn as the
+oracle.  Nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -210,6 +214,8 @@ class ScenarioSpec:
         if self.cost.max_component >= n_comp:
             raise ValueError("cost references a component outside the bounds")
         _check_count("replicates", self.replicates, 1)
+        if self.replicates >= 2**32:  # each replicate's spawn key is one 32-bit word
+            raise ValueError(f"replicates must be below 2**32, got {self.replicates!r}")
         if self.rng_seed is not None:
             _check_count("rng_seed", self.rng_seed, 0)
         if self.stage1_fallback_x is not None:
@@ -585,6 +591,87 @@ def _simulate_block(spec: ScenarioSpec, config: TrialConfig, child_seeds) -> dic
 
 
 # ---------------------------------------------------------------------------
+# lane seeds
+
+# The 32-bit hash constants of numpy.random.SeedSequence.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's stream of hash constants from ``const``: each hash
+    step's (xor constant, multiplier), the multiplier being the next
+    constant."""
+    while True:
+        step = const * mult & _M32
+        yield const, step
+        const = step
+
+
+def _hash(value, xor, mul):
+    """One SeedSequence hash step of the 32-bit word(s) ``value``: ints, or
+    uint32 arrays, whose arithmetic wraps as the words' does."""
+    value = (value ^ xor) * mul & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word ``y`` into the pool word ``x``."""
+    out = (_MIX_L * x & _M32) - _MIX_R * y & _M32
+    return out ^ out >> 16
+
+
+def _spawn_words(seed: int, n: int) -> np.ndarray:
+    """``SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)`` of
+    every i < n (n < 2**32), as an (n, 4) uint64 array.
+
+    A child hashes its entropy words -- the seed's 32-bit words, padded
+    with zeros to four, then its spawn key i -- into a pool of four words,
+    and ``generate_state`` hashes the pool into eight 32-bit words, paired
+    little-endian.  Everything before the spawn key is the same in every
+    child, so it runs once on Python ints.  The spawn key's mix into the
+    four pool words and the eight output words run as (n, 4) and (n, 8)
+    uint32 arrays.
+    """
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, *next(consts)) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(consts)))
+    # The spawn key, the last entropy word, mixed into each pool word.
+    xor, mul = np.array([next(consts) for _ in range(4)], np.uint32).T
+    keys = np.arange(n, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, np.uint32), _hash(keys, xor, mul))
+    # generate_state: the pool cycled to eight words, each hashed.
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    xor, mul = np.array([next(consts) for _ in range(8)], np.uint32).T
+    out = _hash(np.tile(pool, 2), xor, mul)
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _LaneSeed(np.random.bit_generator.ISeedSequence):
+    """One spawn child's seed for ``PCG64``: ``generate_state(4, np.uint64)``
+    returns a copy of ``words``, the child's row of ``_spawn_words``, and
+    any other request raises ValueError."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a lane seed holds only the 4 uint64 words PCG64 asks for")
+        return self.words.copy()
+
+
+# ---------------------------------------------------------------------------
 # the scenario runner
 
 
@@ -637,7 +724,7 @@ def run_scenario(spec: ScenarioSpec, seed=None, threads=1) -> MetricsReport:
     threads = min(int(threads), os.cpu_count() or 1)
 
     config = _trial_config(spec)
-    child_seeds = np.random.SeedSequence(seed).spawn(spec.replicates)
+    child_seeds = [_LaneSeed(words) for words in _spawn_words(seed, spec.replicates)]
     size = min(BLOCK_LANES, -(-spec.replicates // threads))
     blocks = [child_seeds[a:a + size] for a in range(0, spec.replicates, size)]
     run_block = functools.partial(_simulate_block, spec, config)

@@ -10,12 +10,14 @@ single-design fits ``fit_binary`` and ``fit_continuous`` ran before each
 became the one-lane call of its kernel, are kept here as oracles: the
 engine's reports, its block columns and the kernels' fits must agree with
 them bitwise, with the same error type and message, and a lane's result
-must not depend on the other lanes of its stack.
+must not depend on the other lanes of its stack.  The lanes' seeds, computed
+as arrays, must seed ``PCG64`` as numpy's ``SeedSequence.spawn`` children do.
 """
 
 import ast
 import dataclasses
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -65,6 +67,7 @@ from lago.trial import (
     refit,
 )
 from test_fast_paths import _check_finite, _fit_binary_oracle, _grouped_design, _outcome
+from test_recommend_path import _called_names, _function
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -976,6 +979,15 @@ def test_the_engine_fits_only_through_the_stacked_kernels():
             assert {"_fit_binary_stack", "_fit_continuous_stack"} <= called
 
 
+def test_the_engine_hashes_no_seed_sequence_per_lane():
+    # The lane seeds come from one array pass (sim._spawn_words); a
+    # SeedSequence per lane would put its hashing back on every replicate.
+    for name in ("run_scenario", "_simulate_block"):
+        called = _called_names(_function("sim", name))
+        assert not called & {"SeedSequence", "spawn"}, (name, called)
+    assert "_spawn_words" in _called_names(_function("sim", "run_scenario"))
+
+
 # ---------------------------------------------------------------------------
 # the continuous kernel against the single-design oracle
 
@@ -1145,3 +1157,83 @@ def test_the_stacked_least_squares_gufunc_matches_lstsq_per_lane():
             want_x, _, want_rank, _ = np.linalg.lstsq(A[j], b[j], rcond=None)
             assert x[j].tobytes() == want_x.tobytes() and rank[j] == want_rank
         assert rank[3] < k
+
+
+# ---------------------------------------------------------------------------
+# lane seeds against numpy's spawn children
+
+
+SPAWN_SEEDS = (0, 1, 4, 11, 2**32 - 1, 2**32, 2**40 + 7, 2**97 + 12345, 2**128 + 3)
+
+
+class _Seeded(Exception):
+    """Carries the lane seeds of a run's first block out of ``run_scenario``."""
+
+
+def _lane_seeds(seed, R):
+    """The seeds ``run_scenario`` hands its blocks for R replicates, in one
+    block."""
+
+    def capture(spec, config, child_seeds):
+        raise _Seeded(child_seeds)
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(_Seeded) as caught:
+        patch.setattr(sim, "BLOCK_LANES", R)
+        patch.setattr(sim, "_simulate_block", capture)
+        sim.run_scenario(sim.scenario_1a(replicates=R), seed=seed, threads=1)
+    return caught.value.args[0]
+
+
+def _assert_spawn_children(seed, R=2000):
+    """Lane i seeds PCG64 as ``SeedSequence(seed).spawn(R)[i]`` does: the
+    same words, the same state, the same first binomial and normal draws."""
+    lanes = _lane_seeds(seed, R)
+    children = np.random.SeedSequence(seed).spawn(R)
+    assert len(lanes) == R
+    for lane, child in zip(lanes, children):
+        words = lane.generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.shape == (4,)
+        assert words.tobytes() == child.generate_state(4, np.uint64).tobytes()
+        got, want = np.random.PCG64(lane), np.random.PCG64(child)
+        assert got.state == want.state
+        got, want = np.random.Generator(got), np.random.Generator(want)
+        assert got.binomial(40, 0.3) == want.binomial(40, 0.3)
+        assert got.standard_normal() == want.standard_normal()
+
+
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
+def test_lane_seeds_are_numpys_spawn_children(seed):
+    _assert_spawn_children(seed)
+
+
+@settings(max_examples=14, deadline=None)
+@given(st.sampled_from(range(1, 8)).flatmap(  # one to seven 32-bit words, up to 2**200
+    lambda words: st.integers(2 ** (32 * words - 32), min(2 ** (32 * words), 2**200))))
+def test_lane_seeds_are_numpys_spawn_children_at_drawn_seeds(seed):
+    _assert_spawn_children(seed)
+
+
+def test_lane_seeds_survive_a_pickle_round_trip():
+    # The process pool pickles each block's seeds into its workers.
+    lanes = _lane_seeds(2**97 + 12345, 300)
+    copies = pickle.loads(pickle.dumps(lanes))
+    for lane, copy in zip(lanes, copies):
+        assert type(copy) is type(lane)
+        assert np.random.PCG64(copy).state == np.random.PCG64(lane).state
+
+
+@pytest.mark.parametrize("request_args", [
+    (4,), (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64), (4, np.float64),
+])
+def test_a_lane_seed_refuses_any_other_request(request_args):
+    (lane,) = _lane_seeds(11, 1)
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        lane.generate_state(*request_args)
+
+
+def test_a_lane_seed_hands_out_a_fresh_copy_of_its_words():
+    (lane,) = _lane_seeds(11, 1)
+    words = lane.generate_state(4, np.dtype("<u8"))
+    words[:] = 0
+    child = np.random.SeedSequence(11).spawn(1)[0]
+    assert lane.generate_state(4, np.uint64).tobytes() == child.generate_state(4, np.uint64).tobytes()

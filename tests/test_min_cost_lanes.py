@@ -203,6 +203,17 @@ def test_a_cost_not_finite_on_the_box_fails_each_lane_alone():
     assert str(got[1]).startswith("required linear predictor 5 exceeds the maximum 1.9")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_scalar_solve_fails_typed_and_silent_on_a_cost_not_finite_on_the_box():
+    # No np.errstate: an overflow warning raised as an error would take the
+    # place of the typed error, alone and as the one lane of a call.
+    cost = CostFunction(((0, 3, -1e308), (0, 1, 1.0), (1, 3, 1.0), (1, 1, 1.0)))
+    with pytest.raises(NonFiniteError, match=r"the cost is not finite on \[0\.0, 2\.0\]"):
+        _min_cost_eta(-0.8, np.array([0.5, 0.3]), cost, LO, HI, 1.0)
+    (got,) = _min_cost_lanes([-0.8], [[0.5, 0.3]], cost, LO, HI, [1.0])
+    assert type(got) is NonFiniteError and str(got) == "the cost is not finite on [0.0, 2.0]"
+
+
 def test_ties_go_to_the_lexicographically_smallest_package(scalar_lanes):
     # Both components are all but free, so every candidate costs the same
     # within the solver's tolerance and the smallest package wins: the

@@ -268,6 +268,13 @@ def test_scenario_rejects_bad_input_when_built(field, value, message):
         dataclasses.replace(spec, **{field: value})
 
 
+@pytest.mark.parametrize("replicates", [2**32, np.int64(2**32), 2**40])
+def test_replicates_must_fit_one_spawn_key_word(replicates):
+    with pytest.raises(ValueError, match=r"replicates must be below 2\*\*32"):
+        dataclasses.replace(scenario_1a(replicates=2), replicates=replicates)
+    assert dataclasses.replace(scenario_1a(replicates=2), replicates=2**32 - 1).replicates == 2**32 - 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.update(rng_seed=1.5), "rng_seed must be an integer"),
     (lambda doc: doc.update(replicates=True), "replicates must be an integer"),
