@@ -223,7 +223,7 @@ class CoefficientFixture:
         if not (np.isfinite(self.beta).all() and np.isfinite(self.covariance).all()):
             raise ValueError("beta and covariance entries must be finite")
         if self.arm_summary is not None:
-            _check_summary(self.arm_summary, binary=False)
+            _check_summary(self.arm_summary)
 
     @property
     def model(self) -> FittedModel:

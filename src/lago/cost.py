@@ -196,20 +196,6 @@ class CostFunction:
     def __call__(self, x) -> float:
         return self.evaluate(x)
 
-    def marginal(self, x) -> np.ndarray:
-        """Gradient of the cost at x."""
-        x = np.asarray(x, dtype=float)
-        grad = np.zeros_like(x)
-        for comp, d, c in self.terms:
-            if comp is None or d == 0:
-                continue
-            if comp >= x.size:
-                raise ValueError(
-                    f"cost references component {comp + 1} but package has {x.size}"
-                )
-            grad[comp] += c * d * x[comp] ** (d - 1)
-        return grad
-
     # -- construction / serialization ---------------------------------------
 
     @classmethod

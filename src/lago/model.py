@@ -279,6 +279,8 @@ class FittedModel:
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
+        if not all(map(math.isfinite, self.beta.ravel().tolist())):
+            raise ValueError(f"beta must be finite, got {self.beta.tolist()}")
 
     @property
     def intercept(self) -> float:

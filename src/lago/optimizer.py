@@ -12,7 +12,8 @@ scale and the objective is separable.
 Everything here works on the "increase" orientation internally; a decrease
 goal is handled by mirroring the model (all coefficients sign-flipped) and
 mirroring levels through the link, so that lower raw outcome levels become
-higher working levels.
+higher working levels.  Both multiply by the sign ``power._direction_sign``
+gives the goal's direction, the one place a direction is read.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .power import (
     ArmSummary,
     TestSelector,
     _check_summary,
+    _direction_sign,
     _lane_projection,
     _LaneSummaries,
     _passing_root,
@@ -73,8 +75,6 @@ __all__ = [
     "integerize",
     "min_cost_per_center",
 ]
-
-_DIRECTIONS = ("increase", "decrease")
 
 # What fails one lane of a batched call (one replicate of a simulation) and
 # not the others: numerical failures.  Any other exception propagates.
@@ -111,8 +111,7 @@ class GoalSpec:
     conditional_scale: str = "sd"
 
     def __post_init__(self):
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}")
+        _direction_sign(self.direction)
         if self.outcome_goal is None and self.power_goal is None:
             raise ValueError("at least one of outcome_goal and power_goal is required")
         if not 0.0 < self.alpha < 1.0:
@@ -169,11 +168,6 @@ class Recommendation:
 # frame and bounds plumbing
 # ---------------------------------------------------------------------------
 
-def _check_direction(direction: str) -> None:
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}")
-
-
 def _bounds_arrays(bounds, n_components: int):
     """Validated (lo, hi) arrays of ``bounds``, one (lower, upper) pair per
     component.  Public entry points call this once and hand the arrays on."""
@@ -200,13 +194,12 @@ def _check_level_domain(link: str, level: float, what: str = "threshold") -> Non
 
 
 def _work_model(model: FittedModel, direction: str) -> FittedModel:
-    return model if direction == "increase" else mirrored(model)
+    return model if _direction_sign(direction) > 0.0 else mirrored(model)
 
 
 def _raw_level(link: str, eta_work: float, direction: str) -> float:
     """Raw-orientation outcome level for a working linear predictor value."""
-    eta = eta_work if direction == "increase" else -eta_work
-    return float(link_inverse(link, eta))
+    return float(link_inverse(link, _direction_sign(direction) * eta_work))
 
 
 def _eta_extremes(wm: FittedModel, lo, hi):
@@ -226,10 +219,8 @@ def p_max(model: FittedModel, bounds, direction: str = "increase") -> float:
     goal, the minimum.  The value is the natural feasibility cap: no outcome
     goal beyond it can be met without the shrinking fallback.
     """
-    _check_direction(direction)
     lo, hi = _bounds_arrays(bounds, model.n_components)
-    wm = _work_model(model, direction)
-    _, eta_max = _eta_extremes(wm, lo, hi)
+    _, eta_max = _eta_extremes(_work_model(model, direction), lo, hi)
     return _raw_level(model.link, eta_max, direction)
 
 
@@ -269,7 +260,7 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
         xf = min(max(xf, box_f[0]), box_f[1])
         xg = min(max(xg, box_g[0]), box_g[1])
         if bf * xf + bg * xg >= residual - ftol:
-            cands.append((info_f(xf) + info_g(xg), xf, xg))
+            cands.append((info_f(xf) + info_g(xg), (xf, xg)))
 
     free_f = info_f.min_on(*box_f)
     free_g = info_g.min_on(*box_g)
@@ -294,11 +285,7 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
         h = _segment_coeffs(info_f.coeffs, info_g.coeffs, A, B)
         xf = _ComponentPoly(h).min_on(seg[0], seg[1])[0]
         consider(xf, A + B * xf)
-    if not cands:
-        return None
-    best = min(v for v, _, _ in cands)
-    tol = max(1e-9, 1e-9 * abs(best))
-    return min(((xf, xg) for v, xf, xg in cands if v <= best + tol))
+    return _cheapest(cands) if cands else None
 
 
 _UNREACHABLE = "constraint unreachable inside the bounds"
@@ -314,12 +301,13 @@ def _beyond_eta_max(eta_target, eta_max) -> InfeasibleError:
 def _greedy_linear(x, lin, beta1, eff, lo, hi, need, ftol):
     """Exact fill for linear costs: cheapest cost-per-eta first."""
     moves = []
-    for p in eff:
-        target = hi[p] if beta1[p] > 0.0 else lo[p]
-        avail = beta1[p] * (target - x[p])
-        if avail <= 0.0:
-            continue
-        moves.append((lin[p] / beta1[p], p, avail))
+    with np.errstate(over="ignore"):  # a rate past the float range orders as inf
+        for p in eff:
+            target = hi[p] if beta1[p] > 0.0 else lo[p]
+            avail = beta1[p] * (target - x[p])
+            if avail <= 0.0:
+                continue
+            moves.append((lin[p] / beta1[p], p, avail))
     moves.sort()
     for _, p, avail in moves:
         if need <= 0.0:
@@ -529,6 +517,15 @@ def _first_min(keep, *keys):
     return keep.argmax(axis=0)
 
 
+def _cheapest_rows(ok, total, *keys):
+    """``_cheapest`` per column of the (candidates, lanes) arrays: the index
+    of the kept candidate it picks by ``total`` and then ``keys``, and
+    whether the lane keeps any candidate."""
+    best = np.where(ok, total, np.inf).min(axis=0)
+    near = ok & (total <= best + _py_max(1e-9, 1e-9 * np.abs(best)))
+    return _first_min(near, *keys), ok.any(axis=0)
+
+
 def _pick(values, index):
     """values[index[j], j] for every column j of the candidate rows."""
     flat = values.reshape(len(values), -1)
@@ -665,12 +662,10 @@ def _min_pair_lanes(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
     xg = _py_min(_py_max(xg, lo_g), hi_g)
     value = _horner(info_f.coeffs, xf) + _horner(info_g.coeffs, xg)
     ok = ok & (bf * xf + bg * xg >= residual - ftol)
-    best = np.where(ok, value, np.inf).min(axis=0)
-    near = ok & (value <= best + _py_max(1e-9, 1e-9 * np.abs(best)))
-    index = _first_min(near, xf, xg)
+    index, found = _cheapest_rows(ok, value, xf, xg)
     finite = np.isfinite(xf) & np.isfinite(xg) & np.isfinite(value)
     exact = (cubic | ~on_seg) & (finite | ~ok).all(axis=0)
-    return _pick(xf, index), _pick(xg, index), ok.any(axis=0), exact
+    return _pick(xf, index), _pick(xg, index), found, exact
 
 
 def _component_lanes(polys, table, eff, lo, hi, *picks) -> list:
@@ -778,7 +773,7 @@ def _min_cost_lanes(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> lis
     L, P = beta1.shape
     out = [None] * L
     infos = _padded_polys(cost, P)
-    if (L > 1 and P == 2 and not cost.is_linear and bool((hi > lo).all())
+    if (L > 1 and P == 2 and bool((hi > lo).all())
             and max(len(info.coeffs) for info in infos) == 4):
         with np.errstate(all="ignore"):
             _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target)
@@ -849,11 +844,8 @@ def _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target) -> None:
     total = (0.0 + _horner(info_f.coeffs, xf)) + _horner(info_g.coeffs, xg)
     xf = _py_min(_py_max(xf, lo_f), hi_f)
     xg = _py_min(_py_max(xg, lo_g), hi_g)
-    best = np.where(ok, total, np.inf).min(axis=0)
-    near = ok & (total <= best + _py_max(1e-9, 1e-9 * np.abs(best)))
-    index = _first_min(near, xf, xg)
+    index, solved = _cheapest_rows(ok, total, xf, xg)
     x = np.stack([_pick(xf, index), _pick(xg, index)], axis=1)
-    solved = ok.any(axis=0)
     for k, i in enumerate(work):
         if exact[k]:
             out[i] = x[k].copy() if solved[k] else InfeasibleError(_UNREACHABLE)
@@ -872,7 +864,6 @@ def min_cost_subject_to_threshold(
     decrease goal, predict(x) <= threshold.  Raises InfeasibleError when no
     package inside the bounds satisfies it.
     """
-    _check_direction(direction)
     lo, hi = _bounds_arrays(bounds, model.n_components)
     return _min_cost_at_level(model, cost, lo, hi, threshold, direction)
 
@@ -885,10 +876,9 @@ def _min_cost_at_level(model, cost, lo, hi, threshold: float, direction: str):
             f"has {model.n_components} components"
         )
     _check_level_domain(model.link, threshold)
-    eta_t = float(link_forward(model.link, threshold))
-    if direction == "increase":
-        return _min_cost_eta(model.intercept, model.effects, cost, lo, hi, eta_t)
-    return _min_cost_eta(-model.intercept, -model.effects, cost, lo, hi, -eta_t)
+    sign = _direction_sign(direction)
+    eta_t = sign * float(link_forward(model.link, threshold))
+    return _min_cost_eta(sign * model.intercept, sign * model.effects, cost, lo, hi, eta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +918,7 @@ def _threshold_core(models, summaries, goals: GoalSpec, cost, lo, hi, beta, eta_
     L = len(models)
     test, alpha, pi = goals.test, goals.alpha, goals.power_goal
     direction, link = goals.direction, models[0].link
-    sign = 1.0 if direction == "increase" else -1.0
+    sign = _direction_sign(direction)
     proj, exact = None, np.zeros(L, bool)
     if L > 1 and not test.wald:
         proj = _lane_projection(link, beta[:, 0], summaries, test, alpha, pi)
@@ -1018,7 +1008,7 @@ def power_threshold(
     bounds = bounds if bounds is not None else trial_state.config.bounds
     k_next = len(trial_state.completed) + 1
     summary = _state_summary(trial_state, goals.test, k_next)
-    _check_summary(summary, binary=not goals.test.continuous_outcome)
+    _check_summary(summary, goals.test)
     lo, hi = _bounds_arrays(bounds, model.n_components)
     _, eta_max = _eta_extremes(_work_model(model, goals.direction), lo, hi)
     out = [None]
@@ -1111,7 +1101,7 @@ def recommend_from_summary(
     """
     lo, hi = _bounds_arrays(bounds, model.n_components)
     if goals.power_goal is not None and summary is not None:
-        _check_summary(summary, binary=not goals.test.continuous_outcome)
+        _check_summary(summary, goals.test)
     (rec,) = _recommend_lanes([model], [summary], goals, cost, lo, hi, [stage1_x])
     if isinstance(rec, Exception):
         raise rec
@@ -1143,7 +1133,7 @@ def _recommend_lanes(models, summaries, goals: GoalSpec, cost, lo, hi, anchors) 
     direction, link = goals.direction, models[0].link
     if any(model.link != link for model in models):
         raise ValueError("the lanes' models must share one link")
-    sign = 1.0 if direction == "increase" else -1.0
+    sign = _direction_sign(direction)
     beta = np.array([model.beta for model in models], dtype=float)
     work = sign * beta  # each lane's _work_model
     _, eta_max = _eta_extremes(SimpleNamespace(intercept=work[:, 0], effects=work[:, 1:]), lo, hi)
@@ -1339,13 +1329,11 @@ def integerize(
     wins, and if rounding kills feasibility entirely the best-level
     combination is returned instead.
     """
-    _check_direction(direction)
     lo, hi = _bounds_arrays(bounds, model.n_components)
     x = np.asarray(x, dtype=float)
     wm = _work_model(model, direction)
     _check_level_domain(model.link, threshold)
-    g = float(link_forward(model.link, threshold))
-    eta_t = g if direction == "increase" else -g
+    eta_t = _direction_sign(direction) * float(link_forward(model.link, threshold))
 
     choices = []
     for p in range(x.size):
@@ -1419,7 +1407,7 @@ def min_cost_per_center(
     _, eta_max_w = _eta_extremes(wm, lo, hi)
     if goals.outcome_goal is not None:
         g = float(link_forward(model.link, goals.outcome_goal))
-        eta_floor = g if direction == "increase" else -g
+        eta_floor = _direction_sign(direction) * g
     else:
         eta_floor = wm.intercept
     lam_req = lambda_min(goals.alpha, goals.power_goal, df=model.n_components)

@@ -483,10 +483,13 @@ class ArmSummary:
                    var1_obs=var[1], var0_obs=var[0], design_obs=design_obs)
 
 
-def _check_summary(summary: ArmSummary, binary: bool) -> None:
+def _check_summary(summary: ArmSummary, test: TestSelector | None = None) -> None:
     """Refuse, naming the field, an arm summary the power formulas cannot
-    use: a negative or non-finite count or variance, a non-finite sum,
-    (``binary``) a sum outside [0, its observed count], or an empty arm."""
+    use: a negative or non-finite count or variance, a non-finite sum or an
+    empty arm.  For a binary ``test`` a sum must lie in [0, its observed
+    count].  A continuous ``test`` divides by n1_obs, N1 - 1 and N1 + N0 - 2
+    and reads both arm variances, so those must be nonzero and present."""
+    binary = test is not None and not test.continuous_outcome
     for name in ("n1_obs", "n0_obs", "n1_future", "n0_future", "var1_obs", "var0_obs"):
         value = getattr(summary, name)
         if value is not None and not 0.0 <= value < math.inf:
@@ -498,6 +501,17 @@ def _check_summary(summary: ArmSummary, binary: bool) -> None:
             raise ValueError(f"arm_summary {name} must be {rule}, got {value!r}")
     if not (summary.N1 > 0 and summary.N0 > 0):
         raise ValueError("arm_summary needs observations in each arm (obs + future > 0)")
+    if test is None or binary:
+        return
+    for name in ("var1_obs", "var0_obs"):
+        if getattr(summary, name) is None:
+            raise ValueError(f"arm_summary {name} is required for the continuous test {test.kind}")
+    for rule, bad in (("n1_obs must be positive", summary.n1_obs == 0.0),
+                      ("n1_obs + n1_future must not be 1", summary.N1 == 1.0),
+                      ("n1_obs + n1_future + n0_obs + n0_future must not be 2",
+                       summary.N1 + summary.N0 == 2.0)):
+        if bad:
+            raise ValueError(f"arm_summary {rule} for the continuous test {test.kind}")
 
 
 def _pooled_variance(centers, n: float, total):
@@ -918,6 +932,8 @@ def _sqrt_clamped(v):
 
 
 def _direction_sign(direction: str) -> float:
+    """1.0 for an "increase" goal, -1.0 for a "decrease" one: the package's
+    one reading of a direction, which every orientation multiplies by."""
     if direction not in ("increase", "decrease"):
         raise ValueError("direction must be 'increase' or 'decrease'")
     return 1.0 if direction == "increase" else -1.0

@@ -51,7 +51,7 @@ from .optimizer import (
     recommend_from_summary,
     recommend_stage_k,
 )
-from .power import ArmSummary, TestResult, TestSelector, _default_test
+from .power import ArmSummary, TestResult, TestSelector, _default_test, _direction_sign
 from .power import final_test as _summary_final_test
 
 __all__ = [
@@ -340,7 +340,7 @@ def check_futility(state: TrialState):
         raise ValueError("futility is assessed on at least one completed stage")
     model = refit(state)
     lo, hi = _bounds_arrays(state.config.bounds, state.config.n_components)
-    effects = model.effects if goals.direction == "increase" else -model.effects
+    effects = _direction_sign(goals.direction) * model.effects
     x_ext = np.where(effects > 0, hi, lo)
     summary = _state_summary(state, goals.test, state.next_stage)
     power = _projected_power(x_ext, model, summary, goals)

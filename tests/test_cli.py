@@ -237,6 +237,24 @@ def test_recommend_refuses_a_fixture_arm_summary_with_an_empty_arm(tmp_path, cap
     assert "arm_summary needs observations in each arm" in captured.err
 
 
+def test_recommend_refuses_a_continuous_arm_summary_with_no_observed_intervention(
+        tmp_path, capsys):
+    # The t projections divide by n1_obs; this ran into a ZeroDivisionError
+    # traceback (exit 1).  A fixture knows no test, so the check runs at the
+    # recommendation.
+    doc = {"beta": [7.0, 0.8, 0.2], "link": "identity",
+           "cost": [[1, 1, 1.0], [2, 1, 4.0]], "bounds": [[0.0, 2.0], [0.0, 8.0]],
+           "arm_summary": {"n1_obs": 0.0, "n0_obs": 40.0, "s1_obs": 0.0, "s0_obs": 280.0,
+                           "n1_future": 120.0, "n0_future": 40.0,
+                           "var1_obs": 1.0, "var0_obs": 1.0}}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "recommend", "--coefficients", path, "--power-goal", "0.8",
+                         "--test", "t_unpooled", "--approach", "conditional")
+    assert code == 2
+    assert "arm_summary n1_obs must be positive" in captured.err
+
+
 @pytest.mark.parametrize("doc", [
     {"beta": [0.1, float("nan"), 0.15]},
     {"beta": [0.1, 0.3, 0.15], "covariance": np.diag([float("inf"), 0.0, 0.0]).tolist()},

@@ -24,7 +24,7 @@ import pytest
 import lago
 from lago import optimizer, sim
 from lago.cost import CostFunction
-from lago.errors import InfeasibleError, NoThresholdError
+from lago.errors import InfeasibleError, NonFiniteError, NoThresholdError
 from lago.model import FittedModel, link_forward, link_inverse, predict
 from lago.optimizer import (
     _LANE_ERRORS,
@@ -592,6 +592,62 @@ def test_a_scalar_lane_raising_nothing_leaves_no_warning_in_the_arrays():
     want = check_against_oracle(models, summaries, goals, CUBIC, LO, HI, [None] * 4, rng)
     assert [type(rec) for rec in want] == [
         Recommendation, InfeasibleError, Recommendation, Recommendation]
+
+
+def test_an_array_lane_with_a_degenerate_variance_fails_inside_the_search():
+    # Every observed intervention outcome a success, every control one a
+    # failure, and no future sample: the drift points the goal's way at
+    # every level, but the projected variance is zero, so the arrays flag
+    # the lane at the bracket's first end and it is searched no further.
+    rng = np.random.default_rng(8)
+    models, summaries = map(list, zip(*[_binary_lane(rng, "logit", 1.0) for _ in range(5)]))
+    summaries[3] = ArmSummary(n1_obs=50.0, n0_obs=50.0, s1_obs=50.0, s0_obs=0.0)
+    goals = GoalSpec(outcome_goal=None, power_goal=0.8, test=Selector("z_unpooled"))
+    want = check_against_oracle(models, summaries, goals, CUBIC, LO, HI, [None] * 5, rng)
+    assert [type(rec).__name__ for rec in want] == (
+        ["Recommendation"] * 3 + ["DegenerateVarianceError", "Recommendation"])
+
+
+def test_a_scalar_lane_that_raises_mid_search_fails_alone_and_is_evaluated_no_more(monkeypatch):
+    # The Wald lanes search by the scalar residual.  One lane's power raises
+    # after the bracket's two ends: the lane gets that error, the search
+    # never evaluates it again, and the other lanes decide as without it.
+    rng = np.random.default_rng([21, 0])
+    lanes = [_wald_lane(rng, 1.0, wrong_way=False) for _ in range(4)]
+    models, summaries = [m for m, _ in lanes], [s for _, s in lanes]
+    goals = GoalSpec(outcome_goal=None, power_goal=0.8, test=Selector("wald_pdf_binary"))
+    want = _recommend_lanes(models, summaries, goals, CUBIC, LO, HI, [None] * 4)
+    assert [rec.regime for rec in want] == [REGIME_GOAL] * 4
+    real, calls = optimizer.unconditional_power, []
+
+    def power(x, model, *args):
+        if model is models[2]:
+            calls.append(x)
+            if len(calls) > 2:
+                raise NonFiniteError("power not finite")
+        return real(x, model, *args)
+
+    monkeypatch.setattr(optimizer, "unconditional_power", power)
+    got = _recommend_lanes(models, summaries, goals, CUBIC, LO, HI, [None] * 4)
+    assert isinstance(got[2], NonFiniteError) and len(calls) == 3
+    for lane in (0, 1, 3):
+        _assert_same_lane(got[lane], want[lane], lane)
+
+
+def test_a_lane_whose_min_cost_solve_fails_gets_the_solver_error():
+    # The cost falls to -inf on the first component's box, so every package
+    # solve raises; a shrinking lane solves nothing and keeps its anchor.
+    rng = np.random.default_rng(4)
+    cost = CostFunction(((0, 3, -1e308), (1, 1, 1.0)))
+    models = [FittedModel(beta=np.array(beta), link="logit", covariance=np.eye(3), n_used=400,
+                          kind="binary")
+              for beta in ((0.1, 0.3, 0.15), (0.1, 1e-3, 1e-3), (0.2, 0.25, 0.2))]
+    goals = GoalSpec(outcome_goal=0.7)
+    anchors = [np.array([1.0, 4.0])] * 3
+    want = check_against_oracle(models, [None] * 3, goals, cost, LO, HI, anchors, rng)
+    assert [type(rec).__name__ for rec in want] == [
+        "NonFiniteError", "Recommendation", "NonFiniteError"]
+    assert want[1].regime == REGIME_SHRINK and want[1].x_hat.tolist() == [1.0, 4.0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lago.optimizer import (
     _component_lanes,
     _dual_candidate,
     _feasible_slice,
+    _fixing_lanes,
     _fold,
     _greedy_linear,
     _min_cost_eta,
@@ -327,3 +328,48 @@ def test_pair_kernel_on_padded_polynomials_matches_the_scalar_pair():
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (terms, k, got, want)
         exact_lanes += int(exact.sum())
     assert exact_lanes > 1000
+
+
+def test_the_enumeration_raises_when_no_candidate_meets_the_need():
+    # _min_cost_eta caps its target at the best level, so only a need past
+    # the reach of every package leaves no feasible row: the enumeration
+    # then raises as the scalar pick of no candidates does.
+    beta, cost, bounds, _, _ = _probe_problem(5, 5, 4)
+    lo, hi = [b[0] for b in bounds], [b[1] for b in bounds]
+    reach = _fold(b * h for b, h in zip(beta[1:].tolist(), hi))  # positive effects, lo = 0
+    with pytest.raises(InfeasibleError, match=_UNREACHABLE):
+        _fixing_lanes(_padded_polys(cost, 4), beta[1:].tolist(), [0, 1, 2, 3], lo, hi,
+                      reach + 1.0, 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seven_components_meet_the_goal_and_no_pair_or_sample_beats_them(seed):
+    # Past six effective components the solver enumerates nothing: it takes
+    # the cheaper of the eta-maximizing corner and the Lagrangian point and
+    # refines it by pair descent.  The bounds, fixed before the first run:
+    # the constraint holds within the solver's ftol, no exact pair move and
+    # no sampled feasible package is cheaper by more than 1e-9 relative.
+    beta, cost, bounds, goal, rng = _probe_problem(seed, 0, 7)
+    beta0, beta1, _, lo, hi, eta_t = _args(beta, cost, bounds, math.log(goal / (1.0 - goal)))
+    x = _min_cost_eta(beta0, beta1, cost, lo, hi, eta_t)
+    ftol = 1e-9 * max(1.0, abs(_eta_max(beta, bounds)), abs(eta_t))
+    assert ((lo <= x) & (x <= hi)).all()
+    assert beta0 + float(beta1 @ x) >= eta_t - ftol
+    polys, total = _padded_polys(cost, 7), cost(x)
+    window = 1e-9 * (1.0 + abs(total))
+    moves = 0
+    for f, g in itertools.combinations(range(7), 2):
+        rem = eta_t - beta0 - _fold(beta1[p] * x[p] for p in range(7) if p not in (f, g))
+        res = _min_pair(polys[f], polys[g], beta1[f], beta1[g],
+                        (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol)
+        if res is None:  # the package spends the whole ftol: no pair point is left
+            continue
+        moves += 1
+        assert polys[f](res[0]) + polys[g](res[1]) >= polys[f](x[f]) + polys[g](x[g]) - window
+    assert moves >= 15
+    spread = rng.uniform(lo, hi, (4096, 7))
+    local = np.clip(x + 0.05 * (hi - lo) * rng.standard_normal((4096, 7)), lo, hi)
+    samples = np.concatenate((spread, local))
+    feasible = samples[beta0 + samples @ beta1 >= eta_t]
+    assert len(feasible) > 100
+    assert min(cost.evaluate_rows(feasible)) >= total - window

@@ -21,6 +21,7 @@ from scipy.optimize import linprog, minimize_scalar
 from scipy.special import expit as sp_expit, logit as sp_logit
 
 from lago.cost import CostFunction
+from lago.diagnostics import verify_assumption7
 from lago.errors import InfeasibleError, NoThresholdError, NonFiniteError
 from lago.model import CenterData, FittedModel, StageRecord, _assumed, mirrored, predict
 from lago.optimizer import (
@@ -201,6 +202,45 @@ def test_goal_at_eta_max_with_a_negligible_effect_keeps_the_cheap_corner():
         CUBIC, np.array([0.0, 0.0]), np.array([2.0, 8.0]), 1.0374077213502952,
     )
     assert x.tolist() == [0.0, 8.0]
+
+
+@pytest.mark.parametrize("eta_target, package", [
+    (0.0, [1.6, 0.0]), (1.0, [2.0, 0.8 / 0.3]), (1.5, [2.0, 1.3 / 0.3]),
+])
+def test_a_linear_cost_rate_past_the_float_range_orders_last_without_a_warning(
+        eta_target, package):
+    # Both cost-per-eta rates (1e308 / 0.5 and 1e308 / 0.3) overflow to inf
+    # and tie, so the fill takes the components in index order.  The suite
+    # turns a RuntimeWarning into an error, and this test sets no errstate.
+    cost = CostFunction(((0, 1, 1e308), (1, 1, 1e308)))
+    x = _min_cost_eta(-0.8, np.array([0.5, 0.3]), cost, np.array([0.0, 0.0]),
+                      np.array([2.0, 8.0]), eta_target)
+    assert x == pytest.approx(package, rel=1e-12)
+    assert -0.8 + 0.5 * x[0] + 0.3 * x[1] >= eta_target - 1e-9
+
+
+NON_FINITE_BETAS = [(0.1, math.nan, 0.15), (0.1, math.inf, 0.15), (-math.inf, 0.3, 0.15)]
+
+
+@pytest.mark.parametrize("beta", NON_FINITE_BETAS, ids=["nan-effect", "inf-effect", "inf-intercept"])
+def test_non_finite_coefficients_are_refused_naming_beta(beta):
+    # Each entry point once blamed the goal ("no package ... reaches the
+    # outcome goal", "constraint unreachable") or, for an infinite effect,
+    # the cost ("the cost is not finite on [0.0, 0.0]").
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled"))
+    calls = {
+        "plan_stage1": lambda: plan_stage1(beta, goals, COST_1A, BOUNDS_1A, (100.0, 100.0)),
+        "recommend_from_summary": lambda: recommend_from_summary(
+            _assumed(beta), SUMMARY_1A, goals, COST_1A, BOUNDS_1A),
+        "min_cost_subject_to_threshold": lambda: min_cost_subject_to_threshold(
+            _assumed(beta), COST_1A, BOUNDS_1A, 0.7),
+        "verify_assumption7": lambda: verify_assumption7(
+            beta, COST_1A, BOUNDS_1A, 0.7, epsilon=0.01, L=3, seed=1),
+        "FittedModel": lambda: make_model(beta),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"beta must be finite, got \["):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +708,35 @@ def test_a_continuous_tests_sums_are_not_held_to_the_counts():
     with pytest.raises(ValueError, match="var1_obs must be finite and nonnegative"):
         recommend_from_summary(model, dataclasses.replace(summary, var1_obs=-60.0), goals,
                                COST_1A, BOUNDS_1A)
+
+
+CONTINUOUS_SUMMARY = ArmSummary(120.0, 40.0, 120.0 * 8.0, 40.0 * 7.0, 120.0, 40.0,
+                                var1_obs=60.0, var0_obs=64.0)
+BAD_CONTINUOUS_SUMMARIES = [
+    ({"n1_obs": 0.0, "s1_obs": 0.0}, "n1_obs must be positive"),
+    ({"n1_obs": 1.0, "s1_obs": 8.0, "n1_future": 0.0}, r"n1_obs \+ n1_future must not be 1"),
+    ({"n1_obs": 0.5, "s1_obs": 4.0, "n1_future": 0.0, "n0_obs": 1.5, "s0_obs": 10.5,
+      "n0_future": 0.0}, r"n1_obs \+ n1_future \+ n0_obs \+ n0_future must not be 2"),
+    ({"var1_obs": None}, "var1_obs is required"),
+    ({"var0_obs": None}, "var0_obs is required"),
+]
+
+
+@pytest.mark.parametrize("kind", ["t_unpooled", "t_pooled"])
+@pytest.mark.parametrize("approach", ["unconditional", "conditional"])
+@pytest.mark.parametrize("edit, message", BAD_CONTINUOUS_SUMMARIES,
+                         ids=["n1_obs=0", "N1=1", "N1+N0=2", "no-var1", "no-var0"])
+def test_a_continuous_test_refuses_an_arm_summary_its_formulas_cannot_divide_by(
+        kind, approach, edit, message):
+    # The arm mean divided by n1_obs = 0, the variance projections by
+    # N1 - 1 = 0 and (pooled) N1 + N0 - 2 = 0: ZeroDivisionError tracebacks.
+    # A missing variance failed inside the search, naming no arm_summary field.
+    model = FittedModel(beta=np.array([7.0, 0.8, 0.2]), link="identity",
+                        covariance=np.eye(3), n_used=160, kind="continuous", sigma2=64.0)
+    goals = GoalSpec(power_goal=0.8, test=Selector(kind), approach=approach)
+    bad = dataclasses.replace(CONTINUOUS_SUMMARY, **edit)
+    with pytest.raises(ValueError, match=f"arm_summary {message}"):
+        recommend_from_summary(model, bad, goals, COST_1A, BOUNDS_1A)
 
 
 # ---------------------------------------------------------------------------
