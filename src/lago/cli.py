@@ -26,7 +26,7 @@ import numpy as np
 
 from .cost import CostFunction
 from .diagnostics import dominance_design, dominance_threshold, verify_assumption7
-from .errors import LagoError, config_errors
+from .errors import LagoError, _check_count, config_errors
 from .model import (FittedModel, _assumed, _from_fields, _json_value, _value_eq, expit,
                     load_stage_csv, predict)
 from .optimizer import (
@@ -222,6 +222,7 @@ class CoefficientFixture:
             raise ValueError("covariance shape does not match beta")
         if not (np.isfinite(self.beta).all() and np.isfinite(self.covariance).all()):
             raise ValueError("beta and covariance entries must be finite")
+        _check_count("n_used", self.n_used, 0)
         if self.arm_summary is not None:
             _check_summary(self.arm_summary)
 
@@ -232,7 +233,7 @@ class CoefficientFixture:
     @classmethod
     def from_config(cls, doc: dict) -> "CoefficientFixture":
         with config_errors("coefficient fixture"):
-            return _from_fields(cls, doc, n_used=int, kind=str, cost=CostFunction.from_config,
+            return _from_fields(cls, doc, kind=str, cost=CostFunction.from_config,
                                 bounds=lambda b: tuple(map(tuple, b)), arm_summary=_arm_summary)
 
 

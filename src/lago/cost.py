@@ -13,12 +13,13 @@ component's polynomial (``_ComponentPoly``) through one Horner rule, ``_horner``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import NonFiniteError, config_errors
+from .errors import NonFiniteError, _check_count, config_errors
 
 
 def _stationary_points(c) -> tuple:
@@ -118,15 +119,13 @@ class CostFunction:
                 raise ValueError(f"cost term must be (component, degree, coeff): {term!r}")
             comp, degree, coeff = term
             if comp is not None:
-                comp = int(comp)
-                if comp < 0:
-                    raise ValueError("component indices must be nonnegative")
-            degree = int(degree)
-            if degree < 0:
-                raise ValueError("degrees must be nonnegative")
+                _check_count(f"cost term {term!r}: the component", comp, 0)
+            _check_count(f"cost term {term!r}: the degree", degree, 0)
             if comp is None and degree != 0:
                 raise ValueError("constant terms must have degree 0")
-            coeff = float(coeff)
+            if isinstance(coeff, bool) or not isinstance(coeff, numbers.Real):
+                raise ValueError(f"cost term {term!r}: the coefficient must be a real number")
+            comp, degree, coeff = None if comp is None else int(comp), int(degree), float(coeff)
             if not math.isfinite(coeff):
                 name = "constant" if comp is None else f"x_{comp + 1}^{degree}"
                 raise ValueError(f"cost coefficient of the {name} term must be finite")
@@ -213,9 +212,8 @@ class CostFunction:
                     raise ValueError(f"cost entry must have three fields: {entry!r}")
                 comp, degree, coeff = entry
                 if comp is not None:
-                    comp = int(comp) - 1
-                    if comp < 0:
-                        raise ValueError("config components are 1-based")
+                    _check_count(f"cost term {entry!r}: the 1-based component", comp, 1)
+                    comp -= 1
                 terms.append((comp, degree, coeff))
             return cls(tuple(terms))
 

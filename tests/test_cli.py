@@ -268,6 +268,16 @@ def test_a_non_finite_fixture_coefficient_is_refused(tmp_path, capsys, doc):
     assert "beta and covariance entries must be finite" in captured.err
 
 
+@pytest.mark.parametrize("n_used", [400.7, True, "400", -1])
+def test_a_fixture_n_used_that_is_not_a_count_is_refused(tmp_path, capsys, n_used):
+    doc = {**_bundled("betterbirth"), "n_used": n_used}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "recommend", "--coefficients", path, "--goal", "0.10")
+    assert code == 2
+    assert f"n_used must be an integer >= 0, got {n_used!r}" in captured.err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda entry: entry.update(n1_obz=100.0), "unknown ArmSummary field 'n1_obz'"),
     (lambda entry: entry.pop("s0_obs"), "arm_summary is missing required field 's0_obs'"),

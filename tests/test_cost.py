@@ -103,6 +103,45 @@ def test_non_finite_coefficient_rejected(entry, name):
         CostFunction.from_config([[1, 1, 10.0], entry])
 
 
+@pytest.mark.parametrize("entry, message", [
+    ([1, 1.5, 2.0], "cost term (0, 1.5, 2.0): the degree must be an integer >= 0, got 1.5"),
+    ([2.9, 2, 1.0], "cost term [2.9, 2, 1.0]: the 1-based component must be an integer >= 1, "
+                    "got 2.9"),
+    ([1.0, 2, 1.0], "the 1-based component must be an integer >= 1, got 1.0"),
+    ([True, 1, 1.0], "the 1-based component must be an integer >= 1, got True"),
+    ([0, 1, 1.0], "the 1-based component must be an integer >= 1, got 0"),
+    ([1, True, 1.0], "the degree must be an integer >= 0, got True"),
+    ([None, 0, "3"], "cost term (None, 0, '3'): the coefficient must be a real number"),
+    ([1, 1, True], "the coefficient must be a real number"),
+    ([1, 1, None], "the coefficient must be a real number"),
+])
+def test_a_config_cost_term_that_would_be_truncated_is_refused(entry, message):
+    # Each was read by int() or float(): x_1^1.5 was priced as x_1, component
+    # 2.9 as component 2 and the string "3" as 3.0.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CostFunction.from_config([[1, 1, 10.0], entry])
+
+
+@pytest.mark.parametrize("term, message", [
+    ((0.0, 1, 2.0), "cost term (0.0, 1, 2.0): the component must be an integer >= 0, got 0.0"),
+    ((False, 1, 2.0), "the component must be an integer >= 0, got False"),
+    ((-1, 1, 2.0), "the component must be an integer >= 0, got -1"),
+    ((0, np.float64(2.0), 2.0), "the degree must be an integer >= 0, got np.float64(2.0)"),
+    ((0, -1, 2.0), "the degree must be an integer >= 0, got -1"),
+    ((0, 1, "2"), "cost term (0, 1, '2'): the coefficient must be a real number"),
+    ((0, 1, 2j), "the coefficient must be a real number"),
+])
+def test_a_cost_term_that_is_not_integer_or_real_is_refused(term, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CostFunction((term,))
+
+
+def test_numpy_integer_and_real_cost_terms_are_read_exactly():
+    cost = CostFunction.from_config([[np.int64(2), np.int32(3), np.float32(0.5)], [None, 0, 4]])
+    assert cost.terms == ((1, 3, 0.5), (None, 0, 4.0))
+    assert all(type(v) is float for _, _, v in cost.terms)
+
+
 def test_separability():
     """Changing one component moves the cost by that component's polynomial only."""
     rng = np.random.default_rng(3)
