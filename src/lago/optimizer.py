@@ -1231,9 +1231,7 @@ def _projected_power(x, model, summary, goals: GoalSpec) -> float:
     """The final-test power at package ``x`` that ``goals``' certificate
     (conditional or unconditional) projects."""
     if goals.approach == "conditional":
-        return conditional_power(
-            x, model, summary, goals.test, goals.alpha, direction=goals.direction
-        )
+        return conditional_power(x, model, summary, goals.test, goals.alpha, goals.direction)
     return unconditional_power(x, model, summary, goals.test, goals.alpha)
 
 

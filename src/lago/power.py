@@ -15,7 +15,10 @@ Everything here is pure arithmetic on realized or projected arm summaries:
   approach (noncentrality of the squared statistic with future-stage sums
   replaced by model projections) and the *conditional* approach (an
   inequality on observed data plus future-stage randomness only; satisfied
-  when the returned slack is <= 0), and their 1-df forms over lane arrays.
+  when the returned slack is <= 0).  Each 1-df form is one formula that
+  takes a float level, or an array of levels over many lanes (one decision
+  each) and returns each lane's float result bitwise; the ``*_lanes``
+  functions only mask what a float call would raise.
 
 1-df unconditional power uses the exact normal form
 Phi(r - c) + Phi(-r - c), r = sqrt(lam), c = z_{alpha/2} (scaled by the
@@ -57,13 +60,17 @@ _SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = NormalDist()
 
 
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-float(x) / _SQRT2)
+def norm_cdf(x):
+    """Standard normal CDF of a float, or of each entry of a 1-d array."""
+    return norm_sf(-x)
 
 
-def norm_sf(x: float) -> float:
-    """Standard normal upper tail, accurate far in the tail."""
+def norm_sf(x):
+    """Standard normal upper tail of a float, or of each entry of a 1-d
+    array, accurate far in the tail.  An array is mapped through
+    ``math.erfc`` entry by entry, so each entry is bitwise the float one."""
+    if isinstance(x, np.ndarray):
+        return 0.5 * np.array(list(map(math.erfc, (x / _SQRT2).tolist())))
     return 0.5 * math.erfc(float(x) / _SQRT2)
 
 
@@ -752,22 +759,23 @@ def _arm_moments(level: float, proj: _Projection, test: TestSelector):
     return pbar1, pbar0, unpooled_var, test_var
 
 
-def _lambda_and_rescale(
-    level: float, model: FittedModel, summary: ArmSummary, test: TestSelector
-):
-    """(noncentrality, critical rescale) of a 1-df test at future ``level``.
+def _lambda_and_rescale(level, model: FittedModel, summary: ArmSummary, test: TestSelector):
+    """(noncentrality, critical rescale, unpooled variance) of a 1-df test at
+    future ``level``.
 
-    Both read one ``_arm_moments``; the rescale is the pooled/unpooled
-    projected-variance ratio, exactly 1.0 for unpooled tests.
+    All three read one ``_arm_moments``; the rescale is the pooled/unpooled
+    projected-variance ratio, exactly 1.0 for unpooled tests.  A float level
+    whose unpooled variance is not positive raises DegenerateVarianceError;
+    on lanes the variance is returned for the caller's mask instead.
     """
     if test.wald:
         raise ValueError("Wald noncentrality depends on the package, not just its level")
     pbar1, pbar0, unpooled_var, test_var = _arm_moments(
         level, _projection(model, summary), test)
-    if unpooled_var <= 0.0:
+    if not isinstance(unpooled_var, np.ndarray) and unpooled_var <= 0.0:
         raise DegenerateVarianceError("zero projected variance")
     diff = pbar1 - pbar0
-    return diff * diff / unpooled_var, test_var / unpooled_var
+    return diff * diff / unpooled_var, test_var / unpooled_var, unpooled_var
 
 
 def lambda_at_level(
@@ -849,15 +857,8 @@ def unconditional_lambda(
     return lambda_at_level(level, model, summary, test)
 
 
-def unconditional_power_at_level(
-    level: float,
-    model: FittedModel,
-    summary: ArmSummary,
-    test: TestSelector,
-    alpha: float = 0.05,
-) -> float:
-    """Projected power of the two-sided test when the future intervention
-    rate/mean is ``level`` (1-df kinds only).
+def _two_sided_power(lam, rescale, z_half_alpha):
+    """Power of the two-sided 1-df test at noncentrality ``lam``.
 
     The squared statistic is noncentral chi-square with 1 df, i.e.
     (Z + r)^2 with r = sqrt(lam), rejected above c^2 where
@@ -866,12 +867,21 @@ def unconditional_power_at_level(
     accurate at both ends; it equals
     1 - noncentral_chisq_cdf(chisq_quantile(1 - alpha, 1) * rescale, 1, lam).
     """
+    c = z_half_alpha * _sqrt(rescale)
+    r = _sqrt(lam)
+    return norm_sf(c - r) + norm_sf(c + r)
+
+
+def unconditional_power_at_level(
+    level, model: FittedModel, summary: ArmSummary, test: TestSelector, alpha: float = 0.05
+):
+    """Projected power of the two-sided test when the future intervention
+    rate/mean is ``level`` (1-df kinds only): ``_two_sided_power`` at the
+    ``_lambda_and_rescale`` of ``level``."""
     _check_probability("alpha", alpha)
     proj = _projection(model, summary, alpha=alpha)
-    lam, rescale = _lambda_and_rescale(level, model, proj, test)
-    c = proj.z_half_alpha * math.sqrt(rescale)
-    r = math.sqrt(lam)
-    return norm_sf(c - r) + norm_sf(c + r)
+    lam, rescale, _ = _lambda_and_rescale(level, model, proj, test)
+    return _two_sided_power(lam, rescale, proj.z_half_alpha)
 
 
 def unconditional_power(
@@ -890,9 +900,7 @@ def unconditional_power(
     return unconditional_power_at_level(predict(model, x), model, summary, test, alpha)
 
 
-def projected_drift_at_level(
-    level: float, model: FittedModel, summary: ArmSummary
-) -> float:
+def projected_drift_at_level(level, model: FittedModel, summary: ArmSummary):
     """Signed all-stage arm contrast (intervention minus control) with the
     future intervention rate at ``level``; used for direction coherence."""
     pbar1, pbar0 = projected_rates(level, model, summary)
@@ -924,11 +932,20 @@ def _conditional_parts(
     return g1, pbar1 - pbar0, _sqrt_clamped(fut_var), fut_var
 
 
+def _sqrt(v):
+    """``math.sqrt`` of a float, which refuses a negative one with
+    ValueError; ``np.sqrt`` of each entry of an array, nan for a negative one."""
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _where(cond, a, b):
+    """``a if cond else b`` of floats, or entry by entry of arrays."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+
+
 def _sqrt_clamped(v):
-    """``math.sqrt(max(v, 0.0))`` of a float, or of each entry of an array."""
-    if isinstance(v, np.ndarray):
-        return np.sqrt(np.where(v < 0.0, 0.0, v))
-    return math.sqrt(max(v, 0.0))
+    """The root of ``v``, 0.0 where ``v`` is negative."""
+    return _sqrt(_where(v < 0.0, 0.0, v))
 
 
 def _direction_sign(direction: str) -> float:
@@ -961,7 +978,6 @@ def conditional_slack_at_level(
     _check_probability("pi", pi)
     sign = _direction_sign(direction)
     proj = _projection(model, summary, test, alpha, pi)
-    z_half_alpha, z_pi = proj.z_half_alpha, proj.z_pi
     g1, drift, fut_sd, fut_var = _conditional_parts(level, model, proj, test)
     if scale == "variance" and test.kind == "z_unpooled":
         fut_term = fut_var
@@ -969,7 +985,7 @@ def conditional_slack_at_level(
         fut_term = fut_sd
     else:
         raise ValueError("scale must be 'sd' or 'variance'")
-    return z_half_alpha * g1 - sign * drift - z_pi * fut_term
+    return proj.z_half_alpha * g1 - sign * drift - proj.z_pi * fut_term
 
 
 def conditional_constraint_slack(
@@ -990,27 +1006,27 @@ def conditional_constraint_slack(
 
 
 def conditional_power_at_level(
-    level: float,
+    level,
     model: FittedModel,
     summary: ArmSummary,
     test: TestSelector,
     alpha: float = 0.05,
     direction: str = "increase",
-) -> float:
+):
     """Probability of the correct-direction rejection given the observed sums.
 
     This is the quantity the slack form bounds: it is >= pi exactly when
     ``conditional_slack_at_level(...) <= 0`` (with the default sd scale).
+    With no future randomness (fut_sd == 0) the rejection is already
+    decided: the power is 1.0 when the margin is met and 0.0 otherwise.
     """
     _check_probability("alpha", alpha)
     sign = _direction_sign(direction)
     proj = _projection(model, summary, test, alpha)
-    z_half_alpha = proj.z_half_alpha
     g1, drift, fut_sd, _ = _conditional_parts(level, model, proj, test)
-    margin = sign * drift - z_half_alpha * g1
-    if fut_sd == 0.0:
-        return 1.0 if margin >= 0.0 else 0.0
-    return norm_cdf(margin / fut_sd)
+    margin = sign * drift - proj.z_half_alpha * g1
+    certain = fut_sd == 0.0
+    return _where(certain, 1.0 * (margin >= 0.0), norm_cdf(margin / _where(certain, 1.0, fut_sd)))
 
 
 def conditional_power(
@@ -1033,11 +1049,14 @@ def conditional_power(
 #
 # A lane is one decision, such as one replicate of a simulation.  A lane
 # projection is one ``_Projection`` whose summary fields and control levels
-# are arrays over the lanes, so ``_arm_moments``, ``_conditional_parts`` and
-# ``conditional_slack_at_level`` evaluate every lane in one pass with the
-# scalar formulas.  The functions below are the scalar forms' tails on such
-# arrays: numpy and Python round + - * / and sqrt alike, and exp and erfc run
-# per lane through ``math``, so each lane's value is bitwise the scalar one.
+# are arrays over the lanes.  Each 1-df power quantity above is one formula
+# on a float or on such arrays: given an array of levels over a lane
+# projection, it evaluates every lane in one pass.  numpy and Python round
+# + - * / and sqrt alike, and exp and erfc run per lane through ``math``, so
+# each lane's value is bitwise its float one.  The ``*_lanes`` functions
+# below are masking only: they select the lanes, give a lane whose drift
+# points the wrong way -inf, and mark as ``degenerate`` the lanes whose
+# float forms raise DegenerateVarianceError.
 # ---------------------------------------------------------------------------
 
 _LANE_FIELDS = ("n1_obs", "n0_obs", "s1_obs", "s0_obs", "n1_future", "n0_future")
@@ -1092,68 +1111,44 @@ def _lane_projection(link, intercepts, summaries, test, alpha, pi) -> _Projectio
     return proj
 
 
-def _unconditional_power_lanes(diff, unpooled_var, test_var, z_half_alpha):
-    """``unconditional_power_at_level`` on lane arrays of its arm moments
-    (``diff`` is pbar1 - pbar0).
-
-    Returns (power, degenerate): ``degenerate`` marks the lanes the scalar
-    form refuses with DegenerateVarianceError, whose power is nan.  A
-    negative variance ratio raises the scalar form's ValueError.
-    """
-    degenerate = unpooled_var <= 0.0
-    power = np.full(diff.size, math.nan)
-    ok = ~degenerate
-    if np.count_nonzero(degenerate):
-        diff, unpooled_var, test_var = diff[ok], unpooled_var[ok], test_var[ok]
-    rescale = test_var / unpooled_var
-    if np.count_nonzero(rescale < 0.0):
-        raise ValueError("math domain error")
-    c = z_half_alpha * np.sqrt(rescale)
-    r = np.sqrt(diff * diff / unpooled_var)
-    # norm_sf(c - r) + norm_sf(c + r), each through math.erfc
-    tails = 0.5 * np.array(list(map(math.erfc, (np.concatenate((c - r, c + r)) / _SQRT2).tolist())))
-    power[ok] = tails[:c.size] + tails[c.size:]
-    return power, degenerate
-
-
 def _threshold_residual_lanes(level, lanes, proj, approach, direction, scale):
-    """``optimizer._threshold_core``'s 1-df residual as arrays, bitwise the
-    scalar one, for the lanes ``lanes`` of ``proj.exact`` at the raw levels
-    ``level`` (an array over every lane of ``proj``): the negated conditional
-    slack, or the unconditional power minus pi, -inf while the projected
-    drift points the wrong way.  Returns (residuals, degenerate) as
-    ``_unconditional_power_lanes`` does."""
+    """``optimizer._threshold_core``'s 1-df residual, bitwise the scalar one,
+    for the lanes ``lanes`` of ``proj.exact`` at the raw levels ``level`` (an
+    array over every lane of ``proj``): the negated conditional slack, or the
+    unconditional power minus pi, -inf while the projected drift points the
+    wrong way.  Returns (residuals, degenerate) as ``_projected_power_lanes``
+    does, for the lanes whose drift points the goal's way."""
     if approach == "conditional":
         slack = conditional_slack_at_level(
             level, None, proj, proj.test, proj.alpha, proj.pi, direction=direction, scale=scale,
         )
         return -slack[lanes], np.zeros(lanes.size, bool)
-    pbar1, pbar0, unpooled_var, test_var = _arm_moments(level, proj, proj.test)
-    drift = (pbar1 - pbar0)[lanes]
+    drift = projected_drift_at_level(level, None, proj)[lanes]
     live = ~(_direction_sign(direction) * drift <= 0.0)
-    at = lanes[live]
     f = np.full(lanes.size, -math.inf)
     degenerate = np.zeros(lanes.size, bool)
-    power, degenerate[live] = _unconditional_power_lanes(
-        drift[live], unpooled_var[at], test_var[at], proj.z_half_alpha)
+    power, degenerate[live] = _projected_power_lanes(level, lanes[live], proj, approach, direction)
     f[live] = power - proj.pi
     return f, degenerate
 
 
 def _projected_power_lanes(level, lanes, proj, approach, direction):
     """The power ``optimizer._projected_power`` projects, for the lanes
-    ``lanes`` at the levels ``level`` (an array over every lane of
-    ``proj``): (power, degenerate) as ``_unconditional_power_lanes``
-    returns them.  A lane with no future randomness divides by zero here,
-    so callers silence numpy's floating-point warnings."""
-    if approach == "unconditional":
-        pbar1, pbar0, unpooled_var, test_var = _arm_moments(level, proj, proj.test)
-        return _unconditional_power_lanes(
-            (pbar1 - pbar0)[lanes], unpooled_var[lanes], test_var[lanes], proj.z_half_alpha)
-    g1, drift, fut_sd, _ = _conditional_parts(level, None, proj, proj.test)
-    margin = (_direction_sign(direction) * drift - proj.z_half_alpha * g1)[lanes]
-    fut_sd = fut_sd[lanes]
-    power = 0.5 * np.array(list(map(math.erfc, (-(margin / fut_sd) / _SQRT2).tolist())))
-    certain = fut_sd == 0.0
-    power[certain] = margin[certain] >= 0.0
-    return power, np.zeros(lanes.size, bool)
+    ``lanes`` at the levels ``level`` (an array over every lane of ``proj``).
+
+    Returns (power, degenerate): ``degenerate`` marks the lanes whose float
+    forms raise DegenerateVarianceError, whose power is nan.  A negative
+    variance ratio raises the float forms' ValueError.  The arrays hold
+    lanes the float forms would refuse, and lanes outside ``lanes``, so
+    callers silence numpy's floating-point warnings."""
+    if approach == "conditional":
+        power = conditional_power_at_level(level, None, proj, proj.test, proj.alpha, direction)
+        return power[lanes], np.zeros(lanes.size, bool)
+    lam, rescale, unpooled_var = (
+        v[lanes] for v in _lambda_and_rescale(level, None, proj, proj.test))
+    degenerate = unpooled_var <= 0.0
+    if np.count_nonzero(rescale < 0.0) and np.count_nonzero(rescale[~degenerate] < 0.0):
+        raise ValueError("math domain error")
+    power = _two_sided_power(lam, rescale, proj.z_half_alpha)
+    power[degenerate] = math.nan
+    return power, degenerate

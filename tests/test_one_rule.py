@@ -1,12 +1,15 @@
-"""One implementation per rule: a goal's orientation and the cheapest pick.
+"""One implementation per rule: a goal's orientation, the cheapest pick and
+the normal tail.
 
 ``power._direction_sign`` is the only code that reads a direction string;
 everywhere else the orientation is a multiplication by the sign it returns.
 The min-cost tie rule (the cheapest candidate within 1e-9 relative, then the
 lexicographically smallest package) is ``optimizer._cheapest`` on Python
 floats and ``optimizer._cheapest_rows`` on (candidates, lanes) arrays; only
-``_fixing_lanes`` keeps its own pick over its few near rows.  ``ast``
-guards keep it that way.
+``_fixing_lanes`` keeps its own pick over its few near rows.  Every 1-df
+power is written once, on a float or on lanes, so only ``power.norm_cdf``
+and ``power.norm_sf`` call ``math.erfc``, and the lane copy of the
+unconditional power is gone.  ``ast`` guards keep it that way.
 """
 
 import ast
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import lago
-from lago import optimizer
+from lago import optimizer, power
 
 DIRECTIONS = {"increase", "decrease"}
 
@@ -53,6 +56,41 @@ def test_only_direction_sign_compares_a_direction_string():
         visitor.visit(ast.parse(path.read_text()))
         found += visitor.found
     assert found and set(found) == {("power", "_direction_sign")}, found
+
+
+class _ErfcUses(ast.NodeVisitor):
+    """(module, enclosing function) of every use of ``math.erfc``: the
+    attribute, or the name imported from ``math``."""
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id == "math" and node.attr == "erfc":
+            self.found.append((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "math" and any(alias.name == "erfc" for alias in node.names):
+            self.found.append((self.module, "import"))
+
+
+def test_only_the_normal_tails_call_erfc():
+    found = []
+    for path in sorted(Path(lago.__file__).parent.glob("*.py")):
+        visitor = _ErfcUses(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
+    assert found and set(found) <= {("power", "norm_cdf"), ("power", "norm_sf")}, found
+
+
+def test_the_lane_copy_of_the_unconditional_power_is_gone():
+    assert not hasattr(power, "_unconditional_power_lanes")
 
 
 def test_the_direction_checks_of_the_optimizer_are_gone():
