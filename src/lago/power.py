@@ -69,7 +69,7 @@ def norm_sf(x):
     """Standard normal upper tail of a float, or of each entry of a 1-d
     array, accurate far in the tail.  An array is mapped through
     ``math.erfc`` entry by entry, so each entry is bitwise the float one."""
-    if isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray) and x.ndim:
         return 0.5 * np.array(list(map(math.erfc, (x / _SQRT2).tolist())))
     return 0.5 * math.erfc(float(x) / _SQRT2)
 
@@ -978,6 +978,7 @@ def conditional_slack_at_level(
     _check_probability("pi", pi)
     sign = _direction_sign(direction)
     proj = _projection(model, summary, test, alpha, pi)
+    z_half_alpha, z_pi = proj.z_half_alpha, proj.z_pi
     g1, drift, fut_sd, fut_var = _conditional_parts(level, model, proj, test)
     if scale == "variance" and test.kind == "z_unpooled":
         fut_term = fut_var
@@ -985,7 +986,7 @@ def conditional_slack_at_level(
         fut_term = fut_sd
     else:
         raise ValueError("scale must be 'sd' or 'variance'")
-    return proj.z_half_alpha * g1 - sign * drift - proj.z_pi * fut_term
+    return z_half_alpha * g1 - sign * drift - z_pi * fut_term
 
 
 def conditional_constraint_slack(

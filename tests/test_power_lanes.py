@@ -70,7 +70,8 @@ def _continuous(rng):
 
 def _lanes(kind: str, seed: int):
     """(models, summaries, levels) of 40 seeded lanes of a ``kind`` test: the
-    first degenerate, the next two with no future sample, the rest drawn."""
+    first degenerate, the next two with no future sample, the fourth
+    degenerate with equal arms, the rest drawn."""
     rng = np.random.default_rng([seed, KINDS.index(kind)])
     continuous = Selector(kind).continuous_outcome
     if continuous:
@@ -81,6 +82,8 @@ def _lanes(kind: str, seed: int):
                              var1_obs=1.0, var0_obs=1.0)),
             (7.0, ArmSummary(n1_obs=50.0, n0_obs=50.0, s1_obs=300.0, s0_obs=350.0,
                              var1_obs=1.0, var0_obs=1.0)),
+            (7.0, ArmSummary(n1_obs=50.0, n0_obs=50.0, s1_obs=350.0, s0_obs=350.0,
+                             var1_obs=0.0, var0_obs=0.0)),
         ]
         draw = _continuous
     else:
@@ -88,9 +91,10 @@ def _lanes(kind: str, seed: int):
             (0.0, ArmSummary(n1_obs=50.0, n0_obs=50.0, s1_obs=50.0, s0_obs=0.0)),
             (0.0, ArmSummary(n1_obs=50.0, n0_obs=50.0, s1_obs=30.0, s0_obs=20.0)),
             (0.0, ArmSummary(n1_obs=50.0, n0_obs=50.0, s1_obs=20.0, s0_obs=30.0)),
+            (0.0, ArmSummary(n1_obs=50.0, n0_obs=50.0, s1_obs=50.0, s0_obs=50.0)),
         ]
         draw = _binary
-    drawn = special + [draw(rng) for _ in range(37)]
+    drawn = special + [draw(rng) for _ in range(36)]
     models = [FittedModel(beta=np.array([b0, 0.3, 0.1]), link=link, covariance=np.eye(3),
                           n_used=100, kind="continuous" if continuous else "binary", sigma2=1.0)
               for b0, _ in drawn]
@@ -140,6 +144,7 @@ def test_norm_sf_and_cdf_of_an_array_are_their_floats_entry_by_entry():
         assert isinstance(got, np.ndarray) and got.shape == x.shape
         assert [_bits(v) for v in got.tolist()] == [_bits(f(v)) for v in x.tolist()]
         assert type(f(0.5)) is float and f(np.empty(0)).shape == (0,)
+        assert _bits(f(np.array(x[0]))) == _bits(f(float(x[0])))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -158,7 +163,7 @@ def test_the_level_forms_of_a_lane_projection_are_their_floats(kind):
                   degenerate)
     _assert_lanes(power, [_float_or_error(unconditional_power_at_level, x, m, s, test, ALPHA)
                           for x, m, s in lanes], degenerate)
-    assert degenerate.tolist() == [True] + [False] * (len(lanes) - 1)
+    assert np.flatnonzero(degenerate).tolist() == [0, 3]
 
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
@@ -170,8 +175,10 @@ def test_conditional_power_of_a_lane_projection_is_its_floats(kind, direction):
     want = [conditional_power_at_level(x, m, s, test, ALPHA, direction)
             for x, m, s in zip(levels.tolist(), models, summaries)]
     _assert_lanes(got, want)
-    # no future sample: the degenerate lane and the next two are decided
-    assert want[:3] == ([1.0, 1.0, 0.0] if direction == "increase" else [0.0, 0.0, 1.0])
+    # No future sample decides the first four lanes; a margin of exactly 0
+    # (equal arms, no variance) meets the goal.
+    decided = [1.0, 1.0, 0.0, 1.0] if direction == "increase" else [0.0, 0.0, 1.0, 1.0]
+    assert want[:4] == decided
 
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
@@ -223,13 +230,31 @@ def test_a_negative_variance_ratio_raises_the_float_error_on_lanes(direction):
         unconditional_power_at_level(levels[4], models[4], odd, test, ALPHA)
     lanes = np.arange(3, 9)
     with np.errstate(all="ignore"):
-        for call in (lambda: _projected_power_lanes(levels, lanes, proj, "unconditional", direction),
-                     lambda: _threshold_residual_lanes(levels, lanes, proj, "unconditional",
-                                                       direction, "sd")):
-            with pytest.raises(ValueError) as got:
-                call()
-            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            _projected_power_lanes(levels, lanes, proj, "unconditional", direction)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            _threshold_residual_lanes(levels, lanes, proj, "unconditional", direction, "sd")
+        assert str(got.value) == str(want.value)
         # a lane whose drift points the wrong way is -inf before its power
         f, _ = _threshold_residual_lanes(levels, lanes, proj, "unconditional",
                                          "decrease" if sign > 0 else "increase", "sd")
     assert f[1] == -math.inf
+
+
+def test_a_lane_with_a_negative_variance_is_degenerate_and_nan():
+    # Fractional arm sizes again: the unpooled variance is negative and the
+    # arms are equal, so no division makes the lane's power nan by itself.
+    odd = ArmSummary(n1_obs=1.5, n0_obs=1.0, s1_obs=10.5, s0_obs=7.0, var1_obs=1.0,
+                     var0_obs=0.5)
+    models, summaries, levels = _lanes("t_pooled", 6)
+    summaries[4] = odd
+    proj, test = _projection("t_pooled", models, summaries), Selector("t_pooled")
+    with pytest.raises(DegenerateVarianceError):
+        unconditional_power_at_level(levels[4], models[4], odd, test, ALPHA)
+    with np.errstate(all="ignore"):
+        assert _lambda_and_rescale(levels, None, proj, test)[2][4] < 0.0
+        power, degenerate = _projected_power_lanes(levels, np.arange(3, 9), proj,
+                                                   "unconditional", "increase")
+    assert degenerate.tolist() == [True, True, False, False, False, False]
+    assert np.isnan(power[:2]).all() and not np.isnan(power[2:]).any()
