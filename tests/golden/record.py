@@ -4,7 +4,9 @@ Run from the repository root:
 
     python3 tests/golden/record.py
 
-It rewrites ``tests/golden/reports.json``: one entry per case of ``CASES``,
+It rewrites ``tests/golden/reports.json``: one entry per case of ``CASES``
+(``run_scenario`` reports, the BetterBirth recommendations, stability
+probes of seeded P = 3..6 problems and the JSON stdout of two CLI calls),
 each the case's output as JSON, plus the numpy version and
 ``platform.machine()`` of the recording platform.  JSON writes every float
 with ``repr``, which reads back to the same double, so the file holds every
@@ -14,8 +16,11 @@ script; the JSON diff then names every moved number.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -27,7 +32,7 @@ PATH = HERE / "reports.json"
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 import lago  # noqa: E402
-from lago import sim  # noqa: E402
+from lago import cli, sim  # noqa: E402
 
 SEED = 9
 
@@ -82,8 +87,8 @@ SCENARIOS = {
 
 def run_case(name: str, threads: int = 1):
     """The JSON form of case ``name``'s output."""
-    if name == "betterbirth":
-        return _betterbirth()
+    if name in OTHERS:
+        return OTHERS[name]()
     return plain(sim.run_scenario(SCENARIOS[name](), seed=SEED, threads=threads).to_dict())
 
 
@@ -106,7 +111,61 @@ def _betterbirth() -> dict:
     return plain(out)
 
 
-CASES = (*SCENARIOS, "betterbirth")
+def _probe_problem(P: int, mixed: bool = False):
+    """A seeded separable cost on P components and a logit goal 40-60% of
+    the way from the control level to the best level in the bounds.  Each
+    component is the cubic c1 x + c2 x^2 + c3 x^3, increasing on the whole
+    line; with ``mixed`` the third component is linear and the fourth
+    quadratic."""
+    rng = np.random.default_rng([SEED, P, int(mixed)])
+    upper = rng.uniform(2.0, 8.0, P)
+    terms = []
+    for p in range(P):
+        c1 = rng.uniform(1.0, 10.0)
+        c3 = rng.uniform(0.05, 2.0) / upper[p]
+        c2 = -rng.uniform(0.2, 0.9) * math.sqrt(3.0 * c1 * c3)
+        degrees = {2: 1, 3: 2}.get(p, 3) if mixed else 3
+        if degrees == 2:
+            c2 = -c2  # convex
+        terms += [(p, d, float(c)) for d, c in ((1, c1), (2, c2), (3, c3)) if d <= degrees]
+    beta = np.concatenate(([math.log(0.3 / 0.7)], rng.uniform(0.5, 1.5, P) / upper))
+    eta_max = beta[0] + float(np.sum(beta[1:] * upper))
+    eta_goal = beta[0] + rng.uniform(0.4, 0.6) * (eta_max - beta[0])
+    bounds = tuple((0.0, float(u)) for u in upper)
+    return beta, lago.CostFunction(tuple(terms)), bounds, 1.0 / (1.0 + math.exp(-eta_goal))
+
+
+def _probe(P: int, mixed: bool = False) -> dict:
+    """``verify_assumption7`` on ``_probe_problem(P, mixed)``: 20 samples in
+    the 0.05 ball."""
+    beta, cost, bounds, goal = _probe_problem(P, mixed)
+    return plain(lago.verify_assumption7(beta, cost, bounds, goal, epsilon=0.05, L=20,
+                                         seed=SEED).to_dict())
+
+
+def _cli(*argv) -> dict:
+    """The stdout of ``lago *argv``, a JSON document, read back."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"lago {' '.join(argv)} exited {code}")
+    return json.loads(out.getvalue())
+
+
+# name: a case whose output is not a ``run_scenario`` report
+OTHERS = {
+    "betterbirth": _betterbirth,
+    **{f"probe-P{P}": (lambda P=P: _probe(P)) for P in (3, 4, 5, 6)},
+    "probe-mixed-degree": lambda: _probe(4, mixed=True),
+    "cli-recommend-betterbirth": lambda: _cli(
+        "recommend", "--coefficients", "betterbirth", "--goal", "0.1"),
+    "cli-verify-assumption7-betterbirth": lambda: _cli(
+        "verify-assumption7", "--coefficients", "betterbirth", "--goal", "0.1",
+        "--epsilon", "0.05", "--seed", "7"),
+}
+
+CASES = (*SCENARIOS, *OTHERS)
 
 
 def plain(obj):
