@@ -192,6 +192,9 @@ def _truncate_state(state, k: int):
     return out
 
 
+_FIXTURE_KINDS = ("assumed", "binary", "continuous")  # FittedModel.kind
+
+
 @dataclasses.dataclass
 class CoefficientFixture:
     """Coefficient fixture JSON: a model's ``beta`` (intercept first), ``link``
@@ -223,6 +226,8 @@ class CoefficientFixture:
         if not (np.isfinite(self.beta).all() and np.isfinite(self.covariance).all()):
             raise ValueError("beta and covariance entries must be finite")
         _check_count("n_used", self.n_used, 0)
+        if not isinstance(self.kind, str) or self.kind not in _FIXTURE_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(_FIXTURE_KINDS)}: {self.kind!r}")
         if self.arm_summary is not None:
             _check_summary(self.arm_summary)
 
@@ -233,7 +238,7 @@ class CoefficientFixture:
     @classmethod
     def from_config(cls, doc: dict) -> "CoefficientFixture":
         with config_errors("coefficient fixture"):
-            return _from_fields(cls, doc, kind=str, cost=CostFunction.from_config,
+            return _from_fields(cls, doc, cost=CostFunction.from_config,
                                 bounds=lambda b: tuple(map(tuple, b)), arm_summary=_arm_summary)
 
 

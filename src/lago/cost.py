@@ -66,6 +66,21 @@ def _horner(coeffs, x):
     return v
 
 
+def _argmin_on(coeffs, stationary, a: float, b: float) -> float:
+    """The exact minimizer on [a, b] (a <= b) of the polynomial ``coeffs``
+    with ascending stationary points ``stationary``: the smallest of the
+    bounds and interior stationary points whose value is within 1e-12
+    relative of the least."""
+    cands = [a, b] + [t for t in stationary if a < t < b]
+    vals = [_horner(coeffs, t) for t in cands]
+    vmin = min(vals)
+    top = vmin + 1e-12 * (1.0 + abs(vmin))
+    try:
+        return min(c for c, v in zip(cands, vals) if v <= top)
+    except ValueError:  # top is nan: the cost overflowed on [a, b]
+        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
+
+
 class _ComponentPoly:
     """One component's cost polynomial with precomputed stationary points.
 
@@ -86,18 +101,11 @@ class _ComponentPoly:
     def min_on(self, a: float, b: float):
         """Exact minimum on [a, b] as (x, cost); None for an empty interval.
 
-        Ties within 1e-12 relative go to the smallest x.
+        Ties within 1e-12 relative go to the smallest x (``_argmin_on``).
         """
         if b < a:
             return None
-        cands = [a, b] + [t for t in self.stationary if a < t < b]
-        vals = [_horner(self.coeffs, t) for t in cands]
-        vmin = min(vals)
-        tol = 1e-12 * (1.0 + abs(vmin))
-        try:
-            x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
-        except ValueError:  # vmin + tol is nan: the cost overflowed on [a, b]
-            raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
+        x = _argmin_on(self.coeffs, self.stationary, a, b)
         return x, _horner(self.coeffs, x)
 
     def options_on(self, a: float, b: float):

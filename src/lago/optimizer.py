@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import CostFunction, _ComponentPoly, _horner
+from .cost import CostFunction, _argmin_on, _ComponentPoly, _horner, _stationary_points
 from .errors import (DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError,
                      NonFiniteError, _check_count)
 from .model import (
@@ -252,8 +252,13 @@ def _feasible_slice(beta: float, lo: float, hi: float, residual: float):
     return (lo, a) if a >= lo else None
 
 
-def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
-    """Exact min of two components' cost subject to bf*xf + bg*xg >= residual."""
+def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol, fixed=None):
+    """Exact min of two components' cost subject to bf*xf + bg*xg >= residual.
+
+    ``fixed`` is ((free_f, options_f), (free_g, options_g)): each
+    component's minimizer on its box and its fixings there, when the
+    caller holds them (``_pair_descent``).
+    """
     cands = []
 
     def consider(xf, xg):
@@ -262,17 +267,19 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
         if bf * xf + bg * xg >= residual - ftol:
             cands.append((info_f(xf) + info_g(xg), (xf, xg)))
 
-    free_f = info_f.min_on(*box_f)
-    free_g = info_g.min_on(*box_g)
-    consider(free_f[0], free_g[0])
-    for a in info_f.options_on(*box_f):
+    if fixed is None:
+        fixed = [(info.min_on(*box)[0], info.options_on(*box))
+                 for info, box in ((info_f, box_f), (info_g, box_g))]
+    (free_f, options_f), (free_g, options_g) = fixed
+    consider(free_f, free_g)
+    for a in options_f:
         sl = _feasible_slice(bg, box_g[0], box_g[1], residual - bf * a)
         if sl is not None:
-            consider(a, info_g.min_on(*sl)[0])
-    for a in info_g.options_on(*box_g):
+            consider(a, _argmin_on(info_g.coeffs, info_g.stationary, *sl))
+    for a in options_g:
         sl = _feasible_slice(bf, box_f[0], box_f[1], residual - bg * a)
         if sl is not None:
-            consider(info_f.min_on(*sl)[0], a)
+            consider(_argmin_on(info_f.coeffs, info_f.stationary, *sl), a)
     # Constraint-active segment: xg = A + B*xf restricted to both boxes.
     A, B = residual / bg, -bf / bg
     if B > 0.0:
@@ -283,7 +290,7 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
         seg = (box_f[0] + 1.0, box_f[0])
     if seg[0] <= seg[1]:
         h = _segment_coeffs(info_f.coeffs, info_g.coeffs, A, B)
-        xf = _ComponentPoly(h).min_on(seg[0], seg[1])[0]
+        xf = _argmin_on(h, _stationary_points(h), seg[0], seg[1])
         consider(xf, A + B * xf)
     return _cheapest(cands) if cands else None
 
@@ -442,13 +449,14 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
 def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
     """Lagrangian minimizer at the root of supplied(solve(mu)) - (need - ftol)
     in the eta multiplier mu, bracket doubled from 1; None past mu = 2^59."""
+    parts = [(p, infos[p].coeffs, beta1[p], lo[p], hi[p]) for p in eff]
 
     def solve(mu):
         out = {}
-        for p in eff:
-            adj = infos[p].coeffs.copy()
-            adj[1] -= mu * beta1[p]
-            out[p] = _ComponentPoly(adj).min_on(lo[p], hi[p])[0]
+        for p, coeffs, b, low, high in parts:
+            adj = coeffs.copy()
+            adj[1] -= mu * b
+            out[p] = _argmin_on(adj, _stationary_points(adj), low, high)
         return out
 
     def residual(mu):
@@ -464,23 +472,32 @@ def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
 
 
 def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
-    """Exact coordinate descent over component pairs; deterministic."""
+    """Exact coordinate descent over component pairs; deterministic.
+
+    A pair's minimum depends only on the other components' values, so a
+    pair evaluated since the last move would not move and is skipped.
+    """
     values = dict(values)
+    fixed = {p: (infos[p].min_on(lo[p], hi[p])[0], infos[p].options_on(lo[p], hi[p]))
+             for p in eff}
+    moves, seen = 0, {}
     for _ in range(50):
         improved = False
         for f, g in itertools.combinations(eff, 2):
+            if seen.get((f, g)) == moves:
+                continue
             rem = need - _fold(beta1[p] * values[p] for p in eff if p not in (f, g))
             res = _min_pair(
                 infos[f], infos[g], beta1[f], beta1[g],
-                (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol,
+                (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol, (fixed[f], fixed[g]),
             )
-            if res is None:
-                continue
-            cur = infos[f](values[f]) + infos[g](values[g])
-            new = infos[f](res[0]) + infos[g](res[1])
-            if new < cur - 1e-12 * (1.0 + abs(cur)):
-                values[f], values[g] = res
-                improved = True
+            if res is not None:
+                cur = infos[f](values[f]) + infos[g](values[g])
+                new = infos[f](res[0]) + infos[g](res[1])
+                if new < cur - 1e-12 * (1.0 + abs(cur)):
+                    values[f], values[g] = res
+                    improved, moves = True, moves + 1
+            seen[f, g] = moves
         if not improved:
             break
     return values

@@ -278,6 +278,24 @@ def test_a_fixture_n_used_that_is_not_a_count_is_refused(tmp_path, capsys, n_use
     assert f"n_used must be an integer >= 0, got {n_used!r}" in captured.err
 
 
+@pytest.mark.parametrize("kind", [5, "nonsense", "5", ["binary"], True])
+def test_a_fixture_kind_that_is_not_a_model_kind_is_refused(tmp_path, capsys, kind):
+    # ``kind`` was read with ``str``, so 5 loaded as "5" and any string passed.
+    doc = {**_bundled("betterbirth"), "kind": kind}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "recommend", "--coefficients", path, "--goal", "0.10")
+    assert code == 2
+    assert f"kind must be one of assumed, binary, continuous: {kind!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["assumed", "binary", "continuous"])
+def test_a_fixture_of_each_model_kind_loads(kind):
+    fixture = CoefficientFixture.from_config({**_bundled("betterbirth"), "kind": kind})
+    assert fixture.kind == fixture.model.kind == kind
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda entry: entry.update(n1_obz=100.0), "unknown ArmSummary field 'n1_obz'"),
     (lambda entry: entry.pop("s0_obs"), "arm_summary is missing required field 's0_obs'"),

@@ -1,4 +1,4 @@
-"""Differential tests for the array enumeration of the P >= 3 min-cost search.
+"""Differential tests for the P >= 3 min-cost search.
 
 ``optimizer._min_cost_eta`` enumerates the candidates of three to six
 effective components as arrays (``_fixing_lanes``), with every pair minimum
@@ -7,6 +7,16 @@ kept below, verbatim apart from its sums, which fold left to right from 0.0
 as the solver's do, and is the oracle: every package must equal the
 oracle's bitwise, and every failure must raise the same error type and
 message.
+
+The oracle calls the per-call forms of the Lagrangian point, the pair
+descent and the pair minimum, also kept below verbatim under their own
+names: ``_dual_candidate`` builds a ``_ComponentPoly`` per component at
+every multiplier step, and ``_pair_descent`` has ``_min_pair`` recompute
+each component's free minimum and fixings at every pair and round.  The
+solver computes those once per solve (``cost._argmin_on`` is the argmin
+rule of ``_ComponentPoly.min_on``) and skips a pair that has not moved
+since it was last evaluated; the tests at the end hold each piece to its
+per-call form, bitwise.
 """
 
 import itertools
@@ -16,24 +26,126 @@ import numpy as np
 import pytest
 
 from lago import optimizer
-from lago.cost import CostFunction
+from lago.cost import CostFunction, _argmin_on, _ComponentPoly, _horner, _stationary_points
 from lago.diagnostics import verify_assumption7
-from lago.errors import InfeasibleError, LagoError
+from lago.errors import InfeasibleError, LagoError, NonFiniteError
 from lago.optimizer import (
     _UNREACHABLE,
     _beyond_eta_max,
+    _cheapest,
     _component_lanes,
-    _dual_candidate,
     _feasible_slice,
     _fixing_lanes,
     _fold,
     _greedy_linear,
     _min_cost_eta,
-    _min_pair,
     _min_pair_lanes,
     _padded_polys,
-    _pair_descent,
+    _segment_coeffs,
 )
+from lago.power import _passing_root
+
+# ---------------------------------------------------------------------------
+# the replaced per-call forms
+
+
+def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
+    """Exact min of two components' cost subject to bf*xf + bg*xg >= residual."""
+    cands = []
+
+    def consider(xf, xg):
+        xf = min(max(xf, box_f[0]), box_f[1])
+        xg = min(max(xg, box_g[0]), box_g[1])
+        if bf * xf + bg * xg >= residual - ftol:
+            cands.append((info_f(xf) + info_g(xg), (xf, xg)))
+
+    free_f = info_f.min_on(*box_f)
+    free_g = info_g.min_on(*box_g)
+    consider(free_f[0], free_g[0])
+    for a in info_f.options_on(*box_f):
+        sl = _feasible_slice(bg, box_g[0], box_g[1], residual - bf * a)
+        if sl is not None:
+            consider(a, info_g.min_on(*sl)[0])
+    for a in info_g.options_on(*box_g):
+        sl = _feasible_slice(bf, box_f[0], box_f[1], residual - bg * a)
+        if sl is not None:
+            consider(info_f.min_on(*sl)[0], a)
+    # Constraint-active segment: xg = A + B*xf restricted to both boxes.
+    A, B = residual / bg, -bf / bg
+    if B > 0.0:
+        seg = (max(box_f[0], (box_g[0] - A) / B), min(box_f[1], (box_g[1] - A) / B))
+    elif B < 0.0:
+        seg = (max(box_f[0], (box_g[1] - A) / B), min(box_f[1], (box_g[0] - A) / B))
+    else:  # bf == 0 never reaches here (effective components only)
+        seg = (box_f[0] + 1.0, box_f[0])
+    if seg[0] <= seg[1]:
+        h = _segment_coeffs(info_f.coeffs, info_g.coeffs, A, B)
+        xf = _ComponentPoly(h).min_on(seg[0], seg[1])[0]
+        consider(xf, A + B * xf)
+    return _cheapest(cands) if cands else None
+
+
+def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
+    """Lagrangian minimizer at the root of supplied(solve(mu)) - (need - ftol)
+    in the eta multiplier mu, bracket doubled from 1; None past mu = 2^59."""
+
+    def solve(mu):
+        out = {}
+        for p in eff:
+            adj = infos[p].coeffs.copy()
+            adj[1] -= mu * beta1[p]
+            out[p] = _ComponentPoly(adj).min_on(lo[p], hi[p])[0]
+        return out
+
+    def residual(mu):
+        values = solve(mu)
+        return _fold(beta1[p] * values[p] for p in eff) - (need - ftol)
+
+    mu_lo, f_lo, mu_hi = 0.0, residual(0.0), 1.0
+    for _ in range(60):
+        if (f_hi := residual(mu_hi)) >= 0.0:
+            return solve(_passing_root(residual, mu_lo, mu_hi, f_lo, f_hi)[0])
+        mu_lo, f_lo, mu_hi = mu_hi, f_hi, 2.0 * mu_hi
+    return None
+
+
+def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
+    """Exact coordinate descent over component pairs; deterministic."""
+    values = dict(values)
+    for _ in range(50):
+        improved = False
+        for f, g in itertools.combinations(eff, 2):
+            rem = need - _fold(beta1[p] * values[p] for p in eff if p not in (f, g))
+            res = _min_pair(
+                infos[f], infos[g], beta1[f], beta1[g],
+                (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol,
+            )
+            if res is None:
+                continue
+            cur = infos[f](values[f]) + infos[g](values[g])
+            new = infos[f](res[0]) + infos[g](res[1])
+            if new < cur - 1e-12 * (1.0 + abs(cur)):
+                values[f], values[g] = res
+                improved = True
+        if not improved:
+            break
+    return values
+
+
+def _min_on(poly, a, b):
+    """``_ComponentPoly.min_on`` before its argmin moved to ``_argmin_on``."""
+    if b < a:
+        return None
+    cands = [a, b] + [t for t in poly.stationary if a < t < b]
+    vals = [_horner(poly.coeffs, t) for t in cands]
+    vmin = min(vals)
+    tol = 1e-12 * (1.0 + abs(vmin))
+    try:
+        x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
+    except ValueError:  # vmin + tol is nan: the cost overflowed on [a, b]
+        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
+    return x, _horner(poly.coeffs, x)
+
 
 # ---------------------------------------------------------------------------
 # the replaced loop
@@ -373,3 +485,147 @@ def test_seven_components_meet_the_goal_and_no_pair_or_sample_beats_them(seed):
     feasible = samples[beta0 + samples @ beta1 >= eta_t]
     assert len(feasible) > 100
     assert min(cost.evaluate_rows(feasible)) >= total - window
+
+
+# ---------------------------------------------------------------------------
+# the solver's pieces against their per-call forms
+
+
+def _same_floats(got, want) -> bool:
+    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def _polynomials(rng):
+    """Seeded degree 0-4 coefficient lists; some coefficients are +0.0 or
+    -0.0."""
+    for _ in range(400):
+        c = (rng.normal(size=int(rng.integers(1, 6))) * rng.choice([0.1, 1.0, 10.0])).tolist()
+        for k in range(len(c)):
+            if rng.random() < 0.15:
+                c[k] = float(rng.choice([0.0, -0.0]))
+        yield c
+
+
+def _boxes(rng, stationary):
+    """Random boxes, empty-width boxes and boxes ending on stationary points."""
+    a = float(rng.uniform(-3.0, 1.0))
+    yield a, a + float(rng.uniform(0.1, 4.0))
+    yield a, a
+    for t in stationary:
+        yield t, t
+        yield t, t + 1.0
+        yield t - 1.0, t
+    if len(stationary) >= 2:
+        yield stationary[0], stationary[-1]
+
+
+def test_argmin_on_is_the_argmin_of_min_on():
+    rng = np.random.default_rng(31)
+    boxes = 0
+    for c in _polynomials(rng):
+        poly = _ComponentPoly(c)
+        coeffs = [float(v) for v in c]
+        for a, b in _boxes(rng, poly.stationary):
+            got = _argmin_on(coeffs, _stationary_points(coeffs), a, b)
+            assert _same_floats(got, poly.min_on(a, b)[0]), (c, a, b)
+            assert _same_floats(got, _min_on(poly, a, b)[0]), (c, a, b)
+            boxes += 1
+    assert boxes > 1500
+
+
+def test_argmin_on_raises_the_min_on_error_on_an_overflowing_cost():
+    for c, (a, b) in (([0.0, 0.0, 0.0, -1.0], (0.0, 1e200)),
+                      ([1.0, 1e308, -1e308], (-1e10, 1e10)),
+                      ([0.0, 0.0, 0.0, 0.0, -1e300], (0.0, 1e100))):
+        poly = _ComponentPoly(c)
+        got = _outcome(_argmin_on, poly.coeffs, poly.stationary, a, b)
+        want = _outcome(_min_on, poly, a, b)
+        assert isinstance(want, NonFiniteError), (c, want)
+        assert type(got) is type(want) and str(got) == str(want)
+        assert str(_outcome(poly.min_on, a, b)) == str(want)
+
+
+def _recorded_calls(monkeypatch, problems, name):
+    """The arguments of every call the solver makes to ``optimizer.<name>``
+    while solving ``problems``."""
+    calls, kernel = [], getattr(optimizer, name)
+    monkeypatch.setattr(optimizer, name, lambda *args: calls.append(args) or kernel(*args))
+    for args in problems:
+        _outcome(_min_cost_eta, *args)
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def _solver_problems():
+    """The probe problems at P = 3..6, perturbed as the probe does, and
+    random mixed-degree problems."""
+    problems = []
+    for P in (3, 4, 5, 6):
+        for seed in range(8):
+            beta, cost, bounds, goal, rng = _probe_problem(seed, 2, P)
+            eta_goal = math.log(goal / (1.0 - goal))
+            problems.append(_args(beta, cost, bounds, eta_goal))
+            problems.append(_args(beta + rng.normal(0.0, 0.05, beta.size), cost, bounds, eta_goal))
+    rng = np.random.default_rng(404)
+    for _ in range(60):
+        beta, cost, bounds = _mixed_problem(rng)
+        target = beta[0] + rng.uniform(0.3, 0.9) * (_eta_max(beta, bounds) - beta[0])
+        problems.append(_args(beta, cost, bounds, target))
+    return problems
+
+
+def _same_package(got, want, eff) -> bool:
+    if want is None:
+        return got is None
+    return set(got) == set(want) and _same_floats([got[p] for p in eff], [want[p] for p in eff])
+
+
+def test_the_dual_candidate_matches_its_per_call_form(monkeypatch):
+    calls = _recorded_calls(monkeypatch, _solver_problems(), "_dual_candidate")
+    sizes = set()
+    for args in calls:
+        eff = args[2]
+        sizes.add(len(eff))
+        assert _same_package(optimizer._dual_candidate(*args), _dual_candidate(*args), eff), args
+    assert sizes == {3, 4, 5, 6}
+
+
+def test_the_pair_descent_matches_its_per_call_form(monkeypatch):
+    # From the solver's own start, and from random starts in the box, which
+    # take more moves and so more skipped pairs.
+    calls = _recorded_calls(monkeypatch, _solver_problems(), "_pair_descent")
+    rng = np.random.default_rng(5)
+    starts = 0
+    for values, infos, beta1, eff, lo, hi, need, ftol in calls:
+        rest = (infos, beta1, eff, lo, hi, need, ftol)
+        for start in (values, *({p: float(rng.uniform(lo[p], hi[p])) for p in eff}
+                                for _ in range(3))):
+            got = optimizer._pair_descent(start, *rest)
+            assert _same_package(got, _pair_descent(start, *rest), eff), (start, rest)
+            starts += 1
+    assert starts > 400
+
+
+def test_the_pair_minimum_with_the_component_table_matches_its_per_call_form():
+    rng = np.random.default_rng(17)
+    pairs = 0
+    for _ in range(150):
+        beta, cost, bounds = _mixed_problem(rng)
+        polys = _padded_polys(cost, len(bounds))
+        for f, g in itertools.combinations(range(len(bounds)), 2):
+            bf, bg = float(beta[1 + f]), float(beta[1 + g])
+            if bf == 0.0 or bg == 0.0:
+                continue
+            box_f, box_g = bounds[f], bounds[g]
+            fixed = [(poly.min_on(*box)[0], poly.options_on(*box))
+                     for poly, box in ((polys[f], box_f), (polys[g], box_g))]
+            reach = max(bf * box_f[0], bf * box_f[1]) + max(bg * box_g[0], bg * box_g[1])
+            for residual in (float(rng.uniform(-2.0, 1.0)) * abs(reach), reach, reach + 1.0):
+                args = (polys[f], polys[g], bf, bg, box_f, box_g, residual, 1e-9)
+                want = _min_pair(*args)
+                for got in (optimizer._min_pair(*args), optimizer._min_pair(*args, fixed)):
+                    assert (got is None) == (want is None), args
+                    assert want is None or _same_floats(got, want), (args, got, want)
+                pairs += 1
+    assert pairs > 1000

@@ -9,7 +9,12 @@ floats and ``optimizer._cheapest_rows`` on (candidates, lanes) arrays; only
 ``_fixing_lanes`` keeps its own pick over its few near rows.  Every 1-df
 power is written once, on a float or on lanes, so only ``power.norm_cdf``
 and ``power.norm_sf`` call ``math.erfc``, and the lane copy of the
-unconditional power is gone.  ``ast`` guards keep it that way.
+unconditional power is gone.  A component polynomial's argmin on an
+interval (the smallest candidate within 1e-12 relative of the least) is
+``cost._argmin_on`` on floats and ``optimizer._min_on_lanes`` on arrays,
+and only a cost's construction and ``optimizer._padded_polys`` build a
+``_ComponentPoly``, so the solver builds none per step.  ``ast`` guards
+keep it that way.
 """
 
 import ast
@@ -134,3 +139,84 @@ def test_the_pair_solvers_pick_by_the_shared_rule(name, rule):
 def test_the_tie_window_is_built_once_per_representation():
     builders = {name for name, func in _functions().items() if _builds_a_tie_window(func)}
     assert builders == {"_cheapest", "_cheapest_rows", "_fixing_lanes"}
+
+
+class _Scoped(ast.NodeVisitor):
+    """Records (module, qualified enclosing function) of the nodes
+    ``match`` accepts; ``match`` returns a label, or None to skip."""
+
+    def __init__(self, module: str, match):
+        self.module, self.match, self.scope, self.found = module, match, [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def generic_visit(self, node):
+        label = self.match(node)
+        if label is not None:
+            self.found.append((self.module, ".".join(self.scope) or "<module>", label))
+        super().generic_visit(node)
+
+
+def _scan(match) -> set:
+    found = []
+    for path in sorted(Path(lago.__file__).parent.glob("*.py")):
+        visitor = _Scoped(path.stem, match)
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
+    return set(found)
+
+
+def _builds_a_component_poly(node):
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return "build" if name == "_ComponentPoly" else None
+    return None
+
+
+def test_only_a_cost_and_the_padding_build_component_polynomials():
+    assert _scan(_builds_a_component_poly) == {
+        ("cost", "CostFunction.__post_init__", "build"),
+        ("optimizer", "_padded_polys", "build"),
+    }
+
+
+def _relative_window(node):
+    """'float' or 'array' for ``1e-12 * (1.0 + abs(v))`` (``np.abs`` on
+    arrays), the 1e-12 window relative to one value ``v``; else None."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return None
+    scale, spread = node.left, node.right
+    if not (isinstance(scale, ast.Constant) and scale.value == 1e-12
+            and isinstance(spread, ast.BinOp) and isinstance(spread.op, ast.Add)
+            and isinstance(spread.left, ast.Constant) and spread.left.value == 1.0
+            and isinstance(spread.right, ast.Call) and len(spread.right.args) == 1):
+        return None
+    func = spread.right.func
+    if isinstance(func, ast.Name) and func.id == "abs":
+        return "float"
+    if isinstance(func, ast.Attribute) and func.attr == "abs":
+        return "array"
+    return None
+
+
+def _argmin_window(node):
+    """The representation of a relative window that ``node`` uses, inline
+    or stored, except one subtracted: ``_pair_descent``'s improvement
+    threshold ``cur - 1e-12 * (1.0 + abs(cur))`` is not a tie window."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return None
+    kinds = {_relative_window(child) for child in ast.iter_child_nodes(node)} - {None}
+    return kinds.pop() if kinds else None
+
+
+def test_the_argmin_tie_window_is_spelled_once_per_representation():
+    assert _scan(_argmin_window) == {
+        ("cost", "_argmin_on", "float"),
+        ("optimizer", "_min_on_lanes", "array"),
+    }
