@@ -52,6 +52,7 @@ from .sim import (
     BETTERBIRTH_COST,
     SHIPPED_SCENARIOS,
     ScenarioSpec,
+    _OUTCOME_KINDS,
     _trial_config,
     betterbirth_model,
     betterbirth_summary,
@@ -192,7 +193,7 @@ def _truncate_state(state, k: int):
     return out
 
 
-_FIXTURE_KINDS = ("assumed", "binary", "continuous")  # FittedModel.kind
+_FIXTURE_KINDS = ("assumed", *_OUTCOME_KINDS)  # FittedModel.kind
 
 
 @dataclasses.dataclass
@@ -226,7 +227,7 @@ class CoefficientFixture:
         if not (np.isfinite(self.beta).all() and np.isfinite(self.covariance).all()):
             raise ValueError("beta and covariance entries must be finite")
         _check_count("n_used", self.n_used, 0)
-        if not isinstance(self.kind, str) or self.kind not in _FIXTURE_KINDS:
+        if self.kind not in _FIXTURE_KINDS:
             raise ValueError(f"kind must be one of {', '.join(_FIXTURE_KINDS)}: {self.kind!r}")
         if self.arm_summary is not None:
             _check_summary(self.arm_summary)

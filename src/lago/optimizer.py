@@ -252,12 +252,11 @@ def _feasible_slice(beta: float, lo: float, hi: float, residual: float):
     return (lo, a) if a >= lo else None
 
 
-def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol, fixed=None):
+def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol, fixed):
     """Exact min of two components' cost subject to bf*xf + bg*xg >= residual.
 
     ``fixed`` is ((free_f, options_f), (free_g, options_g)): each
-    component's minimizer on its box and its fixings there, when the
-    caller holds them (``_pair_descent``).
+    component's minimizer on its box and its fixings there.
     """
     cands = []
 
@@ -267,9 +266,6 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol, fixed=None):
         if bf * xf + bg * xg >= residual - ftol:
             cands.append((info_f(xf) + info_g(xg), (xf, xg)))
 
-    if fixed is None:
-        fixed = [(info.min_on(*box)[0], info.options_on(*box))
-                 for info, box in ((info_f, box_f), (info_g, box_g))]
     (free_f, options_f), (free_g, options_g) = fixed
     consider(free_f, free_g)
     for a in options_f:
@@ -399,8 +395,11 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
 
     # The search below is scalar arithmetic: run it on Python floats.
     beta1, lo, hi, need = beta1.tolist(), lo.tolist(), hi.tolist(), float(need)
+    # Each effective component's free minimum and fixings, once per solve.
+    free = x.tolist()
+    fixed = {p: (free[p], infos[p].options_on(lo[p], hi[p])) for p in eff}
     if 3 <= len(eff) <= 6:
-        chosen = _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol)
+        chosen = _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol, fixed)
     else:
         cands = []
 
@@ -416,8 +415,7 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
         consider({p: (hi[p] if beta1[p] > 0.0 else lo[p]) for p in eff})
 
         if len(eff) <= 2:
-            opts = {p: infos[p].options_on(lo[p], hi[p]) for p in eff}
-            for assign in itertools.product(*(opts[p] for p in eff)):
+            for assign in itertools.product(*(fixed[p][1] for p in eff)):
                 consider(dict(zip(eff, assign)))
             if len(eff) == 1:
                 (f,) = eff
@@ -428,7 +426,7 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
                 f, g = eff
                 res = _min_pair(
                     infos[f], infos[g], beta1[f], beta1[g],
-                    (lo[f], hi[f]), (lo[g], hi[g]), need, ftol,
+                    (lo[f], hi[f]), (lo[g], hi[g]), need, ftol, (fixed[f], fixed[g]),
                 )
                 if res is not None:
                     consider(dict(zip(eff, res)))
@@ -439,7 +437,7 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
         chosen = dict(zip(eff, _cheapest(cands)))
 
     if len(eff) >= 3:
-        chosen = _pair_descent(chosen, infos, beta1, eff, lo, hi, need, ftol)
+        chosen = _pair_descent(chosen, infos, beta1, eff, lo, hi, need, ftol, fixed)
 
     for p in eff:
         x[p] = chosen[p]
@@ -471,15 +469,13 @@ def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
     return None
 
 
-def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
+def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol, fixed):
     """Exact coordinate descent over component pairs; deterministic.
 
     A pair's minimum depends only on the other components' values, so a
     pair evaluated since the last move would not move and is skipped.
     """
     values = dict(values)
-    fixed = {p: (infos[p].min_on(lo[p], hi[p])[0], infos[p].options_on(lo[p], hi[p]))
-             for p in eff}
     moves, seen = 0, {}
     for _ in range(50):
         improved = False
@@ -685,17 +681,17 @@ def _min_pair_lanes(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
     return _pick(xf, index), _pick(xg, index), found, exact
 
 
-def _component_lanes(polys, table, eff, lo, hi, *picks) -> list:
+def _component_lanes(polys, table, free, *picks) -> list:
     """``_LanePolys`` of the components ``polys`` (at most cubic) picked per
     lane by each index array in ``picks``; row e of ``table`` holds the
-    fixings of component e."""
+    fixings of component e and ``free[e]`` its minimizer on its box."""
     coeffs = np.array([poly.coeffs + [0.0] * (4 - len(poly.coeffs)) for poly in polys])
     S = max(len(poly.stationary) for poly in polys)
     point, present = np.zeros((len(polys), S)), np.zeros((len(polys), S), bool)
     for e, poly in enumerate(polys):
         point[e, :len(poly.stationary)] = poly.stationary
         present[e, :len(poly.stationary)] = True
-    free = np.array([poly.min_on(lo[p], hi[p])[0] for p, poly in zip(eff, polys)])
+    free = np.array(free)
     short = np.array([len(poly.coeffs) < 4 for poly in polys])
     return [
         _LanePolys(list(coeffs[c].T), [(point[c, s], present[c, s]) for s in range(S)],
@@ -704,7 +700,7 @@ def _component_lanes(polys, table, eff, lo, hi, *picks) -> list:
     ]
 
 
-def _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol) -> dict:
+def _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol, fixed) -> dict:
     """The package ``_min_cost_eta`` picks among its candidates for 3 to 6
     effective components ``eff``, as arrays over the candidate rows.
 
@@ -716,13 +712,13 @@ def _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol) -> dict:
     comes from one ``_min_pair_lanes`` call; a lane it cannot match, and
     every lane when a component is above cubic or a box is not finite, goes
     through ``_min_pair``.  Arguments are Python floats and lists, as in
-    ``_min_cost_eta``.
+    ``_min_cost_eta``, and ``fixed`` its per-solve component table.
     """
     E = len(eff)
     polys = [infos[p] for p in eff]
     b = np.array([beta1[p] for p in eff])
     lo_e, hi_e = np.array([lo[p] for p in eff]), np.array([hi[p] for p in eff])
-    opts = [poly.options_on(lo[p], hi[p]) for p, poly in zip(eff, polys)]
+    opts = [fixed[p][1] for p in eff]
     K = max(map(len, opts))
     table = np.array([o + o[:1] * (K - len(o)) for o in opts])  # (E, K), first repeated
     idx = np.indices([len(o) for o in opts]).reshape(E, -1).T  # product order
@@ -742,13 +738,14 @@ def _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol) -> dict:
         rem = need - _fold(others.T)
         if max(len(poly.coeffs) for poly in polys) <= 4 and np.isfinite(lo_e + hi_e).all():
             pair_f, pair_g, found, exact = _min_pair_lanes(
-                *_component_lanes(polys, table, eff, lo, hi, fi, gi),
+                *_component_lanes(polys, table, [fixed[p][0] for p in eff], fi, gi),
                 b[fi], b[gi], (lo_e[fi], hi_e[fi]), (lo_e[gi], hi_e[gi]), rem, ftol,
             )
     for k in np.flatnonzero(~exact).tolist():
         f, g = eff[fi[k]], eff[gi[k]]
         res = _min_pair(infos[f], infos[g], beta1[f], beta1[g],
-                        (lo[f], hi[f]), (lo[g], hi[g]), float(rem[k]), ftol)
+                        (lo[f], hi[f]), (lo[g], hi[g]), float(rem[k]), ftol,
+                        (fixed[f], fixed[g]))
         found[k] = res is not None
         if res is not None:
             pair_f[k], pair_g[k] = res

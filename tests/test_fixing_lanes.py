@@ -423,8 +423,8 @@ def test_pair_kernel_on_padded_polynomials_matches_the_scalar_pair():
         beta = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.2, 2.0, 2)
         residuals = np.array([0.0, -0.0, *rng.normal(size=4)])
         n = residuals.size
-        info_f, info_g = _component_lanes(polys, table, [0, 1], lo, hi,
-                                          np.zeros(n, int), np.ones(n, int))
+        free = [poly.min_on(a, b)[0] for poly, a, b in zip(polys, lo, hi)]
+        info_f, info_g = _component_lanes(polys, table, free, np.zeros(n, int), np.ones(n, int))
         with np.errstate(all="ignore"):
             xf, xg, found, exact = _min_pair_lanes(
                 info_f, info_g, np.full(n, beta[0]), np.full(n, beta[1]),
@@ -449,9 +449,11 @@ def test_the_enumeration_raises_when_no_candidate_meets_the_need():
     beta, cost, bounds, _, _ = _probe_problem(5, 5, 4)
     lo, hi = [b[0] for b in bounds], [b[1] for b in bounds]
     reach = _fold(b * h for b, h in zip(beta[1:].tolist(), hi))  # positive effects, lo = 0
+    polys = _padded_polys(cost, 4)
+    fixed = {p: (polys[p].min_on(lo[p], hi[p])[0], polys[p].options_on(lo[p], hi[p]))
+             for p in range(4)}
     with pytest.raises(InfeasibleError, match=_UNREACHABLE):
-        _fixing_lanes(_padded_polys(cost, 4), beta[1:].tolist(), [0, 1, 2, 3], lo, hi,
-                      reach + 1.0, 1e-9)
+        _fixing_lanes(polys, beta[1:].tolist(), [0, 1, 2, 3], lo, hi, reach + 1.0, 1e-9, fixed)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -597,11 +599,11 @@ def test_the_pair_descent_matches_its_per_call_form(monkeypatch):
     calls = _recorded_calls(monkeypatch, _solver_problems(), "_pair_descent")
     rng = np.random.default_rng(5)
     starts = 0
-    for values, infos, beta1, eff, lo, hi, need, ftol in calls:
+    for values, infos, beta1, eff, lo, hi, need, ftol, fixed in calls:
         rest = (infos, beta1, eff, lo, hi, need, ftol)
         for start in (values, *({p: float(rng.uniform(lo[p], hi[p])) for p in eff}
                                 for _ in range(3))):
-            got = optimizer._pair_descent(start, *rest)
+            got = optimizer._pair_descent(start, *rest, fixed)
             assert _same_package(got, _pair_descent(start, *rest), eff), (start, rest)
             starts += 1
     assert starts > 400
@@ -624,8 +626,8 @@ def test_the_pair_minimum_with_the_component_table_matches_its_per_call_form():
             for residual in (float(rng.uniform(-2.0, 1.0)) * abs(reach), reach, reach + 1.0):
                 args = (polys[f], polys[g], bf, bg, box_f, box_g, residual, 1e-9)
                 want = _min_pair(*args)
-                for got in (optimizer._min_pair(*args), optimizer._min_pair(*args, fixed)):
-                    assert (got is None) == (want is None), args
-                    assert want is None or _same_floats(got, want), (args, got, want)
+                got = optimizer._min_pair(*args, fixed)
+                assert (got is None) == (want is None), args
+                assert want is None or _same_floats(got, want), (args, got, want)
                 pairs += 1
     assert pairs > 1000
