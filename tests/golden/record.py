@@ -6,7 +6,7 @@ Run from the repository root:
 
 It rewrites ``tests/golden/reports.json``: one entry per case of ``CASES``
 (``run_scenario`` reports, the BetterBirth recommendations, stability
-probes of seeded P = 3..6 problems and the JSON stdout of two CLI calls),
+probes of seeded P = 3..6 problems and the JSON stdout of four CLI calls),
 each the case's output as JSON, plus the numpy version and
 ``platform.machine()`` of the recording platform.  JSON writes every float
 with ``repr``, which reads back to the same double, so the file holds every
@@ -163,6 +163,11 @@ OTHERS = {
     "cli-verify-assumption7-betterbirth": lambda: _cli(
         "verify-assumption7", "--coefficients", "betterbirth", "--goal", "0.1",
         "--epsilon", "0.05", "--seed", "7"),
+    "cli-plan-stage1-betterbirth": lambda: _cli(
+        "plan-stage1", "--coefficients", "betterbirth", "--goal", "0.1", "--power-goal", "0.8",
+        "--test", "z_unpooled", "--sizes", "425,424", "--integerize"),
+    "cli-dominance-threshold": lambda: _cli(
+        "dominance-threshold", "--beta", "0.1,0.3,0.15", "--n-per-center", "40", "--pi", "0.8"),
 }
 
 CASES = (*SCENARIOS, *OTHERS)
