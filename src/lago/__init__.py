@@ -43,7 +43,6 @@ from .optimizer import (
     GoalSpec,
     Recommendation,
     integerize,
-    min_cost_per_center,
     min_cost_subject_to_threshold,
     p_max,
     plan_stage1,
@@ -135,7 +134,6 @@ __all__ = [
     "recommend_from_summary",
     "plan_stage1",
     "integerize",
-    "min_cost_per_center",
     # trial
     "PlannedStage",
     "TrialConfig",

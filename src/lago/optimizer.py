@@ -29,7 +29,7 @@ import numpy as np
 
 from .cost import CostFunction, _argmin_on, _ComponentPoly, _horner, _stationary_points
 from .errors import (DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError,
-                     NonFiniteError, _check_count)
+                     NonFiniteError)
 from .model import (
     FittedModel,
     _assumed,
@@ -53,10 +53,8 @@ from .power import (
     _projected_power_lanes,
     _Projection,
     _threshold_residual_lanes,
-    _wald_lambda_binary,
     conditional_power,
     conditional_slack_at_level,
-    lambda_min,
     projected_drift_at_level,
     unconditional_power,
     unconditional_power_at_level,
@@ -73,7 +71,6 @@ __all__ = [
     "plan_stage1",
     "shrinking_method",
     "integerize",
-    "min_cost_per_center",
 ]
 
 # What fails one lane of a batched call (one replicate of a simulation) and
@@ -1343,6 +1340,8 @@ def integerize(
     """
     lo, hi = _bounds_arrays(bounds, model.n_components)
     x = np.asarray(x, dtype=float)
+    if x.shape != (model.n_components,) or not np.isfinite(x).all():
+        raise ValueError(f"x must be {model.n_components} finite numbers, got {x.tolist()!r}")
     wm = _work_model(model, direction)
     _check_level_domain(model.link, threshold)
     eta_t = _direction_sign(direction) * float(link_forward(model.link, threshold))
@@ -1374,86 +1373,3 @@ def integerize(
         if eta > best_eta:
             best_any, best_eta = arr, eta
     return best_feas if best_feas is not None else best_any
-
-
-# ---------------------------------------------------------------------------
-# per-center packages (package-df Wald path)
-# ---------------------------------------------------------------------------
-
-def min_cost_per_center(
-    model: FittedModel,
-    trial_state,
-    goals: GoalSpec,
-    n_centers: int,
-    cost: CostFunction | None = None,
-    bounds=None,
-) -> list:
-    """Per-center packages for the package-df Wald test.
-
-    Unlike the 1-df tests, the Wald noncentrality rewards spread across the
-    future design, so letting centers sit at different packages (all still
-    meeting the outcome goal) can certify the power goal more cheaply than
-    one shared package.  Block-coordinate descent over centers: each center
-    in turn takes the cheapest level whose package keeps the joint
-    noncentrality above the power requirement (the passing root of the
-    noncentrality margin between the outcome-goal level and the best one).
-    Binary outcomes only.
-    """
-    _check_count("n_centers", n_centers, 1)
-    if goals.test is None or not goals.test.wald:
-        raise ValueError("per-center packages are only defined for the Wald path")
-    if goals.test.continuous_outcome or model.link != "logit":
-        raise ValueError("per-center packages support the binary Wald path only")
-    cost = cost if cost is not None else trial_state.config.cost
-    bounds = bounds if bounds is not None else trial_state.config.bounds
-    summary, anchor = _stage_inputs(trial_state, goals, len(trial_state.completed) + 1)
-    lo, hi = _bounds_arrays(bounds, model.n_components)
-    (common,) = _recommend_lanes([model], [summary], goals, cost, lo, hi, [anchor])
-    if isinstance(common, Exception):
-        raise common
-    if goals.power_goal is None or common.regime != REGIME_GOAL:
-        return [common.x_hat.copy() for _ in range(n_centers)]
-
-    direction = goals.direction
-    wm = _work_model(model, direction)
-    _, eta_max_w = _eta_extremes(wm, lo, hi)
-    if goals.outcome_goal is not None:
-        g = float(link_forward(model.link, goals.outcome_goal))
-        eta_floor = _direction_sign(direction) * g
-    else:
-        eta_floor = wm.intercept
-    lam_req = lambda_min(goals.alpha, goals.power_goal, df=model.n_components)
-    n1_each = summary.n1_future / n_centers
-
-    def package_at(eta_w):
-        return _min_cost_eta(
-            wm.intercept, wm.effects, cost, lo, hi, min(eta_w, eta_max_w)
-        )
-
-    packages = [common.x_hat.copy() for _ in range(n_centers)]
-    total = sum(float(cost(p)) for p in packages)
-    for _ in range(20):
-        improved = False
-        for j in range(n_centers):
-            others = packages[:j] + packages[j + 1:]
-
-            def margin(eta_w):
-                lam = _wald_lambda_binary(model, summary, others + [package_at(eta_w)], n1_each)
-                return lam - (lam_req - 1e-9)
-
-            f_hi = margin(eta_max_w)
-            if not f_hi >= 0.0:
-                continue
-            eta, f_lo = eta_floor, margin(eta_floor)
-            if not f_lo >= 0.0:
-                eta, _ = _passing_root(margin, eta_floor, eta_max_w, f_lo, f_hi)
-            best = package_at(eta)
-            if float(cost(best)) < float(cost(packages[j])) - 1e-9:
-                packages[j] = best
-                improved = True
-        new_total = sum(float(cost(p)) for p in packages)
-        if not improved or new_total > total - 1e-9 * (1.0 + abs(total)):
-            total = new_total
-            break
-        total = new_total
-    return packages

@@ -576,16 +576,6 @@ def _studentized(summary: ArmSummary, test: TestSelector) -> float:
     return diff / math.sqrt(var)
 
 
-def z_statistic(summary: ArmSummary, pooled: bool = False) -> float:
-    """Two-proportion z on the realized counts (future sizes ignored)."""
-    return _studentized(summary, TestSelector("z_pooled" if pooled else "z_unpooled"))
-
-
-def t_statistic(summary: ArmSummary, pooled: bool = False) -> float:
-    """Two-sample t (normal critical values downstream) on arm means."""
-    return _studentized(summary, TestSelector("t_pooled" if pooled else "t_unpooled"))
-
-
 def wald_statistic(model: FittedModel) -> float:
     """W = beta1' Var(beta1)^{-1} beta1 on the effect block of the covariance."""
     beta1 = model.effects
@@ -786,14 +776,13 @@ def lambda_at_level(
     return _lambda_and_rescale(level, model, summary, test)[0]
 
 
-def _projected_design(model: FittedModel, summary: ArmSummary, packages, n_each):
+def _projected_design(model: FittedModel, summary: ArmSummary, x):
     """All-stage design of a Wald projection as (X, n): the observed centers,
-    each future intervention package in ``packages`` at ``n_each``
-    observations, and the future control arm.  Rows with no observations are
-    dropped; X carries the intercept column."""
+    the future intervention arm at package ``x`` and the future control arm.
+    Rows with no observations are dropped; X carries the intercept column."""
     if summary.design_obs is None:
         raise ValueError("Wald projections need design_obs on the summary")
-    rows = list(summary.design_obs) + [(pkg, n_each) for pkg in packages]
+    rows = list(summary.design_obs) + [(x, summary.n1_future)]
     rows.append((np.zeros(model.n_components), summary.n0_future))
     rows = [(pkg, n) for pkg, n in rows if n > 0]
     X = np.array([np.concatenate(([1.0], pkg)) for pkg, _ in rows], dtype=float)
@@ -801,13 +790,11 @@ def _projected_design(model: FittedModel, summary: ArmSummary, packages, n_each)
     return X.reshape(len(rows), model.beta.size), n
 
 
-def _wald_lambda_binary(
-    model: FittedModel, summary: ArmSummary, packages, n_each: float
-) -> float:
-    """Projected logistic Wald noncentrality beta1' (I11 - I10 I00^-1 I01) beta1,
-    I the Fisher information of the ``_projected_design``; the Schur complement
-    is the inverse of the effect block of I^-1."""
-    X, n = _projected_design(model, summary, packages, n_each)
+def _wald_lambda_binary(model: FittedModel, summary: ArmSummary, x) -> float:
+    """Projected logistic Wald noncentrality beta1' (I11 - I10 I00^-1 I01) beta1
+    at package ``x``, I the Fisher information of the ``_projected_design``;
+    the Schur complement is the inverse of the effect block of I^-1."""
+    X, n = _projected_design(model, summary, x)
     info = logistic_information(X, n, expit(X @ model.beta))
     if info[0, 0] <= 0.0:
         raise DegenerateVarianceError("empty projected design")
@@ -818,7 +805,7 @@ def _wald_lambda_binary(
 def _wald_sandwich_continuous(x, model: FittedModel, summary: ArmSummary):
     if summary.var1_obs is None or summary.var0_obs is None:
         raise ValueError("continuous Wald projections need arm variances")
-    X, n = _projected_design(model, summary, [x], summary.n1_future)
+    X, n = _projected_design(model, summary, x)
     d = link_inverse_deriv(model.link, X @ model.beta)
     w = n * d * d
     # A rank-deficient design makes the bread singular; inverting it anyway
@@ -840,7 +827,7 @@ def unconditional_lambda(
     observed.
     """
     if test.kind == "wald_pdf_binary":
-        return _wald_lambda_binary(model, summary, [x], summary.n1_future)
+        return _wald_lambda_binary(model, summary, x)
     if test.kind == "wald_pdf_continuous":
         bread, meat = _wald_sandwich_continuous(x, model, summary)
         try:

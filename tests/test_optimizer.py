@@ -31,7 +31,6 @@ from lago.optimizer import (
     _segment_coeffs,
     Recommendation,
     integerize,
-    min_cost_per_center,
     min_cost_subject_to_threshold,
     p_max,
     plan_stage1,
@@ -906,76 +905,36 @@ def test_integerize_falls_back_to_best_level():
     assert x == pytest.approx([0.0, 0.0], abs=0.0)
 
 
+@pytest.mark.parametrize("x, match", [
+    ([0.5, 3.9, 1.0], r"x must be 2 finite numbers, got \[0.5, 3.9, 1.0\]"),
+    ([0.5], r"x must be 2 finite numbers, got \[0.5\]"),
+    ([math.inf, 3.9], r"x must be 2 finite numbers, got \[inf, 3.9\]"),
+    ([0.5, math.nan], r"x must be 2 finite numbers, got \[0.5, nan\]"),
+])
+def test_integerize_checks_its_package(x, match):
+    # three entries raised an IndexError, inf an OverflowError, nan a
+    # ValueError from int(), and one entry numpy's matmul error
+    with pytest.raises(ValueError, match=match):
+        integerize(x, MODEL_1A, CUBIC, BOUNDS_1A, 0.7)
+
+
+@pytest.mark.parametrize("x, want", [
+    ([0.5016, 3.9789], [1.0, 3.0]),
+    (np.array([0, 4], dtype=np.int64), [0.0, 4.0]),
+])
+def test_integerize_takes_a_list_or_an_integer_array(x, want):
+    got = integerize(x, MODEL_1A, CUBIC, BOUNDS_1A, 0.7)
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+
+
 # ---------------------------------------------------------------------------
-# per-center packages
+# Wald noncentrality
 # ---------------------------------------------------------------------------
 
-def test_per_center_requires_wald():
-    state = scenario_state()
-    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("z_unpooled"))
-    with pytest.raises(ValueError, match="Wald"):
-        min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
-
-
-def test_joint_wald_lambda_matches_common_package():
-    # three centers at n/3 each carry the same information as one at n
+def test_wald_lambda_matches_unconditional_lambda():
     state = scenario_state()
     summary = ArmSummary.from_records(state.completed, future=(120.0, 40.0))
     x = np.array([1.2, 5.0])
-    lam_split = _wald_lambda_binary(MODEL_1A, summary, [x, x, x], 40.0)
-    lam_one = _wald_lambda_binary(MODEL_1A, summary, [x], 120.0)
-    lam_common = unconditional_lambda(
-        x, MODEL_1A, summary, Selector("wald_pdf_binary")
-    )
-    assert lam_split == pytest.approx(lam_one, rel=1e-12, abs=0.0)
-    assert lam_one == lam_common
-
-
-def test_per_center_contract():
-    state = scenario_state()
-    goals = GoalSpec(
-        outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary")
-    )
-    packages = min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
-    assert len(packages) == 3
-    common = recommend_stage_k(MODEL_1A, state, goals)
-    total = sum(CUBIC(p) for p in packages)
-    assert total <= 3.0 * common.cost + 1e-9
-    for pkg in packages:
-        assert np.all(pkg >= np.array([0.0, 0.0]) - 1e-9)
-        assert np.all(pkg <= np.array([2.0, 8.0]) + 1e-9)
-        assert predict(MODEL_1A, pkg) >= 0.7 - 1e-9
-    summary = ArmSummary.from_records(state.completed, future=(120.0, 40.0))
-    lam = _wald_lambda_binary(MODEL_1A, summary, packages, 40.0)
-    assert lam >= lambda_min(0.05, 0.8, df=2) - 1e-6
-
-
-def test_per_center_packages_validate_and_summarize_once(monkeypatch):
-    import lago.optimizer as optimizer
-
-    state = scenario_state()
-    goals = GoalSpec(
-        outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary")
-    )
-    want = min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
-    calls = {"_bounds_arrays": 0, "_state_summary": 0}
-    for name in calls:
-        real = getattr(optimizer, name)
-
-        def counted(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(optimizer, name, counted)
-    got = min_cost_per_center(MODEL_1A, state, goals, n_centers=3)
-    assert calls == {"_bounds_arrays": 1, "_state_summary": 1}
-    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
-
-
-@pytest.mark.parametrize("n_centers", [2.0, True, np.float64(3.0), 0])
-def test_per_center_count_is_an_integer(n_centers):
-    # 2.0 raised a TypeError from range, and True ran as one center.
-    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, test=Selector("wald_pdf_binary"))
-    with pytest.raises(ValueError, match="n_centers must be an integer >= 1"):
-        min_cost_per_center(MODEL_1A, scenario_state(), goals, n_centers=n_centers)
-    assert len(min_cost_per_center(MODEL_1A, scenario_state(), goals, n_centers=np.int64(2))) == 2
+    lam = _wald_lambda_binary(MODEL_1A, summary, x)
+    assert lam == unconditional_lambda(x, MODEL_1A, summary, Selector("wald_pdf_binary"))

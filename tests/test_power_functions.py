@@ -35,12 +35,10 @@ from lago.power import (
     norm_quantile,
     norm_sf,
     projected_rates,
-    t_statistic,
     unconditional_lambda,
     unconditional_power,
     unconditional_power_at_level,
     wald_statistic,
-    z_statistic,
 )
 
 
@@ -205,28 +203,30 @@ def test_lambda_min_zero_when_size_already_exceeds_power():
 # realized statistics
 # ---------------------------------------------------------------------------
 
+def _statistic(summary, kind):
+    return final_test(summary, Selector(kind)).statistic
+
+
 def test_two_proportion_z_fixture():
     # 70/100 vs 50/100: unpooled var .0046, pooled var .0048
     s = ArmSummary(n1_obs=100, n0_obs=100, s1_obs=70, s0_obs=50)
-    assert z_statistic(s) == pytest.approx(0.2 / math.sqrt(0.0046), abs=1e-12)
-    assert z_statistic(s) == pytest.approx(2.949, abs=5e-4)
-    assert z_statistic(s, pooled=True) == pytest.approx(0.2 / math.sqrt(0.0048), abs=1e-12)
-    assert z_statistic(s, pooled=True) == pytest.approx(2.887, abs=5e-4)
+    assert _statistic(s, "z_unpooled") == pytest.approx(0.2 / math.sqrt(0.0046), abs=1e-12)
+    assert _statistic(s, "z_unpooled") == pytest.approx(2.949, abs=5e-4)
+    assert _statistic(s, "z_pooled") == pytest.approx(0.2 / math.sqrt(0.0048), abs=1e-12)
+    assert _statistic(s, "z_pooled") == pytest.approx(2.887, abs=5e-4)
 
 
 def test_z_statistic_degenerate_variance():
     s = ArmSummary(n1_obs=50, n0_obs=50, s1_obs=50, s0_obs=50)
     with pytest.raises(DegenerateVarianceError):
-        z_statistic(s)
+        _statistic(s, "z_unpooled")
 
 
 def test_z_statistic_antisymmetric_under_outcome_flip():
     s = ArmSummary(n1_obs=80, n0_obs=60, s1_obs=52, s0_obs=21)
     flipped = ArmSummary(n1_obs=80, n0_obs=60, s1_obs=80 - 52, s0_obs=60 - 21)
-    for pooled in (False, True):
-        assert z_statistic(flipped, pooled=pooled) == pytest.approx(
-            -z_statistic(s, pooled=pooled), abs=1e-12
-        )
+    for kind in ("z_unpooled", "z_pooled"):
+        assert _statistic(flipped, kind) == pytest.approx(-_statistic(s, kind), abs=1e-12)
 
 
 def test_two_sample_t_fixture():
@@ -234,9 +234,9 @@ def test_two_sample_t_fixture():
     s = ArmSummary(
         n1_obs=100, n0_obs=100, s1_obs=100.0, s0_obs=0.0, var1_obs=1.0, var0_obs=1.0
     )
-    assert t_statistic(s) == pytest.approx(math.sqrt(50.0), abs=1e-12)
-    assert t_statistic(s, pooled=True) == pytest.approx(math.sqrt(50.0), abs=1e-12)
-    assert t_statistic(s) == pytest.approx(7.071, abs=5e-4)
+    assert _statistic(s, "t_unpooled") == pytest.approx(math.sqrt(50.0), abs=1e-12)
+    assert _statistic(s, "t_pooled") == pytest.approx(math.sqrt(50.0), abs=1e-12)
+    assert _statistic(s, "t_unpooled") == pytest.approx(7.071, abs=5e-4)
 
 
 def _arm_records(draws):
@@ -299,7 +299,7 @@ def test_design_rows_are_the_packages_as_floats():
 def test_t_statistic_requires_variances():
     s = ArmSummary(n1_obs=10, n0_obs=10, s1_obs=5.0, s0_obs=3.0)
     with pytest.raises(ValueError):
-        t_statistic(s)
+        _statistic(s, "t_unpooled")
 
 
 def test_wald_statistic_quadratic_form():
@@ -332,7 +332,7 @@ def test_final_test_wald_needs_model_and_uses_chi2():
 def test_final_test_no_rejection_at_boundary():
     """Strictly-greater rejection: a statistic exactly at the critical value keeps H0."""
     s = ArmSummary(n1_obs=100, n0_obs=100, s1_obs=70, s0_obs=50)
-    res = final_test(s, Selector("z_unpooled"), alpha=2 * norm_sf(z_statistic(s)))
+    res = final_test(s, Selector("z_unpooled"), alpha=2 * norm_sf(_statistic(s, "z_unpooled")))
     assert not res.reject
 
 

@@ -2,9 +2,9 @@
 
 ``power._passing_root`` (Brent's zeroin) solves the chi-square quantile,
 the noncentrality ``lambda_min``, the multiplier of the P >= 3 min-cost
-dual, the per-center Wald level and the BetterBirth arm-rate
-reconstruction; the power threshold takes the same steps for every lane of
-a call in lockstep (``power._passing_roots``).  The oracles here are the
+dual and the BetterBirth arm-rate reconstruction; the power threshold
+takes the same steps for every lane of a call in lockstep
+(``power._passing_roots``).  The oracles here are the
 bisection loops those sites ran before, kept verbatim.  On seeded inputs
 each site must agree with its oracle to the stated tolerance and return the
 passing end of its bracket.  An ``ast`` guard keeps every site on its
@@ -14,7 +14,6 @@ shared root finder.
 import ast
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,28 +21,9 @@ import pytest
 import lago
 from lago import optimizer, sim
 from lago.cost import CostFunction
-from lago.model import CenterData, FittedModel, StageRecord, link_forward
-from lago.optimizer import (
-    REGIME_GOAL,
-    GoalSpec,
-    _bounds_arrays,
-    _ComponentPoly,
-    _eta_extremes,
-    _min_cost_eta,
-    _state_summary,
-    _work_model,
-    min_cost_per_center,
-    min_cost_subject_to_threshold,
-    recommend_stage_k,
-)
-from lago.power import (
-    TestSelector as Selector,
-    _wald_lambda_binary,
-    chisq_cdf,
-    chisq_quantile,
-    lambda_min,
-    noncentral_chisq_cdf,
-)
+from lago.model import FittedModel
+from lago.optimizer import _ComponentPoly, min_cost_subject_to_threshold
+from lago.power import chisq_cdf, chisq_quantile, lambda_min, noncentral_chisq_cdf
 
 # ---------------------------------------------------------------------------
 # the replaced loops, verbatim
@@ -81,68 +61,6 @@ def _dual_candidate_bisection(infos, beta1, eff, lo, hi, need, ftol):
         else:
             mu_lo = mid
     return vals
-
-
-def _min_cost_per_center_bisection(model, trial_state, goals, n_centers, cost, bounds):
-    """``min_cost_per_center`` with its 40-step boolean bisection per center."""
-    common = recommend_stage_k(model, trial_state, goals, cost=cost, bounds=bounds)
-    if goals.power_goal is None or common.regime != REGIME_GOAL:
-        return [common.x_hat.copy() for _ in range(n_centers)]
-    summary = _state_summary(trial_state, goals.test, len(trial_state.completed) + 1)
-
-    lo, hi = _bounds_arrays(bounds, model.n_components)
-    direction = goals.direction
-    wm = _work_model(model, direction)
-    _, eta_max_w = _eta_extremes(wm, lo, hi)
-    if goals.outcome_goal is not None:
-        g = float(link_forward(model.link, goals.outcome_goal))
-        eta_floor = g if direction == "increase" else -g
-    else:
-        eta_floor = wm.intercept
-    lam_req = lambda_min(goals.alpha, goals.power_goal, df=model.n_components)
-    n1_each = summary.n1_future / n_centers
-
-    def package_at(eta_w):
-        return _min_cost_eta(
-            wm.intercept, wm.effects, cost, lo, hi, min(eta_w, eta_max_w)
-        )
-
-    packages = [common.x_hat.copy() for _ in range(n_centers)]
-    total = sum(float(cost(p)) for p in packages)
-    for _ in range(20):
-        improved = False
-        for j in range(n_centers):
-            others = packages[:j] + packages[j + 1:]
-
-            def feasible(eta_w):
-                cand = package_at(eta_w)
-                lam = _wald_lambda_binary(model, summary, others + [cand], n1_each)
-                return lam >= lam_req - 1e-9, cand
-
-            ok_hi, cand_hi = feasible(eta_max_w)
-            if not ok_hi:
-                continue
-            eta_lo_j, eta_hi_j, best = eta_floor, eta_max_w, cand_hi
-            ok_lo, cand_lo = feasible(eta_lo_j)
-            if ok_lo:
-                best = cand_lo
-            else:
-                for _ in range(40):
-                    mid = 0.5 * (eta_lo_j + eta_hi_j)
-                    ok_mid, cand_mid = feasible(mid)
-                    if ok_mid:
-                        eta_hi_j, best = mid, cand_mid
-                    else:
-                        eta_lo_j = mid
-            if float(cost(best)) < float(cost(packages[j])) - 1e-9:
-                packages[j] = best
-                improved = True
-        new_total = sum(float(cost(p)) for p in packages)
-        if not improved or new_total > total - 1e-9 * (1.0 + abs(total)):
-            total = new_total
-            break
-        total = new_total
-    return packages
 
 
 def _bb_stage_rates_bisection(intervention_fraction):
@@ -283,64 +201,6 @@ def test_min_cost_with_dual_root_matches_bisection(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# per-center Wald packages
-
-CUBIC = CostFunction(terms=(
-    (0, 3, 2.0), (0, 2, -1.19), (0, 1, 10.0), (None, 0, 10.0),
-    (1, 3, 0.1), (1, 2, -0.2), (1, 1, 2.0),
-))
-BOUNDS = [(0.0, 2.0), (0.0, 8.0)]
-PACKAGES = [(0.0, 0.0), (1.0, 0.0), (0.0, 4.0), (1.0, 4.0)]
-
-
-def _per_center_case(rng):
-    beta = np.array([0.1, 0.3, 0.15]) + rng.normal(0.0, 0.05, 3)
-    centers = []
-    for x in PACKAGES:
-        p = 1.0 / (1.0 + math.exp(-(beta[0] + beta[1:] @ np.asarray(x))))
-        s = float(rng.binomial(40, p))
-        # m2 of 0/1 outcomes is s (n - s) / n
-        centers.append(CenterData.from_stats(int(any(x)), x, 40, s, s * (40 - s) / 40))
-    future = (float(rng.choice([90.0, 120.0, 240.0])), 40.0)
-    state = SimpleNamespace(
-        completed=[StageRecord(stage_index=1, centers=centers)],
-        config=SimpleNamespace(cost=CUBIC, bounds=BOUNDS, stage1_package=None),
-        future_arm_sizes=lambda k: future,
-    )
-    goals = GoalSpec(
-        outcome_goal=float(rng.uniform(0.5, 0.6)),
-        power_goal=float(rng.uniform(0.7, 0.9)),
-        test=Selector("wald_pdf_binary"),
-    )
-    model = lago.model.fit_binary(state.completed)
-    return model, state, goals, int(rng.integers(2, 5))
-
-
-def test_min_cost_per_center_matches_bisection():
-    rng = np.random.default_rng(43)
-    moved = 0
-    for _ in range(20):
-        model, state, goals, n_centers = _per_center_case(rng)
-        got = min_cost_per_center(model, state, goals, n_centers)
-        want = _min_cost_per_center_bisection(
-            model, state, goals, n_centers, CUBIC, BOUNDS
-        )
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-12)
-        common = recommend_stage_k(model, state, goals)
-        if all(np.array_equal(p, common.x_hat) for p in got):
-            continue
-        # Every accepted move kept the joint noncentrality; summed here over
-        # the centers in another order than in the search, so to rounding.
-        moved += 1
-        summary = _state_summary(state, goals.test, 2)
-        lam = _wald_lambda_binary(model, summary, got, summary.n1_future / n_centers)
-        lam_req = lambda_min(goals.alpha, goals.power_goal, df=2)
-        assert lam >= lam_req - 1e-9 - 1e-13 * lam_req
-    assert moved >= 5
-
-
-# ---------------------------------------------------------------------------
 # BetterBirth arm rates
 
 
@@ -361,7 +221,6 @@ ROOT_SITES = (
     ("power", "lambda_min", "_passing_root"),
     ("optimizer", "_threshold_core", "_passing_roots"),
     ("optimizer", "_dual_candidate", "_passing_root"),
-    ("optimizer", "min_cost_per_center", "_passing_root"),
     ("sim", "_bb_stage_rates", "_passing_root"),
 )
 
