@@ -22,38 +22,52 @@ from numpy.polynomial import polynomial as npoly
 from .errors import NonFiniteError, _check_count, config_errors
 
 
+def _quadratic_points(b: float, a: float):
+    """c0 -> the sorted distinct real roots of c0 + b*x + a*x**2 (a != 0), in
+    closed form without cancellation; a complex pair counts as one root at its
+    real part re when its imaginary part is within 1e-9 * (1 + |re|).  What
+    does not depend on c0 is computed once, for the eta multiplier's solve."""
+    bb, a4 = b * b, 4.0 * a
+    re = -b / (2.0 * a)
+    two_abs_a, window = 2.0 * abs(a), 1e-9 * (1.0 + abs(re))
+
+    def roots(c0) -> tuple:
+        disc = bb - a4 * c0
+        if not disc >= 0.0:
+            return (re,) if math.sqrt(-disc) / two_abs_a <= window else ()
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        if q == 0.0:
+            return (0.0,)
+        t1, t2 = q / a, c0 / q
+        if t1 < t2:
+            return (t1, t2)
+        if t2 < t1:
+            return (t2, t1)
+        return (t1,) if t1 == t2 else tuple(sorted(set((t1, t2))))  # a nan root
+
+    return roots
+
+
 def _stationary_points(c) -> tuple:
     """Sorted distinct real stationary points of sum(c[k] * x**k).
 
     Derivatives of degree 1 and 2 are solved in closed form (the quadratic
-    without cancellation); a complex pair counts as one real point at its
-    real part when its imaginary part is within 1e-9 * (1 + |re|), the
-    tolerance applied to the ``polyroots`` eigenvalues of higher degrees.
+    by ``_quadratic_points``, a cubic's straight from its coefficients),
+    higher ones by ``polyroots``, whose eigenvalues count as real within the
+    same 1e-9 * (1 + |re|) of their imaginary parts.
     """
+    if len(c) == 4 and c[3] != 0.0:
+        return _quadratic_points(2 * c[2], 3 * c[3])(c[1])  # 1 * c[1] is c[1]
     d = [k * c[k] for k in range(1, len(c))]
     while d and d[-1] == 0.0:
         d.pop()
     if len(d) == 2:
         return (-d[0] / d[1],)
     if len(d) == 3:
-        c0, b, a = d
-        disc = b * b - 4.0 * a * c0
-        if disc >= 0.0:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            pts = (q / a, c0 / q) if q != 0.0 else (0.0,)
-        else:
-            re = -b / (2.0 * a)
-            near_real = math.sqrt(-disc) / (2.0 * abs(a)) <= 1e-9 * (1.0 + abs(re))
-            pts = (re,) if near_real else ()
-    elif len(d) > 3:
-        pts = [
-            float(root.real)
-            for root in npoly.polyroots(d)
-            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real))
-        ]
-    else:
-        return ()
-    return tuple(sorted(set(pts)))
+        return _quadratic_points(d[1], d[2])(d[0])
+    roots = npoly.polyroots(d) if len(d) > 3 else ()
+    return tuple(sorted(set(float(root.real) for root in roots
+                            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)))))
 
 
 def _horner(coeffs, x):
@@ -71,14 +85,23 @@ def _argmin_on(coeffs, stationary, a: float, b: float) -> float:
     with ascending stationary points ``stationary``: the smallest of the
     bounds and interior stationary points whose value is within 1e-12
     relative of the least."""
-    cands = [a, b] + [t for t in stationary if a < t < b]
-    vals = [_horner(coeffs, t) for t in cands]
-    vmin = min(vals)
+    # One pass; ``v < vmin`` is Python's min: the first least, a leading nan stays.
+    va, vb = _horner(coeffs, a), _horner(coeffs, b)
+    cands, vmin = [(a, va), (b, vb)], (vb if vb < va else va)
+    for t in stationary:
+        if a < t < b:
+            v = _horner(coeffs, t)
+            cands.append((t, v))
+            if v < vmin:
+                vmin = v
     top = vmin + 1e-12 * (1.0 + abs(vmin))
-    try:
-        return min(c for c, v in zip(cands, vals) if v <= top)
-    except ValueError:  # top is nan: the cost overflowed on [a, b]
-        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
+    best = None  # the smallest candidate in the window, the first of equal ones
+    for t, v in cands:
+        if v <= top and (best is None or t < best):
+            best = t
+    if best is None:  # top is nan: the cost overflowed on [a, b]
+        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]")
+    return best
 
 
 class _ComponentPoly:

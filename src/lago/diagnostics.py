@@ -201,13 +201,17 @@ def verify_assumption7(
         raise ValueError("eta must be positive and finite")
     _check_count("L", L, 1)
     _check_count("M", M, 1)
+    if seed is not None:
+        _check_count("seed", seed, 0)
 
     if isinstance(model_or_beta, FittedModel):
         base_model = model_or_beta
         beta_hat = np.asarray(base_model.beta, dtype=float)
         link = base_model.link
     else:
-        beta_hat = np.asarray(model_or_beta, dtype=float).ravel()
+        beta_hat = np.asarray(model_or_beta, dtype=float)
+        if beta_hat.ndim != 1:
+            raise ValueError(f"model_or_beta must be a 1-d vector, got shape {beta_hat.shape}")
         base_model = _assumed(beta_hat, link)
 
     def solve(beta):

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import CostFunction, _argmin_on, _ComponentPoly, _horner, _stationary_points
+from .cost import (CostFunction, _argmin_on, _ComponentPoly, _horner, _quadratic_points,
+                   _stationary_points)
 from .errors import (DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError,
                      NonFiniteError)
 from .model import (
@@ -441,18 +442,29 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     return x
 
 
+def _multiplier_argmin(coeffs, beta: float, low: float, high: float):
+    """mu -> the argmin on [low, high] of the polynomial ``coeffs`` less
+    mu * beta * x; a cubic's stationary-point constants that do not depend
+    on mu are computed once (``_quadratic_points``)."""
+    c0, c1, *rest = coeffs
+    cubic = len(coeffs) == 4 and coeffs[3] != 0.0
+    roots = _quadratic_points(2 * coeffs[2], 3 * coeffs[3]) if cubic else None
+
+    def argmin(mu):
+        adj = [c0, c1 - mu * beta, *rest]
+        return _argmin_on(adj, _stationary_points(adj) if roots is None else roots(adj[1]),
+                          low, high)
+
+    return argmin
+
+
 def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
     """Lagrangian minimizer at the root of supplied(solve(mu)) - (need - ftol)
     in the eta multiplier mu, bracket doubled from 1; None past mu = 2^59."""
-    parts = [(p, infos[p].coeffs, beta1[p], lo[p], hi[p]) for p in eff]
+    parts = [(p, _multiplier_argmin(infos[p].coeffs, beta1[p], lo[p], hi[p])) for p in eff]
 
     def solve(mu):
-        out = {}
-        for p, coeffs, b, low, high in parts:
-            adj = coeffs.copy()
-            adj[1] -= mu * b
-            out[p] = _argmin_on(adj, _stationary_points(adj), low, high)
-        return out
+        return {p: argmin(mu) for p, argmin in parts}
 
     def residual(mu):
         values = solve(mu)

@@ -437,3 +437,24 @@ def test_probe_counts_are_integers(name, value):
         verify_assumption7(BETA, LIN_COST, BOUNDS, **args)
     args[name] = np.int64(3)  # a numpy integer is a count
     assert verify_assumption7(BETA, LIN_COST, BOUNDS, **args).samples_per_center == args["L"]
+
+
+@pytest.mark.parametrize("seed", [3.7, True, -1, "7"])
+def test_the_probe_seed_is_a_count(seed):
+    # seed=3.7 raised numpy's TypeError; seed=True ran, and was recorded, as seed 1.
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        verify_assumption7(BETA, LIN_COST, BOUNDS, goal=0.7455, epsilon=0.02, L=3, seed=seed)
+
+
+def test_a_numpy_integer_seed_is_the_same_seed():
+    kw = dict(goal=0.7455, epsilon=0.02, L=5)
+    report = verify_assumption7(BETA, LIN_COST, BOUNDS, seed=np.int64(9), **kw)
+    assert report.seed == 9 and type(report.seed) is int
+    assert report.to_dict() == verify_assumption7(BETA, LIN_COST, BOUNDS, seed=9, **kw).to_dict()
+
+
+@pytest.mark.parametrize("beta", [((0.1, 0.3), (0.15, 0.0)), [[0.1, 0.3, 0.15]], 0.1])
+def test_the_coefficients_must_be_one_vector(beta):
+    # A 2-d array was raveled and solved as one longer vector.
+    with pytest.raises(ValueError, match=r"model_or_beta must be a 1-d vector, got shape"):
+        verify_assumption7(beta, LIN_COST, BOUNDS, goal=0.7455, epsilon=0.02, L=3, seed=1)

@@ -17,6 +17,13 @@ solver computes those once per solve (``cost._argmin_on`` is the argmin
 rule of ``_ComponentPoly.min_on``) and skips a pair that has not moved
 since it was last evaluated; the tests at the end hold each piece to its
 per-call form, bitwise.
+
+The scalar kernels under them are held the same way.
+``_stationary_points_by_list`` and ``_argmin_on_two_pass`` are
+``cost._stationary_points`` and ``cost._argmin_on`` before the closed-form
+cubic shortcut (``cost._quadratic_points``) and the one-pass argmin, and
+``_multiplier_argmin_per_step`` is one component of the Lagrangian point's
+solve before ``optimizer._multiplier_argmin`` built it once per solve.
 """
 
 import itertools
@@ -24,6 +31,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from lago import optimizer
 from lago.cost import CostFunction, _argmin_on, _ComponentPoly, _horner, _stationary_points
@@ -40,6 +50,7 @@ from lago.optimizer import (
     _greedy_linear,
     _min_cost_eta,
     _min_pair_lanes,
+    _multiplier_argmin,
     _padded_polys,
     _segment_coeffs,
 )
@@ -145,6 +156,55 @@ def _min_on(poly, a, b):
     except ValueError:  # vmin + tol is nan: the cost overflowed on [a, b]
         raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
     return x, _horner(poly.coeffs, x)
+
+
+def _stationary_points_by_list(c) -> tuple:
+    """``cost._stationary_points`` before the cubic shortcut and the shared
+    ``cost._quadratic_points``: the derivative list, trimmed, every time."""
+    d = [k * c[k] for k in range(1, len(c))]
+    while d and d[-1] == 0.0:
+        d.pop()
+    if len(d) == 2:
+        return (-d[0] / d[1],)
+    if len(d) == 3:
+        c0, b, a = d
+        disc = b * b - 4.0 * a * c0
+        if disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            pts = (q / a, c0 / q) if q != 0.0 else (0.0,)
+        else:
+            re = -b / (2.0 * a)
+            near_real = math.sqrt(-disc) / (2.0 * abs(a)) <= 1e-9 * (1.0 + abs(re))
+            pts = (re,) if near_real else ()
+    elif len(d) > 3:
+        pts = [
+            float(root.real)
+            for root in npoly.polyroots(d)
+            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real))
+        ]
+    else:
+        return ()
+    return tuple(sorted(set(pts)))
+
+
+def _argmin_on_two_pass(coeffs, stationary, a: float, b: float) -> float:
+    """``cost._argmin_on`` before it became one pass."""
+    cands = [a, b] + [t for t in stationary if a < t < b]
+    vals = [_horner(coeffs, t) for t in cands]
+    vmin = min(vals)
+    top = vmin + 1e-12 * (1.0 + abs(vmin))
+    try:
+        return min(c for c, v in zip(cands, vals) if v <= top)
+    except ValueError:  # top is nan: the cost overflowed on [a, b]
+        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
+
+
+def _multiplier_argmin_per_step(coeffs, beta, low, high, mu):
+    """One component of ``_dual_candidate``'s solve(mu) before the solve was
+    built once per component (``optimizer._multiplier_argmin``)."""
+    adj = coeffs.copy()
+    adj[1] -= mu * beta
+    return _argmin_on_two_pass(adj, _stationary_points_by_list(adj), low, high)
 
 
 # ---------------------------------------------------------------------------
@@ -631,3 +691,167 @@ def test_the_pair_minimum_with_the_component_table_matches_its_per_call_form():
                 assert want is None or _same_floats(got, want), (args, got, want)
                 pairs += 1
     assert pairs > 1000
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernels against their replaced forms
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308,
+            math.inf, -math.inf, math.nan)
+_ANY = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_SPECIAL), st.floats())
+_FINITE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_SPECIAL[:11]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _kernel_outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except Exception as exc:  # the replaced form's error, whatever its type
+        return exc
+
+
+def _same_outcome(got, want) -> bool:
+    """Bitwise equal floats or tuples of floats, or the same error.  A nan
+    point puts a set's order at the mercy of its address (its hash), so a
+    tuple holding one is compared as a multiset of bit patterns."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    if isinstance(got, Exception) or np.shape(got) != np.shape(want):
+        return False
+    if isinstance(want, tuple) and any(math.isnan(t) for t in want):
+        return sorted(_bits(t) for t in got) == sorted(_bits(t) for t in want)
+    return _same_floats(got, want)
+
+
+def _bits(t: float) -> bytes:
+    return np.float64(t).tobytes()
+
+
+def _assert_same_points(c):
+    got = _kernel_outcome(_stationary_points, c)
+    assert _same_outcome(got, _kernel_outcome(_stationary_points_by_list, c)), (c, got)
+    return got
+
+
+def _assert_same_argmin(c, a, b):
+    stationary = _kernel_outcome(_stationary_points_by_list, c)
+    if isinstance(stationary, Exception):
+        return
+    got = _kernel_outcome(_argmin_on, c, stationary, a, b)
+    want = _kernel_outcome(_argmin_on_two_pass, c, stationary, a, b)
+    assert _same_outcome(got, want), (c, a, b, got, want)
+
+
+def _assert_same_multiplier_argmin(c, beta, low, high, mus):
+    argmin = _multiplier_argmin(c, beta, low, high)
+    for mu in mus:
+        got = _kernel_outcome(argmin, mu)
+        want = _kernel_outcome(_multiplier_argmin_per_step, c, beta, low, high, mu)
+        assert _same_outcome(got, want), (c, beta, low, high, mu, got, want)
+
+
+# Named cases: (cubic coefficients, what they exercise).
+_NAMED_CUBICS = [
+    ([0.0, 1.0, 2.0, 4.0 / 3.0], "zero discriminant: one double root"),
+    ([5.0, 0.0, 0.0, 1.0], "q == 0: the double root at 0"),
+    ([5.0, -0.0, -0.0, 1.0], "q == 0 from signed zeros"),
+    ([0.0, -0.0, 1.0, 1.0], "a signed-zero c0: roots -2/3 and +0.0"),
+    ([0.0, -0.0, 5e-301, 1e100 / 3.0], "roots -0.0 and +0.0: the set keeps q / a"),
+    ([0.0, 1e308, 5e199, 1.0], "a nan discriminant (inf - inf)"),
+    ([0.0, -math.inf, 1.0, 1.0], "c1 at -inf: roots -inf and nan"),
+    ([0.0, 1e-18, 0.0, 1.0 / 3.0], "a complex pair at the near-real edge"),
+    ([1.0, 1.0, -1.0, 1.0 / 3.0], "a double root at 1.0, then boxes ending on it"),
+    ([2.0, -4.0, -1.0, 0.5], "two real roots"),
+    ([2.0, 4.0, 1.0, 0.5], "a complex pair far from real"),
+    ([0.0, 1.0, 1e200, 1e-300], "an infinite discriminant: roots -inf and -0.0"),
+    ([0.0, 1.0, 5e99, 1e-300 / 3.0], "a finite discriminant whose root q / a overflows"),
+    ([0.0, 0.0, math.inf, 1.0], "an infinite c2: a nan value at the interior point -0.0"),
+]
+
+
+def test_the_cubic_shortcut_matches_the_derivative_list_on_named_cubics():
+    for c, _ in _NAMED_CUBICS:
+        _assert_same_points(c)
+    assert _stationary_points([0.0, -0.0, 5e-301, 1e100 / 3.0]) == (0.0,)
+    assert math.copysign(1.0, _stationary_points([0.0, -0.0, 5e-301, 1e100 / 3.0])[0]) == -1.0
+
+
+def test_the_near_real_edge_is_crossed_the_same_way():
+    # c0 + x**2 with c0 around 1e-18: the imaginary part sqrt(c0) meets the
+    # 1e-9 window of the real part 0 within a few ulps.
+    outcomes = set()
+    c0 = 1e-18
+    for _ in range(12):
+        c0 = math.nextafter(c0, 0.0)
+    for _ in range(24):
+        pts = _assert_same_points([0.0, c0, 0.0, 1.0 / 3.0])
+        outcomes.add(len(pts))
+        c0 = math.nextafter(c0, 1.0)
+    assert outcomes == {0, 1}
+
+
+@pytest.mark.parametrize("c", [
+    [], [3.0], [3.0, 0.0], [3.0, -2.0], [3.0, -2.0, 0.5], [3.0, -2.0, -0.0], [1.0, 2.0, 3.0, 0.0],
+    [1.0, 2.0, 3.0, -0.0], [0.5, -1.0, -2.0, 0.3, 0.25], [0.5, -1.0, -2.0, 0.3, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1e-300],
+])
+def test_other_degrees_take_the_generic_path_unchanged(c):
+    _assert_same_points(c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ANY, min_size=1, max_size=5))
+def test_stationary_points_match_the_derivative_list(c):
+    _assert_same_points(c)
+
+
+def test_argmin_on_matches_its_two_pass_form_on_named_cubics_and_box_ends():
+    rng = np.random.default_rng(8)
+    for c, _ in _NAMED_CUBICS:
+        stationary = [t for t in _stationary_points_by_list(c) if math.isfinite(t)]
+        for a, b in [*_boxes(rng, stationary), (-1.0, 1.0), (-math.inf, 0.0), (0.0, 0.0),
+                     (-0.0, 0.0), (0.0, 1e300)]:
+            _assert_same_argmin(c, a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ANY, min_size=1, max_size=5), _ANY, _ANY, st.integers(0, 3))
+def test_argmin_on_matches_its_two_pass_form(c, a, b, ends):
+    stationary = _kernel_outcome(_stationary_points_by_list, c)
+    if isinstance(stationary, Exception):
+        stationary = ()
+    finite = [t for t in stationary if math.isfinite(t)]
+    if finite and ends:  # a box ending on a stationary point
+        a, b = (finite[0], b) if ends == 1 else (a, finite[-1]) if ends == 2 else (finite[0],) * 2
+    if not a <= b:
+        a, b = b, a
+    _assert_same_argmin(c, a, b)
+
+
+_MUS = (0.0, 0.5, 1.0, 3.0, 2.0 ** 20, 2.0 ** 59, 1e300)
+
+
+def test_the_multiplier_argmin_matches_its_per_step_form_on_named_cases():
+    for c, _ in _NAMED_CUBICS:
+        for beta, box in ((0.7, (0.0, 4.0)), (-1.5, (-2.0, 2.0)), (1e10, (0.0, 1.0))):
+            _assert_same_multiplier_argmin(c, beta, *box, _MUS)
+    # c1 - mu * beta overflows to -inf: the cubic's cost is not finite on the
+    # box, and the quartic's roots fail in numpy, both as before
+    for c in ([1.0, 2.0, -1.0, 0.5], [1.0, 2.0, -1.0, 0.5, 0.1]):
+        _assert_same_multiplier_argmin(c, 1e10, 0.0, 1.0, _MUS)
+    argmin = _multiplier_argmin([1.0, 2.0, -1.0, 0.5], 1e10, 0.0, 1.0)
+    assert isinstance(_kernel_outcome(argmin, 1e300), NonFiniteError)
+    # degree 0 to 2, a zero leading cubic coefficient and a quartic: the generic path
+    for c in ([2.0, 0.0], [2.0, -1.0], [2.0, -1.0, 0.5], [2.0, -1.0, -0.5], [2.0, -1.0, 0.5, 0.0],
+              [2.0, -1.0, 0.5, -0.0], [2.0, -1.0, -2.0, 0.3, 0.25]):
+        _assert_same_multiplier_argmin(c, 0.9, -1.0, 3.0, _MUS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, min_size=2, max_size=5), _FINITE, _FINITE, _FINITE,
+       st.lists(st.one_of(st.floats(0.0, 2.0 ** 60), st.sampled_from(_MUS)), min_size=1,
+                max_size=4))
+def test_the_multiplier_argmin_matches_its_per_step_form(c, beta, low, high, mus):
+    if not low <= high:
+        low, high = high, low
+    _assert_same_multiplier_argmin(c, beta, low, high, mus)

@@ -13,8 +13,11 @@ unconditional power is gone.  A component polynomial's argmin on an
 interval (the smallest candidate within 1e-12 relative of the least) is
 ``cost._argmin_on`` on floats and ``optimizer._min_on_lanes`` on arrays,
 and only a cost's construction and ``optimizer._padded_polys`` build a
-``_ComponentPoly``, so the solver builds none per step.  ``ast`` guards
-keep it that way.
+``_ComponentPoly``, so the solver builds none per step.  The quadratic
+discriminant of a cubic's stationary points, b * b - 4.0 * a * c, is written
+once on floats (``cost._quadratic_points``, which the eta multiplier's
+per-component solve reuses) and once on lanes (``optimizer._cubic_stationary``).
+``ast`` guards keep it that way.
 """
 
 import ast
@@ -220,3 +223,25 @@ def test_the_argmin_tie_window_is_spelled_once_per_representation():
         ("cost", "_argmin_on", "float"),
         ("optimizer", "_min_on_lanes", "array"),
     }
+
+
+def _four_times(node):
+    """'4ac' for a product with the constant 4 (``4.0 * a``), the term a
+    quadratic discriminant subtracts; else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+            isinstance(side, ast.Constant) and type(side.value) in (int, float)
+            and side.value == 4 for side in (node.left, node.right)):
+        return "4ac"
+    return None
+
+
+def test_the_quadratic_discriminant_is_written_once_per_representation():
+    assert _scan(_four_times) == {
+        ("cost", "_quadratic_points", "4ac"),
+        ("optimizer", "_cubic_stationary", "4ac"),
+    }
+
+
+def test_the_multiplier_solve_reuses_the_float_discriminant():
+    assert "_quadratic_points" in _called(_functions()["_multiplier_argmin"])
+    assert "_multiplier_argmin" in _called(_functions()["_dual_candidate"])
