@@ -111,13 +111,18 @@ def _betterbirth() -> dict:
     return plain(out)
 
 
-def _probe_problem(P: int, mixed: bool = False):
+PROBE_KINDS = ("cubic", "mixed", "quartic")
+
+
+def _probe_problem(P: int, kind: str = "cubic"):
     """A seeded separable cost on P components and a logit goal 40-60% of
     the way from the control level to the best level in the bounds.  Each
     component is the cubic c1 x + c2 x^2 + c3 x^3, increasing on the whole
-    line; with ``mixed`` the third component is linear and the fourth
-    quadratic."""
-    rng = np.random.default_rng([SEED, P, int(mixed)])
+    line; in a ``mixed`` problem the third component is linear and the
+    fourth quadratic, and in a ``quartic`` one the first adds c4 x^4 with
+    c4 > 0, so it still increases on its box [0, upper]."""
+    rng = np.random.default_rng([SEED, P, PROBE_KINDS.index(kind)])
+    mixed = kind == "mixed"
     upper = rng.uniform(2.0, 8.0, P)
     terms = []
     for p in range(P):
@@ -128,6 +133,8 @@ def _probe_problem(P: int, mixed: bool = False):
         if degrees == 2:
             c2 = -c2  # convex
         terms += [(p, d, float(c)) for d, c in ((1, c1), (2, c2), (3, c3)) if d <= degrees]
+        if kind == "quartic" and p == 0:
+            terms.append((p, 4, float(rng.uniform(0.05, 1.0) / upper[p] ** 2)))
     beta = np.concatenate(([math.log(0.3 / 0.7)], rng.uniform(0.5, 1.5, P) / upper))
     eta_max = beta[0] + float(np.sum(beta[1:] * upper))
     eta_goal = beta[0] + rng.uniform(0.4, 0.6) * (eta_max - beta[0])
@@ -135,10 +142,10 @@ def _probe_problem(P: int, mixed: bool = False):
     return beta, lago.CostFunction(tuple(terms)), bounds, 1.0 / (1.0 + math.exp(-eta_goal))
 
 
-def _probe(P: int, mixed: bool = False) -> dict:
-    """``verify_assumption7`` on ``_probe_problem(P, mixed)``: 20 samples in
+def _probe(P: int, kind: str = "cubic") -> dict:
+    """``verify_assumption7`` on ``_probe_problem(P, kind)``: 20 samples in
     the 0.05 ball."""
-    beta, cost, bounds, goal = _probe_problem(P, mixed)
+    beta, cost, bounds, goal = _probe_problem(P, kind)
     return plain(lago.verify_assumption7(beta, cost, bounds, goal, epsilon=0.05, L=20,
                                          seed=SEED).to_dict())
 
@@ -157,7 +164,8 @@ def _cli(*argv) -> dict:
 OTHERS = {
     "betterbirth": _betterbirth,
     **{f"probe-P{P}": (lambda P=P: _probe(P)) for P in (3, 4, 5, 6)},
-    "probe-mixed-degree": lambda: _probe(4, mixed=True),
+    "probe-mixed-degree": lambda: _probe(4, "mixed"),
+    "probe-quartic": lambda: _probe(4, "quartic"),
     "cli-recommend-betterbirth": lambda: _cli(
         "recommend", "--coefficients", "betterbirth", "--goal", "0.1"),
     "cli-verify-assumption7-betterbirth": lambda: _cli(
