@@ -54,7 +54,8 @@ def _stationary_points(c) -> tuple:
     Derivatives of degree 1 and 2 are solved in closed form (the quadratic
     by ``_quadratic_points``, a cubic's straight from its coefficients),
     higher ones by ``polyroots``, whose eigenvalues count as real within the
-    same 1e-9 * (1 + |re|) of their imaginary parts.
+    same 1e-9 * (1 + |re|) of their imaginary parts; where ``polyroots``
+    fails on non-finite numbers, this raises NonFiniteError.
     """
     if len(c) == 4 and c[3] != 0.0:
         return _quadratic_points(2 * c[2], 3 * c[3])(c[1])  # 1 * c[1] is c[1]
@@ -65,7 +66,10 @@ def _stationary_points(c) -> tuple:
         return (-d[0] / d[1],)
     if len(d) == 3:
         return _quadratic_points(d[1], d[2])(d[0])
-    roots = npoly.polyroots(d) if len(d) > 3 else ()
+    try:
+        roots = npoly.polyroots(d) if len(d) > 3 else ()
+    except np.linalg.LinAlgError as exc:  # a non-finite d or a scaled d that overflows
+        raise NonFiniteError(f"no stationary points of the derivative {d}: {exc}") from None
     return tuple(sorted(set(float(root.real) for root in roots
                             if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)))))
 
@@ -73,7 +77,11 @@ def _stationary_points(c) -> tuple:
 def _horner(coeffs, x):
     """sum(coeffs[k] * x**k) by Horner's rule, in the order of
     ``numpy.polynomial.polynomial.polyval``, so values agree with it
-    bitwise; ``x`` and the coefficients may be floats or arrays."""
+    bitwise; ``x`` and the coefficients may be floats or arrays.  A cubic's
+    loop is written out, in the same order."""
+    if len(coeffs) == 4:
+        c0, c1, c2, c3 = coeffs
+        return c0 + (c1 + (c2 + (c3 + 0.0 * x) * x) * x) * x
     v = 0.0
     for ck in reversed(coeffs):
         v = ck + v * x
@@ -85,23 +93,26 @@ def _argmin_on(coeffs, stationary, a: float, b: float) -> float:
     with ascending stationary points ``stationary``: the smallest of the
     bounds and interior stationary points whose value is within 1e-12
     relative of the least."""
-    # One pass; ``v < vmin`` is Python's min: the first least, a leading nan stays.
+    # ``v < vmin`` is Python's min: the first least, a leading nan stays.
     va, vb = _horner(coeffs, a), _horner(coeffs, b)
-    cands, vmin = [(a, va), (b, vb)], (vb if vb < va else va)
+    vmin, inner = (vb if vb < va else va), []
     for t in stationary:
         if a < t < b:
             v = _horner(coeffs, t)
-            cands.append((t, v))
+            inner.append((t, v))
             if v < vmin:
                 vmin = v
     top = vmin + 1e-12 * (1.0 + abs(vmin))
-    best = None  # the smallest candidate in the window, the first of equal ones
-    for t, v in cands:
-        if v <= top and (best is None or t < best):
-            best = t
-    if best is None:  # top is nan: the cost overflowed on [a, b]
-        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]")
-    return best
+    # The candidates ascend (a, the interior points, b): the first in the window.
+    if va <= top:
+        return a
+    for t, v in inner:
+        if v <= top:
+            return t
+    if vb <= top:
+        return b
+    # top is nan: the cost overflowed on [a, b]
+    raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]")
 
 
 class _ComponentPoly:

@@ -227,14 +227,21 @@ def p_max(model: FittedModel, bounds, direction: str = "increase") -> float:
 # ---------------------------------------------------------------------------
 
 def _segment_coeffs(f, g, A: float, B: float) -> list:
-    """Coefficients of f(x) + g(A + B*x), composing g by Horner's rule."""
-    h = [g[-1]]
-    for gk in reversed(g[:-1]):
-        nxt = [hk * A for hk in h] + [0.0]
-        for k, hk in enumerate(h):
-            nxt[k + 1] += hk * B
-        nxt[0] += gk
-        h = nxt
+    """Coefficients of f(x) + g(A + B*x), composing g by Horner's rule (written
+    out for a cubic g, with each ``0.0 + h * B`` kept for a zero's sign)."""
+    if len(g) == 4:
+        g0, g1, g2, g3 = g
+        h0, h1 = g3 * A + g2, 0.0 + g3 * B
+        h0, h1, h2 = h0 * A + g1, h1 * A + h0 * B, 0.0 + h1 * B
+        h = [h0 * A + g0, h1 * A + h0 * B, h2 * A + h1 * B, 0.0 + h2 * B]
+    else:
+        h = [g[-1]]
+        for gk in reversed(g[:-1]):
+            nxt = [hk * A for hk in h] + [0.0]
+            for k, hk in enumerate(h):
+                nxt[k + 1] += hk * B
+            nxt[0] += gk
+            h = nxt
     h += [0.0] * (len(f) - len(h))
     for k, fk in enumerate(f):
         h[k] += fk
@@ -257,23 +264,24 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol, fixed):
     component's minimizer on its box and its fixings there.
     """
     cands = []
+    cf, cg = info_f.coeffs, info_g.coeffs
 
     def consider(xf, xg):
         xf = min(max(xf, box_f[0]), box_f[1])
         xg = min(max(xg, box_g[0]), box_g[1])
         if bf * xf + bg * xg >= residual - ftol:
-            cands.append((info_f(xf) + info_g(xg), (xf, xg)))
+            cands.append((_horner(cf, xf) + _horner(cg, xg), (xf, xg)))
 
     (free_f, options_f), (free_g, options_g) = fixed
     consider(free_f, free_g)
     for a in options_f:
         sl = _feasible_slice(bg, box_g[0], box_g[1], residual - bf * a)
         if sl is not None:
-            consider(a, _argmin_on(info_g.coeffs, info_g.stationary, *sl))
+            consider(a, _argmin_on(cg, info_g.stationary, *sl))
     for a in options_g:
         sl = _feasible_slice(bf, box_f[0], box_f[1], residual - bg * a)
         if sl is not None:
-            consider(_argmin_on(info_f.coeffs, info_f.stationary, *sl), a)
+            consider(_argmin_on(cf, info_f.stationary, *sl), a)
     # Constraint-active segment: xg = A + B*xf restricted to both boxes.
     A, B = residual / bg, -bf / bg
     if B > 0.0:
@@ -283,7 +291,7 @@ def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol, fixed):
     else:  # bf == 0 never reaches here (effective components only)
         seg = (box_f[0] + 1.0, box_f[0])
     if seg[0] <= seg[1]:
-        h = _segment_coeffs(info_f.coeffs, info_g.coeffs, A, B)
+        h = _segment_coeffs(cf, cg, A, B)
         xf = _argmin_on(h, _stationary_points(h), seg[0], seg[1])
         consider(xf, A + B * xf)
     return _cheapest(cands) if cands else None
@@ -448,12 +456,12 @@ def _multiplier_argmin(coeffs, beta: float, low: float, high: float):
     on mu are computed once (``_quadratic_points``)."""
     c0, c1, *rest = coeffs
     cubic = len(coeffs) == 4 and coeffs[3] != 0.0
-    roots = _quadratic_points(2 * coeffs[2], 3 * coeffs[3]) if cubic else None
+    roots = (_quadratic_points(2 * coeffs[2], 3 * coeffs[3]) if cubic
+             else lambda c: _stationary_points([c0, c, *rest]))
 
     def argmin(mu):
-        adj = [c0, c1 - mu * beta, *rest]
-        return _argmin_on(adj, _stationary_points(adj) if roots is None else roots(adj[1]),
-                          low, high)
+        c = c1 - mu * beta
+        return _argmin_on([c0, c, *rest], roots(c), low, high)
 
     return argmin
 
@@ -463,17 +471,17 @@ def _dual_candidate(infos, beta1, eff, lo, hi, need, ftol):
     in the eta multiplier mu, bracket doubled from 1; None past mu = 2^59."""
     parts = [(p, _multiplier_argmin(infos[p].coeffs, beta1[p], lo[p], hi[p])) for p in eff]
 
-    def solve(mu):
-        return {p: argmin(mu) for p, argmin in parts}
-
     def residual(mu):
-        values = solve(mu)
-        return _fold(beta1[p] * values[p] for p in eff) - (need - ftol)
+        supplied = 0.0  # ``_fold`` of beta_p * x_p(mu) in ``eff`` order, with no dict
+        for p, argmin in parts:
+            supplied += beta1[p] * argmin(mu)
+        return supplied - (need - ftol)
 
     mu_lo, f_lo, mu_hi = 0.0, residual(0.0), 1.0
     for _ in range(60):
         if (f_hi := residual(mu_hi)) >= 0.0:
-            return solve(_passing_root(residual, mu_lo, mu_hi, f_lo, f_hi)[0])
+            mu = _passing_root(residual, mu_lo, mu_hi, f_lo, f_hi)[0]
+            return {p: argmin(mu) for p, argmin in parts}
         mu_lo, f_lo, mu_hi = mu_hi, f_hi, 2.0 * mu_hi
     return None
 
@@ -497,8 +505,9 @@ def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol, fixed):
                 (lo[f], hi[f]), (lo[g], hi[g]), rem, ftol, (fixed[f], fixed[g]),
             )
             if res is not None:
-                cur = infos[f](values[f]) + infos[g](values[g])
-                new = infos[f](res[0]) + infos[g](res[1])
+                cf, cg = infos[f].coeffs, infos[g].coeffs
+                cur = _horner(cf, values[f]) + _horner(cg, values[g])
+                new = _horner(cf, res[0]) + _horner(cg, res[1])
                 if new < cur - 1e-12 * (1.0 + abs(cur)):
                     values[f], values[g] = res
                     improved, moves = True, moves + 1

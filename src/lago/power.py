@@ -760,8 +760,11 @@ def _lambda_and_rescale(level, model: FittedModel, summary: ArmSummary, test: Te
     """
     if test.wald:
         raise ValueError("Wald noncentrality depends on the package, not just its level")
-    pbar1, pbar0, unpooled_var, test_var = _arm_moments(
-        level, _projection(model, summary), test)
+    return _noncentrality(*_arm_moments(level, _projection(model, summary), test))
+
+
+def _noncentrality(pbar1, pbar0, unpooled_var, test_var):
+    """``_lambda_and_rescale`` from one ``_arm_moments``."""
     if not isinstance(unpooled_var, np.ndarray) and unpooled_var <= 0.0:
         raise DegenerateVarianceError("zero projected variance")
     diff = pbar1 - pbar0
@@ -1111,11 +1114,12 @@ def _threshold_residual_lanes(level, lanes, proj, approach, direction, scale):
             level, None, proj, proj.test, proj.alpha, proj.pi, direction=direction, scale=scale,
         )
         return -slack[lanes], np.zeros(lanes.size, bool)
-    drift = projected_drift_at_level(level, None, proj)[lanes]
-    live = ~(_direction_sign(direction) * drift <= 0.0)
+    # One ``_arm_moments`` pass gives the drift, pbar1 - pbar0, and the power.
+    moments = _arm_moments(level, proj, proj.test)
+    live = ~(_direction_sign(direction) * (moments[0] - moments[1])[lanes] <= 0.0)
     f = np.full(lanes.size, -math.inf)
     degenerate = np.zeros(lanes.size, bool)
-    power, degenerate[live] = _projected_power_lanes(level, lanes[live], proj, approach, direction)
+    power, degenerate[live] = _unconditional_lanes(_noncentrality(*moments), lanes[live], proj)
     f[live] = power - proj.pi
     return f, degenerate
 
@@ -1132,8 +1136,12 @@ def _projected_power_lanes(level, lanes, proj, approach, direction):
     if approach == "conditional":
         power = conditional_power_at_level(level, None, proj, proj.test, proj.alpha, direction)
         return power[lanes], np.zeros(lanes.size, bool)
-    lam, rescale, unpooled_var = (
-        v[lanes] for v in _lambda_and_rescale(level, None, proj, proj.test))
+    return _unconditional_lanes(_lambda_and_rescale(level, None, proj, proj.test), lanes, proj)
+
+
+def _unconditional_lanes(noncentrality, lanes, proj):
+    """Unconditional ``_projected_power_lanes`` from ``_lambda_and_rescale``'s arrays."""
+    lam, rescale, unpooled_var = (v[lanes] for v in noncentrality)
     degenerate = unpooled_var <= 0.0
     if np.count_nonzero(rescale < 0.0) and np.count_nonzero(rescale[~degenerate] < 0.0):
         raise ValueError("math domain error")
