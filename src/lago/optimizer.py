@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -112,6 +113,14 @@ class GoalSpec:
         _direction_sign(self.direction)
         if self.outcome_goal is None and self.power_goal is None:
             raise ValueError("at least one of outcome_goal and power_goal is required")
+        for name in ("outcome_goal", "power_goal", "alpha"):
+            value = getattr(self, name)
+            if (value is not None or name == "alpha") and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if self.outcome_goal is not None and not math.isfinite(self.outcome_goal):
+            raise ValueError("outcome_goal must be finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.approach not in ("unconditional", "conditional"):

@@ -229,7 +229,10 @@ def test_acceptance_6_betterbirth_reproduction():
         ("final-test p", _within(p_value, 0.064, 0.01)),
     )
     bad = [name for name, good in checks if not good]
+    # the unpublished stage-1-2 split the reconstruction assumes
+    split = layout.n1_obs / (layout.n1_obs + layout.n0_obs)
     _report(6, not bad,
+            f"assumed stage-1-2 intervention split {split:.2f}; "
             f"visits {rec_og.x_hat[0]:.2f} (21.18+-0.5), launch "
             f"{rec_og.x_hat[1]:.2f}; conditional visits {rec_pg.x_hat[0]:.2f} "
             f"(26.65+-1.0); power {p_low:.1f}/{p_high:.1f} "

@@ -1,29 +1,21 @@
-"""Differential tests for the P >= 3 min-cost search.
+"""Differential tests for the P >= 3 min-cost search and its scalar kernels.
 
-``optimizer._min_cost_eta`` enumerates the candidates of three to six
-effective components as arrays (``_fixing_lanes``), with every pair minimum
-of a solve in one ``_min_pair_lanes`` call.  The scalar loop it replaced is
-kept below, verbatim apart from its sums, which fold left to right from 0.0
-as the solver's do, and is the oracle: every package must equal the
-oracle's bitwise, and every failure must raise the same error type and
-message.
+Each kernel is held to one oracle kept here, bitwise (signed zeros and nan
+included) and with the same error type and message on failure:
 
-The oracle calls the per-call forms of the Lagrangian point, the pair
-descent and the pair minimum, also kept below verbatim under their own
-names: ``_dual_candidate`` builds a ``_ComponentPoly`` per component at
-every multiplier step, and ``_pair_descent`` has ``_min_pair`` recompute
-each component's free minimum and fixings at every pair and round.  The
-solver computes those once per solve (``cost._argmin_on`` is the argmin
-rule of ``_ComponentPoly.min_on``) and skips a pair that has not moved
-since it was last evaluated; the tests at the end hold each piece to its
-per-call form, bitwise.
+- ``optimizer._min_cost_eta``, which enumerates three to six effective
+  components as arrays (``_fixing_lanes``, ``_min_pair_lanes``): the scalar
+  loop it replaced, ``_min_cost_eta_scalar``, its sums folded from 0.0;
+- ``_min_pair``, ``_dual_candidate`` and ``_pair_descent``: their per-call
+  forms, which rebuild each component's polynomial, free minimum and
+  fixings at every call and skip no pair;
+- ``cost._horner`` and ``optimizer._segment_coeffs``: their loops;
+- ``cost._stationary_points``: the trimmed derivative list, every call;
+- ``cost._argmin_on``: the smallest candidate in the tie window;
+- ``optimizer._multiplier_argmin``: one multiplier step on those two.
 
-The scalar kernels under them are held the same way.
-``_stationary_points_by_list`` and ``_argmin_on_two_pass`` are
-``cost._stationary_points`` and ``cost._argmin_on`` before the closed-form
-cubic shortcut (``cost._quadratic_points``) and the one-pass argmin, and
-``_multiplier_argmin_per_step`` is one component of the Lagrangian point's
-solve before ``optimizer._multiplier_argmin`` built it once per solve.
+One named-case table, ``NAMED``, and one set of hypothesis strategies feed
+the kernels' tests.
 """
 
 import itertools
@@ -31,7 +23,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -57,7 +49,7 @@ from lago.optimizer import (
 from lago.power import _passing_root
 
 # ---------------------------------------------------------------------------
-# the replaced per-call forms
+# the per-call forms
 
 
 def _min_pair(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
@@ -143,24 +135,18 @@ def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol):
     return values
 
 
-def _min_on(poly, a, b):
-    """``_ComponentPoly.min_on`` before its argmin moved to ``_argmin_on``."""
-    if b < a:
-        return None
-    cands = [a, b] + [t for t in poly.stationary if a < t < b]
-    vals = [_horner(poly.coeffs, t) for t in cands]
-    vmin = min(vals)
-    tol = 1e-12 * (1.0 + abs(vmin))
-    try:
-        x = min(c for c, v in zip(cands, vals) if v <= vmin + tol)
-    except ValueError:  # vmin + tol is nan: the cost overflowed on [a, b]
-        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
-    return x, _horner(poly.coeffs, x)
+# ---------------------------------------------------------------------------
+# the scalar kernels' oracles
+
+
+def _horner_by_loop(coeffs, x):
+    v = 0.0
+    for ck in reversed(coeffs):
+        v = ck + v * x
+    return v
 
 
 def _stationary_points_by_list(c) -> tuple:
-    """``cost._stationary_points`` before the cubic shortcut and the shared
-    ``cost._quadratic_points``: the derivative list, trimmed, every time."""
     d = [k * c[k] for k in range(1, len(c))]
     while d and d[-1] == 0.0:
         d.pop()
@@ -187,24 +173,43 @@ def _stationary_points_by_list(c) -> tuple:
     return tuple(sorted(set(pts)))
 
 
-def _argmin_on_two_pass(coeffs, stationary, a: float, b: float) -> float:
-    """``cost._argmin_on`` before it became one pass."""
-    cands = [a, b] + [t for t in stationary if a < t < b]
-    vals = [_horner(coeffs, t) for t in cands]
-    vmin = min(vals)
+def _argmin_on_by_best(coeffs, stationary, a, b):
+    va, vb = _horner_by_loop(coeffs, a), _horner_by_loop(coeffs, b)
+    cands, vmin = [(a, va), (b, vb)], (vb if vb < va else va)
+    for t in stationary:
+        if a < t < b:
+            v = _horner_by_loop(coeffs, t)
+            cands.append((t, v))
+            if v < vmin:
+                vmin = v
     top = vmin + 1e-12 * (1.0 + abs(vmin))
-    try:
-        return min(c for c, v in zip(cands, vals) if v <= top)
-    except ValueError:  # top is nan: the cost overflowed on [a, b]
-        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]") from None
+    best = None
+    for t, v in cands:
+        if v <= top and (best is None or t < best):
+            best = t
+    if best is None:
+        raise NonFiniteError(f"the cost is not finite on [{float(a)}, {float(b)}]")
+    return best
+
+
+def _segment_coeffs_by_loop(f, g, A, B):
+    h = [g[-1]]
+    for gk in reversed(g[:-1]):
+        nxt = [hk * A for hk in h] + [0.0]
+        for k, hk in enumerate(h):
+            nxt[k + 1] += hk * B
+        nxt[0] += gk
+        h = nxt
+    h += [0.0] * (len(f) - len(h))
+    for k, fk in enumerate(f):
+        h[k] += fk
+    return h
 
 
 def _multiplier_argmin_per_step(coeffs, beta, low, high, mu):
-    """One component of ``_dual_candidate``'s solve(mu) before the solve was
-    built once per component (``optimizer._multiplier_argmin``)."""
-    adj = coeffs.copy()
+    adj = list(coeffs)
     adj[1] -= mu * beta
-    return _argmin_on_two_pass(adj, _stationary_points_by_list(adj), low, high)
+    return _argmin_on_by_best(adj, _stationary_points_by_list(adj), low, high)
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +302,61 @@ def _min_cost_eta_scalar(beta0, beta1, cost, lo, hi, eta_target):
 # helpers
 
 
-def _outcome(solver, *args):
+def _outcome(kernel, *args):
     try:
-        return solver(*args)
-    except LagoError as exc:
+        return kernel(*args)
+    except Exception as exc:  # the oracle's error, whatever its type
         return exc
 
 
-def _assert_same(args):
-    got = _outcome(_min_cost_eta, *args)
-    want = _outcome(_min_cost_eta_scalar, *args)
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want), (args, got, want)
-    else:
-        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes(), (args, got, want)
+def _bits(value):
+    """What bitwise equality compares: an error's type and message, a dict's
+    keys and values, a list's entries, None, and the shape and bytes of
+    anything else as floats."""
+    if value is None:
+        return None
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    if isinstance(value, dict):
+        return list(value), _bits(list(value.values()))
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    value = np.asarray(value, dtype=float)
+    return value.shape, value.tobytes()
+
+
+def _same(got, want) -> bool:
+    """Bitwise the same result or the same error.  Where an oracle lets
+    numpy's LinAlgError out of ``polyroots``, the package raises
+    NonFiniteError, a LagoError.  A nan point puts a set's order at the
+    mercy of its address (its hash), so a tuple holding one is compared as
+    a multiset of bit patterns."""
+    if isinstance(want, np.linalg.LinAlgError):
+        return isinstance(got, NonFiniteError)
+    if isinstance(want, tuple) and any(math.isnan(t) for t in want):
+        return isinstance(got, tuple) and sorted(map(_bits, got)) == sorted(map(_bits, want))
+    return _bits(got) == _bits(want)
+
+
+def _assert_kernel(kernel, oracle, *args):
+    got, want = _outcome(kernel, *args), _outcome(oracle, *args)
+    assert _same(got, want), (args, got, want)
     return got
 
 
-def _probe_problem(seed: int, batch: int, P: int):
-    """The benchmark's ``probe`` problem: separable cubic costs increasing on
-    the whole line and a logit goal 40-60% of the way from the control level
-    to the best one in the bounds."""
-    rng = np.random.default_rng([int(seed), int(batch), int(P)])
+def _assert_same(args):
+    """``_min_cost_eta`` solves like its scalar loop, or both raise the same
+    LagoError."""
+    got, want = _outcome(_min_cost_eta, *args), _outcome(_min_cost_eta_scalar, *args)
+    assert isinstance(want, (np.ndarray, LagoError)) and _same(got, want), (args, got, want)
+    return got
+
+
+def _cubic_problem(rng, P: int):
+    """The benchmark's ``probe`` problem, drawn from ``rng``: separable cubic
+    costs increasing on the whole line and a logit goal 40-60% of the way
+    from the control level to the best one in the bounds.  Returns (beta,
+    cost, bounds, goal)."""
     upper = rng.uniform(2.0, 8.0, P)
     terms = []
     for p in range(P):
@@ -330,7 +368,14 @@ def _probe_problem(seed: int, batch: int, P: int):
     eta_max = beta[0] + float(np.sum(beta[1:] * upper))
     eta_goal = beta[0] + rng.uniform(0.4, 0.6) * (eta_max - beta[0])
     bounds = tuple((0.0, float(u)) for u in upper)
-    return beta, CostFunction(tuple(terms)), bounds, 1.0 / (1.0 + math.exp(-eta_goal)), rng
+    return beta, CostFunction(tuple(terms)), bounds, 1.0 / (1.0 + math.exp(-eta_goal))
+
+
+def _probe_problem(seed: int, batch: int, P: int):
+    """``_cubic_problem`` seeded by (seed, batch, P), with its generator last,
+    to perturb the coefficients as the probe does."""
+    rng = np.random.default_rng([int(seed), int(batch), int(P)])
+    return (*_cubic_problem(rng, P), rng)
 
 
 def _args(beta, cost, bounds, eta_target):
@@ -495,9 +540,7 @@ def test_pair_kernel_on_padded_polynomials_matches_the_scalar_pair():
             want = _min_pair(polys[0], polys[1], beta[0], beta[1],
                              (lo[0], hi[0]), (lo[1], hi[1]), float(residuals[k]), 1e-9)
             got = (float(xf[k]), float(xg[k])) if found[k] else None
-            assert (got is None) == (want is None), (terms, k)
-            if want is not None:
-                assert np.array(got).tobytes() == np.array(want).tobytes(), (terms, k, got, want)
+            assert _same(got, want), (terms, k, got, want)
         exact_lanes += int(exact.sum())
     assert exact_lanes > 1000
 
@@ -553,60 +596,6 @@ def test_seven_components_meet_the_goal_and_no_pair_or_sample_beats_them(seed):
 # the solver's pieces against their per-call forms
 
 
-def _same_floats(got, want) -> bool:
-    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
-
-
-def _polynomials(rng):
-    """Seeded degree 0-4 coefficient lists; some coefficients are +0.0 or
-    -0.0."""
-    for _ in range(400):
-        c = (rng.normal(size=int(rng.integers(1, 6))) * rng.choice([0.1, 1.0, 10.0])).tolist()
-        for k in range(len(c)):
-            if rng.random() < 0.15:
-                c[k] = float(rng.choice([0.0, -0.0]))
-        yield c
-
-
-def _boxes(rng, stationary):
-    """Random boxes, empty-width boxes and boxes ending on stationary points."""
-    a = float(rng.uniform(-3.0, 1.0))
-    yield a, a + float(rng.uniform(0.1, 4.0))
-    yield a, a
-    for t in stationary:
-        yield t, t
-        yield t, t + 1.0
-        yield t - 1.0, t
-    if len(stationary) >= 2:
-        yield stationary[0], stationary[-1]
-
-
-def test_argmin_on_is_the_argmin_of_min_on():
-    rng = np.random.default_rng(31)
-    boxes = 0
-    for c in _polynomials(rng):
-        poly = _ComponentPoly(c)
-        coeffs = [float(v) for v in c]
-        for a, b in _boxes(rng, poly.stationary):
-            got = _argmin_on(coeffs, _stationary_points(coeffs), a, b)
-            assert _same_floats(got, poly.min_on(a, b)[0]), (c, a, b)
-            assert _same_floats(got, _min_on(poly, a, b)[0]), (c, a, b)
-            boxes += 1
-    assert boxes > 1500
-
-
-def test_argmin_on_raises_the_min_on_error_on_an_overflowing_cost():
-    for c, (a, b) in (([0.0, 0.0, 0.0, -1.0], (0.0, 1e200)),
-                      ([1.0, 1e308, -1e308], (-1e10, 1e10)),
-                      ([0.0, 0.0, 0.0, 0.0, -1e300], (0.0, 1e100))):
-        poly = _ComponentPoly(c)
-        got = _outcome(_argmin_on, poly.coeffs, poly.stationary, a, b)
-        want = _outcome(_min_on, poly, a, b)
-        assert isinstance(want, NonFiniteError), (c, want)
-        assert type(got) is type(want) and str(got) == str(want)
-        assert str(_outcome(poly.min_on, a, b)) == str(want)
-
-
 def _recorded_calls(monkeypatch, problems, name):
     """The arguments of every call the solver makes to ``optimizer.<name>``
     while solving ``problems``."""
@@ -637,20 +626,34 @@ def _solver_problems():
     return problems
 
 
-def _same_package(got, want, eff) -> bool:
-    if want is None:
-        return got is None
-    return set(got) == set(want) and _same_floats([got[p] for p in eff], [want[p] for p in eff])
-
-
 def test_the_dual_candidate_matches_its_per_call_form(monkeypatch):
     calls = _recorded_calls(monkeypatch, _solver_problems(), "_dual_candidate")
     sizes = set()
     for args in calls:
-        eff = args[2]
-        sizes.add(len(eff))
-        assert _same_package(optimizer._dual_candidate(*args), _dual_candidate(*args), eff), args
+        sizes.add(len(args[2]))
+        _assert_kernel(optimizer._dual_candidate, _dual_candidate, *args)
     assert sizes == {3, 4, 5, 6}
+
+
+def _assert_dual(infos, beta1, lo, hi, need):
+    args = (infos, beta1, list(range(len(infos))), lo, hi, need, 1e-9 * max(1.0, abs(need)))
+    _assert_kernel(optimizer._dual_candidate, _dual_candidate, *args)
+
+
+_CUBIC = [0.0, 3.0, -1.0, 0.2]
+
+
+@pytest.mark.parametrize("coeffs, beta1, need", [
+    ([_CUBIC] * 3, [0.5, -0.3, 0.8], 1.5),
+    ([_CUBIC, [0.0, 1.0, 0.5], [0.0, 2.0]], [0.5, 0.3, 0.8], 2.0),  # degree 1 and 2
+    ([_CUBIC, [0.0, 1.0, -2.0, 0.3, 0.25], _CUBIC], [0.5, 0.3, 0.8], 2.0),  # a quartic
+    ([_CUBIC, [-0.0, -0.0, -0.0, 1.0], _CUBIC], [0.5, -0.0, 0.8], 1.0),  # signed zeros
+    ([_CUBIC] * 3, [0.5, 0.3, 0.8], 1e6),  # out of reach: no bracket, None
+    ([_CUBIC] * 3, [1e300, 1e300, 1e300], 1e300),  # c1 - mu * beta overflows
+])
+def test_the_dual_candidate_matches_its_per_call_form_on_named_cases(coeffs, beta1, need):
+    P = len(coeffs)
+    _assert_dual([_ComponentPoly(c) for c in coeffs], beta1, [0.0] * P, [4.0] * P, need)
 
 
 def test_the_pair_descent_matches_its_per_call_form(monkeypatch):
@@ -664,7 +667,7 @@ def test_the_pair_descent_matches_its_per_call_form(monkeypatch):
         for start in (values, *({p: float(rng.uniform(lo[p], hi[p])) for p in eff}
                                 for _ in range(3))):
             got = optimizer._pair_descent(start, *rest, fixed)
-            assert _same_package(got, _pair_descent(start, *rest), eff), (start, rest)
+            assert _same(got, _pair_descent(start, *rest)), (start, rest)
             starts += 1
     assert starts > 400
 
@@ -685,99 +688,132 @@ def test_the_pair_minimum_with_the_component_table_matches_its_per_call_form():
             reach = max(bf * box_f[0], bf * box_f[1]) + max(bg * box_g[0], bg * box_g[1])
             for residual in (float(rng.uniform(-2.0, 1.0)) * abs(reach), reach, reach + 1.0):
                 args = (polys[f], polys[g], bf, bg, box_f, box_g, residual, 1e-9)
-                want = _min_pair(*args)
                 got = optimizer._min_pair(*args, fixed)
-                assert (got is None) == (want is None), args
-                assert want is None or _same_floats(got, want), (args, got, want)
+                assert _same(got, _min_pair(*args)), (args, got)
                 pairs += 1
     assert pairs > 1000
 
 
 # ---------------------------------------------------------------------------
-# the scalar kernels against their replaced forms
+# the scalar kernels against their oracles
 
-_SPECIAL = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308,
-            math.inf, -math.inf, math.nan)
-_ANY = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_SPECIAL), st.floats())
-_FINITE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_SPECIAL[:11]),
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e308,
+           -1e308, math.inf, -math.inf, math.nan)
+_ANY = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL), st.floats())
+_FINITE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL[:-3]),
                     st.floats(allow_nan=False, allow_infinity=False))
+_COEFFS = st.lists(_ANY, min_size=1, max_size=6)
+_FINITE_COEFFS = st.lists(_FINITE, min_size=2, max_size=5)
+_MUS = (0.0, 0.5, 1.0, 3.0, 2.0 ** 20, 2.0 ** 59, 1e300)
 
-
-def _kernel_outcome(kernel, *args):
-    try:
-        return kernel(*args)
-    except Exception as exc:  # the replaced form's error, whatever its type
-        return exc
-
-
-def _same_outcome(got, want) -> bool:
-    """Bitwise equal floats or tuples of floats, or the same error.  A nan
-    point puts a set's order at the mercy of its address (its hash), so a
-    tuple holding one is compared as a multiset of bit patterns.  Where the
-    replaced form let numpy's LinAlgError out of ``polyroots``, the package
-    raises NonFiniteError, a LagoError."""
-    if isinstance(want, np.linalg.LinAlgError):
-        return isinstance(got, NonFiniteError)
-    if isinstance(want, Exception):
-        return type(got) is type(want) and str(got) == str(want)
-    if isinstance(got, Exception) or np.shape(got) != np.shape(want):
-        return False
-    if isinstance(want, tuple) and any(math.isnan(t) for t in want):
-        return sorted(_bits(t) for t in got) == sorted(_bits(t) for t in want)
-    return _same_floats(got, want)
-
-
-def _bits(t: float) -> bytes:
-    return np.float64(t).tobytes()
-
-
-def _assert_same_points(c):
-    got = _kernel_outcome(_stationary_points, c)
-    assert _same_outcome(got, _kernel_outcome(_stationary_points_by_list, c)), (c, got)
-    return got
-
-
-def _assert_same_argmin(c, a, b):
-    stationary = _kernel_outcome(_stationary_points_by_list, c)
-    if isinstance(stationary, Exception):
-        return
-    got = _kernel_outcome(_argmin_on, c, stationary, a, b)
-    want = _kernel_outcome(_argmin_on_two_pass, c, stationary, a, b)
-    assert _same_outcome(got, want), (c, a, b, got, want)
-
-
-def _assert_same_multiplier_argmin(c, beta, low, high, mus):
-    argmin = _multiplier_argmin(c, beta, low, high)
-    for mu in mus:
-        got = _kernel_outcome(argmin, mu)
-        want = _kernel_outcome(_multiplier_argmin_per_step, c, beta, low, high, mu)
-        assert _same_outcome(got, want), (c, beta, low, high, mu, got, want)
-
-
-# Named cases: (cubic coefficients, what they exercise).
-_NAMED_CUBICS = [
+# The named cases: (coefficients, what they exercise).  Cubics take the
+# closed forms and the written-out loops, every other degree the generic ones.
+NAMED = [
+    ([], "no coefficients"), ([3.0], "a constant"), ([-0.0], "a constant -0.0"),
+    ([3.0, 0.0], "a zero slope"), ([3.0, -2.0], "a line"),
+    ([3.0, -2.0, 0.5], "a convex quadratic"), ([2.0, -1.0, -0.5], "a concave quadratic"),
+    ([3.0, -2.0, -0.0], "a -0.0 leading quadratic coefficient"),
+    ([1.0, 1e308, -1e308], "a quadratic whose cost overflows on a wide box"),
+    ([1.0, 2.0, 3.0, 0.0], "a zero leading cubic coefficient"),
+    ([1.0, 2.0, 3.0, -0.0], "a -0.0 leading cubic coefficient"),
     ([0.0, 1.0, 2.0, 4.0 / 3.0], "zero discriminant: one double root"),
     ([5.0, 0.0, 0.0, 1.0], "q == 0: the double root at 0"),
     ([5.0, -0.0, -0.0, 1.0], "q == 0 from signed zeros"),
-    ([0.0, -0.0, 1.0, 1.0], "a signed-zero c0: roots -2/3 and +0.0"),
+    ([0.0, -0.0, 1.0, 1.0], "a signed-zero c1: roots -2/3 and +0.0"),
     ([0.0, -0.0, 5e-301, 1e100 / 3.0], "roots -0.0 and +0.0: the set keeps q / a"),
     ([0.0, 1e308, 5e199, 1.0], "a nan discriminant (inf - inf)"),
     ([0.0, -math.inf, 1.0, 1.0], "c1 at -inf: roots -inf and nan"),
     ([0.0, 1e-18, 0.0, 1.0 / 3.0], "a complex pair at the near-real edge"),
     ([1.0, 1.0, -1.0, 1.0 / 3.0], "a double root at 1.0, then boxes ending on it"),
-    ([2.0, -4.0, -1.0, 0.5], "two real roots"),
-    ([2.0, 4.0, 1.0, 0.5], "a complex pair far from real"),
+    ([2.0, -4.0, -1.0, 0.5], "two real roots"), ([2.0, 4.0, 1.0, 0.5], "a complex pair"),
     ([0.0, 1.0, 1e200, 1e-300], "an infinite discriminant: roots -inf and -0.0"),
     ([0.0, 1.0, 5e99, 1e-300 / 3.0], "a finite discriminant whose root q / a overflows"),
     ([0.0, 0.0, math.inf, 1.0], "an infinite c2: a nan value at the interior point -0.0"),
+    (_CUBIC, "a cubic increasing on the whole line"),
+    ([1.0, 2.0, -1.0, 0.5], "c1 - mu * beta overflows to -inf: no finite cost on the box"),
+    ([0.0, 0.0, 0.0, -1.0], "a decreasing cubic whose cost overflows on a wide box"),
+    ([1.0, 0.0, 0.0, 0.0], "a flat cubic: every candidate ties"),
+    ([-0.0, -0.0, -0.0, -0.0], "all -0.0"), ([0.0, -0.0, 0.0, -0.0], "alternating zeros"),
+    ([1.0, math.inf, 0.0, 1.0], "an infinite c1"), ([1.0, -math.inf, 0.0, 1.0], "a -inf c1"),
+    ([0.0, 1.0, 2.0, math.nan], "a nan leading coefficient"),
+    ([math.nan, 0.0, 0.0, 1.0], "a nan constant: every value nan"),
+    ([0.0, 1e300, -1e300, 1e300], "terms past the float range at |x| > 1"),
+    ([0.5, -1.0, -2.0, 0.3, 0.25], "a quartic"),
+    ([0.5, -1.0, -2.0, 0.3, 0.0], "a zero leading quartic coefficient"),
+    ([0.0, 0.0, -2.0, 0.0, 1.0], "a double well: minima -1 and 1 tie"),
+    ([1.0, 2.0, -1.0, 0.5, 0.1], "a quartic whose c1 - mu * beta overflows: no roots"),
+    ([0.0, 0.0, 0.0, 0.0, 1e-300], "a tiny quartic"),
+    ([0.0, 0.0, 0.0, 0.0, -1e300], "a quartic whose cost overflows on a wide box"),
 ]
 
 
-def test_the_cubic_shortcut_matches_the_derivative_list_on_named_cubics():
-    for c, _ in _NAMED_CUBICS:
-        _assert_same_points(c)
-    assert _stationary_points([0.0, -0.0, 5e-301, 1e100 / 3.0]) == (0.0,)
-    assert math.copysign(1.0, _stationary_points([0.0, -0.0, 5e-301, 1e100 / 3.0])[0]) == -1.0
+def _boxes(stationary):
+    """Fixed boxes (a == b of either sign, infinite, overflowing and nan
+    ends), and boxes ending on a finite stationary point, on both and on one
+    point, and around all of them."""
+    finite = [t for t in stationary if math.isfinite(t)]
+    boxes = [(-1.0, 1.0), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-math.inf, 0.0),
+             (0.0, math.inf), (-1e300, 1e300), (0.0, 1e300), (math.nan, 1.0), (1.0, 1.0)]
+    for t in finite:
+        boxes += [(t, t), (t, t + 1.0), (t - 1.0, t), (t - 2.0, t + 2.0)]
+    if finite:
+        boxes += [(finite[0], finite[-1]), (finite[0] - 1.0, finite[-1] + 1.0)]
+    return boxes
+
+
+def _oracle_points(c) -> tuple:
+    """The oracle's stationary points of ``c``; none where it raises."""
+    points = _outcome(_stationary_points_by_list, c)
+    return () if isinstance(points, Exception) else points
+
+
+def _assert_same_multiplier_argmin(c, beta, low, high, mus):
+    argmin = _multiplier_argmin(c, beta, low, high)
+    for mu in mus:
+        got = _outcome(argmin, mu)
+        want = _outcome(_multiplier_argmin_per_step, c, beta, low, high, mu)
+        assert _same(got, want), (c, beta, low, high, mu, got, want)
+
+
+@pytest.mark.parametrize("c, note", NAMED)
+def test_the_kernels_match_their_oracles_on_named_cases(c, note):
+    for x in SPECIAL:
+        _assert_kernel(_horner, _horner_by_loop, c, x)
+    _assert_kernel(_stationary_points, _stationary_points_by_list, c)
+    stationary = _oracle_points(c)
+    for a, b in _boxes(stationary):
+        _assert_kernel(_argmin_on, _argmin_on_by_best, c, stationary, a, b)
+    for A, B in itertools.product((0.0, -0.0, 0.7, -1e300, math.inf),
+                                  (0.0, -0.0, 1.5, -2.0, math.inf, math.nan)):
+        for f in ([0.0, 1.0, -0.0, 2.0], [-0.0], [1.0, -0.0, 0.5, 0.1, 0.01], [-0.0] * 4):
+            _assert_kernel(_segment_coeffs, _segment_coeffs_by_loop, f, c, A, B)
+    if len(c) >= 2:
+        for beta, box in ((0.7, (0.0, 4.0)), (-1.5, (-2.0, 2.0)), (1e10, (0.0, 1.0)),
+                          (0.9, (-1.0, 3.0))):
+            _assert_same_multiplier_argmin(c, beta, *box, _MUS)
+
+
+def test_the_kernels_give_the_named_answers():
+    flat = [1.0, 0.0, 0.0, 0.0]  # every candidate ties: the smallest, a
+    assert _argmin_on(flat, (0.5,), 0.0, 1.0) == 0.0
+    for a, b in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):  # a == b: a itself
+        assert math.copysign(1.0, _argmin_on(flat, (), a, b)) == math.copysign(1.0, a)
+    double_well = [0.0, 0.0, -2.0, 0.0, 1.0]  # minima -1 and 1 tie: the smaller
+    assert _argmin_on(double_well, _stationary_points(double_well), -2.0, 2.0) == -1.0
+    # a leading nan value is the least, by Python's min, so the window is nan
+    with pytest.raises(NonFiniteError):
+        _argmin_on([math.nan, 1.0, 0.0, 0.0], (), 0.0, 1.0)
+    for c, (a, b) in (([0.0, 0.0, 0.0, -1.0], (0.0, 1e200)),  # costs that overflow on the box
+                      ([1.0, 1e308, -1e308], (-1e10, 1e10)),
+                      ([0.0, 0.0, 0.0, 0.0, -1e300], (0.0, 1e100))):
+        with pytest.raises(NonFiniteError, match="the cost is not finite"):
+            _ComponentPoly(c).min_on(a, b)
+    # c1 - mu * beta overflows to -inf: the cubic's cost is not finite on the
+    # box, and the quartic's derivative has no roots
+    for c in ([1.0, 2.0, -1.0, 0.5], [1.0, 2.0, -1.0, 0.5, 0.1]):
+        assert isinstance(_outcome(_multiplier_argmin(c, 1e10, 0.0, 1.0), 1e300), NonFiniteError)
+    # the ±0.0 double root keeps q / a, -0.0
+    assert _bits(_stationary_points([0.0, -0.0, 5e-301, 1e100 / 3.0])) == _bits((-0.0,))
 
 
 def test_the_near_real_edge_is_crossed_the_same_way():
@@ -788,74 +824,87 @@ def test_the_near_real_edge_is_crossed_the_same_way():
     for _ in range(12):
         c0 = math.nextafter(c0, 0.0)
     for _ in range(24):
-        pts = _assert_same_points([0.0, c0, 0.0, 1.0 / 3.0])
-        outcomes.add(len(pts))
+        c = [0.0, c0, 0.0, 1.0 / 3.0]
+        outcomes.add(len(_assert_kernel(_stationary_points, _stationary_points_by_list, c)))
         c0 = math.nextafter(c0, 1.0)
     assert outcomes == {0, 1}
 
 
-@pytest.mark.parametrize("c", [
-    [], [3.0], [3.0, 0.0], [3.0, -2.0], [3.0, -2.0, 0.5], [3.0, -2.0, -0.0], [1.0, 2.0, 3.0, 0.0],
-    [1.0, 2.0, 3.0, -0.0], [0.5, -1.0, -2.0, 0.3, 0.25], [0.5, -1.0, -2.0, 0.3, 0.0],
-    [0.0, 0.0, 0.0, 0.0, 1e-300],
-])
-def test_other_degrees_take_the_generic_path_unchanged(c):
-    _assert_same_points(c)
+@pytest.mark.parametrize("size", [1, 3, 4, 5])
+def test_horner_matches_its_loop_on_lane_arrays(size):
+    """Lane kernels pass arrays of points, and coefficient lists that mix
+    floats and lane arrays, with numpy's warnings off as there."""
+    rng = np.random.default_rng(size)
+    x = np.array(SPECIAL + tuple(rng.normal(size=21)))
+    coeffs = [rng.choice(SPECIAL, x.size) if k % 2 else float(rng.normal()) for k in range(size)]
+    with np.errstate(all="ignore"):
+        _assert_kernel(_horner, _horner_by_loop, coeffs, x)
+        _assert_kernel(_horner, _horner_by_loop, [float(c) for c in rng.normal(size=size)], x)
+
+
+def test_segment_coeffs_match_the_loop_on_lane_arrays():
+    rng = np.random.default_rng(5)
+    A = np.array(SPECIAL + tuple(rng.normal(size=9)))
+    B = np.array(tuple(reversed(SPECIAL)) + tuple(rng.normal(size=9)))
+    lanes = [rng.choice(SPECIAL, A.size) for _ in range(4)]
+    for f, g in ((lanes, lanes[::-1]), ([0.0, 1.0, -0.5, 0.2], lanes), (lanes, [1.0, -0.0, 3.0])):
+        with np.errstate(all="ignore"):  # as in the lane kernels
+            _assert_kernel(_segment_coeffs, _segment_coeffs_by_loop, f, g, A, B)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_ANY, min_size=1, max_size=5))
+@given(_COEFFS, _ANY)
+def test_horner_matches_its_loop(coeffs, x):
+    _assert_kernel(_horner, _horner_by_loop, coeffs, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_COEFFS)
 def test_stationary_points_match_the_derivative_list(c):
-    _assert_same_points(c)
-
-
-def test_argmin_on_matches_its_two_pass_form_on_named_cubics_and_box_ends():
-    rng = np.random.default_rng(8)
-    for c, _ in _NAMED_CUBICS:
-        stationary = [t for t in _stationary_points_by_list(c) if math.isfinite(t)]
-        for a, b in [*_boxes(rng, stationary), (-1.0, 1.0), (-math.inf, 0.0), (0.0, 0.0),
-                     (-0.0, 0.0), (0.0, 1e300)]:
-            _assert_same_argmin(c, a, b)
+    _assert_kernel(_stationary_points, _stationary_points_by_list, c)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_ANY, min_size=1, max_size=5), _ANY, _ANY, st.integers(0, 3))
-def test_argmin_on_matches_its_two_pass_form(c, a, b, ends):
-    stationary = _kernel_outcome(_stationary_points_by_list, c)
-    if isinstance(stationary, Exception):
-        stationary = ()
+@given(_COEFFS, st.lists(_ANY, max_size=4), st.integers(0, 4), _ANY, _ANY, st.integers(0, 3))
+def test_argmin_on_matches_its_smallest_candidate_form(c, points, nan_at, a, b, ends):
+    """``stationary`` holds the polynomial's own stationary points and the
+    drawn ones, ascending apart from a nan, which no box holds, as the closed
+    forms return it."""
+    points = (*_oracle_points(c), *points)
+    stationary = sorted({t for t in points if not math.isnan(t)})
+    if any(math.isnan(t) for t in points):
+        stationary.insert(min(nan_at, len(stationary)), math.nan)
     finite = [t for t in stationary if math.isfinite(t)]
     if finite and ends:  # a box ending on a stationary point
         a, b = (finite[0], b) if ends == 1 else (a, finite[-1]) if ends == 2 else (finite[0],) * 2
-    if not a <= b:
+    if b < a:
         a, b = b, a
-    _assert_same_argmin(c, a, b)
+    _assert_kernel(_argmin_on, _argmin_on_by_best, c, tuple(stationary), a, b)
 
 
-_MUS = (0.0, 0.5, 1.0, 3.0, 2.0 ** 20, 2.0 ** 59, 1e300)
-
-
-def test_the_multiplier_argmin_matches_its_per_step_form_on_named_cases():
-    for c, _ in _NAMED_CUBICS:
-        for beta, box in ((0.7, (0.0, 4.0)), (-1.5, (-2.0, 2.0)), (1e10, (0.0, 1.0))):
-            _assert_same_multiplier_argmin(c, beta, *box, _MUS)
-    # c1 - mu * beta overflows to -inf: the cubic's cost is not finite on the
-    # box, and the quartic's derivative has no roots; both raise NonFiniteError
-    for c in ([1.0, 2.0, -1.0, 0.5], [1.0, 2.0, -1.0, 0.5, 0.1]):
-        _assert_same_multiplier_argmin(c, 1e10, 0.0, 1.0, _MUS)
-        argmin = _multiplier_argmin(c, 1e10, 0.0, 1.0)
-        assert isinstance(_kernel_outcome(argmin, 1e300), NonFiniteError)
-    # degree 0 to 2, a zero leading cubic coefficient and a quartic: the generic path
-    for c in ([2.0, 0.0], [2.0, -1.0], [2.0, -1.0, 0.5], [2.0, -1.0, -0.5], [2.0, -1.0, 0.5, 0.0],
-              [2.0, -1.0, 0.5, -0.0], [2.0, -1.0, -2.0, 0.3, 0.25]):
-        _assert_same_multiplier_argmin(c, 0.9, -1.0, 3.0, _MUS)
+@settings(max_examples=400, deadline=None)
+@given(_COEFFS, _COEFFS, _ANY, _ANY)
+def test_segment_coeffs_match_the_loop(f, g, A, B):
+    _assert_kernel(_segment_coeffs, _segment_coeffs_by_loop, f, g, A, B)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_FINITE, min_size=2, max_size=5), _FINITE, _FINITE, _FINITE,
+@given(_FINITE_COEFFS, _FINITE, _FINITE, _FINITE,
        st.lists(st.one_of(st.floats(0.0, 2.0 ** 60), st.sampled_from(_MUS)), min_size=1,
                 max_size=4))
 def test_the_multiplier_argmin_matches_its_per_step_form(c, beta, low, high, mus):
     if not low <= high:
         low, high = high, low
     _assert_same_multiplier_argmin(c, beta, low, high, mus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_FINITE_COEFFS, _FINITE, st.floats(-5.0, 5.0), st.floats(0.0, 5.0)),
+                min_size=3, max_size=5),
+       st.floats(-20.0, 20.0))
+def test_the_dual_candidate_matches_its_per_call_form_on_drawn_components(components, need):
+    infos = _outcome(lambda: [_ComponentPoly(c) for c, _, _, _ in components])
+    assume(not isinstance(infos, Exception))  # a derivative past the float range
+    lo = [low for _, _, low, _ in components]
+    hi = [low + width for _, _, low, width in components]
+    _assert_dual(infos, [beta for _, beta, _, _ in components], lo, hi, need)

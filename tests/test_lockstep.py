@@ -10,7 +10,10 @@ single-design fits ``fit_binary`` and ``fit_continuous`` ran before each
 became the one-lane call of its kernel, are kept here as oracles: the
 engine's reports, its block columns and the kernels' fits must agree with
 them bitwise, with the same error type and message, and a lane's result
-must not depend on the other lanes of its stack.  The lanes' seeds, computed
+must not depend on the other lanes of its stack.  The IRLS loop is the one
+oracle of ``fit_binary`` and ``_fit_binary_stack``, on the seeded designs
+of ``test_fast_paths.py``; it counts its step-halvings, so the designs are
+seen to take them.  The lanes' seeds, computed
 as arrays, must seed ``PCG64`` as numpy's ``SeedSequence.spawn`` children do.
 """
 
@@ -66,7 +69,7 @@ from lago.trial import (
     next_recommendation,
     refit,
 )
-from test_fast_paths import _check_finite, _fit_binary_oracle, _grouped_design, _outcome
+from test_fast_paths import _grouped_design
 from test_recommend_path import _called_names, _function
 
 # ---------------------------------------------------------------------------
@@ -87,8 +90,15 @@ def _check_rank(X, rank=None):
         )
 
 
+def _check_finite(*arrays):
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError("non-finite value in model input")
+
+
 def _fit_binary_scalar(records):
-    """The single-design IRLS loop, with its scalar tests on Python floats."""
+    """The single-design IRLS loop, with its scalar tests on Python floats;
+    returns the fit and the number of step-halvings it took."""
     X, m, s, m2 = _center_rows(records)
     _check_finite(X, m, s, m2)
     _check_binary(m, s, m2)
@@ -104,7 +114,7 @@ def _fit_binary_scalar(records):
         return float(s @ eta - m @ np.logaddexp(0.0, eta))
 
     ll = loglik(beta)
-    n_iter = 0
+    n_iter = total_halvings = 0
     for n_iter in range(1, MAX_ITER + 1):
         eta = X @ beta
         p = expit(eta)
@@ -127,6 +137,7 @@ def _fit_binary_scalar(records):
             new_beta = beta + step
             new_ll = loglik(new_beta)
             halvings += 1
+        total_halvings += halvings
         beta, ll = new_beta, new_ll
         coefs = beta.tolist()
         if not all(map(math.isfinite, coefs)):
@@ -141,10 +152,11 @@ def _fit_binary_scalar(records):
         cov = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
         raise SeparationError("observed information singular at the optimum") from exc
-    return FittedModel(
+    fitted = FittedModel(
         beta=beta, link="logit", covariance=cov, n_used=int(m.sum()), kind="binary",
         n_iter=n_iter,
     )
+    return fitted, total_halvings
 
 
 def _fit_continuous_scalar(records, link="identity"):
@@ -348,7 +360,7 @@ def _oracle_block(spec, config, seeds):
 
 
 def _oracle_fits(patch):
-    patch.setattr(trial_module, "fit_binary", _fit_binary_scalar)
+    patch.setattr(trial_module, "fit_binary", lambda records: _fit_binary_scalar(records)[0])
     patch.setattr(trial_module, "fit_continuous", _fit_continuous_scalar)
 
 
@@ -842,9 +854,16 @@ def _same_fit(got, want):
             and got.n_iter == want.n_iter and got.n_used == want.n_used)
 
 
-def test_stacked_kernel_matches_irls_oracle_on_the_seeded_designs():
-    # The seeded designs differ in center and component counts, so each
-    # shape is fitted as one stack.
+def _outcome(fit, records):
+    try:
+        return fit(records)
+    except LagoError as exc:
+        return exc
+
+
+def test_the_irls_fits_match_the_oracle_on_the_seeded_designs():
+    # ``fit_binary`` on each design, and the stacked kernel on the designs
+    # of one shape (they differ in center and component counts) at once.
     by_shape = defaultdict(list)
     for index in range(200):
         records = _grouped_design(index)
@@ -854,15 +873,16 @@ def test_stacked_kernel_matches_irls_oracle_on_the_seeded_designs():
         warnings.simplefilter("ignore", RuntimeWarning)
         for designs in by_shape.values():
             for records, got in zip(designs, _fit_binary_stack(*_stack(designs))):
-                want_err, want = _outcome(_fit_binary_oracle, records)
-                if want_err is not None:
-                    seen[want_err.__name__] += 1
-                    assert type(got) is want_err
+                want = _outcome(_fit_binary_scalar, records)
+                one = _outcome(lago.fit_binary, records)
+                if isinstance(want, Exception):
+                    seen[type(want).__name__] += 1
+                    assert _same_outcome(got, want) and _same_outcome(one, want), (got, one, want)
                     continue
                 want, halvings = want
                 seen["fitted"] += 1
                 seen["halved"] += halvings > 0
-                assert _same_fit(got, want)
+                assert _same_fit(got, want) and _same_fit(one, want)
     assert seen["fitted"] >= 100 and seen["halved"] >= 3, seen
     for kind in ("SeparationError", "NonFiniteError", "RankDeficientError"):
         assert seen[kind] >= 1, seen
@@ -898,7 +918,7 @@ def test_every_way_out_of_the_common_path_matches_per_lane():
         warnings.simplefilter("ignore", RuntimeWarning)
         for name, records in designs.items():
             try:
-                want[name] = _fit_binary_scalar(records)
+                want[name] = _fit_binary_scalar(records)[0]
             except (LagoError, ValueError) as exc:
                 want[name] = exc
         got = dict(zip(designs, _fit_binary_stack(*_stack(designs.values()))))

@@ -4,9 +4,10 @@
 a call with numpy array arithmetic and sends every other lane through
 ``_min_cost_eta``, the solver of one problem, which is the oracle here: each
 lane's package must equal its package bitwise, and a lane that fails must
-raise the same error type and message.  ``_min_cost_eta``'s own array
-enumeration of three to six components is checked against the scalar loop
-it replaced in ``test_fixing_lanes.py``.
+raise the same error type and message.  ``test_fixing_lanes.py`` holds
+``_min_cost_eta``'s own array enumeration of three to six components to the
+scalar loop it replaced, and each scalar kernel under it (``_horner``,
+``_segment_coeffs``, ``_argmin_on`` and the rest) to one oracle.
 """
 
 import dataclasses

@@ -877,6 +877,21 @@ def test_goalspec_test_must_be_a_selector():
         GoalSpec(outcome_goal=0.7, test="z_unpooled")
 
 
+@pytest.mark.parametrize("entry, field", [
+    ({"outcome_goal": True}, "outcome_goal"),
+    ({"outcome_goal": "0.6"}, "outcome_goal"),
+    ({"outcome_goal": math.nan}, "outcome_goal"),
+    ({"outcome_goal": -math.inf}, "outcome_goal"),
+    ({"outcome_goal": 0.6, "power_goal": "0.8", "test": "z_unpooled"}, "power_goal"),
+    ({"outcome_goal": 0.6, "power_goal": False, "test": "z_unpooled"}, "power_goal"),
+    ({"outcome_goal": 0.6, "alpha": "0.05"}, "alpha"),
+    ({"outcome_goal": 0.6, "alpha": None}, "alpha"),
+])
+def test_goalspec_refuses_a_goal_it_cannot_read(entry, field):
+    with pytest.raises(ValueError, match=field):
+        GoalSpec.from_config(entry)
+
+
 def test_goalspec_config_round_trip():
     g = GoalSpec(
         outcome_goal=0.1, direction="decrease", power_goal=0.8,

@@ -20,10 +20,10 @@ import pytest
 
 import lago
 from lago import optimizer, sim
-from lago.cost import CostFunction
 from lago.model import FittedModel
 from lago.optimizer import _ComponentPoly, min_cost_subject_to_threshold
 from lago.power import chisq_cdf, chisq_quantile, lambda_min, noncentral_chisq_cdf
+from test_fixing_lanes import _cubic_problem
 
 # ---------------------------------------------------------------------------
 # the replaced loops, verbatim
@@ -145,29 +145,19 @@ def test_lambda_min_returns_the_passing_end():
 # the min-cost dual multiplier
 
 
-def _cubic_problem(rng, P):
-    """Separable cubic costs increasing on the whole line, with a logit goal
-    40-60% of the way from the control level to the best attainable one."""
-    upper = rng.uniform(2.0, 8.0, P)
-    terms = []
-    for p in range(P):
-        c1 = rng.uniform(1.0, 10.0)
-        c3 = rng.uniform(0.05, 2.0) / upper[p]
-        c2 = -rng.uniform(0.2, 0.9) * math.sqrt(3.0 * c1 * c3)
-        terms += [(p, 1, float(c1)), (p, 2, float(c2)), (p, 3, float(c3))]
-    beta = np.concatenate(([math.log(0.3 / 0.7)], rng.uniform(0.5, 1.5, P) / upper))
-    eta_max = beta[0] + float(np.sum(beta[1:] * upper))
-    eta_goal = beta[0] + rng.uniform(0.4, 0.6) * (eta_max - beta[0])
-    model = FittedModel(
-        beta=beta, link="logit", covariance=np.eye(P + 1), n_used=100, kind="binary"
-    )
-    bounds = [(0.0, float(u)) for u in upper]
-    return model, CostFunction(tuple(terms)), bounds, 1.0 / (1.0 + math.exp(-eta_goal))
-
-
 def _problems(seed, count):
+    """The probe's cubic problems at P = 3, 4, 5, 6 in turn, each with a
+    logit model of its coefficients."""
     rng = np.random.default_rng(seed)
-    return [_cubic_problem(rng, (3, 4, 5, 6)[i % 4]) for i in range(count)]
+    problems = []
+    for i in range(count):
+        P = (3, 4, 5, 6)[i % 4]
+        beta, cost, bounds, goal = _cubic_problem(rng, P)
+        model = FittedModel(
+            beta=beta, link="logit", covariance=np.eye(P + 1), n_used=100, kind="binary"
+        )
+        problems.append((model, cost, bounds, goal))
+    return problems
 
 
 def test_dual_candidate_matches_bisection(monkeypatch):
