@@ -775,22 +775,41 @@ def _assert_same_multiplier_argmin(c, beta, low, high, mus):
         assert _same(got, want), (c, beta, low, high, mu, got, want)
 
 
-@pytest.mark.parametrize("c, note", NAMED)
-def test_the_kernels_match_their_oracles_on_named_cases(c, note):
-    for x in SPECIAL:
-        _assert_kernel(_horner, _horner_by_loop, c, x)
+def _named(cases):
+    return pytest.mark.parametrize("c", [c for c, _ in cases], ids=[note for _, note in cases])
+
+
+@_named(NAMED)
+@pytest.mark.parametrize("x", SPECIAL)
+def test_horner_matches_its_loop_on_named_cases(c, x):
+    _assert_kernel(_horner, _horner_by_loop, c, x)
+
+
+@_named(NAMED)
+def test_stationary_points_match_the_derivative_list_on_named_cases(c):
     _assert_kernel(_stationary_points, _stationary_points_by_list, c)
+
+
+@_named(NAMED)
+def test_argmin_on_matches_its_smallest_candidate_form_on_named_cases(c):
     stationary = _oracle_points(c)
     for a, b in _boxes(stationary):
         _assert_kernel(_argmin_on, _argmin_on_by_best, c, stationary, a, b)
-    for A, B in itertools.product((0.0, -0.0, 0.7, -1e300, math.inf),
-                                  (0.0, -0.0, 1.5, -2.0, math.inf, math.nan)):
-        for f in ([0.0, 1.0, -0.0, 2.0], [-0.0], [1.0, -0.0, 0.5, 0.1, 0.01], [-0.0] * 4):
-            _assert_kernel(_segment_coeffs, _segment_coeffs_by_loop, f, c, A, B)
-    if len(c) >= 2:
-        for beta, box in ((0.7, (0.0, 4.0)), (-1.5, (-2.0, 2.0)), (1e10, (0.0, 1.0)),
-                          (0.9, (-1.0, 3.0))):
-            _assert_same_multiplier_argmin(c, beta, *box, _MUS)
+
+
+@_named(NAMED)
+@pytest.mark.parametrize("B", [0.0, -0.0, 1.5, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("A", [0.0, -0.0, 0.7, -1e300, math.inf])
+def test_segment_coeffs_match_the_loop_on_named_cases(c, A, B):
+    for f in ([0.0, 1.0, -0.0, 2.0], [-0.0], [1.0, -0.0, 0.5, 0.1, 0.01], [-0.0] * 4):
+        _assert_kernel(_segment_coeffs, _segment_coeffs_by_loop, f, c, A, B)
+
+
+@_named([(c, note) for c, note in NAMED if len(c) >= 2])
+def test_the_multiplier_argmin_matches_its_per_step_form_on_named_cases(c):
+    for beta, box in ((0.7, (0.0, 4.0)), (-1.5, (-2.0, 2.0)), (1e10, (0.0, 1.0)),
+                      (0.9, (-1.0, 3.0))):
+        _assert_same_multiplier_argmin(c, beta, *box, _MUS)
 
 
 def test_the_kernels_give_the_named_answers():
