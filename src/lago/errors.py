@@ -7,6 +7,7 @@ algorithm branch, count a failed replicate, map to a CLI exit code).
 """
 
 import contextlib
+import numbers
 
 import numpy as np
 
@@ -15,6 +16,12 @@ def _check_count(name: str, value, minimum: int) -> None:
     """``value`` is an integer (not a bool, never truncated) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @contextlib.contextmanager

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -31,7 +30,7 @@ import numpy as np
 from .cost import (CostFunction, _argmin_on, _ComponentPoly, _horner, _quadratic_points,
                    _stationary_points)
 from .errors import (DegenerateVarianceError, InfeasibleError, LagoError, NoThresholdError,
-                     NonFiniteError)
+                     NonFiniteError, _check_real)
 from .model import (
     FittedModel,
     _assumed,
@@ -79,6 +78,9 @@ __all__ = [
 # not the others: numerical failures.  Any other exception propagates.
 _LANE_ERRORS = (LagoError, np.linalg.LinAlgError)
 
+# Most pair lanes in one ``_min_pair_lanes`` call of ``_fixing_lanes``.
+PAIR_LANES = 2048
+
 # Regime labels attached to every recommendation.
 REGIME_GOAL = "goal-feasible"
 REGIME_PMAX = "pmax-fallback"
@@ -114,11 +116,8 @@ class GoalSpec:
         if self.outcome_goal is None and self.power_goal is None:
             raise ValueError("at least one of outcome_goal and power_goal is required")
         for name in ("outcome_goal", "power_goal", "alpha"):
-            value = getattr(self, name)
-            if (value is not None or name == "alpha") and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-            ):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if getattr(self, name) is not None or name == "alpha":
+                _check_real(name, getattr(self, name))
         if self.outcome_goal is not None and not math.isfinite(self.outcome_goal):
             raise ValueError("outcome_goal must be finite")
         if not 0.0 < self.alpha < 1.0:
@@ -377,9 +376,45 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     the root of the eta multiplier (``_dual_candidate``) adds a candidate
     and exact pairwise descent refines the best; the eta-maximizing corner
     is the fallback (deterministic, near-exact).  Three to six components
-    are enumerated as arrays (``_fixing_lanes``), every pair minimum of the
-    solve in one ``_min_pair_lanes`` call.
+    are enumerated as arrays (``_fixing_lanes``), as the one-problem call of
+    ``_min_cost_problems``.
     """
+    (x,) = _min_cost_problems([beta0], [beta1], cost, lo, hi, [eta_target])
+    if isinstance(x, LagoError):
+        raise x
+    return x
+
+
+def _min_cost_problems(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> list:
+    """``_min_cost_eta`` of each problem n (beta0[n], beta1[n], eta_target[n]):
+    a package or a LagoError.  The searches that reach the enumeration with
+    the same effective components share one ``_fixing_lanes`` call."""
+    out, waiting = [None] * len(beta0), {}
+
+    def advance(n, search, pick=None):
+        try:
+            eff, *request = (search.throw if isinstance(pick, LagoError) else search.send)(pick)
+            waiting.setdefault(eff, []).append((n, search, *request))
+        except StopIteration as done:
+            out[n] = done.value
+        except LagoError as exc:
+            out[n] = exc
+
+    for n, problem in enumerate(zip(beta0, beta1, eta_target)):
+        advance(n, _min_cost_search(*problem, cost, lo, hi))
+    for eff, members in waiting.items():
+        ns, searches, betas, needs, ftols, fixed = zip(*members)
+        picks = _fixing_lanes(_padded_polys(cost, len(lo)), betas, eff, lo.tolist(), hi.tolist(),
+                              needs, ftols, fixed[0])
+        for n, search, pick in zip(ns, searches, picks):
+            advance(n, search, pick)
+    return out
+
+
+def _min_cost_search(beta0, beta1, eta_target, cost: CostFunction, lo, hi):
+    """``_min_cost_eta`` of one problem as a generator: from three to six
+    effective components it yields (eff, beta1, need, ftol, fixed) and takes
+    ``_fixing_lanes``' pick."""
     beta1 = np.asarray(beta1, dtype=float)
     P = beta1.size
     contrib_lo, contrib_hi = beta1 * lo, beta1 * hi
@@ -410,11 +445,11 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
 
     # The search below is scalar arithmetic: run it on Python floats.
     beta1, lo, hi, need = beta1.tolist(), lo.tolist(), hi.tolist(), float(need)
-    # Each effective component's free minimum and fixings, once per solve.
+    # Each effective component's free minimum and fixings, once per problem.
     free = x.tolist()
     fixed = {p: (free[p], infos[p].options_on(lo[p], hi[p])) for p in eff}
     if 3 <= len(eff) <= 6:
-        chosen = _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol, fixed)
+        chosen = yield tuple(eff), beta1, need, ftol, fixed
     else:
         cands = []
 
@@ -532,7 +567,7 @@ def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol, fixed):
 # ``_min_cost_lanes`` runs ``_min_cost_eta``'s two-component search with one
 # numpy operation per scalar operation, over every lane of a call, and
 # ``_fixing_lanes`` its three-to-six-component enumeration over the
-# candidate rows of one solve.  Both solve their pairs with
+# candidate rows of every problem of a call.  Both solve their pairs with
 # ``_min_pair_lanes``.  Python's max(a, b) and min(a, b) keep the first
 # argument on ties, Python's min over candidates keeps the first of equal
 # ones, and sums fold left to right from 0.0 (``_fold``), so the helpers
@@ -625,9 +660,9 @@ class _LanePolys(NamedTuple):
     arrays zero-padded to one length, with ``padded`` True on the lanes
     whose polynomial was shorter.  ``stationary`` holds the stationary
     points in ascending (point, present) slots, ``options`` the candidate
-    fixings (bounds and interior stationary points) as (K, lanes) or (K, 1)
-    rows, a lane with fewer repeating its first, and ``free`` the minimum
-    over the whole box.
+    fixings (bounds and interior stationary points) as (K, 1) rows or K
+    rows that broadcast against the lanes, a lane with fewer repeating its
+    first, and ``free`` the minimum over the whole box.
     """
 
     coeffs: list
@@ -644,8 +679,9 @@ def _shared_lanes(poly: _ComponentPoly, lo: float, hi: float) -> _LanePolys:
 
 
 def _min_pair_lanes(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
-    """``_min_pair`` elementwise over lane arrays bf, bg, residual and ftol,
-    with ``_LanePolys`` info_f and info_g and boxes of floats or lane arrays.
+    """``_min_pair`` elementwise over lane arrays bf, bg, residual and ftol
+    of one shape, ``_LanePolys`` info_f and info_g and boxes of floats or
+    lane arrays that broadcast to it.
 
     Returns (xf, xg, found, exact): the pair on lanes where ``found``, and
     ``exact`` False on lanes this cannot match: a constraint-active segment
@@ -658,7 +694,7 @@ def _min_pair_lanes(info_f, info_g, bf, bg, box_f, box_g, residual, ftol):
     # on its feasible slice, each fixing of g likewise, the segment.  A
     # repeated fixing repeats an earlier row, which the pick never prefers.
     rows_f, rows_g = slice(1, 1 + len(fix_f)), slice(1 + len(fix_f), -1)
-    xf = np.empty((2 + len(fix_f) + len(fix_g), residual.size))
+    xf = np.empty((2 + len(fix_f) + len(fix_g),) + residual.shape)
     xg = np.empty(xf.shape)
     ok = np.empty(xf.shape, bool)
     start, end = np.empty(xf.shape), np.empty(xf.shape)
@@ -727,23 +763,25 @@ def _component_lanes(polys, table, free, *picks) -> list:
     ]
 
 
-def _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol, fixed) -> dict:
+def _fixing_lanes(infos, betas, eff, lo, hi, needs, ftols, fixed) -> list:
     """The package ``_min_cost_eta`` picks among its candidates for 3 to 6
-    effective components ``eff``, as arrays over the candidate rows.
+    effective components ``eff``, as arrays over the candidate rows of each
+    problem n (effects betas[n], need needs[n], tolerance ftols[n]): a dict,
+    or the LagoError its search raises.
 
     The rows come in the scalar search's order: the eta-maximizing corner,
     every fixing of all components at a bound or interior stationary point,
     the exact pair minimum of each pair (``combinations`` order) with the
     others at each of their fixings (``product`` order), then the
-    Lagrangian point (``_dual_candidate``).  Every pair minimum of the solve
-    comes from one ``_min_pair_lanes`` call; a lane it cannot match, and
-    every lane when a component is above cubic or a box is not finite, goes
-    through ``_min_pair``.  Arguments are Python floats and lists, as in
-    ``_min_cost_eta``, and ``fixed`` its per-solve component table.
+    Lagrangian point (``_dual_candidate``).  The pair minima of up to
+    ``PAIR_LANES`` pair lanes (or one problem's) come from one
+    ``_min_pair_lanes`` call; a lane it cannot match, and every lane when a
+    component is above cubic or a box is not finite, goes through
+    ``_min_pair``.  Arguments are Python floats and lists, as in
+    ``_min_cost_eta``, and ``fixed`` its component table.
     """
     E = len(eff)
     polys = [infos[p] for p in eff]
-    b = np.array([beta1[p] for p in eff])
     lo_e, hi_e = np.array([lo[p] for p in eff]), np.array([hi[p] for p in eff])
     opts = [fixed[p][1] for p in eff]
     K = max(map(len, opts))
@@ -756,45 +794,64 @@ def _fixing_lanes(infos, beta1, eff, lo, hi, need, ftol, fixed) -> dict:
     i, j = np.array(list(itertools.combinations(range(E), 2))).T
     q, rows = np.nonzero((idx[:, i] == 0).T & (idx[:, j] == 0).T)
     fi, gi, lanes = i[q], j[q], np.arange(len(rows))
-    paired = grid[rows]
-    pair_f, pair_g = np.empty(len(rows)), np.empty(len(rows))
-    found, exact = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
-    with np.errstate(all="ignore"):
-        others = b * paired
-        others[lanes, fi] = others[lanes, gi] = 0.0  # adding 0.0 to the fold is exact
-        rem = need - _fold(others.T)
-        if max(len(poly.coeffs) for poly in polys) <= 4 and np.isfinite(lo_e + hi_e).all():
-            pair_f, pair_g, found, exact = _min_pair_lanes(
-                *_component_lanes(polys, table, [fixed[p][0] for p in eff], fi, gi),
-                b[fi], b[gi], (lo_e[fi], hi_e[fi]), (lo_e[gi], hi_e[gi]), rem, ftol,
-            )
-    for k in np.flatnonzero(~exact).tolist():
-        f, g = eff[fi[k]], eff[gi[k]]
-        res = _min_pair(infos[f], infos[g], beta1[f], beta1[g],
-                        (lo[f], hi[f]), (lo[g], hi[g]), float(rem[k]), ftol,
-                        (fixed[f], fixed[g]))
-        found[k] = res is not None
-        if res is not None:
-            pair_f[k], pair_g[k] = res
-    paired[lanes, fi], paired[lanes, gi] = pair_f, pair_g
-    dual = _dual_candidate(infos, beta1, eff, lo, hi, need, ftol)
-    dual = np.reshape([] if dual is None else [dual[p] for p in eff], (-1, E))
+    fit = max(len(poly.coeffs) for poly in polys) <= 4 and np.isfinite(lo_e + hi_e).all()
+    if fit:  # fixings as (K, 1, lanes) rows, broadcast over the problems
+        info_f, info_g = (info._replace(options=info.options[:, None]) for info in
+                          _component_lanes(polys, table, [fixed[p][0] for p in eff], fi, gi))
+    fixings = np.concatenate((grid, grid[rows]))  # the grid, then each pair lane's others
+    B, tols = np.array([[b[p] for p in eff] for b in betas]), np.array([needs, ftols])[..., None]
+    out, size, pairs = [None] * len(B), max(1, PAIR_LANES // len(rows)), slice(1 + len(grid), -1)
+    for a in range(0, len(B), size):
+        chunk, b, (need, ftol) = range(a, min(a + size, len(B))), B[a:a + size], tols[:, a:a + size]
+        # Per problem: the corner, fixings, pairs, Lagrangian point (nan till found).
+        V = np.empty((len(b), 2 + len(grid) + len(rows), E))
+        V[:, 0], V[:, 1:-1], V[:, -1] = np.where(b > 0.0, hi_e, lo_e), fixings, np.nan
+        paired, (pair_f, pair_g) = V[:, pairs], np.empty((2, len(b), len(rows)))
+        found, exact = np.zeros((2, len(b), len(rows)), bool)
+        with np.errstate(all="ignore"):
+            others = b[:, None] * paired
+            others[:, lanes, fi] = others[:, lanes, gi] = 0.0  # adding 0.0 to the fold is exact
+            rem = need - _fold(others.transpose(2, 0, 1))
+            if fit:
+                pair_f, pair_g, found, exact = _min_pair_lanes(
+                    info_f, info_g, b[:, fi], b[:, gi], (lo_e[fi], hi_e[fi]), (lo_e[gi], hi_e[gi]),
+                    rem, ftol,
+                )
+        for m, n in enumerate(chunk):
+            beta1 = betas[n]
+            try:
+                for k in np.flatnonzero(~exact[m]).tolist():
+                    f, g = eff[fi[k]], eff[gi[k]]
+                    res = _min_pair(infos[f], infos[g], beta1[f], beta1[g],
+                                    (lo[f], hi[f]), (lo[g], hi[g]), float(rem[m, k]), ftols[n],
+                                    (fixed[f], fixed[g]))
+                    found[m, k] = res is not None
+                    if res is not None:
+                        pair_f[m, k], pair_g[m, k] = res
+                dual = _dual_candidate(infos, beta1, eff, lo, hi, needs[n], ftols[n])
+                if dual is not None:
+                    V[m, -1] = [dual[p] for p in eff]
+            except LagoError as exc:
+                out[n] = exc
+        paired[:, lanes, fi], paired[:, lanes, gi] = pair_f, pair_g
 
-    with np.errstate(all="ignore"):
-        V = np.concatenate((np.where(b > 0.0, hi_e, lo_e)[None], grid, paired, dual))
-        ok = np.concatenate((np.ones(1 + len(grid), bool), found, np.ones(len(dual), bool)))
-        ok &= _fold((b * V).T) >= need - ftol
-        ok &= ((lo_e - 1e-12 <= V) & (V <= hi_e + 1e-12)).all(axis=1)
-        total = _fold(_horner(poly.coeffs, column) for poly, column in zip(polys, V.T))
-        V = _py_min(_py_max(V, lo_e), hi_e)
-    if np.isnan(total[ok]).any():  # Python's min orders nan its own way
-        return dict(zip(eff, _cheapest([(v, tuple(x)) for v, x, keep
-                                        in zip(total.tolist(), V.tolist(), ok.tolist()) if keep])))
-    if not ok.any():
-        raise InfeasibleError(_UNREACHABLE)
-    best = float(total[ok].min())
-    near = ok & (total <= best + max(1e-9, 1e-9 * abs(best)))
-    return dict(zip(eff, min(V[near].tolist())))  # rows in order: Python's pick
+        with np.errstate(all="ignore"):
+            ok = np.ones(V.shape[:2], bool)
+            ok[:, pairs], ok[:, -1] = found, ~np.isnan(V[:, -1, 0])
+            ok &= _fold((b[:, None] * V).transpose(2, 0, 1)) >= need - ftol
+            ok &= ((lo_e - 1e-12 <= V) & (V <= hi_e + 1e-12)).all(axis=2)
+            total = _fold(_horner(poly.coeffs, V[..., e]) for e, poly in enumerate(polys))
+            V = _py_min(_py_max(V, lo_e), hi_e)
+        for n, keep, t, x in zip(chunk, ok, total, V):
+            if out[n] is None and np.isnan(t[keep]).any():  # Python's min orders nan its own way
+                out[n] = _cheapest([(v, tuple(r)) for v, r, k
+                                    in zip(t.tolist(), x.tolist(), keep.tolist()) if k])
+            elif out[n] is None and keep.any():
+                best = float(t[keep].min())
+                near = keep & (t <= best + max(1e-9, 1e-9 * abs(best)))
+                out[n] = min(x[near].tolist())  # rows in order: Python's pick
+    return [x if isinstance(x, LagoError) else InfeasibleError(_UNREACHABLE) if x is None
+            else dict(zip(eff, x)) for x in out]
 
 
 def _min_cost_lanes(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> list:
@@ -802,16 +859,18 @@ def _min_cost_lanes(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> lis
     and one cost and box (lo, hi) for all lanes.  Returns one package or one
     LagoError per lane, bitwise equal to the scalar solver's.
 
-    The common case is solved for all its lanes together: P = 2, more than
-    one lane, a nonlinear cost of at most cubic components and hi > lo; on
-    each lane finite values, two nonzero effects and a cubic
-    constraint-active segment.  Every other lane goes through
-    ``_min_cost_eta``.
+    From P = 3 on the lanes are the problems of one ``_min_cost_problems``
+    call.  The common case is solved for all its lanes together: P = 2, more
+    than one lane, a nonlinear cost of at most cubic components and hi > lo;
+    on each lane finite values, two nonzero effects and a cubic
+    constraint-active segment.  Every other lane goes through ``_min_cost_eta``.
     """
     beta0 = np.asarray(beta0, dtype=float)
     beta1 = np.asarray(beta1, dtype=float)
     eta_target = np.asarray(eta_target, dtype=float)
     L, P = beta1.shape
+    if P >= 3:
+        return _min_cost_problems(beta0, beta1, cost, lo, hi, eta_target)
     out = [None] * L
     infos = _padded_polys(cost, P)
     if (L > 1 and P == 2 and bool((hi > lo).all())
@@ -911,6 +970,13 @@ def min_cost_subject_to_threshold(
 
 def _min_cost_at_level(model, cost, lo, hi, threshold: float, direction: str):
     """``min_cost_subject_to_threshold`` inside validated bounds (lo, hi)."""
+    sign, eta_t = _level_target(model, cost, threshold, direction)
+    return _min_cost_eta(sign * model.intercept, sign * model.effects, cost, lo, hi, eta_t)
+
+
+def _level_target(model, cost, threshold: float, direction: str):
+    """The checks ``min_cost_subject_to_threshold`` makes past the bounds,
+    then the direction's sign and the working linear-predictor target."""
     if cost.max_component >= model.n_components:
         raise ValueError(
             f"cost references component {cost.max_component + 1} but the model "
@@ -918,8 +984,7 @@ def _min_cost_at_level(model, cost, lo, hi, threshold: float, direction: str):
         )
     _check_level_domain(model.link, threshold)
     sign = _direction_sign(direction)
-    eta_t = sign * float(link_forward(model.link, threshold))
-    return _min_cost_eta(sign * model.intercept, sign * model.effects, cost, lo, hi, eta_t)
+    return sign, sign * float(link_forward(model.link, threshold))
 
 
 # ---------------------------------------------------------------------------

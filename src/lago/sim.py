@@ -985,10 +985,13 @@ def betterbirth_summary(intervention_fraction: float = 0.40) -> ArmSummary:
 
     The combined stages-1-2 sample is 1779 births with an overall apnea
     rate of 0.14, but its post-launch/pre-launch breakdown was never
-    published.  The split is therefore the one free input; the arm rates
-    are then solved from the published aggregates (see
-    ``_bb_stage_rates``), and the default split reproduces the published
-    interim quantities most closely.  Outcome sums are kept real-valued.
+    published.  The split is therefore the one free input, an assumption
+    and not a published number; the arm rates are then solved from the
+    published aggregates (see ``_bb_stage_rates``).  The power-goal packages
+    depend on it: the conditional one meets acceptance 6's 26.65 +- 1.0
+    visits for splits of about 0.38-0.46 and is nearest at 0.42-0.43, while
+    the power of (21.18, 1) is nearest its published 72.6% at about
+    0.36-0.38.  The default 0.40 lies between.  Outcome sums are real-valued.
     Planned future sizes are the stage-3 arms (425 intervention, 424
     control).
     """

@@ -24,8 +24,7 @@ from lago.diagnostics import (
     dominance_threshold,
     verify_assumption7,
 )
-from lago.errors import InfeasibleError
-from lago.errors import NoThresholdError
+from lago.errors import InfeasibleError, LagoError, NoThresholdError
 from lago.model import (
     CenterData,
     FittedModel,
@@ -44,6 +43,7 @@ from lago.optimizer import (
 from lago.power import (
     ArmSummary,
     TestSelector as Selector,
+    norm_quantile,
     unconditional_power,
     unconditional_power_at_level,
 )
@@ -371,22 +371,162 @@ def test_probe_solves_the_estimate_once(monkeypatch, extended):
     import lago.diagnostics as diagnostics
 
     calls = []
+    lanes = diagnostics._min_cost_lanes
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].beta)
-        return min_cost_subject_to_threshold(*args, **kwargs)
+    def counting(beta0, *args):
+        calls.append(len(beta0))
+        return lanes(beta0, *args)
 
-    monkeypatch.setattr(diagnostics, "min_cost_subject_to_threshold", counting)
+    monkeypatch.setattr(diagnostics, "_min_cost_lanes", counting)
     model = FittedModel(np.array(BETA), "logit", np.diag([0.04, 0.01, 0.0025]), 160, "binary")
     L, M = 7, 3
     report = verify_assumption7(
         model, LIN_COST, BOUNDS, goal=0.7455, epsilon=0.02, L=L,
         extended=extended, M=M, seed=5,
     )
-    n_centers = 1 + M if extended else 1
-    # the estimate, every other ball center, then L draws around each center
-    assert len(calls) == 1 + (n_centers - 1) + n_centers * L
+    # one call for the estimate and its L draws; in extended mode one for
+    # every other ball center, then one for the L draws around each
+    assert calls == ([1 + L, M, M * L] if extended else [1 + L])
     assert report.centers[0]["x"] == list(report.x_hat)
+
+
+# ---------------------------------------------------------------------------
+# the per-draw loop: the oracle of the batched probe
+
+
+def _ball_point(rng, center, epsilon):
+    dim = center.size
+    direction = rng.standard_normal(dim)
+    norm = float(np.linalg.norm(direction))
+    while norm == 0.0:
+        direction = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(direction))
+    radius = epsilon * rng.random() ** (1.0 / dim)
+    return center + (radius / norm) * direction
+
+
+def _probe_by_draw(model_or_beta, cost, bounds, goal, epsilon, L=200, eta=0.5,
+                   extended=False, M=5, seed=None, direction="increase", link="logit"):
+    """``verify_assumption7`` as one ``min_cost_subject_to_threshold`` call
+    per coefficient vector, in the order of the draws; its argument checks
+    left out."""
+    if isinstance(model_or_beta, FittedModel):
+        base_model, link = model_or_beta, model_or_beta.link
+        beta_hat = np.asarray(base_model.beta, dtype=float)
+    else:
+        beta_hat = np.asarray(model_or_beta, dtype=float)
+        base_model = _assumed(beta_hat, link)
+
+    def solve(beta):
+        return np.asarray(min_cost_subject_to_threshold(
+            _assumed(beta, link), cost, bounds, goal, direction), dtype=float)
+
+    x_hat = solve(beta_hat)
+    centers = [beta_hat]
+    if extended:
+        se = np.sqrt(np.clip(np.diag(np.asarray(base_model.covariance, dtype=float)), 0.0, None))
+        if not np.any(se > 0):
+            raise ValueError("extended mode sweeps the confidence band and needs a model "
+                             "with a nonzero covariance")
+        for m in range(M):
+            centers.append(beta_hat + norm_quantile(0.025 + 0.95 * (m + 1) / (M + 1)) * se)
+    rng = np.random.default_rng(seed)
+    center_rows, failure_rows, delta_max = [], [], 0.0
+    for ci, center in enumerate(centers):
+        try:
+            x_center = x_hat if ci == 0 else solve(center)
+        except LagoError as exc:
+            failure_rows.append({"center": ci, "sample": None, "error": type(exc).__name__})
+            center_rows.append({"beta": center.tolist(), "x": None, "delta_max": math.nan,
+                                "failed_samples": L})
+            continue
+        worst, failed = 0.0, 0
+        for li in range(L):
+            try:
+                x_l = solve(_ball_point(rng, center, epsilon))
+            except LagoError as exc:
+                failed += 1
+                failure_rows.append({"center": ci, "sample": li, "error": type(exc).__name__})
+                continue
+            worst = max(worst, float(np.linalg.norm(x_l - x_center)))
+        center_rows.append({"beta": center.tolist(), "x": x_center.tolist(),
+                            "delta_max": worst, "failed_samples": failed})
+        delta_max = max(delta_max, worst)
+    return Assumption7Report(
+        delta_max=delta_max, eta=float(eta), epsilon=float(epsilon), passed=delta_max <= eta,
+        x_hat=tuple(x_hat.tolist()), centers=tuple(center_rows), failures=tuple(failure_rows),
+        samples_per_center=L, seed=None if seed is None else int(seed),
+    )
+
+
+def _outcomes(*args, **kw):
+    """The report of the probe and of its per-draw loop, or the errors."""
+    got = []
+    for probe in (verify_assumption7, _probe_by_draw):
+        try:
+            got.append(json.dumps(probe(*args, **kw).to_dict()))
+        except (LagoError, ValueError) as exc:
+            got.append((type(exc), str(exc)))
+    return got
+
+
+# The perturbed-infeasibility problem: the goal is met at the estimate and
+# lost at many draws and at the lower band centers.
+EDGE = ((0.1, 0.05, 0.02), CostFunction(((0, 1, 1.0), (1, 1, 1.0))), ((0, 2), (0, 8)))
+EDGE_MODEL = FittedModel(np.array(EDGE[0]), "logit", np.diag([0.01, 0.002, 0.001]), 160, "binary")
+CUBIC_3 = CostFunction(COST_1A.terms + ((2, 3, 0.5), (2, 2, -0.4), (2, 1, 1.0)))
+CUBIC_MODEL = FittedModel(np.array((0.1, 0.3, 0.15, 0.2)), "logit",
+                          np.diag([0.04, 0.01, 0.0025, 0.01]), 160, "binary")
+
+
+@pytest.mark.parametrize("args, kw", [
+    ((BETA, LIN_COST, BOUNDS, 0.7455, 0.05), dict(L=40, seed=3)),
+    ((BETA, COST_1A, BOUNDS, 0.7455, 0.05), dict(L=40, seed=3)),
+    (((0.1, -0.3, -0.15), COST_1A, BOUNDS, 0.4, 0.05), dict(L=40, seed=3, direction="decrease")),
+    ((EDGE[0], *EDGE[1:], 0.585, 0.08), dict(L=60, eta=5.0, seed=13)),
+    ((EDGE_MODEL, *EDGE[1:], 0.585, 0.08), dict(L=30, eta=5.0, seed=13, extended=True, M=4)),
+    ((CUBIC_MODEL, CUBIC_3, ((0, 2), (0, 8), (0, 3)), 0.75, 0.1), dict(L=30, seed=8)),
+    ((CUBIC_MODEL, CUBIC_3, ((0, 2), (0, 8), (0, 3)), 0.75, 0.1),
+     dict(L=30, seed=8, extended=True, M=3)),
+    ((CUBIC_MODEL, CUBIC_3, ((0, 2), (0, 8), (0, 3)), 0.86, 0.3),
+     dict(L=30, seed=8, extended=True, M=3)),
+])
+def test_the_probe_reports_what_the_per_draw_loop_reports(args, kw):
+    got, want = _outcomes(*args, **kw)
+    assert isinstance(got, str) and got == want
+
+
+def test_the_oracle_cases_fail_draws_and_centers():
+    failures = [json.loads(_outcomes(*args, **kw)[0])["failures"] for args, kw in [
+        ((EDGE_MODEL, *EDGE[1:], 0.585, 0.08), dict(L=30, eta=5.0, seed=13, extended=True, M=4)),
+        ((CUBIC_MODEL, CUBIC_3, ((0, 2), (0, 8), (0, 3)), 0.86, 0.3),
+         dict(L=30, seed=8, extended=True, M=3)),
+    ]]
+    for rows in failures:
+        assert any(f["sample"] is None for f in rows)  # a center that fails
+        assert any(f["sample"] is not None for f in rows)  # and draws that fail
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args, kw", [
+    # the estimate's error comes before a non-finite draw's
+    ((EDGE[0], *EDGE[1:], 0.60, 1.79e308), dict(L=50, seed=13)),
+    # a non-finite draw, after draws that fail
+    ((BETA, LIN_COST, BOUNDS, 0.7455, 1.79e308), dict(L=50, seed=3)),
+    # the covariance check comes before a non-finite draw's error
+    ((BETA, LIN_COST, BOUNDS, 0.7455, 1.79e308), dict(L=50, seed=3, extended=True)),
+    # a ball center that is not finite, after the draws around the estimate
+    ((FittedModel(np.array(BETA), "logit", np.diag([np.inf, 0.01, 0.01]), 160, "binary"),
+      LIN_COST, BOUNDS, 0.7455, 0.02), dict(L=5, seed=3, extended=True, M=2)),
+    # the checks of min_cost_subject_to_threshold
+    ((BETA, LIN_COST, ((0, 4),), 0.7455, 0.02), dict(L=5, seed=3)),
+    ((BETA, CostFunction(((2, 1, 1.0),)), BOUNDS, 0.7455, 0.02), dict(L=5, seed=3)),
+    ((BETA, LIN_COST, BOUNDS, 1.5, 0.02), dict(L=5, seed=3)),
+    ((BETA, LIN_COST, BOUNDS, 0.7455, 0.02), dict(L=5, seed=3, direction="up")),
+])
+def test_the_probe_raises_what_the_per_draw_loop_raises_first(args, kw):
+    got, want = _outcomes(*args, **kw)
+    assert isinstance(want, tuple) and got == want
 
 
 def test_extended_mode_needs_a_covariance():
@@ -404,6 +544,16 @@ def test_the_ball_radius_and_eta_must_be_positive_and_finite(epsilon, eta, name)
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         verify_assumption7(BETA, LIN_COST, BOUNDS, goal=0.7455, epsilon=epsilon, eta=eta,
                            L=3, seed=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("epsilon", True), ("eta", True), ("epsilon", "0.02"), ("eta", None), ("eta", 1j),
+])
+def test_the_ball_radius_and_eta_must_be_real_numbers(name, value):
+    # epsilon=True ran with a ball of radius 1.0, eta=True with eta = 1.0.
+    args = {**dict(goal=0.7455, epsilon=0.02, eta=0.5, L=3, seed=1), name: value}
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
+        verify_assumption7(BETA, LIN_COST, BOUNDS, **args)
 
 
 def test_report_serializes_to_json():

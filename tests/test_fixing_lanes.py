@@ -15,11 +15,14 @@ included) and with the same error type and message on failure:
 - ``optimizer._multiplier_argmin``: one multiplier step on those two.
 
 One named-case table, ``NAMED``, and one set of hypothesis strategies feed
-the kernels' tests.
+the kernels' tests.  The probe, which solves a problem's draws together,
+reports what the scalar loop gives them; every solve it makes lies in the
+box and meets the goal, and its memory stays bounded.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from lago import optimizer
+from lago import diagnostics, optimizer
 from lago.cost import CostFunction, _argmin_on, _ComponentPoly, _horner, _stationary_points
 from lago.diagnostics import verify_assumption7
 from lago.errors import InfeasibleError, LagoError, NonFiniteError
@@ -403,6 +406,12 @@ def test_probe_problems_match_the_scalar_loop(P):
         _assert_same(_args(beta + rng.normal(0.0, 0.05, beta.size), cost, bounds, eta_goal))
 
 
+def _scalar_lanes(beta0, beta1, cost, lo, hi, eta_target):
+    """``_min_cost_lanes`` as a loop of the scalar solver over its lanes."""
+    return [_outcome(_min_cost_eta_scalar, *args, cost, lo, hi, target)
+            for *args, target in zip(beta0, beta1, eta_target)]
+
+
 def test_probe_reports_match_the_scalar_loop(monkeypatch):
     problems = [_probe_problem(seed, seed, P) for seed in range(6) for P in (3, 4, 5, 6)]
 
@@ -413,8 +422,62 @@ def test_probe_reports_match_the_scalar_loop(monkeypatch):
         ]
 
     got = reports()
-    monkeypatch.setattr(optimizer, "_min_cost_eta", _min_cost_eta_scalar)
+    monkeypatch.setattr(diagnostics, "_min_cost_lanes", _scalar_lanes)
     assert got == reports()
+
+
+def _recorded_lanes(monkeypatch):
+    """(beta0, beta1, target, outcome) of every lane ``verify_assumption7``
+    solves while the fixture is active."""
+    solved, lanes = [], diagnostics._min_cost_lanes
+
+    def recording(beta0, beta1, cost, lo, hi, target):
+        out = lanes(beta0, beta1, cost, lo, hi, target)
+        solved.extend(zip(beta0, beta1, target, out))
+        return out
+
+    monkeypatch.setattr(diagnostics, "_min_cost_lanes", recording)
+    return solved
+
+
+@pytest.mark.parametrize("P", [3, 4, 5, 6])
+def test_every_perturbed_solve_lies_in_the_box_and_meets_its_goal(monkeypatch, P):
+    # The estimate and each draw: inside the bounds, and at the goal under
+    # its own coefficients within the benchmark's tolerance of 1e-7.
+    solved = _recorded_lanes(monkeypatch)
+    for seed in range(5):
+        beta, cost, bounds, goal, _ = _probe_problem(seed, 9, P)
+        solved.clear()
+        report = verify_assumption7(beta, cost, bounds, goal, epsilon=0.05, L=30, seed=seed)
+        assert not report.failures and len(solved) == 31
+        lo, hi = np.array(bounds).T
+        for beta0, beta1, target, x in solved:
+            assert ((lo <= x) & (x <= hi)).all(), (seed, x)
+            assert target == math.log(goal / (1.0 - goal))
+            assert beta0 + float(beta1 @ x) >= target - 1e-7, (seed, x)
+
+
+def test_a_probe_of_two_hundred_draws_at_six_components_stays_under_8_mb():
+    beta, cost, bounds, goal, _ = _probe_problem(5, 0, 6)
+    tracemalloc.start()
+    try:
+        verify_assumption7(beta, cost, bounds, goal, epsilon=0.05, L=200, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
+
+
+def test_the_draws_of_a_probe_are_enumerated_in_chunks(monkeypatch):
+    # 240 pair lanes per problem at six components: the 201 problems of a
+    # probe go through in chunks of PAIR_LANES // 240 problems.
+    shapes, kernel = [], optimizer._min_pair_lanes
+    monkeypatch.setattr(optimizer, "_min_pair_lanes",
+                        lambda *args: shapes.append(args[-2].shape) or kernel(*args))
+    beta, cost, bounds, goal, _ = _probe_problem(5, 0, 6)
+    verify_assumption7(beta, cost, bounds, goal, epsilon=0.05, L=200, seed=5)
+    size = optimizer.PAIR_LANES // 240
+    assert shapes == [(size, 240)] * (201 // size) + [(201 % size, 240)]
 
 
 def test_the_lanes_path_is_taken(monkeypatch):
@@ -548,15 +611,31 @@ def test_pair_kernel_on_padded_polynomials_matches_the_scalar_pair():
 def test_the_enumeration_raises_when_no_candidate_meets_the_need():
     # _min_cost_eta caps its target at the best level, so only a need past
     # the reach of every package leaves no feasible row: the enumeration
-    # then raises as the scalar pick of no candidates does.
+    # then returns the error the scalar pick of no candidates raises.
     beta, cost, bounds, _, _ = _probe_problem(5, 5, 4)
     lo, hi = [b[0] for b in bounds], [b[1] for b in bounds]
     reach = _fold(b * h for b, h in zip(beta[1:].tolist(), hi))  # positive effects, lo = 0
     polys = _padded_polys(cost, 4)
     fixed = {p: (polys[p].min_on(lo[p], hi[p])[0], polys[p].options_on(lo[p], hi[p]))
              for p in range(4)}
-    with pytest.raises(InfeasibleError, match=_UNREACHABLE):
-        _fixing_lanes(polys, beta[1:].tolist(), [0, 1, 2, 3], lo, hi, reach + 1.0, 1e-9, fixed)
+    (got,) = _fixing_lanes(polys, [beta[1:].tolist()], [0, 1, 2, 3], lo, hi, [reach + 1.0],
+                           [1e-9], fixed)
+    assert type(got) is InfeasibleError and str(got) == _UNREACHABLE
+
+
+@pytest.mark.parametrize("P", [7, 8])
+def test_seven_and_eight_components_match_the_scalar_loop(monkeypatch, P):
+    # Past six effective components nothing is enumerated: the scalar loop's
+    # len(eff) <= 6 guard is false on each of these problems.
+    monkeypatch.setattr(optimizer, "_fixing_lanes", None)
+    rng = np.random.default_rng([61, P])
+    for seed in range(12):
+        beta, cost, bounds, goal, _ = _probe_problem(seed, 4, P)
+        beta = beta * np.concatenate(([1.0], rng.choice([-1.0, 1.0], P)))
+        eta_max = _eta_max(beta, bounds)
+        for share in (0.2, 0.6, 1.0):
+            got = _assert_same(_args(beta, cost, bounds, beta[0] + share * (eta_max - beta[0])))
+            assert isinstance(got, np.ndarray)
 
 
 @pytest.mark.parametrize("seed", range(6))

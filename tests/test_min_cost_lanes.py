@@ -1,13 +1,15 @@
-"""Differential tests for the batched two-component min-cost kernel.
+"""Differential tests for the batched min-cost solve.
 
 ``optimizer._min_cost_lanes`` solves the common P = 2 case for every lane of
-a call with numpy array arithmetic and sends every other lane through
-``_min_cost_eta``, the solver of one problem, which is the oracle here: each
-lane's package must equal its package bitwise, and a lane that fails must
-raise the same error type and message.  ``test_fixing_lanes.py`` holds
-``_min_cost_eta``'s own array enumeration of three to six components to the
-scalar loop it replaced, and each scalar kernel under it (``_horner``,
-``_segment_coeffs``, ``_argmin_on`` and the rest) to one oracle.
+a call with numpy array arithmetic, hands P >= 3 lanes to one
+``_min_cost_problems`` call, which enumerates the lanes' three to six
+effective components together, and sends every other lane through
+``_min_cost_eta``, the solver of one problem.  That solver is the oracle
+here: each lane's package must equal its package bitwise, and a lane that
+fails must raise the same error type and message.  ``test_fixing_lanes.py``
+holds ``_min_cost_eta``'s own array enumeration to the scalar loop it
+replaced, and each scalar kernel under it (``_horner``, ``_segment_coeffs``,
+``_argmin_on`` and the rest) to one oracle.
 """
 
 import dataclasses
@@ -60,6 +62,16 @@ def scalar_lanes(monkeypatch):
     calls = []
     monkeypatch.setattr(optimizer, "_min_cost_eta",
                         lambda *args: calls.append(1) or _min_cost_eta(*args))
+    return calls
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """The number of problems in each call of the batched P >= 3 solver."""
+    calls = []
+    real = optimizer._min_cost_problems
+    monkeypatch.setattr(optimizer, "_min_cost_problems",
+                        lambda beta0, *args: calls.append(len(beta0)) or real(beta0, *args))
     return calls
 
 
@@ -228,7 +240,7 @@ def test_ties_go_to_the_lexicographically_smallest_package(scalar_lanes):
 
 
 @pytest.mark.parametrize("case", ["quartic", "linear", "P=1", "P=3", "one lane"])
-def test_other_shapes_go_through_the_scalar_solver(case, scalar_lanes):
+def test_other_shapes_go_through_the_scalar_solver(case, scalar_lanes, batched):
     rng = np.random.default_rng(5)
     P = {"P=1": 1, "P=3": 3}.get(case, 2)
     cost = {
@@ -243,7 +255,10 @@ def test_other_shapes_go_through_the_scalar_solver(case, scalar_lanes):
     beta1 = rng.normal(0.3, 0.4, (lanes, P))
     target = _eta_max(beta0, beta1, lo, hi) - rng.uniform(-0.1, 2.0, lanes)
     got = _check(beta0, beta1, cost, lo, hi, target)
-    assert len(scalar_lanes) == lanes
+    if case == "P=3":  # one batched call for the lanes, then one per oracle solve
+        assert batched == [lanes] + [1] * lanes and not scalar_lanes
+    else:
+        assert len(scalar_lanes) == lanes
     assert any(isinstance(x, np.ndarray) for x in got)
 
 
@@ -258,6 +273,97 @@ def test_a_lane_does_not_depend_on_its_neighbours(scalar_lanes):
             beta0[a:a + size], beta1[a:a + size], cost, lo, hi, target[a:a + size])]
         _assert_same(chunks, whole)
     assert len(scalar_lanes) == 60  # the one-lane chunks
+
+
+# ---------------------------------------------------------------------------
+# three components and more
+
+
+def _wide_problem(rng, cost, P, lanes):
+    """``lanes`` problems on one box at P components: some effects zero or
+    negative (so several sets of effective components), and targets that
+    the free minimum meets, that lie inside the reach, at the best level
+    and past it."""
+    lo = rng.uniform(-1.0, 0.5, P)
+    hi = lo + rng.uniform(0.5, 4.0, P)
+    beta0 = rng.normal(0.0, 1.0, lanes)
+    beta1 = rng.normal(0.3, 0.5, (lanes, P))
+    beta1[rng.random((lanes, P)) < 0.15] = 0.0
+    eta_max = _eta_max(beta0, beta1, lo, hi)
+    eta_min = beta0 + np.minimum(beta1 * lo, beta1 * hi).sum(axis=1)
+    free = np.array([poly.min_on(a, b)[0] for poly, a, b in
+                     zip(optimizer._padded_polys(cost, P), lo, hi)])
+    target = eta_min + rng.uniform(0.1, 0.95, lanes) * (eta_max - eta_min)
+    kind = rng.integers(0, 6, lanes)
+    target = np.where(kind == 0, beta0 + beta1 @ free - 0.1, target)  # the free minimum
+    target = np.where(kind == 1, eta_max + 0.5, target)  # past the best level
+    target = np.where(kind == 2, eta_max, target)  # the best level
+    return beta0, beta1, cost, lo, hi, target
+
+
+def _cubic_terms(rng, P, degrees=(1, 2, 3)):
+    terms = []
+    for p in range(P):
+        for d in degrees:
+            if rng.random() < 0.8:
+                terms.append((p, d, float(rng.normal() * rng.choice([0.1, 1.0, 4.0]))))
+    return terms + [(0, 3, 0.5)]
+
+
+WIDE_COSTS = {
+    "cubic P=4": lambda rng: (CostFunction(tuple(_cubic_terms(rng, 4))), 4),
+    "cubic P=6": lambda rng: (CostFunction(tuple(_cubic_terms(rng, 6))), 6),
+    "linear P=3": lambda rng: (CostFunction.linear(rng.uniform(0.5, 3.0, 3)), 3),
+    "a quartic component P=4": lambda rng: (
+        CostFunction(tuple(_cubic_terms(rng, 4)) + ((2, 4, 0.3),)), 4),
+    "P=8": lambda rng: (CostFunction(tuple(_cubic_terms(rng, 8))), 8),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 40])
+@pytest.mark.parametrize("name", list(WIDE_COSTS))
+def test_wide_lanes_match_the_one_problem_solver(monkeypatch, name, cap):
+    # With cap 40 every enumeration runs in chunks of at most 40 pair lanes,
+    # or of one problem where one alone has more.
+    if cap is not None:
+        monkeypatch.setattr(optimizer, "PAIR_LANES", cap)
+    groups, shapes = [], []
+    enumeration, pair_kernel = optimizer._fixing_lanes, optimizer._min_pair_lanes
+    monkeypatch.setattr(optimizer, "_fixing_lanes", lambda infos, betas, eff, *rest: (
+        groups.append((len(eff), len(betas))) or enumeration(infos, betas, eff, *rest)))
+    monkeypatch.setattr(optimizer, "_min_pair_lanes", lambda *args: (
+        shapes.append(args[-2].shape) or pair_kernel(*args)))
+    kinds, chunked = set(), 0
+    for seed in range(4):
+        rng = np.random.default_rng([29, seed])
+        cost, P = WIDE_COSTS[name](rng)
+        problem = _wide_problem(rng, cost, P, 60)
+        groups.clear()
+        shapes.clear()
+        got = _min_cost_lanes(*problem)
+        # one enumeration per set of three to six effective components, in
+        # chunks of the cap; none past six
+        assert all(3 <= E <= 6 for E, _ in groups) and sum(n for _, n in groups) <= 60
+        if P in (4, 6) and not cost.is_linear:
+            assert len(groups) >= 2 and max(n for _, n in groups) >= 2, groups
+        if P == 8:  # past six effective components a lane keeps the scalar search
+            effective = (problem[1] != 0.0).sum(axis=1)
+            assert (effective > 6).sum() > 10
+            assert sum(n for _, n in groups) <= (effective <= 6).sum()
+        assert all(m == 1 or m * lanes <= (cap or optimizer.PAIR_LANES) for m, lanes in shapes)
+        chunked += len(shapes) - len(groups)
+        _assert_same(got, _scalar(*problem))
+        kinds |= {type(x).__name__ for x in got}
+        # the same lanes reversed, and in slices of 1 and 7
+        lanes = (0, 1, 5)  # the per-lane arguments
+        _assert_same(_min_cost_lanes(*(v[::-1] if i in lanes else v
+                                       for i, v in enumerate(problem)))[::-1], got)
+        for size in (1, 7):
+            _assert_same([x for a in range(0, 60, size) for x in _min_cost_lanes(
+                *(v[a:a + size] if i in lanes else v for i, v in enumerate(problem)))], got)
+    assert {"ndarray", "InfeasibleError"} <= kinds, kinds
+    if cap is not None and name.startswith("cubic"):
+        assert chunked > 0
 
 
 # ---------------------------------------------------------------------------

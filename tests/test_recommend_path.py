@@ -78,7 +78,11 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 def test_only_the_lanes_core_runs_the_shrinking_fallback_and_the_batched_solve():
     assert _callers("shrinking_method") == {("optimizer", "_recommend_lanes")}
-    assert _callers("_min_cost_lanes") == {("optimizer", "_recommend_lanes")}
+    # Besides the lanes core, only the stability probe solves in lanes.
+    assert _callers("_min_cost_lanes") == {
+        ("optimizer", "_recommend_lanes"),
+        ("diagnostics", "verify_assumption7"), ("diagnostics", "solve"),
+    }
 
 
 def test_recommend_from_summary_and_the_engine_reach_a_package_only_through_the_lanes_core():
