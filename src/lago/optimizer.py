@@ -191,6 +191,7 @@ def _bounds_arrays(bounds, n_components: int):
 
 
 def _check_level_domain(link: str, level: float, what: str = "threshold") -> None:
+    _check_real(what, level)
     if not math.isfinite(level):
         raise ValueError(f"{what} must be finite")
     if link == "logit" and not 0.0 < level < 1.0:
@@ -340,7 +341,7 @@ def _padded_polys(cost: CostFunction, P: int) -> tuple:
     """The cost polynomials of the first P components; components the cost
     does not mention cost nothing."""
     infos = cost.polys[:P]
-    return infos + (_ComponentPoly((0.0, 0.0)),) * (P - len(infos))
+    return infos + tuple(_ComponentPoly((0.0, 0.0)) for _ in range(P - len(infos)))
 
 
 def _fold(terms):
@@ -375,62 +376,32 @@ def _min_cost_eta(beta0, beta1, cost: CostFunction, lo, hi, eta_target):
     fixing all components but one.  From three on, the Lagrangian point at
     the root of the eta multiplier (``_dual_candidate``) adds a candidate
     and exact pairwise descent refines the best; the eta-maximizing corner
-    is the fallback (deterministic, near-exact).  Three to six components
-    are enumerated as arrays (``_fixing_lanes``), as the one-problem call of
-    ``_min_cost_problems``.
+    is the fallback (deterministic, near-exact).  This is the one-lane call
+    of ``_min_cost_lanes``: ``_min_cost_search`` runs the search, and three
+    to six components are enumerated as arrays (``_fixing_lanes``).
     """
-    (x,) = _min_cost_problems([beta0], [beta1], cost, lo, hi, [eta_target])
+    (x,) = _min_cost_lanes([beta0], [beta1], cost, lo, hi, [eta_target])
     if isinstance(x, LagoError):
         raise x
     return x
 
 
-def _min_cost_problems(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> list:
-    """``_min_cost_eta`` of each problem n (beta0[n], beta1[n], eta_target[n]):
-    a package or a LagoError.  The searches that reach the enumeration with
-    the same effective components share one ``_fixing_lanes`` call."""
-    out, waiting = [None] * len(beta0), {}
-
-    def advance(n, search, pick=None):
-        try:
-            eff, *request = (search.throw if isinstance(pick, LagoError) else search.send)(pick)
-            waiting.setdefault(eff, []).append((n, search, *request))
-        except StopIteration as done:
-            out[n] = done.value
-        except LagoError as exc:
-            out[n] = exc
-
-    for n, problem in enumerate(zip(beta0, beta1, eta_target)):
-        advance(n, _min_cost_search(*problem, cost, lo, hi))
-    for eff, members in waiting.items():
-        ns, searches, betas, needs, ftols, fixed = zip(*members)
-        picks = _fixing_lanes(_padded_polys(cost, len(lo)), betas, eff, lo.tolist(), hi.tolist(),
-                              needs, ftols, fixed[0])
-        for n, search, pick in zip(ns, searches, picks):
-            advance(n, search, pick)
-    return out
-
-
-def _min_cost_search(beta0, beta1, eta_target, cost: CostFunction, lo, hi):
-    """``_min_cost_eta`` of one problem as a generator: from three to six
-    effective components it yields (eff, beta1, need, ftol, fixed) and takes
-    ``_fixing_lanes``' pick."""
-    beta1 = np.asarray(beta1, dtype=float)
+def _min_cost_search(beta0: float, beta1, eta_target: float, cost: CostFunction, infos, lo, hi):
+    """``_min_cost_eta`` of one problem, with the cost's padded polynomials
+    ``infos``, as a generator: from three to six effective components it
+    yields (eff, beta1, need, ftol, fixed) and takes ``_fixing_lanes``'
+    package row."""
     P = beta1.size
-    contrib_lo, contrib_hi = beta1 * lo, beta1 * hi
-    eta_max = float(beta0 + np.maximum(contrib_lo, contrib_hi).sum())
+    eta_max = float(beta0 + np.maximum(beta1 * lo, beta1 * hi).sum())
     scale = max(1.0, abs(eta_max), abs(eta_target))
     ftol = 1e-9 * scale
     if eta_target > eta_max + ftol:
         raise _beyond_eta_max(eta_target, eta_max)
     eta_t = min(eta_target, eta_max)
 
-    infos = _padded_polys(cost, P)
-    x = np.empty(P)
     # On Python floats a cost that overflows on the box gives inf and nan
     # silently, and min_on raises NonFiniteError.
-    for p, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-        x[p] = infos[p].min_on(a, b)[0]
+    x = np.array([info.min_on(a, b)[0] for info, a, b in zip(infos, lo.tolist(), hi.tolist())])
     if beta0 + float(beta1 @ x) >= eta_t - ftol:
         return x
 
@@ -449,7 +420,7 @@ def _min_cost_search(beta0, beta1, eta_target, cost: CostFunction, lo, hi):
     free = x.tolist()
     fixed = {p: (free[p], infos[p].options_on(lo[p], hi[p])) for p in eff}
     if 3 <= len(eff) <= 6:
-        chosen = yield tuple(eff), beta1, need, ftol, fixed
+        package = yield tuple(eff), beta1, need, ftol, fixed
     else:
         cands = []
 
@@ -484,8 +455,9 @@ def _min_cost_search(beta0, beta1, eta_target, cost: CostFunction, lo, hi):
             dual = _dual_candidate(infos, beta1, eff, lo, hi, need, ftol)
             if dual is not None:
                 consider(dual)
-        chosen = dict(zip(eff, _cheapest(cands)))
+        package = _cheapest(cands)
 
+    chosen = dict(zip(eff, package))
     if len(eff) >= 3:
         chosen = _pair_descent(chosen, infos, beta1, eff, lo, hi, need, ftol, fixed)
 
@@ -564,15 +536,15 @@ def _pair_descent(values, infos, beta1, eff, lo, hi, need, ftol, fixed):
 # ---------------------------------------------------------------------------
 # the same search as arrays
 #
-# ``_min_cost_lanes`` runs ``_min_cost_eta``'s two-component search with one
+# ``_pair_lanes`` runs ``_min_cost_search``'s two-component search with one
 # numpy operation per scalar operation, over every lane of a call, and
 # ``_fixing_lanes`` its three-to-six-component enumeration over the
 # candidate rows of every problem of a call.  Both solve their pairs with
-# ``_min_pair_lanes``.  Python's max(a, b) and min(a, b) keep the first
-# argument on ties, Python's min over candidates keeps the first of equal
-# ones, and sums fold left to right from 0.0 (``_fold``), so the helpers
-# below spell those rules out and the packages come out bitwise equal to
-# the scalar solver's.
+# ``_min_pair_lanes`` and pick with ``_cheapest_rows``.  Python's max(a, b)
+# and min(a, b) keep the first argument on ties, Python's min over
+# candidates keeps the first of equal ones, and sums fold left to right
+# from 0.0 (``_fold``), so the helpers below spell those rules out and the
+# packages come out bitwise equal to the scalar solver's.
 # ---------------------------------------------------------------------------
 
 def _py_max(a, b):
@@ -764,10 +736,10 @@ def _component_lanes(polys, table, free, *picks) -> list:
 
 
 def _fixing_lanes(infos, betas, eff, lo, hi, needs, ftols, fixed) -> list:
-    """The package ``_min_cost_eta`` picks among its candidates for 3 to 6
-    effective components ``eff``, as arrays over the candidate rows of each
-    problem n (effects betas[n], need needs[n], tolerance ftols[n]): a dict,
-    or the LagoError its search raises.
+    """The package row ``_min_cost_search`` picks among its candidates for 3
+    to 6 effective components ``eff``, as arrays over the candidate rows of
+    each problem n (effects betas[n], need needs[n], tolerance ftols[n]):
+    the values of ``eff`` in order, or the LagoError its search raises.
 
     The rows come in the scalar search's order: the eta-maximizing corner,
     every fixing of all components at a bound or interior stationary point,
@@ -777,8 +749,10 @@ def _fixing_lanes(infos, betas, eff, lo, hi, needs, ftols, fixed) -> list:
     ``PAIR_LANES`` pair lanes (or one problem's) come from one
     ``_min_pair_lanes`` call; a lane it cannot match, and every lane when a
     component is above cubic or a box is not finite, goes through
-    ``_min_pair``.  Arguments are Python floats and lists, as in
-    ``_min_cost_eta``, and ``fixed`` its component table.
+    ``_min_pair``.  ``_cheapest_rows`` picks each problem's row, with the
+    rows as candidates and the problems as lanes; a problem with a kept
+    total that is not finite takes ``_cheapest``.  Arguments are Python
+    floats and lists, as in the search, and ``fixed`` its component table.
     """
     E = len(eff)
     polys = [infos[p] for p in eff]
@@ -842,16 +816,16 @@ def _fixing_lanes(infos, betas, eff, lo, hi, needs, ftols, fixed) -> list:
             ok &= ((lo_e - 1e-12 <= V) & (V <= hi_e + 1e-12)).all(axis=2)
             total = _fold(_horner(poly.coeffs, V[..., e]) for e, poly in enumerate(polys))
             V = _py_min(_py_max(V, lo_e), hi_e)
-        for n, keep, t, x in zip(chunk, ok, total, V):
-            if out[n] is None and np.isnan(t[keep]).any():  # Python's min orders nan its own way
-                out[n] = _cheapest([(v, tuple(r)) for v, r, k
-                                    in zip(t.tolist(), x.tolist(), keep.tolist()) if k])
-            elif out[n] is None and keep.any():
-                best = float(t[keep].min())
-                near = keep & (t <= best + max(1e-9, 1e-9 * abs(best)))
-                out[n] = min(x[near].tolist())  # rows in order: Python's pick
-    return [x if isinstance(x, LagoError) else InfeasibleError(_UNREACHABLE) if x is None
-            else dict(zip(eff, x)) for x in out]
+            # The rows are the candidates, the problems the lanes, the components the keys.
+            index, solved = _cheapest_rows(ok.T, total.T, *V.T)
+            finite = np.isfinite(total).all(axis=1, where=ok)
+        packages = V[np.arange(len(b)), index].tolist()
+        for m, n in enumerate(chunk):
+            if out[n] is None and finite[m]:
+                out[n] = packages[m] if solved[m] else InfeasibleError(_UNREACHABLE)
+            elif out[n] is None:  # Python orders nan and inf its own way
+                out[n] = _cheapest(list(zip(total[m, ok[m]].tolist(), V[m, ok[m]].tolist())))
+    return out
 
 
 def _min_cost_lanes(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> list:
@@ -859,36 +833,46 @@ def _min_cost_lanes(beta0, beta1, cost: CostFunction, lo, hi, eta_target) -> lis
     and one cost and box (lo, hi) for all lanes.  Returns one package or one
     LagoError per lane, bitwise equal to the scalar solver's.
 
-    From P = 3 on the lanes are the problems of one ``_min_cost_problems``
-    call.  The common case is solved for all its lanes together: P = 2, more
-    than one lane, a nonlinear cost of at most cubic components and hi > lo;
-    on each lane finite values, two nonzero effects and a cubic
-    constraint-active segment.  Every other lane goes through ``_min_cost_eta``.
+    ``_pair_lanes`` settles the common P = 2 lanes first.  Every other lane
+    runs ``_min_cost_search``, and the searches that pause at the same three
+    to six effective components share one ``_fixing_lanes`` call.
     """
-    beta0 = np.asarray(beta0, dtype=float)
-    beta1 = np.asarray(beta1, dtype=float)
-    eta_target = np.asarray(eta_target, dtype=float)
+    beta0, beta1, eta_target = (np.asarray(v, dtype=float) for v in (beta0, beta1, eta_target))
     L, P = beta1.shape
-    if P >= 3:
-        return _min_cost_problems(beta0, beta1, cost, lo, hi, eta_target)
-    out = [None] * L
+    out, waiting = [None] * L, {}
     infos = _padded_polys(cost, P)
     if (L > 1 and P == 2 and bool((hi > lo).all())
             and max(len(info.coeffs) for info in infos) == 4):
         with np.errstate(all="ignore"):
             _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target)
-    for i, x in enumerate(out):
+
+    def advance(n, search, pick=None):
+        try:
+            eff, *request = (search.throw if isinstance(pick, LagoError) else search.send)(pick)
+            waiting.setdefault(eff, []).append((n, search, *request))
+        except StopIteration as done:
+            out[n] = done.value
+        except LagoError as exc:
+            out[n] = exc
+
+    intercepts, targets = beta0.tolist(), eta_target.tolist()
+    for n, x in enumerate(out):
         if x is None:
-            try:
-                out[i] = _min_cost_eta(beta0[i], beta1[i], cost, lo, hi, eta_target[i])
-            except LagoError as exc:
-                out[i] = exc
+            advance(n, _min_cost_search(intercepts[n], beta1[n], targets[n], cost, infos, lo, hi))
+    for eff, members in waiting.items():
+        ns, searches, betas, needs, ftols, fixed = zip(*members)
+        picks = _fixing_lanes(infos, betas, eff, lo.tolist(), hi.tolist(), needs, ftols, fixed[0])
+        for n, search, pick in zip(ns, searches, picks):
+            advance(n, search, pick)
     return out
 
 
 def _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target) -> None:
-    """The common case of ``_min_cost_lanes``: fill ``out`` on the lanes it
-    solves, in ``_min_cost_eta``'s order of checks and candidates."""
+    """The common case of ``_min_cost_lanes``, solved for all its lanes
+    together: P = 2, more than one lane, a nonlinear cost of at most cubic
+    components and hi > lo; on each lane finite values, two nonzero effects
+    and a cubic constraint-active segment.  Fills ``out`` on the lanes it
+    solves, in ``_min_cost_search``'s order of checks and candidates."""
     eta_max = beta0 + np.maximum(beta1 * lo, beta1 * hi).sum(axis=1)
     # A non-finite beta0 or effect makes eta_max non-finite.
     common = np.isfinite(eta_max + eta_target) & (beta1[:, 0] != 0.0) & (beta1[:, 1] != 0.0)
@@ -903,7 +887,7 @@ def _pair_lanes(out, beta0, beta1, infos, lo, hi, eta_target) -> None:
     try:
         for p in range(2):
             x_free[p] = infos[p].min_on(lo[p], hi[p])[0]
-    except NonFiniteError:  # the lanes left over fail in _min_cost_eta, one at a time
+    except NonFiniteError:  # the lanes left over fail in _min_cost_search, one at a time
         return
     reach, floor = beta0 + beta1 @ x_free, eta_t - ftol
     # The scalar solver's dot product may round differently; near the

@@ -209,6 +209,14 @@ class ScenarioSpec:
             raise ValueError(f"se_source must be one of {_SE_SOURCES}")
         if not isinstance(self.goals, GoalSpec):
             raise ValueError("goals must be a GoalSpec")
+        if self.outcome_kind == "continuous" and self.goals.power_goal is not None:
+            # A continuous test reads each arm's observed variance at every decision.
+            for k, sp in enumerate(stages, start=1):
+                for arm in ("control", "intervention"):
+                    if _recommends(self, sp) and not any(
+                            getattr(before, f"n_{arm}_centers") for before in stages[:k - 1]):
+                        raise ValueError(f"stage {k} deploys a recommendation under a continuous "
+                                         f"power goal, but no stage before it has a {arm} center")
         if not isinstance(self.cost, CostFunction):
             raise ValueError("cost must be a CostFunction")
         if self.cost.max_component >= n_comp:

@@ -470,6 +470,22 @@ def test_simulate_rejects_a_layout_without_a_control_center(tmp_path, capsys):
     assert "needs a control center in some stage" in captured.err
 
 
+def test_simulate_rejects_a_continuous_power_goal_without_a_prior_control_before_emitting(
+        tmp_path, capsys):
+    cfg_path, out = tmp_path / "spec.json", tmp_path / "emitted.json"
+    doc = SHIPPED_SCENARIOS["1a"](replicates=5).to_config()
+    doc["stages"][0]["n_control_centers"] = 0
+    doc.update(outcome_kind="continuous", outcome_sigma=8.0)
+    doc["goals"] = {**doc["goals"], "power_goal": 0.8, "approach": "conditional",
+                    "test": "t_unpooled"}
+    cfg_path.write_text(json.dumps(doc))
+    code, captured = run(capsys, "simulate", "--config", cfg_path, "--seed", "3",
+                         "--emit-config", out)
+    assert code == 2
+    assert "stage 2 deploys a recommendation" in captured.err
+    assert not out.exists()
+
+
 def test_simulate_rejects_more_replicates_than_spawn_keys(tmp_path, capsys):
     cfg_path = tmp_path / "spec.json"
     doc = SHIPPED_SCENARIOS["1a"](replicates=5).to_config()

@@ -507,8 +507,8 @@ def _mixed_cost(rng, P):
     return CostFunction(tuple(terms))
 
 
-def _mixed_problem(rng):
-    P = int(rng.integers(3, 7))
+def _mixed_problem(rng, P=None):
+    P = int(rng.integers(3, 7)) if P is None else P
     cost = _mixed_cost(rng, P)
     lo = rng.uniform(-2.0, 1.0, P)
     hi = lo + rng.uniform(0.5, 6.0, P)
@@ -530,6 +530,51 @@ def test_mixed_degree_costs_match_the_scalar_loop():
         for target in (eta_min + rng.uniform(0.2, 0.9) * (eta_max - eta_min),
                        eta_max, eta_max + 0.5 * ftol, eta_max - 0.5 * ftol, eta_max + 1.0):
             _assert_same(_args(beta, cost, bounds, target))
+
+
+@pytest.mark.parametrize("P", [1, 2])
+def test_one_and_two_components_match_the_scalar_loop(P):
+    # One problem never takes the P = 2 arrays: the scalar search solves it.
+    # Mixed-degree costs (a fourth of them linear), some effects zero and
+    # some boxes flat; targets inside the reach, at the best level, within
+    # ftol of it and beyond, and at the free minimum's level.
+    rng = np.random.default_rng([2025, P])
+    kinds = set()
+    for k in range(160):
+        beta, cost, bounds = _mixed_problem(rng, P)
+        if k % 4 == 3:
+            cost = CostFunction.linear(rng.uniform(-1.0, 3.0, P))
+        lo, hi = np.array(bounds).T
+        eta_max = _eta_max(beta, bounds)
+        ftol = 1e-9 * max(1.0, abs(eta_max))
+        free = [poly.min_on(a, b)[0] for poly, a, b in zip(_padded_polys(cost, P), lo, hi)]
+        at_free = float(beta[0] + beta[1:] @ np.array(free))
+        for target in (beta[0] + rng.uniform(0.2, 0.9) * (eta_max - beta[0]), eta_max,
+                       eta_max - 0.5 * ftol, eta_max + 0.5 * ftol, eta_max + 2.0 * ftol,
+                       at_free, at_free + 2.0 * ftol):
+            kinds.add(type(_assert_same(_args(beta, cost, bounds, target))).__name__)
+    assert kinds == {"ndarray", "InfeasibleError"}, kinds
+
+
+@pytest.mark.parametrize("P", [1, 2])
+def test_a_cost_not_finite_on_the_box_fails_alone_as_the_scalar_loop(P):
+    terms = ((0, 3, -1e308), (0, 1, 1.0), (1, 3, 1.0), (1, 1, 1.0))[:2 * P]
+    beta = np.array([-0.8, 0.5, 0.3][:P + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _assert_same(_args(beta, CostFunction(terms), ((0.0, 2.0), (0.0, 8.0))[:P], 0.1))
+    assert type(got) is NonFiniteError and str(got) == "the cost is not finite on [0.0, 2.0]"
+
+
+def test_a_candidate_whose_cost_overflows_is_picked_as_the_scalar_loop():
+    # The first component's cost overflows to inf at its upper bound, so
+    # some kept candidates total inf: the pick then runs on Python floats.
+    cost = CostFunction(((0, 3, 1e308), (0, 1, 1.0), (1, 3, 1.0), (1, 1, 1.0),
+                         (2, 3, 0.5), (2, 1, 2.0)))
+    beta, bounds = np.array([-1.0, 0.5, 0.4, 0.3]), ((0.0, 2.0),) * 3
+    for target in (-0.5, 0.0, 0.4, 0.8):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _assert_same(_args(beta, cost, bounds, target))
+        assert np.isfinite(cost.evaluate_rows(got[None]))[0]
 
 
 def test_negative_effects_and_flat_boxes_match_the_scalar_loop():

@@ -1,15 +1,17 @@
 """Differential tests for the batched min-cost solve.
 
 ``optimizer._min_cost_lanes`` solves the common P = 2 case for every lane of
-a call with numpy array arithmetic, hands P >= 3 lanes to one
-``_min_cost_problems`` call, which enumerates the lanes' three to six
-effective components together, and sends every other lane through
-``_min_cost_eta``, the solver of one problem.  That solver is the oracle
-here: each lane's package must equal its package bitwise, and a lane that
-fails must raise the same error type and message.  ``test_fixing_lanes.py``
-holds ``_min_cost_eta``'s own array enumeration to the scalar loop it
-replaced, and each scalar kernel under it (``_horner``, ``_segment_coeffs``,
-``_argmin_on`` and the rest) to one oracle.
+a call with numpy array arithmetic (``_pair_lanes``) and runs the scalar
+search (``_min_cost_search``) on every other lane; the searches that reach
+three to six effective components, the same ones, share one
+``_fixing_lanes`` enumeration.  ``_min_cost_eta``, the solver of one
+problem, is the one-lane call, which never takes the P = 2 arrays.  It is
+the oracle here: each lane's package must equal its package bitwise, and a
+lane that fails must raise the same error type and message.  The routing
+fixtures count only the call under test, not the oracle's.
+``test_fixing_lanes.py`` holds ``_min_cost_eta`` to the scalar loop the
+enumeration replaced, and each scalar kernel under it (``_horner``,
+``_segment_coeffs``, ``_argmin_on`` and the rest) to one oracle.
 """
 
 import dataclasses
@@ -27,13 +29,21 @@ CUBIC = sim.COST_1A
 LO, HI = np.array([0.0, 0.0]), np.array([2.0, 8.0])
 
 
+# Marked while the oracle runs, which goes through ``_min_cost_lanes`` too.
+_ORACLE = []
+
+
 def _scalar(beta0, beta1, cost, lo, hi, eta_target):
     out = []
-    for b0, b1, target in zip(beta0, beta1, eta_target):
-        try:
-            out.append(_min_cost_eta(b0, b1, cost, lo, hi, target))
-        except LagoError as exc:
-            out.append(exc)
+    _ORACLE.append(True)
+    try:
+        for b0, b1, target in zip(beta0, beta1, eta_target):
+            try:
+                out.append(_min_cost_eta(b0, b1, cost, lo, hi, target))
+            except LagoError as exc:
+                out.append(exc)
+    finally:
+        _ORACLE.pop()
     return out
 
 
@@ -56,23 +66,29 @@ def _check(beta0, beta1, cost, lo, hi, eta_target):
     return got
 
 
+def _counted(monkeypatch, name, count) -> list:
+    """``count(*args)`` of each call of ``optimizer.<name>`` outside the oracle."""
+    calls, real = [], getattr(optimizer, name)
+
+    def counting(*args):
+        if not _ORACLE:
+            calls.append(count(*args))
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, name, counting)
+    return calls
+
+
 @pytest.fixture
 def scalar_lanes(monkeypatch):
-    """Counts the lanes the kernel hands to the scalar solver."""
-    calls = []
-    monkeypatch.setattr(optimizer, "_min_cost_eta",
-                        lambda *args: calls.append(1) or _min_cost_eta(*args))
-    return calls
+    """Counts the lanes the kernel hands to the scalar search."""
+    return _counted(monkeypatch, "_min_cost_search", lambda *args: 1)
 
 
 @pytest.fixture
 def batched(monkeypatch):
-    """The number of problems in each call of the batched P >= 3 solver."""
-    calls = []
-    real = optimizer._min_cost_problems
-    monkeypatch.setattr(optimizer, "_min_cost_problems",
-                        lambda beta0, *args: calls.append(len(beta0)) or real(beta0, *args))
-    return calls
+    """The number of problems in each ``_fixing_lanes`` enumeration."""
+    return _counted(monkeypatch, "_fixing_lanes", lambda infos, betas, *args: len(betas))
 
 
 def _eta_max(beta0, beta1, lo, hi):
@@ -255,10 +271,10 @@ def test_other_shapes_go_through_the_scalar_solver(case, scalar_lanes, batched):
     beta1 = rng.normal(0.3, 0.4, (lanes, P))
     target = _eta_max(beta0, beta1, lo, hi) - rng.uniform(-0.1, 2.0, lanes)
     got = _check(beta0, beta1, cost, lo, hi, target)
-    if case == "P=3":  # one batched call for the lanes, then one per oracle solve
-        assert batched == [lanes] + [1] * lanes and not scalar_lanes
-    else:
-        assert len(scalar_lanes) == lanes
+    assert len(scalar_lanes) == lanes
+    # P = 3: one enumeration for the seven lanes that the free minimum does
+    # not meet and the bounds reach
+    assert batched == ([7] if case == "P=3" else [])
     assert any(isinstance(x, np.ndarray) for x in got)
 
 

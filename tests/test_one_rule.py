@@ -5,19 +5,18 @@ the normal tail.
 everywhere else the orientation is a multiplication by the sign it returns.
 The min-cost tie rule (the cheapest candidate within 1e-9 relative, then the
 lexicographically smallest package) is ``optimizer._cheapest`` on Python
-floats and ``optimizer._cheapest_rows`` on (candidates, lanes) arrays; only
-``_fixing_lanes`` keeps its own pick over its few near rows.  Every 1-df
-power is written once, on a float or on lanes, so only ``power.norm_cdf``
-and ``power.norm_sf`` call ``math.erfc``, and the lane copy of the
-unconditional power is gone.  A component polynomial's argmin on an
-interval (the smallest candidate within 1e-12 relative of the least) is
-``cost._argmin_on`` on floats and ``optimizer._min_on_lanes`` on arrays,
-and only a cost's construction and ``optimizer._padded_polys`` build a
-``_ComponentPoly``, so the solver builds none per step.  The quadratic
-discriminant of a cubic's stationary points, b * b - 4.0 * a * c, is written
-once on floats (``cost._quadratic_points``, which the eta multiplier's
-per-component solve reuses) and once on lanes (``optimizer._cubic_stationary``).
-``ast`` guards keep it that way.
+floats and ``optimizer._cheapest_rows`` on (candidates, lanes) arrays, and
+only those two build its tie window.  Every 1-df power is written once, on
+a float or on lanes, so only ``power.norm_cdf`` and ``power.norm_sf`` call
+``math.erfc``, and the lane copy of the unconditional power is gone.  A
+component polynomial's argmin on an interval (the smallest candidate within
+1e-12 relative of the least) is ``cost._argmin_on`` on floats and
+``optimizer._min_on_lanes`` on arrays, and only a cost's construction and
+``optimizer._padded_polys`` build a ``_ComponentPoly``, so the solver builds
+none per step.  The quadratic discriminant of a cubic's stationary points,
+b * b - 4.0 * a * c, is written once on floats (``cost._quadratic_points``,
+which the eta multiplier's per-component solve reuses) and once on lanes
+(``optimizer._cubic_stationary``).  ``ast`` guards keep it that way.
 """
 
 import ast
@@ -131,6 +130,7 @@ def _builds_a_tie_window(func) -> bool:
     ("_min_pair", "_cheapest"),
     ("_min_pair_lanes", "_cheapest_rows"),
     ("_pair_lanes", "_cheapest_rows"),
+    ("_fixing_lanes", "_cheapest_rows"),
 ])
 def test_the_pair_solvers_pick_by_the_shared_rule(name, rule):
     func = _functions()[name]
@@ -141,7 +141,7 @@ def test_the_pair_solvers_pick_by_the_shared_rule(name, rule):
 
 def test_the_tie_window_is_built_once_per_representation():
     builders = {name for name, func in _functions().items() if _builds_a_tie_window(func)}
-    assert builders == {"_cheapest", "_cheapest_rows", "_fixing_lanes"}
+    assert builders == {"_cheapest", "_cheapest_rows"}
 
 
 class _Scoped(ast.NodeVisitor):

@@ -174,6 +174,28 @@ def test_threshold_domain_validated():
         min_cost_subject_to_threshold(MODEL_1A, CUBIC, BOUNDS_1A, 1.2)
 
 
+LEVEL_ENTRY_POINTS = {
+    "min_cost_subject_to_threshold": lambda model, level: min_cost_subject_to_threshold(
+        model, COST_1A, BOUNDS_1A, level),
+    "verify_assumption7": lambda model, level: verify_assumption7(
+        model, COST_1A, BOUNDS_1A, level, 0.05, L=3, seed=1),
+    "integerize": lambda model, level: integerize(
+        [1.0, 4.0], model, COST_1A, BOUNDS_1A, level),
+    "shrinking_method": lambda model, level: shrinking_method(
+        model, BOUNDS_1A, [1.0, 4.0], level),
+}
+
+
+@pytest.mark.parametrize("level", ["0.6", True, None])
+@pytest.mark.parametrize("link", ["logit", "identity"])
+@pytest.mark.parametrize("name", list(LEVEL_ENTRY_POINTS))
+def test_a_level_that_is_not_a_real_number_is_refused(name, link, level):
+    # A string once raised a raw TypeError from math.isfinite, and on an
+    # identity link True ran as the level 1.0.
+    with pytest.raises(ValueError, match=f"must be a real number, got {level!r}"):
+        LEVEL_ENTRY_POINTS[name](_assumed(MODEL_1A.beta, link), level)
+
+
 def test_cost_component_out_of_range_rejected():
     bad = CostFunction(terms=((2, 1, 1.0),))
     with pytest.raises(ValueError):

@@ -78,11 +78,18 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 def test_only_the_lanes_core_runs_the_shrinking_fallback_and_the_batched_solve():
     assert _callers("shrinking_method") == {("optimizer", "_recommend_lanes")}
-    # Besides the lanes core, only the stability probe solves in lanes.
+    # Besides the lanes core, only the stability probe and the one-lane
+    # solver call the batched solve.
     assert _callers("_min_cost_lanes") == {
-        ("optimizer", "_recommend_lanes"),
+        ("optimizer", "_recommend_lanes"), ("optimizer", "_min_cost_eta"),
         ("diagnostics", "verify_assumption7"), ("diagnostics", "solve"),
     }
+
+
+def test_the_batched_solve_is_the_one_driver_of_the_search():
+    assert not hasattr(lago.optimizer, "_min_cost_problems")
+    for name in ("_min_cost_search", "_fixing_lanes"):
+        assert _callers(name) == {("optimizer", "_min_cost_lanes")}, name
 
 
 def test_recommend_from_summary_and_the_engine_reach_a_package_only_through_the_lanes_core():

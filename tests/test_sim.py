@@ -329,6 +329,34 @@ def test_a_layout_without_a_control_center_is_refused(goals):
     assert dataclasses.replace(scenario_1a(replicates=5, goals=goals), stages=late).stages == late
 
 
+def _continuous_power_1a() -> ScenarioSpec:
+    goals = GoalSpec(outcome_goal=0.7, power_goal=0.8, approach="conditional",
+                     test=Selector("t_unpooled"))
+    return dataclasses.replace(scenario_1a(n_per_center=50, replicates=5, goals=goals),
+                               outcome_kind="continuous", outcome_sigma=8.0)
+
+
+@pytest.mark.parametrize("arm, first", [
+    ("control", StagePlan(0, 3, 50, ((1.0, 0.0), (0.0, 4.0), (1.0, 4.0)))),
+    ("intervention", StagePlan(2, 0, 50, ())),
+])
+def test_a_continuous_power_goal_needs_both_arms_before_a_decision(arm, first):
+    # Without a control center before stage 2 the run drew and fit stage 1,
+    # then raised out of the stage-2 decision ("continuous projections need
+    # var0_obs"); the power formulas also read the intervention arm's
+    # variance.  Binary specs take the control rate from the model, and an
+    # outcome goal alone reads no variance: both stay accepted.
+    spec = _continuous_power_1a()
+    stages = (first,) + spec.stages[1:]
+    with pytest.raises(ValueError, match=f"stage 2 deploys a recommendation under a "
+                                         f"continuous power goal, but no stage before it "
+                                         f"has a {arm} center"):
+        dataclasses.replace(spec, stages=stages)
+    for accepted in (dataclasses.replace(spec, outcome_kind="binary"),
+                     dataclasses.replace(spec, goals=GoalSpec(outcome_goal=12.0))):
+        assert dataclasses.replace(accepted, stages=stages).stages == stages
+
+
 def test_stage_plan_rejects_fractional_center_size():
     with pytest.raises(ValueError, match="n_per_center must be an integer"):
         StagePlan(n_control_centers=1, n_intervention_centers=1, n_per_center=40.5)
